@@ -4,7 +4,8 @@ Subcommands: ``simulate | estimate | coalesce | eta | check``.  A run is
 pinned by its spec (flags or ``--spec`` JSON file; flags win) plus the
 package version; outputs are byte-identical across repeat runs and worker
 counts, and every output file embeds the spec hash.  Exit codes: 0 ok,
-1 check failures, 2 invalid spec, 3 scan guard tripped, 4 I/O failure.
+1 check failures, 2 invalid spec or insufficient data, 3 scan guard
+tripped, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .couple import coalescence_survival_curve
-from .errors import (InvalidArgumentError, InvalidSiteError,
-                     ScanLimitExceededError)
+from .errors import (InsufficientDataError, InvalidArgumentError,
+                     InvalidSiteError, ScanLimitExceededError)
 from .explore import ExplorationCluster, explore_to_level
 from .lattice import Config, LatticeSite, STREAMS_PER_REPLICA
 from .metrics import b1_battery, b2_fkg_check
@@ -42,11 +43,11 @@ ESTIMATE_REPORT_SCHEMA = {
         "p": {"type": "number"},
         "n_records": {"type": "integer", "minimum": 0},
         "alpha_hat": {"type": "number"},
-        "alpha_se": {"type": "number"},
+        "alpha_se": {"type": ["number", "null"]},
         "sigma_hat": {"type": "number"},
-        "sigma_se": {"type": "number"},
+        "sigma_se": {"type": ["number", "null"]},
         "ks_n": {"type": "integer"},
-        "ks_stat": {"type": "number"},
+        "ks_stat": {"type": ["number", "null"]},
         "seeds_used": {
             "type": "object",
             "required": ["master_seed", "replicas", "stream_stride"],
@@ -164,13 +165,13 @@ def estimate_report(spec: ExperimentSpec) -> dict:
         endpoints.append(r_n)
     est = acc.finalize()
     norm = (np.array(endpoints, dtype=np.float64) - est.alpha_hat * spec.n)
-    ks = float("nan")
+    ks = None
     if est.sigma_hat > 0 and len(endpoints) > 1:
         ks = ks_distance_to_normal(norm / (est.sigma_hat * math.sqrt(spec.n)))
     return {
         "p": spec.p, "n_records": est.n_records,
-        "alpha_hat": est.alpha_hat, "alpha_se": est.alpha_se,
-        "sigma_hat": est.sigma_hat, "sigma_se": est.sigma_se,
+        "alpha_hat": est.alpha_hat, "alpha_se": _defined(est.alpha_se),
+        "sigma_hat": est.sigma_hat, "sigma_se": _defined(est.sigma_se),
         "ks_n": spec.n, "ks_stat": ks,
         "seeds_used": {"master_seed": spec.seed, "replicas": spec.replicas,
                        "stream_stride": STREAMS_PER_REPLICA},
@@ -178,9 +179,14 @@ def estimate_report(spec: ExperimentSpec) -> dict:
     }
 
 
+def _defined(v: float) -> float | None:
+    """An undefined statistic (NaN) as None, which JSON writes as null."""
+    return None if math.isnan(v) else v
+
+
 def cmd_estimate(spec: ExperimentSpec) -> int:
     report = estimate_report(spec)
-    text = json.dumps(report, sort_keys=True, indent=1) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=1, allow_nan=False) + "\n"
     if spec.out:
         _write_text(spec.out, text)
     else:
@@ -360,6 +366,9 @@ def main(argv=None) -> int:
         return handler(spec)
     except (InvalidArgumentError, InvalidSiteError, json.JSONDecodeError) as e:
         print(f"invalid spec: {e}", file=sys.stderr)
+        return 2
+    except InsufficientDataError as e:
+        print(f"insufficient data: {e}", file=sys.stderr)
         return 2
     except ScanLimitExceededError as e:
         print(f"scan guard tripped: {e}", file=sys.stderr)

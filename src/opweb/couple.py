@@ -27,6 +27,7 @@ retained but flagged unstructured.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +92,12 @@ class CoalescenceReport:
 
 
 def _coupled_sources(k: int, seed: int, p: float, stream_base: int):
-    """Ledger plus one adapted edge source per cluster (index 0 first)."""
+    """Ledger plus one adapted edge source per cluster (index 0 first).
+
+    ``states[i]["cluster"]`` must be set to a weak reference to cluster
+    ``i``: the cluster holds its source, so a strong one would form a
+    reference cycle that only the cycle collector could free.
+    """
     ledger: dict[int, bool] = {}
     samplers = [make_key_sampler(Config(seed, p, stream_base + i + 1))
                 for i in range(k)]
@@ -113,7 +119,7 @@ def _coupled_sources(k: int, seed: int, p: float, stream_base: int):
             v = ledger.get(key)
             if v is not None:
                 state["switched"] = True
-                state["iota"] = state["cluster"].level + 1
+                state["iota"] = state["cluster"]().level + 1
                 return v
             v = own(key)
             ledger[key] = v
@@ -182,11 +188,11 @@ def run_coupled_pair(z1: LatticeSite, z2: LatticeSite, horizon: int, *,
 
     c1 = ExplorationCluster(z1, cfg=None, source=sources[0],
                             scan_guard=scan_guard, record_left_deltas=rec)
-    states[0]["cluster"] = c1
+    states[0]["cluster"] = weakref.ref(c1)
     c1.advance_to(horizon)
     c2 = ExplorationCluster(z2, cfg=None, source=sources[1],
                             scan_guard=scan_guard, record_left_deltas=rec)
-    states[1]["cluster"] = c2
+    states[1]["cluster"] = weakref.ref(c2)
 
     base = max(z1.t, z2.t)
     r1 = c1.right_values
@@ -384,7 +390,7 @@ def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
         c = ExplorationCluster(z, cfg=None, source=sources[i],
                                scan_guard=scan_guard,
                                record_left_deltas=record_left_deltas)
-        states[i]["cluster"] = c
+        states[i]["cluster"] = weakref.ref(c)
         clusters.append(c)
         c.advance_to(horizon)
     run = CoupledRun(
@@ -442,7 +448,7 @@ def run_right_family(start_xs, t0: int, level: int, *, p: float, seed: int,
     for i, x in enumerate(xs):
         c = ExplorationCluster(LatticeSite(x, t0), cfg=None, source=sources[i],
                                scan_guard=scan_guard)
-        states[i]["cluster"] = c
+        states[i]["cluster"] = weakref.ref(c)
         clusters.append(c)
     rep = list(range(k))
     active = list(range(k))

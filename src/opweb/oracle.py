@@ -8,6 +8,11 @@ column reachable at every level whose entry edge from outside the box is
 open.  Whenever the optimistic and pessimistic answers disagree in any way
 that could affect the result, the box cannot certify an exact answer and
 `BoxTooNarrowError` is raised; agreement pins the true value exactly.
+
+The DP runs on bit rows: each box row is packed into a Python int at DP
+time, bit ``i`` standing for column ``x_min + i``, so one level of
+reachability is ``((r & ur) << 1) | ((r & ul) >> 1)`` masked to the box
+width, and a row's rightmost reachable site is ``bit_length() - 1``.
 """
 
 from __future__ import annotations
@@ -28,9 +33,12 @@ class BoxConfig:
     """Materialized edge statuses for all edges inside a box.
 
     Boolean arrays are indexed ``[t - t_min, x - x_min]``; entries at odd
-    parity are meaningless and never read.  ``entry_open[j]`` is the status
-    of the up-right edge from ``(x_min - 1, t_min + j)``, the only kind of
-    edge through which anything left of the box can influence it.
+    parity are False and never read.  ``entry_open[j]`` is the status of
+    the up-right edge from ``(x_min - 1, t_min + j)``, the only kind of
+    edge through which anything left of the box can influence it.  The DP
+    packs ``open_ur``/``open_ul`` into bit rows (bit ``i`` is column
+    ``x_min + i``) each time it runs, so edits to the arrays after
+    construction are seen by the next DP call.
     """
 
     cfg: Config
@@ -47,16 +55,20 @@ class BoxConfig:
             raise InvalidArgumentError("degenerate box")
         height = self.t_max - self.t_min
         width = self.x_max - self.x_min + 1
-        ts, xs = np.meshgrid(np.arange(self.t_min, self.t_max),
-                             np.arange(self.x_min, self.x_max + 1), indexing="ij")
-        mask = (xs + ts) % 2 == 0
         self.open_ur = np.zeros((height, width), dtype=bool)
         self.open_ul = np.zeros((height, width), dtype=bool)
-        fx, ft = xs[mask], ts[mask]
-        self.open_ur[ft - self.t_min, fx - self.x_min] = edge_status_array(
-            self.cfg, fx, ft, np.ones(len(fx), dtype=np.int64))
-        self.open_ul[ft - self.t_min, fx - self.x_min] = edge_status_array(
-            self.cfg, fx, ft, np.zeros(len(fx), dtype=np.int64))
+        # rows of one parity share their even columns: c0::2 with c0 fixed
+        for j0 in range(min(2, height)):
+            c0 = (self.x_min + self.t_min + j0) % 2
+            ts = np.arange(self.t_min + j0, self.t_max, 2, dtype=np.int64)
+            xs = np.arange(self.x_min + c0, self.x_max + 1, 2, dtype=np.int64)
+            fx = np.tile(xs, len(ts))
+            ft = np.repeat(ts, len(xs))
+            shape = (len(ts), len(xs))
+            self.open_ur[j0::2, c0::2] = edge_status_array(
+                self.cfg, fx, ft, np.ones_like(fx)).reshape(shape)
+            self.open_ul[j0::2, c0::2] = edge_status_array(
+                self.cfg, fx, ft, np.zeros_like(fx)).reshape(shape)
         wall_ts = np.arange(self.t_min, self.t_max)
         wall_mask = (self.x_min - 1 + wall_ts) % 2 == 0
         self.entry_open = np.zeros(height, dtype=bool)
@@ -75,40 +87,51 @@ class DpBoundary:
     dead_from: int | None = None
 
 
-def _propagate(reach, open_ur, open_ul):
-    nxt = np.zeros_like(reach)
-    nxt[1:] = reach[:-1] & open_ur[:-1]
-    nxt[:-1] |= reach[1:] & open_ul[1:]
-    return nxt
+def _bit_rows(arr: np.ndarray) -> list[int]:
+    """Each row of a bool array as an int; bit i is column i."""
+    packed = np.packbits(arr, axis=1, bitorder="little")
+    k = packed.shape[1]
+    blob = packed.tobytes()
+    return [int.from_bytes(blob[i:i + k], "little")
+            for i in range(0, len(blob), k)]
 
 
 def _reach_tables(box: BoxConfig, start_x: int, n: int):
-    """Lower (truncated seeds) and upper (wall-pessimistic) reach tables."""
+    """Lower (truncated seeds) and upper (wall-pessimistic) reach tables.
+
+    Returns the two tables as bit rows, one int per level, with the packed
+    ``open_ur``/``open_ul`` rows they were built from.
+    """
     width = box.x_max - box.x_min + 1
     if not box.x_min <= start_x <= box.x_max:
         raise InvalidArgumentError("start_x outside the box")
     if box.t_min + n > box.t_max:
         raise InvalidArgumentError("box too short for the requested levels")
-    seed = np.zeros(width, dtype=bool)
-    xs = np.arange(box.x_min, box.x_max + 1)
-    seed[(xs <= start_x) & ((xs + box.t_min) % 2 == 0)] = True
+    ur = _bit_rows(box.open_ur[:n])
+    ul = _bit_rows(box.open_ul[:n])
+    full = (1 << width) - 1
+    wall = 0b11 << (width - 2)
+    # seeds: every column up to start_x whose site has even parity
+    c0 = (box.x_min + box.t_min) % 2
+    seed = sum(1 << c for c in range(c0, start_x - box.x_min + 1, 2))
     lower = [seed]
-    upper = [seed.copy()]
-    for j in range(1, n + 1):
-        lo = _propagate(lower[-1], box.open_ur[j - 1], box.open_ul[j - 1])
-        hi = _propagate(upper[-1], box.open_ur[j - 1], box.open_ul[j - 1])
-        if box.entry_open[j - 1]:
-            hi[0] = True
+    upper = [seed]
+    lo = hi = seed
+    for j in range(n):
+        u, v = ur[j], ul[j]
+        lo = (((lo & u) << 1) | ((lo & v) >> 1)) & full
+        hi = (((hi & u) << 1) | ((hi & v) >> 1)) & full
+        if box.entry_open[j]:
+            hi |= 1
         lower.append(lo)
         upper.append(hi)
-        if hi[-1] or hi[-2]:
+        if hi & wall:
             raise BoxTooNarrowError("reachable set touched the right wall")
-    return lower, upper
+    return lower, upper, ur, ul
 
 
-def _max_or_none(row, x_min):
-    idx = np.flatnonzero(row)
-    return None if len(idx) == 0 else int(x_min + idx[-1])
+def _max_or_none(row: int, x_min: int):
+    return None if row == 0 else x_min + row.bit_length() - 1
 
 
 def dp_right_boundary(box: BoxConfig, start_x: int, n: int) -> DpBoundary:
@@ -119,7 +142,7 @@ def dp_right_boundary(box: BoxConfig, start_x: int, n: int) -> DpBoundary:
     (``dead_from``).  Raises BoxTooNarrowError when the truncated seed row
     cannot be certified against influence entering past the left wall.
     """
-    lower, upper = _reach_tables(box, start_x, n)
+    lower, upper, _, _ = _reach_tables(box, start_x, n)
     values = []
     dead_from = None
     for j in range(n + 1):
@@ -142,24 +165,27 @@ def dp_rightmost_path(box: BoxConfig, start_x: int, n: int) -> np.ndarray:
     candidate predecessor cells must agree between the truncated and the
     pessimistic tables, otherwise the path cannot be certified.
     """
-    lower, upper = _reach_tables(box, start_x, n)
+    lower, upper, ur, ul = _reach_tables(box, start_x, n)
     anchor = _max_or_none(lower[n], box.x_min)
     if anchor is None or anchor != _max_or_none(upper[n], box.x_min):
         if anchor is None and _max_or_none(upper[n], box.x_min) is None:
             raise NoPathError(f"no open path reaches level {box.t_min + n}")
         raise BoxTooNarrowError("right boundary not certified at the top level")
+    width = box.x_max - box.x_min + 1
     path = [anchor]
     y = anchor
     for j in range(n, 0, -1):
+        lo, hi = lower[j - 1], upper[j - 1]
         chosen = None
-        for cand, edge in ((y + 1, box.open_ul), (y - 1, box.open_ur)):
+        for cand, edges in ((y + 1, ul[j - 1]), (y - 1, ur[j - 1])):
             ci = cand - box.x_min
-            if not 0 <= ci < lower[j - 1].shape[0]:
+            if not 0 <= ci < width:
                 continue
-            if bool(lower[j - 1][ci]) != bool(upper[j - 1][ci]):
+            bit = lo >> ci & 1
+            if bit != hi >> ci & 1:
                 raise BoxTooNarrowError(
                     f"predecessor cell ({cand}, {box.t_min + j - 1}) not certified")
-            if lower[j - 1][ci] and edge[j - 1][ci]:
+            if bit and edges >> ci & 1:
                 chosen = cand
                 break
         if chosen is None:
@@ -190,14 +216,15 @@ def cbm_baseline(delta: float, t: float) -> float:
     return math.erf(delta / (2.0 * math.sqrt(t)))
 
 
-def coalescing_walk_survival(delta: float, t: float, *, replicas: int = 10**6,
-                             seed: int = 0, resolution: int = 48) -> float:
-    """Monte Carlo survival of two coalescing simple random walks.
+def coalescing_walk_survival(delta: float, t: float, *,
+                             resolution: int = 48) -> float:
+    """Survival of two coalescing simple random walks, on the lattice.
 
     The walks step +-1 per unit time and merge on meeting; under diffusive
     scaling with ``resolution`` lattice gap units per unit of ``delta`` the
     survival probability converges to `cbm_baseline`.  Start gap and step
-    count are derived so the rescaled gap is exactly ``delta``.
+    count are derived so the rescaled gap is exactly ``delta``; the gap
+    chain is then solved exactly by `gap_walk_survival_exact`.
     """
     if delta <= 0 or t <= 0:
         raise InvalidArgumentError("delta and t must be positive")
@@ -206,18 +233,7 @@ def coalescing_walk_survival(delta: float, t: float, *, replicas: int = 10**6,
     # time is rescaled so the effective rescaled gap is exactly delta even
     # after rounding d to an even integer
     steps = int(round(t * (d / delta) ** 2))
-    rng = np.random.default_rng(seed)
-    # half-gap walk: +-1 w.p. 1/4 each, hold w.p. 1/2; survival is a
-    # running-minimum statement, so no absorption bookkeeping is needed
-    survivors = 0
-    chunk = 1 << 12
-    for lo in range(0, replicas, chunk):
-        k = min(chunk, replicas - lo)
-        moves = rng.integers(0, 4, size=(k, steps), dtype=np.int8)
-        incr = (moves == 0).astype(np.int32) - (moves == 1)
-        walk = np.cumsum(incr, axis=1, dtype=np.int32)
-        survivors += int((walk.min(axis=1) > -d // 2).sum())
-    return float(survivors / replicas)
+    return gap_walk_survival_exact(d, steps)
 
 
 def _check_worker(args):
@@ -285,8 +301,8 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
 def gap_walk_survival_exact(d: int, steps: int) -> float:
     """Exact (transition DP) survival of the coalescing-walk gap chain.
 
-    Reference for the Monte Carlo above: gap moves +-2 w.p. 1/4 each, holds
-    w.p. 1/2, absorbs at 0.
+    The gap of two independent +-1 walks moves +-2 w.p. 1/4 each, holds
+    w.p. 1/2, and absorbs at 0.
     """
     if d <= 0 or d % 2 != 0:
         raise InvalidArgumentError("gap must be positive and even")

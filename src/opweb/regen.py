@@ -147,6 +147,8 @@ class RegenAccumulator:
 
     Feed per-replica increment arrays; batches for the standard errors are
     formed by grouping whole replicas, which are independent by design.
+    With fewer than two replicas holding records the standard errors are
+    undefined and come out as NaN.
     """
 
     def __init__(self):
@@ -170,7 +172,13 @@ class RegenAccumulator:
         alpha = sx / st
         sigma2 = _plugin_sigma2(sx / n, st / n, sxx / n, sxt / n, stt / n)
         sigma = math.sqrt(max(sigma2, 0.0))
-        b = max(2, min(n_batches, len(rows)))
+        # replicas without records carry no batch; one batch leaves the
+        # standard errors undefined
+        rows = rows[rows[:, 0] > 0]
+        b = min(n_batches, len(rows))
+        if b < 2:
+            return DriftDiffusivity(float(alpha), float(sigma), int(n),
+                                    math.nan, math.nan)
         bounds = np.linspace(0, len(rows), b + 1).astype(int)
         a_b, s_b = [], []
         for lo, hi in zip(bounds[:-1], bounds[1:]):

@@ -5,9 +5,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 Z95 = 1.959963984540054
+SQRT2 = math.sqrt(2.0)
 
 
 def wilson_interval(k: int, n: int, z: float = Z95) -> tuple[float, float]:
@@ -29,7 +29,10 @@ def ks_distance_to_normal(samples, mean: float = 0.0, sd: float = 1.0) -> float:
     n = len(x)
     if n == 0:
         raise ValueError("empty sample")
-    cdf = ndtr((x - mean) / sd)
+    # normal CDF: Phi(z) = erfc(-z / sqrt 2) / 2
+    z = (x - mean) / sd
+    cdf = np.fromiter((0.5 * math.erfc(-v / SQRT2) for v in z.tolist()),
+                      dtype=np.float64, count=n)
     hi = np.arange(1, n + 1) / n - cdf
     lo = cdf - np.arange(0, n) / n
     return float(max(hi.max(), lo.max()))

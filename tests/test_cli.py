@@ -1,0 +1,177 @@
+"""The command-line contract: exit codes, spec precedence, and output bytes
+that do not depend on the worker count."""
+
+import functools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import opweb
+from opweb import cli
+from opweb.oracle import check_suite
+
+SIGMA_SPEC = {"sigma": 0.8733}
+
+
+def _main(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _spec_file(tmp_path, content, name="spec.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(content))
+    return str(path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+# -- exit codes ----------------------------------------------------------------
+
+def test_exit_0_on_clean_check(capsys):
+    code, out, _ = _main(capsys, "check", "--delta", "0.8", "--n", "10",
+                         "--replicas", "2")
+    assert code == 0
+    assert out == "p=0.8: 2/2 exact matches\np=0 guard agreement: ok\n"
+
+
+def test_exit_1_on_check_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_suite",
+                        functools.partial(check_suite, corrupt_run=0))
+    code, out, _ = _main(capsys, "check", "--delta", "0.8", "--n", "10",
+                         "--replicas", "2")
+    assert code == 1
+    assert "FAIL p=0.8 replica=0: right_boundary_mismatch" in out
+
+
+def test_exit_2_on_invalid_spec(capsys, tmp_path):
+    code, _, err = _main(capsys, "estimate", "--p", "1.5")
+    assert code == 2 and err.startswith("invalid spec:")
+    spec = _spec_file(tmp_path, {"bogus": 1})
+    code, _, err = _main(capsys, "estimate", "--spec", spec)
+    assert code == 2 and "bogus" in err
+
+
+def test_exit_3_when_scan_guard_trips(capsys, tmp_path):
+    spec = _spec_file(tmp_path, {"scan_guard": 50})
+    code, _, err = _main(capsys, "estimate", "--p", "0.3", "--n", "200",
+                         "--margin", "50", "--replicas", "1", "--spec", spec)
+    assert code == 3 and err.startswith("scan guard tripped:")
+
+
+def test_exit_4_on_unwritable_out(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = _main(capsys, "estimate", "--n", "200", "--margin", "50",
+                         "--replicas", "2", "--out", str(blocker / "x.json"))
+    assert code == 4 and err.startswith("i/o failure:")
+
+
+# -- near-critical input -------------------------------------------------------
+
+def test_near_critical_estimate_fails_typed(capsys):
+    code, out, err = _main(capsys, "estimate", "--p", "0.64", "--n", "2000",
+                           "--margin", "200", "--replicas", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("insufficient data:") and err.count("\n") == 1
+
+
+def test_one_replica_estimate_writes_null_statistics(capsys):
+    code, out, _ = _main(capsys, "estimate", "--p", "0.66", "--n", "2000",
+                         "--margin", "200", "--replicas", "1")
+    assert code == 0
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["n_records"] > 0
+    for key in ("alpha_se", "sigma_se", "ks_stat"):
+        assert report[key] is None
+
+
+def test_degenerate_sigma_writes_null_ks(capsys):
+    code, out, _ = _main(capsys, "estimate", "--p", "1.0", "--n", "300",
+                         "--margin", "50", "--replicas", "2")
+    assert code == 0
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["sigma_hat"] == 0.0 and report["ks_stat"] is None
+
+
+# -- precedence ----------------------------------------------------------------
+
+def test_precedence_flag_over_spec_over_default(tmp_path):
+    spec = _spec_file(tmp_path, {"n": 77, "seed": 5, "sigma": 0.5})
+    args = cli.build_parser().parse_args(
+        ["eta", "--spec", spec, "--n", "12", "--replicas", "3"])
+    resolved = cli.spec_from_args(args)
+    assert resolved.n == 12  # flag beats the spec file
+    assert resolved.seed == 5 and resolved.sigma == 0.5  # spec file
+    assert resolved.replicas == 3  # flag beats the command default
+    assert resolved.margin == 500  # default
+    bare = cli.spec_from_args(cli.build_parser().parse_args(["eta"]))
+    assert (bare.n, bare.replicas, bare.seed) == (1000, 1000, 0)
+
+
+# -- worker-count invariance ---------------------------------------------------
+
+def _run_ok(capsys, argv, workers):
+    """Stdout of a run that must exit 0."""
+    code, out, _ = _main(capsys, *argv, "--workers", str(workers))
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--delta", "0.7", "0.9", "--n", "20", "--replicas", "3",
+     "--seed", "4"],
+    ["estimate", "--p", "0.8", "--n", "300", "--margin", "100",
+     "--replicas", "3", "--seed", "2"],
+    ["eta", "--p", "0.8", "--eps", "0.01", "--t", "0.5", "--delta", "0.5",
+     "1.0", "--replicas", "6", "--seed", "3"],
+], ids=["check", "estimate", "eta"])
+def test_stdout_independent_of_workers(capsys, tmp_path, argv):
+    if argv[0] == "eta":
+        argv = argv + ["--spec", _spec_file(tmp_path, SIGMA_SPEC)]
+    assert _run_ok(capsys, argv, 1) == _run_ok(capsys, argv, 2)
+
+
+def test_coalesce_file_independent_of_workers(capsys, tmp_path):
+    spec = _spec_file(tmp_path, SIGMA_SPEC)
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"coalesce-{workers}.csv"
+        _run_ok(capsys, ["coalesce", "--p", "0.8", "--eps", "0.01",
+                         "--delta", "1", "--t", "0.25", "0.5",
+                         "--replicas", "6", "--seed", "3", "--spec", spec,
+                         "--out", str(out)], workers)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_simulate_files_independent_of_workers(capsys, tmp_path):
+    trees = []
+    for workers in (1, 2):
+        out = tmp_path / f"sim-{workers}"
+        _run_ok(capsys, ["simulate", "--p", "0.8", "--n", "50",
+                         "--horizon", "100", "--replicas", "3", "--seed", "3",
+                         "--out", str(out)], workers)
+        trees.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert sorted(trees[0]) == ["manifest.json", "traj_00000.csv",
+                                "traj_00001.csv", "traj_00002.csv"]
+    assert trees[0] == trees[1]
+
+
+# -- start-up ------------------------------------------------------------------
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(opweb.__file__).resolve().parents[1]))
+    probe = "import sys, opweb.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,23 @@ def test_survival_curve_validates_gap():
     with pytest.raises(InvalidArgumentError):
         coalescence_survival_curve(3, 0.8, [0.1], [1.0], 10, seed=1,
                                    sigma_hat=0.9)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_right_family(list(range(0, 16, 2)), 0, 200, p=0.8, seed=3),
+    lambda: run_coupled_pair(O, LatticeSite(6, 0), 300, p=0.8, seed=3,
+                             stop_second_at_coalescence=True),
+    lambda: run_coupled_pair(O, LatticeSite(6, 0), 300, p=0.8, seed=3,
+                             record_left_deltas=True),
+    lambda: run_coupled_many([O, LatticeSite(4, 0), LatticeSite(8, 0)], 200,
+                             p=0.8, seed=3),
+], ids=["family", "stopped_pair", "full_pair", "many"])
+def test_finished_coupling_leaves_no_reference_cycles(run):
+    # a finished run is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

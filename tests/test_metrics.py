@@ -230,8 +230,7 @@ def test_b1_estimate_matches_walk_oracle_at_effective_gap():
     rows = b1_battery(0.8, 1e-3, 1.0, [1.0], 4000, sigma_hat=0.8733, seed=8,
                       workers=2)
     row = rows[0]
-    oracle = coalescing_walk_survival(row["delta_eff"], 1.0,
-                                      replicas=2 * 10**5, seed=4)
+    oracle = coalescing_walk_survival(row["delta_eff"], 1.0)
     assert abs(oracle - row["baseline"]) < 0.01
     assert abs(row["estimate"] - oracle) < 0.02
 

@@ -1,7 +1,7 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opweb.errors import BoxTooNarrowError, InvalidArgumentError, NoPathError
 from opweb.explore import explore_to_level
@@ -79,17 +79,25 @@ def test_oracle_matches_exploration():
 
 
 def test_box_statuses_match_lattice_oracle():
+    # both row parities: the even columns of row 0 start at x_min or x_min+1
     from opweb.lattice import edge_status_array
-    cfg = Config(7, 0.6, 5)
-    box = BoxConfig(cfg, -4, 6, 0, 5)
-    for t in range(5):
-        for x in range(-4, 7):
-            if (x + t) % 2:
-                continue
-            ur = edge_status_array(cfg, [x], [t], [1])[0]
-            ul = edge_status_array(cfg, [x], [t], [0])[0]
-            assert box.open_ur[t, x - box.x_min] == ur
-            assert box.open_ul[t, x - box.x_min] == ul
+    for p in (0.0, 0.6, 1.0):
+        for x_min, t_min in ((-4, 0), (-3, 0), (-4, 1), (-3, 1)):
+            cfg = Config(7, p, 5)
+            box = BoxConfig(cfg, x_min, x_min + 10, t_min, t_min + 5)
+            for t in range(t_min, t_min + 5):
+                for x in range(x_min, x_min + 11):
+                    cell = (t - t_min, x - x_min)
+                    if (x + t) % 2:
+                        assert not box.open_ur[cell] and not box.open_ul[cell]
+                        continue
+                    ur = edge_status_array(cfg, [x], [t], [1])[0]
+                    ul = edge_status_array(cfg, [x], [t], [0])[0]
+                    assert box.open_ur[cell] == ur
+                    assert box.open_ul[cell] == ul
+                wall = (x_min - 1 + t) % 2 == 0 and edge_status_array(
+                    cfg, [x_min - 1], [t], [1])[0]
+                assert box.entry_open[t - t_min] == wall
 
 
 def test_reachability_monotone_under_edge_opening():
@@ -122,10 +130,10 @@ def test_gap_walk_exact_matches_erf():
 
 
 def test_walk_oracle_validates_baseline():
-    mc = coalescing_walk_survival(1.0, 1.0, replicas=10**5, seed=4)
-    assert abs(mc - cbm_baseline(1.0, 1.0)) < 0.01
-    mc2 = coalescing_walk_survival(2.0, 0.5, replicas=10**5, seed=4)
-    assert abs(mc2 - cbm_baseline(2.0, 0.5)) < 0.01
+    walk = coalescing_walk_survival(1.0, 1.0)
+    assert abs(walk - cbm_baseline(1.0, 1.0)) < 0.01
+    walk2 = coalescing_walk_survival(2.0, 0.5)
+    assert abs(walk2 - cbm_baseline(2.0, 0.5)) < 0.01
 
 
 def test_check_suite_passes_and_reports_injected_fault():
@@ -136,3 +144,117 @@ def test_check_suite_passes_and_reports_injected_fault():
     assert len(faulty["failures"]) == 1
     assert faulty["failures"][0] == {"p": 0.9, "replica": 2,
                                      "kind": "right_boundary_mismatch"}
+
+
+# -- numpy-row reference DP --------------------------------------------------
+# One bool array per level, propagated cell-wise; the oracle's bit-row DP
+# must give the same tables, answers and refusals.
+
+def _propagate(reach, open_ur, open_ul):
+    nxt = np.zeros_like(reach)
+    nxt[1:] = reach[:-1] & open_ur[:-1]
+    nxt[:-1] |= reach[1:] & open_ul[1:]
+    return nxt
+
+
+def _reference_tables(box, start_x, n):
+    xs = np.arange(box.x_min, box.x_max + 1)
+    seed = (xs <= start_x) & ((xs + box.t_min) % 2 == 0)
+    lower = [seed]
+    upper = [seed.copy()]
+    for j in range(1, n + 1):
+        lo = _propagate(lower[-1], box.open_ur[j - 1], box.open_ul[j - 1])
+        hi = _propagate(upper[-1], box.open_ur[j - 1], box.open_ul[j - 1])
+        if box.entry_open[j - 1]:
+            hi[0] = True
+        lower.append(lo)
+        upper.append(hi)
+        if hi[-1] or hi[-2]:
+            raise BoxTooNarrowError("reachable set touched the right wall")
+    return lower, upper
+
+
+def _ref_max(row, x_min):
+    idx = np.flatnonzero(row)
+    return None if len(idx) == 0 else int(x_min + idx[-1])
+
+
+def _reference_boundary(box, start_x, n):
+    lower, upper = _reference_tables(box, start_x, n)
+    values = []
+    for j in range(n + 1):
+        lo = _ref_max(lower[j], box.x_min)
+        if lo != _ref_max(upper[j], box.x_min):
+            raise BoxTooNarrowError("truncated vs pessimistic max")
+        if lo is None:
+            return values, box.t_min + j
+        values.append(lo)
+    return values, None
+
+
+def _reference_path(box, start_x, n):
+    lower, upper = _reference_tables(box, start_x, n)
+    anchor = _ref_max(lower[n], box.x_min)
+    top = _ref_max(upper[n], box.x_min)
+    if anchor is None and top is None:
+        raise NoPathError("no open path")
+    if anchor is None or anchor != top:
+        raise BoxTooNarrowError("top level not certified")
+    path = [anchor]
+    for j in range(n, 0, -1):
+        y = path[-1]
+        for cand, edge in ((y + 1, box.open_ul), (y - 1, box.open_ur)):
+            ci = cand - box.x_min
+            if not 0 <= ci < len(lower[j - 1]):
+                continue
+            if lower[j - 1][ci] != upper[j - 1][ci]:
+                raise BoxTooNarrowError("predecessor not certified")
+            if lower[j - 1][ci] and edge[j - 1][ci]:
+                path.append(cand)
+                break
+        else:
+            raise NoPathError("backtrack lost the path")
+    return path[::-1]
+
+
+def _outcome(fn, *args, view=lambda result: result):
+    """The viewed result, or the type of the refusal."""
+    try:
+        return view(fn(*args))
+    except (BoxTooNarrowError, NoPathError) as e:
+        return type(e)
+
+
+def _as_ints(tables):
+    return tuple([sum(1 << int(i) for i in np.flatnonzero(row)) for row in rows]
+                 for rows in tables)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.sampled_from([0.0, 0.5, 0.65, 0.8, 1.0]),
+       stream=st.integers(0, 10**6),
+       x_min=st.integers(-13, 0), t_min=st.integers(-3, 3),
+       width=st.integers(1, 24), height=st.integers(1, 12),
+       data=st.data())
+def test_bit_row_dp_matches_numpy_rows(p, stream, x_min, t_min, width,
+                                       height, data):
+    from opweb.oracle import _reach_tables
+    box = BoxConfig(Config(3, p, stream), x_min, x_min + width, t_min,
+                    t_min + height)
+    # edits made after construction must reach the DP, odd cells included
+    for _ in range(data.draw(st.integers(0, 3))):
+        arr = data.draw(st.sampled_from([box.open_ur, box.open_ul]))
+        t = data.draw(st.integers(0, height - 1))
+        x = data.draw(st.integers(0, width))
+        arr[t, x] = not arr[t, x]
+    start_x = data.draw(st.integers(x_min, x_min + width))
+    n = data.draw(st.integers(0, height))
+
+    args = (box, start_x, n)
+    assert (_outcome(_reach_tables, *args, view=lambda tables: tables[:2])
+            == _outcome(_reference_tables, *args, view=_as_ints))
+    assert (_outcome(dp_right_boundary, *args,
+                     view=lambda dp: (list(dp.values), dp.dead_from))
+            == _outcome(_reference_boundary, *args))
+    assert (_outcome(dp_rightmost_path, *args, view=list)
+            == _outcome(_reference_path, *args))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,22 @@ def test_accumulator_matches_direct_estimate():
     assert merged.alpha_hat == pytest.approx(direct.alpha_hat, rel=1e-12)
     assert merged.sigma_hat == pytest.approx(direct.sigma_hat, rel=1e-12)
     assert merged.n_records == direct.n_records
+
+
+def test_accumulator_one_replica_leaves_errors_undefined():
+    # one replica forms one batch: no standard error, and no empty batch
+    cluster = _explored(Config(9, 0.8, 2), 3000, 300)
+    T, RT = break_point_arrays(cluster, 3000, 300)
+    X, tau = np.diff(RT), np.diff(T)
+    acc = RegenAccumulator()
+    acc.add(X, tau)
+    acc.add([], [])  # a replica without records forms no batch either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = acc.finalize()
+    direct = estimate_from_increments(X, tau)
+    assert est.alpha_hat == pytest.approx(direct.alpha_hat, rel=1e-12)
+    assert math.isnan(est.alpha_se) and math.isnan(est.sigma_se)
 
 
 def test_ks_helper_against_scipy():
