@@ -1,0 +1,196 @@
+"""Build, cache and load the native exploration walk in ``_walk.c``.
+
+`explore` imports this module the first time it makes a Config-driven
+cluster, never at ``import opweb``.  The first `load` in a process compiles
+``_walk.c`` with the local ``cc`` (or ``gcc``) unless a cached build exists,
+and loads it through ctypes.  The cache is the package's ``__pycache__``,
+file ``_walk-<key>.so``, where ``<key>`` hashes the source, the compiler and
+its flags.  A build is written to a temporary file and moved into place by
+``os.replace``, so concurrent processes only ever see whole files.  Every
+cached file ends in a trailer holding its key and the SHA-256 of the bytes
+before it; a file whose trailer does not check out (truncated, stale or
+foreign) is rebuilt and never loaded.  Without a compiler, or with an
+unwritable cache, `load` returns None and clusters use the Python walk.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import hashlib
+import math
+import os
+import shutil
+import subprocess
+import tempfile
+import weakref
+from ctypes import POINTER, c_int, c_int64, c_uint8, c_uint64, c_void_p
+from pathlib import Path
+
+from .errors import ScanLimitExceededError
+from .lattice import MASK64
+
+_COMPILERS = ("cc", "gcc")
+_CFLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
+_SOURCE = Path(__file__).with_name("_walk.c")
+_CACHE = Path(__file__).with_name("__pycache__")
+_MAGIC = b"opweb-walk\0"
+_KEY_LEN = 16
+
+# walk_advance return codes
+_GUARD = 1
+_NOMEM = 2
+
+_lib = None
+_tried = False
+
+
+class _Head(ctypes.Structure):
+    """The leading fields of ``walk_t``; keep in step with ``_walk.c``."""
+
+    _fields_ = [("r_len", c_int64), ("stack_len", c_int64),
+                ("sync_floor", c_int64), ("scan_offset", c_int64),
+                ("last_change_floor", c_int64), ("n_examined", c_int64),
+                ("r", POINTER(c_int64)), ("sx", POINTER(c_int64))]
+
+
+def load():
+    """The native library, or None when it cannot be built or loaded here.
+
+    Tried once per process; forked pool workers inherit the result.
+    """
+    global _lib, _tried
+    if not _tried:
+        _tried = True
+        _lib = _load()
+    return _lib
+
+
+def _load():
+    cc = next(filter(shutil.which, _COMPILERS), None)
+    if cc is None:
+        return None
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError:
+        return None
+    key = hashlib.sha256(b"\0".join(
+        [source, cc.encode(), *(f.encode() for f in _CFLAGS)])).hexdigest()
+    key = key[:_KEY_LEN].encode()
+    path = _CACHE / f"_walk-{key.decode()}.so"
+    try:
+        if not _valid(path, key):
+            _build(cc, source, path, key)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    lib.walk_new.argtypes = [c_int64, c_int64, c_uint64, c_uint64, c_int,
+                             c_int64]
+    lib.walk_new.restype = c_void_p
+    lib.walk_advance.argtypes = [c_void_p, c_int64]
+    lib.walk_advance.restype = c_int
+    lib.walk_edges.argtypes = [c_void_p, c_void_p, c_void_p]
+    lib.walk_edges.restype = None
+    lib.walk_free.argtypes = [c_void_p]
+    lib.walk_free.restype = None
+    return lib
+
+
+def _trailer(body: bytes, key: bytes) -> bytes:
+    return _MAGIC + key + hashlib.sha256(body).digest()
+
+
+def _valid(path: Path, key: bytes) -> bool:
+    """True iff ``path`` is a whole build for ``key``."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return False
+    n = len(_MAGIC) + _KEY_LEN + 32
+    return len(data) > n and data[-n:] == _trailer(data[:-n], key)
+
+
+def _build(cc: str, source: bytes, path: Path, key: bytes) -> None:
+    path.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix="_walk-", suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run([cc, *_CFLAGS, "-x", "c", "-o", tmp, "-"], input=source,
+                       capture_output=True, check=True, timeout=120)
+        with open(tmp, "r+b") as fh:
+            body = fh.read()
+            fh.write(_trailer(body, key))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def open_walk(origin, cfg, scan_guard):
+    """A native walk for a Config-driven cluster, or None without the library."""
+    lib = load()
+    return None if lib is None else NativeWalk(lib, origin, cfg, scan_guard)
+
+
+def _ints(ptr, start: int, stop: int) -> list:
+    """``ptr[start:stop]`` as Python ints, through one buffer copy."""
+    if stop <= start:
+        return []
+    block = (c_int64 * (stop - start)).from_address(
+        ctypes.addressof(ptr.contents) + start * ctypes.sizeof(c_int64))
+    return memoryview(block).cast("B").cast("q").tolist()
+
+
+class NativeWalk:
+    """One ``walk_t``; freed when this object is collected."""
+
+    def __init__(self, lib, origin, cfg, scan_guard):
+        threshold = cfg._threshold
+        # the walk trips once scan_offset >= scan_guard, an integer count
+        guard = min(math.ceil(scan_guard), 1 << 62)
+        handle = lib.walk_new(origin.x, origin.t, cfg._base,
+                              min(threshold, MASK64), threshold > MASK64, guard)
+        if not handle:
+            raise MemoryError("cannot allocate a native exploration walk")
+        weakref.finalize(self, lib.walk_free, handle)
+        self._lib = lib
+        self._handle = handle
+        self._head = _Head.from_address(handle)
+        self._t0 = origin.t
+
+    @property
+    def scan_offset(self) -> int:
+        return self._head.scan_offset
+
+    @property
+    def last_change_floor(self) -> int:
+        return self._head.last_change_floor
+
+    @property
+    def n_examined(self) -> int:
+        return self._head.n_examined
+
+    def advance(self, levels: int, r: list, left: list) -> None:
+        """Explore ``levels`` more levels in one call, then sync ``r`` (new
+        values appended) and ``left`` (replaced from the lowest changed
+        stack index)."""
+        code = self._lib.walk_advance(self._handle, levels)
+        h = self._head
+        r.extend(_ints(h.r, len(r), h.r_len))
+        floor = h.sync_floor
+        left[floor:] = _ints(h.sx, floor, h.stack_len)
+        if code == _GUARD:
+            raise ScanLimitExceededError(
+                f"{h.scan_offset} start sites exhausted below level "
+                f"{self._t0 + h.r_len}", scan_offset=h.scan_offset)
+        if code == _NOMEM:
+            raise MemoryError("native exploration walk out of memory")
+
+    def edge_status(self) -> dict:
+        """Examined edges, packed key -> open."""
+        n = self._head.n_examined
+        keys = (c_int64 * n)()
+        opened = (c_uint8 * n)()
+        self._lib.walk_edges(self._handle, keys, opened)
+        return dict(zip(keys, map(bool, opened)))

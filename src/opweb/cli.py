@@ -325,6 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--t", type=float, nargs="*", default=None)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--workers", type=int, default=None)
+        sp.add_argument("--sigma", type=float, default=None)
+        sp.add_argument("--scan-guard", type=int, default=None)
         sp.add_argument("--spec", type=str, default=None)
     return ap
 
@@ -342,7 +344,7 @@ def spec_from_args(args) -> ExperimentSpec:
     merged = dict(base)
     merged["command"] = args.command
     for key in ("p", "seed", "replicas", "n", "horizon", "margin", "eps",
-                "delta", "x", "t", "out", "workers"):
+                "delta", "x", "t", "out", "workers", "sigma", "scan_guard"):
         val = getattr(args, key)
         if val is not None:
             merged[key] = val

@@ -65,9 +65,6 @@ class CoupledRun:
     kappas: dict = None  # (i, j) -> CoalescenceTimes
     orientations: dict = None  # (i, j) -> 'equal_time'|'first_left'|'second_left'|'unstructured'
 
-    def cluster_r(self, i: int) -> np.ndarray:
-        return np.asarray(self.r[i], dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class ClauseResult:

@@ -12,6 +12,16 @@ boundary ``l``, and its endpoint is the new right-boundary value ``r``), and
 advancing the target simply continues the walk.  Each edge is sampled at
 most once per cluster; sites whose forward cluster has been exhausted are
 remembered so re-entry from a later start site costs nothing.
+
+The walk exists twice, with integer-identical results.  The Python walk in
+`ExplorationCluster.advance_level` is the reference.  A cluster built from
+a `Config`, with no ``source`` and no ``record_left_deltas``, runs the
+native walk of ``_walk.c`` instead: ``advance_to`` explores all its levels
+in one C call and ``advance_level`` one level per call.  The library is
+built with the local C compiler on the first such cluster in a process
+(never at import) and cached in the package's ``__pycache__``; see
+`opweb._native`.  Couplings (``source=``), recorded left deltas and
+machines without a working compiler use the Python walk.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, ScanLimitExceededError
-from .lattice import Config, LatticeSite, X_BIAS, make_key_sampler, unpack_edge_key
+from .lattice import Config, LatticeSite, X_BIAS, make_key_sampler
 
 DEFAULT_SCAN_GUARD = 10_000
 
@@ -81,17 +91,22 @@ class ExplorationCluster:
             raise InvalidArgumentError("need a Config or an edge source")
         self.origin = origin
         self.cfg = cfg
-        self._source = source if source is not None else make_key_sampler(cfg)
-        self._scan_guard = scan_guard
         self._t0 = origin.t
-        self._status: dict[int, bool] = {}
-        self._dead: set[int] = set()
         self._stack_x = [origin.x]
-        self._stack_state = [0]
         self._r = [origin.x]
-        self.scan_offset = 0
-        self.last_change_floor = 0
         self._left_deltas = [] if record_left_deltas else None
+        self._kernel = None
+        if source is None and not record_left_deltas:
+            from . import _native  # may build the library: not at import
+            self._kernel = _native.open_walk(origin, cfg, scan_guard)
+        if self._kernel is None:
+            self._source = source if source is not None else make_key_sampler(cfg)
+            self._scan_guard = scan_guard
+            self._status: dict[int, bool] = {}
+            self._dead: set[int] = set()
+            self._stack_state = [0]
+            self._scan_offset = 0
+            self._last_change_floor = 0
 
     # -- read surface ------------------------------------------------------
 
@@ -116,20 +131,38 @@ class ExplorationCluster:
         return RightBoundaryTrajectory(self._t0, np.array(self._r, dtype=np.int64),
                                        start=self.origin)
 
-    def left_boundary(self) -> Trajectory:
-        return Trajectory(self._t0, np.array(self._stack_x, dtype=np.int64))
+    @property
+    def scan_offset(self) -> int:
+        """Start sites exhausted so far."""
+        if self._kernel is not None:
+            return self._kernel.scan_offset
+        return self._scan_offset
+
+    @property
+    def last_change_floor(self) -> int:
+        """Lowest left-boundary index the last completed level changed."""
+        if self._kernel is not None:
+            return self._kernel.last_change_floor
+        return self._last_change_floor
 
     @property
     def n_examined(self) -> int:
+        if self._kernel is not None:
+            return self._kernel.n_examined
         return len(self._status)
+
+    def _edge_status(self) -> dict[int, bool]:
+        if self._kernel is not None:
+            return self._kernel.edge_status()
+        return self._status
 
     @property
     def open_edges(self) -> set:
-        return {k for k, v in self._status.items() if v}
+        return {k for k, v in self._edge_status().items() if v}
 
     @property
     def closed_edges(self) -> set:
-        return {k for k, v in self._status.items() if not v}
+        return {k for k, v in self._edge_status().items() if not v}
 
     @property
     def left_deltas(self):
@@ -145,6 +178,9 @@ class ExplorationCluster:
         been exhausted without reaching the target (subcritical input never
         silently loops).
         """
+        if self._kernel is not None:
+            self._kernel.advance(1, self._r, self._stack_x)
+            return self._r[-1]
         stack_x = self._stack_x
         stack_state = self._stack_state
         status = self._status
@@ -197,12 +233,12 @@ class ExplorationCluster:
                 dead.add(((t0 + top) << 32) | (x + X_BIAS))
                 top -= 1
                 if top < 0:
-                    self.scan_offset += 1
-                    if self.scan_offset >= self._scan_guard:
+                    self._scan_offset += 1
+                    if self._scan_offset >= self._scan_guard:
                         raise ScanLimitExceededError(
-                            f"{self.scan_offset} start sites exhausted below level "
-                            f"{t0 + target}", scan_offset=self.scan_offset)
-                    stack_x.append(self.origin.x - 2 * self.scan_offset)
+                            f"{self._scan_offset} start sites exhausted below level "
+                            f"{t0 + target}", scan_offset=self._scan_offset)
+                    stack_x.append(self.origin.x - 2 * self._scan_offset)
                     stack_state.append(0)
                     top = 0
                     min_top = -1
@@ -210,12 +246,16 @@ class ExplorationCluster:
                     min_top = top
         new_r = stack_x[target]
         r.append(new_r)
-        self.last_change_floor = min_top + 1
+        self._last_change_floor = min_top + 1
         if self._left_deltas is not None:
             self._left_deltas.append((min_top + 1, stack_x[min_top + 1:]))
         return new_r
 
     def advance_to(self, n: int) -> None:
+        if self._kernel is not None:
+            if n > self.level:
+                self._kernel.advance(n - self.level, self._r, self._stack_x)
+            return
         while self.level < n:
             self.advance_level()
 
@@ -270,10 +310,3 @@ def write_trajectory_csv(path, cluster: ExplorationCluster, g: GammaApprox,
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def decode_edge_sets(cluster: ExplorationCluster):
-    """Explored edges as (x, t, direction) triples, split open/closed."""
-    opened, closed = [], []
-    for key, is_open in cluster._status.items():
-        (opened if is_open else closed).append(unpack_edge_key(key))
-    return opened, closed

@@ -62,10 +62,6 @@ def unpack_edge_key(key: int) -> tuple[int, int, int]:
     return x, q >> 1, q & 1
 
 
-def site_key(x: int, t: int) -> int:
-    return (t << 32) | (x + X_BIAS)
-
-
 @dataclass(frozen=True)
 class LatticeSite:
     """A vertex of the even lattice."""
@@ -119,9 +115,6 @@ class Config:
         object.__setattr__(self, "_base", _config_base(self.seed, self.stream_id))
         object.__setattr__(self, "_threshold", int(self.p * 2.0**64))
 
-    def with_stream(self, stream_id: int) -> "Config":
-        return Config(self.seed, self.p, stream_id)
-
 
 def _config_base(seed: int, stream_id: int) -> int:
     return mix64((mix64(seed) + (stream_id & MASK64) * GOLDEN) & MASK64)
@@ -154,7 +147,7 @@ def edge_status_array(cfg, xs, ts, directions) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
     ts = np.asarray(ts, dtype=np.int64)
     directions = np.asarray(directions, dtype=np.int64)
-    if np.any((xs + ts) % 2 != 0):
+    if np.any((xs + ts) & 1):
         raise InvalidSiteError("some sites violate even parity")
     keys = ((2 * ts + directions) << 32 | (xs + X_BIAS)).astype(np.uint64)
     z = (np.uint64(cfg._base) + keys * np.uint64(GOLDEN))

@@ -142,7 +142,11 @@ def dp_right_boundary(box: BoxConfig, start_x: int, n: int) -> DpBoundary:
     (``dead_from``).  Raises BoxTooNarrowError when the truncated seed row
     cannot be certified against influence entering past the left wall.
     """
-    lower, upper, _, _ = _reach_tables(box, start_x, n)
+    return _boundary_from_tables(box, _reach_tables(box, start_x, n), n)
+
+
+def _boundary_from_tables(box: BoxConfig, tables, n: int) -> DpBoundary:
+    lower, upper, _, _ = tables
     values = []
     dead_from = None
     for j in range(n + 1):
@@ -165,7 +169,11 @@ def dp_rightmost_path(box: BoxConfig, start_x: int, n: int) -> np.ndarray:
     candidate predecessor cells must agree between the truncated and the
     pessimistic tables, otherwise the path cannot be certified.
     """
-    lower, upper, ur, ul = _reach_tables(box, start_x, n)
+    return _path_from_tables(box, _reach_tables(box, start_x, n), n)
+
+
+def _path_from_tables(box: BoxConfig, tables, n: int) -> np.ndarray:
+    lower, upper, ur, ul = tables
     anchor = _max_or_none(lower[n], box.x_min)
     if anchor is None or anchor != _max_or_none(upper[n], box.x_min):
         if anchor is None and _max_or_none(upper[n], box.x_min) is None:
@@ -248,12 +256,14 @@ def _check_worker(args):
         r = r.copy()
         r[n // 2] += 1
     box = BoxConfig(cfg, x_min=-2 * n - slack, x_max=n + 2, t_min=0, t_max=n)
-    dp = dp_right_boundary(box, 0, n)
+    # dp_right_boundary and dp_rightmost_path on one build of the tables
+    tables = _reach_tables(box, 0, n)
+    dp = _boundary_from_tables(box, tables, n)
     if dp.dead_from is not None:
         return "dp_dead"
     if not np.array_equal(dp.values, r):
         return "right_boundary_mismatch"
-    if not np.array_equal(dp_rightmost_path(box, 0, n), left):
+    if not np.array_equal(_path_from_tables(box, tables, n), left):
         return "left_boundary_mismatch"
     return "ok"
 

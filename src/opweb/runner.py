@@ -7,11 +7,6 @@ worker count changes wall time but never content.
 from __future__ import annotations
 
 import multiprocessing
-import os
-
-
-def default_workers() -> int:
-    return max(1, os.cpu_count() or 1)
 
 
 def pmap(fn, items, workers: int = 1):

@@ -49,11 +49,3 @@ def ks_distance_two_sample(a, b) -> float:
     fb = np.searchsorted(b, grid, side="right") / len(b)
     return float(np.abs(fa - fb).max())
 
-
-def batch_means_se(values, n_batches: int = 30) -> float:
-    """Standard error of the mean via consecutive batch means."""
-    v = np.asarray(values, dtype=np.float64)
-    b = max(2, min(n_batches, len(v) // 2))
-    bounds = np.linspace(0, len(v), b + 1).astype(int)
-    means = [v[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return float(np.std(means, ddof=1) / math.sqrt(b))

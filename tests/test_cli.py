@@ -4,6 +4,7 @@ that do not depend on the worker count."""
 import functools
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,18 @@ def test_exit_3_when_scan_guard_trips(capsys, tmp_path):
     assert code == 3 and err.startswith("scan guard tripped:")
 
 
+def test_exit_3_through_the_native_walk(capsys):
+    from opweb import _native
+    code, _, err = _main(capsys, "estimate", "--p", "0", "--n", "200",
+                         "--margin", "50", "--replicas", "1",
+                         "--scan-guard", "50")
+    assert code == 3
+    assert err == ("scan guard tripped: 50 start sites exhausted below "
+                   "level 1\n")
+    if shutil.which("cc") or shutil.which("gcc"):
+        assert _native.load() is not None
+
+
 def test_exit_4_on_unwritable_out(capsys, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -115,6 +128,22 @@ def test_precedence_flag_over_spec_over_default(tmp_path):
     assert resolved.margin == 500  # default
     bare = cli.spec_from_args(cli.build_parser().parse_args(["eta"]))
     assert (bare.n, bare.replicas, bare.seed) == (1000, 1000, 0)
+
+
+def test_precedence_of_sigma_and_scan_guard(tmp_path):
+    spec = _spec_file(tmp_path, {"sigma": 0.5, "scan_guard": 300})
+
+    def resolve(*argv):
+        return cli.spec_from_args(cli.build_parser().parse_args(["eta", *argv]))
+
+    flagged = resolve("--spec", spec, "--sigma", "0.9", "--scan-guard", "70")
+    assert (flagged.sigma, flagged.scan_guard) == (0.9, 70)
+    filed = resolve("--spec", spec)
+    assert (filed.sigma, filed.scan_guard) == (0.5, 300)
+    bare = resolve()
+    assert (bare.sigma, bare.scan_guard) == (None, 10_000)
+    # the flags set the same spec fields, so the spec hash follows the value
+    assert resolve("--sigma", "0.5", "--scan-guard", "300").hash() == filed.hash()
 
 
 # -- worker-count invariance ---------------------------------------------------

@@ -1,3 +1,7 @@
+import multiprocessing
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,7 @@ from opweb.errors import (InvalidArgumentError, ScanLimitExceededError)
 from opweb.explore import (ExplorationCluster, boundary_ordering_check,
                            explore_to_level, gamma_approx,
                            write_trajectory_csv)
-from opweb.lattice import Config, LatticeSite
+from opweb.lattice import Config, LatticeSite, make_key_sampler
 
 ORIGIN = LatticeSite(0, 0)
 
@@ -166,3 +170,137 @@ def test_scan_offset_counts_exhausted_starts():
             assert cluster.left_values[0] == -2 * cluster.scan_offset
             return
     pytest.fail("no dying origin cluster found in 200 streams")
+
+
+# -- the native walk against the Python walk ---------------------------------
+# A Config-driven cluster runs the native walk when the library loads; an
+# explicit edge source always runs the Python walk, the reference.
+
+def _python_walk(start, cfg, **kwargs):
+    return ExplorationCluster(start, cfg, source=make_key_sampler(cfg), **kwargs)
+
+
+def _walk_state(cluster):
+    return (list(cluster.right_values), list(cluster.left_values),
+            cluster.n_examined, cluster.open_edges, cluster.closed_edges,
+            cluster.scan_offset, cluster.last_change_floor)
+
+
+def _step(cluster, step):
+    """One advance: ``None`` is advance_level, an int k is advance_to(level
+    + k).  Returns the guard error's message and scan offset, or None."""
+    try:
+        if step is None:
+            cluster.advance_level()
+        else:
+            cluster.advance_to(cluster.level + step)
+    except ScanLimitExceededError as e:
+        return str(e), e.scan_offset
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=seeds,
+       p=st.sampled_from([0.0, 0.5, 0.6447, 0.7, 0.8, 0.9, 1.0]),
+       x=st.integers(-40, 40), t=st.integers(-40, 40),
+       guard=st.integers(1, 300),
+       steps=st.lists(st.one_of(st.none(), st.integers(-2, 40)),
+                      min_size=1, max_size=8))
+def test_native_walk_matches_python_walk(seed, p, x, t, guard, steps):
+    cfg = Config(seed, p, 1)
+    start = LatticeSite(x + ((x + t) & 1), t)
+    native = ExplorationCluster(start, cfg, scan_guard=guard)
+    python = _python_walk(start, cfg, scan_guard=guard)
+    assert python._kernel is None
+    for step in steps:
+        tripped = _step(native, step)
+        assert tripped == _step(python, step)
+        assert _walk_state(native) == _walk_state(python)
+        if tripped:
+            break
+
+
+def test_native_walk_loads_where_a_compiler_exists():
+    if not (shutil.which("cc") or shutil.which("gcc")):
+        pytest.skip("no cc or gcc on PATH")
+    assert ExplorationCluster(ORIGIN, Config(1, 0.8, 1))._kernel is not None
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """The native loader as in a new process, caching under ``tmp_path``."""
+    from opweb import _native
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_tried", False)
+    monkeypatch.setattr(_native, "_CACHE", tmp_path)
+    return _native
+
+
+def test_python_walk_without_compiler(fresh_loader, monkeypatch):
+    cfg = Config(7, 0.7, 3)
+    native = explore_to_level(ORIGIN, 300, cfg)
+    monkeypatch.setattr(fresh_loader, "_tried", False)
+    monkeypatch.setattr(fresh_loader, "_COMPILERS", ("opweb-no-such-cc",))
+    fallback = explore_to_level(ORIGIN, 300, cfg)
+    assert fallback._kernel is None
+    assert _walk_state(fallback) == _walk_state(native)
+
+
+def test_damaged_cache_file_is_rebuilt_not_loaded(fresh_loader, monkeypatch,
+                                                  tmp_path):
+    native = fresh_loader
+    if native.load() is None:
+        pytest.skip("the native walk does not build here")
+    [cached] = tmp_path.glob("_walk-*.so")
+    key = cached.name[len("_walk-"):-len(".so")].encode()
+    whole = cached.read_bytes()
+    body = whole[:-len(native._trailer(b"", key))]
+    builds, loads = [], []
+    build, cdll = native._build, native.ctypes.CDLL
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def checking_cdll(path):
+        loads.append(native._valid(Path(path), key))
+        return cdll(path)
+
+    monkeypatch.setattr(native, "_build", counting_build)
+    monkeypatch.setattr(native.ctypes, "CDLL", checking_cdll)
+    damaged = {"truncated": whole[:len(whole) // 2],
+               "stale": body + native._trailer(body, b"0" * len(key)),
+               "empty": b""}
+    for name, content in damaged.items():
+        # a new file, as the loaded library's pages stay mapped from the old
+        spare = tmp_path / "damaged"
+        spare.write_bytes(content)
+        spare.replace(cached)
+        monkeypatch.setattr(native, "_tried", False)
+        assert native.load() is not None, name
+        assert native._valid(cached, key), name
+    assert len(builds) == len(damaged)
+    assert loads == [True] * len(damaged)
+    cluster = explore_to_level(ORIGIN, 200, Config(4, 0.8, 9))
+    assert cluster._kernel is not None
+    reference = _python_walk(ORIGIN, Config(4, 0.8, 9))
+    reference.advance_to(200)
+    assert _walk_state(cluster) == _walk_state(reference)
+
+
+def _build_and_walk(_):
+    cluster = explore_to_level(ORIGIN, 500, Config(11, 0.75, 5))
+    return cluster._kernel is not None, cluster.right_values
+
+
+def test_concurrent_first_builds_load_whole_files(fresh_loader, tmp_path):
+    if not (shutil.which("cc") or shutil.which("gcc")):
+        pytest.skip("no cc or gcc on PATH")
+    reference = _python_walk(ORIGIN, Config(11, 0.75, 5))
+    reference.advance_to(500)
+    # forked workers start with the loader untried and the cache empty
+    with multiprocessing.get_context("fork").Pool(3) as pool:
+        results = pool.map_async(_build_and_walk, range(3)).get(timeout=120)
+    assert results == [(True, reference.right_values)] * 3
+    [cached] = tmp_path.iterdir()
+    assert cached.suffix == ".so"

@@ -63,6 +63,13 @@ def test_determinism_and_vector_scalar_agreement(seed, stream, x, t):
     assert bool(vec[0]) == s
 
 
+@pytest.mark.parametrize("x, t", [(-1, 0), (0, -1), (-3, -2), (-4, 7),
+                                  (-2**30, -2**20 + 1)])
+def test_array_rejects_odd_parity_at_negative_coordinates(x, t):
+    with pytest.raises(InvalidSiteError):
+        edge_status_array(Config(1, 0.5, 0), [0, x], [0, t], [1, 1])
+
+
 def _edge_grid(n):
     xs = np.arange(n, dtype=np.int64)
     return xs, xs.copy(), np.ones(n, dtype=np.int64)

@@ -146,6 +146,22 @@ def test_check_suite_passes_and_reports_injected_fault():
                                      "kind": "right_boundary_mismatch"}
 
 
+def test_check_worker_builds_reach_tables_once(monkeypatch):
+    from opweb import oracle
+    builds = []
+    build = oracle._reach_tables
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "_reach_tables", counting)
+    for corrupt, outcome in ((False, "ok"), (True, "right_boundary_mismatch")):
+        builds.clear()
+        assert oracle._check_worker((0.8, 3, 1024, 40, 64, corrupt)) == outcome
+        assert len(builds) == 1
+
+
 # -- numpy-row reference DP --------------------------------------------------
 # One bool array per level, propagated cell-wise; the oracle's bit-row DP
 # must give the same tables, answers and refusals.
