@@ -1,6 +1,6 @@
 """Oriented-percolation exploration clusters and Brownian-web diagnostics."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (BoxTooNarrowError, InsufficientDataError,
                      InvalidArgumentError, InvalidSiteError, NoPathError,
@@ -14,8 +14,7 @@ from .regen import (DriftDiffusivity, RegenAccumulator, RegenRecord,
                     clt_check, detect_break_points, error_gap_frequencies,
                     estimate_alpha_sigma)
 from .couple import (CoalescenceTimes, CoupledRun, check_coalescence_structure,
-                     coalescence_survival_curve, run_coupled_many,
-                     run_coupled_pair, run_right_family)
+                     coalescence_survival_curve, family_eta, run_coupled_many)
 from .metrics import (CompactifiedPoint, RescaledPath, b1_battery,
                       b2_fkg_check, eta_count, path_distance, rho,
                       set_distance, shear_rescale)

@@ -24,8 +24,10 @@ import shutil
 import subprocess
 import tempfile
 import weakref
-from ctypes import POINTER, c_int, c_int64, c_uint8, c_uint64, c_void_p
+from ctypes import c_int, c_int64, c_uint64, c_void_p
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ScanLimitExceededError
 from .lattice import MASK64
@@ -51,7 +53,7 @@ class _Head(ctypes.Structure):
     _fields_ = [("r_len", c_int64), ("stack_len", c_int64),
                 ("sync_floor", c_int64), ("scan_offset", c_int64),
                 ("last_change_floor", c_int64), ("n_examined", c_int64),
-                ("r", POINTER(c_int64)), ("sx", POINTER(c_int64))]
+                ("r", c_void_p), ("sx", c_void_p)]  # int64_t *
 
 
 def load():
@@ -133,13 +135,16 @@ def open_walk(origin, cfg, scan_guard):
     return None if lib is None else NativeWalk(lib, origin, cfg, scan_guard)
 
 
-def _ints(ptr, start: int, stop: int) -> list:
-    """``ptr[start:stop]`` as Python ints, through one buffer copy."""
+def _ints(addr: int, start: int, stop: int) -> list:
+    """``int64_t`` entries ``[start, stop)`` at ``addr`` as Python ints.
+
+    One copy through ``ctypes.string_at``; a ``c_int64 * n`` array would
+    make a new ctypes type per length, which only the cycle collector frees.
+    """
     if stop <= start:
         return []
-    block = (c_int64 * (stop - start)).from_address(
-        ctypes.addressof(ptr.contents) + start * ctypes.sizeof(c_int64))
-    return memoryview(block).cast("B").cast("q").tolist()
+    return memoryview(ctypes.string_at(addr + 8 * start, 8 * (stop - start))
+                      ).cast("q").tolist()
 
 
 class NativeWalk:
@@ -190,7 +195,8 @@ class NativeWalk:
     def edge_status(self) -> dict:
         """Examined edges, packed key -> open."""
         n = self._head.n_examined
-        keys = (c_int64 * n)()
-        opened = (c_uint8 * n)()
-        self._lib.walk_edges(self._handle, keys, opened)
-        return dict(zip(keys, map(bool, opened)))
+        keys = np.empty(n, dtype=np.int64)
+        opened = np.empty(n, dtype=bool)
+        self._lib.walk_edges(self._handle, keys.ctypes.data,
+                             opened.ctypes.data)
+        return dict(zip(keys.tolist(), opened.tolist()))

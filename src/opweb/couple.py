@@ -1,13 +1,30 @@
-"""Multi-cluster couplings on independent streams and coalescence times.
+"""Coalescing exploration clusters: the batteries on one configuration,
+and the two-stream ledger coupling that is the paper's proof device.
 
-Construction: cluster 1 explores its private stream and records every
-examined edge in a ledger.  Each later cluster explores its own private
-stream until the first query that hits the ledger; from that moment on it
-reads previously realized statuses from the ledger and draws fresh edges
-from the first stream.  Every edge therefore receives exactly one status,
-the choice of source is adapted to the revealed history, and the realized
-statuses form one consistent percolation configuration shared by all
-clusters.
+Ledger coupling (`run_coupled_many`): cluster 1 explores its private stream
+and records every examined edge in a ledger.  Each later cluster explores
+its own private stream until the first query that hits the ledger; from
+that moment on it reads previously realized statuses from the ledger and
+draws fresh edges from the first stream.  Every edge therefore receives
+exactly one status, the choice of source is adapted to the revealed
+history, and the realized statuses form one consistent percolation
+configuration shared by all clusters.  This is how the paper shows that
+clusters evolve independently until they meet; `check_coalescence_structure`
+and the tests of the marginal and joint laws run on it.
+
+Batteries (`family_eta`, `coalescence_survival_curve`): since the ledger's
+joint law is the law of one configuration, and B1, B2 and the survival
+curve only estimate probabilities, every cluster of a replica is built
+from one ``Config(seed, p, stream_base + 1)``, the ledger's first stream,
+and advances on its own with no ledger.  On one configuration the sites
+reachable at level ``n`` from the half-line ``(-inf, x]`` grow with ``x``,
+so the right boundary ``r_x(n)`` is non-decreasing in ``x``: for
+``x < y < z``, ``r_x(n) = r_z(n)`` pins ``r_y(n)`` to the same value.  The
+distinct values of a family are thus one plus the increases between
+neighbours, and bisection counts them from the clusters at the ends of
+each unsettled interval (the squeeze).  The pair of the survival curve
+runs both clusters to the horizon and reads ``kappa_rr`` off their right
+boundaries.
 
 Coalescence bookkeeping for a pair started left (cluster ``L``) and right
 (cluster ``R``) at the same time:
@@ -33,7 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionNotMetError
-from .explore import ExplorationCluster
+from .explore import (DEFAULT_SCAN_GUARD, ExplorationCluster,
+                      explore_to_level)
 from .lattice import Config, LatticeSite, make_key_sampler
 from .oracle import cbm_baseline
 from .runner import pmap
@@ -158,72 +176,6 @@ def _replay_dip_level(x0, t0, deltas, r_other, t_other, base, max_level):
     return None
 
 
-def run_coupled_pair(z1: LatticeSite, z2: LatticeSite, horizon: int, *,
-                     p: float, seed: int, stream_base: int = 0,
-                     record_left_deltas: bool = False,
-                     stop_second_at_coalescence: bool = False,
-                     gamma_margin: int = DEFAULT_GAMMA_MARGIN,
-                     scan_guard: int = 10_000) -> CoupledRun:
-    """Couple two exploration clusters per the two-stream construction.
-
-    Cluster 1 runs on stream ``stream_base + 1`` through the horizon first;
-    cluster 2 runs on ``stream_base + 2`` until its exploration touches an
-    edge cluster 1 examined, then switches over.  Coalescence levels beyond
-    the horizon are reported as None (not an error).
-    """
-    if horizon < max(z1.t, z2.t):
-        raise InvalidArgumentError("horizon precedes a start time")
-    equal_time = z1.t == z2.t
-    if equal_time and z1.x > z2.x:
-        raise InvalidArgumentError("equal-time starts must be ordered left-right")
-    if stop_second_at_coalescence and not equal_time:
-        raise InvalidArgumentError("early stop requires equal start times")
-    if stop_second_at_coalescence and record_left_deltas:
-        raise InvalidArgumentError("cannot record full deltas on a stopped run")
-    rec = record_left_deltas or not equal_time
-    ledger, states, sources = _coupled_sources(2, seed, p, stream_base)
-
-    c1 = ExplorationCluster(z1, cfg=None, source=sources[0],
-                            scan_guard=scan_guard, record_left_deltas=rec)
-    states[0]["cluster"] = weakref.ref(c1)
-    c1.advance_to(horizon)
-    c2 = ExplorationCluster(z2, cfg=None, source=sources[1],
-                            scan_guard=scan_guard, record_left_deltas=rec)
-    states[1]["cluster"] = weakref.ref(c2)
-
-    base = max(z1.t, z2.t)
-    r1 = c1.right_values
-    kappa_rr = None
-    if stop_second_at_coalescence:
-        if z2.x <= r1[base - z1.t]:
-            kappa_rr = base
-        while c2.level < horizon and kappa_rr is None:
-            c2.advance_level()
-            if c2.right_values[-1] <= r1[c2.level - z1.t]:
-                kappa_rr = c2.level
-        gammas = [np.asarray(c1.left_values, dtype=np.int64), None]
-    else:
-        c2.advance_to(horizon)
-        gammas = [np.asarray(c1.left_values, dtype=np.int64),
-                  np.asarray(c2.left_values, dtype=np.int64)]
-
-    run = CoupledRun(
-        starts=(z1, z2), horizon=horizon, p=p, seed=seed,
-        stream_base=stream_base,
-        r=[list(c1.right_values), list(c2.right_values)],
-        gamma=gammas,
-        left_deltas=[c1.left_deltas, c2.left_deltas] if rec else [None, None],
-        switch_levels=[states[0]["iota"], states[1]["iota"]],
-        scan_offsets=[c1.scan_offset, c2.scan_offset],
-        kappas={}, orientations={},
-    )
-    orientation = _orient_pair(run, 0, 1)
-    run.orientations[(0, 1)] = orientation
-    run.kappas[(0, 1)] = _pair_kappas(run, 0, 1, orientation, gamma_margin,
-                                      kappa_rr_early=kappa_rr)
-    return run
-
-
 def _orient_pair(run: CoupledRun, i: int, j: int) -> str:
     zi, zj = run.starts[i], run.starts[j]
     if zi.t == zj.t:
@@ -241,7 +193,7 @@ def _orient_pair(run: CoupledRun, i: int, j: int) -> str:
 
 
 def _pair_kappas(run: CoupledRun, i: int, j: int, orientation: str,
-                 gamma_margin: int, kappa_rr_early=None) -> CoalescenceTimes:
+                 gamma_margin: int) -> CoalescenceTimes:
     zi, zj = run.starts[i], run.starts[j]
     base = max(zi.t, zj.t)
     if orientation in ("equal_time", "first_left"):
@@ -252,10 +204,7 @@ def _pair_kappas(run: CoupledRun, i: int, j: int, orientation: str,
         return CoalescenceTimes(None, None, None, run.horizon)
     tl, tr = run.starts[left].t, run.starts[right].t
     r_l, r_r = run.r[left], run.r[right]
-    if kappa_rr_early is not None:
-        kappa_rr = kappa_rr_early
-    else:
-        kappa_rr = _first_leq(r_r, r_l, base, tr, tl)
+    kappa_rr = _first_leq(r_r, r_l, base, tr, tl)
     g_l, g_r = run.gamma[left], run.gamma[right]
     kappa_gg = None
     provisional = False
@@ -371,8 +320,16 @@ def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
                      stream_base: int = 0, record_left_deltas: bool = False,
                      gamma_margin: int = DEFAULT_GAMMA_MARGIN,
                      scan_guard: int = 10_000) -> CoupledRun:
-    """Inductive coupling of several clusters; pairwise times recorded."""
-    starts = [s for s in starts]
+    """Couple clusters per the two-stream ledger; pairwise times recorded.
+
+    Cluster ``i`` starts on stream ``stream_base + i + 1`` and runs through
+    the horizon before cluster ``i + 1`` starts; it switches to the ledger
+    at its first query of an edge an earlier cluster examined.  Starts at
+    unequal times always record their left deltas, which the one-sided
+    ordering events need.  Coalescence levels beyond the horizon are
+    reported as None (not an error).
+    """
+    starts = list(starts)
     if len(starts) < 2:
         raise InvalidArgumentError("need at least two starts")
     if any((starts[a].t, starts[a].x) > (starts[a + 1].t, starts[a + 1].x)
@@ -381,12 +338,12 @@ def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
     if horizon < max(s.t for s in starts):
         raise InvalidArgumentError("horizon precedes a start time")
     k = len(starts)
+    rec = record_left_deltas or starts[0].t != starts[-1].t
     ledger, states, sources = _coupled_sources(k, seed, p, stream_base)
     clusters = []
     for i, z in enumerate(starts):
         c = ExplorationCluster(z, cfg=None, source=sources[i],
-                               scan_guard=scan_guard,
-                               record_left_deltas=record_left_deltas)
+                               scan_guard=scan_guard, record_left_deltas=rec)
         states[i]["cluster"] = weakref.ref(c)
         clusters.append(c)
         c.advance_to(horizon)
@@ -409,73 +366,62 @@ def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
     return run
 
 
-# -- lockstep family with merge-on-meet (battery workhorse) -----------------
+# -- shared-configuration batteries ------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyRun:
-    """Right-boundary values of an equal-time family at one level."""
-
-    start_xs: tuple
-    t0: int
-    level: int
-    values: tuple  # r_i(level) for every original start
-    n_active: int
-
-    def eta(self) -> int:
-        return len(set(self.values))
+def _right_value(x: int, t0: int, level: int, cfg: Config,
+                 scan_guard: int) -> int:
+    cluster = explore_to_level(LatticeSite(x, t0), level, cfg,
+                               scan_guard=scan_guard)
+    return cluster.right_values[-1]
 
 
-def run_right_family(start_xs, t0: int, level: int, *, p: float, seed: int,
-                     stream_base: int = 0, scan_guard: int = 10_000) -> FamilyRun:
-    """Advance an ordered equal-time family, collapsing merged neighbors.
+def family_eta(start_xs, t0: int, level: int, cfg: Config, *,
+               cap: int | None = None,
+               scan_guard: int = DEFAULT_SCAN_GUARD) -> int:
+    """Distinct values of ``r_x(level)`` over an equal-time family on ``cfg``.
 
-    Once a neighbor pair's right boundaries meet they are equal forever, so
-    the right cluster is dropped and aliased to its representative; the
-    family's distinct-value count at ``level`` equals the number of
-    survivors.
+    Counted by squeeze: the leftmost and then the rightmost cluster run
+    first, and an interval of starts whose end values differ is split at
+    its midpoint, so only the clusters that separate distinct values run.
+    With ``cap >= 1`` the count stops there and ``min(eta, cap)`` is
+    returned; ``cap=2`` runs the two extreme clusters only.
     """
-    xs = list(start_xs)
-    if any(xs[a] >= xs[a + 1] for a in range(len(xs) - 1)):
+    xs = tuple(start_xs)
+    if not xs:
+        raise InvalidArgumentError("need at least one start column")
+    if any(a >= b for a, b in zip(xs, xs[1:])):
         raise InvalidArgumentError("start columns must be strictly increasing")
     if level < t0:
         raise InvalidArgumentError("level precedes start time")
-    k = len(xs)
-    ledger, states, sources = _coupled_sources(k, seed, p, stream_base)
-    clusters = []
-    for i, x in enumerate(xs):
-        c = ExplorationCluster(LatticeSite(x, t0), cfg=None, source=sources[i],
-                               scan_guard=scan_guard)
-        states[i]["cluster"] = weakref.ref(c)
-        clusters.append(c)
-    rep = list(range(k))
-    active = list(range(k))
-    for _ in range(t0 + 1, level + 1):
-        for i in active:
-            clusters[i].advance_level()
-        kept = [active[0]]
-        for j in active[1:]:
-            i = kept[-1]
-            if clusters[j].right_values[-1] <= clusters[i].right_values[-1]:
-                rep[j] = i
-            else:
-                kept.append(j)
-        active = kept
-    values = []
-    for i in range(k):
-        root = i
-        while rep[root] != root:
-            root = rep[root]
-        values.append(clusters[root].right_values[-1])
-    return FamilyRun(tuple(xs), t0, level, tuple(values), len(active))
+    if cap is not None and cap < 1:
+        raise InvalidArgumentError("cap must be at least 1")
+    last = len(xs) - 1
+    r = {0: _right_value(xs[0], t0, level, cfg, scan_guard)}
+    if last:
+        r[last] = _right_value(xs[last], t0, level, cfg, scan_guard)
+    eta = 1
+    todo = [(0, last)]
+    while todo and (cap is None or eta < cap):
+        lo, hi = todo.pop()
+        if r[lo] == r[hi]:
+            continue  # squeezed: every start in between shares the value
+        if hi - lo == 1:
+            eta += 1
+            continue
+        mid = (lo + hi) // 2
+        r[mid] = _right_value(xs[mid], t0, level, cfg, scan_guard)
+        todo += [(mid, hi), (lo, mid)]
+    return eta
 
 
 def _survival_worker(args):
     gap, horizon, p, seed, stream_base, scan_guard = args
-    run = run_coupled_pair(LatticeSite(0, 0), LatticeSite(gap, 0), horizon,
-                           p=p, seed=seed, stream_base=stream_base,
-                           stop_second_at_coalescence=True,
-                           scan_guard=scan_guard)
-    krr = run.kappas[(0, 1)].kappa_rr
+    cfg = Config(seed, p, stream_base + 1)
+    r_left = explore_to_level(LatticeSite(0, 0), horizon, cfg,
+                              scan_guard=scan_guard).right_values
+    r_right = explore_to_level(LatticeSite(gap, 0), horizon, cfg,
+                               scan_guard=scan_guard).right_values
+    krr = _first_leq(r_right, r_left, 0, 0, 0)
     return -1 if krr is None else krr
 
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couple import run_right_family
+from .couple import family_eta
 from .errors import InvalidArgumentError
 from .explore import Trajectory
+from .lattice import Config
 from .oracle import cbm_baseline
 from .runner import pmap
 from .stats import wilson_interval
@@ -163,10 +164,9 @@ def eta_count(paths, t0: float, t: float, a: float, b: float) -> int:
 # -- empirical batteries -----------------------------------------------------
 
 def _family_eta_worker(args):
-    xs, t0, level, p, seed, stream_base, scan_guard = args
-    fam = run_right_family(xs, t0, level, p=p, seed=seed,
-                           stream_base=stream_base, scan_guard=scan_guard)
-    return fam.eta()
+    xs, t0, level, p, seed, stream_base, scan_guard, cap = args
+    return family_eta(xs, t0, level, Config(seed, p, stream_base + 1),
+                      cap=cap, scan_guard=scan_guard)
 
 
 def even_span(gap: float) -> int:
@@ -183,7 +183,9 @@ def b1_battery(p: float, eps: float, t: float, delta_list, replicas: int, *,
 
     For each target gap ``delta`` the family starts on all even columns of
     ``[0, x_eps]``, where ``x_eps = even_span(delta * sigma_hat / sqrt(eps))``,
-    and eta is counted at level ``floor(t / eps)``.  Both the estimate and
+    and eta is counted at level ``floor(t / eps)``.  Each replica is one
+    configuration (`opweb.couple.family_eta`), on which ``eta >= 2`` iff the
+    two extreme clusters differ, so only those two run.  Both the estimate and
     the erf baseline refer to the gap the lattice realises,
     ``delta_eff = x_eps * sqrt(eps) / sigma_hat``, not to ``delta``; as
     ``x_eps >= 2``, ``delta_eff`` is never below ``2 sqrt(eps) / sigma_hat``.
@@ -195,7 +197,7 @@ def b1_battery(p: float, eps: float, t: float, delta_list, replicas: int, *,
         xs = tuple(range(0, x_eps + 1, 2))
         jobs = [(xs, 0, level, p, seed,
                  (replica_offset + idx * replicas + rep) * stream_stride,
-                 scan_guard)
+                 scan_guard, 2)
                 for rep in range(replicas)]
         etas = pmap(_family_eta_worker, jobs, workers)
         k = sum(1 for e in etas if e >= 2)
@@ -235,16 +237,19 @@ def b2_fkg_check(p: float, n: int, x: int, replicas: int, *, seed: int = 0,
 
     The two sides come from independent replica banks (half the budget
     each); the slack combines their delta-method standard errors, so a
-    violation beyond slack is a genuine positive-correlation failure.
+    violation beyond slack is a genuine positive-correlation failure.  Each
+    replica is one configuration, counted by squeeze
+    (`opweb.couple.family_eta`) up to the 3 or 2 distinct values its side
+    asks about.
     """
     if x < 1:
         raise InvalidArgumentError("x must be at least 1")
     per_side = max(1, replicas // 2)
     xs = tuple(range(0, 2 * x + 1, 2))
-    jobs3 = [(xs, 0, n, p, seed, rep * stream_stride, scan_guard)
+    jobs3 = [(xs, 0, n, p, seed, rep * stream_stride, scan_guard, 3)
              for rep in range(per_side)]
-    jobs2 = [(xs, 0, n, p, seed, (per_side + rep) * stream_stride, scan_guard)
-             for rep in range(per_side)]
+    jobs2 = [(xs, 0, n, p, seed, (per_side + rep) * stream_stride,
+              scan_guard, 2) for rep in range(per_side)]
     etas3 = pmap(_family_eta_worker, jobs3, workers)
     etas2 = pmap(_family_eta_worker, jobs2, workers)
     k3 = sum(1 for e in etas3 if e >= 3)

@@ -257,13 +257,21 @@ def _check_worker(args):
         r[n // 2] += 1
     box = BoxConfig(cfg, x_min=-2 * n - slack, x_max=n + 2, t_min=0, t_max=n)
     # dp_right_boundary and dp_rightmost_path on one build of the tables
-    tables = _reach_tables(box, 0, n)
-    dp = _boundary_from_tables(box, tables, n)
+    try:
+        tables = _reach_tables(box, 0, n)
+        dp = _boundary_from_tables(box, tables, n)
+    except BoxTooNarrowError:
+        return "box_too_narrow"
     if dp.dead_from is not None:
-        return "dp_dead"
+        # a box that dies judges only the paths inside it
+        return "box_too_narrow" if left.min() < box.x_min else "dp_dead"
     if not np.array_equal(dp.values, r):
         return "right_boundary_mismatch"
-    if not np.array_equal(_path_from_tables(box, tables, n), left):
+    try:
+        path = _path_from_tables(box, tables, n)
+    except BoxTooNarrowError:
+        return "box_too_narrow"
+    if not np.array_equal(path, left):
         return "left_boundary_mismatch"
     return "ok"
 

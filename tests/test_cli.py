@@ -52,6 +52,14 @@ def test_exit_1_on_check_failure(capsys, monkeypatch):
     assert "FAIL p=0.8 replica=0: right_boundary_mismatch" in out
 
 
+def test_exit_1_when_the_box_is_too_narrow(capsys):
+    code, out, _ = _main(capsys, "check", "--delta", "0.6", "--n", "100",
+                         "--replicas", "5")
+    assert code == 1
+    assert out == ("p=0.6: 4/5 exact matches\np=0 guard agreement: ok\n"
+                   "FAIL p=0.6 replica=0: box_too_narrow\n")
+
+
 def test_exit_2_on_invalid_spec(capsys, tmp_path):
     code, _, err = _main(capsys, "estimate", "--p", "1.5")
     assert code == 2 and err.startswith("invalid spec:")
@@ -77,6 +85,24 @@ def test_exit_3_through_the_native_walk(capsys):
                    "level 1\n")
     if shutil.which("cc") or shutil.which("gcc"):
         assert _native.load() is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ["eta", "--eps", "0.01", "--t", "0.5", "--delta", "0.5", "--sigma",
+     "0.87", "--replicas", "3"],
+    ["eta", "--n", "100", "--x", "3", "--replicas", "4"],
+    ["coalesce", "--eps", "0.01", "--t", "0.5", "--delta", "1", "--sigma",
+     "0.87", "--replicas", "3", "--out", "unused.csv"],
+], ids=["eta_b1", "eta_b2", "coalesce"])
+def test_exit_3_from_the_shared_configuration(capsys, tmp_path, argv):
+    # the first replica's leftmost cluster runs first; at p = 0.3 its
+    # scan guard trips at level 18
+    argv = [tmp_path / a if a == "unused.csv" else a for a in argv]
+    code, out, err = _main(capsys, *map(str, argv), "--p", "0.3")
+    assert code == 3 and out == ""
+    assert err == ("scan guard tripped: 10000 start sites exhausted below "
+                   "level 18\n")
+    assert not (tmp_path / "unused.csv").exists()
 
 
 def test_exit_4_on_unwritable_out(capsys, tmp_path):
@@ -162,9 +188,11 @@ def _run_ok(capsys, argv, workers):
      "--replicas", "3", "--seed", "2"],
     ["eta", "--p", "0.8", "--eps", "0.01", "--t", "0.5", "--delta", "0.5",
      "1.0", "--replicas", "6", "--seed", "3"],
-], ids=["check", "estimate", "eta"])
+    ["eta", "--p", "0.8", "--n", "100", "--x", "4", "--replicas", "12",
+     "--seed", "3"],
+], ids=["check", "estimate", "eta", "eta_b2"])
 def test_stdout_independent_of_workers(capsys, tmp_path, argv):
-    if argv[0] == "eta":
+    if argv[0] == "eta" and "--x" not in argv:
         argv = argv + ["--spec", _spec_file(tmp_path, SIGMA_SPEC)]
     assert _run_ok(capsys, argv, 1) == _run_ok(capsys, argv, 2)
 
@@ -195,7 +223,14 @@ def test_simulate_files_independent_of_workers(capsys, tmp_path):
     assert trees[0] == trees[1]
 
 
-# -- start-up ------------------------------------------------------------------
+# -- start-up and version ------------------------------------------------------
+
+def test_package_and_project_versions_agree():
+    import tomllib
+    pyproject = Path(opweb.__file__).resolve().parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == opweb.__version__
+
 
 def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ,

@@ -2,20 +2,23 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opweb.couple import (check_coalescence_structure,
-                          coalescence_survival_curve, run_coupled_many,
-                          run_coupled_pair, run_right_family)
+from opweb.couple import (_survival_worker, check_coalescence_structure,
+                          coalescence_survival_curve, family_eta,
+                          run_coupled_many)
 from opweb.errors import InvalidArgumentError, PreconditionNotMetError
-from opweb.explore import ExplorationCluster, explore_to_level
+from opweb.explore import explore_to_level
 from opweb.lattice import Config, LatticeSite
+from opweb.metrics import _family_eta_worker
 from opweb.stats import ks_distance_two_sample
 
 O = LatticeSite(0, 0)
 
 
 def test_full_lattice_pair_never_meets():
-    run = run_coupled_pair(O, LatticeSite(4, 0), 200, p=1.0, seed=1)
+    run = run_coupled_many([O, LatticeSite(4, 0)], 200, p=1.0, seed=1)
     kt = run.kappas[(0, 1)]
     assert kt.kappa_rr is None and kt.kappa_rl is None
     assert run.r[0] == list(range(201))
@@ -24,7 +27,7 @@ def test_full_lattice_pair_never_meets():
 
 
 def test_identical_starts_coalesce_immediately():
-    run = run_coupled_pair(O, O, 100, p=0.8, seed=2, record_left_deltas=True)
+    run = run_coupled_many([O, O], 100, p=0.8, seed=2, record_left_deltas=True)
     kt = run.kappas[(0, 1)]
     assert kt.kappa_rr == 0 and kt.kappa_rl == 0
     assert run.r[0] == run.r[1]
@@ -34,11 +37,11 @@ def test_identical_starts_coalesce_immediately():
 
 def test_pair_requires_ordered_equal_time_starts():
     with pytest.raises(InvalidArgumentError):
-        run_coupled_pair(LatticeSite(2, 0), O, 50, p=0.8, seed=1)
+        run_coupled_many([LatticeSite(2, 0), O], 50, p=0.8, seed=1)
 
 
 def test_pre_switch_equality_with_private_stream():
-    run = run_coupled_pair(O, LatticeSite(2, 0), 400, p=0.8, seed=7,
+    run = run_coupled_many([O, LatticeSite(2, 0)], 400, p=0.8, seed=7,
                            stream_base=0, record_left_deltas=True)
     iota = run.switch_levels[1]
     assert iota is not None
@@ -48,7 +51,7 @@ def test_pre_switch_equality_with_private_stream():
 
 
 def test_replay_determinism():
-    runs = [run_coupled_pair(O, LatticeSite(6, 0), 300, p=0.8, seed=9,
+    runs = [run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=9,
                              record_left_deltas=True) for _ in range(2)]
     assert runs[0].r == runs[1].r
     assert runs[0].kappas == runs[1].kappas
@@ -59,8 +62,8 @@ def test_structure_clauses_hold_on_sweep():
     unresolved = 0
     for rep in range(120):
         gap = (2, 6, 20)[rep % 3]
-        run = run_coupled_pair(O, LatticeSite(gap, 0), 4000, p=0.8, seed=31,
-                               stream_base=rep * 1024,
+        run = run_coupled_many([O, LatticeSite(gap, 0)], 4000, p=0.8,
+                               seed=31, stream_base=rep * 1024,
                                record_left_deltas=True)
         report = check_coalescence_structure(run)
         if not report.resolved:
@@ -73,7 +76,7 @@ def test_structure_clauses_hold_on_sweep():
 
 
 def test_checker_detects_corruption():
-    run = run_coupled_pair(O, LatticeSite(2, 0), 500, p=0.8, seed=13,
+    run = run_coupled_many([O, LatticeSite(2, 0)], 500, p=0.8, seed=13,
                            record_left_deltas=True)
     assert check_coalescence_structure(run).all_passed
     kt = run.kappas[(0, 1)]
@@ -84,7 +87,7 @@ def test_checker_detects_corruption():
 
 def test_ordering_preserved_before_merge():
     for rep in range(40):
-        run = run_coupled_pair(O, LatticeSite(8, 0), 2000, p=0.8, seed=77,
+        run = run_coupled_many([O, LatticeSite(8, 0)], 2000, p=0.8, seed=77,
                                stream_base=rep * 1024)
         krr = run.kappas[(0, 1)].kappa_rr
         end = krr if krr is not None else 2000
@@ -99,7 +102,7 @@ def test_ordering_preserved_before_merge():
 def test_unequal_time_orientations_and_unstructured_guard():
     seen = set()
     for rep in range(60):
-        run = run_coupled_pair(O, LatticeSite(0, 2), 1500, p=0.8, seed=17,
+        run = run_coupled_many([O, LatticeSite(0, 2)], 1500, p=0.8, seed=17,
                                stream_base=rep * 1024)
         orientation = run.orientations[(0, 1)]
         seen.add(orientation)
@@ -138,7 +141,7 @@ def test_coupled_marginal_law_matches_standalone():
     coupled_end = []
     standalone_end = []
     for rep in range(400):
-        run = run_coupled_pair(O, LatticeSite(2, 0), n, p=0.8, seed=3,
+        run = run_coupled_many([O, LatticeSite(2, 0)], n, p=0.8, seed=3,
                                stream_base=rep * 1024)
         coupled_end.append(run.r[1][-1])
         solo = explore_to_level(LatticeSite(2, 0), n,
@@ -149,27 +152,79 @@ def test_coupled_marginal_law_matches_standalone():
     assert d < 0.1152
 
 
+def _family_values(xs, t0, level, cfg):
+    """``r_x(level)`` of every cluster of the family, each run on ``cfg``."""
+    return [explore_to_level(LatticeSite(x, t0), level, cfg).right_values[-1]
+            for x in xs]
+
+
 def test_family_eta_matches_value_count():
+    xs = tuple(range(0, 13, 2))
     for rep in range(30):
-        fam = run_right_family(tuple(range(0, 13, 2)), 0, 200, p=0.8,
-                               seed=41, stream_base=rep * 1024)
-        assert fam.eta() == fam.n_active
-        assert len(fam.values) == 7
+        cfg = Config(41, 0.8, rep * 1024 + 1)
+        values = _family_values(xs, 0, 200, cfg)
+        assert values == sorted(values)
+        eta = len(set(values))
+        assert family_eta(xs, 0, 200, cfg) == eta
+        for cap in (1, 2, 3):
+            assert family_eta(xs, 0, 200, cfg, cap=cap) == min(eta, cap)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       p=st.sampled_from([0.65, 0.7, 0.8, 0.9, 1.0]),
+       t0=st.integers(-3, 3),
+       gaps=st.lists(st.integers(1, 4), max_size=15),
+       level_above=st.integers(0, 300),
+       cap=st.one_of(st.none(), st.integers(1, 4)))
+def test_squeeze_count_equals_distinct_count(seed, p, t0, gaps, level_above,
+                                             cap):
+    # r_x(n) is non-decreasing in x on one configuration, so bisection
+    # between merged ends finds every distinct value of the family
+    xs = [t0 % 2]
+    for g in gaps:
+        xs.append(xs[-1] + 2 * g)
+    level = t0 + level_above
+    cfg = Config(seed, p, 1)
+    values = _family_values(xs, t0, level, cfg)
+    assert values == sorted(values)
+    eta = len(set(values))
+    assert family_eta(xs, t0, level, cfg, cap=cap) == (
+        eta if cap is None else min(eta, cap))
+
+
+def test_family_rejects_bad_input():
+    cfg = Config(1, 0.8, 1)
+    for xs, level in (((), 10), ((2, 2), 10), ((4, 2), 10), ((0, 2), -1)):
+        with pytest.raises(InvalidArgumentError):
+            family_eta(xs, 0, level, cfg)
+    with pytest.raises(InvalidArgumentError):
+        family_eta((0, 2), 0, 10, cfg, cap=0)
+
+
+def test_shared_config_left_cluster_is_the_ledger_first_cluster():
+    # the batteries' Config is the ledger's first stream, which cluster 0
+    # reads alone, so its right boundary is the same integer sequence
+    for rep in range(10):
+        run = run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=29,
+                               stream_base=rep * 1024)
+        shared = explore_to_level(O, 300, Config(29, 0.8, rep * 1024 + 1))
+        assert shared.right_values == run.r[0]
+        assert shared.left_values == run.gamma[0].tolist()
 
 
 def test_family_survival_agrees_with_pair_construction():
-    # eta >= 2 for a two-cluster family should match pair non-coalescence in
-    # distribution (different couplings, same law)
+    # eta >= 2 for a two-cluster family on one configuration should match
+    # non-coalescence of the ledger pair in distribution (different
+    # constructions, same law)
     n, reps = 300, 400
     fam_hits = sum(
-        run_right_family((0, 6), 0, n, p=0.8, seed=19,
-                         stream_base=rep * 1024).eta() >= 2
+        family_eta((0, 6), 0, n, Config(19, 0.8, rep * 1024 + 1)) >= 2
         for rep in range(reps))
     pair_hits = 0
     for rep in range(reps):
-        run = run_coupled_pair(O, LatticeSite(6, 0), n, p=0.8, seed=91,
-                               stream_base=rep * 1024,
-                               stop_second_at_coalescence=True)
+        run = run_coupled_many([O, LatticeSite(6, 0)], n, p=0.8, seed=91,
+                               stream_base=rep * 1024)
         pair_hits += run.kappas[(0, 1)].kappa_rr is None
     p1, p2 = fam_hits / reps, pair_hits / reps
     se = (p1 * (1 - p1) / reps + p2 * (1 - p2) / reps) ** 0.5
@@ -193,14 +248,15 @@ def test_survival_curve_validates_gap():
 
 
 @pytest.mark.parametrize("run", [
-    lambda: run_right_family(list(range(0, 16, 2)), 0, 200, p=0.8, seed=3),
-    lambda: run_coupled_pair(O, LatticeSite(6, 0), 300, p=0.8, seed=3,
-                             stop_second_at_coalescence=True),
-    lambda: run_coupled_pair(O, LatticeSite(6, 0), 300, p=0.8, seed=3,
+    lambda: _family_eta_worker((tuple(range(0, 16, 2)), 0, 200, 0.8, 3, 0,
+                                10_000, None)),
+    lambda: _survival_worker((6, 300, 0.8, 3, 0, 10_000)),
+    lambda: run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=3,
                              record_left_deltas=True),
     lambda: run_coupled_many([O, LatticeSite(4, 0), LatticeSite(8, 0)], 200,
                              p=0.8, seed=3),
-], ids=["family", "stopped_pair", "full_pair", "many"])
+    lambda: explore_to_level(O, 300, Config(3, 0.8, 1)).open_edges,
+], ids=["family", "survival_pair", "full_pair", "many", "explore"])
 def test_finished_coupling_leaves_no_reference_cycles(run):
     # a finished run is freed by reference counting alone
     gc.collect()

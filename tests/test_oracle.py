@@ -162,6 +162,47 @@ def test_check_worker_builds_reach_tables_once(monkeypatch):
         assert len(builds) == 1
 
 
+def test_check_reports_a_refused_box_as_a_failure_kind(monkeypatch):
+    from opweb import oracle
+    # p = 0.55: four boxes refuse certification and one dies with the walk's
+    # path outside it; none of them may escape as an exception
+    report = check_suite([0.55], 5, 100, 0)
+    assert report["per_p"][0.55]["passed"] == 0
+    assert [f["kind"] for f in report["failures"]] == ["box_too_narrow"] * 5
+    assert report["p0_agreement"]
+
+    def refuse(*args):
+        raise BoxTooNarrowError("predecessor cell not certified")
+
+    # a refusal while backtracking the path is the same failure kind
+    monkeypatch.setattr(oracle, "_path_from_tables", refuse)
+    job = (0.8, 3, 1024, 40, 64, False)
+    assert oracle._check_worker(job) == "box_too_narrow"
+
+
+def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
+    from opweb import oracle
+    from opweb.lattice import STREAMS_PER_REPLICA
+    # p = 0.6, replica 0: the box dies at level 89 while the walk's path
+    # reaches column -302, left of x_min = -264: the box cannot see it
+    job = (0.6, 0, STREAMS_PER_REPLICA, 100, 64, False)
+    assert oracle._check_worker(job) == "box_too_narrow"
+    cluster = explore_to_level(LatticeSite(0, 0), 100,
+                               Config(0, 0.6, STREAMS_PER_REPLICA))
+    assert min(cluster.left_values) == -302
+    # a box that dies under a walk whose path it holds is a real failure
+    ok_job = (0.8, 3, 1024, 40, 64, False)
+    assert oracle._check_worker(ok_job) == "ok"
+    boundary = oracle._boundary_from_tables
+
+    def dying(box, tables, n):
+        dp = boundary(box, tables, n)
+        return oracle.DpBoundary(dp.start_t, dp.values[:5], box.t_min + 5)
+
+    monkeypatch.setattr(oracle, "_boundary_from_tables", dying)
+    assert oracle._check_worker(ok_job) == "dp_dead"
+
+
 # -- numpy-row reference DP --------------------------------------------------
 # One bool array per level, propagated cell-wise; the oracle's bit-row DP
 # must give the same tables, answers and refusals.
