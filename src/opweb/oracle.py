@@ -13,6 +13,20 @@ The DP runs on bit rows: each box row is packed into a Python int at DP
 time, bit ``i`` standing for column ``x_min + i``, so one level of
 reachability is ``((r & ur) << 1) | ((r & ul) >> 1)`` masked to the box
 width, and a row's rightmost reachable site is ``bit_length() - 1``.
+
+A narrow box certifies only what a wider one would.  Take boxes B inside W
+over the same levels, and compare them on B's columns.  B's truncated
+(lower) table is a subset of W's, because B truncates more seeds; W's
+pessimistic (upper) table is a subset of B's, because B assumes that every
+open wall entry is reached.  So a level max or a predecessor cell on which
+B's two tables agree has the same value in W's two tables, and in the true
+configuration.  `box_ladder` uses this to judge a walk on boxes sized from
+the walk itself: the first spans 64 columns left of the walk's path, each
+refusal or death doubles that extent, and the last holds the worst-case
+box ``[-2n - slack, n + 2]``.  A wrong guess at the size can only cause a
+refusal, never a wrong answer.  A true walk is judged on the first box: a
+path that enters past the left wall and ends right of the walk's path
+must cross that path, so the seeds already reach where it ends.
 """
 
 from __future__ import annotations
@@ -204,11 +218,28 @@ def _path_from_tables(box: BoxConfig, tables, n: int) -> np.ndarray:
     return np.array(path, dtype=np.int64)
 
 
-def make_box_for(start_x: int, t0: int, n: int, cfg: Config,
-                 slack: int = 64) -> BoxConfig:
-    """A box sized so certification succeeds unless the run is degenerate."""
-    return BoxConfig(cfg, x_min=start_x - 2 * n - slack, x_max=start_x + n + 2,
-                     t_min=t0, t_max=t0 + n)
+FIRST_RUNG = 64  # left extent, in columns, of a ladder's first box
+
+
+def box_ladder(cfg: Config, n: int, left: np.ndarray, right: np.ndarray,
+               slack: int):
+    """Boxes of growing width that judge a walk from (0, 0) to level ``n``.
+
+    ``left`` and ``right`` are the walk's rightmost path and right boundary.
+    With ``a = min(left.min(), 0)``, the first box spans the columns
+    ``[a - 64, min(max(right.max(), 0) + 2, n + 2)]``, each next one
+    doubles the left extent, and the last spans ``[a - 2n - slack, n + 2]``.
+    The right wall stays right of the start (0, 0) whatever the walk
+    reports.  Each box is built only when the caller asks for it.
+    """
+    anchor = min(int(left.min()), 0)
+    x_max = min(max(int(right.max()), 0) + 2, n + 2)
+    widest = 2 * n + slack
+    extent = FIRST_RUNG
+    while extent < widest:
+        yield BoxConfig(cfg, anchor - extent, x_max, 0, n)
+        extent *= 2
+    yield BoxConfig(cfg, anchor - widest, n + 2, 0, n)
 
 
 # -- coalescing-Brownian baseline and its random-walk oracle ----------------
@@ -244,6 +275,43 @@ def coalescing_walk_survival(delta: float, t: float, *,
     return gap_walk_survival_exact(d, steps)
 
 
+def _judge(box: BoxConfig, right: np.ndarray, left: np.ndarray,
+           n: int) -> str:
+    """One box's outcome for a walk from (0, 0) to level ``n``."""
+    # dp_right_boundary and dp_rightmost_path on one build of the tables
+    try:
+        tables = _reach_tables(box, 0, n)
+        dp = _boundary_from_tables(box, tables, n)
+    except BoxTooNarrowError:
+        return "box_too_narrow"
+    if dp.dead_from is not None:
+        # a box that dies judges only the paths inside it
+        return "box_too_narrow" if left.min() < box.x_min else "dp_dead"
+    if not np.array_equal(dp.values, right):
+        return "right_boundary_mismatch"
+    try:
+        path = _path_from_tables(box, tables, n)
+    except BoxTooNarrowError:
+        return "box_too_narrow"
+    if not np.array_equal(path, left):
+        return "left_boundary_mismatch"
+    return "ok"
+
+
+def _ladder_outcome(cfg: Config, n: int, right: np.ndarray, left: np.ndarray,
+                    slack: int) -> str:
+    """A walk's outcome on the boxes of `box_ladder`.
+
+    A certified answer is final on any box; a refusal or a death widens the
+    box, and only the last box's is reported.
+    """
+    for box in box_ladder(cfg, n, left, right, slack):
+        outcome = _judge(box, right, left, n)
+        if outcome not in ("box_too_narrow", "dp_dead"):
+            break
+    return outcome
+
+
 def _check_worker(args):
     p, seed, stream, n, slack, corrupt = args
     from .explore import explore_to_level
@@ -255,34 +323,19 @@ def _check_worker(args):
     if corrupt:
         r = r.copy()
         r[n // 2] += 1
-    box = BoxConfig(cfg, x_min=-2 * n - slack, x_max=n + 2, t_min=0, t_max=n)
-    # dp_right_boundary and dp_rightmost_path on one build of the tables
-    try:
-        tables = _reach_tables(box, 0, n)
-        dp = _boundary_from_tables(box, tables, n)
-    except BoxTooNarrowError:
-        return "box_too_narrow"
-    if dp.dead_from is not None:
-        # a box that dies judges only the paths inside it
-        return "box_too_narrow" if left.min() < box.x_min else "dp_dead"
-    if not np.array_equal(dp.values, r):
-        return "right_boundary_mismatch"
-    try:
-        path = _path_from_tables(box, tables, n)
-    except BoxTooNarrowError:
-        return "box_too_narrow"
-    if not np.array_equal(path, left):
-        return "left_boundary_mismatch"
-    return "ok"
+    return _ladder_outcome(cfg, n, r, left, slack)
 
 
 def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
                 slack: int = 64, corrupt_run: int | None = None) -> dict:
     """Exact explore-vs-DP equivalence sweep plus the p=0 guard agreement.
 
-    Every run demands integer equality of both boundaries.  ``corrupt_run``
-    injects an off-by-one into that run's explored right boundary (negative
-    control for the reporting path).
+    Every run demands integer equality of both boundaries.  The box follows
+    the walk: each walk is judged on the boxes of `box_ladder`, so a run
+    reports ``box_too_narrow`` or ``dp_dead`` only when the widest box,
+    ``2n + slack`` columns left of the walk's path, refuses or dies.
+    ``corrupt_run`` injects an off-by-one into that run's explored right
+    boundary (negative control for the reporting path).
     """
     from .errors import ScanLimitExceededError
     from .explore import explore_to_level

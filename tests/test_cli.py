@@ -52,12 +52,17 @@ def test_exit_1_on_check_failure(capsys, monkeypatch):
     assert "FAIL p=0.8 replica=0: right_boundary_mismatch" in out
 
 
-def test_exit_1_when_the_box_is_too_narrow(capsys):
+def test_exit_1_when_the_box_is_too_narrow(capsys, monkeypatch):
+    # the widest box holds every true walk's path; slack = -2n - 1 puts its
+    # left wall one column right of the path, and each box refuses or dies
+    monkeypatch.setattr(cli, "check_suite",
+                        functools.partial(check_suite, slack=-201))
     code, out, _ = _main(capsys, "check", "--delta", "0.6", "--n", "100",
                          "--replicas", "5")
     assert code == 1
-    assert out == ("p=0.6: 4/5 exact matches\np=0 guard agreement: ok\n"
-                   "FAIL p=0.6 replica=0: box_too_narrow\n")
+    assert out == ("p=0.6: 0/5 exact matches\np=0 guard agreement: ok\n"
+                   + "".join(f"FAIL p=0.6 replica={rep}: box_too_narrow\n"
+                             for rep in range(5)))
 
 
 def test_exit_2_on_invalid_spec(capsys, tmp_path):
@@ -184,13 +189,14 @@ def _run_ok(capsys, argv, workers):
 @pytest.mark.parametrize("argv", [
     ["check", "--delta", "0.7", "0.9", "--n", "20", "--replicas", "3",
      "--seed", "4"],
+    ["check", "--delta", "0.55", "--n", "100", "--replicas", "5"],
     ["estimate", "--p", "0.8", "--n", "300", "--margin", "100",
      "--replicas", "3", "--seed", "2"],
     ["eta", "--p", "0.8", "--eps", "0.01", "--t", "0.5", "--delta", "0.5",
      "1.0", "--replicas", "6", "--seed", "3"],
     ["eta", "--p", "0.8", "--n", "100", "--x", "4", "--replicas", "12",
      "--seed", "3"],
-], ids=["check", "estimate", "eta", "eta_b2"])
+], ids=["check", "check_near_critical", "estimate", "eta", "eta_b2"])
 def test_stdout_independent_of_workers(capsys, tmp_path, argv):
     if argv[0] == "eta" and "--x" not in argv:
         argv = argv + ["--spec", _spec_file(tmp_path, SIGMA_SPEC)]

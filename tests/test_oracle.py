@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from opweb.errors import BoxTooNarrowError, InvalidArgumentError, NoPathError
 from opweb.explore import explore_to_level
 from opweb.lattice import Config, LatticeSite
-from opweb.oracle import (BoxConfig, cbm_baseline, check_suite,
+from opweb.lattice import STREAMS_PER_REPLICA
+from opweb.oracle import (BoxConfig, box_ladder, cbm_baseline, check_suite,
                           coalescing_walk_survival, dp_right_boundary,
-                          dp_rightmost_path, gap_walk_survival_exact,
-                          make_box_for)
+                          dp_rightmost_path, gap_walk_survival_exact)
 
 ERF_HALF = 0.5204998778130465  # math.erf(0.5)
 
@@ -67,15 +67,26 @@ def test_left_wall_certificate_trips_when_seeds_truncated():
     assert tripped > 0
 
 
+def _walk(cfg, n):
+    """The explored right boundary and rightmost path from (0, 0)."""
+    cluster = explore_to_level(LatticeSite(0, 0), n, cfg)
+    return (np.asarray(cluster.right_values, dtype=np.int64),
+            np.asarray(cluster.left_values, dtype=np.int64))
+
+
 def test_oracle_matches_exploration():
+    # at n = 30 the ladder has two boxes, 64 and 2n + 64 columns left of
+    # the path; each must certify the walk on its own
     for rep in range(50):
         cfg = Config(42, 0.8, (rep + 1) * 1024)
-        cluster = explore_to_level(LatticeSite(0, 0), 30, cfg)
-        box = make_box_for(0, 0, 30, cfg)
-        dp = dp_right_boundary(box, 0, 30)
-        assert dp.dead_from is None
-        assert list(dp.values) == cluster.right_values
-        assert list(dp_rightmost_path(box, 0, 30)) == cluster.left_values
+        right, left = _walk(cfg, 30)
+        boxes = list(box_ladder(cfg, 30, left, right, 64))
+        assert [min(left.min(), 0) - b.x_min for b in boxes] == [64, 124]
+        for box in boxes:
+            dp = dp_right_boundary(box, 0, 30)
+            assert dp.dead_from is None
+            assert list(dp.values) == list(right)
+            assert list(dp_rightmost_path(box, 0, 30)) == list(left)
 
 
 def test_box_statuses_match_lattice_oracle():
@@ -146,28 +157,88 @@ def test_check_suite_passes_and_reports_injected_fault():
                                      "kind": "right_boundary_mismatch"}
 
 
-def test_check_worker_builds_reach_tables_once(monkeypatch):
+def _record_boxes(monkeypatch):
+    """The boxes the oracle builds, and the boxes it builds tables on."""
     from opweb import oracle
-    builds = []
-    build = oracle._reach_tables
+    built, tabled = [], []
 
-    def counting(*args):
-        builds.append(args)
-        return build(*args)
+    class Recorded(oracle.BoxConfig):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
 
-    monkeypatch.setattr(oracle, "_reach_tables", counting)
+    reach = oracle._reach_tables
+
+    def recording(box, *args):
+        tabled.append(box)
+        return reach(box, *args)
+
+    monkeypatch.setattr(oracle, "BoxConfig", Recorded)
+    monkeypatch.setattr(oracle, "_reach_tables", recording)
+    return built, tabled
+
+
+def test_check_worker_builds_reach_tables_once_per_rung(monkeypatch):
+    from opweb import oracle
+    built, tabled = _record_boxes(monkeypatch)
     for corrupt, outcome in ((False, "ok"), (True, "right_boundary_mismatch")):
-        builds.clear()
+        built.clear()
+        tabled.clear()
         assert oracle._check_worker((0.8, 3, 1024, 40, 64, corrupt)) == outcome
-        assert len(builds) == 1
+        assert len(built) == 1 and tabled == built
+
+
+def test_check_dp_walks_certify_on_the_first_box(monkeypatch):
+    # the benchmark's check-dp call at seed 1001: every walk is judged on
+    # one box of at most (r.max() - min(l.min(), 0) + 67) * n edges
+    from opweb import oracle
+    built, tabled = _record_boxes(monkeypatch)
+    n = 500
+    for idx, p in enumerate((0.7, 0.7, 0.8, 0.8, 0.9, 0.9)):
+        stream = (idx + 1) * STREAMS_PER_REPLICA
+        built.clear()
+        tabled.clear()
+        assert oracle._check_worker((p, 1001, stream, n, 64, False)) == "ok"
+        right, left = _walk(Config(1001, p, stream), n)
+        (box,) = built
+        assert tabled == [box]
+        edges = (box.x_max - box.x_min + 1) * (box.t_max - box.t_min)
+        assert edges <= (right.max() - min(left.min(), 0) + 67) * n
+
+
+@pytest.mark.parametrize("path_shift, boundary_shift, outcome, walls", [
+    # the first box dies at level 89, the second holds the true path
+    (100, 0, "left_boundary_mismatch", [(-266, 5), (-330, 5)]),
+    # the first box refuses at level 89, the second holds the true path
+    (120, 0, "left_boundary_mismatch", [(-246, 5), (-310, 5)]),
+    # every box but the last touches its right wall
+    (0, 2, "right_boundary_mismatch",
+     [(-366, 3), (-430, 3), (-558, 3), (-566, 102)]),
+])
+def test_a_refused_box_widens(monkeypatch, path_shift, boundary_shift,
+                              outcome, walls):
+    # no true walk makes the first box refuse: a path from left of the
+    # walk's path that ends right of it must cross it.  So the walk here
+    # reports its path right of the true one, or its boundary left of it.
+    # p = 0.6, replica 0: the true path reaches column -302 and r.max() = 3.
+    from opweb import oracle
+    cfg = Config(0, 0.6, STREAMS_PER_REPLICA)
+    right, left = _walk(cfg, 100)
+    built, tabled = _record_boxes(monkeypatch)
+    assert oracle._ladder_outcome(cfg, 100, right - boundary_shift,
+                                  left + path_shift, 64) == outcome
+    assert [(box.x_min, box.x_max) for box in built] == walls
+    assert tabled == built
 
 
 def test_check_reports_a_refused_box_as_a_failure_kind(monkeypatch):
     from opweb import oracle
-    # p = 0.55: four boxes refuse certification and one dies with the walk's
-    # path outside it; none of them may escape as an exception
-    report = check_suite([0.55], 5, 100, 0)
-    assert report["per_p"][0.55]["passed"] == 0
+    # slack = -2n - 1 puts the only box's left wall one column right of
+    # each walk's path: at p = 0.6 four boxes refuse certification and one
+    # dies with the walk's path outside it; none of them may escape as an
+    # exception
+    report = check_suite([0.6], 5, 100, 0, slack=-201)
+    assert report["per_p"][0.6]["passed"] == 0
     assert [f["kind"] for f in report["failures"]] == ["box_too_narrow"] * 5
     assert report["p0_agreement"]
 
@@ -182,14 +253,13 @@ def test_check_reports_a_refused_box_as_a_failure_kind(monkeypatch):
 
 def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
     from opweb import oracle
-    from opweb.lattice import STREAMS_PER_REPLICA
-    # p = 0.6, replica 0: the box dies at level 89 while the walk's path
-    # reaches column -302, left of x_min = -264: the box cannot see it
-    job = (0.6, 0, STREAMS_PER_REPLICA, 100, 64, False)
+    # p = 0.6, replica 0: slack = -238 makes the only box [-264, 102]; it
+    # dies at level 89 while the walk's path reaches column -302, left of
+    # the box: the box cannot see it
+    job = (0.6, 0, STREAMS_PER_REPLICA, 100, -238, False)
     assert oracle._check_worker(job) == "box_too_narrow"
-    cluster = explore_to_level(LatticeSite(0, 0), 100,
-                               Config(0, 0.6, STREAMS_PER_REPLICA))
-    assert min(cluster.left_values) == -302
+    _, left = _walk(Config(0, 0.6, STREAMS_PER_REPLICA), 100)
+    assert left.min() == -302
     # a box that dies under a walk whose path it holds is a real failure
     ok_job = (0.8, 3, 1024, 40, 64, False)
     assert oracle._check_worker(ok_job) == "ok"
@@ -201,6 +271,35 @@ def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
 
     monkeypatch.setattr(oracle, "_boundary_from_tables", dying)
     assert oracle._check_worker(ok_job) == "dp_dead"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 60),
+       p=st.sampled_from([0.55, 0.6447, 0.7, 0.8, 0.9, 1.0]),
+       stream=st.integers(1, 10**6), corrupt=st.booleans(), data=st.data())
+def test_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
+    # wherever the box [-2n - slack, n + 2] certifies, the ladder gives its
+    # outcome, for the true walk and for walks that report their path too
+    # far right or their right boundary too far left
+    from opweb import oracle
+    slack = data.draw(st.integers(-2 * n, 256), label="slack")
+    cfg = Config(11, p, stream)
+    right, left = _walk(cfg, n)
+    if corrupt:
+        right[n // 2] += 1
+    path_shift = data.draw(st.integers(0, 8 - int(left.min())),
+                           label="path_shift")
+    boundary_shift = data.draw(st.integers(0, 4), label="boundary_shift")
+    right = right - boundary_shift
+    left = left + path_shift
+    outcome = oracle._ladder_outcome(cfg, n, right, left, slack)
+    if not path_shift and not boundary_shift:
+        job = (p, 11, stream, n, slack, corrupt)
+        assert oracle._check_worker(job) == outcome
+    full = oracle._judge(BoxConfig(cfg, -2 * n - slack, n + 2, 0, n),
+                         right, left, n)
+    if full not in ("box_too_narrow", "dp_dead"):
+        assert outcome == full
 
 
 # -- numpy-row reference DP --------------------------------------------------
