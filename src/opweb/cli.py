@@ -25,42 +25,16 @@ from . import __version__
 from .couple import coalescence_survival_curve
 from .errors import (InsufficientDataError, InvalidArgumentError,
                      InvalidSiteError, ScanLimitExceededError)
-from .explore import ExplorationCluster, explore_to_level
-from .lattice import Config, LatticeSite, STREAMS_PER_REPLICA
+from .explore import ExplorationCluster, write_trajectory_csv
+from .lattice import (LatticeSite, STREAMS_PER_REPLICA, calibration_seed,
+                      replica_config)
 from .metrics import b1_battery, b2_fkg_check
 from .oracle import check_suite
-from .regen import RegenAccumulator, break_point_arrays
+from .regen import replica_estimate
 from .runner import pmap
 from .stats import ks_distance_to_normal
 
 DEFAULT_T_GRID = tuple(round(0.1 * k, 1) for k in range(1, 21))
-
-ESTIMATE_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["p", "n_records", "alpha_hat", "alpha_se", "sigma_hat",
-                 "sigma_se", "ks_n", "ks_stat", "seeds_used"],
-    "properties": {
-        "p": {"type": "number"},
-        "n_records": {"type": "integer", "minimum": 0},
-        "alpha_hat": {"type": "number"},
-        "alpha_se": {"type": ["number", "null"]},
-        "sigma_hat": {"type": "number"},
-        "sigma_se": {"type": ["number", "null"]},
-        "ks_n": {"type": "integer"},
-        "ks_stat": {"type": ["number", "null"]},
-        "seeds_used": {
-            "type": "object",
-            "required": ["master_seed", "replicas", "stream_stride"],
-            "properties": {
-                "master_seed": {"type": "integer"},
-                "replicas": {"type": "integer"},
-                "stream_stride": {"type": "integer"},
-            },
-        },
-        "spec_hash": {"type": "string"},
-        "version": {"type": "string"},
-    },
-}
 
 
 @dataclass
@@ -109,16 +83,12 @@ def _write_text(path, text):
 # -- simulate ----------------------------------------------------------------
 
 def _simulate_worker(args):
-    p, seed, replica, n, horizon, scan_guard = args
-    cfg = Config(seed, p, replica * STREAMS_PER_REPLICA + 1)
+    cfg, n, horizon, scan_guard = args
     cluster = ExplorationCluster(LatticeSite(0, 0), cfg, scan_guard=scan_guard)
     cluster.advance_to(n)
     left_n = list(cluster.left_values)
     cluster.advance_to(horizon)
-    r = cluster.right_values[:n + 1]
-    gamma = cluster.left_values[:n + 1]
-    lines = [f"{j},{r[j]},{left_n[j]},{gamma[j]}" for j in range(n + 1)]
-    return lines
+    return cluster.right_values[:n + 1], left_n, cluster.left_values[:n + 1]
 
 
 def cmd_simulate(spec: ExperimentSpec) -> int:
@@ -127,16 +97,15 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     horizon = spec.horizon if spec.horizon else 4 * spec.n
-    jobs = [(spec.p, spec.seed, r, spec.n, horizon, spec.scan_guard)
-            for r in range(spec.replicas)]
-    results = pmap(_simulate_worker, jobs, spec.workers)
+    jobs = [(replica_config(spec.seed, spec.p, r), spec.n, horizon,
+             spec.scan_guard) for r in range(spec.replicas)]
     files = []
-    for r, lines in enumerate(results):
+    for r, (right, left, gamma) in enumerate(
+            pmap(_simulate_worker, jobs, spec.workers)):
         name = f"traj_{r:05d}.csv"
-        body = "\n".join([f"# spec_hash={spec.hash()}", "j,r_j,l_j,gamma_j"]
-                         + lines) + "\n"
-        _write_text(out / name, body)
-        files.append({"name": name, "rows": len(lines)})
+        write_trajectory_csv(out / name, right, left, gamma,
+                             header_comment=f"spec_hash={spec.hash()}")
+        files.append({"name": name, "rows": len(left)})
     manifest = {"spec": spec.canonical(), "spec_hash": spec.hash(),
                 "version": __version__, "files": files}
     _write_text(out / "manifest.json",
@@ -146,24 +115,10 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
 
 # -- estimate ----------------------------------------------------------------
 
-def _estimate_worker(args):
-    p, seed, replica, n, margin, scan_guard = args
-    cfg = Config(seed, p, replica * STREAMS_PER_REPLICA + 1)
-    cluster = explore_to_level(LatticeSite(0, 0), n + margin, cfg,
-                               scan_guard=scan_guard)
-    T, RT = break_point_arrays(cluster, n, margin)
-    return (np.diff(RT), np.diff(T), cluster.right_values[n])
-
-
 def estimate_report(spec: ExperimentSpec) -> dict:
-    jobs = [(spec.p, spec.seed, r, spec.n, spec.margin, spec.scan_guard)
-            for r in range(spec.replicas)]
-    acc = RegenAccumulator()
-    endpoints = []
-    for X, tau, r_n in pmap(_estimate_worker, jobs, spec.workers):
-        acc.add(X, tau)
-        endpoints.append(r_n)
-    est = acc.finalize()
+    est, endpoints = replica_estimate(spec.p, spec.seed, spec.replicas, spec.n,
+                                      spec.margin, workers=spec.workers,
+                                      scan_guard=spec.scan_guard)
     norm = (np.array(endpoints, dtype=np.float64) - est.alpha_hat * spec.n)
     ks = None
     if est.sigma_hat > 0 and len(endpoints) > 1:
@@ -194,15 +149,17 @@ def cmd_estimate(spec: ExperimentSpec) -> int:
     return 0
 
 
+# the estimate behind sigma when a run needs sigma and its spec gives none
+CALIBRATION_REPLICAS, CALIBRATION_N, CALIBRATION_MARGIN = 16, 4000, 400
+
+
 def calibrate_sigma(p: float, seed: int, *, workers: int = 1,
-                    replicas: int = 16, n: int = 4000, margin: int = 400,
                     scan_guard: int = 10_000) -> float:
-    """Quick internal drift/diffusivity calibration on a reserved seed bank."""
-    from .lattice import mix64
-    calib = ExperimentSpec("estimate", p=p, seed=mix64(seed ^ 0xCA11B), n=n,
-                           margin=margin, replicas=replicas, workers=workers,
-                           scan_guard=scan_guard)
-    return estimate_report(calib)["sigma_hat"]
+    """Quick internal diffusivity calibration on a seed of its own."""
+    est, _ = replica_estimate(p, calibration_seed(seed), CALIBRATION_REPLICAS,
+                              CALIBRATION_N, CALIBRATION_MARGIN,
+                              workers=workers, scan_guard=scan_guard)
+    return est.sigma_hat
 
 
 # -- coalesce ----------------------------------------------------------------
@@ -355,6 +312,15 @@ def spec_from_args(args) -> ExperimentSpec:
     spec = ExperimentSpec(**merged)
     if not 0.0 <= spec.p <= 1.0 or spec.replicas < 1 or spec.n < 0:
         raise InvalidArgumentError("spec values out of range")
+    if any(eps <= 0 for eps in spec.eps):
+        raise InvalidArgumentError("eps must be positive")
+    if spec.command == "check":
+        # check reads its list of p values from --delta
+        if not all(0.0 <= p <= 1.0 for p in spec.delta):
+            raise InvalidArgumentError("check p values must lie in [0, 1]")
+    elif spec.command in ("coalesce", "eta"):
+        if any(delta <= 0 for delta in spec.delta):
+            raise InvalidArgumentError("delta must be positive")
     return spec
 
 

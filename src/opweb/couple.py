@@ -15,7 +15,7 @@ and the tests of the marginal and joint laws run on it.
 Batteries (`family_eta`, `coalescence_survival_curve`): since the ledger's
 joint law is the law of one configuration, and B1, B2 and the survival
 curve only estimate probabilities, every cluster of a replica is built
-from one ``Config(seed, p, stream_base + 1)``, the ledger's first stream,
+from one ``replica_config(seed, p, replica)``, the ledger's first stream,
 and advances on its own with no ledger.  On one configuration the sites
 reachable at level ``n`` from the half-line ``(-inf, x]`` grow with ``x``,
 so the right boundary ``r_x(n)`` is non-decreasing in ``x``: for
@@ -52,7 +52,7 @@ import numpy as np
 from .errors import InvalidArgumentError, PreconditionNotMetError
 from .explore import (DEFAULT_SCAN_GUARD, ExplorationCluster,
                       explore_to_level)
-from .lattice import Config, LatticeSite, make_key_sampler
+from .lattice import Config, LatticeSite, make_key_sampler, replica_config
 from .oracle import cbm_baseline
 from .runner import pmap
 
@@ -74,7 +74,7 @@ class CoupledRun:
     horizon: int
     p: float
     seed: int
-    stream_base: int
+    replica: int
     r: list = field(repr=False)  # per cluster, list of ints from its start
     gamma: list = field(repr=False)  # per cluster, np.ndarray or None
     left_deltas: list = field(repr=False)  # per cluster, list or None
@@ -106,7 +106,7 @@ class CoalescenceReport:
                 and self.gamma_merge.passed)
 
 
-def _coupled_sources(k: int, seed: int, p: float, stream_base: int):
+def _coupled_sources(k: int, seed: int, p: float, replica: int):
     """Ledger plus one adapted edge source per cluster (index 0 first).
 
     ``states[i]["cluster"]`` must be set to a weak reference to cluster
@@ -114,7 +114,7 @@ def _coupled_sources(k: int, seed: int, p: float, stream_base: int):
     reference cycle that only the cycle collector could free.
     """
     ledger: dict[int, bool] = {}
-    samplers = [make_key_sampler(Config(seed, p, stream_base + i + 1))
+    samplers = [make_key_sampler(replica_config(seed, p, replica, i))
                 for i in range(k)]
     first = samplers[0]
     states = [{"switched": i == 0, "iota": None, "cluster": None}
@@ -317,17 +317,17 @@ def _check_left_merge(run: CoupledRun, left: int, right: int,
 
 
 def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
-                     stream_base: int = 0, record_left_deltas: bool = False,
+                     replica: int = 0, record_left_deltas: bool = False,
                      gamma_margin: int = DEFAULT_GAMMA_MARGIN,
                      scan_guard: int = 10_000) -> CoupledRun:
     """Couple clusters per the two-stream ledger; pairwise times recorded.
 
-    Cluster ``i`` starts on stream ``stream_base + i + 1`` and runs through
-    the horizon before cluster ``i + 1`` starts; it switches to the ledger
-    at its first query of an edge an earlier cluster examined.  Starts at
-    unequal times always record their left deltas, which the one-sided
-    ordering events need.  Coalescence levels beyond the horizon are
-    reported as None (not an error).
+    Cluster ``i`` starts on ``replica_config(seed, p, replica, i)`` and runs
+    through the horizon before cluster ``i + 1`` starts; it switches to the
+    ledger at its first query of an edge an earlier cluster examined.
+    Starts at unequal times always record their left deltas, which the
+    one-sided ordering events need.  Coalescence levels beyond the horizon
+    are reported as None (not an error).
     """
     starts = list(starts)
     if len(starts) < 2:
@@ -339,7 +339,7 @@ def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
         raise InvalidArgumentError("horizon precedes a start time")
     k = len(starts)
     rec = record_left_deltas or starts[0].t != starts[-1].t
-    ledger, states, sources = _coupled_sources(k, seed, p, stream_base)
+    ledger, states, sources = _coupled_sources(k, seed, p, replica)
     clusters = []
     for i, z in enumerate(starts):
         c = ExplorationCluster(z, cfg=None, source=sources[i],
@@ -349,7 +349,7 @@ def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
         c.advance_to(horizon)
     run = CoupledRun(
         starts=tuple(starts), horizon=horizon, p=p, seed=seed,
-        stream_base=stream_base,
+        replica=replica,
         r=[list(c.right_values) for c in clusters],
         gamma=[np.asarray(c.left_values, dtype=np.int64) for c in clusters],
         left_deltas=[c.left_deltas for c in clusters],
@@ -415,8 +415,7 @@ def family_eta(start_xs, t0: int, level: int, cfg: Config, *,
 
 
 def _survival_worker(args):
-    gap, horizon, p, seed, stream_base, scan_guard = args
-    cfg = Config(seed, p, stream_base + 1)
+    cfg, gap, horizon, scan_guard = args
     r_left = explore_to_level(LatticeSite(0, 0), horizon, cfg,
                               scan_guard=scan_guard).right_values
     r_right = explore_to_level(LatticeSite(gap, 0), horizon, cfg,
@@ -428,7 +427,6 @@ def _survival_worker(args):
 def coalescence_survival_curve(delta_lattice: int, p: float, eps_list, t_grid,
                                replicas: int, *, seed: int, sigma_hat: float,
                                workers: int = 1, scan_guard: int = 10_000,
-                               stream_stride: int = 1024,
                                replica_offset: int = 0):
     """Empirical P(eps * kappa_rr > t) against the erf baseline.
 
@@ -442,9 +440,8 @@ def coalescence_survival_curve(delta_lattice: int, p: float, eps_list, t_grid,
     rows = []
     for ie, eps in enumerate(eps_list):
         horizon = int(math.ceil(max(t_grid) / eps))
-        jobs = [(delta_lattice, horizon, p, seed,
-                 (replica_offset + ie * replicas + rep) * stream_stride,
-                 scan_guard)
+        jobs = [(replica_config(seed, p, replica_offset + ie * replicas + rep),
+                 delta_lattice, horizon, scan_guard)
                 for rep in range(replicas)]
         kappas = np.array(pmap(_survival_worker, jobs, workers), dtype=np.int64)
         censored = int((kappas < 0).sum())

@@ -35,10 +35,6 @@ from .lattice import Config, LatticeSite, X_BIAS, make_key_sampler
 
 DEFAULT_SCAN_GUARD = 10_000
 
-# Horizon used for finite approximations of the rightmost infinite path,
-# as a multiple of the target window.
-DEFAULT_HORIZON_FACTOR = 4
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -293,20 +289,23 @@ def boundary_ordering_check(cluster: ExplorationCluster, g: GammaApprox) -> bool
     return bool(np.all(gam <= left) and np.all(left <= right))
 
 
-def write_trajectory_csv(path, cluster: ExplorationCluster, g: GammaApprox,
+def write_trajectory_csv(path, r, left, gamma,
                          header_comment: str | None = None) -> None:
-    """Dump ``j, r_j, l_j, gamma_j`` (integer-exact) for one cluster."""
-    m = cluster.level - cluster.start_t + 1
-    if g.horizon < cluster.level or g.start != cluster.origin:
-        raise InvalidArgumentError("gamma approximation does not cover the cluster")
+    """Dump ``j, r_j, l_j, gamma_j`` (integer-exact), one row per level.
+
+    ``left`` is a cluster's left boundary as it stood at its last level, and
+    sets the number of rows; ``r`` is the right boundary and ``gamma`` the
+    rightmost-path approximation (`GammaApprox`), both of which may run past
+    that level.
+    """
+    m = len(left)
+    if len(r) < m or len(gamma) < m:
+        raise InvalidArgumentError("r and gamma must cover the left boundary")
     lines = []
     if header_comment:
         lines.append(f"# {header_comment}")
     lines.append("j,r_j,l_j,gamma_j")
-    r = cluster.right_values
-    left = cluster.left_values
     for j in range(m):
-        lines.append(f"{cluster.start_t + j},{r[j]},{left[j]},{int(g.values[j])}")
+        lines.append(f"{j},{r[j]},{left[j]},{int(gamma[j])}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-

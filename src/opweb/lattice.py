@@ -32,9 +32,13 @@ _MIX2 = 0x94D049BB133111EB
 # Packs signed x into the low 32 bits of a key; |x| must stay below 2**31.
 X_BIAS = 1 << 31
 
-# Stream layout: replica r of an experiment owns stream_ids
-# [r * STREAMS_PER_REPLICA, (r+1) * STREAMS_PER_REPLICA), so the independent
-# configurations of one replica never collide with another replica's.
+# The one stream rule: replica r of an experiment owns the stream_ids
+# r * STREAMS_PER_REPLICA + 1 .. (r + 1) * STREAMS_PER_REPLICA.  Its
+# configuration is the first of them, and cluster i of a ledger coupling
+# takes the (i + 1)-th; `replica_config` builds both.  Replicas of one
+# run are numbered without gaps across all its workloads, so no two
+# workloads of a run share a stream; a run's drift/diffusivity calibration
+# draws its replicas under a seed of its own (`calibration_seed`).
 STREAMS_PER_REPLICA = 1024
 
 
@@ -118,6 +122,18 @@ class Config:
 
 def _config_base(seed: int, stream_id: int) -> int:
     return mix64((mix64(seed) + (stream_id & MASK64) * GOLDEN) & MASK64)
+
+
+def replica_config(seed: int, p: float, replica: int,
+                   cluster: int = 0) -> Config:
+    """The configuration of replica ``replica`` of an experiment, or that of
+    cluster ``cluster`` of its ledger coupling (the rule above)."""
+    return Config(seed, p, replica * STREAMS_PER_REPLICA + cluster + 1)
+
+
+def calibration_seed(seed: int) -> int:
+    """Seed of the replicas that calibrate sigma for a run under ``seed``."""
+    return mix64(seed ^ 0xCA11B)
 
 
 def make_key_sampler(cfg: Config):

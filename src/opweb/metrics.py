@@ -22,7 +22,7 @@ import numpy as np
 from .couple import family_eta
 from .errors import InvalidArgumentError
 from .explore import Trajectory
-from .lattice import Config
+from .lattice import replica_config
 from .oracle import cbm_baseline
 from .runner import pmap
 from .stats import wilson_interval
@@ -164,9 +164,8 @@ def eta_count(paths, t0: float, t: float, a: float, b: float) -> int:
 # -- empirical batteries -----------------------------------------------------
 
 def _family_eta_worker(args):
-    xs, t0, level, p, seed, stream_base, scan_guard, cap = args
-    return family_eta(xs, t0, level, Config(seed, p, stream_base + 1),
-                      cap=cap, scan_guard=scan_guard)
+    cfg, xs, t0, level, scan_guard, cap = args
+    return family_eta(xs, t0, level, cfg, cap=cap, scan_guard=scan_guard)
 
 
 def even_span(gap: float) -> int:
@@ -177,8 +176,7 @@ def even_span(gap: float) -> int:
 
 def b1_battery(p: float, eps: float, t: float, delta_list, replicas: int, *,
                sigma_hat: float, seed: int = 0, workers: int = 1,
-               scan_guard: int = 10_000, stream_stride: int = 1024,
-               replica_offset: int = 0):
+               scan_guard: int = 10_000, replica_offset: int = 0):
     """P(eta >= 2) for right-boundary families spanning rescaled gaps.
 
     For each target gap ``delta`` the family starts on all even columns of
@@ -195,9 +193,8 @@ def b1_battery(p: float, eps: float, t: float, delta_list, replicas: int, *,
     for idx, delta in enumerate(delta_list):
         x_eps = even_span(delta * sigma_hat / math.sqrt(eps))
         xs = tuple(range(0, x_eps + 1, 2))
-        jobs = [(xs, 0, level, p, seed,
-                 (replica_offset + idx * replicas + rep) * stream_stride,
-                 scan_guard, 2)
+        jobs = [(replica_config(seed, p, replica_offset + idx * replicas + rep),
+                 xs, 0, level, scan_guard, 2)
                 for rep in range(replicas)]
         etas = pmap(_family_eta_worker, jobs, workers)
         k = sum(1 for e in etas if e >= 2)
@@ -232,7 +229,7 @@ class FkgReport:
 
 def b2_fkg_check(p: float, n: int, x: int, replicas: int, *, seed: int = 0,
                  workers: int = 1, scan_guard: int = 10_000,
-                 stream_stride: int = 1024, z: float = 1.959963984540054) -> FkgReport:
+                 z: float = 1.959963984540054) -> FkgReport:
     """Estimate P(eta >= 3) against P(eta >= 2)^2 on the family over [0, 2x].
 
     The two sides come from independent replica banks (half the budget
@@ -246,10 +243,10 @@ def b2_fkg_check(p: float, n: int, x: int, replicas: int, *, seed: int = 0,
         raise InvalidArgumentError("x must be at least 1")
     per_side = max(1, replicas // 2)
     xs = tuple(range(0, 2 * x + 1, 2))
-    jobs3 = [(xs, 0, n, p, seed, rep * stream_stride, scan_guard, 3)
+    jobs3 = [(replica_config(seed, p, rep), xs, 0, n, scan_guard, 3)
              for rep in range(per_side)]
-    jobs2 = [(xs, 0, n, p, seed, (per_side + rep) * stream_stride,
-              scan_guard, 2) for rep in range(per_side)]
+    jobs2 = [(replica_config(seed, p, per_side + rep), xs, 0, n, scan_guard, 2)
+             for rep in range(per_side)]
     etas3 = pmap(_family_eta_worker, jobs3, workers)
     etas2 = pmap(_family_eta_worker, jobs2, workers)
     k3 = sum(1 for e in etas3 if e >= 3)

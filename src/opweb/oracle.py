@@ -37,9 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoxTooNarrowError, InvalidArgumentError, NoPathError
-from .lattice import Config, edge_status_array
-
-DEAD = None  # marker for levels with no reachable site
+from .lattice import Config, edge_status_array, replica_config
 
 
 @dataclass(eq=False)
@@ -65,6 +63,9 @@ class BoxConfig:
     entry_open: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
+        # numpy integer bounds would turn the bit-row masks into int64
+        self.x_min, self.x_max, self.t_min, self.t_max = map(
+            int, (self.x_min, self.x_max, self.t_min, self.t_max))
         if self.x_max <= self.x_min or self.t_max <= self.t_min:
             raise InvalidArgumentError("degenerate box")
         height = self.t_max - self.t_min
@@ -232,8 +233,8 @@ def box_ladder(cfg: Config, n: int, left: np.ndarray, right: np.ndarray,
     The right wall stays right of the start (0, 0) whatever the walk
     reports.  Each box is built only when the caller asks for it.
     """
-    anchor = min(int(left.min()), 0)
-    x_max = min(max(int(right.max()), 0) + 2, n + 2)
+    anchor = min(left.min(), 0)
+    x_max = min(max(right.max(), 0) + 2, n + 2)
     widest = 2 * n + slack
     extent = FIRST_RUNG
     while extent < widest:
@@ -313,10 +314,9 @@ def _ladder_outcome(cfg: Config, n: int, right: np.ndarray, left: np.ndarray,
 
 
 def _check_worker(args):
-    p, seed, stream, n, slack, corrupt = args
+    cfg, n, slack, corrupt = args
     from .explore import explore_to_level
     from .lattice import LatticeSite
-    cfg = Config(seed, p, stream)
     cluster = explore_to_level(LatticeSite(0, 0), n, cfg)
     r = np.asarray(cluster.right_values, dtype=np.int64)
     left = np.asarray(cluster.left_values, dtype=np.int64)
@@ -339,14 +339,14 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
     """
     from .errors import ScanLimitExceededError
     from .explore import explore_to_level
-    from .lattice import LatticeSite, STREAMS_PER_REPLICA
+    from .lattice import LatticeSite
     from .runner import pmap
     jobs = []
     labels = []
     for ip, p in enumerate(ps):
         for rep in range(seeds_per_p):
             idx = ip * seeds_per_p + rep
-            jobs.append((p, seed, (idx + 1) * STREAMS_PER_REPLICA, n, slack,
+            jobs.append((replica_config(seed, p, idx), n, slack,
                          idx == corrupt_run))
             labels.append((p, rep))
     outcomes = pmap(_check_worker, jobs, workers)
@@ -358,7 +358,7 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
         else:
             failures.append({"p": p, "replica": rep, "kind": outcome})
     # degenerate input: the walk must trip its guard, the DP must report dead
-    p0 = Config(seed, 0.0, STREAMS_PER_REPLICA)
+    p0 = replica_config(seed, 0.0, len(jobs))
     guard_tripped = False
     try:
         explore_to_level(LatticeSite(0, 0), 4, p0, scan_guard=64)

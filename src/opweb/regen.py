@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidArgumentError
 from .explore import (ExplorationCluster, RightBoundaryTrajectory,
                       explore_to_level)
-from .lattice import Config, LatticeSite
+from .lattice import Config, LatticeSite, replica_config
 from .runner import pmap
 from .stats import ks_distance_to_normal, wilson_interval
 
@@ -101,12 +101,36 @@ def detect_break_points(traj: RightBoundaryTrajectory, cfg: Config,
     return records
 
 
-def _plugin_sigma2(mx, mt, xx, xt, tt):
+def _estimate(rows: np.ndarray, b: int) -> DriftDiffusivity:
+    """Plug-in drift and diffusivity from rows of sufficient statistics.
+
+    Each row is ``(n, sum X, sum tau, sum X^2, sum X tau, sum tau^2)`` over
+    a block of records.  The standard errors come from ``b`` batches of
+    consecutive rows and are NaN when ``b < 2``.
+    """
+    n = rows[:, 0].sum()
+    if n < 2:
+        raise InsufficientDataError(f"{int(n)} records; need at least 2")
+    alpha, sigma = _plugin(rows.sum(axis=0))
+    if b < 2:
+        return DriftDiffusivity(alpha, sigma, int(n), math.nan, math.nan)
+    bounds = np.linspace(0, len(rows), b + 1).astype(int)
+    batches = [_plugin(rows[lo:hi].sum(axis=0))
+               for lo, hi in zip(bounds[:-1], bounds[1:])]
+    alpha_se, sigma_se = (float(np.std(v, ddof=1) / math.sqrt(b))
+                          for v in zip(*batches))
+    return DriftDiffusivity(alpha, sigma, int(n), alpha_se, sigma_se)
+
+
+def _plugin(stats) -> tuple[float, float]:
+    n, sx, st, sxx, sxt, stt = stats
+    mx, mt, xx, xt, tt = sx / n, st / n, sxx / n, sxt / n, stt / n
     # E[(X m_tau - tau m_X)^2] / m_tau^3 from raw second moments
-    return (mt * mt * xx - 2.0 * mt * mx * xt + mx * mx * tt) / mt**3
+    sigma2 = (mt * mt * xx - 2.0 * mt * mx * xt + mx * mx * tt) / mt**3
+    return float(sx / st), math.sqrt(max(sigma2, 0.0))
 
 
-def estimate_alpha_sigma(records, n_batches: int = DEFAULT_BATCHES) -> DriftDiffusivity:
+def estimate_alpha_sigma(records) -> DriftDiffusivity:
     """Plug-in drift and diffusivity from i.i.d. increment records.
 
     ``records`` must already exclude the first increment.  Standard errors
@@ -114,32 +138,14 @@ def estimate_alpha_sigma(records, n_batches: int = DEFAULT_BATCHES) -> DriftDiff
     """
     X = np.array([rec.X for rec in records], dtype=np.float64)
     tau = np.array([rec.tau for rec in records], dtype=np.float64)
-    return estimate_from_increments(X, tau, n_batches=n_batches)
+    return estimate_from_increments(X, tau)
 
 
-def estimate_from_increments(X, tau, n_batches: int = DEFAULT_BATCHES) -> DriftDiffusivity:
+def estimate_from_increments(X, tau) -> DriftDiffusivity:
     X = np.asarray(X, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
-    n = len(X)
-    if n < 2:
-        raise InsufficientDataError(f"{n} records; need at least 2")
-    mx, mt = X.mean(), tau.mean()
-    alpha = mx / mt
-    sigma2 = _plugin_sigma2(mx, mt, (X * X).mean(), (X * tau).mean(),
-                            (tau * tau).mean())
-    sigma = math.sqrt(max(sigma2, 0.0))
-    b = max(2, min(n_batches, n // 2))
-    bounds = np.linspace(0, n, b + 1).astype(int)
-    a_b, s_b = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        bx, bt = X[lo:hi], tau[lo:hi]
-        a_b.append(bx.mean() / bt.mean())
-        s2 = _plugin_sigma2(bx.mean(), bt.mean(), (bx * bx).mean(),
-                            (bx * bt).mean(), (bt * bt).mean())
-        s_b.append(math.sqrt(max(s2, 0.0)))
-    alpha_se = float(np.std(a_b, ddof=1) / math.sqrt(b))
-    sigma_se = float(np.std(s_b, ddof=1) / math.sqrt(b))
-    return DriftDiffusivity(float(alpha), float(sigma), n, alpha_se, sigma_se)
+    rows = np.column_stack([np.ones_like(X), X, tau, X * X, X * tau, tau * tau])
+    return _estimate(rows, max(2, min(DEFAULT_BATCHES, len(X) // 2)))
 
 
 class RegenAccumulator:
@@ -160,35 +166,39 @@ class RegenAccumulator:
         self._per_replica.append((len(X), X.sum(), tau.sum(), (X * X).sum(),
                                   (X * tau).sum(), (tau * tau).sum()))
 
-    @property
-    def n_records(self) -> int:
-        return int(sum(row[0] for row in self._per_replica))
-
-    def finalize(self, n_batches: int = DEFAULT_BATCHES) -> DriftDiffusivity:
-        rows = np.array(self._per_replica, dtype=np.float64)
-        if len(rows) == 0 or rows[:, 0].sum() < 2:
-            raise InsufficientDataError("not enough records accumulated")
-        n, sx, st, sxx, sxt, stt = rows.sum(axis=0)
-        alpha = sx / st
-        sigma2 = _plugin_sigma2(sx / n, st / n, sxx / n, sxt / n, stt / n)
-        sigma = math.sqrt(max(sigma2, 0.0))
-        # replicas without records carry no batch; one batch leaves the
-        # standard errors undefined
+    def finalize(self) -> DriftDiffusivity:
+        rows = np.array(self._per_replica, dtype=np.float64).reshape(-1, 6)
+        # replicas without records carry no batch
         rows = rows[rows[:, 0] > 0]
-        b = min(n_batches, len(rows))
-        if b < 2:
-            return DriftDiffusivity(float(alpha), float(sigma), int(n),
-                                    math.nan, math.nan)
-        bounds = np.linspace(0, len(rows), b + 1).astype(int)
-        a_b, s_b = [], []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            bn, bsx, bst, bsxx, bsxt, bstt = rows[lo:hi].sum(axis=0)
-            a_b.append(bsx / bst)
-            s2 = _plugin_sigma2(bsx / bn, bst / bn, bsxx / bn, bsxt / bn, bstt / bn)
-            s_b.append(math.sqrt(max(s2, 0.0)))
-        alpha_se = float(np.std(a_b, ddof=1) / math.sqrt(b))
-        sigma_se = float(np.std(s_b, ddof=1) / math.sqrt(b))
-        return DriftDiffusivity(float(alpha), float(sigma), int(n), alpha_se, sigma_se)
+        return _estimate(rows, min(DEFAULT_BATCHES, len(rows)))
+
+
+def _estimate_worker(args):
+    cfg, n, margin, scan_guard = args
+    cluster = explore_to_level(LatticeSite(0, 0), n + margin, cfg,
+                               scan_guard=scan_guard)
+    T, RT = break_point_arrays(cluster, n, margin)
+    return np.diff(RT), np.diff(T), cluster.right_values[n]
+
+
+def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
+                     *, workers: int = 1, scan_guard: int = 10_000):
+    """Drift and diffusivity pooled over independent replicas from (0, 0).
+
+    Replica ``k`` explores ``replica_config(seed, p, k)`` to level
+    ``n + margin`` and contributes the increments between its break points
+    (`break_point_arrays`), so its first record is left out.  Returns the
+    pooled `DriftDiffusivity`, whose batches are whole replicas, and the
+    endpoints ``r(n)``, one per replica.
+    """
+    jobs = [(replica_config(seed, p, rep), n, margin, scan_guard)
+            for rep in range(replicas)]
+    acc = RegenAccumulator()
+    endpoints = []
+    for X, tau, r_n in pmap(_estimate_worker, jobs, workers):
+        acc.add(X, tau)
+        endpoints.append(r_n)
+    return acc.finalize(), endpoints
 
 
 def _clt_worker(args):
@@ -240,9 +250,8 @@ def _has_meeting_gap(meets, window, threshold) -> bool:
 
 
 def error_gap_frequencies(replicas: int, p: float, eps_list, delta: float,
-                          L: float, *, seed: int = 0, stream_offset: int = 0,
-                          workers: int = 1, horizon_margin: int = 256,
-                          scan_guard: int = 10_000):
+                          L: float, *, seed: int = 0, workers: int = 1,
+                          horizon_margin: int = 256, scan_guard: int = 10_000):
     """Frequencies of the sup-error and meeting-gap events per epsilon.
 
     For each eps: the sup of ``r - gamma`` over ``[0, L/eps]`` reaching
@@ -259,11 +268,8 @@ def error_gap_frequencies(replicas: int, p: float, eps_list, delta: float,
         window = int(math.floor(L / eps))
         threshold = eps**(-delta)
         horizon = window + max(3 * window, horizon_margin)
-        jobs = []
-        for rep in range(replicas):
-            stream = stream_offset + (i * replicas + rep + 1)
-            jobs.append((Config(seed, p, stream), window, threshold, horizon,
-                         scan_guard))
+        jobs = [(replica_config(seed, p, i * replicas + rep), window,
+                 threshold, horizon, scan_guard) for rep in range(replicas)]
         outcomes = pmap(_error_gap_worker, jobs, workers)
         k_err = sum(1 for e, _ in outcomes if e)
         k_gap = sum(1 for _, g in outcomes if g)

@@ -65,9 +65,23 @@ def test_exit_1_when_the_box_is_too_narrow(capsys, monkeypatch):
                              for rep in range(5)))
 
 
+B1 = ["--t", "0.5", "--sigma", "0.87", "--replicas", "3"]
+INVALID_ARGV = [
+    ["estimate", "--p", "1.5"],
+    ["eta", "--eps", "0", "--delta", "0.5", *B1],
+    ["eta", "--eps", "-0.01", "--delta", "0.5", *B1],
+    ["coalesce", "--eps", "0", "--delta", "1", *B1, "--out", "{out}"],
+    ["coalesce", "--eps", "0.01", "--delta", "-1", *B1, "--out", "{out}"],
+    ["check", "--delta", "0.8", "1.5", "--n", "10", "--replicas", "2"],
+]
+
+
 def test_exit_2_on_invalid_spec(capsys, tmp_path):
-    code, _, err = _main(capsys, "estimate", "--p", "1.5")
-    assert code == 2 and err.startswith("invalid spec:")
+    out = tmp_path / "out.csv"
+    for argv in INVALID_ARGV:
+        code, stdout, err = _main(capsys, *(a.format(out=out) for a in argv))
+        assert code == 2 and err.startswith("invalid spec:"), argv
+        assert stdout == "" and not out.exists()
     spec = _spec_file(tmp_path, {"bogus": 1})
     code, _, err = _main(capsys, "estimate", "--spec", spec)
     assert code == 2 and "bogus" in err
@@ -144,6 +158,52 @@ def test_degenerate_sigma_writes_null_ks(capsys):
     assert code == 0
     report = json.loads(out, parse_constant=_reject_constant)
     assert report["sigma_hat"] == 0.0 and report["ks_stat"] is None
+
+
+def test_estimate_report_keys(capsys):
+    code, out, _ = _main(capsys, "estimate", "--n", "300", "--margin", "50",
+                         "--replicas", "2", "--seed", "4")
+    assert code == 0
+    report = json.loads(out)
+    assert set(report) == {"p", "n_records", "alpha_hat", "alpha_se",
+                           "sigma_hat", "sigma_se", "ks_n", "ks_stat",
+                           "seeds_used", "spec_hash", "version"}
+    assert report["seeds_used"] == {"master_seed": 4, "replicas": 2,
+                                    "stream_stride": 1024}
+
+
+# -- streams -------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, replicas", [
+    # 16 calibration replicas, then 2 eps x 2 t x 2 delta x 3 replicas
+    (["eta", "--eps", "0.01", "0.02", "--t", "0.5", "1", "--delta", "0.5",
+      "1", "--replicas", "3"], 16 + 24),
+    # two banks of 3 replicas
+    (["eta", "--n", "100", "--x", "4", "--replicas", "6"], 6),
+    (["coalesce", "--eps", "0.01", "0.02", "--delta", "1", "--t", "0.25",
+      "--replicas", "3", "--out", "{out}"], 16 + 6),
+    # 2 p values x 3 replicas, then the p = 0 probe
+    (["check", "--delta", "0.7", "0.9", "--n", "20", "--replicas", "3"],
+     6 + 1),
+], ids=["eta_b1", "eta_b2", "coalesce", "check"])
+def test_no_two_replicas_of_a_run_share_a_stream(capsys, tmp_path,
+                                                 monkeypatch, argv, replicas):
+    # every replica builds its one configuration in the parent process;
+    # the clusters of a B1/B2 family or a coalescing pair share it
+    from opweb.lattice import Config
+    built = []
+    post_init = Config.__post_init__
+
+    def recording(cfg):
+        post_init(cfg)
+        built.append((cfg.seed, cfg.stream_id))
+
+    monkeypatch.setattr(Config, "__post_init__", recording)
+    out = tmp_path / "out.csv"
+    argv = [a.format(out=out) for a in argv]
+    assert _main(capsys, *argv, "--p", "0.8", "--seed", "3")[0] == 0
+    assert len(built) == replicas
+    assert len(set(built)) == replicas
 
 
 # -- precedence ----------------------------------------------------------------

@@ -10,7 +10,7 @@ from opweb.couple import (_survival_worker, check_coalescence_structure,
                           run_coupled_many)
 from opweb.errors import InvalidArgumentError, PreconditionNotMetError
 from opweb.explore import explore_to_level
-from opweb.lattice import Config, LatticeSite
+from opweb.lattice import Config, LatticeSite, replica_config
 from opweb.metrics import _family_eta_worker
 from opweb.stats import ks_distance_two_sample
 
@@ -42,7 +42,7 @@ def test_pair_requires_ordered_equal_time_starts():
 
 def test_pre_switch_equality_with_private_stream():
     run = run_coupled_many([O, LatticeSite(2, 0)], 400, p=0.8, seed=7,
-                           stream_base=0, record_left_deltas=True)
+                           replica=0, record_left_deltas=True)
     iota = run.switch_levels[1]
     assert iota is not None
     standalone = explore_to_level(LatticeSite(2, 0), max(iota - 1, 0),
@@ -63,7 +63,7 @@ def test_structure_clauses_hold_on_sweep():
     for rep in range(120):
         gap = (2, 6, 20)[rep % 3]
         run = run_coupled_many([O, LatticeSite(gap, 0)], 4000, p=0.8,
-                               seed=31, stream_base=rep * 1024,
+                               seed=31, replica=rep,
                                record_left_deltas=True)
         report = check_coalescence_structure(run)
         if not report.resolved:
@@ -88,7 +88,7 @@ def test_checker_detects_corruption():
 def test_ordering_preserved_before_merge():
     for rep in range(40):
         run = run_coupled_many([O, LatticeSite(8, 0)], 2000, p=0.8, seed=77,
-                               stream_base=rep * 1024)
+                               replica=rep)
         krr = run.kappas[(0, 1)].kappa_rr
         end = krr if krr is not None else 2000
         a = np.array(run.r[0][:end])
@@ -103,7 +103,7 @@ def test_unequal_time_orientations_and_unstructured_guard():
     seen = set()
     for rep in range(60):
         run = run_coupled_many([O, LatticeSite(0, 2)], 1500, p=0.8, seed=17,
-                               stream_base=rep * 1024)
+                               replica=rep)
         orientation = run.orientations[(0, 1)]
         seen.add(orientation)
         if orientation == "unstructured":
@@ -129,7 +129,7 @@ def test_many_triangle_bound():
 
     for rep in range(40):
         run = run_coupled_many([O, LatticeSite(4, 0), LatticeSite(10, 0)],
-                               3000, p=0.8, seed=23, stream_base=rep * 1024)
+                               3000, p=0.8, seed=23, replica=rep)
         k12 = resolved_or_inf(run.kappas[(0, 1)].kappa_rr)
         k13 = resolved_or_inf(run.kappas[(0, 2)].kappa_rr)
         k23 = resolved_or_inf(run.kappas[(1, 2)].kappa_rr)
@@ -142,7 +142,7 @@ def test_coupled_marginal_law_matches_standalone():
     standalone_end = []
     for rep in range(400):
         run = run_coupled_many([O, LatticeSite(2, 0)], n, p=0.8, seed=3,
-                               stream_base=rep * 1024)
+                               replica=rep)
         coupled_end.append(run.r[1][-1])
         solo = explore_to_level(LatticeSite(2, 0), n,
                                 Config(101, 0.8, rep * 1024 + 2))
@@ -207,8 +207,8 @@ def test_shared_config_left_cluster_is_the_ledger_first_cluster():
     # reads alone, so its right boundary is the same integer sequence
     for rep in range(10):
         run = run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=29,
-                               stream_base=rep * 1024)
-        shared = explore_to_level(O, 300, Config(29, 0.8, rep * 1024 + 1))
+                               replica=rep)
+        shared = explore_to_level(O, 300, replica_config(29, 0.8, rep))
         assert shared.right_values == run.r[0]
         assert shared.left_values == run.gamma[0].tolist()
 
@@ -224,7 +224,7 @@ def test_family_survival_agrees_with_pair_construction():
     pair_hits = 0
     for rep in range(reps):
         run = run_coupled_many([O, LatticeSite(6, 0)], n, p=0.8, seed=91,
-                               stream_base=rep * 1024)
+                               replica=rep)
         pair_hits += run.kappas[(0, 1)].kappa_rr is None
     p1, p2 = fam_hits / reps, pair_hits / reps
     se = (p1 * (1 - p1) / reps + p2 * (1 - p2) / reps) ** 0.5
@@ -248,9 +248,9 @@ def test_survival_curve_validates_gap():
 
 
 @pytest.mark.parametrize("run", [
-    lambda: _family_eta_worker((tuple(range(0, 16, 2)), 0, 200, 0.8, 3, 0,
-                                10_000, None)),
-    lambda: _survival_worker((6, 300, 0.8, 3, 0, 10_000)),
+    lambda: _family_eta_worker((Config(3, 0.8, 1), tuple(range(0, 16, 2)), 0,
+                                200, 10_000, None)),
+    lambda: _survival_worker((Config(3, 0.8, 1), 6, 300, 10_000)),
     lambda: run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=3,
                              record_left_deltas=True),
     lambda: run_coupled_many([O, LatticeSite(4, 0), LatticeSite(8, 0)], 200,

@@ -157,7 +157,8 @@ def test_trajectory_csv_dump(tmp_path):
     cluster = explore_to_level(ORIGIN, 3, cfg)
     g = gamma_approx(ORIGIN, 6, cfg)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, cluster, g)
+    write_trajectory_csv(path, cluster.right_values, cluster.left_values,
+                         g.values)
     assert path.read_text() == (
         "j,r_j,l_j,gamma_j\n0,0,0,0\n1,1,1,1\n2,2,2,2\n3,3,3,3\n")
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from opweb.errors import BoxTooNarrowError, InvalidArgumentError, NoPathError
 from opweb.explore import explore_to_level
-from opweb.lattice import Config, LatticeSite
-from opweb.lattice import STREAMS_PER_REPLICA
+from opweb.lattice import (Config, LatticeSite, STREAMS_PER_REPLICA,
+                           replica_config)
 from opweb.oracle import (BoxConfig, box_ladder, cbm_baseline, check_suite,
                           coalescing_walk_survival, dp_right_boundary,
                           dp_rightmost_path, gap_walk_survival_exact)
@@ -46,6 +46,19 @@ def test_forced_corridor():
     assert list(dp_rightmost_path(box, 0, 4)) == [0, 1, 0, 1, 0]
     dp = dp_right_boundary(box, 0, 4)
     assert list(dp.values) == [0, 1, 0, 1, 0]
+
+
+def test_numpy_integer_bounds_give_the_same_dp():
+    # a box wider than 64 columns with int64 bounds, as computed from a
+    # walk's arrays
+    cfg = Config(1, 0.8, 1)
+    plain = BoxConfig(cfg, -80, 12, 0, 10)
+    wide = BoxConfig(cfg, np.int64(-80), np.int64(12), np.int64(0),
+                     np.int64(10))
+    assert (list(dp_right_boundary(wide, 0, 10).values)
+            == list(dp_right_boundary(plain, 0, 10).values))
+    assert (list(dp_rightmost_path(wide, 0, 10))
+            == list(dp_rightmost_path(plain, 0, 10)))
 
 
 def test_right_wall_guard():
@@ -184,7 +197,8 @@ def test_check_worker_builds_reach_tables_once_per_rung(monkeypatch):
     for corrupt, outcome in ((False, "ok"), (True, "right_boundary_mismatch")):
         built.clear()
         tabled.clear()
-        assert oracle._check_worker((0.8, 3, 1024, 40, 64, corrupt)) == outcome
+        job = (Config(3, 0.8, 1024), 40, 64, corrupt)
+        assert oracle._check_worker(job) == outcome
         assert len(built) == 1 and tabled == built
 
 
@@ -195,11 +209,11 @@ def test_check_dp_walks_certify_on_the_first_box(monkeypatch):
     built, tabled = _record_boxes(monkeypatch)
     n = 500
     for idx, p in enumerate((0.7, 0.7, 0.8, 0.8, 0.9, 0.9)):
-        stream = (idx + 1) * STREAMS_PER_REPLICA
+        cfg = replica_config(1001, p, idx)
         built.clear()
         tabled.clear()
-        assert oracle._check_worker((p, 1001, stream, n, 64, False)) == "ok"
-        right, left = _walk(Config(1001, p, stream), n)
+        assert oracle._check_worker((cfg, n, 64, False)) == "ok"
+        right, left = _walk(cfg, n)
         (box,) = built
         assert tabled == [box]
         edges = (box.x_max - box.x_min + 1) * (box.t_max - box.t_min)
@@ -220,7 +234,7 @@ def test_a_refused_box_widens(monkeypatch, path_shift, boundary_shift,
     # no true walk makes the first box refuse: a path from left of the
     # walk's path that ends right of it must cross it.  So the walk here
     # reports its path right of the true one, or its boundary left of it.
-    # p = 0.6, replica 0: the true path reaches column -302 and r.max() = 3.
+    # p = 0.6, stream 1024: the true path reaches column -302 and r.max() = 3.
     from opweb import oracle
     cfg = Config(0, 0.6, STREAMS_PER_REPLICA)
     right, left = _walk(cfg, 100)
@@ -247,21 +261,21 @@ def test_check_reports_a_refused_box_as_a_failure_kind(monkeypatch):
 
     # a refusal while backtracking the path is the same failure kind
     monkeypatch.setattr(oracle, "_path_from_tables", refuse)
-    job = (0.8, 3, 1024, 40, 64, False)
+    job = (Config(3, 0.8, 1024), 40, 64, False)
     assert oracle._check_worker(job) == "box_too_narrow"
 
 
 def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
     from opweb import oracle
-    # p = 0.6, replica 0: slack = -238 makes the only box [-264, 102]; it
+    # p = 0.6, stream 1024: slack = -238 makes the only box [-264, 102]; it
     # dies at level 89 while the walk's path reaches column -302, left of
     # the box: the box cannot see it
-    job = (0.6, 0, STREAMS_PER_REPLICA, 100, -238, False)
+    job = (Config(0, 0.6, STREAMS_PER_REPLICA), 100, -238, False)
     assert oracle._check_worker(job) == "box_too_narrow"
     _, left = _walk(Config(0, 0.6, STREAMS_PER_REPLICA), 100)
     assert left.min() == -302
     # a box that dies under a walk whose path it holds is a real failure
-    ok_job = (0.8, 3, 1024, 40, 64, False)
+    ok_job = (Config(3, 0.8, 1024), 40, 64, False)
     assert oracle._check_worker(ok_job) == "ok"
     boundary = oracle._boundary_from_tables
 
@@ -294,7 +308,7 @@ def test_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
     left = left + path_shift
     outcome = oracle._ladder_outcome(cfg, n, right, left, slack)
     if not path_shift and not boundary_shift:
-        job = (p, 11, stream, n, slack, corrupt)
+        job = (cfg, n, slack, corrupt)
         assert oracle._check_worker(job) == outcome
     full = oracle._judge(BoxConfig(cfg, -2 * n - slack, n + 2, 0, n),
                          right, left, n)
