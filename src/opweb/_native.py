@@ -24,7 +24,7 @@ import shutil
 import subprocess
 import tempfile
 import weakref
-from ctypes import c_int, c_int64, c_uint64, c_void_p
+from ctypes import POINTER, c_int, c_int64, c_uint64, c_void_p
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +51,9 @@ class _Head(ctypes.Structure):
     """The leading fields of ``walk_t``; keep in step with ``_walk.c``."""
 
     _fields_ = [("r_len", c_int64), ("stack_len", c_int64),
-                ("sync_floor", c_int64), ("scan_offset", c_int64),
-                ("last_change_floor", c_int64), ("n_examined", c_int64),
-                ("r", c_void_p), ("sx", c_void_p)]  # int64_t *
+                ("scan_offset", c_int64), ("last_change_floor", c_int64),
+                ("n_examined", c_int64),
+                ("r", POINTER(c_int64)), ("sx", POINTER(c_int64))]
 
 
 def load():
@@ -135,20 +135,20 @@ def open_walk(origin, cfg, scan_guard):
     return None if lib is None else NativeWalk(lib, origin, cfg, scan_guard)
 
 
-def _ints(addr: int, start: int, stop: int) -> list:
-    """``int64_t`` entries ``[start, stop)`` at ``addr`` as Python ints.
-
-    One copy through ``ctypes.string_at``; a ``c_int64 * n`` array would
-    make a new ctypes type per length, which only the cycle collector frees.
-    """
-    if stop <= start:
-        return []
-    return memoryview(ctypes.string_at(addr + 8 * start, 8 * (stop - start))
-                      ).cast("q").tolist()
+def _copy(ptr, n: int) -> np.ndarray:
+    """A fresh int64 array of the ``n`` entries at ``ptr``, in one memmove."""
+    out = np.empty(n, dtype=np.int64)
+    if n:
+        ctypes.memmove(out.ctypes.data, ptr, 8 * n)
+    return out
 
 
 class NativeWalk:
-    """One ``walk_t``; freed when this object is collected."""
+    """One ``walk_t``; freed when this object is collected.
+
+    `right` and `left` hand out copies, not views: the next `advance` may
+    ``realloc`` either buffer, and a view would point at freed memory.
+    """
 
     def __init__(self, lib, origin, cfg, scan_guard):
         threshold = cfg._threshold
@@ -176,16 +176,31 @@ class NativeWalk:
     def n_examined(self) -> int:
         return self._head.n_examined
 
-    def advance(self, levels: int, r: list, left: list) -> None:
-        """Explore ``levels`` more levels in one call, then sync ``r`` (new
-        values appended) and ``left`` (replaced from the lowest changed
-        stack index)."""
-        code = self._lib.walk_advance(self._handle, levels)
+    @property
+    def r_len(self) -> int:
+        """Completed levels + 1, the length of `right`."""
+        return self._head.r_len
+
+    def last_right(self) -> int:
+        """The right-boundary value of the last completed level."""
         h = self._head
-        r.extend(_ints(h.r, len(r), h.r_len))
-        floor = h.sync_floor
-        left[floor:] = _ints(h.sx, floor, h.stack_len)
+        return h.r[h.r_len - 1]
+
+    def right(self) -> np.ndarray:
+        """A copy of the right boundary ``r[0:r_len]``."""
+        h = self._head
+        return _copy(h.r, h.r_len)
+
+    def left(self) -> np.ndarray:
+        """A copy of the left boundary, the frozen stack ``sx[0:stack_len]``."""
+        h = self._head
+        return _copy(h.sx, h.stack_len)
+
+    def advance(self, levels: int) -> None:
+        """Explore ``levels`` more levels in one call."""
+        code = self._lib.walk_advance(self._handle, levels)
         if code == _GUARD:
+            h = self._head
             raise ScanLimitExceededError(
                 f"{h.scan_offset} start sites exhausted below level "
                 f"{self._t0 + h.r_len}", scan_offset=h.scan_offset)

@@ -8,6 +8,12 @@
  * the same scan order, the same packed keys, the same guard; the Python
  * walk stays the reference it is tested against.
  *
+ * The walk is the only owner of r and of the left boundary, which is the
+ * stack sx[0:stack_len] between calls.  Python reads r_len, stack_len and
+ * the two pointers after a call and copies what it needs; a later call may
+ * realloc either buffer, so no pointer into them outlives the call that
+ * read it.
+ *
  * Keys are the packed keys of lattice.py taken mod 2**64, which is all the
  * sampler reads of them.  Build: cc -O2 -std=c99 -shared -fPIC.
  */
@@ -36,8 +42,7 @@ typedef struct {
  * two in step. */
 typedef struct {
     int64_t r_len;             /* levels completed + 1 */
-    int64_t stack_len;
-    int64_t sync_floor;        /* lowest stack index changed by the last call */
+    int64_t stack_len;         /* sx[0:stack_len] is the left boundary */
     int64_t scan_offset;
     int64_t last_change_floor;
     int64_t n_examined;
@@ -198,10 +203,9 @@ static int fail(walk_t *w, int code)
 
 /* Explore up to `levels` more levels; stops early, and for good, on the
  * guard or on failed allocation.  On return r_len counts the completed
- * levels and sync_floor is the lowest stack index this call changed. */
+ * levels. */
 int walk_advance(walk_t *w, int64_t levels)
 {
-    w->sync_floor = w->stack_len;
     if (w->failed)
         return w->failed;
     for (int64_t done = 0; done < levels; done++) {
@@ -246,7 +250,6 @@ int walk_advance(walk_t *w, int64_t levels)
                 top--;
                 if (top < 0) {
                     w->scan_offset++;
-                    w->sync_floor = 0;
                     if (w->scan_offset >= w->scan_guard) {
                         w->stack_len = 0;
                         return fail(w, WALK_GUARD);
@@ -264,8 +267,6 @@ int walk_advance(walk_t *w, int64_t levels)
         w->r[target] = sx[target];
         w->r_len = target + 1;
         w->last_change_floor = min_top + 1;
-        if (min_top + 1 < w->sync_floor)
-            w->sync_floor = min_top + 1;
     }
     return WALK_OK;
 }

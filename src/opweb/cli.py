@@ -86,7 +86,7 @@ def _simulate_worker(args):
     cfg, n, horizon, scan_guard = args
     cluster = ExplorationCluster(LatticeSite(0, 0), cfg, scan_guard=scan_guard)
     cluster.advance_to(n)
-    left_n = list(cluster.left_values)
+    left_n = cluster.left_values
     cluster.advance_to(horizon)
     return cluster.right_values[:n + 1], left_n, cluster.left_values[:n + 1]
 
@@ -162,6 +162,14 @@ def calibrate_sigma(p: float, seed: int, *, workers: int = 1,
     return est.sigma_hat
 
 
+def _sigma(spec: ExperimentSpec) -> float:
+    """The spec's sigma, or the calibrated one when the spec gives none."""
+    if spec.sigma is not None:
+        return spec.sigma
+    return calibrate_sigma(spec.p, spec.seed, workers=spec.workers,
+                           scan_guard=spec.scan_guard)
+
+
 # -- coalesce ----------------------------------------------------------------
 
 def cmd_coalesce(spec: ExperimentSpec) -> int:
@@ -172,9 +180,7 @@ def cmd_coalesce(spec: ExperimentSpec) -> int:
         raise InvalidArgumentError("coalesce takes exactly one delta target")
     eps_list = spec.eps or (1e-3,)
     t_grid = spec.t or DEFAULT_T_GRID
-    sigma = spec.sigma or calibrate_sigma(spec.p, spec.seed,
-                                          workers=spec.workers,
-                                          scan_guard=spec.scan_guard)
+    sigma = _sigma(spec)
     lines = [f"# spec_hash={spec.hash()}",
              "eps,t,empirical_survival,baseline_erf,n_replicas,n_censored"]
     for ie, eps in enumerate(eps_list):
@@ -211,9 +217,7 @@ def cmd_eta(spec: ExperimentSpec) -> int:
     else:
         if not spec.eps or not spec.delta or not spec.t:
             raise InvalidArgumentError("eta battery b1 needs --eps, --delta, --t")
-        sigma = spec.sigma or calibrate_sigma(spec.p, spec.seed,
-                                              workers=spec.workers,
-                                              scan_guard=spec.scan_guard)
+        sigma = _sigma(spec)
         offset = 0
         for eps in spec.eps:
             for t in spec.t:
@@ -312,6 +316,11 @@ def spec_from_args(args) -> ExperimentSpec:
     spec = ExperimentSpec(**merged)
     if not 0.0 <= spec.p <= 1.0 or spec.replicas < 1 or spec.n < 0:
         raise InvalidArgumentError("spec values out of range")
+    if not all(map(math.isfinite, spec.eps + spec.delta + spec.t)):
+        raise InvalidArgumentError("eps, delta and t must be finite")
+    if spec.sigma is not None and not (math.isfinite(spec.sigma)
+                                       and spec.sigma > 0):
+        raise InvalidArgumentError("sigma must be finite and positive")
     if any(eps <= 0 for eps in spec.eps):
         raise InvalidArgumentError("eps must be positive")
     if spec.command == "check":

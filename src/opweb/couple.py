@@ -350,8 +350,8 @@ def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
     run = CoupledRun(
         starts=tuple(starts), horizon=horizon, p=p, seed=seed,
         replica=replica,
-        r=[list(c.right_values) for c in clusters],
-        gamma=[np.asarray(c.left_values, dtype=np.int64) for c in clusters],
+        r=[c.right_values.tolist() for c in clusters],
+        gamma=[c.left_values for c in clusters],
         left_deltas=[c.left_deltas for c in clusters],
         switch_levels=[st["iota"] for st in states],
         scan_offsets=[c.scan_offset for c in clusters],
@@ -372,7 +372,7 @@ def _right_value(x: int, t0: int, level: int, cfg: Config,
                  scan_guard: int) -> int:
     cluster = explore_to_level(LatticeSite(x, t0), level, cfg,
                                scan_guard=scan_guard)
-    return cluster.right_values[-1]
+    return int(cluster.right_values[-1])
 
 
 def family_eta(start_xs, t0: int, level: int, cfg: Config, *,

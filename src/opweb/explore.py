@@ -22,6 +22,11 @@ built with the local C compiler on the first such cluster in a process
 (never at import) and cached in the package's ``__pycache__``; see
 `opweb._native`.  Couplings (``source=``), recorded left deltas and
 machines without a working compiler use the Python walk.
+
+The native walk is the only owner of its r and l, with no Python mirror;
+``right_values`` and ``left_values`` copy them out into fresh int64 arrays.
+The Python walk converts its lists in the same properties, so on both walks
+a caller gets arrays it may keep and write into.
 """
 
 from __future__ import annotations
@@ -88,14 +93,14 @@ class ExplorationCluster:
         self.origin = origin
         self.cfg = cfg
         self._t0 = origin.t
-        self._stack_x = [origin.x]
-        self._r = [origin.x]
         self._left_deltas = [] if record_left_deltas else None
         self._kernel = None
         if source is None and not record_left_deltas:
             from . import _native  # may build the library: not at import
             self._kernel = _native.open_walk(origin, cfg, scan_guard)
         if self._kernel is None:
+            self._stack_x = [origin.x]
+            self._r = [origin.x]
             self._source = source if source is not None else make_key_sampler(cfg)
             self._scan_guard = scan_guard
             self._status: dict[int, bool] = {}
@@ -109,6 +114,8 @@ class ExplorationCluster:
     @property
     def level(self) -> int:
         """Highest explored target time."""
+        if self._kernel is not None:
+            return self._t0 + self._kernel.r_len - 1
         return self._t0 + len(self._r) - 1
 
     @property
@@ -116,15 +123,21 @@ class ExplorationCluster:
         return self._t0
 
     @property
-    def right_values(self) -> list[int]:
-        return self._r
+    def right_values(self) -> np.ndarray:
+        """A fresh int64 copy of r, one value per level from the start."""
+        if self._kernel is not None:
+            return self._kernel.right()
+        return np.array(self._r, dtype=np.int64)
 
     @property
-    def left_values(self) -> list[int]:
-        return self._stack_x
+    def left_values(self) -> np.ndarray:
+        """A fresh int64 copy of the left boundary at the current level."""
+        if self._kernel is not None:
+            return self._kernel.left()
+        return np.array(self._stack_x, dtype=np.int64)
 
     def right_boundary(self) -> RightBoundaryTrajectory:
-        return RightBoundaryTrajectory(self._t0, np.array(self._r, dtype=np.int64),
+        return RightBoundaryTrajectory(self._t0, self.right_values,
                                        start=self.origin)
 
     @property
@@ -175,8 +188,8 @@ class ExplorationCluster:
         silently loops).
         """
         if self._kernel is not None:
-            self._kernel.advance(1, self._r, self._stack_x)
-            return self._r[-1]
+            self._kernel.advance(1)
+            return self._kernel.last_right()
         stack_x = self._stack_x
         stack_state = self._stack_state
         status = self._status
@@ -250,7 +263,7 @@ class ExplorationCluster:
     def advance_to(self, n: int) -> None:
         if self._kernel is not None:
             if n > self.level:
-                self._kernel.advance(n - self.level, self._r, self._stack_x)
+                self._kernel.advance(n - self.level)
             return
         while self.level < n:
             self.advance_level()
@@ -272,8 +285,7 @@ def gamma_approx(z: LatticeSite, horizon: int, cfg: Config, *,
     if horizon < z.t:
         raise InvalidArgumentError(f"horizon {horizon} precedes start time {z.t}")
     cluster = explore_to_level(z, horizon, cfg, scan_guard=scan_guard)
-    return GammaApprox(z.t, np.array(cluster.left_values, dtype=np.int64),
-                       start=z, horizon=horizon)
+    return GammaApprox(z.t, cluster.left_values, start=z, horizon=horizon)
 
 
 def boundary_ordering_check(cluster: ExplorationCluster, g: GammaApprox) -> bool:
@@ -284,8 +296,7 @@ def boundary_ordering_check(cluster: ExplorationCluster, g: GammaApprox) -> bool
         raise InvalidArgumentError("gamma horizon shorter than cluster level")
     m = cluster.level - cluster.start_t + 1
     gam = g.values[:m]
-    left = np.asarray(cluster.left_values, dtype=np.int64)
-    right = np.asarray(cluster.right_values, dtype=np.int64)
+    left, right = cluster.left_values, cluster.right_values
     return bool(np.all(gam <= left) and np.all(left <= right))
 
 
@@ -293,10 +304,10 @@ def write_trajectory_csv(path, r, left, gamma,
                          header_comment: str | None = None) -> None:
     """Dump ``j, r_j, l_j, gamma_j`` (integer-exact), one row per level.
 
-    ``left`` is a cluster's left boundary as it stood at its last level, and
-    sets the number of rows; ``r`` is the right boundary and ``gamma`` the
-    rightmost-path approximation (`GammaApprox`), both of which may run past
-    that level.
+    All three are integer arrays.  ``left`` is a cluster's left boundary as
+    it stood at its last level, and sets the number of rows; ``r`` is the
+    right boundary and ``gamma`` the rightmost-path approximation
+    (`GammaApprox`), both of which may run past that level.
     """
     m = len(left)
     if len(r) < m or len(gamma) < m:
@@ -305,7 +316,7 @@ def write_trajectory_csv(path, r, left, gamma,
     if header_comment:
         lines.append(f"# {header_comment}")
     lines.append("j,r_j,l_j,gamma_j")
-    for j in range(m):
-        lines.append(f"{j},{r[j]},{left[j]},{int(gamma[j])}")
+    rows = zip(r[:m].tolist(), left.tolist(), gamma[:m].tolist())
+    lines.extend(f"{j},{rj},{lj},{gj}" for j, (rj, lj, gj) in enumerate(rows))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -318,10 +318,8 @@ def _check_worker(args):
     from .explore import explore_to_level
     from .lattice import LatticeSite
     cluster = explore_to_level(LatticeSite(0, 0), n, cfg)
-    r = np.asarray(cluster.right_values, dtype=np.int64)
-    left = np.asarray(cluster.left_values, dtype=np.int64)
+    r, left = cluster.right_values, cluster.left_values
     if corrupt:
-        r = r.copy()
         r[n // 2] += 1
     return _ladder_outcome(cfg, n, r, left, slack)
 

@@ -68,8 +68,8 @@ def break_point_arrays(cluster: ExplorationCluster, n_end: int, margin: int):
     keep = n_end - margin - t0
     if keep < 0:
         raise InvalidArgumentError("margin leaves no detection window")
-    r = np.asarray(cluster.right_values[:keep + 1], dtype=np.int64)
-    left = np.asarray(cluster.left_values[:keep + 1], dtype=np.int64)
+    r = cluster.right_values[:keep + 1]
+    left = cluster.left_values[:keep + 1]
     idx = np.flatnonzero(r == left)
     return t0 + idx, r[idx]
 
@@ -89,7 +89,7 @@ def detect_break_points(traj: RightBoundaryTrajectory, cfg: Config,
     margin = survival_horizon - traj.end_t
     kwargs = {} if scan_guard is None else {"scan_guard": scan_guard}
     cluster = explore_to_level(traj.start, survival_horizon, cfg, **kwargs)
-    replayed = np.asarray(cluster.right_values[:len(traj)], dtype=np.int64)
+    replayed = cluster.right_values[:len(traj)]
     if not np.array_equal(replayed, traj.values):
         raise InvalidArgumentError("trajectory does not match its configuration")
     T, RT = break_point_arrays(cluster, traj.end_t, margin)
@@ -178,7 +178,7 @@ def _estimate_worker(args):
     cluster = explore_to_level(LatticeSite(0, 0), n + margin, cfg,
                                scan_guard=scan_guard)
     T, RT = break_point_arrays(cluster, n, margin)
-    return np.diff(RT), np.diff(T), cluster.right_values[n]
+    return np.diff(RT), np.diff(T), int(cluster.right_values[n])
 
 
 def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
@@ -204,7 +204,7 @@ def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
 def _clt_worker(args):
     cfg, x, t, n, scan_guard = args
     cluster = explore_to_level(LatticeSite(x, t), n, cfg, scan_guard=scan_guard)
-    return cluster.right_values[-1]
+    return int(cluster.right_values[-1])
 
 
 def clt_check(configs, n: int, alpha: float, sigma: float, *,
@@ -230,8 +230,7 @@ def _error_gap_worker(args):
     cfg, window, threshold, horizon, scan_guard = args
     cluster = explore_to_level(LatticeSite(0, 0), horizon, cfg,
                                scan_guard=scan_guard)
-    r = np.asarray(cluster.right_values, dtype=np.int64)
-    gam = np.asarray(cluster.left_values, dtype=np.int64)
+    r, gam = cluster.right_values, cluster.left_values
     sup_err = int((r[:window + 1] - gam[:window + 1]).max())
     meets = np.flatnonzero(r == gam)
     gap_event = _has_meeting_gap(meets, window, threshold)

@@ -73,6 +73,16 @@ INVALID_ARGV = [
     ["coalesce", "--eps", "0", "--delta", "1", *B1, "--out", "{out}"],
     ["coalesce", "--eps", "0.01", "--delta", "-1", *B1, "--out", "{out}"],
     ["check", "--delta", "0.8", "1.5", "--n", "10", "--replicas", "2"],
+    ["eta", "--eps", "nan", "--delta", "0.5", *B1],
+    ["eta", "--eps", "0.01", "--delta", "nan", *B1],
+    ["eta", "--eps", "0.01", "--delta", "inf", *B1],
+    ["eta", "--eps", "0.01", "--delta", "0.5", "--t", "nan", "--replicas", "3",
+     "--sigma", "0.87"],
+    ["coalesce", "--eps", "inf", "--delta", "1", *B1, "--out", "{out}"],
+    *(["eta", "--eps", "0.01", "--delta", "0.5", "--t", "0.5", "--replicas",
+       "3", "--sigma", sigma] for sigma in ("0", "-1", "nan", "inf")),
+    ["coalesce", "--eps", "0.01", "--delta", "1", "--t", "0.5", "--replicas",
+     "3", "--sigma", "0", "--out", "{out}"],
 ]
 
 

@@ -23,8 +23,8 @@ def test_all_open_lattice():
     cluster = ExplorationCluster(ORIGIN, Config(3, 1.0, 1))
     for _ in range(3):
         cluster.advance_level()
-    assert cluster.right_values == [0, 1, 2, 3]
-    assert cluster.left_values == [0, 1, 2, 3]
+    assert cluster.right_values.tolist() == [0, 1, 2, 3]
+    assert cluster.left_values.tolist() == [0, 1, 2, 3]
     assert len(cluster.closed_edges) == 0
 
 
@@ -37,8 +37,8 @@ def test_all_closed_trips_guard():
 
 def test_zero_step_cluster():
     cluster = explore_to_level(LatticeSite(6, 2), 2, Config(1, 0.8, 1))
-    assert cluster.right_values == [6]
-    assert cluster.left_values == [6]
+    assert cluster.right_values.tolist() == [6]
+    assert cluster.left_values.tolist() == [6]
     assert cluster.level == 2
 
 
@@ -66,7 +66,7 @@ def test_prefix_consistency_and_left_monotonicity(seed, p, n, extra):
     cfg = Config(seed, p, 1)
     short = explore_to_level(ORIGIN, n, cfg, scan_guard=2000)
     tall = explore_to_level(ORIGIN, n + extra, cfg, scan_guard=2000)
-    assert tall.right_values[:n + 1] == short.right_values
+    assert tall.right_values[:n + 1].tolist() == short.right_values.tolist()
     tall_left = np.array(tall.left_values[:n + 1])
     assert np.all(tall_left <= np.array(short.left_values))
 
@@ -97,7 +97,7 @@ def test_edge_economy_every_edge_sampled_once():
     assert len(calls) == cluster.n_examined
     assert len(cluster.open_edges) + len(cluster.closed_edges) == len(calls)
     reference = explore_to_level(ORIGIN, 200, cfg)
-    assert reference.right_values == cluster.right_values
+    assert np.array_equal(reference.right_values, cluster.right_values)
 
 
 def test_gamma_all_open():
@@ -127,8 +127,11 @@ def test_gamma_stabilizes_well_before_horizon():
 
 def test_ordering_check_and_negative_control():
     cfg = Config(21, 0.8, 1)
-    cluster = explore_to_level(ORIGIN, 50, cfg)
     g = gamma_approx(ORIGIN, 200, cfg)
+    assert boundary_ordering_check(explore_to_level(ORIGIN, 50, cfg), g)
+    # the Python walk keeps r in a list of its own, which can be corrupted
+    cluster = _python_walk(ORIGIN, cfg)
+    cluster.advance_to(50)
     assert boundary_ordering_check(cluster, g)
     cluster._r[17] -= 1  # corrupt one right-boundary value
     assert not boundary_ordering_check(cluster, g)
@@ -221,6 +224,59 @@ def test_native_walk_matches_python_walk(seed, p, x, t, guard, steps):
             break
 
 
+def _both_walks(start, cfg, **kwargs):
+    """The Config-driven cluster and its Python-walk reference."""
+    return (ExplorationCluster(start, cfg, **kwargs),
+            _python_walk(start, cfg, **kwargs))
+
+
+def test_boundary_arrays_are_owned_int64_copies():
+    n = 50
+    cfg = Config(8, 0.7, 3)  # its left boundary on [0, n] moves by level 4n
+    for cluster in _both_walks(ORIGIN, cfg):
+        cluster.advance_to(n)
+        right, left = cluster.right_values, cluster.left_values
+        for values in (right, left):
+            assert isinstance(values, np.ndarray) and values.dtype == np.int64
+        before = (right.tolist(), left.tolist())
+        right[:] = -7
+        left[:] = -7
+        assert (cluster.right_values.tolist(),
+                cluster.left_values.tolist()) == before
+        snapshot = cluster.left_values
+        cluster.advance_to(4 * n)
+        assert snapshot.tolist() == before[1]
+        assert cluster.left_values[:n + 1].tolist() != before[1]
+
+
+def test_level_by_level_matches_one_advance():
+    cfg = Config(2, 0.8, 5)
+    for stepped, whole in zip(_both_walks(ORIGIN, cfg), _both_walks(ORIGIN, cfg)):
+        values = [stepped.advance_level() for _ in range(2000)]
+        whole.advance_to(2000)
+        assert all(type(v) is int for v in values)
+        assert values == whole.right_values[1:].tolist()
+        assert stepped.right_values.tolist() == whole.right_values.tolist()
+        assert stepped.left_values.tolist() == whole.left_values.tolist()
+
+
+def test_native_head_fields_match_the_walk_struct():
+    # the fields of _native._Head must sit where walk_t keeps them: read
+    # each after walks whose counts all differ, one of them tripped
+    cases = [(Config(8, 0.7, 8), 10_000, 200), (Config(3, 0.5, 1), 20, 300)]
+    for cfg, guard, level in cases:
+        native, python = _both_walks(ORIGIN, cfg, scan_guard=guard)
+        if native._kernel is None:
+            pytest.skip("the native walk does not build here")
+        assert _step(native, level) == _step(python, level)
+        head = native._kernel._head
+        assert (head.r_len, head.stack_len, head.scan_offset,
+                head.last_change_floor, head.n_examined) == (
+            len(python._r), len(python._stack_x), python.scan_offset,
+            python.last_change_floor, python.n_examined)
+    assert (head.r_len, head.stack_len, head.scan_offset) == (17, 0, 20)
+
+
 def test_native_walk_loads_where_a_compiler_exists():
     if not (shutil.which("cc") or shutil.which("gcc")):
         pytest.skip("no cc or gcc on PATH")
@@ -302,6 +358,7 @@ def test_concurrent_first_builds_load_whole_files(fresh_loader, tmp_path):
     # forked workers start with the loader untried and the cache empty
     with multiprocessing.get_context("fork").Pool(3) as pool:
         results = pool.map_async(_build_and_walk, range(3)).get(timeout=120)
-    assert results == [(True, reference.right_values)] * 3
+    assert [(ok, r.tolist()) for ok, r in results] == [
+        (True, reference.right_values.tolist())] * 3
     [cached] = tmp_path.iterdir()
     assert cached.suffix == ".so"
