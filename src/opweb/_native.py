@@ -1,4 +1,9 @@
-"""Build, cache and load the native exploration walk in ``_walk.c``.
+"""`NativeCluster`, the `ExplorationCluster` that walks in ``_walk.c``.
+
+Its ``walk_t`` owns r, the left boundary and the counts, so it overrides
+only the members that read them (through `_Head`) and the two advances.
+No caller names it: `ExplorationCluster.__new__` returns one for a
+Config-driven cluster when `load` succeeds.
 
 `explore` imports this module the first time it makes a Config-driven
 cluster, never at ``import opweb``.  The first `load` in a process compiles
@@ -29,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScanLimitExceededError
+from .explore import DEFAULT_SCAN_GUARD, ExplorationCluster
 from .lattice import MASK64
 
 _COMPILERS = ("cc", "gcc")
@@ -129,12 +134,6 @@ def _build(cc: str, source: bytes, path: Path, key: bytes) -> None:
         raise
 
 
-def open_walk(origin, cfg, scan_guard):
-    """A native walk for a Config-driven cluster, or None without the library."""
-    lib = load()
-    return None if lib is None else NativeWalk(lib, origin, cfg, scan_guard)
-
-
 def _copy(ptr, n: int) -> np.ndarray:
     """A fresh int64 array of the ``n`` entries at ``ptr``, in one memmove."""
     out = np.empty(n, dtype=np.int64)
@@ -143,14 +142,22 @@ def _copy(ptr, n: int) -> np.ndarray:
     return out
 
 
-class NativeWalk:
-    """One ``walk_t``; freed when this object is collected.
+class NativeCluster(ExplorationCluster):
+    """A Config-driven cluster on one ``walk_t``, freed when it is collected.
 
-    `right` and `left` hand out copies, not views: the next `advance` may
-    ``realloc`` either buffer, and a view would point at freed memory.
+    `right_values` and `left_values` hand out copies, not views: the next
+    advance may ``realloc`` either buffer, and a view would point at freed
+    memory.
     """
 
-    def __init__(self, lib, origin, cfg, scan_guard):
+    def __init__(self, origin, cfg, *, scan_guard=DEFAULT_SCAN_GUARD, **_):
+        # the other options are unset: ExplorationCluster.__new__ picks
+        # this walk only then
+        lib = load()
+        self.origin = origin
+        self.cfg = cfg
+        self._t0 = origin.t
+        self._left_deltas = None
         threshold = cfg._threshold
         # the walk trips once scan_offset >= scan_guard, an integer count
         guard = min(math.ceil(scan_guard), 1 << 62)
@@ -162,7 +169,21 @@ class NativeWalk:
         self._lib = lib
         self._handle = handle
         self._head = _Head.from_address(handle)
-        self._t0 = origin.t
+
+    @property
+    def level(self) -> int:
+        return self._t0 + self._head.r_len - 1
+
+    @property
+    def right_values(self) -> np.ndarray:
+        h = self._head
+        return _copy(h.r, h.r_len)
+
+    @property
+    def left_values(self) -> np.ndarray:
+        """The frozen stack ``sx[0:stack_len]``, copied."""
+        h = self._head
+        return _copy(h.sx, h.stack_len)
 
     @property
     def scan_offset(self) -> int:
@@ -176,42 +197,25 @@ class NativeWalk:
     def n_examined(self) -> int:
         return self._head.n_examined
 
-    @property
-    def r_len(self) -> int:
-        """Completed levels + 1, the length of `right`."""
-        return self._head.r_len
-
-    def last_right(self) -> int:
-        """The right-boundary value of the last completed level."""
-        h = self._head
-        return h.r[h.r_len - 1]
-
-    def right(self) -> np.ndarray:
-        """A copy of the right boundary ``r[0:r_len]``."""
-        h = self._head
-        return _copy(h.r, h.r_len)
-
-    def left(self) -> np.ndarray:
-        """A copy of the left boundary, the frozen stack ``sx[0:stack_len]``."""
-        h = self._head
-        return _copy(h.sx, h.stack_len)
-
-    def advance(self, levels: int) -> None:
-        """Explore ``levels`` more levels in one call."""
-        code = self._lib.walk_advance(self._handle, levels)
-        if code == _GUARD:
-            h = self._head
-            raise ScanLimitExceededError(
-                f"{h.scan_offset} start sites exhausted below level "
-                f"{self._t0 + h.r_len}", scan_offset=h.scan_offset)
-        if code == _NOMEM:
-            raise MemoryError("native exploration walk out of memory")
-
-    def edge_status(self) -> dict:
-        """Examined edges, packed key -> open."""
+    def _edge_status(self) -> dict:
         n = self._head.n_examined
         keys = np.empty(n, dtype=np.int64)
         opened = np.empty(n, dtype=bool)
         self._lib.walk_edges(self._handle, keys.ctypes.data,
                              opened.ctypes.data)
         return dict(zip(keys.tolist(), opened.tolist()))
+
+    def advance_level(self) -> int:
+        self.advance_to(self.level + 1)
+        h = self._head
+        return h.r[h.r_len - 1]
+
+    def advance_to(self, n: int) -> None:
+        """Explore up to level ``n`` in one C call."""
+        if n <= self.level:
+            return
+        code = self._lib.walk_advance(self._handle, n - self.level)
+        if code == _GUARD:
+            raise self._guard_error()
+        if code == _NOMEM:
+            raise MemoryError("native exploration walk out of memory")

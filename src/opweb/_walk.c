@@ -1,12 +1,14 @@
 /* Native form of the exploration walk in explore.py.
  *
- * One walk is the state of one Config-driven ExplorationCluster: the
- * splitmix64 edge sampler (base and threshold of the Config), the status
- * table of examined edges, the set of dead sites, the depth-first stack,
- * the right-boundary values r, the scan offset and the scan guard.  The
- * loop in walk_advance is ExplorationCluster.advance_level line for line:
- * the same scan order, the same packed keys, the same guard; the Python
- * walk stays the reference it is tested against.
+ * One walk is the state of one _native.NativeCluster: the splitmix64 edge
+ * sampler (base and threshold of the Config), the status table of examined
+ * edges, the set of dead sites, the depth-first stack, the right-boundary
+ * values r, the scan offset and the scan guard.  The loop in walk_advance
+ * makes the same steps as ExplorationCluster.advance_level: the same scan
+ * order, the same packed keys, the same guard.  It folds the up-right and
+ * up-left steps into one block on the direction d, where the Python walk
+ * keeps the two blocks unrolled because that runs faster there.  The
+ * Python walk stays the reference this one is tested against.
  *
  * The walk is the only owner of r and of the left boundary, which is the
  * stack sx[0:stack_len] between calls.  Python reads r_len, stack_len and

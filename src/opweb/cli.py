@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -35,6 +36,14 @@ from .runner import pmap
 from .stats import ks_distance_to_normal
 
 DEFAULT_T_GRID = tuple(round(0.1 * k, 1) for k in range(1, 21))
+
+# the spec fields that flags set, in --help order, with their types; a
+# field ``scan_guard`` is the flag ``--scan-guard``
+SPEC_FLAGS = {"p": float, "seed": int, "replicas": int, "n": int,
+              "horizon": int, "margin": int, "eps": float, "delta": float,
+              "x": int, "t": float, "out": str, "workers": int,
+              "sigma": float, "scan_guard": int}
+LIST_FIELDS = ("eps", "delta", "t")  # flags taking any number of values
 
 
 @dataclass
@@ -60,7 +69,7 @@ class ExperimentSpec:
         execution details and never influence output bytes."""
         d = dataclasses.asdict(self)
         del d["out"], d["workers"]
-        for key in ("eps", "delta", "t"):
+        for key in LIST_FIELDS:
             d[key] = list(d[key])
         return d
 
@@ -269,26 +278,20 @@ COMMAND_DEFAULTS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every call.
+
+    Parsing leaves it unchanged; callers must not add to it.
+    """
     ap = argparse.ArgumentParser(prog="opweb", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in COMMAND_DEFAULTS:
         sp = sub.add_parser(name)
-        sp.add_argument("--p", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--replicas", type=int, default=None)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--horizon", type=int, default=None)
-        sp.add_argument("--margin", type=int, default=None)
-        sp.add_argument("--eps", type=float, nargs="*", default=None)
-        sp.add_argument("--delta", type=float, nargs="*", default=None)
-        sp.add_argument("--x", type=int, default=None)
-        sp.add_argument("--t", type=float, nargs="*", default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument("--sigma", type=float, default=None)
-        sp.add_argument("--scan-guard", type=int, default=None)
-        sp.add_argument("--spec", type=str, default=None)
+        for key, kind in SPEC_FLAGS.items():
+            sp.add_argument("--" + key.replace("_", "-"), type=kind,
+                            nargs="*" if key in LIST_FIELDS else None)
+        sp.add_argument("--spec", type=str)
     return ap
 
 
@@ -304,14 +307,13 @@ def spec_from_args(args) -> ExperimentSpec:
         raise InvalidArgumentError(f"unknown spec keys: {sorted(unknown)}")
     merged = dict(base)
     merged["command"] = args.command
-    for key in ("p", "seed", "replicas", "n", "horizon", "margin", "eps",
-                "delta", "x", "t", "out", "workers", "sigma", "scan_guard"):
+    for key in SPEC_FLAGS:
         val = getattr(args, key)
         if val is not None:
             merged[key] = val
     for key, val in COMMAND_DEFAULTS[args.command].items():
         merged.setdefault(key, val)
-    for key in ("eps", "delta", "t"):
+    for key in LIST_FIELDS:
         merged[key] = tuple(merged.get(key) or ())
     spec = ExperimentSpec(**merged)
     if not 0.0 <= spec.p <= 1.0 or spec.replicas < 1 or spec.n < 0:

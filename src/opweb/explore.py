@@ -13,20 +13,18 @@ advancing the target simply continues the walk.  Each edge is sampled at
 most once per cluster; sites whose forward cluster has been exhausted are
 remembered so re-entry from a later start site costs nothing.
 
-The walk exists twice, with integer-identical results.  The Python walk in
-`ExplorationCluster.advance_level` is the reference.  A cluster built from
-a `Config`, with no ``source`` and no ``record_left_deltas``, runs the
-native walk of ``_walk.c`` instead: ``advance_to`` explores all its levels
-in one C call and ``advance_level`` one level per call.  The library is
-built with the local C compiler on the first such cluster in a process
-(never at import) and cached in the package's ``__pycache__``; see
-`opweb._native`.  Couplings (``source=``), recorded left deltas and
-machines without a working compiler use the Python walk.
-
-The native walk is the only owner of its r and l, with no Python mirror;
-``right_values`` and ``left_values`` copy them out into fresh int64 arrays.
-The Python walk converts its lists in the same properties, so on both walks
-a caller gets arrays it may keep and write into.
+There are two walks, integer-identical, one class each.
+`ExplorationCluster` is the Python walk, the reference; its subclass
+`opweb._native.NativeCluster` runs the walk of ``_walk.c``.
+`ExplorationCluster.__new__` is the one place that picks the walk: a
+cluster built from a `Config`, with no ``source`` and no
+``record_left_deltas``, is a `NativeCluster` when the native library loads.
+The library is built with the local C compiler on the first such cluster
+in a process (never at import) and cached in the package's
+``__pycache__``.  Couplings (``source=``), recorded left deltas and
+machines without a working compiler get the Python walk.  On both walks
+``right_values`` and ``left_values`` are fresh int64 arrays that a caller
+may keep and write into.
 """
 
 from __future__ import annotations
@@ -81,9 +79,20 @@ class GammaApprox(Trajectory):
 class ExplorationCluster:
     """Single-owner mutable exploration state; advance levels sequentially.
 
+    This class runs the Python walk; constructing it from a Config alone
+    may return the native subclass instead (see the module docstring).
     ``source`` overrides the edge oracle (used by couplings); it is called
     once per never-before-examined packed edge key.
     """
+
+    def __new__(cls, origin, cfg=None, *, source=None,
+                record_left_deltas=False, **kwargs):
+        if (cls is ExplorationCluster and cfg is not None and source is None
+                and not record_left_deltas):
+            from . import _native  # may build the library: not at import
+            if _native.load() is not None:
+                cls = _native.NativeCluster
+        return super().__new__(cls)
 
     def __init__(self, origin: LatticeSite, cfg: Config | None = None, *,
                  source=None, scan_guard: int = DEFAULT_SCAN_GUARD,
@@ -94,28 +103,22 @@ class ExplorationCluster:
         self.cfg = cfg
         self._t0 = origin.t
         self._left_deltas = [] if record_left_deltas else None
-        self._kernel = None
-        if source is None and not record_left_deltas:
-            from . import _native  # may build the library: not at import
-            self._kernel = _native.open_walk(origin, cfg, scan_guard)
-        if self._kernel is None:
-            self._stack_x = [origin.x]
-            self._r = [origin.x]
-            self._source = source if source is not None else make_key_sampler(cfg)
-            self._scan_guard = scan_guard
-            self._status: dict[int, bool] = {}
-            self._dead: set[int] = set()
-            self._stack_state = [0]
-            self._scan_offset = 0
-            self._last_change_floor = 0
+        self._stack_x = [origin.x]
+        self._r = [origin.x]
+        self._source = source if source is not None else make_key_sampler(cfg)
+        self._scan_guard = scan_guard
+        self._status: dict[int, bool] = {}
+        self._dead: set[int] = set()
+        self._stack_state = [0]
+        self.scan_offset = 0  # start sites exhausted so far
+        # lowest left-boundary index the last completed level changed
+        self.last_change_floor = 0
 
     # -- read surface ------------------------------------------------------
 
     @property
     def level(self) -> int:
         """Highest explored target time."""
-        if self._kernel is not None:
-            return self._t0 + self._kernel.r_len - 1
         return self._t0 + len(self._r) - 1
 
     @property
@@ -125,15 +128,11 @@ class ExplorationCluster:
     @property
     def right_values(self) -> np.ndarray:
         """A fresh int64 copy of r, one value per level from the start."""
-        if self._kernel is not None:
-            return self._kernel.right()
         return np.array(self._r, dtype=np.int64)
 
     @property
     def left_values(self) -> np.ndarray:
         """A fresh int64 copy of the left boundary at the current level."""
-        if self._kernel is not None:
-            return self._kernel.left()
         return np.array(self._stack_x, dtype=np.int64)
 
     def right_boundary(self) -> RightBoundaryTrajectory:
@@ -141,28 +140,10 @@ class ExplorationCluster:
                                        start=self.origin)
 
     @property
-    def scan_offset(self) -> int:
-        """Start sites exhausted so far."""
-        if self._kernel is not None:
-            return self._kernel.scan_offset
-        return self._scan_offset
-
-    @property
-    def last_change_floor(self) -> int:
-        """Lowest left-boundary index the last completed level changed."""
-        if self._kernel is not None:
-            return self._kernel.last_change_floor
-        return self._last_change_floor
-
-    @property
     def n_examined(self) -> int:
-        if self._kernel is not None:
-            return self._kernel.n_examined
         return len(self._status)
 
     def _edge_status(self) -> dict[int, bool]:
-        if self._kernel is not None:
-            return self._kernel.edge_status()
         return self._status
 
     @property
@@ -177,6 +158,13 @@ class ExplorationCluster:
     def left_deltas(self):
         return self._left_deltas
 
+    def _guard_error(self) -> ScanLimitExceededError:
+        """The error of a tripped scan guard.  Every later advance past the
+        current level raises it again; the walk stays where it stopped."""
+        return ScanLimitExceededError(
+            f"{self.scan_offset} start sites exhausted below level "
+            f"{self.level + 1}", scan_offset=self.scan_offset)
+
     # -- the walk ----------------------------------------------------------
 
     def advance_level(self) -> int:
@@ -187,10 +175,9 @@ class ExplorationCluster:
         been exhausted without reaching the target (subcritical input never
         silently loops).
         """
-        if self._kernel is not None:
-            self._kernel.advance(1)
-            return self._kernel.last_right()
         stack_x = self._stack_x
+        if not stack_x:  # emptied by a tripped guard
+            raise self._guard_error()
         stack_state = self._stack_state
         status = self._status
         dead = self._dead
@@ -242,12 +229,10 @@ class ExplorationCluster:
                 dead.add(((t0 + top) << 32) | (x + X_BIAS))
                 top -= 1
                 if top < 0:
-                    self._scan_offset += 1
-                    if self._scan_offset >= self._scan_guard:
-                        raise ScanLimitExceededError(
-                            f"{self._scan_offset} start sites exhausted below level "
-                            f"{t0 + target}", scan_offset=self._scan_offset)
-                    stack_x.append(self.origin.x - 2 * self._scan_offset)
+                    self.scan_offset += 1
+                    if self.scan_offset >= self._scan_guard:
+                        raise self._guard_error()
+                    stack_x.append(self.origin.x - 2 * self.scan_offset)
                     stack_state.append(0)
                     top = 0
                     min_top = -1
@@ -255,16 +240,12 @@ class ExplorationCluster:
                     min_top = top
         new_r = stack_x[target]
         r.append(new_r)
-        self._last_change_floor = min_top + 1
+        self.last_change_floor = min_top + 1
         if self._left_deltas is not None:
             self._left_deltas.append((min_top + 1, stack_x[min_top + 1:]))
         return new_r
 
     def advance_to(self, n: int) -> None:
-        if self._kernel is not None:
-            if n > self.level:
-                self._kernel.advance(n - self.level)
-            return
         while self.level < n:
             self.advance_level()
 

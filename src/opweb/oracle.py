@@ -36,8 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoxTooNarrowError, InvalidArgumentError, NoPathError
-from .lattice import Config, edge_status_array, replica_config
+from .errors import (BoxTooNarrowError, InvalidArgumentError, NoPathError,
+                     ScanLimitExceededError)
+from .explore import explore_to_level
+from .lattice import Config, LatticeSite, edge_status_array, replica_config
+from .runner import pmap
 
 
 @dataclass(eq=False)
@@ -315,8 +318,6 @@ def _ladder_outcome(cfg: Config, n: int, right: np.ndarray, left: np.ndarray,
 
 def _check_worker(args):
     cfg, n, slack, corrupt = args
-    from .explore import explore_to_level
-    from .lattice import LatticeSite
     cluster = explore_to_level(LatticeSite(0, 0), n, cfg)
     r, left = cluster.right_values, cluster.left_values
     if corrupt:
@@ -335,10 +336,6 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
     ``corrupt_run`` injects an off-by-one into that run's explored right
     boundary (negative control for the reporting path).
     """
-    from .errors import ScanLimitExceededError
-    from .explore import explore_to_level
-    from .lattice import LatticeSite
-    from .runner import pmap
     jobs = []
     labels = []
     for ip, p in enumerate(ps):

@@ -1,6 +1,7 @@
 """The command-line contract: exit codes, spec precedence, and output bytes
 that do not depend on the worker count."""
 
+import dataclasses
 import functools
 import json
 import os
@@ -231,6 +232,19 @@ def test_precedence_flag_over_spec_over_default(tmp_path):
     assert (bare.n, bare.replicas, bare.seed) == (1000, 1000, 0)
 
 
+def test_every_spec_field_but_command_has_one_flag():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser  # built once per process
+    fields = {f.name for f in dataclasses.fields(cli.ExperimentSpec)}
+    assert set(cli.SPEC_FLAGS) == fields - {"command"}
+    for key in cli.SPEC_FLAGS:
+        flag = "--" + key.replace("_", "-")
+        args = parser.parse_args(["eta", flag, "1"])
+        value = getattr(cli.spec_from_args(args), key)
+        assert value == ((1.0,) if key in cli.LIST_FIELDS else
+                         "1" if key == "out" else 1), key
+
+
 def test_precedence_of_sigma_and_scan_guard(tmp_path):
     spec = _spec_file(tmp_path, {"sigma": 0.5, "scan_guard": 300})
 
@@ -311,7 +325,9 @@ def test_package_and_project_versions_agree():
 def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ,
                PYTHONPATH=str(Path(opweb.__file__).resolve().parents[1]))
-    probe = "import sys, opweb.cli; print('scipy' in sys.modules)"
+    # nor the native walk, whose first use may build the library
+    probe = ("import sys, opweb.cli; "
+             "print('scipy' in sys.modules, 'opweb._native' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "False"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opweb._native import NativeCluster
 from opweb.errors import (InvalidArgumentError, ScanLimitExceededError)
 from opweb.explore import (ExplorationCluster, boundary_ordering_check,
                            explore_to_level, gamma_approx,
@@ -215,12 +216,15 @@ def test_native_walk_matches_python_walk(seed, p, x, t, guard, steps):
     start = LatticeSite(x + ((x + t) & 1), t)
     native = ExplorationCluster(start, cfg, scan_guard=guard)
     python = _python_walk(start, cfg, scan_guard=guard)
-    assert python._kernel is None
+    assert type(python) is ExplorationCluster
     for step in steps:
         tripped = _step(native, step)
         assert tripped == _step(python, step)
         assert _walk_state(native) == _walk_state(python)
         if tripped:
+            # a tripped walk raises the same error again, and stays put
+            assert _step(native, step) == _step(python, step) == tripped
+            assert _walk_state(native) == _walk_state(python)
             break
 
 
@@ -266,10 +270,10 @@ def test_native_head_fields_match_the_walk_struct():
     cases = [(Config(8, 0.7, 8), 10_000, 200), (Config(3, 0.5, 1), 20, 300)]
     for cfg, guard, level in cases:
         native, python = _both_walks(ORIGIN, cfg, scan_guard=guard)
-        if native._kernel is None:
+        if not isinstance(native, NativeCluster):
             pytest.skip("the native walk does not build here")
         assert _step(native, level) == _step(python, level)
-        head = native._kernel._head
+        head = native._head
         assert (head.r_len, head.stack_len, head.scan_offset,
                 head.last_change_floor, head.n_examined) == (
             len(python._r), len(python._stack_x), python.scan_offset,
@@ -280,7 +284,20 @@ def test_native_head_fields_match_the_walk_struct():
 def test_native_walk_loads_where_a_compiler_exists():
     if not (shutil.which("cc") or shutil.which("gcc")):
         pytest.skip("no cc or gcc on PATH")
-    assert ExplorationCluster(ORIGIN, Config(1, 0.8, 1))._kernel is not None
+    assert isinstance(ExplorationCluster(ORIGIN, Config(1, 0.8, 1)),
+                      NativeCluster)
+
+
+def test_python_walk_for_sources_and_left_deltas():
+    cfg = Config(1, 0.8, 1)
+    recorded = ExplorationCluster(ORIGIN, cfg, record_left_deltas=True)
+    assert type(recorded) is ExplorationCluster
+    recorded.advance_to(30)
+    reference = explore_to_level(ORIGIN, 30, cfg)
+    assert len(recorded.left_deltas) == 30
+    assert _walk_state(recorded) == _walk_state(reference)
+    with pytest.raises(InvalidArgumentError):
+        ExplorationCluster(ORIGIN)
 
 
 @pytest.fixture
@@ -299,7 +316,7 @@ def test_python_walk_without_compiler(fresh_loader, monkeypatch):
     monkeypatch.setattr(fresh_loader, "_tried", False)
     monkeypatch.setattr(fresh_loader, "_COMPILERS", ("opweb-no-such-cc",))
     fallback = explore_to_level(ORIGIN, 300, cfg)
-    assert fallback._kernel is None
+    assert type(fallback) is ExplorationCluster
     assert _walk_state(fallback) == _walk_state(native)
 
 
@@ -339,7 +356,7 @@ def test_damaged_cache_file_is_rebuilt_not_loaded(fresh_loader, monkeypatch,
     assert len(builds) == len(damaged)
     assert loads == [True] * len(damaged)
     cluster = explore_to_level(ORIGIN, 200, Config(4, 0.8, 9))
-    assert cluster._kernel is not None
+    assert isinstance(cluster, NativeCluster)
     reference = _python_walk(ORIGIN, Config(4, 0.8, 9))
     reference.advance_to(200)
     assert _walk_state(cluster) == _walk_state(reference)
@@ -347,7 +364,7 @@ def test_damaged_cache_file_is_rebuilt_not_loaded(fresh_loader, monkeypatch,
 
 def _build_and_walk(_):
     cluster = explore_to_level(ORIGIN, 500, Config(11, 0.75, 5))
-    return cluster._kernel is not None, cluster.right_values
+    return isinstance(cluster, NativeCluster), cluster.right_values
 
 
 def test_concurrent_first_builds_load_whole_files(fresh_loader, tmp_path):
