@@ -96,8 +96,8 @@ def _load():
     lib.walk_new.restype = c_void_p
     lib.walk_advance.argtypes = [c_void_p, c_int64]
     lib.walk_advance.restype = c_int
-    lib.walk_edges.argtypes = [c_void_p, c_void_p, c_void_p]
-    lib.walk_edges.restype = None
+    lib.walk_edges.argtypes = [c_void_p, c_void_p, c_void_p, c_int64]
+    lib.walk_edges.restype = c_int64
     lib.walk_free.argtypes = [c_void_p]
     lib.walk_free.restype = None
     return lib
@@ -198,11 +198,15 @@ class NativeCluster(ExplorationCluster):
         return self._head.n_examined
 
     def _edge_status(self) -> dict:
+        """The examined edges, rebuilt by ``walk_edges``; raises on a count
+        other than `n_examined`."""
         n = self._head.n_examined
         keys = np.empty(n, dtype=np.int64)
         opened = np.empty(n, dtype=bool)
-        self._lib.walk_edges(self._handle, keys.ctypes.data,
-                             opened.ctypes.data)
+        found = self._lib.walk_edges(self._handle, keys.ctypes.data,
+                                     opened.ctypes.data, n)
+        if found != n:
+            raise RuntimeError(f"walk lists {found} edges, examined {n}")
         return dict(zip(keys.tolist(), opened.tolist()))
 
     def advance_level(self) -> int:

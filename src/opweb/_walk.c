@@ -1,14 +1,17 @@
 /* Native form of the exploration walk in explore.py.
  *
  * One walk is the state of one _native.NativeCluster: the splitmix64 edge
- * sampler (base and threshold of the Config), the status table of examined
- * edges, the set of dead sites, the depth-first stack, the right-boundary
- * values r, the scan offset and the scan guard.  The loop in walk_advance
- * makes the same steps as ExplorationCluster.advance_level: the same scan
- * order, the same packed keys, the same guard.  It folds the up-right and
- * up-left steps into one block on the direction d, where the Python walk
- * keeps the two blocks unrolled because that runs faster there.  The
- * Python walk stays the reference this one is tested against.
+ * sampler (base and threshold of the Config), the set of dead sites, the
+ * depth-first stack, the right-boundary values r, the scan offset and the
+ * scan guard.  No edge status is kept: an edge is sampled where it is
+ * examined, and no edge is examined twice.  A site's out-edges are
+ * examined only while it is on the stack; it leaves the stack only after
+ * both are, and it is then dead, so no later edge enters it.  The loop in
+ * walk_advance makes the same steps as ExplorationCluster.advance_level:
+ * the same scan order, the same packed keys, the same guard.  It folds the
+ * up-right and up-left steps into one block on the direction d, where the
+ * Python walk keeps the two blocks unrolled because that runs faster
+ * there.  The Python walk stays the reference this one is tested against.
  *
  * The walk is the only owner of r and of the left boundary, which is the
  * stack sx[0:stack_len] between calls.  Python reads r_len, stack_len and
@@ -30,11 +33,11 @@
 
 enum { WALK_OK = 0, WALK_GUARD = 1, WALK_NOMEM = 2 };
 
-/* Open-addressing table of 64-bit keys with linear probing, each key
- * with a one-byte value; val 0 marks an empty slot. */
+/* Open-addressing set of 64-bit keys with linear probing; used[i] marks
+ * a full slot. */
 typedef struct {
     uint64_t *keys;
-    uint8_t *val;
+    uint8_t *used;
     int64_t cap; /* a power of two */
     int64_t len;
     int shift;   /* 64 - log2(cap) */
@@ -57,30 +60,30 @@ typedef struct {
     uint64_t base, threshold;
     int all_open;
     int failed; /* the code that stopped the walk for good, or 0 */
-    table_t status, dead;
+    table_t dead;
 } walk_t;
 
 static int table_init(table_t *tb, int64_t cap, int shift)
 {
     tb->keys = malloc((size_t)cap * sizeof *tb->keys);
-    tb->val = calloc((size_t)cap, 1);
+    tb->used = calloc((size_t)cap, 1);
     tb->cap = cap;
     tb->len = 0;
     tb->shift = shift;
-    return tb->keys && tb->val;
+    return tb->keys && tb->used;
 }
 
 static void table_free(table_t *tb)
 {
     free(tb->keys);
-    free(tb->val);
+    free(tb->used);
 }
 
 static int64_t table_slot(const table_t *tb, uint64_t key)
 {
     int64_t mask = tb->cap - 1;
     int64_t i = (int64_t)((key * GOLDEN) >> tb->shift);
-    while (tb->val[i] && tb->keys[i] != key)
+    while (tb->used[i] && tb->keys[i] != key)
         i = (i + 1) & mask;
     return i;
 }
@@ -96,10 +99,10 @@ static int table_reserve(table_t *tb)
         return 0;
     }
     for (int64_t i = 0; i < tb->cap; i++)
-        if (tb->val[i]) {
+        if (tb->used[i]) {
             int64_t j = table_slot(&big, tb->keys[i]);
             big.keys[j] = tb->keys[i];
-            big.val[j] = tb->val[i];
+            big.used[j] = 1;
         }
     big.len = tb->len;
     table_free(tb);
@@ -107,18 +110,16 @@ static int table_reserve(table_t *tb)
     return 1;
 }
 
-/* Slot holding key, inserted with value 0 (to be set by the caller) when
- * absent; -1 on failed allocation. */
-static int64_t table_claim(table_t *tb, uint64_t key)
+/* Add key to the set; 0 on failed allocation. */
+static int table_add(table_t *tb, uint64_t key)
 {
     if (!table_reserve(tb))
-        return -1;
+        return 0;
     int64_t i = table_slot(tb, key);
-    if (!tb->val[i]) {
-        tb->keys[i] = key;
-        tb->len++;
-    }
-    return i;
+    tb->len += !tb->used[i];
+    tb->keys[i] = key;
+    tb->used[i] = 1;
+    return 1;
 }
 
 static int grow(void **p, int64_t *cap, int64_t need, size_t size)
@@ -151,7 +152,6 @@ void walk_free(walk_t *w)
     free(w->r);
     free(w->sx);
     free(w->state);
-    table_free(&w->status);
     table_free(&w->dead);
     free(w);
 }
@@ -166,8 +166,7 @@ walk_t *walk_new(int64_t origin_x, int64_t t0, uint64_t base,
     w->r = malloc(64 * sizeof *w->r);
     w->sx = malloc(64 * sizeof *w->sx);
     w->state = malloc(64);
-    int ok = table_init(&w->status, 1024, 54) & table_init(&w->dead, 1024, 54);
-    if (!ok || !w->r || !w->sx || !w->state) {
+    if (!table_init(&w->dead, 1024, 54) || !w->r || !w->sx || !w->state) {
         walk_free(w);
         return NULL;
     }
@@ -197,12 +196,6 @@ static uint64_t pack(int64_t hi, int64_t x)
     return ((uint64_t)hi << 32) | (uint64_t)(x + X_BIAS);
 }
 
-static int fail(walk_t *w, int code)
-{
-    w->failed = code;
-    return code;
-}
-
 /* Explore up to `levels` more levels; stops early, and for good, on the
  * guard or on failed allocation.  On return r_len counts the completed
  * levels. */
@@ -216,7 +209,7 @@ int walk_advance(walk_t *w, int64_t levels)
         int64_t min_top = top;
         if (!grow_stack(w, target + 1)
             || !grow((void **)&w->r, &w->r_cap, target + 1, sizeof *w->r))
-            return fail(w, WALK_NOMEM);
+            return w->failed = WALK_NOMEM;
         int64_t *sx = w->sx;
         uint8_t *state = w->state;
         for (;;) {
@@ -227,16 +220,10 @@ int walk_advance(walk_t *w, int64_t levels)
                 int64_t t = w->t0 + top;
                 int d = st == 0; /* up-right first, then up-left */
                 uint64_t key = pack(2 * t + d, x);
-                int64_t i = table_claim(&w->status, key);
-                if (i < 0)
-                    return fail(w, WALK_NOMEM);
-                if (!w->status.val[i]) {
-                    w->status.val[i] = sample(w, key) ? 2 : 1;
-                    w->n_examined++;
-                }
-                if (w->status.val[i] == 2) {
+                w->n_examined++;
+                if (sample(w, key)) {
                     int64_t cx = d ? x + 1 : x - 1;
-                    if (!w->dead.val[table_slot(&w->dead, pack(t + 1, cx))]) {
+                    if (!w->dead.used[table_slot(&w->dead, pack(t + 1, cx))]) {
                         top++;
                         sx[top] = cx;
                         state[top] = 0;
@@ -245,16 +232,14 @@ int walk_advance(walk_t *w, int64_t levels)
                     }
                 }
             } else {
-                int64_t i = table_claim(&w->dead, pack(w->t0 + top, sx[top]));
-                if (i < 0)
-                    return fail(w, WALK_NOMEM);
-                w->dead.val[i] = 1;
+                if (!table_add(&w->dead, pack(w->t0 + top, sx[top])))
+                    return w->failed = WALK_NOMEM;
                 top--;
                 if (top < 0) {
                     w->scan_offset++;
                     if (w->scan_offset >= w->scan_guard) {
                         w->stack_len = 0;
-                        return fail(w, WALK_GUARD);
+                        return w->failed = WALK_GUARD;
                     }
                     sx[0] = w->origin_x - 2 * w->scan_offset;
                     state[0] = 0;
@@ -273,14 +258,28 @@ int walk_advance(walk_t *w, int64_t levels)
     return WALK_OK;
 }
 
-/* The examined edges: packed key and 1 if open, 0 if closed. */
-void walk_edges(const walk_t *w, int64_t *keys, uint8_t *open)
+/* The examined edges, rebuilt: both out-edges of each dead site, then the
+ * first state[j] of each stack entry sx[j], up-right first; key and 1 if
+ * open.  Writes at most cap edges and returns how many there are, which
+ * differs from n_examined only if a failed allocation stopped the walk
+ * midway. */
+int64_t walk_edges(const walk_t *w, int64_t *keys, uint8_t *open, int64_t cap)
 {
     int64_t n = 0;
-    for (int64_t i = 0; i < w->status.cap; i++)
-        if (w->status.val[i]) {
-            keys[n] = (int64_t)w->status.keys[i];
-            open[n] = w->status.val[i] == 2;
-            n++;
-        }
+    for (int64_t i = 0; i < w->dead.cap + w->stack_len; i++) {
+        int64_t j = i - w->dead.cap; /* the stack index past the table */
+        if (j < 0 && !w->dead.used[i])
+            continue;
+        uint64_t k = j < 0 ? w->dead.keys[i] : pack(w->t0 + j, w->sx[j]);
+        for (int d = 1; d > 1 - (j < 0 ? 2 : w->state[j]); d--, n++)
+            if (n < cap) {
+                /* site t << 32 | x + X_BIAS to edge (2t + d) << 32 |
+                 * x + X_BIAS, unsigned so that negative t works */
+                uint64_t key = ((k & ~0xffffffffULL) << 1)
+                               | ((uint64_t)d << 32) | (k & 0xffffffffULL);
+                keys[n] = (int64_t)key;
+                open[n] = (uint8_t)sample(w, key);
+            }
+    }
+    return n;
 }

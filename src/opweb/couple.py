@@ -383,7 +383,8 @@ def family_eta(start_xs, t0: int, level: int, cfg: Config, *,
     Counted by squeeze: the leftmost and then the rightmost cluster run
     first, and an interval of starts whose end values differ is split at
     its midpoint, so only the clusters that separate distinct values run.
-    With ``cap >= 1`` the count stops there and ``min(eta, cap)`` is
+    With ``cap >= 1`` the count stops once the values found, plus one for
+    each interval still to split, reach ``cap``, and ``min(eta, cap)`` is
     returned; ``cap=2`` runs the two extreme clusters only.
     """
     xs = tuple(start_xs)
@@ -399,19 +400,19 @@ def family_eta(start_xs, t0: int, level: int, cfg: Config, *,
     r = {0: _right_value(xs[0], t0, level, cfg, scan_guard)}
     if last:
         r[last] = _right_value(xs[last], t0, level, cfg, scan_guard)
+    # todo: the intervals whose ends differ, each holding one more value
     eta = 1
-    todo = [(0, last)]
-    while todo and (cap is None or eta < cap):
+    todo = [(0, last)] if r[0] != r[last] else []
+    while todo and (cap is None or eta + len(todo) < cap):
         lo, hi = todo.pop()
-        if r[lo] == r[hi]:
-            continue  # squeezed: every start in between shares the value
         if hi - lo == 1:
             eta += 1
             continue
         mid = (lo + hi) // 2
         r[mid] = _right_value(xs[mid], t0, level, cfg, scan_guard)
-        todo += [(mid, hi), (lo, mid)]
-    return eta
+        todo += [(a, b) for a, b in ((mid, hi), (lo, mid)) if r[a] != r[b]]
+    eta += len(todo)
+    return eta if cap is None else min(eta, cap)
 
 
 def _survival_worker(args):

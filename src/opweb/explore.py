@@ -9,9 +9,11 @@ start sites ``(x - 2k, t)`` are exhausted left-to-right in ``k``.
 The process is resumable: the depth-first stack is frozen the moment the
 first open path reaches the current target level (that path is the left
 boundary ``l``, and its endpoint is the new right-boundary value ``r``), and
-advancing the target simply continues the walk.  Each edge is sampled at
-most once per cluster; sites whose forward cluster has been exhausted are
-remembered so re-entry from a later start site costs nothing.
+advancing the target simply continues the walk.  Each edge is sampled where
+it is examined, and no edge is examined twice: a site's out-edges are
+examined only while it is on the stack, and it leaves the stack only after
+both are, as a dead site that no later edge enters.  Dead sites are
+remembered, so re-entry from a later start site costs nothing.
 
 There are two walks, integer-identical, one class each.
 `ExplorationCluster` is the Python walk, the reference; its subclass
@@ -81,8 +83,8 @@ class ExplorationCluster:
 
     This class runs the Python walk; constructing it from a Config alone
     may return the native subclass instead (see the module docstring).
-    ``source`` overrides the edge oracle (used by couplings); it is called
-    once per never-before-examined packed edge key.
+    ``source`` overrides the edge oracle (used by couplings); the walk calls
+    it once per examined edge, with the edge's packed key.
     """
 
     def __new__(cls, origin, cfg=None, *, source=None,
@@ -194,10 +196,7 @@ class ExplorationCluster:
                 x = stack_x[top]
                 t = t0 + top
                 key = ((2 * t + 1) << 32) | (x + X_BIAS)  # up-right
-                s = status.get(key)
-                if s is None:
-                    s = src(key)
-                    status[key] = s
+                s = status[key] = src(key)
                 if s:
                     cx = x + 1
                     if ((t + 1) << 32) | (cx + X_BIAS) not in dead:
@@ -211,10 +210,7 @@ class ExplorationCluster:
                 x = stack_x[top]
                 t = t0 + top
                 key = ((2 * t) << 32) | (x + X_BIAS)  # up-left
-                s = status.get(key)
-                if s is None:
-                    s = src(key)
-                    status[key] = s
+                s = status[key] = src(key)
                 if s:
                     cx = x - 1
                     if ((t + 1) << 32) | (cx + X_BIAS) not in dead:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opweb import couple
 from opweb.couple import (_survival_worker, check_coalescence_structure,
                           coalescence_survival_curve, family_eta,
                           run_coupled_many)
@@ -191,6 +192,34 @@ def test_squeeze_count_equals_distinct_count(seed, p, t0, gaps, level_above,
     eta = len(set(values))
     assert family_eta(xs, t0, level, cfg, cap=cap) == (
         eta if cap is None else min(eta, cap))
+
+
+def test_capped_squeeze_stops_at_its_cap(monkeypatch):
+    # cap=2 runs the two extreme clusters and no more; any cap returns
+    # min(eta, cap) from no more clusters than the full count runs
+    calls = []
+    inner = couple._right_value
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(couple, "_right_value", counting)
+    xs = tuple(range(0, 30, 2))
+    split = 0
+    for rep in range(120):
+        cfg = replica_config(5, 0.8, rep)
+        calls.clear()
+        eta = family_eta(xs, 0, 1000, cfg)
+        full = len(calls)
+        split += eta >= 2
+        for cap in (1, 2, 3):
+            calls.clear()
+            assert family_eta(xs, 0, 1000, cfg, cap=cap) == min(eta, cap)
+            assert len(calls) <= full
+            if cap == 2:
+                assert len(calls) == 2
+    assert split >= 30
 
 
 def test_family_rejects_bad_input():

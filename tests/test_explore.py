@@ -1,12 +1,14 @@
 import multiprocessing
 import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from opweb import _native
 from opweb._native import NativeCluster
 from opweb.errors import (InvalidArgumentError, ScanLimitExceededError)
 from opweb.explore import (ExplorationCluster, boundary_ordering_check,
@@ -211,6 +213,12 @@ def _step(cluster, step):
        guard=st.integers(1, 300),
        steps=st.lists(st.one_of(st.none(), st.integers(-2, 40)),
                       min_size=1, max_size=8))
+# long walks, past the strategy's bounds: many resizes of the dead-site set
+# and a stack of 3000 entries before the edge sets are compared
+@example(seed=1, p=0.65, x=0, t=-1500, guard=10_000, steps=[3000])
+@example(seed=2, p=0.7, x=0, t=0, guard=10_000, steps=[3000])
+@example(seed=3, p=0.9, x=7, t=-40, guard=10_000, steps=[3000])
+@example(seed=4, p=1.0, x=-5, t=-3000, guard=10_000, steps=[3000])
 def test_native_walk_matches_python_walk(seed, p, x, t, guard, steps):
     cfg = Config(seed, p, 1)
     start = LatticeSite(x + ((x + t) & 1), t)
@@ -279,6 +287,29 @@ def test_native_head_fields_match_the_walk_struct():
             len(python._r), len(python._stack_x), python.scan_offset,
             python.last_change_floor, python.n_examined)
     assert (head.r_len, head.stack_len, head.scan_offset) == (17, 0, 20)
+
+
+def test_edge_listing_checks_its_count():
+    # walk_edges writes no more than the room it is given, and a listing
+    # whose count differs from n_examined raises instead of coming back short
+    native = ExplorationCluster(ORIGIN, Config(8, 0.7, 8))
+    if not isinstance(native, NativeCluster):
+        pytest.skip("the native walk does not build here")
+    native.advance_to(300)
+    examined = native.n_examined
+    assert len(native.open_edges) + len(native.closed_edges) == examined
+    native._head.n_examined = examined // 2
+    with pytest.raises(RuntimeError, match=f"lists {examined} edges"):
+        native.open_edges
+
+
+def test_walk_source_compiles_clean():
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no cc or gcc on PATH")
+    subprocess.run([cc, "-std=c99", "-Wall", "-Wextra", "-pedantic",
+                    "-Werror", "-fsyntax-only", str(_native._SOURCE)],
+                   check=True, timeout=120)
 
 
 def test_native_walk_loads_where_a_compiler_exists():
