@@ -10,9 +10,7 @@ from .lattice import (Config, EdgeRef, LatticeSite, Orientation, edge_status,
                       edge_status_array, independence_probe)
 from .explore import (ExplorationCluster, GammaApprox, Trajectory,
                       boundary_ordering_check, explore_to_level, gamma_approx)
-from .regen import (DriftDiffusivity, RegenAccumulator, RegenRecord,
-                    clt_check, detect_break_points, error_gap_frequencies,
-                    estimate_alpha_sigma)
+from .regen import DriftDiffusivity, RegenAccumulator, error_gap_frequencies
 from .couple import (CoalescenceTimes, CoupledRun, check_coalescence_structure,
                      coalescence_survival_curve, family_eta, run_coupled_many)
 from .metrics import (CompactifiedPoint, RescaledPath, b1_battery,

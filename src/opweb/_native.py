@@ -53,11 +53,12 @@ _tried = False
 
 
 class _Head(ctypes.Structure):
-    """The leading fields of ``walk_t``; keep in step with ``_walk.c``."""
+    """The leading fields of ``walk_t``, the ones Python reads: r_len,
+    stack_len, scan_offset, n_examined and the pointers r and sx.  Keep in
+    step with ``_walk.c``."""
 
     _fields_ = [("r_len", c_int64), ("stack_len", c_int64),
-                ("scan_offset", c_int64), ("last_change_floor", c_int64),
-                ("n_examined", c_int64),
+                ("scan_offset", c_int64), ("n_examined", c_int64),
                 ("r", POINTER(c_int64)), ("sx", POINTER(c_int64))]
 
 
@@ -188,10 +189,6 @@ class NativeCluster(ExplorationCluster):
     @property
     def scan_offset(self) -> int:
         return self._head.scan_offset
-
-    @property
-    def last_change_floor(self) -> int:
-        return self._head.last_change_floor
 
     @property
     def n_examined(self) -> int:

@@ -43,13 +43,12 @@ typedef struct {
     int shift;   /* 64 - log2(cap) */
 } table_t;
 
-/* The fields up to `sx` are read from Python (_native._Head); keep the
- * two in step. */
+/* The fields up to `sx` are read from Python (_native._Head): r_len,
+ * stack_len, scan_offset, n_examined, r and sx.  Keep the two in step. */
 typedef struct {
     int64_t r_len;             /* levels completed + 1 */
     int64_t stack_len;         /* sx[0:stack_len] is the left boundary */
     int64_t scan_offset;
-    int64_t last_change_floor;
     int64_t n_examined;
     int64_t *r;
     int64_t *sx;
@@ -206,7 +205,6 @@ int walk_advance(walk_t *w, int64_t levels)
     for (int64_t done = 0; done < levels; done++) {
         int64_t target = w->r_len;
         int64_t top = target - 1;
-        int64_t min_top = top;
         if (!grow_stack(w, target + 1)
             || !grow((void **)&w->r, &w->r_cap, target + 1, sizeof *w->r))
             return w->failed = WALK_NOMEM;
@@ -244,16 +242,12 @@ int walk_advance(walk_t *w, int64_t levels)
                     sx[0] = w->origin_x - 2 * w->scan_offset;
                     state[0] = 0;
                     top = 0;
-                    min_top = -1;
-                } else if (top < min_top) {
-                    min_top = top;
                 }
             }
         }
         w->stack_len = target + 1;
         w->r[target] = sx[target];
         w->r_len = target + 1;
-        w->last_change_floor = min_top + 1;
     }
     return WALK_OK;
 }

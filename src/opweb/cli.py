@@ -103,9 +103,11 @@ def _simulate_worker(args):
 def cmd_simulate(spec: ExperimentSpec) -> int:
     if not spec.out:
         raise InvalidArgumentError("simulate requires --out directory")
+    horizon = 4 * spec.n if spec.horizon is None else spec.horizon
+    if horizon < spec.n:
+        raise InvalidArgumentError("simulate needs a horizon of at least --n")
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
-    horizon = spec.horizon if spec.horizon else 4 * spec.n
     jobs = [(replica_config(spec.seed, spec.p, r), spec.n, horizon,
              spec.scan_guard) for r in range(spec.replicas)]
     files = []
@@ -196,7 +198,7 @@ def cmd_coalesce(spec: ExperimentSpec) -> int:
         gap = int(round(deltas[0] * sigma / math.sqrt(eps) / 2)) * 2
         gap = max(2, gap)
         rows = coalescence_survival_curve(
-            gap, spec.p, [eps], t_grid, spec.replicas, seed=spec.seed,
+            gap, spec.p, eps, t_grid, spec.replicas, seed=spec.seed,
             sigma_hat=sigma, workers=spec.workers, scan_guard=spec.scan_guard,
             replica_offset=ie * spec.replicas)
         for row in rows:
@@ -295,16 +297,45 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parses_as(val, kind) -> bool:
+    """True iff the JSON value ``val`` is one the flag type ``kind`` gives;
+    an int also passes for a float."""
+    if isinstance(val, bool):
+        return False
+    return isinstance(val, (int, float) if kind is float else kind)
+
+
+def _check_spec_file(base) -> None:
+    """Reject a spec file that is not a JSON object, has unknown keys, or
+    holds a value its flag would not parse: values are never coerced, so a
+    valid spec keeps its hash."""
+    if not isinstance(base, dict):
+        raise InvalidArgumentError("spec file must hold a JSON object")
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
+    unknown = set(base) - set(defaults)
+    if unknown:
+        raise InvalidArgumentError(f"unknown spec keys: {sorted(unknown)}")
+    for key, val in base.items():
+        if key not in SPEC_FLAGS:  # the command, which the subcommand sets
+            continue
+        kind = SPEC_FLAGS[key]
+        if key in LIST_FIELDS:
+            ok = isinstance(val, list) and all(_parses_as(v, kind) for v in val)
+        else:
+            ok = ((val is None and defaults[key] is None)
+                  or _parses_as(val, kind))
+        if not ok:
+            raise InvalidArgumentError(
+                f"spec key {key!r} holds {val!r}, which its flag would not give")
+
+
 def spec_from_args(args) -> ExperimentSpec:
     """Resolve precedence: flags > spec file > per-command defaults."""
     base = {}
     if args.spec:
         with open(args.spec, encoding="utf-8") as fh:
             base = json.load(fh)
-    fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
-    unknown = set(base) - fields
-    if unknown:
-        raise InvalidArgumentError(f"unknown spec keys: {sorted(unknown)}")
+        _check_spec_file(base)
     merged = dict(base)
     merged["command"] = args.command
     for key in SPEC_FLAGS:

@@ -425,35 +425,33 @@ def _survival_worker(args):
     return -1 if krr is None else krr
 
 
-def coalescence_survival_curve(delta_lattice: int, p: float, eps_list, t_grid,
+def coalescence_survival_curve(delta_lattice: int, p: float, eps: float, t_grid,
                                replicas: int, *, seed: int, sigma_hat: float,
                                workers: int = 1, scan_guard: int = 10_000,
                                replica_offset: int = 0):
-    """Empirical P(eps * kappa_rr > t) against the erf baseline.
+    """Empirical P(eps * kappa_rr > t) against the erf baseline, per t.
 
     Starts are ``(0, 0)`` and ``(delta_lattice, 0)``; the rescaled gap is
-    ``delta_lattice * sqrt(eps) / sigma_hat``.  Runs unresolved at the
+    ``delta_lattice * sqrt(eps) / sigma_hat``.  Replica ``k`` runs on
+    ``replica_config(seed, p, replica_offset + k)``.  Runs unresolved at the
     horizon count as survivors (right-censoring, conservative).
     """
     if delta_lattice <= 0 or delta_lattice % 2 != 0:
         raise InvalidArgumentError("lattice gap must be positive and even")
     t_grid = sorted(t_grid)
+    horizon = int(math.ceil(max(t_grid) / eps))
+    jobs = [(replica_config(seed, p, replica_offset + rep), delta_lattice,
+             horizon, scan_guard) for rep in range(replicas)]
+    kappas = np.array(pmap(_survival_worker, jobs, workers), dtype=np.int64)
+    censored = int((kappas < 0).sum())
+    delta_eff = delta_lattice * math.sqrt(eps) / sigma_hat
     rows = []
-    for ie, eps in enumerate(eps_list):
-        horizon = int(math.ceil(max(t_grid) / eps))
-        jobs = [(replica_config(seed, p, replica_offset + ie * replicas + rep),
-                 delta_lattice, horizon, scan_guard)
-                for rep in range(replicas)]
-        kappas = np.array(pmap(_survival_worker, jobs, workers), dtype=np.int64)
-        censored = int((kappas < 0).sum())
-        delta_eff = delta_lattice * math.sqrt(eps) / sigma_hat
-        for t in t_grid:
-            cut = t / eps
-            surv = int(((kappas < 0) | (kappas > cut)).sum())
-            rows.append({
-                "eps": eps, "t": t,
-                "empirical_survival": surv / replicas,
-                "baseline_erf": cbm_baseline(delta_eff, t),
-                "n_replicas": replicas, "n_censored": censored,
-            })
+    for t in t_grid:
+        surv = int(((kappas < 0) | (kappas > t / eps)).sum())
+        rows.append({
+            "eps": eps, "t": t,
+            "empirical_survival": surv / replicas,
+            "baseline_erf": cbm_baseline(delta_eff, t),
+            "n_replicas": replicas, "n_censored": censored,
+        })
     return rows

@@ -60,13 +60,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class RightBoundaryTrajectory(Trajectory):
-    """Right boundary r; prefix-consistent under horizon extension."""
-
-    start: LatticeSite = None
-
-
-@dataclass(frozen=True)
 class GammaApprox(Trajectory):
     """Finite-horizon stand-in for the rightmost infinite open path.
 
@@ -113,8 +106,6 @@ class ExplorationCluster:
         self._dead: set[int] = set()
         self._stack_state = [0]
         self.scan_offset = 0  # start sites exhausted so far
-        # lowest left-boundary index the last completed level changed
-        self.last_change_floor = 0
 
     # -- read surface ------------------------------------------------------
 
@@ -136,10 +127,6 @@ class ExplorationCluster:
     def left_values(self) -> np.ndarray:
         """A fresh int64 copy of the left boundary at the current level."""
         return np.array(self._stack_x, dtype=np.int64)
-
-    def right_boundary(self) -> RightBoundaryTrajectory:
-        return RightBoundaryTrajectory(self._t0, self.right_values,
-                                       start=self.origin)
 
     @property
     def n_examined(self) -> int:
@@ -236,7 +223,6 @@ class ExplorationCluster:
                     min_top = top
         new_r = stack_x[target]
         r.append(new_r)
-        self.last_change_floor = min_top + 1
         if self._left_deltas is not None:
             self._left_deltas.append((min_top + 1, stack_x[min_top + 1:]))
         return new_r

@@ -130,14 +130,6 @@ def set_distance(K1, K2, *, grid_per_unit: int = GRID_PER_UNIT) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def _as_path(obj) -> RescaledPath:
-    if isinstance(obj, Trajectory):
-        return RescaledPath(
-            obj.start_t + np.arange(len(obj.values), dtype=np.float64),
-            obj.values.astype(np.float64))
-    return obj
-
-
 def eta_count(paths, t0: float, t: float, a: float, b: float) -> int:
     """Distinct positions at time ``t0 + t`` among paths through ``[a, b]``.
 
@@ -152,7 +144,8 @@ def eta_count(paths, t0: float, t: float, a: float, b: float) -> int:
         raise InvalidArgumentError("need a <= b")
     vals = []
     for obj in paths:
-        path = _as_path(obj)
+        path = (shear_rescale(obj, 0.0, 1.0, 1.0)
+                if isinstance(obj, Trajectory) else obj)
         if path.sigma > t0:
             continue
         here = float(path.evaluate(t0))

@@ -17,22 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
-from .explore import (ExplorationCluster, RightBoundaryTrajectory,
-                      explore_to_level)
-from .lattice import Config, LatticeSite, replica_config
+from .explore import ExplorationCluster, explore_to_level
+from .lattice import LatticeSite, replica_config
 from .runner import pmap
-from .stats import ks_distance_to_normal, wilson_interval
+from .stats import wilson_interval
 
 DEFAULT_BATCHES = 30
-
-
-@dataclass(frozen=True)
-class RegenRecord:
-    """One break-point increment: time T, spatial step X, time step tau."""
-
-    T: int
-    X: int
-    tau: int
 
 
 @dataclass(frozen=True)
@@ -42,13 +32,6 @@ class DriftDiffusivity:
     n_records: int
     alpha_se: float
     sigma_se: float
-
-
-@dataclass(frozen=True)
-class KsReport:
-    stat: float
-    n_samples: int
-    low_resolution: bool
 
 
 def break_point_arrays(cluster: ExplorationCluster, n_end: int, margin: int):
@@ -74,54 +57,6 @@ def break_point_arrays(cluster: ExplorationCluster, n_end: int, margin: int):
     return t0 + idx, r[idx]
 
 
-def detect_break_points(traj: RightBoundaryTrajectory, cfg: Config,
-                        survival_horizon: int, *, scan_guard=None) -> list[RegenRecord]:
-    """Break-point records along a right-boundary trajectory.
-
-    Replays the exploration to ``survival_horizon`` (the trailing
-    ``survival_horizon - traj.end_t`` levels act as the survival margin) and
-    checks the replayed prefix against ``traj``.  Record 1 measures the
-    offset from the origin; records from index 2 on are the i.i.d.
-    increments used for estimation.
-    """
-    if survival_horizon <= traj.end_t:
-        raise InvalidArgumentError("survival horizon must exceed the trajectory end")
-    margin = survival_horizon - traj.end_t
-    kwargs = {} if scan_guard is None else {"scan_guard": scan_guard}
-    cluster = explore_to_level(traj.start, survival_horizon, cfg, **kwargs)
-    replayed = cluster.right_values[:len(traj)]
-    if not np.array_equal(replayed, traj.values):
-        raise InvalidArgumentError("trajectory does not match its configuration")
-    T, RT = break_point_arrays(cluster, traj.end_t, margin)
-    records = []
-    prev_t, prev_x = traj.start.t, traj.start.x
-    for bt, bx in zip(T.tolist(), RT.tolist()):
-        records.append(RegenRecord(bt, bx - prev_x, bt - prev_t))
-        prev_t, prev_x = bt, bx
-    return records
-
-
-def _estimate(rows: np.ndarray, b: int) -> DriftDiffusivity:
-    """Plug-in drift and diffusivity from rows of sufficient statistics.
-
-    Each row is ``(n, sum X, sum tau, sum X^2, sum X tau, sum tau^2)`` over
-    a block of records.  The standard errors come from ``b`` batches of
-    consecutive rows and are NaN when ``b < 2``.
-    """
-    n = rows[:, 0].sum()
-    if n < 2:
-        raise InsufficientDataError(f"{int(n)} records; need at least 2")
-    alpha, sigma = _plugin(rows.sum(axis=0))
-    if b < 2:
-        return DriftDiffusivity(alpha, sigma, int(n), math.nan, math.nan)
-    bounds = np.linspace(0, len(rows), b + 1).astype(int)
-    batches = [_plugin(rows[lo:hi].sum(axis=0))
-               for lo, hi in zip(bounds[:-1], bounds[1:])]
-    alpha_se, sigma_se = (float(np.std(v, ddof=1) / math.sqrt(b))
-                          for v in zip(*batches))
-    return DriftDiffusivity(alpha, sigma, int(n), alpha_se, sigma_se)
-
-
 def _plugin(stats) -> tuple[float, float]:
     n, sx, st, sxx, sxt, stt = stats
     mx, mt, xx, xt, tt = sx / n, st / n, sxx / n, sxt / n, stt / n
@@ -130,30 +65,15 @@ def _plugin(stats) -> tuple[float, float]:
     return float(sx / st), math.sqrt(max(sigma2, 0.0))
 
 
-def estimate_alpha_sigma(records) -> DriftDiffusivity:
-    """Plug-in drift and diffusivity from i.i.d. increment records.
-
-    ``records`` must already exclude the first increment.  Standard errors
-    come from batch means over consecutive record blocks.
-    """
-    X = np.array([rec.X for rec in records], dtype=np.float64)
-    tau = np.array([rec.tau for rec in records], dtype=np.float64)
-    return estimate_from_increments(X, tau)
-
-
-def estimate_from_increments(X, tau) -> DriftDiffusivity:
-    X = np.asarray(X, dtype=np.float64)
-    tau = np.asarray(tau, dtype=np.float64)
-    rows = np.column_stack([np.ones_like(X), X, tau, X * X, X * tau, tau * tau])
-    return _estimate(rows, max(2, min(DEFAULT_BATCHES, len(X) // 2)))
-
-
 class RegenAccumulator:
-    """Associative sufficient-statistics merge for large record streams.
+    """The one drift and diffusivity estimator: plug-in α and σ from
+    per-replica sufficient statistics.
 
-    Feed per-replica increment arrays; batches for the standard errors are
-    formed by grouping whole replicas, which are independent by design.
-    With fewer than two replicas holding records the standard errors are
+    Feed each replica's increment arrays ``(X, tau)`` with `add`; a
+    replica without records is dropped.  `finalize` pools every record.
+    Its standard errors come from ``b = min(DEFAULT_BATCHES, m)`` batches
+    of consecutive replicas, where ``m`` replicas hold records; replicas
+    are independent by design.  With ``m < 2`` the standard errors are
     undefined and come out as NaN.
     """
 
@@ -168,9 +88,20 @@ class RegenAccumulator:
 
     def finalize(self) -> DriftDiffusivity:
         rows = np.array(self._per_replica, dtype=np.float64).reshape(-1, 6)
-        # replicas without records carry no batch
         rows = rows[rows[:, 0] > 0]
-        return _estimate(rows, min(DEFAULT_BATCHES, len(rows)))
+        n = rows[:, 0].sum()
+        if n < 2:
+            raise InsufficientDataError(f"{int(n)} records; need at least 2")
+        alpha, sigma = _plugin(rows.sum(axis=0))
+        b = min(DEFAULT_BATCHES, len(rows))
+        if b < 2:
+            return DriftDiffusivity(alpha, sigma, int(n), math.nan, math.nan)
+        bounds = np.linspace(0, len(rows), b + 1).astype(int)
+        batches = [_plugin(rows[lo:hi].sum(axis=0))
+                   for lo, hi in zip(bounds[:-1], bounds[1:])]
+        alpha_se, sigma_se = (float(np.std(v, ddof=1) / math.sqrt(b))
+                              for v in zip(*batches))
+        return DriftDiffusivity(alpha, sigma, int(n), alpha_se, sigma_se)
 
 
 def _estimate_worker(args):
@@ -199,31 +130,6 @@ def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
         acc.add(X, tau)
         endpoints.append(r_n)
     return acc.finalize(), endpoints
-
-
-def _clt_worker(args):
-    cfg, x, t, n, scan_guard = args
-    cluster = explore_to_level(LatticeSite(x, t), n, cfg, scan_guard=scan_guard)
-    return int(cluster.right_values[-1])
-
-
-def clt_check(configs, n: int, alpha: float, sigma: float, *,
-              origin: LatticeSite | None = None, workers: int = 1,
-              scan_guard: int = 10_000) -> KsReport:
-    """KS distance between normalized endpoint values and a standard normal.
-
-    One exploration per config; the endpoints ``(r(n) - alpha n) /
-    (sigma sqrt(n))`` are compared against the normal CDF.  ``n`` below 100
-    is flagged low-resolution but still computed.
-    """
-    if sigma <= 0:
-        raise InvalidArgumentError("sigma must be positive")
-    z = origin if origin is not None else LatticeSite(0, 0)
-    endpoints = pmap(_clt_worker, [(cfg, z.x, z.t, z.t + n, scan_guard)
-                                   for cfg in configs], workers)
-    samples = (np.array(endpoints, dtype=np.float64) - z.x - alpha * n) / (
-        sigma * math.sqrt(n))
-    return KsReport(ks_distance_to_normal(samples), len(samples), n < 100)
 
 
 def _error_gap_worker(args):
@@ -282,11 +188,3 @@ def error_gap_frequencies(replicas: int, p: float, eps_list, delta: float,
         })
     return rows
 
-
-def monotone_within_ci(rows, key: str) -> bool:
-    """Non-increasing frequencies (as eps decreases) up to CI overlap."""
-    ci_key = "ci_" + key.split("_", 1)[1]
-    for prev, cur in zip(rows[:-1], rows[1:]):
-        if cur[ci_key][0] > prev[ci_key][1]:
-            return False
-    return True

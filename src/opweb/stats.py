@@ -37,15 +37,3 @@ def ks_distance_to_normal(samples, mean: float = 0.0, sd: float = 1.0) -> float:
     lo = cdf - np.arange(0, n) / n
     return float(max(hi.max(), lo.max()))
 
-
-def ks_distance_two_sample(a, b) -> float:
-    """Two-sample Kolmogorov distance."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("empty sample")
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / len(a)
-    fb = np.searchsorted(b, grid, side="right") / len(b)
-    return float(np.abs(fa - fb).max())
-

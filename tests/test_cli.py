@@ -98,6 +98,25 @@ def test_exit_2_on_invalid_spec(capsys, tmp_path):
     assert code == 2 and "bogus" in err
 
 
+@pytest.mark.parametrize("text", [
+    '5', 'null', '["p"]', '{"p": "0.8"}', '{"eps": 0.1}', '{"t": [1, "a"]}',
+    '{"seed": 2.7}', '{"scan_guard": 1e400}', '{"workers": "2"}',
+    '{"replicas": true}'])
+def test_exit_2_on_a_spec_value_of_the_wrong_type(capsys, tmp_path, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    code, out, err = _main(capsys, "estimate", "--spec", str(spec))
+    assert code == 2 and out == "" and err.startswith("invalid spec:")
+
+
+def test_exit_2_on_a_horizon_below_n(capsys, tmp_path):
+    out = tmp_path / "traj"
+    code, _, err = _main(capsys, "simulate", "--n", "50", "--horizon", "20",
+                         "--out", str(out))
+    assert code == 2 and err.startswith("invalid spec:")
+    assert not out.exists()
+
+
 def test_exit_3_when_scan_guard_trips(capsys, tmp_path):
     spec = _spec_file(tmp_path, {"scan_guard": 50})
     code, _, err = _main(capsys, "estimate", "--p", "0.3", "--n", "200",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from opweb import couple
 from opweb.couple import (_survival_worker, check_coalescence_structure,
@@ -13,7 +14,6 @@ from opweb.errors import InvalidArgumentError, PreconditionNotMetError
 from opweb.explore import explore_to_level
 from opweb.lattice import Config, LatticeSite, replica_config
 from opweb.metrics import _family_eta_worker
-from opweb.stats import ks_distance_two_sample
 
 O = LatticeSite(0, 0)
 
@@ -148,7 +148,7 @@ def test_coupled_marginal_law_matches_standalone():
         solo = explore_to_level(LatticeSite(2, 0), n,
                                 Config(101, 0.8, rep * 1024 + 2))
         standalone_end.append(solo.right_values[-1])
-    d = ks_distance_two_sample(coupled_end, standalone_end)
+    d = scipy_stats.ks_2samp(coupled_end, standalone_end).statistic
     # two-sample 1% critical value: 1.628 * sqrt(2 / 400)
     assert d < 0.1152
 
@@ -261,7 +261,7 @@ def test_family_survival_agrees_with_pair_construction():
 
 
 def test_survival_curve_shape():
-    rows = coalescence_survival_curve(6, 0.8, [0.02], [0.01, 0.5, 2.0], 200,
+    rows = coalescence_survival_curve(6, 0.8, 0.02, [0.01, 0.5, 2.0], 200,
                                       seed=15, sigma_hat=0.87, workers=2)
     by_t = {row["t"]: row for row in rows}
     assert by_t[0.01]["empirical_survival"] > 0.95
@@ -272,7 +272,7 @@ def test_survival_curve_shape():
 
 def test_survival_curve_validates_gap():
     with pytest.raises(InvalidArgumentError):
-        coalescence_survival_curve(3, 0.8, [0.1], [1.0], 10, seed=1,
+        coalescence_survival_curve(3, 0.8, 0.1, [1.0], 10, seed=1,
                                    sigma_hat=0.9)
 
 

@@ -190,7 +190,7 @@ def _python_walk(start, cfg, **kwargs):
 def _walk_state(cluster):
     return (list(cluster.right_values), list(cluster.left_values),
             cluster.n_examined, cluster.open_edges, cluster.closed_edges,
-            cluster.scan_offset, cluster.last_change_floor)
+            cluster.scan_offset)
 
 
 def _step(cluster, step):
@@ -283,9 +283,8 @@ def test_native_head_fields_match_the_walk_struct():
         assert _step(native, level) == _step(python, level)
         head = native._head
         assert (head.r_len, head.stack_len, head.scan_offset,
-                head.last_change_floor, head.n_examined) == (
-            len(python._r), len(python._stack_x), python.scan_offset,
-            python.last_change_floor, python.n_examined)
+                head.n_examined) == (len(python._r), len(python._stack_x),
+                                     python.scan_offset, python.n_examined)
     assert (head.r_len, head.stack_len, head.scan_offset) == (17, 0, 20)
 
 
