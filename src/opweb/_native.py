@@ -2,8 +2,10 @@
 
 Its ``walk_t`` owns r, the left boundary and the counts, so it overrides
 only the members that read them (through `_Head`) and the two advances.
-No caller names it: `ExplorationCluster.__new__` returns one for a
-Config-driven cluster when `load` succeeds.
+No caller names it: `ExplorationCluster.__new__` returns one for a cluster
+built from a Config and no edge source when `load` succeeds.  It keeps no
+left-delta record (`left_deltas` is None): the record's one reader, the
+ledger coupling, runs on edge sources and so on the Python walk.
 
 `explore` imports this module the first time it makes a Config-driven
 cluster, never at ``import opweb``.  The first `load` in a process compiles
@@ -151,9 +153,10 @@ class NativeCluster(ExplorationCluster):
     memory.
     """
 
-    def __init__(self, origin, cfg, *, scan_guard=DEFAULT_SCAN_GUARD, **_):
-        # the other options are unset: ExplorationCluster.__new__ picks
-        # this walk only then
+    def __init__(self, origin, cfg, *, source=None,
+                 scan_guard=DEFAULT_SCAN_GUARD):
+        # source is None: ExplorationCluster.__new__ picks this walk only
+        # then
         lib = load()
         self.origin = origin
         self.cfg = cfg

@@ -10,7 +10,11 @@ exactly one status, the choice of source is adapted to the revealed
 history, and the realized statuses form one consistent percolation
 configuration shared by all clusters.  This is how the paper shows that
 clusters evolve independently until they meet; `check_coalescence_structure`
-and the tests of the marginal and joint laws run on it.
+and the tests of the marginal and joint laws run on it.  Every ledger
+cluster runs the Python walk on its adapted source and so keeps its
+left-delta record, from which `_replay_left` rebuilds its left boundary at
+every level; `run_coupled_many` reads each cluster's switch level off the
+sources as it advances the cluster level by level.
 
 Batteries (`family_eta`, `coalescence_survival_curve`): since the ledger's
 joint law is the law of one configuration, and B1, B2 and the survival
@@ -44,7 +48,6 @@ retained but flagged unstructured.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,16 +75,12 @@ class CoalescenceTimes:
 class CoupledRun:
     starts: tuple
     horizon: int
-    p: float
-    seed: int
-    replica: int
     r: list = field(repr=False)  # per cluster, list of ints from its start
-    gamma: list = field(repr=False)  # per cluster, np.ndarray or None
-    left_deltas: list = field(repr=False)  # per cluster, list or None
-    switch_levels: list = None
-    scan_offsets: list = None
-    kappas: dict = None  # (i, j) -> CoalescenceTimes
-    orientations: dict = None  # (i, j) -> 'equal_time'|'first_left'|'second_left'|'unstructured'
+    gamma: list = field(repr=False)  # per cluster, np.ndarray
+    left_deltas: list = field(repr=False)  # per cluster, the walk's record
+    switch_levels: list  # per cluster, first level on the ledger, or None
+    kappas: dict  # (i, j) -> CoalescenceTimes
+    orientations: dict  # (i, j) -> 'equal_time'|'first_left'|'second_left'|'unstructured'
 
 
 @dataclass(frozen=True)
@@ -107,42 +106,30 @@ class CoalescenceReport:
 
 
 def _coupled_sources(k: int, seed: int, p: float, replica: int):
-    """Ledger plus one adapted edge source per cluster (index 0 first).
-
-    ``states[i]["cluster"]`` must be set to a weak reference to cluster
-    ``i``: the cluster holds its source, so a strong one would form a
-    reference cycle that only the cycle collector could free.
-    """
+    """One adapted edge source per cluster (index 0 first), and the flags
+    ``switched``: entry ``i`` turns True at cluster ``i``'s first query of
+    an edge already in the ledger.  Cluster 0 writes the ledger first and a
+    walk queries each edge once, so its flag stays False."""
     ledger: dict[int, bool] = {}
     samplers = [make_key_sampler(replica_config(seed, p, replica, i))
                 for i in range(k)]
     first = samplers[0]
-    states = [{"switched": i == 0, "iota": None, "cluster": None}
-              for i in range(k)]
+    switched = [False] * k
 
     def make(i):
         own = samplers[i]
-        state = states[i]
 
         def source(key):
-            if state["switched"]:
-                v = ledger.get(key)
-                if v is None:
-                    v = first(key)
-                    ledger[key] = v
-                return v
             v = ledger.get(key)
-            if v is not None:
-                state["switched"] = True
-                state["iota"] = state["cluster"]().level + 1
-                return v
-            v = own(key)
-            ledger[key] = v
+            if v is None:
+                v = ledger[key] = (first if switched[i] else own)(key)
+            else:
+                switched[i] = True
             return v
 
         return source
 
-    return ledger, states, [make(i) for i in range(k)]
+    return switched, [make(i) for i in range(k)]
 
 
 def _first_leq(a, b, base, ta, tb):
@@ -158,21 +145,28 @@ def _first_leq(a, b, base, ta, tb):
     return None if len(idx) == 0 else int(base + idx[0])
 
 
-def _replay_dip_level(x0, t0, deltas, r_other, t_other, base, max_level):
+def _replay_left(x0, deltas):
+    """Replay a walk's left-delta record from its start column ``x0``.
+
+    Yields ``(floor, L)`` per level from the start: ``L`` is the left
+    boundary at that level, indexed from the start time, and ``floor`` the
+    first index that level's advance rewrote (0 at the start).  ``L`` is
+    one list, rewritten in place between yields.
+    """
+    L = [x0]
+    yield 0, L
+    for floor, seg in deltas:
+        L[floor:] = seg
+        yield floor, L
+
+
+def _replay_dip_level(x0, t0, deltas, r_other, t_other, base):
     """First level n with the replayed left boundary dipping to or below the
     other cluster's right boundary somewhere on [base, n]."""
-    L = [x0]
-    if t0 >= base and x0 <= r_other[t0 - t_other]:
-        return t0
-    for m, (floor, seg) in enumerate(deltas, start=1):
-        n = t0 + m
-        if n > max_level:
-            break
-        L[floor:] = seg
-        lo = max(floor, base - t0)
-        for i in range(lo, m + 1):
+    for m, (floor, L) in enumerate(_replay_left(x0, deltas)):
+        for i in range(max(floor, base - t0), m + 1):
             if L[i] <= r_other[t0 + i - t_other]:
-                return n
+                return t0 + m
     return None
 
 
@@ -183,8 +177,6 @@ def _orient_pair(run: CoupledRun, i: int, j: int) -> str:
     base = max(zi.t, zj.t)
     gi, gj = run.gamma[i], run.gamma[j]
     ri, rj = run.r[i], run.r[j]
-    if gi is None or gj is None:
-        raise InvalidArgumentError("unequal-time orientation needs gamma data")
     if ri[base - zi.t] <= gj[base - zj.t]:
         return "first_left"
     if rj[base - zj.t] <= gi[base - zi.t]:
@@ -192,8 +184,8 @@ def _orient_pair(run: CoupledRun, i: int, j: int) -> str:
     return "unstructured"
 
 
-def _pair_kappas(run: CoupledRun, i: int, j: int, orientation: str,
-                 gamma_margin: int) -> CoalescenceTimes:
+def _pair_kappas(run: CoupledRun, i: int, j: int,
+                 orientation: str) -> CoalescenceTimes:
     zi, zj = run.starts[i], run.starts[j]
     base = max(zi.t, zj.t)
     if orientation in ("equal_time", "first_left"):
@@ -205,24 +197,17 @@ def _pair_kappas(run: CoupledRun, i: int, j: int, orientation: str,
     tl, tr = run.starts[left].t, run.starts[right].t
     r_l, r_r = run.r[left], run.r[right]
     kappa_rr = _first_leq(r_r, r_l, base, tr, tl)
-    g_l, g_r = run.gamma[left], run.gamma[right]
-    kappa_gg = None
-    provisional = False
-    if g_l is not None and g_r is not None:
-        kappa_gg = _first_leq(g_r, g_l, base, tr, tl)
-        provisional = (kappa_gg is not None
-                       and kappa_gg > run.horizon - gamma_margin)
-    kappa_rl = None
-    if run.left_deltas[right] is not None:
-        kappa_rl = _replay_dip_level(
-            run.starts[right].x, tr, run.left_deltas[right],
-            run.r[left], tl, base, run.horizon)
+    kappa_gg = _first_leq(run.gamma[right], run.gamma[left], base, tr, tl)
+    provisional = (kappa_gg is not None
+                   and kappa_gg > run.horizon - DEFAULT_GAMMA_MARGIN)
+    kappa_rl = _replay_dip_level(run.starts[right].x, tr,
+                                 run.left_deltas[right], r_l, tl, base)
     return CoalescenceTimes(kappa_rl, kappa_rr, kappa_gg, run.horizon,
                             provisional)
 
 
-def check_coalescence_structure(run: CoupledRun, pair=(0, 1)) -> CoalescenceReport:
-    """Verify the coalescence clauses on a fully recorded coupled run.
+def check_coalescence_structure(run: CoupledRun) -> CoalescenceReport:
+    """Verify the coalescence clauses on clusters 0 and 1 of a coupled run.
 
     Clause 1: the boundary-merge level equals the left-dip level and the two
     right boundaries agree from there on.  Clause 2: the left boundaries of
@@ -231,16 +216,14 @@ def check_coalescence_structure(run: CoupledRun, pair=(0, 1)) -> CoalescenceRepo
     and stay together.  Unequal-time runs satisfying neither one-sided
     ordering event raise PreconditionNotMetError.
     """
-    i, j = pair
-    orientation = run.orientations[(i, j)]
+    orientation = run.orientations[(0, 1)]
     if orientation == "unstructured":
         raise PreconditionNotMetError(
             "neither one-sided ordering event holds; equal-time clauses do "
             "not apply")
-    kappa = run.kappas[(i, j)]
-    if run.gamma[i] is None or run.gamma[j] is None or run.left_deltas[i] is None:
-        raise InvalidArgumentError("structure checks need a full recorded run")
-    left, right = (i, j) if orientation in ("equal_time", "first_left") else (j, i)
+    kappa = run.kappas[(0, 1)]
+    left, right = ((0, 1) if orientation in ("equal_time", "first_left")
+                   else (1, 0))
     if kappa.kappa_rr is None:
         vacuous = ClauseResult(True, note="coalescence unresolved at horizon")
         return CoalescenceReport(False, orientation, kappa, vacuous, vacuous,
@@ -283,30 +266,20 @@ def check_coalescence_structure(run: CoupledRun, pair=(0, 1)) -> CoalescenceRepo
 
 def _check_left_merge(run: CoupledRun, left: int, right: int,
                       krr: int) -> ClauseResult:
+    """Clause 2.  After the first level, only the indices from the lower of
+    the two rewrite floors up can differ from the level before."""
     tl, tr = run.starts[left].t, run.starts[right].t
-    L = {left: [run.starts[left].x], right: [run.starts[right].x]}
-    deltas = {left: run.left_deltas[left], right: run.left_deltas[right]}
-    pos = {left: 0, right: 0}
-    checked_once = False
-    for n in range(min(tl, tr) + 1, run.horizon + 1):
-        floors = {}
-        for k in (left, right):
-            t0 = tl if k == left else tr
-            if n <= t0:
-                continue
-            floor, seg = deltas[k][pos[k]]
-            pos[k] += 1
-            lst = L[k]
-            del lst[floor:]
-            lst.extend(seg)
-            floors[k] = t0 + floor
+    replays = {k: _replay_left(run.starts[k].x, run.left_deltas[k])
+               for k in (left, right)}
+    L, floors = {}, {}
+    for n in range(min(tl, tr), run.horizon + 1):
+        for k, t0 in ((left, tl), (right, tr)):
+            if n >= t0:
+                floor, L[k] = next(replays[k])
+                floors[k] = t0 + floor
         if n < krr:
             continue
-        if not checked_once:
-            lo = krr
-            checked_once = True
-        else:
-            lo = max(krr, min(floors.values())) if floors else krr
+        lo = krr if n == krr else max(krr, min(floors.values()))
         a = L[left][lo - tl:n - tl + 1]
         b = L[right][lo - tr:n - tr + 1]
         if a != b:
@@ -317,17 +290,18 @@ def _check_left_merge(run: CoupledRun, left: int, right: int,
 
 
 def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
-                     replica: int = 0, record_left_deltas: bool = False,
-                     gamma_margin: int = DEFAULT_GAMMA_MARGIN,
+                     replica: int = 0,
                      scan_guard: int = 10_000) -> CoupledRun:
     """Couple clusters per the two-stream ledger; pairwise times recorded.
 
     Cluster ``i`` starts on ``replica_config(seed, p, replica, i)`` and runs
     through the horizon before cluster ``i + 1`` starts; it switches to the
-    ledger at its first query of an edge an earlier cluster examined.
-    Starts at unequal times always record their left deltas, which the
-    one-sided ordering events need.  Coalescence levels beyond the horizon
-    are reported as None (not an error).
+    ledger at its first query of an edge an earlier cluster examined, and
+    ``switch_levels[i]`` is the level whose advance made that query (None
+    for cluster 0 and for a cluster that never meets the ledger).  Every
+    cluster records its left deltas, from which ``kappa_rl`` and clause 2
+    of `check_coalescence_structure` replay its left boundary.  Coalescence
+    levels beyond the horizon are reported as None (not an error).
     """
     starts = list(starts)
     if len(starts) < 2:
@@ -338,31 +312,27 @@ def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
     if horizon < max(s.t for s in starts):
         raise InvalidArgumentError("horizon precedes a start time")
     k = len(starts)
-    rec = record_left_deltas or starts[0].t != starts[-1].t
-    ledger, states, sources = _coupled_sources(k, seed, p, replica)
-    clusters = []
+    switched, sources = _coupled_sources(k, seed, p, replica)
+    clusters, switch_levels = [], [None] * k
     for i, z in enumerate(starts):
-        c = ExplorationCluster(z, cfg=None, source=sources[i],
-                               scan_guard=scan_guard, record_left_deltas=rec)
-        states[i]["cluster"] = weakref.ref(c)
+        c = ExplorationCluster(z, source=sources[i], scan_guard=scan_guard)
+        while c.level < horizon:
+            c.advance_level()
+            if switch_levels[i] is None and switched[i]:
+                switch_levels[i] = c.level
         clusters.append(c)
-        c.advance_to(horizon)
     run = CoupledRun(
-        starts=tuple(starts), horizon=horizon, p=p, seed=seed,
-        replica=replica,
+        starts=tuple(starts), horizon=horizon,
         r=[c.right_values.tolist() for c in clusters],
         gamma=[c.left_values for c in clusters],
         left_deltas=[c.left_deltas for c in clusters],
-        switch_levels=[st["iota"] for st in states],
-        scan_offsets=[c.scan_offset for c in clusters],
-        kappas={}, orientations={},
+        switch_levels=switch_levels, kappas={}, orientations={},
     )
     for a in range(k):
         for b in range(a + 1, k):
             orientation = _orient_pair(run, a, b)
             run.orientations[(a, b)] = orientation
-            run.kappas[(a, b)] = _pair_kappas(run, a, b, orientation,
-                                              gamma_margin)
+            run.kappas[(a, b)] = _pair_kappas(run, a, b, orientation)
     return run
 
 

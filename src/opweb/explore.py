@@ -18,15 +18,20 @@ remembered, so re-entry from a later start site costs nothing.
 There are two walks, integer-identical, one class each.
 `ExplorationCluster` is the Python walk, the reference; its subclass
 `opweb._native.NativeCluster` runs the walk of ``_walk.c``.
-`ExplorationCluster.__new__` is the one place that picks the walk: a
-cluster built from a `Config`, with no ``source`` and no
-``record_left_deltas``, is a `NativeCluster` when the native library loads.
-The library is built with the local C compiler on the first such cluster
-in a process (never at import) and cached in the package's
-``__pycache__``.  Couplings (``source=``), recorded left deltas and
-machines without a working compiler get the Python walk.  On both walks
-``right_values`` and ``left_values`` are fresh int64 arrays that a caller
-may keep and write into.
+`ExplorationCluster.__new__` is the one place that picks the walk, by one
+rule: a cluster built from a `Config` and no ``source`` is a
+`NativeCluster` when the native library loads.  The library is built with
+the local C compiler on the first such cluster in a process (never at
+import) and cached in the package's ``__pycache__``.  Couplings
+(``source=``) and machines without a working compiler get the Python walk.
+On both walks ``right_values`` and ``left_values`` are fresh int64 arrays
+that a caller may keep and write into.
+
+The Python walk always keeps its left-delta record (`left_deltas`): per
+level, the lowest stack index the advance rewrote and the stack from there
+up, from which a replay rebuilds the left boundary at every level.  The
+ledger coupling (`opweb.couple.run_coupled_many`) reads it; the native walk
+keeps none.
 """
 
 from __future__ import annotations
@@ -80,24 +85,21 @@ class ExplorationCluster:
     it once per examined edge, with the edge's packed key.
     """
 
-    def __new__(cls, origin, cfg=None, *, source=None,
-                record_left_deltas=False, **kwargs):
-        if (cls is ExplorationCluster and cfg is not None and source is None
-                and not record_left_deltas):
+    def __new__(cls, origin, cfg=None, *, source=None, **kwargs):
+        if cls is ExplorationCluster and cfg is not None and source is None:
             from . import _native  # may build the library: not at import
             if _native.load() is not None:
                 cls = _native.NativeCluster
         return super().__new__(cls)
 
     def __init__(self, origin: LatticeSite, cfg: Config | None = None, *,
-                 source=None, scan_guard: int = DEFAULT_SCAN_GUARD,
-                 record_left_deltas: bool = False):
+                 source=None, scan_guard: int = DEFAULT_SCAN_GUARD):
         if cfg is None and source is None:
             raise InvalidArgumentError("need a Config or an edge source")
         self.origin = origin
         self.cfg = cfg
         self._t0 = origin.t
-        self._left_deltas = [] if record_left_deltas else None
+        self._left_deltas = []
         self._stack_x = [origin.x]
         self._r = [origin.x]
         self._source = source if source is not None else make_key_sampler(cfg)
@@ -145,6 +147,8 @@ class ExplorationCluster:
 
     @property
     def left_deltas(self):
+        """Per level, ``(floor, stack[floor:])`` after that level's advance;
+        None on the native walk."""
         return self._left_deltas
 
     def _guard_error(self) -> ScanLimitExceededError:
@@ -223,8 +227,7 @@ class ExplorationCluster:
                     min_top = top
         new_r = stack_x[target]
         r.append(new_r)
-        if self._left_deltas is not None:
-            self._left_deltas.append((min_top + 1, stack_x[min_top + 1:]))
+        self._left_deltas.append((min_top + 1, stack_x[min_top + 1:]))
         return new_r
 
     def advance_to(self, n: int) -> None:

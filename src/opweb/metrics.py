@@ -5,7 +5,7 @@ Spatial coordinates are squashed by ``tanh(x) / (1 + |t|)`` and times by
 collapse to single points, so finite-horizon truncations of paths behave
 continuously under the metrics.  The supremum in the path distance is
 evaluated on every interpolation breakpoint, on t = 0, and on a uniform grid
-(default 16 points per unit of rescaled time).  This grid maximum is a lower
+of `GRID_PER_UNIT` (16) points per unit of rescaled time.  This grid maximum is a lower
 bound on the true supremum and falls short of it by at most O(mesh), with a
 constant controlled by the squashing derivative; the shortfall is small but
 not zero, so identities between distances (the triangle inequality, say)
@@ -25,7 +25,7 @@ from .explore import Trajectory
 from .lattice import replica_config
 from .oracle import cbm_baseline
 from .runner import pmap
-from .stats import wilson_interval
+from .stats import Z95, wilson_interval
 
 GRID_PER_UNIT = 16
 
@@ -98,8 +98,7 @@ def _squash(path: RescaledPath, ts: np.ndarray) -> np.ndarray:
     return np.tanh(path.evaluate(clamped)) / (1.0 + np.abs(ts))
 
 
-def path_distance(p1: RescaledPath, p2: RescaledPath, *,
-                  grid_per_unit: int = GRID_PER_UNIT) -> float:
+def path_distance(p1: RescaledPath, p2: RescaledPath) -> float:
     """Start-time term joined with the sup of squashed spatial separation.
 
     Both paths are constant outside their sampled range, where the squashed
@@ -114,19 +113,18 @@ def path_distance(p1: RescaledPath, p2: RescaledPath, *,
     if hi <= lo:
         ts = np.array([lo])
     else:
-        n_grid = max(2, int(math.ceil((hi - lo) * grid_per_unit)) + 1)
+        n_grid = max(2, int(math.ceil((hi - lo) * GRID_PER_UNIT)) + 1)
         ts = np.union1d(np.linspace(lo, hi, n_grid),
                         np.concatenate([p1.times, p2.times, [0.0]]))
     sup_term = float(np.abs(_squash(p1, ts) - _squash(p2, ts)).max())
     return max(start_term, sup_term)
 
 
-def set_distance(K1, K2, *, grid_per_unit: int = GRID_PER_UNIT) -> float:
+def set_distance(K1, K2) -> float:
     """Hausdorff distance between two finite path sets."""
     if len(K1) == 0 or len(K2) == 0:
         raise InvalidArgumentError("path sets must be nonempty")
-    d = np.array([[path_distance(a, b, grid_per_unit=grid_per_unit)
-                   for b in K2] for a in K1])
+    d = np.array([[path_distance(a, b) for b in K2] for a in K1])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
@@ -221,8 +219,7 @@ class FkgReport:
 
 
 def b2_fkg_check(p: float, n: int, x: int, replicas: int, *, seed: int = 0,
-                 workers: int = 1, scan_guard: int = 10_000,
-                 z: float = 1.959963984540054) -> FkgReport:
+                 workers: int = 1, scan_guard: int = 10_000) -> FkgReport:
     """Estimate P(eta >= 3) against P(eta >= 2)^2 on the family over [0, 2x].
 
     The two sides come from independent replica banks (half the budget
@@ -247,6 +244,6 @@ def b2_fkg_check(p: float, n: int, x: int, replicas: int, *, seed: int = 0,
     p3, p2 = k3 / per_side, k2 / per_side
     se3 = math.sqrt(max(p3 * (1 - p3), 1.0 / per_side) / per_side)
     se2 = math.sqrt(max(p2 * (1 - p2), 1.0 / per_side) / per_side)
-    slack = z * math.sqrt(se3**2 + (2 * p2 * se2)**2)
+    slack = Z95 * math.sqrt(se3**2 + (2 * p2 * se2)**2)
     return FkgReport(p3, wilson_interval(k3, per_side), p2,
                      wilson_interval(k2, per_side), per_side, slack)

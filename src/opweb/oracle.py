@@ -248,6 +248,8 @@ def box_ladder(cfg: Config, n: int, left: np.ndarray, right: np.ndarray,
 
 # -- coalescing-Brownian baseline and its random-walk oracle ----------------
 
+WALK_RESOLUTION = 48  # lattice gap units per unit of rescaled gap
+
 def cbm_baseline(delta: float, t: float) -> float:
     """Survival probability of two coalescing Brownian paths a gap apart.
 
@@ -259,19 +261,18 @@ def cbm_baseline(delta: float, t: float) -> float:
     return math.erf(delta / (2.0 * math.sqrt(t)))
 
 
-def coalescing_walk_survival(delta: float, t: float, *,
-                             resolution: int = 48) -> float:
+def coalescing_walk_survival(delta: float, t: float) -> float:
     """Survival of two coalescing simple random walks, on the lattice.
 
     The walks step +-1 per unit time and merge on meeting; under diffusive
-    scaling with ``resolution`` lattice gap units per unit of ``delta`` the
+    scaling with `WALK_RESOLUTION` lattice gap units per unit of ``delta`` the
     survival probability converges to `cbm_baseline`.  Start gap and step
     count are derived so the rescaled gap is exactly ``delta``; the gap
     chain is then solved exactly by `gap_walk_survival_exact`.
     """
     if delta <= 0 or t <= 0:
         raise InvalidArgumentError("delta and t must be positive")
-    d = int(round(delta * resolution))
+    d = int(round(delta * WALK_RESOLUTION))
     d += d % 2
     # time is rescaled so the effective rescaled gap is exactly delta even
     # after rounding d to an even integer
@@ -334,8 +335,11 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
     reports ``box_too_narrow`` or ``dp_dead`` only when the widest box,
     ``2n + slack`` columns left of the walk's path, refuses or dies.
     ``corrupt_run`` injects an off-by-one into that run's explored right
-    boundary (negative control for the reporting path).
+    boundary (negative control for the reporting path).  The p values must
+    be distinct: the report keeps one tally per p.
     """
+    if len(set(ps)) != len(ps):
+        raise InvalidArgumentError("check p values must be distinct")
     jobs = []
     labels = []
     for ip, p in enumerate(ps):

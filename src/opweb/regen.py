@@ -23,6 +23,7 @@ from .runner import pmap
 from .stats import wilson_interval
 
 DEFAULT_BATCHES = 30
+HORIZON_MARGIN = 256  # least levels past the window that gamma runs to
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def _has_meeting_gap(meets, window, threshold) -> bool:
 
 def error_gap_frequencies(replicas: int, p: float, eps_list, delta: float,
                           L: float, *, seed: int = 0, workers: int = 1,
-                          horizon_margin: int = 256, scan_guard: int = 10_000):
+                          scan_guard: int = 10_000):
     """Frequencies of the sup-error and meeting-gap events per epsilon.
 
     For each eps: the sup of ``r - gamma`` over ``[0, L/eps]`` reaching
@@ -172,7 +173,7 @@ def error_gap_frequencies(replicas: int, p: float, eps_list, delta: float,
     for i, eps in enumerate(eps_list):
         window = int(math.floor(L / eps))
         threshold = eps**(-delta)
-        horizon = window + max(3 * window, horizon_margin)
+        horizon = window + max(3 * window, HORIZON_MARGIN)
         jobs = [(replica_config(seed, p, i * replicas + rep), window,
                  threshold, horizon, scan_guard) for rep in range(replicas)]
         outcomes = pmap(_error_gap_worker, jobs, workers)

@@ -16,5 +16,5 @@ def pmap(fn, items, workers: int = 1):
         return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork")
     chunk = max(1, len(items) // (workers * 4))
-    with ctx.Pool(processes=workers) as pool:
+    with ctx.Pool(processes=min(workers, len(items))) as pool:
         return pool.map(fn, items, chunksize=chunk)

@@ -10,10 +10,11 @@ Z95 = 1.959963984540054
 SQRT2 = math.sqrt(2.0)
 
 
-def wilson_interval(k: int, n: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("n must be positive")
+    z = Z95
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -23,15 +24,14 @@ def wilson_interval(k: int, n: int, z: float = Z95) -> tuple[float, float]:
     return lo, hi
 
 
-def ks_distance_to_normal(samples, mean: float = 0.0, sd: float = 1.0) -> float:
-    """One-sample Kolmogorov distance against a normal CDF."""
+def ks_distance_to_normal(samples) -> float:
+    """One-sample Kolmogorov distance against the standard normal CDF."""
     x = np.sort(np.asarray(samples, dtype=np.float64))
     n = len(x)
     if n == 0:
         raise ValueError("empty sample")
     # normal CDF: Phi(z) = erfc(-z / sqrt 2) / 2
-    z = (x - mean) / sd
-    cdf = np.fromiter((0.5 * math.erfc(-v / SQRT2) for v in z.tolist()),
+    cdf = np.fromiter((0.5 * math.erfc(-v / SQRT2) for v in x.tolist()),
                       dtype=np.float64, count=n)
     hi = np.arange(1, n + 1) / n - cdf
     lo = cdf - np.arange(0, n) / n

@@ -74,6 +74,8 @@ INVALID_ARGV = [
     ["coalesce", "--eps", "0", "--delta", "1", *B1, "--out", "{out}"],
     ["coalesce", "--eps", "0.01", "--delta", "-1", *B1, "--out", "{out}"],
     ["check", "--delta", "0.8", "1.5", "--n", "10", "--replicas", "2"],
+    ["check", "--delta", "0.8", "0.8", "--n", "20", "--replicas", "2",
+     "--seed", "4"],
     ["eta", "--eps", "nan", "--delta", "0.5", *B1],
     ["eta", "--eps", "0.01", "--delta", "nan", *B1],
     ["eta", "--eps", "0.01", "--delta", "inf", *B1],

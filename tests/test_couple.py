@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from opweb import couple
-from opweb.couple import (_survival_worker, check_coalescence_structure,
+from opweb.couple import (_replay_left, _survival_worker,
+                          check_coalescence_structure,
                           coalescence_survival_curve, family_eta,
                           run_coupled_many)
 from opweb.errors import InvalidArgumentError, PreconditionNotMetError
-from opweb.explore import explore_to_level
-from opweb.lattice import Config, LatticeSite, replica_config
+from opweb.explore import ExplorationCluster, explore_to_level
+from opweb.lattice import Config, LatticeSite, make_key_sampler, replica_config
 from opweb.metrics import _family_eta_worker
 
 O = LatticeSite(0, 0)
@@ -28,7 +29,7 @@ def test_full_lattice_pair_never_meets():
 
 
 def test_identical_starts_coalesce_immediately():
-    run = run_coupled_many([O, O], 100, p=0.8, seed=2, record_left_deltas=True)
+    run = run_coupled_many([O, O], 100, p=0.8, seed=2)
     kt = run.kappas[(0, 1)]
     assert kt.kappa_rr == 0 and kt.kappa_rl == 0
     assert run.r[0] == run.r[1]
@@ -43,7 +44,7 @@ def test_pair_requires_ordered_equal_time_starts():
 
 def test_pre_switch_equality_with_private_stream():
     run = run_coupled_many([O, LatticeSite(2, 0)], 400, p=0.8, seed=7,
-                           replica=0, record_left_deltas=True)
+                           replica=0)
     iota = run.switch_levels[1]
     assert iota is not None
     standalone = explore_to_level(LatticeSite(2, 0), max(iota - 1, 0),
@@ -51,9 +52,63 @@ def test_pre_switch_equality_with_private_stream():
     assert run.r[1][:iota] == standalone.right_values[:iota].tolist()
 
 
+def test_switch_level_is_the_first_level_to_query_a_ledger_edge():
+    # cluster 0 reads only its own stream, so the ledger holds the edges a
+    # standalone walk on that stream examines; before its switch cluster 1
+    # is a walk on its private stream, and its switch level is the first
+    # level whose advance queries one of those edges
+    seed, p, horizon = 43, 0.8, 300
+    switched = 0
+    for rep in range(20):
+        second = LatticeSite((2, 6, 40)[rep % 3], 0)
+        run = run_coupled_many([O, second], horizon, p=p, seed=seed,
+                               replica=rep)
+        first = explore_to_level(O, horizon, replica_config(seed, p, rep, 0))
+        ledger = first.open_edges | first.closed_edges
+        own = make_key_sampler(replica_config(seed, p, rep, 1))
+        queried = []
+
+        def counting(key):
+            queried.append(key in ledger)
+            return own(key)
+
+        walk = ExplorationCluster(second, source=counting)
+        iota = None
+        while iota is None and walk.level < horizon:
+            queried.clear()
+            walk.advance_level()
+            if any(queried):
+                iota = walk.level
+        assert run.switch_levels == [None, iota], rep
+        switched += iota is not None
+    assert switched >= 10
+
+
+@pytest.mark.parametrize("start, cfg, scan_offset", [
+    (O, Config(2, 0.7, 1), 0),
+    (O, Config(4, 0.7, 1), 1),
+    (LatticeSite(3, 5), Config(1, 0.75, 1), 2),
+], ids=["from_t0", "restarted_scan", "from_t5_restarted_scan"])
+def test_replay_rebuilds_the_left_boundary_at_every_level(start, cfg,
+                                                          scan_offset):
+    walk = ExplorationCluster(start, source=make_key_sampler(cfg))
+    snapshots = [walk.left_values.tolist()]
+    for _ in range(200):
+        walk.advance_level()
+        snapshots.append(walk.left_values.tolist())
+    assert walk.scan_offset == scan_offset
+    replayed = [(floor, list(L))
+                for floor, L in _replay_left(start.x, walk.left_deltas)]
+    assert [L for _, L in replayed] == snapshots
+    for m in range(1, len(snapshots)):
+        # below its floor a level's advance left the boundary as it was
+        floor = replayed[m][0]
+        assert snapshots[m][:floor] == snapshots[m - 1][:floor]
+
+
 def test_replay_determinism():
-    runs = [run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=9,
-                             record_left_deltas=True) for _ in range(2)]
+    runs = [run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=9)
+            for _ in range(2)]
     assert runs[0].r == runs[1].r
     assert runs[0].kappas == runs[1].kappas
     assert runs[0].switch_levels == runs[1].switch_levels
@@ -64,8 +119,7 @@ def test_structure_clauses_hold_on_sweep():
     for rep in range(120):
         gap = (2, 6, 20)[rep % 3]
         run = run_coupled_many([O, LatticeSite(gap, 0)], 4000, p=0.8,
-                               seed=31, replica=rep,
-                               record_left_deltas=True)
+                               seed=31, replica=rep)
         report = check_coalescence_structure(run)
         if not report.resolved:
             unresolved += 1
@@ -77,8 +131,7 @@ def test_structure_clauses_hold_on_sweep():
 
 
 def test_checker_detects_corruption():
-    run = run_coupled_many([O, LatticeSite(2, 0)], 500, p=0.8, seed=13,
-                           record_left_deltas=True)
+    run = run_coupled_many([O, LatticeSite(2, 0)], 500, p=0.8, seed=13)
     assert check_coalescence_structure(run).all_passed
     kt = run.kappas[(0, 1)]
     run.r[1][kt.kappa_rr + 20] += 2
@@ -280,8 +333,7 @@ def test_survival_curve_validates_gap():
     lambda: _family_eta_worker((Config(3, 0.8, 1), tuple(range(0, 16, 2)), 0,
                                 200, 10_000, None)),
     lambda: _survival_worker((Config(3, 0.8, 1), 6, 300, 10_000)),
-    lambda: run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=3,
-                             record_left_deltas=True),
+    lambda: run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=3),
     lambda: run_coupled_many([O, LatticeSite(4, 0), LatticeSite(8, 0)], 200,
                              p=0.8, seed=3),
     lambda: explore_to_level(O, 300, Config(3, 0.8, 1)).open_edges,

@@ -320,7 +320,7 @@ def test_native_walk_loads_where_a_compiler_exists():
 
 def test_python_walk_for_sources_and_left_deltas():
     cfg = Config(1, 0.8, 1)
-    recorded = ExplorationCluster(ORIGIN, cfg, record_left_deltas=True)
+    recorded = _python_walk(ORIGIN, cfg)
     assert type(recorded) is ExplorationCluster
     recorded.advance_to(30)
     reference = explore_to_level(ORIGIN, 30, cfg)

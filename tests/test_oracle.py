@@ -170,6 +170,12 @@ def test_check_suite_passes_and_reports_injected_fault():
                                      "kind": "right_boundary_mismatch"}
 
 
+def test_check_suite_rejects_a_repeated_p():
+    # one tally per p: a repeated p would count its runs twice over
+    with pytest.raises(InvalidArgumentError, match="distinct"):
+        check_suite([0.8, 0.8], 2, 20, 4)
+
+
 def _record_boxes(monkeypatch):
     """The boxes the oracle builds, and the boxes it builds tables on."""
     from opweb import oracle

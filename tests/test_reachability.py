@@ -1,10 +1,13 @@
 """Every top-level definition in ``src/opweb`` is reached by name from
-``cli.main`` or from one of a few kept roots, each kept for a reason.
+``cli.main`` or from one of a few kept roots, each kept for a reason; and
+every defaulted parameter of a module-level function is passed by some call
+in ``src/opweb``, or is kept for a reason.
 
 The reach is static: a definition reaches every top-level name of its own
 module that it mentions, every name it imports from a sibling module, and
 every ``module.name`` it reads off a sibling module it imported.  Calls that
-resolve through instances (methods) stay inside their class.
+resolve through instances (methods) stay inside their class.  The census of
+parameters resolves calls the same way.
 """
 
 import ast
@@ -36,6 +39,19 @@ KEPT_ROOTS = {
     "metrics.path_distance": "paper claim, not yet wired",
     "metrics.set_distance": "paper claim, not yet wired",
     "metrics.eta_count": "paper claim, not yet wired",
+}
+
+# defaulted parameters that no call in src/opweb passes
+KEPT_DEFAULTS = {
+    "cli.main(argv)": "the entry point",
+    "oracle.check_suite(slack)": "negative control that tests inject",
+    "oracle.check_suite(corrupt_run)": "negative control that tests inject",
+    "couple.run_coupled_many(replica)": "run parameter of a kept root",
+    "couple.run_coupled_many(scan_guard)": "run parameter of a kept root",
+    "explore.gamma_approx(scan_guard)": "run parameter of a kept root",
+    "regen.error_gap_frequencies(seed)": "run parameter of a kept root",
+    "regen.error_gap_frequencies(workers)": "run parameter of a kept root",
+    "regen.error_gap_frequencies(scan_guard)": "run parameter of a kept root",
 }
 
 
@@ -116,3 +132,56 @@ def test_every_definition_is_reached_from_the_cli_or_a_kept_root():
     assert set(KEPT_ROOTS) <= set(graph), "a kept root no longer exists"
     unreached = _unreached(graph, ["cli.main", *KEPT_ROOTS])
     assert unreached == [], f"unreached definitions: {unreached}"
+
+
+def _defaulted(fn):
+    """A function's parameter names in positional order, and the names of
+    those with a default."""
+    a = fn.args
+    positional = [arg.arg for arg in a.posonlyargs + a.args]
+    names = positional[len(positional) - len(a.defaults):]
+    names += [arg.arg for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+              if d is not None]
+    return positional, names
+
+
+def _unpassed_defaults():
+    """``module.function(param)`` for each defaulted parameter of a
+    module-level function that no call in the package passes."""
+    trees = _modules()
+    functions = {(mod, node.name): node for mod, tree in trees.items()
+                 for node in tree.body if isinstance(node, ast.FunctionDef)}
+    passed = set()
+    for mod, tree in trees.items():
+        names, aliases = _imports(tree, trees)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if isinstance(f, ast.Name):
+                target = ((mod, f.id) if (mod, f.id) in functions
+                          else names.get(f.id))
+            elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                  and f.value.id in aliases):
+                target = (aliases[f.value.id], f.attr)
+            else:
+                continue
+            if target not in functions:
+                continue
+            positional, _ = _defaulted(functions[target])
+            passed.update((target, name)
+                          for name in positional[:len(call.args)])
+            passed.update((target, kw.arg) for kw in call.keywords)
+    unpassed = set()
+    for (mod, name), fn in functions.items():
+        unpassed.update(f"{mod}.{name}({param})" for param in _defaulted(fn)[1]
+                        if ((mod, name), param) not in passed)
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    # a parameter that only ever takes its default is a constant; a kept one
+    # that a call now passes comes off the list
+    unpassed, kept = _unpassed_defaults(), set(KEPT_DEFAULTS)
+    assert sorted(unpassed - kept) == [], "defaults that no call passes"
+    assert sorted(kept - unpassed) == [], "kept defaults now passed or gone"
