@@ -3,30 +3,48 @@
 The level-by-level reachability DP recomputes right boundaries and rightmost
 paths independently of the exploration walk, reading the same deterministic
 edge randomness.  Truncating the half-line seed row at the box wall is made
-sound by a certificate: a second, pessimistic DP additionally marks the wall
-column reachable at every level whose entry edge from outside the box is
-open.  Whenever the optimistic and pessimistic answers disagree in any way
-that could affect the result, the box cannot certify an exact answer and
-`BoxTooNarrowError` is raised; agreement pins the true value exactly.
+sound by a certificate: a second, pessimistic DP additionally marks the
+first site of a row reachable whenever the edge entering it from outside the
+box is open.  Whenever the optimistic and pessimistic answers disagree in
+any way that could affect the result, the box cannot certify an exact
+answer and `BoxTooNarrowError` is raised; agreement pins the true value
+exactly.
+
+A box need not be a rectangle.  Row ``j`` holds ``width`` columns from its
+own left wall ``lefts[j]``, and the wall steps by at most one column per
+level.  Then the only edge from left of the box into row ``j + 1`` is the
+up-right edge from the site just left of row ``j``, and only when the wall
+does not step right; that is the entry the pessimistic DP marks.  On the
+right, a row whose reachable set touches its two rightmost columns is
+refused, because the next step could leave the box there.
 
 The DP runs on bit rows: each box row is packed into a Python int at DP
-time, bit ``i`` standing for column ``x_min + i``, so one level of
-reachability is ``((r & ur) << 1) | ((r & ul) >> 1)`` masked to the box
-width, and a row's rightmost reachable site is ``bit_length() - 1``.
+time, bit ``i`` standing for column ``lefts[j] + i``, so one level of
+reachability is ``((r & ur) << 2 | (r & ul)) >> (1 + d)`` masked to the box
+width, where ``d = lefts[j + 1] - lefts[j]``, and a row's rightmost
+reachable site is ``bit_length() - 1``.
 
 A narrow box certifies only what a wider one would.  Take boxes B inside W
-over the same levels, and compare them on B's columns.  B's truncated
-(lower) table is a subset of W's, because B truncates more seeds; W's
-pessimistic (upper) table is a subset of B's, because B assumes that every
-open wall entry is reached.  So a level max or a predecessor cell on which
-B's two tables agree has the same value in W's two tables, and in the true
-configuration.  `box_ladder` uses this to judge a walk on boxes sized from
-the walk itself: the first spans 64 columns left of the walk's path, each
-refusal or death doubles that extent, and the last holds the worst-case
-box ``[-2n - slack, n + 2]``.  A wrong guess at the size can only cause a
-refusal, never a wrong answer.  A true walk is judged on the first box: a
-path that enters past the left wall and ends right of the walk's path
-must cross that path, so the seeds already reach where it ends.
+over the same levels, of any shape, and compare them on B's cells.  B's
+truncated (lower) table is a subset of W's, because B truncates more seeds.
+W's pessimistic (upper) table is a subset of B's: a path of W's that enters
+B from the left does so by one of B's entry edges, which B marks reached,
+and one that would enter B from the right must first leave it there, which
+B refuses.  So a level max or a predecessor cell on which B's two tables
+agree has the same value in W's two tables, and in the true configuration.
+
+`box_ladder` uses this to judge a walk on bands that follow its own path
+``l``: row ``j`` starts ``m`` columns left of ``l[j]`` and ends two columns
+right of the walk's widest reach, each refusal or death doubles ``m``, and
+the last box is the worst-case rectangle from ``2n + slack`` columns left
+of the walk's path to column ``n + 2``.  A band placed from a wrong walk
+can only cause a refusal, never a wrong answer.  A true walk is judged on
+the first band: ``l`` is an open path from a seed, so its cells are in the
+lower table, and a path that enters past the wall, left of ``l``, and ends
+at or right of ``l`` must meet ``l`` at a site, from where the lower table
+follows it.  So the two tables agree on every cell at or right of ``l``,
+which holds every level max and both predecessor cells of every step of
+``l``.
 """
 
 from __future__ import annotations
@@ -47,13 +65,19 @@ from .runner import pmap
 class BoxConfig:
     """Materialized edge statuses for all edges inside a box.
 
-    Boolean arrays are indexed ``[t - t_min, x - x_min]``; entries at odd
-    parity are False and never read.  ``entry_open[j]`` is the status of
-    the up-right edge from ``(x_min - 1, t_min + j)``, the only kind of
-    edge through which anything left of the box can influence it.  The DP
-    packs ``open_ur``/``open_ul`` into bit rows (bit ``i`` is column
-    ``x_min + i``) each time it runs, so edits to the arrays after
-    construction are seen by the next DP call.
+    Row ``j``, at level ``t_min + j``, holds the columns ``x_min + shear[j]``
+    through ``x_max + shear[j]``.  ``shear`` has one entry per level from
+    ``t_min`` to ``t_max``, starts at 0 and steps by at most 1 per row; left
+    out, it is all zeros and the box is the rectangle ``[x_min, x_max]``.
+    ``lefts[j]`` is row ``j``'s left column.  Boolean arrays are indexed
+    ``[j, x - lefts[j]]``; entries at odd parity are False and never read.
+    ``entry_open[j]`` is the status of the up-right edge from the site just
+    left of row ``j`` when that edge lands on row ``j + 1``, at its first
+    site, else False: the only kind of edge through which anything left of
+    the box can influence it.  The DP packs ``open_ur``/``open_ul``
+    into bit rows (bit ``i`` of row ``j`` is column ``lefts[j] + i``) each
+    time it runs, so edits to the arrays after construction are seen by the
+    next DP call.
     """
 
     cfg: Config
@@ -61,9 +85,11 @@ class BoxConfig:
     x_max: int
     t_min: int
     t_max: int
-    open_ur: np.ndarray = field(repr=False, default=None)
-    open_ul: np.ndarray = field(repr=False, default=None)
-    entry_open: np.ndarray = field(repr=False, default=None)
+    shear: np.ndarray = field(repr=False, default=None)
+    open_ur: np.ndarray = field(init=False, repr=False, default=None)
+    open_ul: np.ndarray = field(init=False, repr=False, default=None)
+    entry_open: np.ndarray = field(init=False, repr=False, default=None)
+    lefts: list = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         # numpy integer bounds would turn the bit-row masks into int64
@@ -73,27 +99,46 @@ class BoxConfig:
             raise InvalidArgumentError("degenerate box")
         height = self.t_max - self.t_min
         width = self.x_max - self.x_min + 1
-        self.open_ur = np.zeros((height, width), dtype=bool)
-        self.open_ul = np.zeros((height, width), dtype=bool)
-        # rows of one parity share their even columns: c0::2 with c0 fixed
-        for j0 in range(min(2, height)):
-            c0 = (self.x_min + self.t_min + j0) % 2
-            ts = np.arange(self.t_min + j0, self.t_max, 2, dtype=np.int64)
-            xs = np.arange(self.x_min + c0, self.x_max + 1, 2, dtype=np.int64)
-            fx = np.tile(xs, len(ts))
-            ft = np.repeat(ts, len(xs))
-            shape = (len(ts), len(xs))
-            self.open_ur[j0::2, c0::2] = edge_status_array(
-                self.cfg, fx, ft, np.ones_like(fx)).reshape(shape)
-            self.open_ul[j0::2, c0::2] = edge_status_array(
-                self.cfg, fx, ft, np.zeros_like(fx)).reshape(shape)
-        wall_ts = np.arange(self.t_min, self.t_max)
-        wall_mask = (self.x_min - 1 + wall_ts) % 2 == 0
+        shear = (np.zeros(height + 1, dtype=np.int64) if self.shear is None
+                 else np.array(self.shear, dtype=np.int64))
+        if (shear.shape != (height + 1,) or shear[0] != 0
+                or np.any(np.abs(np.diff(shear)) > 1)):
+            raise InvalidArgumentError(
+                "shear must start at 0 and step by at most 1 per level")
+        self.shear = shear
+        lefts = self.x_min + shear
+        self.lefts = lefts.tolist()
+        # row j's sites sit at the bits odd_j, odd_j + 2, ...: one broadcast
+        # call per direction covers every row.  On an odd-width box, rows
+        # with odd_j = 1 get one site past the right wall, dropped below.
+        rows = np.arange(height)
+        ts = self.t_min + rows
+        odd = ((lefts[:-1] + ts) & 1).astype(bool)[:, None]
+        k = (width + 1) // 2
+        xs = ((lefts[:-1, None] + odd) + 2 * np.arange(k)).ravel()
+        ft = np.repeat(ts, k)
+        self.open_ur = _site_columns(
+            edge_status_array(self.cfg, xs, ft, np.ones_like(xs)), odd, width)
+        self.open_ul = _site_columns(
+            edge_status_array(self.cfg, xs, ft, np.zeros_like(xs)), odd, width)
+        # the site just left of row j; its up-right edge lands on row j + 1's
+        # first site unless the wall steps right
+        sources = lefts[:-1] - 1 - ((lefts[:-1] - 1 + ts) & 1)
+        entering = sources + 1 >= lefts[1:]
         self.entry_open = np.zeros(height, dtype=bool)
-        if wall_mask.any():
-            self.entry_open[wall_mask] = edge_status_array(
-                self.cfg, np.full(int(wall_mask.sum()), self.x_min - 1, dtype=np.int64),
-                wall_ts[wall_mask], np.ones(int(wall_mask.sum()), dtype=np.int64))
+        if entering.any():
+            xs = sources[entering]
+            self.entry_open[entering] = edge_status_array(
+                self.cfg, xs, ts[entering], np.ones_like(xs))
+
+
+def _site_columns(status: np.ndarray, odd: np.ndarray, width: int):
+    """Site ``i`` of row ``j`` placed at column ``2 i + odd[j]``."""
+    status = status.reshape(len(odd), -1)
+    cells = np.zeros(status.shape + (2,), dtype=bool)
+    cells[:, :, 0] = status & ~odd
+    cells[:, :, 1] = status & odd
+    return cells.reshape(len(odd), -1)[:, :width]
 
 
 @dataclass(frozen=True)
@@ -109,6 +154,11 @@ def _bit_rows(arr: np.ndarray) -> list[int]:
     """Each row of a bool array as an int; bit i is column i."""
     packed = np.packbits(arr, axis=1, bitorder="little")
     k = packed.shape[1]
+    if k <= 8:
+        # one 64-bit word per row, converted in one call
+        words = np.zeros((len(packed), 8), dtype=np.uint8)
+        words[:, :k] = packed
+        return words.view("<u8")[:, 0].tolist()
     blob = packed.tobytes()
     return [int.from_bytes(blob[i:i + k], "little")
             for i in range(0, len(blob), k)]
@@ -120,8 +170,9 @@ def _reach_tables(box: BoxConfig, start_x: int, n: int):
     Returns the two tables as bit rows, one int per level, with the packed
     ``open_ur``/``open_ul`` rows they were built from.
     """
+    lefts = box.lefts
     width = box.x_max - box.x_min + 1
-    if not box.x_min <= start_x <= box.x_max:
+    if not lefts[0] <= start_x <= lefts[0] + width - 1:
         raise InvalidArgumentError("start_x outside the box")
     if box.t_min + n > box.t_max:
         raise InvalidArgumentError("box too short for the requested levels")
@@ -130,17 +181,23 @@ def _reach_tables(box: BoxConfig, start_x: int, n: int):
     full = (1 << width) - 1
     wall = 0b11 << (width - 2)
     # seeds: every column up to start_x whose site has even parity
-    c0 = (box.x_min + box.t_min) % 2
-    seed = sum(1 << c for c in range(c0, start_x - box.x_min + 1, 2))
+    c0 = (lefts[0] + box.t_min) % 2
+    seed = sum(1 << c for c in range(c0, start_x - lefts[0] + 1, 2))
+    if seed & wall:
+        raise BoxTooNarrowError("seed row touched the right wall")
+    # a cell at bit i of row j moves to bit i + 1 - d (up-right) or
+    # i - 1 - d (up-left) of row j + 1, where d = lefts[j + 1] - lefts[j]
+    drops = (1 + np.diff(box.shear[:n + 1])).tolist()
+    # an open entry edge marks row j + 1's first site, at bit 0 or 1
+    firsts = (box.x_min + box.shear[1:n + 1] + box.t_min
+              + np.arange(1, n + 1)) & 1
+    entries = (box.entry_open[:n].astype(np.int64) << firsts).tolist()
     lower = [seed]
     upper = [seed]
     lo = hi = seed
-    for j in range(n):
-        u, v = ur[j], ul[j]
-        lo = (((lo & u) << 1) | ((lo & v) >> 1)) & full
-        hi = (((hi & u) << 1) | ((hi & v) >> 1)) & full
-        if box.entry_open[j]:
-            hi |= 1
+    for u, v, drop, entry in zip(ur, ul, drops, entries):
+        lo = (((lo & u) << 2 | (lo & v)) >> drop) & full
+        hi = ((((hi & u) << 2 | (hi & v)) >> drop) & full) | entry
         lower.append(lo)
         upper.append(hi)
         if hi & wall:
@@ -165,19 +222,20 @@ def dp_right_boundary(box: BoxConfig, start_x: int, n: int) -> DpBoundary:
 
 def _boundary_from_tables(box: BoxConfig, tables, n: int) -> DpBoundary:
     lower, upper, _, _ = tables
-    values = []
-    dead_from = None
-    for j in range(n + 1):
-        lo = _max_or_none(lower[j], box.x_min)
-        hi = _max_or_none(upper[j], box.x_min)
-        if lo != hi:
-            raise BoxTooNarrowError(
-                f"level {box.t_min + j}: truncated max {lo} vs pessimistic max {hi}")
-        if lo is None:
-            dead_from = box.t_min + j
-            break
-        values.append(lo)
-    return DpBoundary(box.t_min, np.array(values, dtype=np.int64), dead_from)
+    lo = np.fromiter(map(int.bit_length, lower[:n + 1]), np.int64, n + 1)
+    hi = np.fromiter(map(int.bit_length, upper[:n + 1]), np.int64, n + 1)
+    # the first level whose maxima differ or that is empty ends the values
+    stops = np.flatnonzero((lo != hi) | (lo == 0))
+    j = int(stops[0]) if len(stops) else n + 1
+    values = box.x_min + box.shear[:j] + lo[:j] - 1
+    if j > n:
+        return DpBoundary(box.t_min, values)
+    if lo[j] != hi[j]:
+        raise BoxTooNarrowError(
+            f"level {box.t_min + j}: truncated max "
+            f"{_max_or_none(lower[j], box.lefts[j])} vs pessimistic max "
+            f"{_max_or_none(upper[j], box.lefts[j])}")
+    return DpBoundary(box.t_min, values, box.t_min + j)
 
 
 def dp_rightmost_path(box: BoxConfig, start_x: int, n: int) -> np.ndarray:
@@ -192,37 +250,53 @@ def dp_rightmost_path(box: BoxConfig, start_x: int, n: int) -> np.ndarray:
 
 def _path_from_tables(box: BoxConfig, tables, n: int) -> np.ndarray:
     lower, upper, ur, ul = tables
-    anchor = _max_or_none(lower[n], box.x_min)
-    if anchor is None or anchor != _max_or_none(upper[n], box.x_min):
-        if anchor is None and _max_or_none(upper[n], box.x_min) is None:
+    lefts = box.lefts
+    anchor = _max_or_none(lower[n], lefts[n])
+    if anchor is None or anchor != _max_or_none(upper[n], lefts[n]):
+        if anchor is None and _max_or_none(upper[n], lefts[n]) is None:
             raise NoPathError(f"no open path reaches level {box.t_min + n}")
         raise BoxTooNarrowError("right boundary not certified at the top level")
     width = box.x_max - box.x_min + 1
     path = [anchor]
     y = anchor
-    for j in range(n, 0, -1):
-        lo, hi = lower[j - 1], upper[j - 1]
-        chosen = None
-        for cand, edges in ((y + 1, ul[j - 1]), (y - 1, ur[j - 1])):
-            ci = cand - box.x_min
-            if not 0 <= ci < width:
-                continue
-            bit = lo >> ci & 1
-            if bit != hi >> ci & 1:
+    for j in range(n - 1, -1, -1):
+        lo = lower[j]
+        unsure = lo ^ upper[j]
+        # the up-left edge from y + 1 first, then the up-right one from y - 1
+        ci = y + 1 - lefts[j]
+        if 0 <= ci < width:
+            if unsure >> ci & 1:
                 raise BoxTooNarrowError(
-                    f"predecessor cell ({cand}, {box.t_min + j - 1}) not certified")
-            if bit and edges >> ci & 1:
-                chosen = cand
-                break
-        if chosen is None:
-            raise NoPathError("backtrack lost the path; inconsistent tables")
-        path.append(chosen)
-        y = chosen
+                    f"predecessor cell ({y + 1}, {box.t_min + j}) not certified")
+            if (lo & ul[j]) >> ci & 1:
+                y += 1
+                path.append(y)
+                continue
+        ci -= 2
+        if 0 <= ci < width:
+            if unsure >> ci & 1:
+                raise BoxTooNarrowError(
+                    f"predecessor cell ({y - 1}, {box.t_min + j}) not certified")
+            if (lo & ur[j]) >> ci & 1:
+                y -= 1
+                path.append(y)
+                continue
+        raise NoPathError("backtrack lost the path; inconsistent tables")
     path.reverse()
     return np.array(path, dtype=np.int64)
 
 
-FIRST_RUNG = 64  # left extent, in columns, of a ladder's first box
+FIRST_MARGIN = 16  # columns between a ladder's first band and the walk's path
+
+
+def _is_lattice_walk(left: np.ndarray, right: np.ndarray, n: int) -> bool:
+    """Whether ``left`` is a lattice path from a site (l_0, 0), l_0 <= 0,
+    to level ``n`` that stays at or left of ``right``."""
+    if len(left) != n + 1 or len(right) != n + 1:
+        return False
+    return bool(left[0] <= 0 and left[0] % 2 == 0
+                and np.all(np.abs(np.diff(left)) == 1)
+                and np.all(left <= right))
 
 
 def box_ladder(cfg: Config, n: int, left: np.ndarray, right: np.ndarray,
@@ -230,20 +304,32 @@ def box_ladder(cfg: Config, n: int, left: np.ndarray, right: np.ndarray,
     """Boxes of growing width that judge a walk from (0, 0) to level ``n``.
 
     ``left`` and ``right`` are the walk's rightmost path and right boundary.
-    With ``a = min(left.min(), 0)``, the first box spans the columns
-    ``[a - 64, min(max(right.max(), 0) + 2, n + 2)]``, each next one
-    doubles the left extent, and the last spans ``[a - 2n - slack, n + 2]``.
-    The right wall stays right of the start (0, 0) whatever the walk
-    reports.  Each box is built only when the caller asks for it.
+    The first rungs are bands that follow the path: with margin ``m``, row
+    ``j`` spans ``[left[j] - m, left[j] + reach + 2]``, where
+    ``reach = max(max(right - left), -left[0])`` keeps the start (0, 0) and
+    every ``right[j]`` two columns inside the right wall; a band has
+    ``max(right - left) + m + 3`` columns for a walk with ``right[0] = 0``.
+    The first band has ``m = 16``, and each next one doubles ``m`` while it
+    stays below ``2n + slack``.  The last rung is the rectangle
+    ``[min(left.min(), 0) - 2n - slack, n + 2]``, whose left wall moves to
+    column 0 if it would lie right of the start.  A walk whose path is not
+    a lattice path from a site at or left of 0 that stays at or left of
+    ``right`` gets only the last rung.  Each box is built only when the
+    caller asks for it.
     """
-    anchor = min(left.min(), 0)
-    x_max = min(max(right.max(), 0) + 2, n + 2)
     widest = 2 * n + slack
-    extent = FIRST_RUNG
-    while extent < widest:
-        yield BoxConfig(cfg, anchor - extent, x_max, 0, n)
-        extent *= 2
-    yield BoxConfig(cfg, anchor - widest, n + 2, 0, n)
+    if _is_lattice_walk(left, right, n):
+        reach = max(int((right - left).max()), -int(left[0]))
+        shear = left - left[0]
+        margin = FIRST_MARGIN
+        while margin < widest:
+            x_min = int(left[0]) - margin
+            yield BoxConfig(cfg, x_min, x_min + margin + reach + 2, 0, n,
+                            shear)
+            margin *= 2
+    # the last box holds the start (0, 0) however negative the slack
+    x_min = min(min(int(left.min()), 0) - widest, 0)
+    yield BoxConfig(cfg, x_min, n + 2, 0, n)
 
 
 # -- coalescing-Brownian baseline and its random-walk oracle ----------------
@@ -291,7 +377,8 @@ def _judge(box: BoxConfig, right: np.ndarray, left: np.ndarray,
         return "box_too_narrow"
     if dp.dead_from is not None:
         # a box that dies judges only the paths inside it
-        return "box_too_narrow" if left.min() < box.x_min else "dp_dead"
+        outside = any(x < wall for x, wall in zip(left.tolist(), box.lefts))
+        return "box_too_narrow" if outside else "dp_dead"
     if not np.array_equal(dp.values, right):
         return "right_boundary_mismatch"
     try:
@@ -331,9 +418,10 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
     """Exact explore-vs-DP equivalence sweep plus the p=0 guard agreement.
 
     Every run demands integer equality of both boundaries.  The box follows
-    the walk: each walk is judged on the boxes of `box_ladder`, so a run
-    reports ``box_too_narrow`` or ``dp_dead`` only when the widest box,
-    ``2n + slack`` columns left of the walk's path, refuses or dies.
+    the walk: each walk is judged on the bands of `box_ladder`, and a true
+    walk on the first of them, so a run reports ``box_too_narrow`` or
+    ``dp_dead`` only when the last box, the rectangle ``2n + slack``
+    columns left of the walk's path, refuses or dies.
     ``corrupt_run`` injects an off-by-one into that run's explored right
     boundary (negative control for the reporting path).  The p values must
     be distinct: the report keeps one tally per p.

@@ -110,6 +110,40 @@ def test_distance_metric_axioms_on_random_triples():
         assert d13 <= d12 + d23 + 1e-9
 
 
+def test_distance_triangle_inequality_where_a_grid_sup_broke_it():
+    # rng seeds and 0-based triple indices of the generator above where a
+    # sup over the knots and 16 points per unit of time broke the triangle
+    # inequality by up to 3.9e-4
+    for seed, index in ((90, 105), (167, 80), (172, 116)):
+        rng = np.random.default_rng(seed)
+        for _ in range(index + 1):
+            p1, p2, p3 = (_random_path(rng) for _ in range(3))
+        d12 = path_distance(p1, p2)
+        d13 = path_distance(p1, p3)
+        d23 = path_distance(p2, p3)
+        assert d13 <= d12 + d23 + 1e-9
+        assert d12 <= d13 + d23 + 1e-9
+        assert d23 <= d12 + d13 + 1e-9
+
+
+def test_distance_is_the_sup_of_a_dense_grid():
+    # the sup is no less than the gap at any time, and a grid of 10^5
+    # points per unit of time plus the knots comes within 1e-9 of it
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        p1, p2 = _random_path(rng), _random_path(rng)
+        lo = min(p1.sigma, p2.sigma, 0.0)
+        hi = max(p1.end_time, p2.end_time, 0.0)
+        ts = np.union1d(np.linspace(lo, hi, int((hi - lo) * 10**5) + 1),
+                        np.concatenate([p1.times, p2.times, [0.0]]))
+        gap = np.abs(np.tanh(p1.evaluate(ts)) - np.tanh(p2.evaluate(ts)))
+        dense = max(float((gap / (1.0 + np.abs(ts))).max()),
+                    abs(np.tanh(p1.sigma) - np.tanh(p2.sigma)))
+        d = path_distance(p1, p2)
+        assert dense <= d + 1e-12
+        assert d <= dense + 1e-9
+
+
 # -- set distance ------------------------------------------------------------
 
 def _naive_hausdorff(K1, K2):

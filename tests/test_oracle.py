@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from opweb.errors import BoxTooNarrowError, InvalidArgumentError, NoPathError
 from opweb.explore import explore_to_level
 from opweb.lattice import (Config, LatticeSite, STREAMS_PER_REPLICA,
-                           replica_config)
+                           edge_status_array, replica_config)
 from opweb.oracle import (BoxConfig, box_ladder, cbm_baseline, check_suite,
                           coalescing_walk_survival, dp_right_boundary,
                           dp_rightmost_path, gap_walk_survival_exact)
@@ -88,13 +90,19 @@ def _walk(cfg, n):
 
 
 def test_oracle_matches_exploration():
-    # at n = 30 the ladder has two boxes, 64 and 2n + 64 columns left of
-    # the path; each must certify the walk on its own
+    # at n = 30 the ladder has three bands, 16, 32 and 64 columns left of
+    # the path, and the box 2n + 64 columns left of it; each must certify
+    # the walk on its own
     for rep in range(50):
         cfg = Config(42, 0.8, (rep + 1) * 1024)
         right, left = _walk(cfg, 30)
         boxes = list(box_ladder(cfg, 30, left, right, 64))
-        assert [min(left.min(), 0) - b.x_min for b in boxes] == [64, 124]
+        *bands, last = boxes
+        assert [left[0] - b.x_min for b in bands] == [16, 32, 64]
+        for band in bands:
+            assert list(band.shear) == list(left - left[0])
+        assert min(left.min(), 0) - last.x_min == 124
+        assert not last.shear.any()
         for box in boxes:
             dp = dp_right_boundary(box, 0, 30)
             assert dp.dead_from is None
@@ -103,15 +111,19 @@ def test_oracle_matches_exploration():
 
 
 def test_box_statuses_match_lattice_oracle():
-    # both row parities: the even columns of row 0 start at x_min or x_min+1
-    from opweb.lattice import edge_status_array
-    for p in (0.0, 0.6, 1.0):
+    # both row parities: the even columns of row 0 start at x_min or x_min+1;
+    # the rectangle, a band whose wall follows a lattice path, and one whose
+    # wall also holds still
+    shears = (None, [0, 1, 2, 1, 0, -1], [0, -1, -1, 0, 0, 1])
+    for p, shear in itertools.product((0.0, 0.6, 1.0), shears):
         for x_min, t_min in ((-4, 0), (-3, 0), (-4, 1), (-3, 1)):
             cfg = Config(7, p, 5)
-            box = BoxConfig(cfg, x_min, x_min + 10, t_min, t_min + 5)
+            box = BoxConfig(cfg, x_min, x_min + 10, t_min, t_min + 5, shear)
             for t in range(t_min, t_min + 5):
-                for x in range(x_min, x_min + 11):
-                    cell = (t - t_min, x - x_min)
+                j = t - t_min
+                left = box.lefts[j]
+                for x in range(left, left + 11):
+                    cell = (j, x - left)
                     if (x + t) % 2:
                         assert not box.open_ur[cell] and not box.open_ul[cell]
                         continue
@@ -119,9 +131,19 @@ def test_box_statuses_match_lattice_oracle():
                     ul = edge_status_array(cfg, [x], [t], [0])[0]
                     assert box.open_ur[cell] == ur
                     assert box.open_ul[cell] == ul
-                wall = (x_min - 1 + t) % 2 == 0 and edge_status_array(
-                    cfg, [x_min - 1], [t], [1])[0]
-                assert box.entry_open[t - t_min] == wall
+                # the site just left of row j, if its up-right edge lands on
+                # row j + 1
+                source = left - 1 if (left - 1 + t) % 2 == 0 else left - 2
+                wall = source + 1 >= box.lefts[j + 1] and edge_status_array(
+                    cfg, [source], [t], [1])[0]
+                assert box.entry_open[j] == wall
+
+
+def test_a_shear_that_jumps_is_rejected():
+    cfg = Config(7, 0.6, 5)
+    for shear in ([0, 1, 3], [1, 1, 1], [0, 1]):
+        with pytest.raises(InvalidArgumentError):
+            BoxConfig(cfg, -4, 6, 0, 2, shear)
 
 
 def test_reachability_monotone_under_edge_opening():
@@ -210,7 +232,7 @@ def test_check_worker_builds_reach_tables_once_per_rung(monkeypatch):
 
 def test_check_dp_walks_certify_on_the_first_box(monkeypatch):
     # the benchmark's check-dp call at seed 1001: every walk is judged on
-    # one box of at most (r.max() - min(l.min(), 0) + 67) * n edges
+    # the first band, of at most (max(r - l) + m + 3) * n edges
     from opweb import oracle
     built, tabled = _record_boxes(monkeypatch)
     n = 500
@@ -222,25 +244,26 @@ def test_check_dp_walks_certify_on_the_first_box(monkeypatch):
         right, left = _walk(cfg, n)
         (box,) = built
         assert tabled == [box]
+        assert box.x_min == left[0] - oracle.FIRST_MARGIN
+        assert list(box.shear) == list(left - left[0])
         edges = (box.x_max - box.x_min + 1) * (box.t_max - box.t_min)
-        assert edges <= (right.max() - min(left.min(), 0) + 67) * n
+        assert edges <= ((right - left).max() + oracle.FIRST_MARGIN + 3) * n
 
 
 @pytest.mark.parametrize("path_shift, boundary_shift, outcome, walls", [
-    # the first box dies at level 89, the second holds the true path
-    (100, 0, "left_boundary_mismatch", [(-266, 5), (-330, 5)]),
-    # the first box refuses at level 89, the second holds the true path
-    (120, 0, "left_boundary_mismatch", [(-246, 5), (-310, 5)]),
-    # every box but the last touches its right wall
-    (0, 2, "right_boundary_mismatch",
-     [(-366, 3), (-430, 3), (-558, 3), (-566, 102)]),
+    # each reported walk crosses its own reported boundary, so the ladder
+    # skips its bands and judges it on the last box alone
+    (100, 0, "left_boundary_mismatch", [(-466, 102)]),
+    (120, 0, "left_boundary_mismatch", [(-446, 102)]),
+    (0, 2, "right_boundary_mismatch", [(-566, 102)]),
 ])
 def test_a_refused_box_widens(monkeypatch, path_shift, boundary_shift,
                               outcome, walls):
-    # no true walk makes the first box refuse: a path from left of the
+    # no true walk makes the first band refuse: a path from left of the
     # walk's path that ends right of it must cross it.  So the walk here
     # reports its path right of the true one, or its boundary left of it.
-    # p = 0.6, stream 1024: the true path reaches column -302 and r.max() = 3.
+    # p = 0.6, stream 1024: the true path reaches column -302, r.max() = 3
+    # and the path meets the boundary at some level.
     from opweb import oracle
     cfg = Config(0, 0.6, STREAMS_PER_REPLICA)
     right, left = _walk(cfg, 100)
@@ -249,6 +272,67 @@ def test_a_refused_box_widens(monkeypatch, path_shift, boundary_shift,
                                   left + path_shift, 64) == outcome
     assert [(box.x_min, box.x_max) for box in built] == walls
     assert tabled == built
+
+
+def _under(right):
+    """The rightmost lattice path that stays at or left of ``right``."""
+    j = np.arange(len(right))
+    return (right[None, :] + np.abs(j[:, None] - j[None, :])).min(axis=1)
+
+
+def test_a_refused_band_widens(monkeypatch):
+    # a walk that reports its path hugging its right boundary: the bands of
+    # margin 16, 32 and 64 lose the true path at p = 0.6 and refuse, and the
+    # band of margin 128 holds it and certifies the mismatch
+    from opweb import oracle
+    cfg = Config(0, 0.6, STREAMS_PER_REPLICA)
+    right, left = _walk(cfg, 100)
+    hugging = np.maximum(left, _under(right))
+    assert hugging[0] == -192 and (hugging - left).max() == 102
+    built, tabled = _record_boxes(monkeypatch)
+    assert (oracle._ladder_outcome(cfg, 100, right, hugging, 64)
+            == "left_boundary_mismatch")
+    assert [(box.x_min, box.x_max) for box in built] == [
+        (-208, 28), (-224, 28), (-256, 28), (-320, 28)]
+    for box in built:
+        assert list(box.shear) == list(hugging - hugging[0])
+    assert tabled == built
+    outcomes = [oracle._judge(box, right, hugging, 100) for box in built]
+    assert outcomes == ["box_too_narrow"] * 3 + ["left_boundary_mismatch"]
+
+
+def _malformed_walks():
+    """A true walk at p = 0.8, then four reports that are not walks."""
+    cfg = Config(3, 0.8, 1024)
+    right, left = _walk(cfg, 40)
+    down = int(np.flatnonzero(np.diff(left) == -1)[0]) + 1
+    jump = left.copy()
+    jump[down:] -= 2  # a step of -3
+    return cfg, right, {
+        "step": (right, jump),
+        "start": (right + 2, left + 2 - left[0]),  # starts at (2, 0)
+        "parity": (right, left - 1),
+        "crossing": (np.minimum(right, left - 2 * (np.arange(41) == 20)),
+                     left),
+    }
+
+
+@pytest.mark.parametrize("kind", ["step", "start", "parity", "crossing"])
+def test_a_malformed_walk_is_judged_on_the_last_box(monkeypatch, kind):
+    # a reported path with a step of +-3, a start right of 0 or odd parity,
+    # or a boundary left of the path, gets no band: it is judged on the
+    # last box alone, and never escapes as an exception
+    from opweb import oracle
+    cfg, _, walks = _malformed_walks()
+    right, left = walks[kind]
+    assert not oracle._is_lattice_walk(left, right, 40)
+    built, tabled = _record_boxes(monkeypatch)
+    outcome = oracle._ladder_outcome(cfg, 40, right, left, 64)
+    (box,) = built
+    assert (box.x_min, box.x_max) == (min(left.min(), 0) - 144, 42)
+    assert tabled == [box]
+    assert outcome == oracle._judge(box, right, left, 40)
+    assert outcome in ("right_boundary_mismatch", "left_boundary_mismatch")
 
 
 def test_check_reports_a_refused_box_as_a_failure_kind(monkeypatch):
@@ -269,6 +353,14 @@ def test_check_reports_a_refused_box_as_a_failure_kind(monkeypatch):
     monkeypatch.setattr(oracle, "_path_from_tables", refuse)
     job = (Config(3, 0.8, 1024), 40, 64, False)
     assert oracle._check_worker(job) == "box_too_narrow"
+
+
+def test_a_slack_below_minus_2n_keeps_the_start_in_the_box():
+    # at p = 0.9 these walks' paths stay at or right of column 0, so a
+    # left wall 2n + slack columns left of them would lie right of the
+    # start; the last box keeps column 0, where the walks certify
+    report = check_suite([0.9], 3, 100, 0, slack=-300)
+    assert report["per_p"][0.9] == {"passed": 3, "total": 3}
 
 
 def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
@@ -322,27 +414,91 @@ def test_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
         assert outcome == full
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 60),
+       p=st.sampled_from([0.55, 0.6447, 0.7, 0.8, 0.9, 1.0]),
+       stream=st.integers(1, 10**6), corrupt=st.booleans(), data=st.data())
+def test_band_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
+    # wherever the box [-2n - 64, n + 2] certifies, the ladder of bands gives
+    # its outcome, for the true walk, a boundary corrupted at n // 2, and
+    # walks that report their path too far right or their boundary too far
+    # left; the true walk is judged on the first band
+    from opweb import oracle
+    cfg = Config(13, p, stream)
+    right, left = _walk(cfg, n)
+    if corrupt:
+        right[n // 2] += 1
+    path_shift = data.draw(st.integers(0, 8 - int(left.min())),
+                           label="path_shift")
+    boundary_shift = data.draw(st.integers(0, 4), label="boundary_shift")
+    right = right - boundary_shift
+    left = left + path_shift
+    with pytest.MonkeyPatch.context() as patch:
+        built, tabled = _record_boxes(patch)
+        outcome = oracle._ladder_outcome(cfg, n, right, left, 64)
+    assert tabled == built
+    full = oracle._judge(BoxConfig(cfg, -2 * n - 64, n + 2, 0, n),
+                         right, left, n)
+    if full not in ("box_too_narrow", "dp_dead"):
+        assert outcome == full
+    if not corrupt and not path_shift and not boundary_shift:
+        assert outcome == "ok"
+        (band,) = built
+        assert band.x_min == left[0] - oracle.FIRST_MARGIN
+        assert list(band.shear) == list(left - left[0])
+
+
+def test_a_seed_on_the_right_wall_is_refused():
+    # a seed in the two rightmost columns can leave the box at once: here
+    # its up-right edge is open, so the true boundary is at 1 on level 1,
+    # right of the box, while the box alone reaches only -3
+    box = BoxConfig(Config(1, 0.0, 1), -10, 0, 0, 2)
+    box.open_ur[0, 10] = True
+    box.open_ul[0, 8] = True
+    with pytest.raises(BoxTooNarrowError, match="seed row"):
+        dp_right_boundary(box, 0, 2)
+
+
 # -- numpy-row reference DP --------------------------------------------------
 # One bool array per level, propagated cell-wise; the oracle's bit-row DP
 # must give the same tables, answers and refusals.
 
-def _propagate(reach, open_ur, open_ul):
+def _propagate(reach, open_ur, open_ul, step):
+    """Row j's reach carried to row j + 1, whose left wall sits ``step``
+    columns right of row j's."""
     nxt = np.zeros_like(reach)
-    nxt[1:] = reach[:-1] & open_ur[:-1]
-    nxt[:-1] |= reach[1:] & open_ul[1:]
+    for src, move in ((reach & open_ur, 1), (reach & open_ul, -1)):
+        idx = np.flatnonzero(src) + move - step
+        nxt[idx[(idx >= 0) & (idx < len(nxt))]] = True
     return nxt
 
 
+def _entries(box, j):
+    """Columns of row j + 1 hit by an open edge from a site left of row j."""
+    t = box.t_min + j
+    hit = []
+    for x in range(box.lefts[j] - 4, box.lefts[j]):
+        if (x + t) % 2:
+            continue
+        for d, move in ((1, 1), (0, -1)):
+            col = x + move - box.lefts[j + 1]
+            if col >= 0 and edge_status_array(box.cfg, [x], [t], [d])[0]:
+                hit.append(col)
+    return hit
+
+
 def _reference_tables(box, start_x, n):
-    xs = np.arange(box.x_min, box.x_max + 1)
+    xs = box.lefts[0] + np.arange(box.x_max - box.x_min + 1)
     seed = (xs <= start_x) & ((xs + box.t_min) % 2 == 0)
     lower = [seed]
     upper = [seed.copy()]
+    if seed[-1] or seed[-2]:
+        raise BoxTooNarrowError("seed row touched the right wall")
     for j in range(1, n + 1):
-        lo = _propagate(lower[-1], box.open_ur[j - 1], box.open_ul[j - 1])
-        hi = _propagate(upper[-1], box.open_ur[j - 1], box.open_ul[j - 1])
-        if box.entry_open[j - 1]:
-            hi[0] = True
+        step = box.lefts[j] - box.lefts[j - 1]
+        lo = _propagate(lower[-1], box.open_ur[j - 1], box.open_ul[j - 1], step)
+        hi = _propagate(upper[-1], box.open_ur[j - 1], box.open_ul[j - 1], step)
+        hi[_entries(box, j - 1)] = True
         lower.append(lo)
         upper.append(hi)
         if hi[-1] or hi[-2]:
@@ -359,8 +515,8 @@ def _reference_boundary(box, start_x, n):
     lower, upper = _reference_tables(box, start_x, n)
     values = []
     for j in range(n + 1):
-        lo = _ref_max(lower[j], box.x_min)
-        if lo != _ref_max(upper[j], box.x_min):
+        lo = _ref_max(lower[j], box.lefts[j])
+        if lo != _ref_max(upper[j], box.lefts[j]):
             raise BoxTooNarrowError("truncated vs pessimistic max")
         if lo is None:
             return values, box.t_min + j
@@ -370,8 +526,8 @@ def _reference_boundary(box, start_x, n):
 
 def _reference_path(box, start_x, n):
     lower, upper = _reference_tables(box, start_x, n)
-    anchor = _ref_max(lower[n], box.x_min)
-    top = _ref_max(upper[n], box.x_min)
+    anchor = _ref_max(lower[n], box.lefts[n])
+    top = _ref_max(upper[n], box.lefts[n])
     if anchor is None and top is None:
         raise NoPathError("no open path")
     if anchor is None or anchor != top:
@@ -380,7 +536,7 @@ def _reference_path(box, start_x, n):
     for j in range(n, 0, -1):
         y = path[-1]
         for cand, edge in ((y + 1, box.open_ul), (y - 1, box.open_ur)):
-            ci = cand - box.x_min
+            ci = cand - box.lefts[j - 1]
             if not 0 <= ci < len(lower[j - 1]):
                 continue
             if lower[j - 1][ci] != upper[j - 1][ci]:
@@ -415,8 +571,13 @@ def _as_ints(tables):
 def test_bit_row_dp_matches_numpy_rows(p, stream, x_min, t_min, width,
                                        height, data):
     from opweb.oracle import _reach_tables
+    # a rectangle, or a band whose left wall steps by -1, 0 or +1 per row
+    steps = data.draw(st.one_of(
+        st.just([0] * height),
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=height,
+                 max_size=height)), label="steps")
     box = BoxConfig(Config(3, p, stream), x_min, x_min + width, t_min,
-                    t_min + height)
+                    t_min + height, np.cumsum([0, *steps]))
     # edits made after construction must reach the DP, odd cells included
     for _ in range(data.draw(st.integers(0, 3))):
         arr = data.draw(st.sampled_from([box.open_ur, box.open_ul]))
