@@ -2,6 +2,9 @@
 
 Its ``walk_t`` owns r, the left boundary and the counts, so it overrides
 only the members that read them (through `_Head`) and the two advances.
+It keeps no set of dead sites: the least dead column of each level decides
+whether a site is dead, and the dead sites' keys, kept in the order they
+died, serve only the edge listing of `_edge_status`.
 No caller names it: `ExplorationCluster.__new__` returns one for a cluster
 built from a Config and no edge source when `load` succeeds.  It keeps no
 left-delta record (`left_deltas` is None): the record's one reader, the

@@ -1,9 +1,9 @@
 /* Native form of the exploration walk in explore.py.
  *
  * One walk is the state of one _native.NativeCluster: the splitmix64 edge
- * sampler (base and threshold of the Config), the set of dead sites, the
- * depth-first stack, the right-boundary values r, the scan offset and the
- * scan guard.  No edge status is kept: an edge is sampled where it is
+ * sampler (base and threshold of the Config), the depth-first stack, the
+ * keys of the dead sites, the right-boundary values r, the scan offset and
+ * the scan guard.  No edge status is kept: an edge is sampled where it is
  * examined, and no edge is examined twice.  A site's out-edges are
  * examined only while it is on the stack; it leaves the stack only after
  * both are, and it is then dead, so no later edge enters it.  The loop in
@@ -11,7 +11,29 @@
  * the same scan order, the same packed keys, the same guard.  It folds the
  * up-right and up-left steps into one block on the direction d, where the
  * Python walk keeps the two blocks unrolled because that runs faster
- * there.  The Python walk stays the reference this one is tested against.
+ * there.  The Python walk, with its set of dead sites, stays the reference
+ * this one is tested against.
+ *
+ * Dead sites need no set, because the walk is planar: a site queried from
+ * the stack is dead exactly when its column is at or right of the least
+ * dead column at its level.  Say (t, y) is dead, y < x, and (t, x) is
+ * queried from the stack.  The path on which (t, y) was pushed starts at
+ * an earlier, and so further right, start site, or leaves the stack path
+ * by an up-right step where the stack now goes up-left.  Either way it
+ * runs right of the stack path and ends left of (t, x); paths move one
+ * column per level, so the two share a site below t.  That site is on the
+ * stack, so not dead; yet it lies on the earlier path past the point where
+ * that path left the stack, all of which has been popped and is dead.  So
+ * a queried site is never right of the least dead column: at it, the site
+ * is dead, and left of it not.
+ *
+ * That column needs no buffer either.  Each site dies left of those that
+ * died before it at its level, as it was pushed left of them, and a
+ * popped site's entry stays in sx until the next push at its level.  So
+ * above the top, sx[j] is the least dead column at level j; sx[target]
+ * holds INT64_MAX while the walk searches for the new level, where
+ * nothing is dead.  The dead sites' keys are kept, append-only, for
+ * walk_edges alone.
  *
  * The walk is the only owner of r and of the left boundary, which is the
  * stack sx[0:stack_len] between calls.  Python reads r_len, stack_len and
@@ -33,16 +55,6 @@
 
 enum { WALK_OK = 0, WALK_GUARD = 1, WALK_NOMEM = 2 };
 
-/* Open-addressing set of 64-bit keys with linear probing; used[i] marks
- * a full slot. */
-typedef struct {
-    uint64_t *keys;
-    uint8_t *used;
-    int64_t cap; /* a power of two */
-    int64_t len;
-    int shift;   /* 64 - log2(cap) */
-} table_t;
-
 /* The fields up to `sx` are read from Python (_native._Head): r_len,
  * stack_len, scan_offset, n_examined, r and sx.  Keep the two in step. */
 typedef struct {
@@ -54,72 +66,13 @@ typedef struct {
     int64_t *sx;
     /* private */
     uint8_t *state;
-    int64_t r_cap, stack_cap;
+    uint64_t *dead;            /* dead sites' keys, in the order they died */
+    int64_t r_cap, stack_cap, dead_len, dead_cap;
     int64_t t0, origin_x, scan_guard;
     uint64_t base, threshold;
     int all_open;
     int failed; /* the code that stopped the walk for good, or 0 */
-    table_t dead;
 } walk_t;
-
-static int table_init(table_t *tb, int64_t cap, int shift)
-{
-    tb->keys = malloc((size_t)cap * sizeof *tb->keys);
-    tb->used = calloc((size_t)cap, 1);
-    tb->cap = cap;
-    tb->len = 0;
-    tb->shift = shift;
-    return tb->keys && tb->used;
-}
-
-static void table_free(table_t *tb)
-{
-    free(tb->keys);
-    free(tb->used);
-}
-
-static int64_t table_slot(const table_t *tb, uint64_t key)
-{
-    int64_t mask = tb->cap - 1;
-    int64_t i = (int64_t)((key * GOLDEN) >> tb->shift);
-    while (tb->used[i] && tb->keys[i] != key)
-        i = (i + 1) & mask;
-    return i;
-}
-
-/* Make room for one more key; 0 on failed allocation. */
-static int table_reserve(table_t *tb)
-{
-    if (2 * (tb->len + 1) <= tb->cap)
-        return 1;
-    table_t big;
-    if (!table_init(&big, 2 * tb->cap, tb->shift - 1)) {
-        table_free(&big);
-        return 0;
-    }
-    for (int64_t i = 0; i < tb->cap; i++)
-        if (tb->used[i]) {
-            int64_t j = table_slot(&big, tb->keys[i]);
-            big.keys[j] = tb->keys[i];
-            big.used[j] = 1;
-        }
-    big.len = tb->len;
-    table_free(tb);
-    *tb = big;
-    return 1;
-}
-
-/* Add key to the set; 0 on failed allocation. */
-static int table_add(table_t *tb, uint64_t key)
-{
-    if (!table_reserve(tb))
-        return 0;
-    int64_t i = table_slot(tb, key);
-    tb->len += !tb->used[i];
-    tb->keys[i] = key;
-    tb->used[i] = 1;
-    return 1;
-}
 
 static int grow(void **p, int64_t *cap, int64_t need, size_t size)
 {
@@ -151,7 +104,7 @@ void walk_free(walk_t *w)
     free(w->r);
     free(w->sx);
     free(w->state);
-    table_free(&w->dead);
+    free(w->dead);
     free(w);
 }
 
@@ -162,10 +115,12 @@ walk_t *walk_new(int64_t origin_x, int64_t t0, uint64_t base,
     if (!w)
         return NULL;
     w->r_cap = w->stack_cap = 64;
+    w->dead_cap = 1024;
     w->r = malloc(64 * sizeof *w->r);
     w->sx = malloc(64 * sizeof *w->sx);
     w->state = malloc(64);
-    if (!table_init(&w->dead, 1024, 54) || !w->r || !w->sx || !w->state) {
+    w->dead = malloc(1024 * sizeof *w->dead);
+    if (!w->r || !w->sx || !w->state || !w->dead) {
         walk_free(w);
         return NULL;
     }
@@ -210,6 +165,7 @@ int walk_advance(walk_t *w, int64_t levels)
             return w->failed = WALK_NOMEM;
         int64_t *sx = w->sx;
         uint8_t *state = w->state;
+        sx[target] = INT64_MAX; /* nothing is dead at the new level */
         for (;;) {
             uint8_t st = state[top];
             if (st < 2) {
@@ -221,7 +177,8 @@ int walk_advance(walk_t *w, int64_t levels)
                 w->n_examined++;
                 if (sample(w, key)) {
                     int64_t cx = d ? x + 1 : x - 1;
-                    if (!w->dead.used[table_slot(&w->dead, pack(t + 1, cx))]) {
+                    /* above the top, sx holds the least dead column */
+                    if (cx < sx[top + 1]) {
                         top++;
                         sx[top] = cx;
                         state[top] = 0;
@@ -230,9 +187,11 @@ int walk_advance(walk_t *w, int64_t levels)
                     }
                 }
             } else {
-                if (!table_add(&w->dead, pack(w->t0 + top, sx[top])))
+                if (!grow((void **)&w->dead, &w->dead_cap, w->dead_len + 1,
+                          sizeof *w->dead))
                     return w->failed = WALK_NOMEM;
-                top--;
+                w->dead[w->dead_len++] = pack(w->t0 + top, sx[top]);
+                top--; /* sx[top + 1] stays, the level's least dead column */
                 if (top < 0) {
                     w->scan_offset++;
                     if (w->scan_offset >= w->scan_guard) {
@@ -260,11 +219,9 @@ int walk_advance(walk_t *w, int64_t levels)
 int64_t walk_edges(const walk_t *w, int64_t *keys, uint8_t *open, int64_t cap)
 {
     int64_t n = 0;
-    for (int64_t i = 0; i < w->dead.cap + w->stack_len; i++) {
-        int64_t j = i - w->dead.cap; /* the stack index past the table */
-        if (j < 0 && !w->dead.used[i])
-            continue;
-        uint64_t k = j < 0 ? w->dead.keys[i] : pack(w->t0 + j, w->sx[j]);
+    for (int64_t i = 0; i < w->dead_len + w->stack_len; i++) {
+        int64_t j = i - w->dead_len; /* the stack index past the dead sites */
+        uint64_t k = j < 0 ? w->dead[i] : pack(w->t0 + j, w->sx[j]);
         for (int d = 1; d > 1 - (j < 0 ? 2 : w->state[j]); d--, n++)
             if (n < cap) {
                 /* site t << 32 | x + X_BIAS to edge (2t + d) << 32 |

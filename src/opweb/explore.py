@@ -12,8 +12,13 @@ boundary ``l``, and its endpoint is the new right-boundary value ``r``), and
 advancing the target simply continues the walk.  Each edge is sampled where
 it is examined, and no edge is examined twice: a site's out-edges are
 examined only while it is on the stack, and it leaves the stack only after
-both are, as a dead site that no later edge enters.  Dead sites are
-remembered, so re-entry from a later start site costs nothing.
+both are, as a dead site that no later edge enters.  Dead sites are never
+re-entered, from a later start site or a later branch, so each costs its
+exploration once.  The Python walk keeps them in a set.  The walk is
+planar, so a site queried from the stack is dead exactly when its column is
+at or right of the least dead column at its level.  The native walk reads
+that column off its stack buffer, where a popped site's entry stays until
+the next push at its level (the argument is in ``_walk.c``).
 
 There are two walks, integer-identical, one class each.
 `ExplorationCluster` is the Python walk, the reference; its subclass

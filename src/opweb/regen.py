@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
-from .explore import ExplorationCluster, explore_to_level
+from .explore import explore_to_level
 from .lattice import LatticeSite, replica_config
 from .runner import pmap
 from .stats import wilson_interval
@@ -35,26 +35,27 @@ class DriftDiffusivity:
     sigma_se: float
 
 
-def break_point_arrays(cluster: ExplorationCluster, n_end: int, margin: int):
-    """Break times and boundary values from an explored cluster.
+def break_point_arrays(r, left, t0: int, n_end: int, margin: int):
+    """Break times and boundary values from an explored cluster's
+    boundaries.
 
-    The cluster must be advanced to at least ``n_end + margin``; detection
-    runs on ``[start, n_end]`` and break points inside the trailing
-    ``margin`` levels are discarded (their survival evidence is one-sided).
-    Returns ``(T, RT)``: absolute break times and ``r`` evaluated there.
+    ``r`` and ``left`` are the right and left boundaries of a cluster
+    started at time ``t0`` (its `right_values` and `left_values`), advanced
+    to at least ``n_end + margin``; detection runs on ``[t0, n_end]`` and
+    break points inside the trailing ``margin`` levels are discarded (their
+    survival evidence is one-sided).  Returns ``(T, RT)``: absolute break
+    times and ``r`` evaluated there.
     """
     horizon = n_end + margin
     if margin <= 0:
         raise InvalidArgumentError("margin must be positive")
-    if cluster.level < horizon:
+    if t0 + len(r) - 1 < horizon:
         raise InvalidArgumentError("cluster not explored to the survival horizon")
-    t0 = cluster.start_t
     keep = n_end - margin - t0
     if keep < 0:
         raise InvalidArgumentError("margin leaves no detection window")
-    r = cluster.right_values[:keep + 1]
-    left = cluster.left_values[:keep + 1]
-    idx = np.flatnonzero(r == left)
+    r = r[:keep + 1]
+    idx = np.flatnonzero(r == left[:keep + 1])
     return t0 + idx, r[idx]
 
 
@@ -82,10 +83,12 @@ class RegenAccumulator:
         self._per_replica = []  # (n, sx, st, sxx, sxt, stt)
 
     def add(self, X, tau):
+        # integer records with sums below 2**53: every sum is exact, so
+        # the dot products equal the sums of products
         X = np.asarray(X, dtype=np.float64)
         tau = np.asarray(tau, dtype=np.float64)
-        self._per_replica.append((len(X), X.sum(), tau.sum(), (X * X).sum(),
-                                  (X * tau).sum(), (tau * tau).sum()))
+        self._per_replica.append((len(X), X.sum(), tau.sum(), X @ X,
+                                  X @ tau, tau @ tau))
 
     def finalize(self) -> DriftDiffusivity:
         rows = np.array(self._per_replica, dtype=np.float64).reshape(-1, 6)
@@ -109,8 +112,9 @@ def _estimate_worker(args):
     cfg, n, margin, scan_guard = args
     cluster = explore_to_level(LatticeSite(0, 0), n + margin, cfg,
                                scan_guard=scan_guard)
-    T, RT = break_point_arrays(cluster, n, margin)
-    return np.diff(RT), np.diff(T), int(cluster.right_values[n])
+    r = cluster.right_values
+    T, RT = break_point_arrays(r, cluster.left_values, 0, n, margin)
+    return np.diff(RT), np.diff(T), int(r[n])
 
 
 def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,

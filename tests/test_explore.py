@@ -1,6 +1,9 @@
+import math
 import multiprocessing
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ from opweb.errors import (InvalidArgumentError, ScanLimitExceededError)
 from opweb.explore import (ExplorationCluster, boundary_ordering_check,
                            explore_to_level, gamma_approx,
                            write_trajectory_csv)
-from opweb.lattice import Config, LatticeSite, make_key_sampler
+from opweb.lattice import Config, LatticeSite, X_BIAS, make_key_sampler
 
 ORIGIN = LatticeSite(0, 0)
 
@@ -213,12 +216,16 @@ def _step(cluster, step):
        guard=st.integers(1, 300),
        steps=st.lists(st.one_of(st.none(), st.integers(-2, 40)),
                       min_size=1, max_size=8))
-# long walks, past the strategy's bounds: many resizes of the dead-site set
-# and a stack of 3000 entries before the edge sets are compared
+# long walks, past the strategy's bounds: the native walk's stack and its
+# dead-site keys regrow many times before the edge sets are compared
 @example(seed=1, p=0.65, x=0, t=-1500, guard=10_000, steps=[3000])
 @example(seed=2, p=0.7, x=0, t=0, guard=10_000, steps=[3000])
 @example(seed=3, p=0.9, x=7, t=-40, guard=10_000, steps=[3000])
 @example(seed=4, p=1.0, x=-5, t=-3000, guard=10_000, steps=[3000])
+# near p_c: 4000 levels over 195 restarts (214 361 edges), and 851 levels
+# over 2000 restarts until the guard trips (275 064 edges)
+@example(seed=5, p=0.64, x=0, t=0, guard=10_000, steps=[2000, 2000])
+@example(seed=3, p=0.62, x=0, t=0, guard=2000, steps=[500, 2000])
 def test_native_walk_matches_python_walk(seed, p, x, t, guard, steps):
     cfg = Config(seed, p, 1)
     start = LatticeSite(x + ((x + t) & 1), t)
@@ -234,6 +241,48 @@ def test_native_walk_matches_python_walk(seed, p, x, t, guard, steps):
             assert _step(native, step) == _step(python, step) == tripped
             assert _walk_state(native) == _walk_state(python)
             break
+
+
+class _LevelRuleDead(set):
+    """A dead-site set that checks each lookup against the rule of
+    ``_walk.c``: a site queried from the stack is dead exactly when its
+    column is at or right of the least dead column at its level."""
+
+    def __init__(self):
+        super().__init__()
+        self.least = {}  # level -> least dead column
+        self.lookups = 0
+
+    def add(self, key):
+        t, x = key >> 32, (key & 0xFFFFFFFF) - X_BIAS
+        self.least[t] = min(self.least.get(t, x), x)
+        super().add(key)
+
+    def __contains__(self, key):
+        t, x = key >> 32, (key & 0xFFFFFFFF) - X_BIAS
+        dead = super().__contains__(key)
+        assert dead == (x >= self.least.get(t, math.inf)), (t, x)
+        self.lookups += 1
+        return dead
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=seeds,
+       p=st.sampled_from([0.5, 0.6447, 0.7, 0.8, 0.9, 1.0]),
+       x=st.integers(-40, 40), t=st.integers(-40, 40),
+       guard=st.integers(1, 1000), levels=st.integers(1, 2000))
+# near p_c: 76 236 lookups until the guard trips below level 852, and
+# 62 608 lookups over 5000 levels
+@example(seed=3, p=0.62, x=0, t=0, guard=1000, levels=2000)
+@example(seed=1, p=0.6447, x=0, t=0, guard=2000, levels=5000)
+def test_dead_lookups_follow_the_per_level_rule(seed, p, x, t, guard, levels):
+    cfg = Config(seed, p, 1)
+    cluster = _python_walk(LatticeSite(x + ((x + t) & 1), t), cfg,
+                           scan_guard=guard)
+    cluster._dead = dead = _LevelRuleDead()
+    _step(cluster, levels)
+    # one lookup per open edge: the walk consulted the checking set
+    assert dead.lookups == len(cluster.open_edges)
 
 
 def _both_walks(start, cfg, **kwargs):
@@ -300,6 +349,37 @@ def test_edge_listing_checks_its_count():
     native._head.n_examined = examined // 2
     with pytest.raises(RuntimeError, match=f"lists {examined} edges"):
         native.open_edges
+
+
+_NEAR_CRITICAL_WALK = """
+import resource
+from opweb.errors import ScanLimitExceededError
+from opweb.explore import ExplorationCluster
+from opweb.lattice import LatticeSite, replica_config
+cluster = ExplorationCluster(LatticeSite(0, 0), replica_config(1, 0.64, 0))
+try:
+    cluster.advance_to(22_000)
+except ScanLimitExceededError as e:
+    print(type(cluster).__name__, cluster.n_examined, e.scan_offset)
+    print(e)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+"""
+
+
+def test_near_critical_native_walk_stays_small():
+    # about 8.7 M sites die before the guard trips; the walk keeps no set
+    # of them, only their keys, 8 bytes each, for the edge listing
+    if _native.load() is None:
+        pytest.skip("the native walk does not build here")
+    src = Path(_native.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _NEAR_CRITICAL_WALK],
+                          env=env, capture_output=True, text=True, check=True,
+                          timeout=120)
+    walk, error, max_rss_mb = done.stdout.splitlines()
+    assert walk == "NativeCluster 17440276 10000"
+    assert error == "10000 start sites exhausted below level 16141"
+    assert int(max_rss_mb) < 250
 
 
 def test_walk_source_compiles_clean():

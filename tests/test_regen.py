@@ -20,6 +20,11 @@ def _explored(cfg, n_end, margin):
     return explore_to_level(ORIGIN, n_end + margin, cfg)
 
 
+def _break_points(cluster, n_end, margin):
+    return break_point_arrays(cluster.right_values, cluster.left_values,
+                              cluster.start_t, n_end, margin)
+
+
 def _estimate(X, tau):
     acc = RegenAccumulator()
     acc.add(X, tau)
@@ -28,7 +33,7 @@ def _estimate(X, tau):
 
 def test_full_lattice_break_points():
     cluster = _explored(Config(1, 1.0, 1), 40, 10)
-    T, RT = break_point_arrays(cluster, 40, 10)
+    T, RT = _break_points(cluster, 40, 10)
     assert (T[0], RT[0]) == (0, 0)
     X, tau = np.diff(RT), np.diff(T)
     assert np.all(X == 1) and np.all(tau == 1)
@@ -52,7 +57,7 @@ def test_estimator_rejects_tiny_samples():
 def test_record_invariants_at_supercritical_p():
     cfg = Config(33, 0.8, 1)
     cluster = _explored(cfg, 2000, 300)
-    T, RT = break_point_arrays(cluster, 2000, 300)
+    T, RT = _break_points(cluster, 2000, 300)
     X, tau = np.diff(RT), np.diff(T)
     assert np.all(tau >= 1)
     assert np.all(np.abs(X) <= tau)
@@ -68,8 +73,8 @@ def test_record_invariants_at_supercritical_p():
 def test_margin_doubling_stability():
     cfg = Config(44, 0.8, 9)
     cluster = _explored(cfg, 2000, 500)
-    T1, R1 = break_point_arrays(cluster, 2000, 250)
-    T2, R2 = break_point_arrays(cluster, 2000, 500)
+    T1, R1 = _break_points(cluster, 2000, 250)
+    T2, R2 = _break_points(cluster, 2000, 500)
     keep = T1 <= 2000 - 500
     assert np.array_equal(T1[keep], T2)
     assert np.array_equal(R1[keep], R2)
@@ -78,18 +83,18 @@ def test_margin_doubling_stability():
 def test_detect_validates_inputs():
     cluster = _explored(Config(3, 0.8, 1), 50, 10)
     with pytest.raises(InvalidArgumentError):
-        break_point_arrays(cluster, 50, 0)  # no survival margin
+        _break_points(cluster, 50, 0)  # no survival margin
     with pytest.raises(InvalidArgumentError):
-        break_point_arrays(cluster, 50, 11)  # horizon beyond the cluster
+        _break_points(cluster, 50, 11)  # horizon beyond the cluster
     with pytest.raises(InvalidArgumentError):
-        break_point_arrays(cluster, 10, 50)  # margin leaves no window
+        _break_points(cluster, 10, 50)  # margin leaves no window
 
 
 def test_increment_autocorrelation_near_zero():
     acc_x, acc_t = [], []
     for rep in range(20):
         cluster = _explored(Config(71, 0.8, (rep + 1) * 1024), 5000, 300)
-        T, RT = break_point_arrays(cluster, 5000, 300)
+        T, RT = _break_points(cluster, 5000, 300)
         acc_x.append(np.diff(RT))
         acc_t.append(np.diff(T))
     X = np.concatenate(acc_x).astype(float)
@@ -107,7 +112,7 @@ def test_sigma_translation_invariance():
         for rep in range(10):
             cluster = explore_to_level(origin, origin.t + 4300,
                                        Config(seed, 0.8, (rep + 1) * 1024))
-            T, RT = break_point_arrays(cluster, origin.t + 4000, 300)
+            T, RT = _break_points(cluster, origin.t + 4000, 300)
             acc.add(np.diff(RT), np.diff(T))
         return acc.finalize()
 
@@ -119,7 +124,7 @@ def test_sigma_translation_invariance():
 
 def test_accumulator_matches_direct_estimate():
     cluster = _explored(Config(9, 0.8, 2), 3000, 300)
-    T, RT = break_point_arrays(cluster, 3000, 300)
+    T, RT = _break_points(cluster, 3000, 300)
     X, tau = np.diff(RT), np.diff(T)
     direct = _estimate(X, tau)
     assert direct.alpha_hat == pytest.approx(X.sum() / tau.sum(), rel=1e-12)
@@ -132,10 +137,23 @@ def test_accumulator_matches_direct_estimate():
     assert merged.n_records == direct.n_records
 
 
+def test_accumulator_sums_are_exact():
+    # integer records with sums below 2**53: the six per-replica sums equal
+    # the integer sums, whatever the order in which they are formed
+    cluster = _explored(Config(9, 0.8, 2), 3000, 300)
+    T, RT = _break_points(cluster, 3000, 300)
+    X, tau = np.diff(RT).tolist(), np.diff(T).tolist()
+    acc = RegenAccumulator()
+    acc.add(X, tau)
+    assert acc._per_replica == [(
+        len(X), sum(X), sum(tau), sum(x * x for x in X),
+        sum(x * s for x, s in zip(X, tau)), sum(s * s for s in tau))]
+
+
 def test_accumulator_one_replica_leaves_errors_undefined():
     # one replica forms one batch: no standard error, and no empty batch
     cluster = _explored(Config(9, 0.8, 2), 3000, 300)
-    T, RT = break_point_arrays(cluster, 3000, 300)
+    T, RT = _break_points(cluster, 3000, 300)
     X, tau = np.diff(RT), np.diff(T)
     acc = RegenAccumulator()
     acc.add(X, tau)
