@@ -10,13 +10,19 @@ built from a Config and no edge source when `load` succeeds.  It keeps no
 left-delta record (`left_deltas` is None): the record's one reader, the
 ledger coupling, runs on edge sources and so on the Python walk.
 
+`lockstep` is the native body of `explore.walk_lockstep`, which calls it by
+the same rule, when `load` succeeds.  It makes one C call, ``walk_value``
+for one start or ``walk_pair`` for an equal-time pair, and that call makes,
+runs and frees its walks: no cluster, no finaliser and no copy of r.
+
 `explore` imports this module the first time it makes a Config-driven
 cluster, never at ``import opweb``.  The first `load` in a process compiles
 ``_walk.c`` with the local ``cc`` (or ``gcc``) unless a cached build exists,
 and loads it through ctypes.  The cache is the package's ``__pycache__``,
 file ``_walk-<key>.so``, where ``<key>`` hashes the source, the compiler and
 its flags.  A build is written to a temporary file and moved into place by
-``os.replace``, so concurrent processes only ever see whole files.  Every
+``os.replace``, so concurrent processes only ever see whole files; the other
+``_walk-*.so`` files, builds of older sources, are then removed.  Every
 cached file ends in a trailer holding its key and the SHA-256 of the bytes
 before it; a file whose trailer does not check out (truncated, stale or
 foreign) is rebuilt and never loaded.  Without a compiler, or with an
@@ -39,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .explore import DEFAULT_SCAN_GUARD, ExplorationCluster
+from .explore import DEFAULT_SCAN_GUARD, ExplorationCluster, guard_error
 from .lattice import MASK64
 
 _COMPILERS = ("cc", "gcc")
@@ -55,6 +61,11 @@ _NOMEM = 2
 
 _lib = None
 _tried = False
+
+# what walk_value and walk_pair write: the merge's level from the start, or
+# -1; two r values; and the scan offset and last level of the walk that
+# stopped
+_Out = c_int64 * 5
 
 
 class _Head(ctypes.Structure):
@@ -106,6 +117,11 @@ def _load():
     lib.walk_edges.restype = c_int64
     lib.walk_free.argtypes = [c_void_p]
     lib.walk_free.restype = None
+    walk = [c_int64, c_uint64, c_uint64, c_int, c_int64, c_int64, c_void_p]
+    lib.walk_value.argtypes = [c_int64, *walk]
+    lib.walk_value.restype = c_int
+    lib.walk_pair.argtypes = [c_int64, c_int64, *walk]
+    lib.walk_pair.restype = c_int
     return lib
 
 
@@ -138,6 +154,37 @@ def _build(cc: str, source: bytes, path: Path, key: bytes) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    for stale in path.parent.glob("_walk-*.so"):
+        if stale != path:
+            with contextlib.suppress(OSError):
+                stale.unlink()
+
+
+def _sampler(cfg, scan_guard) -> tuple:
+    """The Config's sampler and the guard as ``walk_new`` takes them: base,
+    threshold, all-open flag and an integer guard."""
+    threshold = cfg._threshold
+    # the walk trips once scan_offset >= scan_guard, an integer count
+    return (cfg._base, min(threshold, MASK64), threshold > MASK64,
+            min(math.ceil(scan_guard), 1 << 62))
+
+
+def lockstep(xs, t0: int, level: int, cfg, scan_guard):
+    """`explore.walk_lockstep` in one C call."""
+    lib = load()
+    out = _Out()
+    args = (t0, *_sampler(cfg, scan_guard), level, out)
+    if len(xs) == 1:
+        code = lib.walk_value(xs[0], *args)
+    else:
+        code = lib.walk_pair(xs[0], xs[1], *args)
+    if code == _GUARD:
+        raise guard_error(out[3], out[4])
+    if code == _NOMEM:
+        raise MemoryError("native exploration walk out of memory")
+    if out[0] >= 0:
+        return t0 + out[0], None
+    return None, tuple(out[1:1 + len(xs)])
 
 
 def _copy(ptr, n: int) -> np.ndarray:
@@ -165,11 +212,7 @@ class NativeCluster(ExplorationCluster):
         self.cfg = cfg
         self._t0 = origin.t
         self._left_deltas = None
-        threshold = cfg._threshold
-        # the walk trips once scan_offset >= scan_guard, an integer count
-        guard = min(math.ceil(scan_guard), 1 << 62)
-        handle = lib.walk_new(origin.x, origin.t, cfg._base,
-                              min(threshold, MASK64), threshold > MASK64, guard)
+        handle = lib.walk_new(origin.x, origin.t, *_sampler(cfg, scan_guard))
         if not handle:
             raise MemoryError("cannot allocate a native exploration walk")
         weakref.finalize(self, lib.walk_free, handle)

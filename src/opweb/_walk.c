@@ -1,18 +1,18 @@
 /* Native form of the exploration walk in explore.py.
  *
- * One walk is the state of one _native.NativeCluster: the splitmix64 edge
- * sampler (base and threshold of the Config), the depth-first stack, the
- * keys of the dead sites, the right-boundary values r, the scan offset and
- * the scan guard.  No edge status is kept: an edge is sampled where it is
- * examined, and no edge is examined twice.  A site's out-edges are
- * examined only while it is on the stack; it leaves the stack only after
- * both are, and it is then dead, so no later edge enters it.  The loop in
- * walk_advance makes the same steps as ExplorationCluster.advance_level:
- * the same scan order, the same packed keys, the same guard.  It folds the
- * up-right and up-left steps into one block on the direction d, where the
- * Python walk keeps the two blocks unrolled because that runs faster
- * there.  The Python walk, with its set of dead sites, stays the reference
- * this one is tested against.
+ * One walk is the state of one _native.NativeCluster, or of one start in
+ * the one-call entries at the end: the splitmix64 edge sampler (base and
+ * threshold of the Config), the depth-first stack, the keys of the dead
+ * sites, the right-boundary values r, the scan offset and the scan guard.
+ * No edge status is kept: an edge is sampled where it is examined, and no
+ * edge is examined twice.  A site's out-edges are examined only while it is
+ * on the stack; it leaves the stack only after both are, and it is then
+ * dead, so no later edge enters it.  The loop in walk_advance makes the same
+ * steps as ExplorationCluster.advance_level: the same scan order, the same
+ * packed keys, the same guard.  It folds the up-right and up-left steps into
+ * one block on the direction d, where the Python walk keeps the two blocks
+ * unrolled because that runs faster there.  The Python walk, with its set of
+ * dead sites, stays the reference this one is tested against.
  *
  * Dead sites need no set, because the walk is planar: a site queried from
  * the stack is dead exactly when its column is at or right of the least
@@ -41,12 +41,33 @@
  * realloc either buffer, so no pointer into them outlives the call that
  * read it.
  *
+ * Two entries make, run and free their walks inside one call, for callers
+ * that need r at one level and no cluster: walk_value walks one start, and
+ * walk_pair an equal-time pair in lockstep.  Their walks keep neither r nor
+ * the dead sites' keys: r at the last level completed is the top of the
+ * stack, sx[r_len - 1].
+ *
+ * walk_pair advances level by level, the left walk before the right on
+ * each, and compares r until the first level n with r_R(n) <= r_L(n).
+ * Stopping the right walk there is exact for starts at one time t0
+ * (Durrett, Ann. Probab. 1984).  r_x(n) is the rightmost site at level n
+ * reached from the half-line (-inf, x] at t0, so r_L <= r_R.  An open path
+ * from the right half-line to a site at or left of r_L(n) starts right of
+ * the left walk's path to r_L(n) and ends at or left of it, so the two
+ * share a site.  So the left half-line reaches every site that the right
+ * one reaches at level n, hence at every later level, and the boundaries
+ * stay equal.  The left walk goes on alone to the target level, as a walk
+ * that cannot get there must still trip its guard: subcritical pairs merge
+ * within a few levels.  Guard trips come in level-then-left-then-right
+ * order, so a trip of the right walk after the merge is never reached.
+ *
  * Keys are the packed keys of lattice.py taken mod 2**64, which is all the
  * sampler reads of them.  Build: cc -O2 -std=c99 -shared -fPIC.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define X_BIAS ((int64_t)1 << 31)
 #define GOLDEN 0x9E3779B97F4A7C15ULL
@@ -62,11 +83,12 @@ typedef struct {
     int64_t stack_len;         /* sx[0:stack_len] is the left boundary */
     int64_t scan_offset;
     int64_t n_examined;
-    int64_t *r;
+    int64_t *r;                /* NULL on a walk that keeps no record */
     int64_t *sx;
     /* private */
     uint8_t *state;
-    uint64_t *dead;            /* dead sites' keys, in the order they died */
+    uint64_t *dead;            /* dead sites' keys, in the order they died;
+                                * NULL with r */
     int64_t r_cap, stack_cap, dead_len, dead_cap;
     int64_t t0, origin_x, scan_guard;
     uint64_t base, threshold;
@@ -97,42 +119,65 @@ static int grow_stack(walk_t *w, int64_t need)
            && grow((void **)&w->state, &w->stack_cap, need, 1);
 }
 
-void walk_free(walk_t *w)
+/* Set up the walk of the half-line at (origin_x, t0) in *w; with
+ * `record`, it keeps r and the dead sites' keys.  Returns 0 if out of
+ * memory, and *w can then still be released. */
+static int walk_init(walk_t *w, int64_t origin_x, int64_t t0, uint64_t base,
+                     uint64_t threshold, int all_open, int64_t scan_guard,
+                     int record)
 {
-    if (!w)
-        return;
-    free(w->r);
-    free(w->sx);
-    free(w->state);
-    free(w->dead);
-    free(w);
-}
-
-walk_t *walk_new(int64_t origin_x, int64_t t0, uint64_t base,
-                 uint64_t threshold, int all_open, int64_t scan_guard)
-{
-    walk_t *w = calloc(1, sizeof *w);
-    if (!w)
-        return NULL;
-    w->r_cap = w->stack_cap = 64;
-    w->dead_cap = 1024;
-    w->r = malloc(64 * sizeof *w->r);
+    memset(w, 0, sizeof *w);
+    w->stack_cap = 64;
     w->sx = malloc(64 * sizeof *w->sx);
     w->state = malloc(64);
-    w->dead = malloc(1024 * sizeof *w->dead);
-    if (!w->r || !w->sx || !w->state || !w->dead) {
-        walk_free(w);
-        return NULL;
+    if (record) {
+        w->r_cap = 64;
+        w->dead_cap = 1024;
+        w->r = malloc(64 * sizeof *w->r);
+        w->dead = malloc(1024 * sizeof *w->dead);
+        if (!w->r || !w->dead)
+            return 0;
+        w->r[0] = origin_x;
     }
+    if (!w->sx || !w->state)
+        return 0;
     w->origin_x = origin_x;
     w->t0 = t0;
     w->base = base;
     w->threshold = threshold;
     w->all_open = all_open;
     w->scan_guard = scan_guard;
-    w->r[0] = w->sx[0] = origin_x;
+    w->sx[0] = origin_x;
     w->state[0] = 0;
     w->r_len = w->stack_len = 1;
+    return 1;
+}
+
+static void walk_release(walk_t *w)
+{
+    free(w->r);
+    free(w->sx);
+    free(w->state);
+    free(w->dead);
+}
+
+void walk_free(walk_t *w)
+{
+    if (!w)
+        return;
+    walk_release(w);
+    free(w);
+}
+
+walk_t *walk_new(int64_t origin_x, int64_t t0, uint64_t base,
+                 uint64_t threshold, int all_open, int64_t scan_guard)
+{
+    walk_t *w = malloc(sizeof *w);
+    if (w && !walk_init(w, origin_x, t0, base, threshold, all_open,
+                        scan_guard, 1)) {
+        walk_free(w);
+        return NULL;
+    }
     return w;
 }
 
@@ -161,7 +206,8 @@ int walk_advance(walk_t *w, int64_t levels)
         int64_t target = w->r_len;
         int64_t top = target - 1;
         if (!grow_stack(w, target + 1)
-            || !grow((void **)&w->r, &w->r_cap, target + 1, sizeof *w->r))
+            || (w->r && !grow((void **)&w->r, &w->r_cap, target + 1,
+                              sizeof *w->r)))
             return w->failed = WALK_NOMEM;
         int64_t *sx = w->sx;
         uint8_t *state = w->state;
@@ -187,10 +233,12 @@ int walk_advance(walk_t *w, int64_t levels)
                     }
                 }
             } else {
-                if (!grow((void **)&w->dead, &w->dead_cap, w->dead_len + 1,
-                          sizeof *w->dead))
-                    return w->failed = WALK_NOMEM;
-                w->dead[w->dead_len++] = pack(w->t0 + top, sx[top]);
+                if (w->dead) {
+                    if (!grow((void **)&w->dead, &w->dead_cap,
+                              w->dead_len + 1, sizeof *w->dead))
+                        return w->failed = WALK_NOMEM;
+                    w->dead[w->dead_len++] = pack(w->t0 + top, sx[top]);
+                }
                 top--; /* sx[top + 1] stays, the level's least dead column */
                 if (top < 0) {
                     w->scan_offset++;
@@ -205,10 +253,69 @@ int walk_advance(walk_t *w, int64_t levels)
             }
         }
         w->stack_len = target + 1;
-        w->r[target] = sx[target];
+        if (w->r)
+            w->r[target] = sx[target];
         w->r_len = target + 1;
     }
     return WALK_OK;
+}
+
+/* out[3] and out[4]: the scan offset of w and the last level it completed,
+ * which name a guard trip. */
+static int report(const walk_t *w, int code, int64_t *out)
+{
+    out[3] = w->scan_offset;
+    out[4] = w->t0 + w->r_len - 1;
+    return code;
+}
+
+/* r at `level` of the walk from (x, t0), into out[1]; out[0] = -1.
+ * Returns the walk's code, and the walk's report in out[3:5]. */
+int walk_value(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
+               int all_open, int64_t scan_guard, int64_t level, int64_t *out)
+{
+    walk_t w;
+    int code = walk_init(&w, x, t0, base, threshold, all_open, scan_guard, 0)
+               ? walk_advance(&w, level - t0) : WALK_NOMEM;
+    out[0] = -1;
+    out[1] = code ? 0 : w.sx[w.r_len - 1];
+    code = report(&w, code, out);
+    walk_release(&w);
+    return code;
+}
+
+/* The pair from (xl, t0) and (xr, t0) in lockstep to `level`: out[0] is
+ * n - t0 for the first level n with r_R(n) <= r_L(n), or -1 with r_L and
+ * r_R at `level` in out[1] and out[2].  The right walk stops at that level
+ * and the left one goes on to `level`.  Returns the code of the walk that
+ * stopped the pair (0 if none did), with that walk's report in out[3:5]. */
+int walk_pair(int64_t xl, int64_t xr, int64_t t0, uint64_t base,
+              uint64_t threshold, int all_open, int64_t scan_guard,
+              int64_t level, int64_t *out)
+{
+    walk_t w[2];
+    int ok = walk_init(&w[0], xl, t0, base, threshold, all_open,
+                       scan_guard, 0);
+    ok &= walk_init(&w[1], xr, t0, base, threshold, all_open, scan_guard, 0);
+    int code = ok ? WALK_OK : WALK_NOMEM;
+    walk_t *stop = &w[0];
+    out[0] = xr <= xl ? 0 : -1;
+    for (int64_t j = 1; !code && out[0] < 0 && j <= level - t0; j++) {
+        code = walk_advance(stop = &w[0], 1);
+        if (!code)
+            code = walk_advance(stop = &w[1], 1);
+        if (!code && w[1].sx[j] <= w[0].sx[j])
+            out[0] = j;
+    }
+    /* past the merge the left walk goes on alone, for its guard */
+    if (!code && out[0] >= 0)
+        code = walk_advance(stop = &w[0], level - t0 - (w[0].r_len - 1));
+    out[1] = code ? 0 : w[0].sx[w[0].r_len - 1];
+    out[2] = code ? 0 : w[1].sx[w[1].r_len - 1];
+    code = report(stop, code, out);
+    walk_release(&w[0]);
+    walk_release(&w[1]);
+    return code;
 }
 
 /* The examined edges, rebuilt: both out-edges of each dead site, then the

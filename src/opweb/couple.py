@@ -26,9 +26,12 @@ so the right boundary ``r_x(n)`` is non-decreasing in ``x``: for
 ``x < y < z``, ``r_x(n) = r_z(n)`` pins ``r_y(n)`` to the same value.  The
 distinct values of a family are thus one plus the increases between
 neighbours, and bisection counts them from the clusters at the ends of
-each unsettled interval (the squeeze).  The pair of the survival curve
-runs both clusters to the horizon and reads ``kappa_rr`` off their right
-boundaries.
+each unsettled interval (the squeeze).  The batteries keep no cluster:
+each reads r through `explore.walk_lockstep`, which walks an equal-time
+pair in lockstep and stops at the first level where ``r_R <= r_L``, as from
+there the two boundaries stay equal.  That level is the survival curve's
+``kappa_rr``, and a family whose end clusters merge by its level has one
+value.
 
 Coalescence bookkeeping for a pair started left (cluster ``L``) and right
 (cluster ``R``) at the same time:
@@ -53,9 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionNotMetError
-from .explore import (DEFAULT_SCAN_GUARD, ExplorationCluster,
-                      explore_to_level)
-from .lattice import Config, LatticeSite, make_key_sampler, replica_config
+from .explore import DEFAULT_SCAN_GUARD, ExplorationCluster, walk_lockstep
+from .lattice import Config, make_key_sampler, replica_config
 from .oracle import cbm_baseline
 from .runner import pmap
 
@@ -338,24 +340,19 @@ def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
 
 # -- shared-configuration batteries ------------------------------------------
 
-def _right_value(x: int, t0: int, level: int, cfg: Config,
-                 scan_guard: int) -> int:
-    cluster = explore_to_level(LatticeSite(x, t0), level, cfg,
-                               scan_guard=scan_guard)
-    return int(cluster.right_values[-1])
-
-
 def family_eta(start_xs, t0: int, level: int, cfg: Config, *,
                cap: int | None = None,
                scan_guard: int = DEFAULT_SCAN_GUARD) -> int:
     """Distinct values of ``r_x(level)`` over an equal-time family on ``cfg``.
 
-    Counted by squeeze: the leftmost and then the rightmost cluster run
-    first, and an interval of starts whose end values differ is split at
-    its midpoint, so only the clusters that separate distinct values run.
-    With ``cap >= 1`` the count stops once the values found, plus one for
-    each interval still to split, reach ``cap``, and ``min(eta, cap)`` is
-    returned; ``cap=2`` runs the two extreme clusters only.
+    Counted by squeeze: the leftmost and the rightmost cluster run first,
+    as one pair in lockstep; if they merge by ``level`` the family has one
+    value.  Otherwise an interval of starts whose end values differ is
+    split at its midpoint, so only the clusters that separate distinct
+    values run.  With ``cap >= 1`` the count stops once the values found,
+    plus one for each interval still to split, reach ``cap``, and
+    ``min(eta, cap)`` is returned; ``cap=2`` runs the two extreme clusters
+    only.
     """
     xs = tuple(start_xs)
     if not xs:
@@ -367,9 +364,11 @@ def family_eta(start_xs, t0: int, level: int, cfg: Config, *,
     if cap is not None and cap < 1:
         raise InvalidArgumentError("cap must be at least 1")
     last = len(xs) - 1
-    r = {0: _right_value(xs[0], t0, level, cfg, scan_guard)}
-    if last:
-        r[last] = _right_value(xs[last], t0, level, cfg, scan_guard)
+    ends = (xs[0], xs[last]) if last else xs
+    merge, values = walk_lockstep(ends, t0, level, cfg, scan_guard=scan_guard)
+    if merge is not None:
+        return 1
+    r = dict(zip((0, last), values))
     # todo: the intervals whose ends differ, each holding one more value
     eta = 1
     todo = [(0, last)] if r[0] != r[last] else []
@@ -379,7 +378,8 @@ def family_eta(start_xs, t0: int, level: int, cfg: Config, *,
             eta += 1
             continue
         mid = (lo + hi) // 2
-        r[mid] = _right_value(xs[mid], t0, level, cfg, scan_guard)
+        _, (r[mid],) = walk_lockstep((xs[mid],), t0, level, cfg,
+                                     scan_guard=scan_guard)
         todo += [(a, b) for a, b in ((mid, hi), (lo, mid)) if r[a] != r[b]]
     eta += len(todo)
     return eta if cap is None else min(eta, cap)
@@ -387,11 +387,7 @@ def family_eta(start_xs, t0: int, level: int, cfg: Config, *,
 
 def _survival_worker(args):
     cfg, gap, horizon, scan_guard = args
-    r_left = explore_to_level(LatticeSite(0, 0), horizon, cfg,
-                              scan_guard=scan_guard).right_values
-    r_right = explore_to_level(LatticeSite(gap, 0), horizon, cfg,
-                               scan_guard=scan_guard).right_values
-    krr = _first_leq(r_right, r_left, 0, 0, 0)
+    krr, _ = walk_lockstep((0, gap), 0, horizon, cfg, scan_guard=scan_guard)
     return -1 if krr is None else krr
 
 

@@ -32,6 +32,12 @@ import) and cached in the package's ``__pycache__``.  Couplings
 On both walks ``right_values`` and ``left_values`` are fresh int64 arrays
 that a caller may keep and write into.
 
+`walk_lockstep` serves callers that need r at one level and no cluster: one
+start, or an equal-time pair walked in lockstep up to the level where it
+merges.  It picks its body by the same rule, `opweb._native.lockstep` (the
+``walk_value`` and ``walk_pair`` entries of ``_walk.c``) when the native
+library loads, and else `_lockstep_reference`, made from Python walks.
+
 The Python walk always keeps its left-delta record (`left_deltas`): per
 level, the lowest stack index the advance rewrote and the stack from there
 up, from which a replay rebuilds the left boundary at every level.  The
@@ -49,6 +55,14 @@ from .errors import InvalidArgumentError, ScanLimitExceededError
 from .lattice import Config, LatticeSite, X_BIAS, make_key_sampler
 
 DEFAULT_SCAN_GUARD = 10_000
+
+
+def guard_error(scan_offset: int, level: int) -> ScanLimitExceededError:
+    """The error of a walk whose guard tripped after ``scan_offset`` start
+    sites, with ``level`` its last completed level."""
+    return ScanLimitExceededError(
+        f"{scan_offset} start sites exhausted below level {level + 1}",
+        scan_offset=scan_offset)
 
 
 @dataclass(frozen=True)
@@ -159,9 +173,7 @@ class ExplorationCluster:
     def _guard_error(self) -> ScanLimitExceededError:
         """The error of a tripped scan guard.  Every later advance past the
         current level raises it again; the walk stays where it stopped."""
-        return ScanLimitExceededError(
-            f"{self.scan_offset} start sites exhausted below level "
-            f"{self.level + 1}", scan_offset=self.scan_offset)
+        return guard_error(self.scan_offset, self.level)
 
     # -- the walk ----------------------------------------------------------
 
@@ -248,6 +260,43 @@ def explore_to_level(z: LatticeSite, n: int, cfg: Config, *,
     cluster = ExplorationCluster(z, cfg, scan_guard=scan_guard)
     cluster.advance_to(n)
     return cluster
+
+
+def walk_lockstep(xs, t0: int, level: int, cfg: Config, *, scan_guard):
+    """Walk one start column, or an equal-time pair ``xs = (xl, xr)`` with
+    ``xl < xr``, from time ``t0`` toward ``level`` on ``cfg``; no cluster is
+    kept.
+
+    Returns ``(merge, values)``.  The pair advances level by level, the
+    left walk first, until the first level ``n`` with ``r_R(n) <= r_L(n)``:
+    ``merge`` is that level and ``values`` None.  From there the two
+    boundaries are equal for good (equal-time starts), so the right walk
+    stops; the left one goes on to ``level``, so that input on which it
+    cannot get there still trips its guard.  Otherwise ``merge`` is None
+    and ``values`` holds r at ``level`` of each start.  A tripped scan guard
+    raises its ScanLimitExceededError in that order, so a trip of the right
+    walk after the merge is never reached.
+    """
+    from . import _native  # may build the library: not at import
+    if _native.load() is not None:
+        return _native.lockstep(xs, t0, level, cfg, scan_guard)
+    return _lockstep_reference(xs, t0, level, cfg, scan_guard)
+
+
+def _lockstep_reference(xs, t0, level, cfg, scan_guard):
+    """`walk_lockstep` on Python walks, the reference."""
+    walks = [ExplorationCluster(LatticeSite(x, t0),
+                                source=make_key_sampler(cfg),
+                                scan_guard=scan_guard) for x in xs]
+    pair = len(xs) == 2
+    values, n = list(xs), t0
+    while n < level and not (pair and values[1] <= values[0]):
+        n += 1
+        values = [w.advance_level() for w in walks]
+    if pair and values[1] <= values[0]:
+        walks[0].advance_to(level)
+        return n, None
+    return None, tuple(values)
 
 
 def gamma_approx(z: LatticeSite, horizon: int, cfg: Config, *,

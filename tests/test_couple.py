@@ -248,16 +248,17 @@ def test_squeeze_count_equals_distinct_count(seed, p, t0, gaps, level_above,
 
 
 def test_capped_squeeze_stops_at_its_cap(monkeypatch):
-    # cap=2 runs the two extreme clusters and no more; any cap returns
-    # min(eta, cap) from no more clusters than the full count runs
+    # cap=2 runs the two extreme clusters, as one pair call, and no more;
+    # any cap returns min(eta, cap) from no more calls than the full count
+    # makes
     calls = []
-    inner = couple._right_value
+    inner = couple.walk_lockstep
 
-    def counting(*args):
-        calls.append(args)
-        return inner(*args)
+    def counting(xs, *args, **kwargs):
+        calls.append(len(xs))
+        return inner(xs, *args, **kwargs)
 
-    monkeypatch.setattr(couple, "_right_value", counting)
+    monkeypatch.setattr(couple, "walk_lockstep", counting)
     xs = tuple(range(0, 30, 2))
     split = 0
     for rep in range(120):
@@ -271,7 +272,7 @@ def test_capped_squeeze_stops_at_its_cap(monkeypatch):
             assert family_eta(xs, 0, 1000, cfg, cap=cap) == min(eta, cap)
             assert len(calls) <= full
             if cap == 2:
-                assert len(calls) == 2
+                assert calls == [2]
     assert split >= 30
 
 

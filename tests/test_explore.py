@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from opweb import _native
 from opweb._native import NativeCluster
 from opweb.errors import (InvalidArgumentError, ScanLimitExceededError)
-from opweb.explore import (ExplorationCluster, boundary_ordering_check,
-                           explore_to_level, gamma_approx,
-                           write_trajectory_csv)
-from opweb.lattice import Config, LatticeSite, X_BIAS, make_key_sampler
+from opweb.couple import _first_leq
+from opweb.explore import (ExplorationCluster, _lockstep_reference,
+                           boundary_ordering_check, explore_to_level,
+                           gamma_approx, walk_lockstep, write_trajectory_csv)
+from opweb.lattice import (Config, LatticeSite, X_BIAS, make_key_sampler,
+                           replica_config)
 
 ORIGIN = LatticeSite(0, 0)
 
@@ -285,6 +287,69 @@ def test_dead_lookups_follow_the_per_level_rule(seed, p, x, t, guard, levels):
     assert dead.lookups == len(cluster.open_edges)
 
 
+def _lockstep_outcome(lockstep, xs, t0, level, cfg, guard):
+    """What a lockstep body returns, or its guard error's message and
+    scan offset."""
+    try:
+        return lockstep(xs, t0, level, cfg, guard)
+    except ScanLimitExceededError as e:
+        return str(e), e.scan_offset
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=seeds, p=st.sampled_from([0.65, 0.7, 0.8, 0.9, 1.0]),
+       t0=st.integers(-3, 3), x=st.integers(-20, 20), gap=st.integers(1, 20),
+       level_above=st.integers(0, 300))
+def test_lockstep_matches_whole_python_walks(seed, p, t0, x, gap,
+                                             level_above):
+    # one start gives r at the level; a pair gives the first level with
+    # r_R <= r_L, read off whole boundaries, or r of both at the level
+    cfg = Config(seed, p, 1)
+    xl = x + ((x + t0) & 1)
+    xs, level = (xl, xl + 2 * gap), t0 + level_above
+    walks = [_python_walk(LatticeSite(z, t0), cfg) for z in xs]
+    for walk in walks:
+        walk.advance_to(level)
+    r_l, r_r = (walk.right_values for walk in walks)
+    merge = _first_leq(r_r, r_l, t0, t0, t0)
+    expected = (merge, None if merge is not None else (r_l[-1], r_r[-1]))
+    for x0, r in zip(xs, (r_l, r_r)):
+        assert walk_lockstep((x0,), t0, level, cfg, scan_guard=10_000) == (
+            None, (r[-1],))
+    assert walk_lockstep(xs, t0, level, cfg, scan_guard=10_000) == expected
+    assert _lockstep_reference(xs, t0, level, cfg, 10_000) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=seeds, p=st.sampled_from([0.5, 0.6, 0.6447, 0.66, 0.7]),
+       t0=st.integers(-3, 3), gap=st.integers(1, 20),
+       level_above=st.integers(0, 300), guard=st.integers(1, 60))
+def test_native_lockstep_trips_as_the_python_lockstep(seed, p, t0, gap,
+                                                      level_above, guard):
+    if _native.load() is None:
+        pytest.skip("the native walk does not build here")
+    cfg = Config(seed, p, 1)
+    xl = t0 & 1
+    level = t0 + level_above
+    for xs in ((xl,), (xl + 2 * gap,), (xl, xl + 2 * gap)):
+        assert _lockstep_outcome(_native.lockstep, xs, t0, level, cfg,
+                                 guard) == _lockstep_outcome(
+            _lockstep_reference, xs, t0, level, cfg, guard)
+
+
+def test_left_walk_goes_on_past_the_merge_to_its_guard():
+    # subcritical: the pair merges at level 5, and the left walk, which
+    # goes on alone, trips its guard below level 18
+    cfg = replica_config(0, 0.3, 0)
+    bodies = [_lockstep_reference]
+    if _native.load() is not None:
+        bodies.append(_native.lockstep)
+    for lockstep in bodies:
+        assert lockstep((0, 4), 0, 17, cfg, 10_000) == (5, None)
+        assert _lockstep_outcome(lockstep, (0, 4), 0, 18, cfg, 10_000) == (
+            "10000 start sites exhausted below level 18", 10_000)
+
+
 def _both_walks(start, cfg, **kwargs):
     """The Config-driven cluster and its Python-walk reference."""
     return (ExplorationCluster(start, cfg, **kwargs),
@@ -410,16 +475,6 @@ def test_python_walk_for_sources_and_left_deltas():
         ExplorationCluster(ORIGIN)
 
 
-@pytest.fixture
-def fresh_loader(monkeypatch, tmp_path):
-    """The native loader as in a new process, caching under ``tmp_path``."""
-    from opweb import _native
-    monkeypatch.setattr(_native, "_lib", None)
-    monkeypatch.setattr(_native, "_tried", False)
-    monkeypatch.setattr(_native, "_CACHE", tmp_path)
-    return _native
-
-
 def test_python_walk_without_compiler(fresh_loader, monkeypatch):
     cfg = Config(7, 0.7, 3)
     native = explore_to_level(ORIGIN, 300, cfg)
@@ -470,6 +525,19 @@ def test_damaged_cache_file_is_rebuilt_not_loaded(fresh_loader, monkeypatch,
     reference = _python_walk(ORIGIN, Config(4, 0.8, 9))
     reference.advance_to(200)
     assert _walk_state(cluster) == _walk_state(reference)
+
+
+def test_a_build_removes_older_builds(fresh_loader, tmp_path):
+    if not (shutil.which("cc") or shutil.which("gcc")):
+        pytest.skip("no cc or gcc on PATH")
+    stale = [tmp_path / f"_walk-{key}.so" for key in ("0" * 16, "f" * 16)]
+    kept = [tmp_path / "_walk-0000.tmp", tmp_path / "other.so"]
+    for path in stale + kept:
+        path.write_bytes(b"old build")
+    assert fresh_loader.load() is not None
+    [built] = tmp_path.glob("_walk-*.so")
+    assert built not in stale
+    assert sorted(tmp_path.iterdir()) == sorted([built, *kept])
 
 
 def _build_and_walk(_):

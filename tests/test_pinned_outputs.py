@@ -71,3 +71,14 @@ def _output_digest(argv, tmp_path, capsys) -> str:
 def test_output_bytes_are_pinned(name, tmp_path, capsys):
     argv, expected = CALLS[name]
     assert _output_digest(argv, tmp_path, capsys) == expected
+
+
+@pytest.mark.parametrize("name", ["coalesce", "eta_b1_sigma", "eta_b2"])
+def test_python_walk_writes_the_pinned_bytes(name, fresh_loader, monkeypatch,
+                                             tmp_path, capsys):
+    # with no compiler the batteries run on the Python walks, which must
+    # write the same bytes as the native walk
+    monkeypatch.setattr(fresh_loader, "_COMPILERS", ("opweb-no-such-cc",))
+    assert fresh_loader.load() is None
+    argv, expected = CALLS[name]
+    assert _output_digest(argv, tmp_path, capsys) == expected
