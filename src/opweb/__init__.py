@@ -13,8 +13,7 @@ from .explore import (ExplorationCluster, GammaApprox, Trajectory,
 from .regen import DriftDiffusivity, RegenAccumulator, error_gap_frequencies
 from .couple import (CoalescenceTimes, CoupledRun, check_coalescence_structure,
                      coalescence_survival_curve, family_eta, run_coupled_many)
-from .metrics import (CompactifiedPoint, RescaledPath, b1_battery,
-                      b2_fkg_check, eta_count, path_distance, rho,
+from .metrics import (RescaledPath, b1_battery, b2_fkg_check, path_distance,
                       set_distance, shear_rescale)
 from .oracle import (BoxConfig, cbm_baseline, check_suite,
                      coalescing_walk_survival, dp_right_boundary,

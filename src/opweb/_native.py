@@ -3,8 +3,7 @@
 Its ``walk_t`` owns r, the left boundary and the counts, so it overrides
 only the members that read them (through `_Head`) and the two advances.
 It keeps no set of dead sites: the least dead column of each level decides
-whether a site is dead, and the dead sites' keys, kept in the order they
-died, serve only the edge listing of `_edge_status`.
+whether a site is dead.
 No caller names it: `ExplorationCluster.__new__` returns one for a cluster
 built from a Config and no edge source when `load` succeeds.  It keeps no
 left-delta record (`left_deltas` is None): the record's one reader, the
@@ -113,8 +112,6 @@ def _load():
     lib.walk_new.restype = c_void_p
     lib.walk_advance.argtypes = [c_void_p, c_int64]
     lib.walk_advance.restype = c_int
-    lib.walk_edges.argtypes = [c_void_p, c_void_p, c_void_p, c_int64]
-    lib.walk_edges.restype = c_int64
     lib.walk_free.argtypes = [c_void_p]
     lib.walk_free.restype = None
     walk = [c_int64, c_uint64, c_uint64, c_int, c_int64, c_int64, c_void_p]
@@ -242,18 +239,6 @@ class NativeCluster(ExplorationCluster):
     @property
     def n_examined(self) -> int:
         return self._head.n_examined
-
-    def _edge_status(self) -> dict:
-        """The examined edges, rebuilt by ``walk_edges``; raises on a count
-        other than `n_examined`."""
-        n = self._head.n_examined
-        keys = np.empty(n, dtype=np.int64)
-        opened = np.empty(n, dtype=bool)
-        found = self._lib.walk_edges(self._handle, keys.ctypes.data,
-                                     opened.ctypes.data, n)
-        if found != n:
-            raise RuntimeError(f"walk lists {found} edges, examined {n}")
-        return dict(zip(keys.tolist(), opened.tolist()))
 
     def advance_level(self) -> int:
         self.advance_to(self.level + 1)

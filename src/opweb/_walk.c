@@ -2,17 +2,18 @@
  *
  * One walk is the state of one _native.NativeCluster, or of one start in
  * the one-call entries at the end: the splitmix64 edge sampler (base and
- * threshold of the Config), the depth-first stack, the keys of the dead
- * sites, the right-boundary values r, the scan offset and the scan guard.
- * No edge status is kept: an edge is sampled where it is examined, and no
- * edge is examined twice.  A site's out-edges are examined only while it is
- * on the stack; it leaves the stack only after both are, and it is then
- * dead, so no later edge enters it.  The loop in walk_advance makes the same
- * steps as ExplorationCluster.advance_level: the same scan order, the same
- * packed keys, the same guard.  It folds the up-right and up-left steps into
- * one block on the direction d, where the Python walk keeps the two blocks
- * unrolled because that runs faster there.  The Python walk, with its set of
- * dead sites, stays the reference this one is tested against.
+ * threshold of the Config), the depth-first stack, the right-boundary
+ * values r, the count of examined edges, the scan offset and the scan
+ * guard.  No edge status is kept: an edge is sampled where it is examined,
+ * and no edge is examined twice.  A site's out-edges are examined only
+ * while it is on the stack; it leaves the stack only after both are, and it
+ * is then dead, so no later edge enters it.  The loop in walk_advance makes
+ * the same steps as ExplorationCluster.advance_level: the same scan order,
+ * the same packed keys, the same guard.  It folds the up-right and up-left
+ * steps into one block on the direction d, where the Python walk keeps the
+ * two blocks unrolled because that runs faster there.  The Python walk,
+ * with its set of dead sites, stays the reference this one is tested
+ * against.
  *
  * Dead sites need no set, because the walk is planar: a site queried from
  * the stack is dead exactly when its column is at or right of the least
@@ -32,8 +33,7 @@
  * popped site's entry stays in sx until the next push at its level.  So
  * above the top, sx[j] is the least dead column at level j; sx[target]
  * holds INT64_MAX while the walk searches for the new level, where
- * nothing is dead.  The dead sites' keys are kept, append-only, for
- * walk_edges alone.
+ * nothing is dead.
  *
  * The walk is the only owner of r and of the left boundary, which is the
  * stack sx[0:stack_len] between calls.  Python reads r_len, stack_len and
@@ -43,9 +43,8 @@
  *
  * Two entries make, run and free their walks inside one call, for callers
  * that need r at one level and no cluster: walk_value walks one start, and
- * walk_pair an equal-time pair in lockstep.  Their walks keep neither r nor
- * the dead sites' keys: r at the last level completed is the top of the
- * stack, sx[r_len - 1].
+ * walk_pair an equal-time pair in lockstep.  Their walks keep no r: r at
+ * the last level completed is the top of the stack, sx[r_len - 1].
  *
  * walk_pair advances level by level, the left walk before the right on
  * each, and compares r until the first level n with r_R(n) <= r_L(n).
@@ -83,13 +82,11 @@ typedef struct {
     int64_t stack_len;         /* sx[0:stack_len] is the left boundary */
     int64_t scan_offset;
     int64_t n_examined;
-    int64_t *r;                /* NULL on a walk that keeps no record */
+    int64_t *r;                /* NULL on a walk that keeps no r */
     int64_t *sx;
     /* private */
     uint8_t *state;
-    uint64_t *dead;            /* dead sites' keys, in the order they died;
-                                * NULL with r */
-    int64_t r_cap, stack_cap, dead_len, dead_cap;
+    int64_t r_cap, stack_cap;
     int64_t t0, origin_x, scan_guard;
     uint64_t base, threshold;
     int all_open;
@@ -120,8 +117,8 @@ static int grow_stack(walk_t *w, int64_t need)
 }
 
 /* Set up the walk of the half-line at (origin_x, t0) in *w; with
- * `record`, it keeps r and the dead sites' keys.  Returns 0 if out of
- * memory, and *w can then still be released. */
+ * `record`, it keeps r.  Returns 0 if out of memory, and *w can then still
+ * be released. */
 static int walk_init(walk_t *w, int64_t origin_x, int64_t t0, uint64_t base,
                      uint64_t threshold, int all_open, int64_t scan_guard,
                      int record)
@@ -132,10 +129,8 @@ static int walk_init(walk_t *w, int64_t origin_x, int64_t t0, uint64_t base,
     w->state = malloc(64);
     if (record) {
         w->r_cap = 64;
-        w->dead_cap = 1024;
         w->r = malloc(64 * sizeof *w->r);
-        w->dead = malloc(1024 * sizeof *w->dead);
-        if (!w->r || !w->dead)
+        if (!w->r)
             return 0;
         w->r[0] = origin_x;
     }
@@ -158,7 +153,6 @@ static void walk_release(walk_t *w)
     free(w->r);
     free(w->sx);
     free(w->state);
-    free(w->dead);
 }
 
 void walk_free(walk_t *w)
@@ -233,12 +227,6 @@ int walk_advance(walk_t *w, int64_t levels)
                     }
                 }
             } else {
-                if (w->dead) {
-                    if (!grow((void **)&w->dead, &w->dead_cap,
-                              w->dead_len + 1, sizeof *w->dead))
-                        return w->failed = WALK_NOMEM;
-                    w->dead[w->dead_len++] = pack(w->t0 + top, sx[top]);
-                }
                 top--; /* sx[top + 1] stays, the level's least dead column */
                 if (top < 0) {
                     w->scan_offset++;
@@ -316,28 +304,4 @@ int walk_pair(int64_t xl, int64_t xr, int64_t t0, uint64_t base,
     walk_release(&w[0]);
     walk_release(&w[1]);
     return code;
-}
-
-/* The examined edges, rebuilt: both out-edges of each dead site, then the
- * first state[j] of each stack entry sx[j], up-right first; key and 1 if
- * open.  Writes at most cap edges and returns how many there are, which
- * differs from n_examined only if a failed allocation stopped the walk
- * midway. */
-int64_t walk_edges(const walk_t *w, int64_t *keys, uint8_t *open, int64_t cap)
-{
-    int64_t n = 0;
-    for (int64_t i = 0; i < w->dead_len + w->stack_len; i++) {
-        int64_t j = i - w->dead_len; /* the stack index past the dead sites */
-        uint64_t k = j < 0 ? w->dead[i] : pack(w->t0 + j, w->sx[j]);
-        for (int d = 1; d > 1 - (j < 0 ? 2 : w->state[j]); d--, n++)
-            if (n < cap) {
-                /* site t << 32 | x + X_BIAS to edge (2t + d) << 32 |
-                 * x + X_BIAS, unsigned so that negative t works */
-                uint64_t key = ((k & ~0xffffffffULL) << 1)
-                               | ((uint64_t)d << 32) | (k & 0xffffffffULL);
-                keys[n] = (int64_t)key;
-                open[n] = (uint8_t)sample(w, key);
-            }
-    }
-    return n;
 }

@@ -349,6 +349,8 @@ def spec_from_args(args) -> ExperimentSpec:
     spec = ExperimentSpec(**merged)
     if not 0.0 <= spec.p <= 1.0 or spec.replicas < 1 or spec.n < 0:
         raise InvalidArgumentError("spec values out of range")
+    if spec.scan_guard < 1:
+        raise InvalidArgumentError("scan guard must be at least 1")
     if not all(map(math.isfinite, spec.eps + spec.delta + spec.t)):
         raise InvalidArgumentError("eps, delta and t must be finite")
     if spec.sigma is not None and not (math.isfinite(spec.sigma)

@@ -18,7 +18,8 @@ exploration once.  The Python walk keeps them in a set.  The walk is
 planar, so a site queried from the stack is dead exactly when its column is
 at or right of the least dead column at its level.  The native walk reads
 that column off its stack buffer, where a popped site's entry stays until
-the next push at its level (the argument is in ``_walk.c``).
+the next push at its level (the argument is in ``_walk.c``).  Neither walk
+keeps the examined edges, only their count, `n_examined`.
 
 There are two walks, integer-identical, one class each.
 `ExplorationCluster` is the Python walk, the reference; its subclass
@@ -75,13 +76,6 @@ class Trajectory:
     def __len__(self):
         return len(self.values)
 
-    @property
-    def end_t(self) -> int:
-        return self.start_t + len(self.values) - 1
-
-    def at(self, t: int) -> int:
-        return int(self.values[t - self.start_t])
-
 
 @dataclass(frozen=True)
 class GammaApprox(Trajectory):
@@ -123,7 +117,6 @@ class ExplorationCluster:
         self._r = [origin.x]
         self._source = source if source is not None else make_key_sampler(cfg)
         self._scan_guard = scan_guard
-        self._status: dict[int, bool] = {}
         self._dead: set[int] = set()
         self._stack_state = [0]
         self.scan_offset = 0  # start sites exhausted so far
@@ -151,18 +144,9 @@ class ExplorationCluster:
 
     @property
     def n_examined(self) -> int:
-        return len(self._status)
-
-    def _edge_status(self) -> dict[int, bool]:
-        return self._status
-
-    @property
-    def open_edges(self) -> set:
-        return {k for k, v in self._edge_status().items() if v}
-
-    @property
-    def closed_edges(self) -> set:
-        return {k for k, v in self._edge_status().items() if not v}
+        """Edges examined so far: both out-edges of each dead site, and the
+        first ``stack_state[j]`` of stack site ``j``."""
+        return 2 * len(self._dead) + sum(self._stack_state)
 
     @property
     def left_deltas(self):
@@ -189,7 +173,6 @@ class ExplorationCluster:
         if not stack_x:  # emptied by a tripped guard
             raise self._guard_error()
         stack_state = self._stack_state
-        status = self._status
         dead = self._dead
         src = self._source
         t0 = self._t0
@@ -204,8 +187,7 @@ class ExplorationCluster:
                 x = stack_x[top]
                 t = t0 + top
                 key = ((2 * t + 1) << 32) | (x + X_BIAS)  # up-right
-                s = status[key] = src(key)
-                if s:
+                if src(key):
                     cx = x + 1
                     if ((t + 1) << 32) | (cx + X_BIAS) not in dead:
                         stack_x.append(cx)
@@ -218,8 +200,7 @@ class ExplorationCluster:
                 x = stack_x[top]
                 t = t0 + top
                 key = ((2 * t) << 32) | (x + X_BIAS)  # up-left
-                s = status[key] = src(key)
-                if s:
+                if src(key):
                     cx = x - 1
                     if ((t + 1) << 32) | (cx + X_BIAS) not in dead:
                         stack_x.append(cx)

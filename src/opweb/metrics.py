@@ -32,27 +32,6 @@ _SECH2_CURVE = 2.0
 
 
 @dataclass(frozen=True)
-class CompactifiedPoint:
-    """A space-time point in squashed coordinates (u, v)."""
-
-    u: float
-    v: float
-
-    @classmethod
-    def from_plane(cls, x: float, t: float) -> "CompactifiedPoint":
-        if math.isinf(t):
-            return cls(0.0, math.copysign(1.0, t))
-        return cls(math.tanh(x) / (1.0 + abs(t)), math.tanh(t))
-
-
-def rho(p1, p2) -> float:
-    """Compactified plane metric; accepts (x, t) pairs or CompactifiedPoint."""
-    a = p1 if isinstance(p1, CompactifiedPoint) else CompactifiedPoint.from_plane(*p1)
-    b = p2 if isinstance(p2, CompactifiedPoint) else CompactifiedPoint.from_plane(*p2)
-    return max(abs(a.v - b.v), abs(a.u - b.u))
-
-
-@dataclass(frozen=True)
 class RescaledPath:
     """Piecewise-linear real path; constant before its start and after its
     last sample (finite-horizon truncation)."""
@@ -177,30 +156,6 @@ def set_distance(K1, K2) -> float:
         raise InvalidArgumentError("path sets must be nonempty")
     d = np.array([[path_distance(a, b) for b in K2] for a in K1])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
-def eta_count(paths, t0: float, t: float, a: float, b: float) -> int:
-    """Distinct positions at time ``t0 + t`` among paths through ``[a, b]``.
-
-    Counts paths started at or before ``t0`` whose position at ``t0`` lies in
-    ``[a, b]``; distinctness is exact equality of evaluated positions, which
-    is the right notion for coalescing families (merged paths share values
-    bit-for-bit).
-    """
-    if t <= 0:
-        raise InvalidArgumentError("t must be positive")
-    if a > b:
-        raise InvalidArgumentError("need a <= b")
-    vals = []
-    for obj in paths:
-        path = (shear_rescale(obj, 0.0, 1.0, 1.0)
-                if isinstance(obj, Trajectory) else obj)
-        if path.sigma > t0:
-            continue
-        here = float(path.evaluate(t0))
-        if a <= here <= b:
-            vals.append(float(path.evaluate(t0 + t)))
-    return int(len(np.unique(vals)))
 
 
 # -- empirical batteries -----------------------------------------------------

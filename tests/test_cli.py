@@ -86,6 +86,8 @@ INVALID_ARGV = [
        "3", "--sigma", sigma] for sigma in ("0", "-1", "nan", "inf")),
     ["coalesce", "--eps", "0.01", "--delta", "1", "--t", "0.5", "--replicas",
      "3", "--sigma", "0", "--out", "{out}"],
+    *(["estimate", "--p", "0.7", "--n", "200", "--margin", "50",
+       "--scan-guard", guard] for guard in ("0", "-1")),
 ]
 
 

@@ -63,8 +63,14 @@ def test_switch_level_is_the_first_level_to_query_a_ledger_edge():
         second = LatticeSite((2, 6, 40)[rep % 3], 0)
         run = run_coupled_many([O, second], horizon, p=p, seed=seed,
                                replica=rep)
-        first = explore_to_level(O, horizon, replica_config(seed, p, rep, 0))
-        ledger = first.open_edges | first.closed_edges
+        first_stream = make_key_sampler(replica_config(seed, p, rep, 0))
+        ledger = set()
+
+        def recording(key):
+            ledger.add(key)
+            return first_stream(key)
+
+        ExplorationCluster(O, source=recording).advance_to(horizon)
         own = make_key_sampler(replica_config(seed, p, rep, 1))
         queried = []
 
@@ -337,7 +343,7 @@ def test_survival_curve_validates_gap():
     lambda: run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=3),
     lambda: run_coupled_many([O, LatticeSite(4, 0), LatticeSite(8, 0)], 200,
                              p=0.8, seed=3),
-    lambda: explore_to_level(O, 300, Config(3, 0.8, 1)).open_edges,
+    lambda: explore_to_level(O, 300, Config(3, 0.8, 1)).left_values,
 ], ids=["family", "survival_pair", "full_pair", "many", "explore"])
 def test_finished_coupling_leaves_no_reference_cycles(run):
     # a finished run is freed by reference counting alone

@@ -33,7 +33,7 @@ def test_all_open_lattice():
         cluster.advance_level()
     assert cluster.right_values.tolist() == [0, 1, 2, 3]
     assert cluster.left_values.tolist() == [0, 1, 2, 3]
-    assert len(cluster.closed_edges) == 0
+    assert cluster.n_examined == 3  # one open up-right edge per level
 
 
 def test_all_closed_trips_guard():
@@ -103,7 +103,6 @@ def test_edge_economy_every_edge_sampled_once():
     cluster.advance_to(200)
     assert len(calls) == len(set(calls))
     assert len(calls) == cluster.n_examined
-    assert len(cluster.open_edges) + len(cluster.closed_edges) == len(calls)
     reference = explore_to_level(ORIGIN, 200, cfg)
     assert np.array_equal(reference.right_values, cluster.right_values)
 
@@ -194,8 +193,7 @@ def _python_walk(start, cfg, **kwargs):
 
 def _walk_state(cluster):
     return (list(cluster.right_values), list(cluster.left_values),
-            cluster.n_examined, cluster.open_edges, cluster.closed_edges,
-            cluster.scan_offset)
+            cluster.n_examined, cluster.scan_offset)
 
 
 def _step(cluster, step):
@@ -218,8 +216,8 @@ def _step(cluster, step):
        guard=st.integers(1, 300),
        steps=st.lists(st.one_of(st.none(), st.integers(-2, 40)),
                       min_size=1, max_size=8))
-# long walks, past the strategy's bounds: the native walk's stack and its
-# dead-site keys regrow many times before the edge sets are compared
+# long walks, past the strategy's bounds: the native walk's stack and r
+# regrow many times before the states are compared
 @example(seed=1, p=0.65, x=0, t=-1500, guard=10_000, steps=[3000])
 @example(seed=2, p=0.7, x=0, t=0, guard=10_000, steps=[3000])
 @example(seed=3, p=0.9, x=7, t=-40, guard=10_000, steps=[3000])
@@ -278,13 +276,21 @@ class _LevelRuleDead(set):
 @example(seed=3, p=0.62, x=0, t=0, guard=1000, levels=2000)
 @example(seed=1, p=0.6447, x=0, t=0, guard=2000, levels=5000)
 def test_dead_lookups_follow_the_per_level_rule(seed, p, x, t, guard, levels):
-    cfg = Config(seed, p, 1)
-    cluster = _python_walk(LatticeSite(x + ((x + t) & 1), t), cfg,
-                           scan_guard=guard)
+    sample = make_key_sampler(Config(seed, p, 1))
+    opened = 0
+
+    def counting(key):
+        nonlocal opened
+        is_open = sample(key)
+        opened += is_open
+        return is_open
+
+    cluster = ExplorationCluster(LatticeSite(x + ((x + t) & 1), t),
+                                 source=counting, scan_guard=guard)
     cluster._dead = dead = _LevelRuleDead()
     _step(cluster, levels)
     # one lookup per open edge: the walk consulted the checking set
-    assert dead.lookups == len(cluster.open_edges)
+    assert dead.lookups == opened
 
 
 def _lockstep_outcome(lockstep, xs, t0, level, cfg, guard):
@@ -402,20 +408,6 @@ def test_native_head_fields_match_the_walk_struct():
     assert (head.r_len, head.stack_len, head.scan_offset) == (17, 0, 20)
 
 
-def test_edge_listing_checks_its_count():
-    # walk_edges writes no more than the room it is given, and a listing
-    # whose count differs from n_examined raises instead of coming back short
-    native = ExplorationCluster(ORIGIN, Config(8, 0.7, 8))
-    if not isinstance(native, NativeCluster):
-        pytest.skip("the native walk does not build here")
-    native.advance_to(300)
-    examined = native.n_examined
-    assert len(native.open_edges) + len(native.closed_edges) == examined
-    native._head.n_examined = examined // 2
-    with pytest.raises(RuntimeError, match=f"lists {examined} edges"):
-        native.open_edges
-
-
 _NEAR_CRITICAL_WALK = """
 import resource
 from opweb.errors import ScanLimitExceededError
@@ -427,13 +419,19 @@ try:
 except ScanLimitExceededError as e:
     print(type(cluster).__name__, cluster.n_examined, e.scan_offset)
     print(e)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+try:  # the peak of this process alone: ru_maxrss also holds the parent's
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak // 1024)
 """
 
 
 def test_near_critical_native_walk_stays_small():
-    # about 8.7 M sites die before the guard trips; the walk keeps no set
-    # of them, only their keys, 8 bytes each, for the edge listing
+    # about 8.7 M sites die before the guard trips, and the walk keeps no
+    # record of them: its buffers hold one entry per level
     if _native.load() is None:
         pytest.skip("the native walk does not build here")
     src = Path(_native.__file__).resolve().parents[1]
@@ -444,7 +442,7 @@ def test_near_critical_native_walk_stays_small():
     walk, error, max_rss_mb = done.stdout.splitlines()
     assert walk == "NativeCluster 17440276 10000"
     assert error == "10000 start sites exhausted below level 16141"
-    assert int(max_rss_mb) < 250
+    assert int(max_rss_mb) < 64
 
 
 def test_walk_source_compiles_clean():

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from opweb.couple import family_eta
 from opweb.errors import InvalidArgumentError
 from opweb.explore import Trajectory
-from opweb.metrics import (CompactifiedPoint, RescaledPath, b1_battery,
-                           b2_fkg_check, eta_count, even_span, path_distance,
-                           rho, set_distance, shear_rescale)
+from opweb.lattice import replica_config
+from opweb.metrics import (RescaledPath, b1_battery, b2_fkg_check, even_span,
+                           path_distance, set_distance, shear_rescale)
 from opweb.oracle import cbm_baseline
 
 TANH1 = math.tanh(1.0)
@@ -19,22 +20,6 @@ def _traj(start_t, values):
 
 def _pl(times, values):
     return RescaledPath(np.array(times, float), np.array(values, float))
-
-
-# -- compactified metric -----------------------------------------------------
-
-def test_rho_known_values():
-    assert rho((0.0, 0.0), (0.0, 0.0)) == 0.0
-    assert rho((0.0, 0.0), (1.0, 0.0)) == pytest.approx(TANH1, abs=1e-15)
-    assert rho((0.0, 0.0), (0.0, 1.0)) == pytest.approx(TANH1, abs=1e-15)
-
-
-def test_rho_collapses_infinite_time_rows():
-    assert rho((5.0, math.inf), (-3.0, math.inf)) == 0.0
-    assert rho((math.inf, math.inf), (0.0, math.inf)) == 0.0
-    assert rho((0.0, math.inf), (0.0, -math.inf)) == 2.0
-    p = CompactifiedPoint.from_plane(math.inf, 2.0)
-    assert p.u == pytest.approx(1.0 / 3.0)
 
 
 # -- rescaling map -----------------------------------------------------------
@@ -177,78 +162,30 @@ def test_set_distance_rejects_empty():
 
 
 # -- eta ---------------------------------------------------------------------
-
-def _coalescing_family(rng, k, length):
-    """Non-crossing lattice walks that merge on meeting."""
-    starts = np.sort(rng.choice(np.arange(-8, 9, 2), size=k, replace=False))
-    vals = np.zeros((k, length + 1), dtype=np.int64)
-    vals[:, 0] = starts
-    driver = list(range(k))
-
-    def root(i):
-        while driver[i] != i:
-            i = driver[i]
-        return i
-
-    for j in range(length):
-        inc = rng.choice([-1, 1], size=k)
-        for i in range(k):
-            vals[i, j + 1] = vals[i, j] + inc[root(i)]
-        order = np.argsort(vals[:, j + 1], kind="stable")
-        for a, b in zip(order[:-1], order[1:]):
-            if vals[a, j + 1] == vals[b, j + 1]:
-                driver[root(b)] = root(a)
-    return [_traj(0, row) for row in vals]
-
-
-def test_eta_empty_and_single():
-    assert eta_count([], 0, 5, -1, 1) == 0
-    walk = _traj(0, [0, 1, 2, 3])
-    assert eta_count([walk], 0, 3, -1, 1) == 1
-    assert eta_count([walk], 0, 3, 1, 2) == 0  # starts outside the window
-
-
-def test_eta_rejects_bad_window():
-    with pytest.raises(InvalidArgumentError):
-        eta_count([], 0, 5, 2, 1)
-    with pytest.raises(InvalidArgumentError):
-        eta_count([], 0, 0, 0, 1)
-
-
-def test_eta_against_brute_force_on_coalescing_families():
-    rng = np.random.default_rng(17)
-    for _ in range(1000):
-        k = int(rng.integers(2, 7))
-        length = int(rng.integers(2, 20))
-        fam = _coalescing_family(rng, k, length)
-        t = int(rng.integers(1, length + 1))
-        a = int(rng.integers(-9, 5))
-        b = a + int(rng.integers(0, 10))
-        expected = len({int(w.values[t]) for w in fam
-                        if a <= int(w.values[0]) <= b})
-        assert eta_count(fam, 0, t, a, b) == expected
-
+# eta on the lattice is `couple.family_eta`, checked against whole walks in
+# tests/test_couple.py; these are its order properties.
 
 def test_eta_monotone_in_window_and_set():
-    rng = np.random.default_rng(19)
-    for _ in range(200):
-        fam = _coalescing_family(rng, 5, 10)
-        base = eta_count(fam, 0, 5, -2, 2)
-        assert eta_count(fam, 0, 5, -4, 4) >= base
-        assert eta_count(fam[:3], 0, 5, -2, 2) <= base
+    wider = fewer = 0
+    for rep in range(40):
+        cfg = replica_config(19, 0.8, rep)
+        base = family_eta(range(-4, 5, 2), 0, 30, cfg)
+        w = family_eta(range(-8, 9, 2), 0, 30, cfg)
+        s = family_eta((-4, -2, 0), 0, 30, cfg)
+        assert w >= base >= s
+        wider += w > base
+        fewer += s < base
+    assert wider >= 10 and fewer >= 10
 
 
 def test_eta_nonincreasing_in_t_for_coalescing_families():
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        fam = _coalescing_family(rng, 5, 16)
-        etas = [eta_count(fam, 0, t, -8, 8) for t in range(1, 17)]
+    # equal-time clusters that meet stay together (Durrett, 1984)
+    xs = tuple(range(-8, 9, 2))
+    for rep in range(40):
+        cfg = replica_config(23, 0.8, rep)
+        etas = [family_eta(xs, 0, level, cfg) for level in range(0, 64, 4)]
+        assert etas[0] == len(xs)
         assert all(a >= b for a, b in zip(etas[:-1], etas[1:]))
-
-
-def test_eta_coalesced_family_counts_one():
-    merged = [_traj(0, [0, 1, 2, 3]), _traj(0, [2, 1, 2, 3])]
-    assert eta_count(merged, 0, 3, 0, 2) == 1
 
 
 def test_even_span():

@@ -34,11 +34,9 @@ KEPT_ROOTS = {
     "explore.gamma_approx": "paper claim, not yet wired",
     "explore.boundary_ordering_check": "paper claim, not yet wired",
     "regen.error_gap_frequencies": "paper claim, not yet wired",
-    "metrics.rho": "paper claim, not yet wired",
     "metrics.shear_rescale": "paper claim, not yet wired",
     "metrics.path_distance": "paper claim, not yet wired",
     "metrics.set_distance": "paper claim, not yet wired",
-    "metrics.eta_count": "paper claim, not yet wired",
 }
 
 # defaulted parameters that no call in src/opweb passes
