@@ -9,10 +9,13 @@ built from a Config and no edge source when `load` succeeds.  It keeps no
 left-delta record (`left_deltas` is None): the record's one reader, the
 ledger coupling, runs on edge sources and so on the Python walk.
 
-`lockstep` is the native body of `explore.walk_lockstep`, which calls it by
-the same rule, when `load` succeeds.  It makes one C call, ``walk_value``
-for one start or ``walk_pair`` for an equal-time pair, and that call makes,
-runs and frees its walks: no cluster, no finaliser and no copy of r.
+`lockstep` is the native body of `explore.walk_lockstep`, and `breaks` of
+the estimate worker `regen._estimate_worker`; each caller picks it by the
+same rule, when `load` succeeds.  Each makes one C call, ``walk_value`` for
+one start or ``walk_pair`` for an equal-time pair, and ``walk_breaks`` for
+a replica's break-point sums.  That call makes, runs and frees its walks
+and hands back a few integers: no cluster, no finaliser and no copy of r
+or of the left boundary.
 
 `explore` imports this module the first time it makes a Config-driven
 cluster, never at ``import opweb``.  The first `load` in a process compiles
@@ -65,6 +68,21 @@ _tried = False
 # -1; two r values; and the scan offset and last level of the walk that
 # stopped
 _Out = c_int64 * 5
+# what walk_breaks writes: the six break-point sums, r[n], and the scan
+# offset and last level of its walk
+_Breaks = c_int64 * 9
+
+# t0, then the sampler and the guard as _sampler gives them
+_WALK = [c_int64, c_uint64, c_uint64, c_int, c_int64]
+# every entry of _walk.c, as (argtypes, restype)
+_ENTRIES = {
+    "walk_new": ([c_int64, *_WALK], c_void_p),
+    "walk_advance": ([c_void_p, c_int64], c_int),
+    "walk_free": ([c_void_p], None),
+    "walk_value": ([c_int64, *_WALK, c_int64, c_void_p], c_int),
+    "walk_pair": ([c_int64, c_int64, *_WALK, c_int64, c_void_p], c_int),
+    "walk_breaks": ([c_int64, *_WALK, c_int64, c_int64, c_void_p], c_int),
+}
 
 
 class _Head(ctypes.Structure):
@@ -97,9 +115,7 @@ def _load():
         source = _SOURCE.read_bytes()
     except OSError:
         return None
-    key = hashlib.sha256(b"\0".join(
-        [source, cc.encode(), *(f.encode() for f in _CFLAGS)])).hexdigest()
-    key = key[:_KEY_LEN].encode()
+    key = _key(source, cc)
     path = _CACHE / f"_walk-{key.decode()}.so"
     try:
         if not _valid(path, key):
@@ -107,19 +123,18 @@ def _load():
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError):
         return None
-    lib.walk_new.argtypes = [c_int64, c_int64, c_uint64, c_uint64, c_int,
-                             c_int64]
-    lib.walk_new.restype = c_void_p
-    lib.walk_advance.argtypes = [c_void_p, c_int64]
-    lib.walk_advance.restype = c_int
-    lib.walk_free.argtypes = [c_void_p]
-    lib.walk_free.restype = None
-    walk = [c_int64, c_uint64, c_uint64, c_int, c_int64, c_int64, c_void_p]
-    lib.walk_value.argtypes = [c_int64, *walk]
-    lib.walk_value.restype = c_int
-    lib.walk_pair.argtypes = [c_int64, c_int64, *walk]
-    lib.walk_pair.restype = c_int
+    for name, (argtypes, restype) in _ENTRIES.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = restype
     return lib
+
+
+def _key(source: bytes, cc: str) -> bytes:
+    """The cache key of a build of ``source`` by ``cc``."""
+    key = hashlib.sha256(b"\0".join(
+        [source, cc.encode(), *(f.encode() for f in _CFLAGS)])).hexdigest()
+    return key[:_KEY_LEN].encode()
 
 
 def _trailer(body: bytes, key: bytes) -> bytes:
@@ -166,6 +181,14 @@ def _sampler(cfg, scan_guard) -> tuple:
             min(math.ceil(scan_guard), 1 << 62))
 
 
+def _check(code: int, scan_offset: int, level: int) -> None:
+    """Raise what a one-call entry's return code and report name."""
+    if code == _GUARD:
+        raise guard_error(scan_offset, level)
+    if code == _NOMEM:
+        raise MemoryError("native exploration walk out of memory")
+
+
 def lockstep(xs, t0: int, level: int, cfg, scan_guard):
     """`explore.walk_lockstep` in one C call."""
     lib = load()
@@ -175,13 +198,21 @@ def lockstep(xs, t0: int, level: int, cfg, scan_guard):
         code = lib.walk_value(xs[0], *args)
     else:
         code = lib.walk_pair(xs[0], xs[1], *args)
-    if code == _GUARD:
-        raise guard_error(out[3], out[4])
-    if code == _NOMEM:
-        raise MemoryError("native exploration walk out of memory")
+    _check(code, out[3], out[4])
     if out[0] >= 0:
         return t0 + out[0], None
     return None, tuple(out[1:1 + len(xs)])
+
+
+def breaks(cfg, n: int, margin: int, scan_guard):
+    """The estimate worker's body in one C call: the six break-point sums
+    of the walk from (0, 0) to level ``n + margin`` and r(n), as
+    `regen._estimate_reference` returns them.  Needs ``0 < margin <= n``."""
+    out = _Breaks()
+    code = load().walk_breaks(0, 0, *_sampler(cfg, scan_guard), n, margin,
+                              out)
+    _check(code, out[7], out[8])
+    return tuple(out[:6]), out[6]
 
 
 def _copy(ptr, n: int) -> np.ndarray:

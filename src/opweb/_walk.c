@@ -41,10 +41,25 @@
  * realloc either buffer, so no pointer into them outlives the call that
  * read it.
  *
- * Two entries make, run and free their walks inside one call, for callers
- * that need r at one level and no cluster: walk_value walks one start, and
- * walk_pair an equal-time pair in lockstep.  Their walks keep no r: r at
- * the last level completed is the top of the stack, sx[r_len - 1].
+ * Three entries make, run and free their walks inside one call, for
+ * callers that need a few numbers and no cluster: walk_value walks one
+ * start to r at one level, walk_pair an equal-time pair in lockstep, and
+ * walk_breaks one start to its break-point sums.  The walks of walk_value
+ * and walk_pair keep no r: r at the last level completed is the top of
+ * the stack, sx[r_len - 1].  walk_breaks alone keeps r, as it compares r
+ * with the frozen stack at every level of its window.  Its target level is
+ * known up front, so r, sx and state share one block of that size: no
+ * realloc while walking, and one free at the end.  glibc raises its trim
+ * threshold to twice the largest mapped block freed, so the next call's
+ * block of the same size comes from the heap, and stays there when freed;
+ * three buffers of the walk's size together pass that threshold, and were
+ * handed back to the kernel and faulted in again on every call.
+ *
+ * walk_breaks follows regen.break_point_arrays.  Level j in [0, n - margin]
+ * is a break level when r[j] equals sx[j] of the stack frozen at level
+ * n + margin; the increments (X, tau) between consecutive break levels are
+ * the records of regen.RegenAccumulator, summed here into the six sums it
+ * takes.  Every sum is an exact integer.
  *
  * walk_pair advances level by level, the left walk before the right on
  * each, and compares r until the first level n with r_R(n) <= r_L(n).
@@ -86,6 +101,7 @@ typedef struct {
     int64_t *sx;
     /* private */
     uint8_t *state;
+    void *block;               /* r, sx and state, on a walk of fixed size */
     int64_t r_cap, stack_cap;
     int64_t t0, origin_x, scan_guard;
     uint64_t base, threshold;
@@ -117,25 +133,37 @@ static int grow_stack(walk_t *w, int64_t need)
 }
 
 /* Set up the walk of the half-line at (origin_x, t0) in *w; with
- * `record`, it keeps r.  Returns 0 if out of memory, and *w can then still
- * be released. */
+ * `record`, it keeps r.  With `levels` > 0, r, sx and state get room for
+ * that many levels past the start in one block, and the walk must go no
+ * further; otherwise each buffer starts small and grows with the walk.
+ * Returns 0 if out of memory, and *w can then still be released. */
 static int walk_init(walk_t *w, int64_t origin_x, int64_t t0, uint64_t base,
                      uint64_t threshold, int all_open, int64_t scan_guard,
-                     int record)
+                     int record, int64_t levels)
 {
     memset(w, 0, sizeof *w);
-    w->stack_cap = 64;
-    w->sx = malloc(64 * sizeof *w->sx);
-    w->state = malloc(64);
-    if (record) {
-        w->r_cap = 64;
-        w->r = malloc(64 * sizeof *w->r);
-        if (!w->r)
+    if (levels > 0) {
+        if ((uint64_t)levels >= SIZE_MAX / 32)
+            return 0; /* the block's size would overflow */
+        int64_t cap = levels + 1;
+        size_t words = (size_t)cap * (record ? 2 : 1);
+        w->block = malloc(words * sizeof(int64_t) + (size_t)cap);
+        if (!w->block)
             return 0;
-        w->r[0] = origin_x;
+        w->sx = w->block;
+        w->r = record ? w->sx + cap : NULL;
+        w->state = (uint8_t *)(w->sx + words);
+        w->stack_cap = w->r_cap = cap;
+    } else {
+        w->stack_cap = w->r_cap = 64;
+        w->sx = malloc(64 * sizeof *w->sx);
+        w->state = malloc(64);
+        w->r = record ? malloc(64 * sizeof *w->r) : NULL;
+        if (!w->sx || !w->state || (record && !w->r))
+            return 0;
     }
-    if (!w->sx || !w->state)
-        return 0;
+    if (record)
+        w->r[0] = origin_x;
     w->origin_x = origin_x;
     w->t0 = t0;
     w->base = base;
@@ -150,6 +178,10 @@ static int walk_init(walk_t *w, int64_t origin_x, int64_t t0, uint64_t base,
 
 static void walk_release(walk_t *w)
 {
+    if (w->block) {
+        free(w->block);
+        return;
+    }
     free(w->r);
     free(w->sx);
     free(w->state);
@@ -168,7 +200,7 @@ walk_t *walk_new(int64_t origin_x, int64_t t0, uint64_t base,
 {
     walk_t *w = malloc(sizeof *w);
     if (w && !walk_init(w, origin_x, t0, base, threshold, all_open,
-                        scan_guard, 1)) {
+                        scan_guard, 1, 0)) {
         walk_free(w);
         return NULL;
     }
@@ -196,6 +228,8 @@ int walk_advance(walk_t *w, int64_t levels)
 {
     if (w->failed)
         return w->failed;
+    if (w->block && levels > w->stack_cap - w->r_len)
+        return w->failed = WALK_NOMEM; /* a block is never regrown */
     for (int64_t done = 0; done < levels; done++) {
         int64_t target = w->r_len;
         int64_t top = target - 1;
@@ -248,12 +282,12 @@ int walk_advance(walk_t *w, int64_t levels)
     return WALK_OK;
 }
 
-/* out[3] and out[4]: the scan offset of w and the last level it completed,
+/* rep[0] and rep[1]: the scan offset of w and the last level it completed,
  * which name a guard trip. */
-static int report(const walk_t *w, int code, int64_t *out)
+static int report(const walk_t *w, int code, int64_t *rep)
 {
-    out[3] = w->scan_offset;
-    out[4] = w->t0 + w->r_len - 1;
+    rep[0] = w->scan_offset;
+    rep[1] = w->t0 + w->r_len - 1;
     return code;
 }
 
@@ -263,11 +297,12 @@ int walk_value(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
                int all_open, int64_t scan_guard, int64_t level, int64_t *out)
 {
     walk_t w;
-    int code = walk_init(&w, x, t0, base, threshold, all_open, scan_guard, 0)
+    int code = walk_init(&w, x, t0, base, threshold, all_open, scan_guard, 0,
+                         0)
                ? walk_advance(&w, level - t0) : WALK_NOMEM;
     out[0] = -1;
     out[1] = code ? 0 : w.sx[w.r_len - 1];
-    code = report(&w, code, out);
+    code = report(&w, code, out + 3);
     walk_release(&w);
     return code;
 }
@@ -283,8 +318,9 @@ int walk_pair(int64_t xl, int64_t xr, int64_t t0, uint64_t base,
 {
     walk_t w[2];
     int ok = walk_init(&w[0], xl, t0, base, threshold, all_open,
-                       scan_guard, 0);
-    ok &= walk_init(&w[1], xr, t0, base, threshold, all_open, scan_guard, 0);
+                       scan_guard, 0, 0);
+    ok &= walk_init(&w[1], xr, t0, base, threshold, all_open, scan_guard, 0,
+                    0);
     int code = ok ? WALK_OK : WALK_NOMEM;
     walk_t *stop = &w[0];
     out[0] = xr <= xl ? 0 : -1;
@@ -300,8 +336,47 @@ int walk_pair(int64_t xl, int64_t xr, int64_t t0, uint64_t base,
         code = walk_advance(stop = &w[0], level - t0 - (w[0].r_len - 1));
     out[1] = code ? 0 : w[0].sx[w[0].r_len - 1];
     out[2] = code ? 0 : w[1].sx[w[1].r_len - 1];
-    code = report(stop, code, out);
+    code = report(stop, code, out + 3);
     walk_release(&w[0]);
     walk_release(&w[1]);
+    return code;
+}
+
+/* The break-point sums of the walk from (x, t0) to level t0 + n + margin,
+ * for 0 < margin <= n: over the break levels j in [0, n - margin], the
+ * increments X = r[j] - r[i] and tau = j - i from each break level i to
+ * the next one j, summed into out[0:6] as the count, sum X, sum tau,
+ * sum X^2, sum X tau and sum tau^2; r[n] into out[6].  Returns the walk's
+ * code, and the walk's report in out[7:9]. */
+int walk_breaks(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
+                int all_open, int64_t scan_guard, int64_t n, int64_t margin,
+                int64_t *out)
+{
+    walk_t w;
+    int code = walk_init(&w, x, t0, base, threshold, all_open, scan_guard, 1,
+                         n + margin)
+               ? walk_advance(&w, n + margin) : WALK_NOMEM;
+    memset(out, 0, 7 * sizeof *out);
+    if (!code) {
+        const int64_t *r = w.r, *sx = w.sx;
+        int64_t last = -1;
+        for (int64_t j = 0; j <= n - margin; j++) {
+            if (r[j] != sx[j])
+                continue;
+            if (last >= 0) {
+                int64_t dx = r[j] - r[last], dt = j - last;
+                out[0]++;
+                out[1] += dx;
+                out[2] += dt;
+                out[3] += dx * dx;
+                out[4] += dx * dt;
+                out[5] += dt * dt;
+            }
+            last = j;
+        }
+        out[6] = r[n];
+    }
+    code = report(&w, code, out + 7);
+    walk_release(&w);
     return code;
 }

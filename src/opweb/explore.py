@@ -39,6 +39,14 @@ merges.  It picks its body by the same rule, `opweb._native.lockstep` (the
 ``walk_value`` and ``walk_pair`` entries of ``_walk.c``) when the native
 library loads, and else `_lockstep_reference`, made from Python walks.
 
+Break points need r at every level of a window and the left boundary at
+the horizon.  A cluster hands out both, for `opweb.regen.break_point_arrays`
+to compare.  The estimate worker, which needs only the sums of the
+increments between break points, picks its body by the same rule:
+`opweb._native.breaks` (the ``walk_breaks`` entry) compares the two inside
+the walk's own buffers, and `opweb.regen._estimate_reference` reads them
+off a Python walk.
+
 The Python walk always keeps its left-delta record (`left_deltas`): per
 level, the lowest stack index the advance rewrote and the stack from there
 up, from which a replay rebuilds the left boundary at every level.  The

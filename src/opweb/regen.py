@@ -7,6 +7,13 @@ is how detection is implemented (one exploration run yields both).  Between
 consecutive break points the spatial and temporal increments ``(X_i, tau_i)``
 are i.i.d. from the second record on; the first record is always excluded
 from estimation.
+
+Each estimate replica hands `RegenAccumulator` six integer sums of its
+increments and nothing else.  The estimate worker forms them in one C call
+(`opweb._native.breaks`, the ``walk_breaks`` entry of ``_walk.c``) when the
+native library loads, the rule of `opweb.explore.walk_lockstep`, and else
+in `_estimate_reference` on the Python walk, from `break_point_arrays` and
+`increment_sums`.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
-from .explore import explore_to_level
-from .lattice import LatticeSite, replica_config
+from .explore import ExplorationCluster, explore_to_level
+from .lattice import LatticeSite, make_key_sampler, replica_config
 from .runner import pmap
 from .stats import wilson_interval
 
@@ -67,12 +74,21 @@ def _plugin(stats) -> tuple[float, float]:
     return float(sx / st), math.sqrt(max(sigma2, 0.0))
 
 
+def increment_sums(X, tau) -> tuple:
+    """The six sums that `RegenAccumulator.add` takes, of integer
+    increments ``(X, tau)``: the count, ΣX, Στ, ΣX², ΣXτ and Στ²."""
+    X = np.asarray(X, dtype=np.int64)
+    tau = np.asarray(tau, dtype=np.int64)
+    return (len(X), int(X.sum()), int(tau.sum()), int(X @ X), int(X @ tau),
+            int(tau @ tau))
+
+
 class RegenAccumulator:
     """The one drift and diffusivity estimator: plug-in α and σ from
     per-replica sufficient statistics.
 
-    Feed each replica's increment arrays ``(X, tau)`` with `add`; a
-    replica without records is dropped.  `finalize` pools every record.
+    Feed each replica's six increment sums (`increment_sums`) with `add`;
+    a replica without records is dropped.  `finalize` pools every record.
     Its standard errors come from ``b = min(DEFAULT_BATCHES, m)`` batches
     of consecutive replicas, where ``m`` replicas hold records; replicas
     are independent by design.  With ``m < 2`` the standard errors are
@@ -82,13 +98,9 @@ class RegenAccumulator:
     def __init__(self):
         self._per_replica = []  # (n, sx, st, sxx, sxt, stt)
 
-    def add(self, X, tau):
-        # integer records with sums below 2**53: every sum is exact, so
-        # the dot products equal the sums of products
-        X = np.asarray(X, dtype=np.float64)
-        tau = np.asarray(tau, dtype=np.float64)
-        self._per_replica.append((len(X), X.sum(), tau.sum(), X @ X,
-                                  X @ tau, tau @ tau))
+    def add(self, sums):
+        # integer sums below 2**53: each is exact as a float64
+        self._per_replica.append(tuple(sums))
 
     def finalize(self) -> DriftDiffusivity:
         rows = np.array(self._per_replica, dtype=np.float64).reshape(-1, 6)
@@ -109,12 +121,23 @@ class RegenAccumulator:
 
 
 def _estimate_worker(args):
-    cfg, n, margin, scan_guard = args
-    cluster = explore_to_level(LatticeSite(0, 0), n + margin, cfg,
-                               scan_guard=scan_guard)
+    """One replica's increment sums and r(n), from its native body when the
+    library loads and else from the reference."""
+    from . import _native  # may build the library: not at import
+    if _native.load() is not None:
+        return _native.breaks(*args)
+    return _estimate_reference(*args)
+
+
+def _estimate_reference(cfg, n, margin, scan_guard):
+    """`_estimate_worker` on the Python walk, the reference."""
+    cluster = ExplorationCluster(LatticeSite(0, 0),
+                                 source=make_key_sampler(cfg),
+                                 scan_guard=scan_guard)
+    cluster.advance_to(n + margin)
     r = cluster.right_values
     T, RT = break_point_arrays(r, cluster.left_values, 0, n, margin)
-    return np.diff(RT), np.diff(T), int(r[n])
+    return increment_sums(np.diff(RT), np.diff(T)), int(r[n])
 
 
 def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
@@ -122,17 +145,22 @@ def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
     """Drift and diffusivity pooled over independent replicas from (0, 0).
 
     Replica ``k`` explores ``replica_config(seed, p, k)`` to level
-    ``n + margin`` and contributes the increments between its break points
-    (`break_point_arrays`), so its first record is left out.  Returns the
+    ``n + margin`` and contributes the sums of the increments between its
+    break points (`break_point_arrays`), so its first record is left out.
+    Needs ``0 < margin <= n``, checked before any walk starts.  Returns the
     pooled `DriftDiffusivity`, whose batches are whole replicas, and the
     endpoints ``r(n)``, one per replica.
     """
+    if margin <= 0:
+        raise InvalidArgumentError("margin must be positive")
+    if n < margin:
+        raise InvalidArgumentError("margin leaves no detection window")
     jobs = [(replica_config(seed, p, rep), n, margin, scan_guard)
             for rep in range(replicas)]
     acc = RegenAccumulator()
     endpoints = []
-    for X, tau, r_n in pmap(_estimate_worker, jobs, workers):
-        acc.add(X, tau)
+    for sums, r_n in pmap(_estimate_worker, jobs, workers):
+        acc.add(sums)
         endpoints.append(r_n)
     return acc.finalize(), endpoints
 

@@ -88,6 +88,8 @@ INVALID_ARGV = [
      "3", "--sigma", "0", "--out", "{out}"],
     *(["estimate", "--p", "0.7", "--n", "200", "--margin", "50",
        "--scan-guard", guard] for guard in ("0", "-1")),
+    ["estimate", "--n", "200", "--margin", "0"],
+    ["estimate", "--n", "100", "--margin", "200"],
 ]
 
 

@@ -538,6 +538,30 @@ def test_a_build_removes_older_builds(fresh_loader, tmp_path):
     assert sorted(tmp_path.iterdir()) == sorted([built, *kept])
 
 
+def test_a_stale_build_without_an_entry_is_rebuilt(fresh_loader, tmp_path):
+    # a cached build of an older source, whole and under its own key, that
+    # lacks walk_breaks: the source's hash in the key sends load to a new
+    # build, which exports every entry that load registers
+    native = fresh_loader
+    cc = next(filter(shutil.which, native._COMPILERS), None)
+    if cc is None:
+        pytest.skip("no cc or gcc on PATH")
+    old = native._SOURCE.read_bytes().replace(b"walk_breaks", b"walk_gone")
+    old_key = native._key(old, cc)
+    stale = tmp_path / f"_walk-{old_key.decode()}.so"
+    native._build(cc, old, stale, old_key)
+    assert native._valid(stale, old_key)
+    assert not hasattr(native.ctypes.CDLL(str(stale)), "walk_breaks")
+    lib = native.load()
+    assert lib is not None and not stale.exists()
+    [built] = tmp_path.glob("_walk-*.so")
+    exported = native.ctypes.CDLL(str(built))
+    assert [name for name in native._ENTRIES
+            if not hasattr(exported, name)] == []
+    assert "walk_breaks" in native._ENTRIES
+    assert lib.walk_breaks.argtypes == native._ENTRIES["walk_breaks"][0]
+
+
 def _build_and_walk(_):
     cluster = explore_to_level(ORIGIN, 500, Config(11, 0.75, 5))
     return isinstance(cluster, NativeCluster), cluster.right_values

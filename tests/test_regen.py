@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from opweb.errors import InsufficientDataError, InvalidArgumentError
+from opweb import _native
+from opweb.errors import (InsufficientDataError, InvalidArgumentError,
+                          ScanLimitExceededError)
 from opweb.explore import explore_to_level
-from opweb.lattice import Config, LatticeSite
-from opweb.regen import (RegenAccumulator, break_point_arrays,
-                         error_gap_frequencies)
+from opweb.lattice import Config, LatticeSite, replica_config
+from opweb.regen import (RegenAccumulator, _estimate_reference,
+                         break_point_arrays, error_gap_frequencies,
+                         increment_sums, replica_estimate)
 from opweb.stats import ks_distance_to_normal, wilson_interval
 
 ORIGIN = LatticeSite(0, 0)
@@ -27,7 +30,7 @@ def _break_points(cluster, n_end, margin):
 
 def _estimate(X, tau):
     acc = RegenAccumulator()
-    acc.add(X, tau)
+    acc.add(increment_sums(X, tau))
     return acc.finalize()
 
 
@@ -113,7 +116,7 @@ def test_sigma_translation_invariance():
             cluster = explore_to_level(origin, origin.t + 4300,
                                        Config(seed, 0.8, (rep + 1) * 1024))
             T, RT = _break_points(cluster, origin.t + 4000, 300)
-            acc.add(np.diff(RT), np.diff(T))
+            acc.add(increment_sums(np.diff(RT), np.diff(T)))
         return acc.finalize()
 
     a = sigma_at(LatticeSite(0, 0), 5)
@@ -129,8 +132,8 @@ def test_accumulator_matches_direct_estimate():
     direct = _estimate(X, tau)
     assert direct.alpha_hat == pytest.approx(X.sum() / tau.sum(), rel=1e-12)
     acc = RegenAccumulator()
-    acc.add(X[:400], tau[:400])
-    acc.add(X[400:], tau[400:])
+    acc.add(increment_sums(X[:400], tau[:400]))
+    acc.add(increment_sums(X[400:], tau[400:]))
     merged = acc.finalize()
     assert merged.alpha_hat == pytest.approx(direct.alpha_hat, rel=1e-12)
     assert merged.sigma_hat == pytest.approx(direct.sigma_hat, rel=1e-12)
@@ -144,7 +147,7 @@ def test_accumulator_sums_are_exact():
     T, RT = _break_points(cluster, 3000, 300)
     X, tau = np.diff(RT).tolist(), np.diff(T).tolist()
     acc = RegenAccumulator()
-    acc.add(X, tau)
+    acc.add(increment_sums(X, tau))
     assert acc._per_replica == [(
         len(X), sum(X), sum(tau), sum(x * x for x in X),
         sum(x * s for x, s in zip(X, tau)), sum(s * s for s in tau))]
@@ -156,13 +159,61 @@ def test_accumulator_one_replica_leaves_errors_undefined():
     T, RT = _break_points(cluster, 3000, 300)
     X, tau = np.diff(RT), np.diff(T)
     acc = RegenAccumulator()
-    acc.add(X, tau)
-    acc.add([], [])  # a replica without records forms no batch either
+    acc.add(increment_sums(X, tau))
+    acc.add(increment_sums([], []))  # a replica without records: no batch
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = acc.finalize()
     assert est.alpha_hat == pytest.approx(X.sum() / tau.sum(), rel=1e-12)
     assert math.isnan(est.alpha_se) and math.isnan(est.sigma_se)
+
+
+def _worker_outcome(body, cfg, n, margin, guard):
+    """What an estimate worker body returns, or its guard error's message
+    and scan offset."""
+    try:
+        return body(cfg, n, margin, guard)
+    except ScanLimitExceededError as e:
+        return str(e), e.scan_offset
+
+
+@pytest.mark.parametrize("p", [0.66, 0.7, 0.8, 0.9, 1.0])
+def test_native_break_sums_match_the_reference(p):
+    # the native worker body against the Python walk's arrays, on windows
+    # of every width down to the single level of n == margin
+    if _native.load() is None:
+        pytest.skip("the native walk does not build here")
+    counts = []
+    for rep in range(30):
+        cfg = replica_config(6, p, rep)
+        n = 20 + 9 * rep
+        margin = n if rep % 5 == 0 else 1 + (7 * rep) % n
+        native = _native.breaks(cfg, n, margin, 10_000)
+        assert native == _estimate_reference(cfg, n, margin, 10_000)
+        assert all(type(v) is int for v in (*native[0], native[1]))
+        counts.append(native[0][0])
+        if p == 1.0:  # every level is a break level
+            assert native == ((n - margin, n - margin, n - margin,
+                               n - margin, n - margin, n - margin), n)
+    assert counts[0] == 0 and max(counts) > 0
+
+
+@pytest.mark.parametrize("guard", [1, 7, 40])
+def test_native_break_sums_trip_as_the_reference(guard):
+    if _native.load() is None:
+        pytest.skip("the native walk does not build here")
+    cfg = replica_config(2, 0.5, 0)
+    outcome = _worker_outcome(_native.breaks, cfg, 200, 50, guard)
+    assert outcome == _worker_outcome(_estimate_reference, cfg, 200, 50, guard)
+    assert outcome[1] == guard
+
+
+def test_estimate_validates_before_walking():
+    # a replica that would trip its guard on the first level still gives
+    # the margin's error: no walk starts
+    for n, margin in ((200, 0), (200, -3), (100, 200)):
+        with pytest.raises(InvalidArgumentError):
+            replica_estimate(0.0, 1, 2, n, margin, scan_guard=1)
 
 
 def test_ks_helper_against_scipy():
