@@ -8,7 +8,7 @@ from .errors import (BoxTooNarrowError, InsufficientDataError,
                      ScanLimitExceededError)
 from .lattice import (Config, EdgeRef, LatticeSite, Orientation, edge_status,
                       edge_status_array, independence_probe)
-from .explore import (ExplorationCluster, GammaApprox, Trajectory,
+from .explore import (Boundaries, ExplorationCluster, GammaApprox, Trajectory,
                       boundary_ordering_check, explore_to_level, gamma_approx)
 from .regen import (DriftDiffusivity, RegenAccumulator, error_gap_frequencies,
                     increment_sums)

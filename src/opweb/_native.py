@@ -1,24 +1,16 @@
-"""`NativeCluster`, the `ExplorationCluster` that walks in ``_walk.c``.
+"""The native walk of ``_walk.c``: one C call per walk, made from Python.
 
-Its ``walk_t`` owns r, the left boundary and the counts, so it overrides
-only the members that read them (through `_Head`) and the two advances.
-It keeps no set of dead sites: the least dead column of each level decides
-whether a site is dead.
-No caller names it: `ExplorationCluster.__new__` returns one for a cluster
-built from a Config and no edge source when `load` succeeds.  It keeps no
-left-delta record (`left_deltas` is None): the record's one reader, the
-ledger coupling, runs on edge sources and so on the Python walk.
+Each body here makes one C call, which makes, runs and frees its walks and
+hands back a few integers or fills arrays that Python allocated and owns:
+no walk outlives the call, and nothing is copied after it.  `lockstep` is
+the native body of `explore.walk_lockstep` (``walk_value`` for one start,
+``walk_pair`` for an equal-time pair), `breaks` of the estimate worker
+`regen._estimate_worker` (``walk_breaks``), and `bounds` of
+`explore.explore_to_level` (``walk_bounds``).  Each caller picks it by one
+rule: the native body when `load` succeeds, and else its Python reference.
 
-`lockstep` is the native body of `explore.walk_lockstep`, and `breaks` of
-the estimate worker `regen._estimate_worker`; each caller picks it by the
-same rule, when `load` succeeds.  Each makes one C call, ``walk_value`` for
-one start or ``walk_pair`` for an equal-time pair, and ``walk_breaks`` for
-a replica's break-point sums.  That call makes, runs and frees its walks
-and hands back a few integers: no cluster, no finaliser and no copy of r
-or of the left boundary.
-
-`explore` imports this module the first time it makes a Config-driven
-cluster, never at ``import opweb``.  The first `load` in a process compiles
+`explore` imports this module the first time a Config-driven walk runs,
+never at ``import opweb``.  The first `load` in a process compiles
 ``_walk.c`` with the local ``cc`` (or ``gcc``) unless a cached build exists,
 and loads it through ctypes.  The cache is the package's ``__pycache__``,
 file ``_walk-<key>.so``, where ``<key>`` hashes the source, the compiler and
@@ -28,7 +20,7 @@ its flags.  A build is written to a temporary file and moved into place by
 cached file ends in a trailer holding its key and the SHA-256 of the bytes
 before it; a file whose trailer does not check out (truncated, stale or
 foreign) is rebuilt and never loaded.  Without a compiler, or with an
-unwritable cache, `load` returns None and clusters use the Python walk.
+unwritable cache, `load` returns None and every walk is the Python walk.
 """
 
 from __future__ import annotations
@@ -41,13 +33,12 @@ import os
 import shutil
 import subprocess
 import tempfile
-import weakref
-from ctypes import POINTER, c_int, c_int64, c_uint64, c_void_p
+from ctypes import c_int, c_int64, c_uint64, c_void_p
 from pathlib import Path
 
 import numpy as np
 
-from .explore import DEFAULT_SCAN_GUARD, ExplorationCluster, guard_error
+from .explore import Boundaries, guard_error
 from .lattice import MASK64
 
 _COMPILERS = ("cc", "gcc")
@@ -57,7 +48,7 @@ _CACHE = Path(__file__).with_name("__pycache__")
 _MAGIC = b"opweb-walk\0"
 _KEY_LEN = 16
 
-# walk_advance return codes
+# the entries' return codes
 _GUARD = 1
 _NOMEM = 2
 
@@ -65,34 +56,24 @@ _lib = None
 _tried = False
 
 # what walk_value and walk_pair write: the merge's level from the start, or
-# -1; two r values; and the scan offset and last level of the walk that
-# stopped
-_Out = c_int64 * 5
-# what walk_breaks writes: the six break-point sums, r[n], and the scan
-# offset and last level of its walk
-_Breaks = c_int64 * 9
+# -1; two r values; and the report of the walk that stopped
+_Out = c_int64 * 6
+# what walk_breaks writes: the six break-point sums, r[n], and its walk's
+# report
+_Breaks = c_int64 * 10
+# a walk's report: its scan offset, last completed level and edges examined
+_Report = c_int64 * 3
 
 # t0, then the sampler and the guard as _sampler gives them
 _WALK = [c_int64, c_uint64, c_uint64, c_int, c_int64]
 # every entry of _walk.c, as (argtypes, restype)
 _ENTRIES = {
-    "walk_new": ([c_int64, *_WALK], c_void_p),
-    "walk_advance": ([c_void_p, c_int64], c_int),
-    "walk_free": ([c_void_p], None),
     "walk_value": ([c_int64, *_WALK, c_int64, c_void_p], c_int),
     "walk_pair": ([c_int64, c_int64, *_WALK, c_int64, c_void_p], c_int),
     "walk_breaks": ([c_int64, *_WALK, c_int64, c_int64, c_void_p], c_int),
+    "walk_bounds": ([c_int64, *_WALK, c_int64, c_int64] + [c_void_p] * 4,
+                    c_int),
 }
-
-
-class _Head(ctypes.Structure):
-    """The leading fields of ``walk_t``, the ones Python reads: r_len,
-    stack_len, scan_offset, n_examined and the pointers r and sx.  Keep in
-    step with ``_walk.c``."""
-
-    _fields_ = [("r_len", c_int64), ("stack_len", c_int64),
-                ("scan_offset", c_int64), ("n_examined", c_int64),
-                ("r", POINTER(c_int64)), ("sx", POINTER(c_int64))]
 
 
 def load():
@@ -173,7 +154,7 @@ def _build(cc: str, source: bytes, path: Path, key: bytes) -> None:
 
 
 def _sampler(cfg, scan_guard) -> tuple:
-    """The Config's sampler and the guard as ``walk_new`` takes them: base,
+    """The Config's sampler and the guard as the entries take them: base,
     threshold, all-open flag and an integer guard."""
     threshold = cfg._threshold
     # the walk trips once scan_offset >= scan_guard, an integer count
@@ -186,7 +167,8 @@ def _check(code: int, scan_offset: int, level: int) -> None:
     if code == _GUARD:
         raise guard_error(scan_offset, level)
     if code == _NOMEM:
-        raise MemoryError("native exploration walk out of memory")
+        raise MemoryError("the native exploration walk cannot allocate "
+                          "its buffers")
 
 
 def lockstep(xs, t0: int, level: int, cfg, scan_guard):
@@ -215,73 +197,15 @@ def breaks(cfg, n: int, margin: int, scan_guard):
     return tuple(out[:6]), out[6]
 
 
-def _copy(ptr, n: int) -> np.ndarray:
-    """A fresh int64 array of the ``n`` entries at ``ptr``, in one memmove."""
-    out = np.empty(n, dtype=np.int64)
-    if n:
-        ctypes.memmove(out.ctypes.data, ptr, 8 * n)
-    return out
-
-
-class NativeCluster(ExplorationCluster):
-    """A Config-driven cluster on one ``walk_t``, freed when it is collected.
-
-    `right_values` and `left_values` hand out copies, not views: the next
-    advance may ``realloc`` either buffer, and a view would point at freed
-    memory.
-    """
-
-    def __init__(self, origin, cfg, *, source=None,
-                 scan_guard=DEFAULT_SCAN_GUARD):
-        # source is None: ExplorationCluster.__new__ picks this walk only
-        # then
-        lib = load()
-        self.origin = origin
-        self.cfg = cfg
-        self._t0 = origin.t
-        self._left_deltas = None
-        handle = lib.walk_new(origin.x, origin.t, *_sampler(cfg, scan_guard))
-        if not handle:
-            raise MemoryError("cannot allocate a native exploration walk")
-        weakref.finalize(self, lib.walk_free, handle)
-        self._lib = lib
-        self._handle = handle
-        self._head = _Head.from_address(handle)
-
-    @property
-    def level(self) -> int:
-        return self._t0 + self._head.r_len - 1
-
-    @property
-    def right_values(self) -> np.ndarray:
-        h = self._head
-        return _copy(h.r, h.r_len)
-
-    @property
-    def left_values(self) -> np.ndarray:
-        """The frozen stack ``sx[0:stack_len]``, copied."""
-        h = self._head
-        return _copy(h.sx, h.stack_len)
-
-    @property
-    def scan_offset(self) -> int:
-        return self._head.scan_offset
-
-    @property
-    def n_examined(self) -> int:
-        return self._head.n_examined
-
-    def advance_level(self) -> int:
-        self.advance_to(self.level + 1)
-        h = self._head
-        return h.r[h.r_len - 1]
-
-    def advance_to(self, n: int) -> None:
-        """Explore up to level ``n`` in one C call."""
-        if n <= self.level:
-            return
-        code = self._lib.walk_advance(self._handle, n - self.level)
-        if code == _GUARD:
-            raise self._guard_error()
-        if code == _NOMEM:
-            raise MemoryError("native exploration walk out of memory")
+def bounds(z, n: int, horizon: int, cfg, scan_guard) -> Boundaries:
+    """`explore.explore_to_level` in one C call, which writes r, l and γ
+    straight into the record's arrays."""
+    right = np.empty(horizon - z.t + 1, dtype=np.int64)
+    left = np.empty(n - z.t + 1, dtype=np.int64)
+    gamma = np.empty_like(right)
+    rep = _Report()
+    code = load().walk_bounds(z.x, z.t, *_sampler(cfg, scan_guard), n,
+                              horizon, right.ctypes.data, left.ctypes.data,
+                              gamma.ctypes.data, rep)
+    _check(code, rep[0], rep[1])
+    return Boundaries(z, right, left, gamma, rep[0], rep[2])

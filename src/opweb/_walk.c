@@ -1,19 +1,19 @@
 /* Native form of the exploration walk in explore.py.
  *
- * One walk is the state of one _native.NativeCluster, or of one start in
- * the one-call entries at the end: the splitmix64 edge sampler (base and
- * threshold of the Config), the depth-first stack, the right-boundary
- * values r, the count of examined edges, the scan offset and the scan
- * guard.  No edge status is kept: an edge is sampled where it is examined,
- * and no edge is examined twice.  A site's out-edges are examined only
- * while it is on the stack; it leaves the stack only after both are, and it
- * is then dead, so no later edge enters it.  The loop in walk_advance makes
- * the same steps as ExplorationCluster.advance_level: the same scan order,
- * the same packed keys, the same guard.  It folds the up-right and up-left
- * steps into one block on the direction d, where the Python walk keeps the
- * two blocks unrolled because that runs faster there.  The Python walk,
- * with its set of dead sites, stays the reference this one is tested
- * against.
+ * Each entry at the end makes, runs and frees its walks inside one call,
+ * and hands back a few numbers or fills arrays the caller owns.  One walk
+ * is the splitmix64 edge sampler (base and threshold of the Config), the
+ * depth-first stack, the count of examined edges, the scan offset and the
+ * scan guard, and on some walks the right-boundary values r.  No edge
+ * status is kept: an edge is sampled where it is examined, and no edge is
+ * examined twice.  A site's out-edges are examined only while it is on the
+ * stack; it leaves the stack only after both are, and it is then dead, so
+ * no later edge enters it.  The loop in walk_advance makes the same steps
+ * as ExplorationCluster.advance_level: the same scan order, the same packed
+ * keys, the same guard.  It folds the up-right and up-left steps into one
+ * block on the direction d, where the Python walk keeps the two blocks
+ * unrolled because that runs faster there.  The Python walk, with its set
+ * of dead sites, stays the reference this one is tested against.
  *
  * Dead sites need no set, because the walk is planar: a site queried from
  * the stack is dead exactly when its column is at or right of the least
@@ -33,27 +33,21 @@
  * popped site's entry stays in sx until the next push at its level.  So
  * above the top, sx[j] is the least dead column at level j; sx[target]
  * holds INT64_MAX while the walk searches for the new level, where
- * nothing is dead.
+ * nothing is dead.  Between levels the stack sx[0:r_len] is the left
+ * boundary, and its top sx[r_len - 1] is r at the last level completed.
  *
- * The walk is the only owner of r and of the left boundary, which is the
- * stack sx[0:stack_len] between calls.  Python reads r_len, stack_len and
- * the two pointers after a call and copies what it needs; a later call may
- * realloc either buffer, so no pointer into them outlives the call that
- * read it.
- *
- * Three entries make, run and free their walks inside one call, for
- * callers that need a few numbers and no cluster: walk_value walks one
- * start to r at one level, walk_pair an equal-time pair in lockstep, and
- * walk_breaks one start to its break-point sums.  The walks of walk_value
- * and walk_pair keep no r: r at the last level completed is the top of
- * the stack, sx[r_len - 1].  walk_breaks alone keeps r, as it compares r
- * with the frozen stack at every level of its window.  Its target level is
- * known up front, so r, sx and state share one block of that size: no
- * realloc while walking, and one free at the end.  glibc raises its trim
- * threshold to twice the largest mapped block freed, so the next call's
- * block of the same size comes from the heap, and stays there when freed;
- * three buffers of the walk's size together pass that threshold, and were
- * handed back to the kernel and faulted in again on every call.
+ * walk_value walks one start to r at one level, walk_pair an equal-time
+ * pair in lockstep; their walks keep no r, and their sx and state buffers
+ * grow with the walk, as a pair may stop at its merge long before its
+ * target level.  walk_breaks walks one start to its break-point sums, and
+ * walk_bounds one start to its boundaries at two levels.  These two keep
+ * r, as they need it at every level, and their target level is known up
+ * front, so r, sx and state share one block of that size: no realloc while
+ * walking, and one free at the end.  glibc raises its trim threshold to
+ * twice the largest mapped block freed, so the next call's block of the
+ * same size comes from the heap, and stays there when freed; three buffers
+ * of the walk's size together pass that threshold, and were handed back to
+ * the kernel and faulted in again on every call.
  *
  * walk_breaks follows regen.break_point_arrays.  Level j in [0, n - margin]
  * is a break level when r[j] equals sx[j] of the stack frozen at level
@@ -87,83 +81,73 @@
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 #define MIX1 0xBF58476D1CE4E5B9ULL
 #define MIX2 0x94D049BB133111EBULL
+#define GROWING (-1) /* walk_init's `levels` for a walk of no fixed size */
 
 enum { WALK_OK = 0, WALK_GUARD = 1, WALK_NOMEM = 2 };
 
-/* The fields up to `sx` are read from Python (_native._Head): r_len,
- * stack_len, scan_offset, n_examined, r and sx.  Keep the two in step. */
 typedef struct {
     int64_t r_len;             /* levels completed + 1 */
-    int64_t stack_len;         /* sx[0:stack_len] is the left boundary */
     int64_t scan_offset;
     int64_t n_examined;
-    int64_t *r;                /* NULL on a walk that keeps no r */
+    int64_t *r;                /* on a walk of fixed size only */
     int64_t *sx;
-    /* private */
     uint8_t *state;
     void *block;               /* r, sx and state, on a walk of fixed size */
-    int64_t r_cap, stack_cap;
+    int64_t stack_cap;
     int64_t t0, origin_x, scan_guard;
     uint64_t base, threshold;
     int all_open;
-    int failed; /* the code that stopped the walk for good, or 0 */
 } walk_t;
-
-static int grow(void **p, int64_t *cap, int64_t need, size_t size)
-{
-    if (need <= *cap)
-        return 1;
-    int64_t n = *cap;
-    while (n < need)
-        n *= 2;
-    void *q = realloc(*p, (size_t)n * size);
-    if (!q)
-        return 0;
-    *p = q;
-    *cap = n;
-    return 1;
-}
 
 /* Room for `need` stack entries in both sx and state. */
 static int grow_stack(walk_t *w, int64_t need)
 {
+    if (need <= w->stack_cap)
+        return 1;
     int64_t cap = w->stack_cap;
-    return grow((void **)&w->sx, &cap, need, sizeof *w->sx)
-           && grow((void **)&w->state, &w->stack_cap, need, 1);
+    while (cap < need)
+        cap *= 2;
+    int64_t *sx = realloc(w->sx, (size_t)cap * sizeof *sx);
+    if (!sx)
+        return 0;
+    w->sx = sx;
+    uint8_t *state = realloc(w->state, (size_t)cap);
+    if (!state)
+        return 0;
+    w->state = state;
+    w->stack_cap = cap;
+    return 1;
 }
 
-/* Set up the walk of the half-line at (origin_x, t0) in *w; with
- * `record`, it keeps r.  With `levels` > 0, r, sx and state get room for
- * that many levels past the start in one block, and the walk must go no
- * further; otherwise each buffer starts small and grows with the walk.
+/* Set up the walk of the half-line at (origin_x, t0) in *w.  With
+ * `levels` >= 0, r, sx and state share one block with room for that many
+ * levels past the start, and the walk must go no further; with GROWING,
+ * it keeps no r, and sx and state start small and grow with the walk.
  * Returns 0 if out of memory, and *w can then still be released. */
 static int walk_init(walk_t *w, int64_t origin_x, int64_t t0, uint64_t base,
                      uint64_t threshold, int all_open, int64_t scan_guard,
-                     int record, int64_t levels)
+                     int64_t levels)
 {
     memset(w, 0, sizeof *w);
-    if (levels > 0) {
+    if (levels != GROWING) {
         if ((uint64_t)levels >= SIZE_MAX / 32)
             return 0; /* the block's size would overflow */
         int64_t cap = levels + 1;
-        size_t words = (size_t)cap * (record ? 2 : 1);
-        w->block = malloc(words * sizeof(int64_t) + (size_t)cap);
+        w->block = malloc((size_t)cap * (2 * sizeof(int64_t) + 1));
         if (!w->block)
             return 0;
         w->sx = w->block;
-        w->r = record ? w->sx + cap : NULL;
-        w->state = (uint8_t *)(w->sx + words);
-        w->stack_cap = w->r_cap = cap;
+        w->r = w->sx + cap;
+        w->state = (uint8_t *)(w->r + cap);
+        w->stack_cap = cap;
+        w->r[0] = origin_x;
     } else {
-        w->stack_cap = w->r_cap = 64;
+        w->stack_cap = 64;
         w->sx = malloc(64 * sizeof *w->sx);
         w->state = malloc(64);
-        w->r = record ? malloc(64 * sizeof *w->r) : NULL;
-        if (!w->sx || !w->state || (record && !w->r))
+        if (!w->sx || !w->state)
             return 0;
     }
-    if (record)
-        w->r[0] = origin_x;
     w->origin_x = origin_x;
     w->t0 = t0;
     w->base = base;
@@ -172,7 +156,7 @@ static int walk_init(walk_t *w, int64_t origin_x, int64_t t0, uint64_t base,
     w->scan_guard = scan_guard;
     w->sx[0] = origin_x;
     w->state[0] = 0;
-    w->r_len = w->stack_len = 1;
+    w->r_len = 1;
     return 1;
 }
 
@@ -182,29 +166,8 @@ static void walk_release(walk_t *w)
         free(w->block);
         return;
     }
-    free(w->r);
     free(w->sx);
     free(w->state);
-}
-
-void walk_free(walk_t *w)
-{
-    if (!w)
-        return;
-    walk_release(w);
-    free(w);
-}
-
-walk_t *walk_new(int64_t origin_x, int64_t t0, uint64_t base,
-                 uint64_t threshold, int all_open, int64_t scan_guard)
-{
-    walk_t *w = malloc(sizeof *w);
-    if (w && !walk_init(w, origin_x, t0, base, threshold, all_open,
-                        scan_guard, 1, 0)) {
-        walk_free(w);
-        return NULL;
-    }
-    return w;
 }
 
 static int sample(const walk_t *w, uint64_t key)
@@ -221,22 +184,18 @@ static uint64_t pack(int64_t hi, int64_t x)
     return ((uint64_t)hi << 32) | (uint64_t)(x + X_BIAS);
 }
 
-/* Explore up to `levels` more levels; stops early, and for good, on the
- * guard or on failed allocation.  On return r_len counts the completed
- * levels. */
-int walk_advance(walk_t *w, int64_t levels)
+/* Explore `levels` more levels.  Stops early on the guard or on failed
+ * allocation, after which the walk must not be advanced again.  On return
+ * r_len counts the completed levels. */
+static int walk_advance(walk_t *w, int64_t levels)
 {
-    if (w->failed)
-        return w->failed;
     if (w->block && levels > w->stack_cap - w->r_len)
-        return w->failed = WALK_NOMEM; /* a block is never regrown */
+        return WALK_NOMEM; /* a block is never regrown */
     for (int64_t done = 0; done < levels; done++) {
         int64_t target = w->r_len;
         int64_t top = target - 1;
-        if (!grow_stack(w, target + 1)
-            || (w->r && !grow((void **)&w->r, &w->r_cap, target + 1,
-                              sizeof *w->r)))
-            return w->failed = WALK_NOMEM;
+        if (!grow_stack(w, target + 1))
+            return WALK_NOMEM;
         int64_t *sx = w->sx;
         uint8_t *state = w->state;
         sx[target] = INT64_MAX; /* nothing is dead at the new level */
@@ -264,17 +223,14 @@ int walk_advance(walk_t *w, int64_t levels)
                 top--; /* sx[top + 1] stays, the level's least dead column */
                 if (top < 0) {
                     w->scan_offset++;
-                    if (w->scan_offset >= w->scan_guard) {
-                        w->stack_len = 0;
-                        return w->failed = WALK_GUARD;
-                    }
+                    if (w->scan_offset >= w->scan_guard)
+                        return WALK_GUARD;
                     sx[0] = w->origin_x - 2 * w->scan_offset;
                     state[0] = 0;
                     top = 0;
                 }
             }
         }
-        w->stack_len = target + 1;
         if (w->r)
             w->r[target] = sx[target];
         w->r_len = target + 1;
@@ -282,23 +238,24 @@ int walk_advance(walk_t *w, int64_t levels)
     return WALK_OK;
 }
 
-/* rep[0] and rep[1]: the scan offset of w and the last level it completed,
- * which name a guard trip. */
+/* rep[0:3]: the scan offset of w, the last level it completed and the
+ * edges it examined; the first two name a guard trip. */
 static int report(const walk_t *w, int code, int64_t *rep)
 {
     rep[0] = w->scan_offset;
     rep[1] = w->t0 + w->r_len - 1;
+    rep[2] = w->n_examined;
     return code;
 }
 
 /* r at `level` of the walk from (x, t0), into out[1]; out[0] = -1.
- * Returns the walk's code, and the walk's report in out[3:5]. */
+ * Returns the walk's code, and the walk's report in out[3:6]. */
 int walk_value(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
                int all_open, int64_t scan_guard, int64_t level, int64_t *out)
 {
     walk_t w;
-    int code = walk_init(&w, x, t0, base, threshold, all_open, scan_guard, 0,
-                         0)
+    int code = walk_init(&w, x, t0, base, threshold, all_open, scan_guard,
+                         GROWING)
                ? walk_advance(&w, level - t0) : WALK_NOMEM;
     out[0] = -1;
     out[1] = code ? 0 : w.sx[w.r_len - 1];
@@ -311,16 +268,16 @@ int walk_value(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
  * n - t0 for the first level n with r_R(n) <= r_L(n), or -1 with r_L and
  * r_R at `level` in out[1] and out[2].  The right walk stops at that level
  * and the left one goes on to `level`.  Returns the code of the walk that
- * stopped the pair (0 if none did), with that walk's report in out[3:5]. */
+ * stopped the pair (0 if none did), with that walk's report in out[3:6]. */
 int walk_pair(int64_t xl, int64_t xr, int64_t t0, uint64_t base,
               uint64_t threshold, int all_open, int64_t scan_guard,
               int64_t level, int64_t *out)
 {
     walk_t w[2];
     int ok = walk_init(&w[0], xl, t0, base, threshold, all_open,
-                       scan_guard, 0, 0);
-    ok &= walk_init(&w[1], xr, t0, base, threshold, all_open, scan_guard, 0,
-                    0);
+                       scan_guard, GROWING);
+    ok &= walk_init(&w[1], xr, t0, base, threshold, all_open, scan_guard,
+                    GROWING);
     int code = ok ? WALK_OK : WALK_NOMEM;
     walk_t *stop = &w[0];
     out[0] = xr <= xl ? 0 : -1;
@@ -347,13 +304,13 @@ int walk_pair(int64_t xl, int64_t xr, int64_t t0, uint64_t base,
  * increments X = r[j] - r[i] and tau = j - i from each break level i to
  * the next one j, summed into out[0:6] as the count, sum X, sum tau,
  * sum X^2, sum X tau and sum tau^2; r[n] into out[6].  Returns the walk's
- * code, and the walk's report in out[7:9]. */
+ * code, and the walk's report in out[7:10]. */
 int walk_breaks(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
                 int all_open, int64_t scan_guard, int64_t n, int64_t margin,
                 int64_t *out)
 {
     walk_t w;
-    int code = walk_init(&w, x, t0, base, threshold, all_open, scan_guard, 1,
+    int code = walk_init(&w, x, t0, base, threshold, all_open, scan_guard,
                          n + margin)
                ? walk_advance(&w, n + margin) : WALK_NOMEM;
     memset(out, 0, 7 * sizeof *out);
@@ -377,6 +334,34 @@ int walk_breaks(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
         out[6] = r[n];
     }
     code = report(&w, code, out + 7);
+    walk_release(&w);
+    return code;
+}
+
+/* The boundaries of the walk from (x, t0), for t0 <= n <= horizon: its
+ * left boundary at level n into left_out[0:n - t0 + 1], then, walked on to
+ * `horizon`, r and its left boundary there into r_out and gamma_out, each
+ * [0:horizon - t0 + 1].  Returns the walk's code, and the walk's report in
+ * rep[0:3]. */
+int walk_bounds(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
+                int all_open, int64_t scan_guard, int64_t n, int64_t horizon,
+                int64_t *r_out, int64_t *left_out, int64_t *gamma_out,
+                int64_t *rep)
+{
+    walk_t w;
+    int code = walk_init(&w, x, t0, base, threshold, all_open, scan_guard,
+                         horizon - t0)
+               ? walk_advance(&w, n - t0) : WALK_NOMEM;
+    if (!code) {
+        memcpy(left_out, w.sx, (size_t)(n - t0 + 1) * sizeof *left_out);
+        code = walk_advance(&w, horizon - n);
+    }
+    if (!code) {
+        size_t size = (size_t)(horizon - t0 + 1) * sizeof *r_out;
+        memcpy(r_out, w.r, size);
+        memcpy(gamma_out, w.sx, size);
+    }
+    code = report(&w, code, rep);
     walk_release(&w);
     return code;
 }

@@ -4,8 +4,8 @@ Subcommands: ``simulate | estimate | coalesce | eta | check``.  A run is
 pinned by its spec (flags or ``--spec`` JSON file; flags win) plus the
 package version; outputs are byte-identical across repeat runs and worker
 counts, and every output file embeds the spec hash.  Exit codes: 0 ok,
-1 check failures, 2 invalid spec or insufficient data, 3 scan guard
-tripped, 4 I/O failure.
+1 check failures, 2 invalid spec, insufficient data or out of memory,
+3 scan guard tripped, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import __version__
 from .couple import coalescence_survival_curve
 from .errors import (InsufficientDataError, InvalidArgumentError,
                      InvalidSiteError, ScanLimitExceededError)
-from .explore import ExplorationCluster, write_trajectory_csv
+from .explore import explore_to_level, write_trajectory_csv
 from .lattice import (LatticeSite, STREAMS_PER_REPLICA, calibration_seed,
                       replica_config)
 from .metrics import b1_battery, b2_fkg_check
@@ -93,11 +93,9 @@ def _write_text(path, text):
 
 def _simulate_worker(args):
     cfg, n, horizon, scan_guard = args
-    cluster = ExplorationCluster(LatticeSite(0, 0), cfg, scan_guard=scan_guard)
-    cluster.advance_to(n)
-    left_n = cluster.left_values
-    cluster.advance_to(horizon)
-    return cluster.right_values[:n + 1], left_n, cluster.left_values[:n + 1]
+    b = explore_to_level(LatticeSite(0, 0), n, cfg, horizon=horizon,
+                         scan_guard=scan_guard)
+    return b.right[:n + 1], b.left, b.gamma[:n + 1]
 
 
 def cmd_simulate(spec: ExperimentSpec) -> int:
@@ -381,6 +379,9 @@ def main(argv=None) -> int:
         return 2
     except InsufficientDataError as e:
         print(f"insufficient data: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
         return 2
     except ScanLimitExceededError as e:
         print(f"scan guard tripped: {e}", file=sys.stderr)

@@ -21,37 +21,32 @@ that column off its stack buffer, where a popped site's entry stays until
 the next push at its level (the argument is in ``_walk.c``).  Neither walk
 keeps the examined edges, only their count, `n_examined`.
 
-There are two walks, integer-identical, one class each.
-`ExplorationCluster` is the Python walk, the reference; its subclass
-`opweb._native.NativeCluster` runs the walk of ``_walk.c``.
-`ExplorationCluster.__new__` is the one place that picks the walk, by one
-rule: a cluster built from a `Config` and no ``source`` is a
-`NativeCluster` when the native library loads.  The library is built with
-the local C compiler on the first such cluster in a process (never at
-import) and cached in the package's ``__pycache__``.  Couplings
-(``source=``) and machines without a working compiler get the Python walk.
-On both walks ``right_values`` and ``left_values`` are fresh int64 arrays
-that a caller may keep and write into.
+There are two walks, integer-identical.  `ExplorationCluster` is the Python
+walk, the reference: a resumable cluster, advanced level by level, which
+the ledger coupling (`opweb.couple.run_coupled_many`) drives through an
+edge ``source``.  The native walk of ``_walk.c`` runs to its end inside one
+C call, built with the local C compiler on the first such call in a
+process (never at import) and cached in the package's ``__pycache__``.
 
-`walk_lockstep` serves callers that need r at one level and no cluster: one
-start, or an equal-time pair walked in lockstep up to the level where it
-merges.  It picks its body by the same rule, `opweb._native.lockstep` (the
-``walk_value`` and ``walk_pair`` entries of ``_walk.c``) when the native
-library loads, and else `_lockstep_reference`, made from Python walks.
-
-Break points need r at every level of a window and the left boundary at
-the horizon.  A cluster hands out both, for `opweb.regen.break_point_arrays`
-to compare.  The estimate worker, which needs only the sums of the
-increments between break points, picks its body by the same rule:
-`opweb._native.breaks` (the ``walk_breaks`` entry) compares the two inside
-the walk's own buffers, and `opweb.regen._estimate_reference` reads them
-off a Python walk.
+Every walk that starts from a `Config` picks its body by one rule: the
+native body when the native library loads, and else a reference made from
+Python walks.  There are three such walks, one per shape of answer.
+`explore_to_level` runs one start to its boundaries: r through a horizon,
+the left boundary ``l`` frozen at a level ``n``, and the left boundary at
+the horizon, the stand-in γ for the rightmost infinite open path
+(`opweb._native.bounds`, else `_bounds_reference`).  `walk_lockstep` serves
+callers that need r at one level: one start, or an equal-time pair walked
+in lockstep up to the level where it merges (`opweb._native.lockstep`,
+else `_lockstep_reference`).  The estimate worker needs only the sums of
+the increments between break points, where r meets the left boundary at
+the horizon (`opweb._native.breaks`, else
+`opweb.regen._estimate_reference`).  Machines without a working compiler
+run every walk in Python.
 
 The Python walk always keeps its left-delta record (`left_deltas`): per
 level, the lowest stack index the advance rewrote and the stack from there
 up, from which a replay rebuilds the left boundary at every level.  The
-ledger coupling (`opweb.couple.run_coupled_many`) reads it; the native walk
-keeps none.
+ledger coupling reads it.
 """
 
 from __future__ import annotations
@@ -98,20 +93,12 @@ class GammaApprox(Trajectory):
 
 
 class ExplorationCluster:
-    """Single-owner mutable exploration state; advance levels sequentially.
+    """Single-owner mutable exploration state, on the Python walk; advance
+    levels sequentially.
 
-    This class runs the Python walk; constructing it from a Config alone
-    may return the native subclass instead (see the module docstring).
     ``source`` overrides the edge oracle (used by couplings); the walk calls
     it once per examined edge, with the edge's packed key.
     """
-
-    def __new__(cls, origin, cfg=None, *, source=None, **kwargs):
-        if cls is ExplorationCluster and cfg is not None and source is None:
-            from . import _native  # may build the library: not at import
-            if _native.load() is not None:
-                cls = _native.NativeCluster
-        return super().__new__(cls)
 
     def __init__(self, origin: LatticeSite, cfg: Config | None = None, *,
                  source=None, scan_guard: int = DEFAULT_SCAN_GUARD):
@@ -158,8 +145,7 @@ class ExplorationCluster:
 
     @property
     def left_deltas(self):
-        """Per level, ``(floor, stack[floor:])`` after that level's advance;
-        None on the native walk."""
+        """Per level, ``(floor, stack[floor:])`` after that level's advance."""
         return self._left_deltas
 
     def _guard_error(self) -> ScanLimitExceededError:
@@ -241,14 +227,62 @@ class ExplorationCluster:
             self.advance_level()
 
 
+@dataclass(frozen=True)
+class Boundaries:
+    """The boundaries of the exploration cluster of ``start``, run to a
+    horizon.
+
+    ``right`` is r at every level from ``start.t`` to the horizon, ``left``
+    the left boundary frozen at `level`, and ``gamma`` the left boundary at
+    the horizon (see `GammaApprox`).  Each is a fresh int64 array that a
+    caller may keep and write into.  ``scan_offset`` and ``n_examined``
+    count the start sites exhausted and the edges examined up to the
+    horizon.
+    """
+
+    start: LatticeSite
+    right: np.ndarray
+    left: np.ndarray
+    gamma: np.ndarray
+    scan_offset: int
+    n_examined: int
+
+    @property
+    def level(self) -> int:
+        """The level ``n`` at which ``left`` was frozen."""
+        return self.start.t + len(self.left) - 1
+
+
 def explore_to_level(z: LatticeSite, n: int, cfg: Config, *,
-                     scan_guard: int = DEFAULT_SCAN_GUARD) -> ExplorationCluster:
-    """Build the exploration cluster of ``z`` through target level ``n``."""
+                     horizon: int | None = None,
+                     scan_guard: int = DEFAULT_SCAN_GUARD) -> Boundaries:
+    """The boundaries of the exploration cluster of ``z``: the left
+    boundary at target level ``n``, and r and γ at ``horizon`` (by default
+    ``n``), from one walk.
+
+    Runs the native walk when the library loads, and else the Python walk
+    (`_bounds_reference`).  A tripped scan guard raises its
+    ScanLimitExceededError.
+    """
     if n < z.t:
         raise InvalidArgumentError(f"target level {n} precedes start time {z.t}")
+    horizon = n if horizon is None else horizon
+    if horizon < n:
+        raise InvalidArgumentError(f"horizon {horizon} precedes level {n}")
+    from . import _native  # may build the library: not at import
+    if _native.load() is not None:
+        return _native.bounds(z, n, horizon, cfg, scan_guard)
+    return _bounds_reference(z, n, horizon, cfg, scan_guard)
+
+
+def _bounds_reference(z, n, horizon, cfg, scan_guard) -> Boundaries:
+    """`explore_to_level` on the Python walk, the reference."""
     cluster = ExplorationCluster(z, cfg, scan_guard=scan_guard)
     cluster.advance_to(n)
-    return cluster
+    left = cluster.left_values
+    cluster.advance_to(horizon)
+    return Boundaries(z, cluster.right_values, left, cluster.left_values,
+                      cluster.scan_offset, cluster.n_examined)
 
 
 def walk_lockstep(xs, t0: int, level: int, cfg: Config, *, scan_guard):
@@ -274,8 +308,7 @@ def walk_lockstep(xs, t0: int, level: int, cfg: Config, *, scan_guard):
 
 def _lockstep_reference(xs, t0, level, cfg, scan_guard):
     """`walk_lockstep` on Python walks, the reference."""
-    walks = [ExplorationCluster(LatticeSite(x, t0),
-                                source=make_key_sampler(cfg),
+    walks = [ExplorationCluster(LatticeSite(x, t0), cfg,
                                 scan_guard=scan_guard) for x in xs]
     pair = len(xs) == 2
     values, n = list(xs), t0
@@ -291,31 +324,30 @@ def _lockstep_reference(xs, t0, level, cfg, scan_guard):
 def gamma_approx(z: LatticeSite, horizon: int, cfg: Config, *,
                  scan_guard: int = DEFAULT_SCAN_GUARD) -> GammaApprox:
     """Rightmost open path from the half-line at ``z`` reaching ``horizon``."""
-    if horizon < z.t:
-        raise InvalidArgumentError(f"horizon {horizon} precedes start time {z.t}")
-    cluster = explore_to_level(z, horizon, cfg, scan_guard=scan_guard)
-    return GammaApprox(z.t, cluster.left_values, start=z, horizon=horizon)
+    gamma = explore_to_level(z, horizon, cfg, scan_guard=scan_guard).gamma
+    return GammaApprox(z.t, gamma, start=z, horizon=horizon)
 
 
-def boundary_ordering_check(cluster: ExplorationCluster, g: GammaApprox) -> bool:
-    """True iff gamma <= left boundary <= right boundary on the cluster window."""
-    if g.start != cluster.origin:
+def boundary_ordering_check(bounds: Boundaries, g: GammaApprox) -> bool:
+    """True iff gamma <= left boundary <= right boundary on ``[start,
+    bounds.level]``."""
+    if g.start != bounds.start:
         raise InvalidArgumentError("gamma approximation has a different origin")
-    if g.horizon < cluster.level:
+    if g.horizon < bounds.level:
         raise InvalidArgumentError("gamma horizon shorter than cluster level")
-    m = cluster.level - cluster.start_t + 1
-    gam = g.values[:m]
-    left, right = cluster.left_values, cluster.right_values
-    return bool(np.all(gam <= left) and np.all(left <= right))
+    left = bounds.left
+    m = len(left)
+    return bool(np.all(g.values[:m] <= left)
+                and np.all(left <= bounds.right[:m]))
 
 
 def write_trajectory_csv(path, r, left, gamma,
                          header_comment: str | None = None) -> None:
     """Dump ``j, r_j, l_j, gamma_j`` (integer-exact), one row per level.
 
-    All three are integer arrays.  ``left`` is a cluster's left boundary as
-    it stood at its last level, and sets the number of rows; ``r`` is the
-    right boundary and ``gamma`` the rightmost-path approximation
+    All three are integer arrays, as in `Boundaries`.  ``left`` is the
+    left boundary frozen at a level, and sets the number of rows; ``r`` is
+    the right boundary and ``gamma`` the rightmost-path approximation
     (`GammaApprox`), both of which may run past that level.
     """
     m = len(left)

@@ -406,8 +406,8 @@ def _ladder_outcome(cfg: Config, n: int, right: np.ndarray, left: np.ndarray,
 
 def _check_worker(args):
     cfg, n, slack, corrupt = args
-    cluster = explore_to_level(LatticeSite(0, 0), n, cfg)
-    r, left = cluster.right_values, cluster.left_values
+    b = explore_to_level(LatticeSite(0, 0), n, cfg)
+    r, left = b.right, b.left
     if corrupt:
         r[n // 2] += 1
     return _ladder_outcome(cfg, n, r, left, slack)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
 from .explore import ExplorationCluster, explore_to_level
-from .lattice import LatticeSite, make_key_sampler, replica_config
+from .lattice import LatticeSite, replica_config
 from .runner import pmap
 from .stats import wilson_interval
 
@@ -131,8 +131,7 @@ def _estimate_worker(args):
 
 def _estimate_reference(cfg, n, margin, scan_guard):
     """`_estimate_worker` on the Python walk, the reference."""
-    cluster = ExplorationCluster(LatticeSite(0, 0),
-                                 source=make_key_sampler(cfg),
+    cluster = ExplorationCluster(LatticeSite(0, 0), cfg,
                                  scan_guard=scan_guard)
     cluster.advance_to(n + margin)
     r = cluster.right_values
@@ -167,9 +166,9 @@ def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
 
 def _error_gap_worker(args):
     cfg, window, threshold, horizon, scan_guard = args
-    cluster = explore_to_level(LatticeSite(0, 0), horizon, cfg,
-                               scan_guard=scan_guard)
-    r, gam = cluster.right_values, cluster.left_values
+    b = explore_to_level(LatticeSite(0, 0), window, cfg, horizon=horizon,
+                         scan_guard=scan_guard)
+    r, gam = b.right, b.gamma
     sup_err = int((r[:window + 1] - gam[:window + 1]).max())
     meets = np.flatnonzero(r == gam)
     gap_event = _has_meeting_gap(meets, window, threshold)

@@ -142,6 +142,24 @@ def test_exit_3_through_the_native_walk(capsys):
         assert _native.load() is not None
 
 
+# n = 2**59: the native walk's size guard and numpy's allocation both refuse
+# it at once, whatever the machine's overcommit setting
+HUGE_N = str(2**59)
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--n", HUGE_N, "--margin", "500", "--replicas", "1"],
+    ["check", "--delta", "0.8", "--n", HUGE_N, "--replicas", "1"],
+], ids=["estimate", "check"])
+def test_exit_2_when_a_walk_cannot_be_allocated(capsys, argv):
+    # the Python walk would run on instead, growing level by level
+    if not (shutil.which("cc") or shutil.which("gcc")):
+        pytest.skip("no cc or gcc on PATH")
+    code, out, err = _main(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["eta", "--eps", "0.01", "--t", "0.5", "--delta", "0.5", "--sigma",
      "0.87", "--replicas", "3"],

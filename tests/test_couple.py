@@ -49,7 +49,7 @@ def test_pre_switch_equality_with_private_stream():
     assert iota is not None
     standalone = explore_to_level(LatticeSite(2, 0), max(iota - 1, 0),
                                   Config(7, 0.8, 2))
-    assert run.r[1][:iota] == standalone.right_values[:iota].tolist()
+    assert run.r[1][:iota] == standalone.right[:iota].tolist()
 
 
 def test_switch_level_is_the_first_level_to_query_a_ledger_edge():
@@ -206,7 +206,7 @@ def test_coupled_marginal_law_matches_standalone():
         coupled_end.append(run.r[1][-1])
         solo = explore_to_level(LatticeSite(2, 0), n,
                                 Config(101, 0.8, rep * 1024 + 2))
-        standalone_end.append(solo.right_values[-1])
+        standalone_end.append(solo.right[-1])
     d = scipy_stats.ks_2samp(coupled_end, standalone_end).statistic
     # two-sample 1% critical value: 1.628 * sqrt(2 / 400)
     assert d < 0.1152
@@ -214,7 +214,7 @@ def test_coupled_marginal_law_matches_standalone():
 
 def _family_values(xs, t0, level, cfg):
     """``r_x(level)`` of every cluster of the family, each run on ``cfg``."""
-    return [explore_to_level(LatticeSite(x, t0), level, cfg).right_values[-1]
+    return [explore_to_level(LatticeSite(x, t0), level, cfg).right[-1]
             for x in xs]
 
 
@@ -298,8 +298,8 @@ def test_shared_config_left_cluster_is_the_ledger_first_cluster():
         run = run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=29,
                                replica=rep)
         shared = explore_to_level(O, 300, replica_config(29, 0.8, rep))
-        assert shared.right_values.tolist() == run.r[0]
-        assert shared.left_values.tolist() == run.gamma[0].tolist()
+        assert shared.right.tolist() == run.r[0]
+        assert shared.left.tolist() == run.gamma[0].tolist()
 
 
 def test_family_survival_agrees_with_pair_construction():
@@ -343,7 +343,7 @@ def test_survival_curve_validates_gap():
     lambda: run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=3),
     lambda: run_coupled_many([O, LatticeSite(4, 0), LatticeSite(8, 0)], 200,
                              p=0.8, seed=3),
-    lambda: explore_to_level(O, 300, Config(3, 0.8, 1)).left_values,
+    lambda: explore_to_level(O, 300, Config(3, 0.8, 1)).left,
 ], ids=["family", "survival_pair", "full_pair", "many", "explore"])
 def test_finished_coupling_leaves_no_reference_cycles(run):
     # a finished run is freed by reference counting alone

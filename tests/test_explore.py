@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opweb import _native
-from opweb._native import NativeCluster
 from opweb.errors import (InvalidArgumentError, ScanLimitExceededError)
 from opweb.couple import _first_leq
 from opweb.explore import (ExplorationCluster, _lockstep_reference,
@@ -44,10 +44,14 @@ def test_all_closed_trips_guard():
 
 
 def test_zero_step_cluster():
-    cluster = explore_to_level(LatticeSite(6, 2), 2, Config(1, 0.8, 1))
-    assert cluster.right_values.tolist() == [6]
-    assert cluster.left_values.tolist() == [6]
-    assert cluster.level == 2
+    b = explore_to_level(LatticeSite(6, 2), 2, Config(1, 0.8, 1))
+    assert b.right.tolist() == b.left.tolist() == b.gamma.tolist() == [6]
+    assert b.level == 2
+
+
+def test_horizon_below_level_rejected():
+    with pytest.raises(InvalidArgumentError):
+        explore_to_level(ORIGIN, 4, Config(1, 0.8, 1), horizon=3)
 
 
 def test_level_precedes_start_rejected():
@@ -58,9 +62,8 @@ def test_level_precedes_start_rejected():
 @given(seeds, ps, st.integers(5, 40))
 @settings(max_examples=50, deadline=None)
 def test_boundary_invariants(seed, p, n):
-    cluster = explore_to_level(ORIGIN, n, Config(seed, p, 1), scan_guard=2000)
-    r = np.array(cluster.right_values)
-    left = np.array(cluster.left_values)
+    b = explore_to_level(ORIGIN, n, Config(seed, p, 1), scan_guard=2000)
+    r, left = b.right, b.left
     # left boundary is nearest-neighbor, right boundary never gains 2
     assert set(np.diff(left)) <= {-1, 1}
     assert np.diff(r).max() <= 1
@@ -74,9 +77,15 @@ def test_prefix_consistency_and_left_monotonicity(seed, p, n, extra):
     cfg = Config(seed, p, 1)
     short = explore_to_level(ORIGIN, n, cfg, scan_guard=2000)
     tall = explore_to_level(ORIGIN, n + extra, cfg, scan_guard=2000)
-    assert tall.right_values[:n + 1].tolist() == short.right_values.tolist()
-    tall_left = np.array(tall.left_values[:n + 1])
-    assert np.all(tall_left <= np.array(short.left_values))
+    assert tall.right[:n + 1].tolist() == short.right.tolist()
+    assert np.all(tall.left[:n + 1] <= short.left)
+    # one walk to (n, n + extra) gives the left boundary of the one and the
+    # boundaries at the horizon of the other
+    both = explore_to_level(ORIGIN, n, cfg, horizon=n + extra,
+                            scan_guard=2000)
+    assert _bounds_state(both) == (tall.right.tolist(), short.left.tolist(),
+                                   tall.gamma.tolist(), tall.scan_offset,
+                                   tall.n_examined)
 
 
 @given(seeds)
@@ -104,7 +113,7 @@ def test_edge_economy_every_edge_sampled_once():
     assert len(calls) == len(set(calls))
     assert len(calls) == cluster.n_examined
     reference = explore_to_level(ORIGIN, 200, cfg)
-    assert np.array_equal(reference.right_values, cluster.right_values)
+    assert np.array_equal(reference.right, cluster.right_values)
 
 
 def test_gamma_all_open():
@@ -135,13 +144,10 @@ def test_gamma_stabilizes_well_before_horizon():
 def test_ordering_check_and_negative_control():
     cfg = Config(21, 0.8, 1)
     g = gamma_approx(ORIGIN, 200, cfg)
-    assert boundary_ordering_check(explore_to_level(ORIGIN, 50, cfg), g)
-    # the Python walk keeps r in a list of its own, which can be corrupted
-    cluster = _python_walk(ORIGIN, cfg)
-    cluster.advance_to(50)
-    assert boundary_ordering_check(cluster, g)
-    cluster._r[17] -= 1  # corrupt one right-boundary value
-    assert not boundary_ordering_check(cluster, g)
+    b = explore_to_level(ORIGIN, 50, cfg)
+    assert boundary_ordering_check(b, g)
+    b.right[17] -= 1  # corrupt one right-boundary value
+    assert not boundary_ordering_check(b, g)
 
 
 def test_ordering_check_sweep():
@@ -163,12 +169,9 @@ def test_ordering_check_domain_mismatch():
 
 
 def test_trajectory_csv_dump(tmp_path):
-    cfg = Config(3, 1.0, 1)
-    cluster = explore_to_level(ORIGIN, 3, cfg)
-    g = gamma_approx(ORIGIN, 6, cfg)
+    b = explore_to_level(ORIGIN, 3, Config(3, 1.0, 1), horizon=6)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, cluster.right_values, cluster.left_values,
-                         g.values)
+    write_trajectory_csv(path, b.right, b.left, b.gamma)
     assert path.read_text() == (
         "j,r_j,l_j,gamma_j\n0,0,0,0\n1,1,1,1\n2,2,2,2\n3,3,3,3\n")
 
@@ -176,24 +179,29 @@ def test_trajectory_csv_dump(tmp_path):
 def test_scan_offset_counts_exhausted_starts():
     # find a seed whose origin cluster dies quickly, then check the scan moved
     for stream in range(1, 200):
-        cluster = explore_to_level(ORIGIN, 40, Config(8, 0.7, stream))
-        if cluster.scan_offset > 0:
-            assert cluster.left_values[0] == -2 * cluster.scan_offset
+        b = explore_to_level(ORIGIN, 40, Config(8, 0.7, stream))
+        if b.scan_offset > 0:
+            assert b.left[0] == -2 * b.scan_offset
             return
     pytest.fail("no dying origin cluster found in 200 streams")
 
 
 # -- the native walk against the Python walk ---------------------------------
-# A Config-driven cluster runs the native walk when the library loads; an
-# explicit edge source always runs the Python walk, the reference.
+# A Config-driven walk runs the native walk when the library loads; a
+# cluster, and with it the stepped walk, is always the Python walk, the
+# reference.
 
-def _python_walk(start, cfg, **kwargs):
-    return ExplorationCluster(start, cfg, source=make_key_sampler(cfg), **kwargs)
+def _bounds_state(b):
+    return (b.right.tolist(), b.left.tolist(), b.gamma.tolist(),
+            b.scan_offset, b.n_examined)
 
 
-def _walk_state(cluster):
-    return (list(cluster.right_values), list(cluster.left_values),
-            cluster.n_examined, cluster.scan_offset)
+def _walk_state(cluster, left=None):
+    """A Python walk's state as `_bounds_state` gives it, with ``left`` the
+    left boundary frozen at an earlier level (by default, the current one)."""
+    now = cluster.left_values.tolist()
+    return (cluster.right_values.tolist(), now if left is None else left,
+            now, cluster.scan_offset, cluster.n_examined)
 
 
 def _step(cluster, step):
@@ -209,6 +217,16 @@ def _step(cluster, step):
     return None
 
 
+def _bounds_outcome(start, n, horizon, cfg, guard):
+    """`explore_to_level`'s state, or its guard error's message and scan
+    offset."""
+    try:
+        return _bounds_state(explore_to_level(start, n, cfg, horizon=horizon,
+                                              scan_guard=guard))
+    except ScanLimitExceededError as e:
+        return str(e), e.scan_offset
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=seeds,
        p=st.sampled_from([0.0, 0.5, 0.6447, 0.7, 0.8, 0.9, 1.0]),
@@ -216,8 +234,7 @@ def _step(cluster, step):
        guard=st.integers(1, 300),
        steps=st.lists(st.one_of(st.none(), st.integers(-2, 40)),
                       min_size=1, max_size=8))
-# long walks, past the strategy's bounds: the native walk's stack and r
-# regrow many times before the states are compared
+# long walks, past the strategy's bounds
 @example(seed=1, p=0.65, x=0, t=-1500, guard=10_000, steps=[3000])
 @example(seed=2, p=0.7, x=0, t=0, guard=10_000, steps=[3000])
 @example(seed=3, p=0.9, x=7, t=-40, guard=10_000, steps=[3000])
@@ -227,19 +244,22 @@ def _step(cluster, step):
 @example(seed=5, p=0.64, x=0, t=0, guard=10_000, steps=[2000, 2000])
 @example(seed=3, p=0.62, x=0, t=0, guard=2000, steps=[500, 2000])
 def test_native_walk_matches_python_walk(seed, p, x, t, guard, steps):
+    # the one-call walk to each level the steps reach, and from each such
+    # level n to the next as (n, horizon), against the stepped Python walk
     cfg = Config(seed, p, 1)
     start = LatticeSite(x + ((x + t) & 1), t)
-    native = ExplorationCluster(start, cfg, scan_guard=guard)
-    python = _python_walk(start, cfg, scan_guard=guard)
-    assert type(python) is ExplorationCluster
+    python = ExplorationCluster(start, cfg, scan_guard=guard)
     for step in steps:
-        tripped = _step(native, step)
-        assert tripped == _step(python, step)
-        assert _walk_state(native) == _walk_state(python)
+        n, left = python.level, python.left_values.tolist()
+        horizon = n + 1 if step is None else max(n, n + step)
+        tripped = _step(python, step)
+        assert _bounds_outcome(start, horizon, horizon, cfg, guard) == (
+            tripped or _walk_state(python))
+        assert _bounds_outcome(start, n, horizon, cfg, guard) == (
+            tripped or _walk_state(python, left))
         if tripped:
-            # a tripped walk raises the same error again, and stays put
-            assert _step(native, step) == _step(python, step) == tripped
-            assert _walk_state(native) == _walk_state(python)
+            # a tripped Python walk raises the same error again
+            assert _step(python, step) == tripped
             break
 
 
@@ -313,7 +333,7 @@ def test_lockstep_matches_whole_python_walks(seed, p, t0, x, gap,
     cfg = Config(seed, p, 1)
     xl = x + ((x + t0) & 1)
     xs, level = (xl, xl + 2 * gap), t0 + level_above
-    walks = [_python_walk(LatticeSite(z, t0), cfg) for z in xs]
+    walks = [ExplorationCluster(LatticeSite(z, t0), cfg) for z in xs]
     for walk in walks:
         walk.advance_to(level)
     r_l, r_r = (walk.right_values for walk in walks)
@@ -356,68 +376,59 @@ def test_left_walk_goes_on_past_the_merge_to_its_guard():
             "10000 start sites exhausted below level 18", 10_000)
 
 
-def _both_walks(start, cfg, **kwargs):
-    """The Config-driven cluster and its Python-walk reference."""
-    return (ExplorationCluster(start, cfg, **kwargs),
-            _python_walk(start, cfg, **kwargs))
-
-
 def test_boundary_arrays_are_owned_int64_copies():
     n = 50
     cfg = Config(8, 0.7, 3)  # its left boundary on [0, n] moves by level 4n
-    for cluster in _both_walks(ORIGIN, cfg):
-        cluster.advance_to(n)
-        right, left = cluster.right_values, cluster.left_values
-        for values in (right, left):
-            assert isinstance(values, np.ndarray) and values.dtype == np.int64
-        before = (right.tolist(), left.tolist())
-        right[:] = -7
-        left[:] = -7
-        assert (cluster.right_values.tolist(),
-                cluster.left_values.tolist()) == before
-        snapshot = cluster.left_values
-        cluster.advance_to(4 * n)
-        assert snapshot.tolist() == before[1]
-        assert cluster.left_values[:n + 1].tolist() != before[1]
+    cluster = ExplorationCluster(ORIGIN, cfg)
+    cluster.advance_to(n)
+    right, left = cluster.right_values, cluster.left_values
+    for values in (right, left):
+        assert isinstance(values, np.ndarray) and values.dtype == np.int64
+    before = (right.tolist(), left.tolist())
+    right[:] = -7
+    left[:] = -7
+    assert (cluster.right_values.tolist(),
+            cluster.left_values.tolist()) == before
+    snapshot = cluster.left_values
+    cluster.advance_to(4 * n)
+    assert snapshot.tolist() == before[1]
+    assert cluster.left_values[:n + 1].tolist() != before[1]
+    # the one-call walk's arrays own their memory, which outlives the walk
+    b = explore_to_level(ORIGIN, n, cfg, horizon=4 * n)
+    for values in (b.right, b.left, b.gamma):
+        assert values.dtype == np.int64 and values.base is None
+        assert values.flags.writeable
+    assert (b.right[:n + 1].tolist(), b.left.tolist()) == before
+    assert b.gamma.tolist() == cluster.left_values.tolist()
 
 
 def test_level_by_level_matches_one_advance():
     cfg = Config(2, 0.8, 5)
-    for stepped, whole in zip(_both_walks(ORIGIN, cfg), _both_walks(ORIGIN, cfg)):
-        values = [stepped.advance_level() for _ in range(2000)]
-        whole.advance_to(2000)
-        assert all(type(v) is int for v in values)
-        assert values == whole.right_values[1:].tolist()
-        assert stepped.right_values.tolist() == whole.right_values.tolist()
-        assert stepped.left_values.tolist() == whole.left_values.tolist()
-
-
-def test_native_head_fields_match_the_walk_struct():
-    # the fields of _native._Head must sit where walk_t keeps them: read
-    # each after walks whose counts all differ, one of them tripped
-    cases = [(Config(8, 0.7, 8), 10_000, 200), (Config(3, 0.5, 1), 20, 300)]
-    for cfg, guard, level in cases:
-        native, python = _both_walks(ORIGIN, cfg, scan_guard=guard)
-        if not isinstance(native, NativeCluster):
-            pytest.skip("the native walk does not build here")
-        assert _step(native, level) == _step(python, level)
-        head = native._head
-        assert (head.r_len, head.stack_len, head.scan_offset,
-                head.n_examined) == (len(python._r), len(python._stack_x),
-                                     python.scan_offset, python.n_examined)
-    assert (head.r_len, head.stack_len, head.scan_offset) == (17, 0, 20)
+    stepped, whole = (ExplorationCluster(ORIGIN, cfg) for _ in range(2))
+    values = [stepped.advance_level() for _ in range(2000)]
+    whole.advance_to(2000)
+    assert all(type(v) is int for v in values)
+    assert values == whole.right_values[1:].tolist()
+    assert _walk_state(stepped) == _walk_state(whole) == _bounds_state(
+        explore_to_level(ORIGIN, 2000, cfg))
 
 
 _NEAR_CRITICAL_WALK = """
 import resource
+import numpy as np
+from opweb import _native
 from opweb.errors import ScanLimitExceededError
-from opweb.explore import ExplorationCluster
-from opweb.lattice import LatticeSite, replica_config
-cluster = ExplorationCluster(LatticeSite(0, 0), replica_config(1, 0.64, 0))
+from opweb.lattice import replica_config
+# walk_bounds as _native.bounds calls it, for the report of a tripped walk
+right, left, gamma = (np.empty(22_001, dtype=np.int64) for _ in range(3))
+rep = _native._Report()
+code = _native.load().walk_bounds(
+    0, 0, *_native._sampler(replica_config(1, 0.64, 0), 10_000), 22_000,
+    22_000, right.ctypes.data, left.ctypes.data, gamma.ctypes.data, rep)
+print(code, rep[2], rep[0])
 try:
-    cluster.advance_to(22_000)
+    _native._check(code, rep[0], rep[1])
 except ScanLimitExceededError as e:
-    print(type(cluster).__name__, cluster.n_examined, e.scan_offset)
     print(e)
 try:  # the peak of this process alone: ru_maxrss also holds the parent's
     with open("/proc/self/status") as fh:
@@ -440,7 +451,7 @@ def test_near_critical_native_walk_stays_small():
                           env=env, capture_output=True, text=True, check=True,
                           timeout=120)
     walk, error, max_rss_mb = done.stdout.splitlines()
-    assert walk == "NativeCluster 17440276 10000"
+    assert walk == f"{_native._GUARD} 17440276 10000"
     assert error == "10000 start sites exhausted below level 16141"
     assert int(max_rss_mb) < 64
 
@@ -457,30 +468,46 @@ def test_walk_source_compiles_clean():
 def test_native_walk_loads_where_a_compiler_exists():
     if not (shutil.which("cc") or shutil.which("gcc")):
         pytest.skip("no cc or gcc on PATH")
-    assert isinstance(ExplorationCluster(ORIGIN, Config(1, 0.8, 1)),
-                      NativeCluster)
+    assert _native.load() is not None
+    cfg = Config(1, 0.8, 1)
+    reference = ExplorationCluster(ORIGIN, cfg)
+    reference.advance_to(300)
+    assert _bounds_state(explore_to_level(ORIGIN, 300, cfg)) == _walk_state(
+        reference)
+
+
+def test_walk_exports_are_the_registered_entries():
+    # every function that _walk.c exports is registered in _ENTRIES and
+    # called from _native.py, so no export outlives its caller
+    source = _native._SOURCE.read_text(encoding="utf-8")
+    exported = re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(",
+                          source, re.M)
+    assert sorted(exported) == sorted(_native._ENTRIES)
+    caller = Path(_native.__file__).read_text(encoding="utf-8")
+    assert [name for name in _native._ENTRIES
+            if f".{name}(" not in caller] == []
 
 
 def test_python_walk_for_sources_and_left_deltas():
     cfg = Config(1, 0.8, 1)
-    recorded = _python_walk(ORIGIN, cfg)
+    recorded = ExplorationCluster(ORIGIN, cfg)
     assert type(recorded) is ExplorationCluster
     recorded.advance_to(30)
     reference = explore_to_level(ORIGIN, 30, cfg)
     assert len(recorded.left_deltas) == 30
-    assert _walk_state(recorded) == _walk_state(reference)
+    assert _walk_state(recorded) == _bounds_state(reference)
     with pytest.raises(InvalidArgumentError):
         ExplorationCluster(ORIGIN)
 
 
 def test_python_walk_without_compiler(fresh_loader, monkeypatch):
     cfg = Config(7, 0.7, 3)
-    native = explore_to_level(ORIGIN, 300, cfg)
+    native = explore_to_level(ORIGIN, 300, cfg, horizon=700)
     monkeypatch.setattr(fresh_loader, "_tried", False)
     monkeypatch.setattr(fresh_loader, "_COMPILERS", ("opweb-no-such-cc",))
-    fallback = explore_to_level(ORIGIN, 300, cfg)
-    assert type(fallback) is ExplorationCluster
-    assert _walk_state(fallback) == _walk_state(native)
+    fallback = explore_to_level(ORIGIN, 300, cfg, horizon=700)
+    assert fresh_loader.load() is None
+    assert _bounds_state(fallback) == _bounds_state(native)
 
 
 def test_damaged_cache_file_is_rebuilt_not_loaded(fresh_loader, monkeypatch,
@@ -518,11 +545,10 @@ def test_damaged_cache_file_is_rebuilt_not_loaded(fresh_loader, monkeypatch,
         assert native._valid(cached, key), name
     assert len(builds) == len(damaged)
     assert loads == [True] * len(damaged)
-    cluster = explore_to_level(ORIGIN, 200, Config(4, 0.8, 9))
-    assert isinstance(cluster, NativeCluster)
-    reference = _python_walk(ORIGIN, Config(4, 0.8, 9))
+    reference = ExplorationCluster(ORIGIN, Config(4, 0.8, 9))
     reference.advance_to(200)
-    assert _walk_state(cluster) == _walk_state(reference)
+    assert _bounds_state(explore_to_level(
+        ORIGIN, 200, Config(4, 0.8, 9))) == _walk_state(reference)
 
 
 def test_a_build_removes_older_builds(fresh_loader, tmp_path):
@@ -563,14 +589,14 @@ def test_a_stale_build_without_an_entry_is_rebuilt(fresh_loader, tmp_path):
 
 
 def _build_and_walk(_):
-    cluster = explore_to_level(ORIGIN, 500, Config(11, 0.75, 5))
-    return isinstance(cluster, NativeCluster), cluster.right_values
+    right = explore_to_level(ORIGIN, 500, Config(11, 0.75, 5)).right
+    return _native.load() is not None, right
 
 
 def test_concurrent_first_builds_load_whole_files(fresh_loader, tmp_path):
     if not (shutil.which("cc") or shutil.which("gcc")):
         pytest.skip("no cc or gcc on PATH")
-    reference = _python_walk(ORIGIN, Config(11, 0.75, 5))
+    reference = ExplorationCluster(ORIGIN, Config(11, 0.75, 5))
     reference.advance_to(500)
     # forked workers start with the loader untried and the cache empty
     with multiprocessing.get_context("fork").Pool(3) as pool:

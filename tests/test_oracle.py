@@ -84,9 +84,8 @@ def test_left_wall_certificate_trips_when_seeds_truncated():
 
 def _walk(cfg, n):
     """The explored right boundary and rightmost path from (0, 0)."""
-    cluster = explore_to_level(LatticeSite(0, 0), n, cfg)
-    return (np.asarray(cluster.right_values, dtype=np.int64),
-            np.asarray(cluster.left_values, dtype=np.int64))
+    b = explore_to_level(LatticeSite(0, 0), n, cfg)
+    return b.right, b.left
 
 
 def test_oracle_matches_exploration():

@@ -73,12 +73,11 @@ def test_output_bytes_are_pinned(name, tmp_path, capsys):
     assert _output_digest(argv, tmp_path, capsys) == expected
 
 
-@pytest.mark.parametrize("name", ["coalesce", "estimate", "eta_b1_calibrated",
-                                  "eta_b1_sigma", "eta_b2"])
+@pytest.mark.parametrize("name", sorted(CALLS))
 def test_python_walk_writes_the_pinned_bytes(name, fresh_loader, monkeypatch,
                                              tmp_path, capsys):
-    # with no compiler the batteries and the estimate workers, which also
-    # calibrate sigma, run on the Python walks, which must write the same
+    # with no compiler every call, the estimate workers that also calibrate
+    # sigma included, runs on the Python walks, which must write the same
     # bytes as the native walk
     monkeypatch.setattr(fresh_loader, "_COMPILERS", ("opweb-no-such-cc",))
     assert fresh_loader.load() is None

@@ -23,9 +23,9 @@ def _explored(cfg, n_end, margin):
     return explore_to_level(ORIGIN, n_end + margin, cfg)
 
 
-def _break_points(cluster, n_end, margin):
-    return break_point_arrays(cluster.right_values, cluster.left_values,
-                              cluster.start_t, n_end, margin)
+def _break_points(bounds, n_end, margin):
+    return break_point_arrays(bounds.right, bounds.left, bounds.start.t,
+                              n_end, margin)
 
 
 def _estimate(X, tau):
@@ -65,8 +65,8 @@ def test_record_invariants_at_supercritical_p():
     assert np.all(tau >= 1)
     assert np.all(np.abs(X) <= tau)
     # break points are exactly the left/right coincidence times
-    left = np.array(cluster.left_values)
-    r = np.array(cluster.right_values)
+    left = np.array(cluster.left)
+    r = np.array(cluster.right)
     assert np.all(left[T] == r[T])
     # between breaks the error is bounded by twice the waiting time
     for a, b in zip(T[:-1], T[1:]):
