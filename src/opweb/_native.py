@@ -6,8 +6,10 @@ no walk outlives the call, and nothing is copied after it.  `lockstep` is
 the native body of `explore.walk_lockstep` (``walk_value`` for one start,
 ``walk_pair`` for an equal-time pair), `breaks` of the estimate worker
 `regen._estimate_worker` (``walk_breaks``), and `bounds` of
-`explore.explore_to_level` (``walk_bounds``).  Each caller picks it by one
-rule: the native body when `load` succeeds, and else its Python reference.
+`explore.explore_to_level` (``walk_bounds``).  `dp` is the body of the
+certified DP of `oracle` on one box (``dp_box``), which reads only the
+box's own arrays and runs no walk.  Each caller picks it by one rule: the
+native body when `load` succeeds, and else its Python reference.
 
 `explore` imports this module the first time a Config-driven walk runs,
 never at ``import opweb``.  The first `load` in a process compiles
@@ -73,6 +75,7 @@ _ENTRIES = {
     "walk_breaks": ([c_int64, *_WALK, c_int64, c_int64, c_void_p], c_int),
     "walk_bounds": ([c_int64, *_WALK, c_int64, c_int64] + [c_void_p] * 4,
                     c_int),
+    "dp_box": ([c_int64] * 3 + [c_void_p, c_int64] + [c_void_p] * 8, c_int),
 }
 
 
@@ -209,3 +212,40 @@ def bounds(z, n: int, horizon: int, cfg, scan_guard) -> Boundaries:
                               gamma.ctypes.data, rep)
     _check(code, rep[0], rep[1])
     return Boundaries(z, right, left, gamma, rep[0], rep[2])
+
+
+def _word_rows(cells: np.ndarray, words: int) -> np.ndarray:
+    """Each row of a bool array as ``words`` 64-bit words, bit i of word k
+    standing for column 64 k + i."""
+    rows = np.zeros((len(cells), 8 * words), dtype=np.uint8)
+    packed = np.packbits(cells, axis=1, bitorder="little")
+    rows[:, :packed.shape[1]] = packed
+    return rows.view("<u8").astype(np.uint64, copy=False)
+
+
+def dp(box, start: int, n: int):
+    """The certified DP of `oracle` on one box over ``n`` levels in one C
+    call, from the seed row's cells up to cell ``start`` of row 0.
+
+    Packs the box's ``open_ur`` and ``open_ul`` rows as it runs.  Returns
+    ``dp_box``'s code; the lower and upper tables, ``n + 1`` rows of
+    ``ceil(width / 64)`` words each; the bit lengths of their rows, shape
+    ``(2, n + 1)``; the path; and the level and column that a refusal
+    names.
+    """
+    width = box.x_max - box.x_min + 1
+    words = -(-width // 64)
+    ur = _word_rows(box.open_ur[:n], words)
+    ul = _word_rows(box.open_ul[:n], words)
+    entry = np.ascontiguousarray(box.entry_open[:n], dtype=np.uint8)
+    lefts = box.x_min + box.shear[:n + 1]
+    lower = np.empty((n + 1, words), dtype=np.uint64)
+    upper = np.empty_like(lower)
+    lengths = np.empty((2, n + 1), dtype=np.int64)
+    path = np.empty(n + 1, dtype=np.int64)
+    at = (c_int64 * 2)()
+    code = load().dp_box(n, width, box.t_min, lefts.ctypes.data, start,
+                         ur.ctypes.data, ul.ctypes.data, entry.ctypes.data,
+                         lower.ctypes.data, upper.ctypes.data,
+                         lengths.ctypes.data, path.ctypes.data, at)
+    return code, lower, upper, lengths, path, tuple(at)

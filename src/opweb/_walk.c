@@ -70,7 +70,25 @@
  * order, so a trip of the right walk after the merge is never reached.
  *
  * Keys are the packed keys of lattice.py taken mod 2**64, which is all the
- * sampler reads of them.  Build: cc -O2 -std=c99 -shared -fPIC.
+ * sampler reads of them.
+ *
+ * dp_box is the certified DP of oracle.py on one box, and uses no walk
+ * code: no sampler, no key, no walk_t.  Its edges are the box's own
+ * arrays, open_ur and open_ul packed by the caller into rows of 64-bit
+ * words, bit i of word k standing for cell 64 k + i of the row, and its
+ * entry_open flags.  It fills the lower and upper tables row by row, as
+ * oracle._reach_tables does: one level is
+ * ((lo & ur) << 2 | (lo & ul)) >> drop, masked to the box width, which is
+ * an up-right move by 2 - drop cells and an up-left one by -drop, done word
+ * by word with the bits a shift moves past a word's edge carried over from
+ * its neighbour.  The upper table also takes the entry bit at the first
+ * site of the next row.  A row of the upper table with a cell in the box's
+ * two rightmost columns refuses the box.  Then it writes each row's bit
+ * length in both tables, from which oracle reads the level maxima, and
+ * backtracks the rightmost path from the top level's maximum, trying the
+ * up-left edge from y + 1 before the up-right one from y - 1, as
+ * oracle._path_from_tables does.  The return code is oracle's refusal
+ * code, or 0.  Build: cc -O2 -std=c99 -shared -fPIC.
  */
 
 #include <stdint.h>
@@ -364,4 +382,120 @@ int walk_bounds(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
     code = report(&w, code, rep);
     walk_release(&w);
     return code;
+}
+
+/* dp_box's return codes, oracle's refusal codes */
+enum { DP_OK = 0, DP_SEED_WALL, DP_WALL, DP_NO_PATH, DP_TOP, DP_UNSURE,
+       DP_LOST };
+
+/* Cell i of a row of words. */
+static int cell(const uint64_t *row, int64_t i)
+{
+    return row[i >> 6] >> (i & 63) & 1;
+}
+
+/* The number of cells up to and including the row's rightmost set one;
+ * __builtin_clzll is a GCC and Clang builtin. */
+static int64_t row_length(const uint64_t *row, int64_t words)
+{
+    for (int64_t k = words - 1; k >= 0; k--)
+        if (row[k])
+            return 64 * k + 64 - __builtin_clzll(row[k]);
+    return 0;
+}
+
+/* to = ((from & ur) << 2 | (from & ul)) >> drop, for drop in {0, 1, 2},
+ * with its last word masked by `top`. */
+static void dp_step(const uint64_t *from, const uint64_t *ur,
+                    const uint64_t *ul, int64_t words, int drop,
+                    uint64_t top, uint64_t *to)
+{
+    int up = 2 - drop;
+    uint64_t a_prev = 0;
+    for (int64_t k = 0; k < words; k++) {
+        uint64_t a = from[k] & ur[k], b = from[k] & ul[k];
+        uint64_t w = a << up | b >> drop;
+        if (up)
+            w |= a_prev >> (64 - up);
+        if (drop && k + 1 < words)
+            w |= (from[k + 1] & ul[k + 1]) << (64 - drop);
+        to[k] = w;
+        a_prev = a;
+    }
+    to[words - 1] &= top;
+}
+
+/* The certified DP of a box `width` >= 2 columns wide over `n` levels from
+ * t_min, row j starting at column lefts[j], with the seed row's cells up to
+ * `start`.  ur and ul hold n rows and lower and upper n + 1 rows, each of
+ * (width + 63) / 64 words; entry holds n flags.  Writes the bit lengths of
+ * lower's rows into lengths[0:n + 1] and of upper's into
+ * lengths[n + 1:2 n + 2], and the path into path[0:n + 1].  Returns a
+ * refusal code or DP_OK; at[0:2] get the level and the column that
+ * DP_NO_PATH, DP_UNSURE and DP_LOST name.  On DP_SEED_WALL and DP_WALL
+ * nothing past the refused row is written. */
+int dp_box(int64_t n, int64_t width, int64_t t_min, const int64_t *lefts,
+           int64_t start, const uint64_t *ur, const uint64_t *ul,
+           const uint8_t *entry, uint64_t *lower, uint64_t *upper,
+           int64_t *lengths, int64_t *path, int64_t *at)
+{
+    int64_t words = (width + 63) / 64;
+    uint64_t top = width % 64 ? ((uint64_t)1 << width % 64) - 1 : ~0ULL;
+    memset(lower, 0, (size_t)words * sizeof *lower);
+    /* the seed row: every cell up to start at the parity of a site */
+    for (int64_t c = (lefts[0] + t_min) & 1; c <= start; c += 2) {
+        if (c >= width - 2)
+            return DP_SEED_WALL;
+        lower[c >> 6] |= (uint64_t)1 << (c & 63);
+    }
+    memcpy(upper, lower, (size_t)words * sizeof *upper);
+    for (int64_t j = 0; j < n; j++) {
+        int drop = (int)(1 + lefts[j + 1] - lefts[j]);
+        const uint64_t *u = ur + j * words, *v = ul + j * words;
+        uint64_t *hi = upper + (j + 1) * words;
+        dp_step(lower + j * words, u, v, words, drop, top,
+                lower + (j + 1) * words);
+        dp_step(upper + j * words, u, v, words, drop, top, hi);
+        /* the entry edge lands on row j + 1's first site, cell 0 or 1 */
+        if (entry[j])
+            hi[0] |= (uint64_t)1 << ((lefts[j + 1] + t_min + j + 1) & 1);
+        if (cell(hi, width - 2) | cell(hi, width - 1))
+            return DP_WALL;
+    }
+    for (int64_t j = 0; j <= n; j++) {
+        lengths[j] = row_length(lower + j * words, words);
+        lengths[n + 1 + j] = row_length(upper + j * words, words);
+    }
+    int64_t lo_top = lengths[n], hi_top = lengths[2 * n + 1];
+    at[0] = n;
+    if (lo_top == 0 && hi_top == 0)
+        return DP_NO_PATH;
+    if (lo_top == 0 || lo_top != hi_top)
+        return DP_TOP;
+    int64_t y = lefts[n] + lo_top - 1;
+    path[n] = y;
+    for (int64_t j = n - 1; j >= 0; j--) {
+        const uint64_t *lo = lower + j * words, *hi = upper + j * words;
+        const uint64_t *edge[2] = {ul + j * words, ur + j * words};
+        int moved = 0;
+        at[0] = j;
+        /* the up-left edge from y + 1 first, then the up-right one */
+        for (int k = 0; k < 2 && !moved; k++) {
+            int64_t x = y + 1 - 2 * k, c = x - lefts[j];
+            if (c < 0 || c >= width)
+                continue;
+            if (cell(lo, c) != cell(hi, c)) {
+                at[1] = x;
+                return DP_UNSURE;
+            }
+            if (cell(lo, c) & cell(edge[k], c)) {
+                y = x;
+                moved = 1;
+            }
+        }
+        if (!moved)
+            return DP_LOST;
+        path[j] = y;
+    }
+    return DP_OK;
 }

@@ -18,11 +18,17 @@ does not step right; that is the entry the pessimistic DP marks.  On the
 right, a row whose reachable set touches its two rightmost columns is
 refused, because the next step could leave the box there.
 
-The DP runs on bit rows: each box row is packed into a Python int at DP
-time, bit ``i`` standing for column ``lefts[j] + i``, so one level of
-reachability is ``((r & ur) << 2 | (r & ul)) >> (1 + d)`` masked to the box
-width, where ``d = lefts[j + 1] - lefts[j]``, and a row's rightmost
-reachable site is ``bit_length() - 1``.
+The DP runs on bit rows: each box row is packed at DP time, bit ``i``
+standing for column ``lefts[j] + i``, so one level of reachability is
+``((r & ur) << 2 | (r & ul)) >> (1 + d)`` masked to the box width, where
+``d = lefts[j + 1] - lefts[j]``, and a row's rightmost reachable site is
+its bit length less one.  `_certified_dp` runs it by the rule of every
+walk: the native body, ``dp_box`` of ``_walk.c`` on rows of 64-bit words,
+when `opweb._native` loads, and else the Python reference, one int per row
+(`_reach_tables`, `_path_from_tables`).  Both bodies read only the box's
+own arrays, whose statuses come from `lattice.edge_status_array`; neither
+calls the walk's sampler or any other walk code, so a fault in the walk
+cannot also hide in its judge.
 
 A narrow box certifies only what a wider one would.  Take boxes B inside W
 over the same levels, of any shape, and compare them on B's cells.  B's
@@ -150,6 +156,65 @@ class DpBoundary:
     dead_from: int | None = None
 
 
+# the DP's refusals, by the codes that both bodies give them
+SEED_WALL, WALL, NO_PATH, TOP, UNSURE, LOST = range(1, 7)
+_REFUSALS = {
+    SEED_WALL: (BoxTooNarrowError, "seed row touched the right wall"),
+    WALL: (BoxTooNarrowError, "reachable set touched the right wall"),
+    NO_PATH: (NoPathError, "no open path reaches level {t}"),
+    TOP: (BoxTooNarrowError, "right boundary not certified at the top level"),
+    UNSURE: (BoxTooNarrowError, "predecessor cell ({x}, {t}) not certified"),
+    LOST: (NoPathError, "backtrack lost the path; inconsistent tables"),
+}
+
+
+def _refusal(code: int, t: int | None = None, x: int | None = None):
+    """The refusal of ``code``, naming level ``t`` and column ``x``."""
+    kind, message = _REFUSALS[code]
+    return kind(message.format(t=t, x=x))
+
+
+def _raised(result):
+    """``result``, unless it is a refusal, which is raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _certified_dp(box: BoxConfig, start_x: int, n: int):
+    """The certified DP of one box from the seed row up to ``start_x``.
+
+    Returns the right boundary over ``n`` levels and the rightmost path,
+    each as its value or as the refusal that stands for it, so that a
+    caller can rank the two; a reachable set that touches the right wall
+    refuses both and is raised.  The body is ``dp_box`` of ``_walk.c``
+    when the native library loads, and else the Python bit rows.
+    """
+    lefts = box.lefts
+    width = box.x_max - box.x_min + 1
+    if not lefts[0] <= start_x <= lefts[0] + width - 1:
+        raise InvalidArgumentError("start_x outside the box")
+    if box.t_min + n > box.t_max:
+        raise InvalidArgumentError("box too short for the requested levels")
+    from . import _native  # may build the library: not at import
+    if _native.load() is not None:
+        code, _, _, lengths, path, (j, x) = _native.dp(
+            box, start_x - lefts[0], n)
+        if code in (SEED_WALL, WALL):
+            raise _refusal(code)
+        if code:
+            path = _refusal(code, box.t_min + j, x)
+    else:
+        tables = _reach_tables(box, start_x, n)
+        lengths = np.array([list(map(int.bit_length, rows))
+                            for rows in tables[:2]], dtype=np.int64)
+        try:
+            path = _path_from_tables(box, tables, n)
+        except (BoxTooNarrowError, NoPathError) as refusal:
+            path = refusal
+    return _boundary_from_lengths(box, *lengths, n), path
+
+
 def _bit_rows(arr: np.ndarray) -> list[int]:
     """Each row of a bool array as an int; bit i is column i."""
     packed = np.packbits(arr, axis=1, bitorder="little")
@@ -172,10 +237,6 @@ def _reach_tables(box: BoxConfig, start_x: int, n: int):
     """
     lefts = box.lefts
     width = box.x_max - box.x_min + 1
-    if not lefts[0] <= start_x <= lefts[0] + width - 1:
-        raise InvalidArgumentError("start_x outside the box")
-    if box.t_min + n > box.t_max:
-        raise InvalidArgumentError("box too short for the requested levels")
     ur = _bit_rows(box.open_ur[:n])
     ul = _bit_rows(box.open_ul[:n])
     full = (1 << width) - 1
@@ -184,7 +245,7 @@ def _reach_tables(box: BoxConfig, start_x: int, n: int):
     c0 = (lefts[0] + box.t_min) % 2
     seed = sum(1 << c for c in range(c0, start_x - lefts[0] + 1, 2))
     if seed & wall:
-        raise BoxTooNarrowError("seed row touched the right wall")
+        raise _refusal(SEED_WALL)
     # a cell at bit i of row j moves to bit i + 1 - d (up-right) or
     # i - 1 - d (up-left) of row j + 1, where d = lefts[j + 1] - lefts[j]
     drops = (1 + np.diff(box.shear[:n + 1])).tolist()
@@ -201,12 +262,13 @@ def _reach_tables(box: BoxConfig, start_x: int, n: int):
         lower.append(lo)
         upper.append(hi)
         if hi & wall:
-            raise BoxTooNarrowError("reachable set touched the right wall")
+            raise _refusal(WALL)
     return lower, upper, ur, ul
 
 
-def _max_or_none(row: int, x_min: int):
-    return None if row == 0 else x_min + row.bit_length() - 1
+def _max_or_none(length: int, left: int):
+    """The column of a row's rightmost reached cell, from its bit length."""
+    return None if length == 0 else left + int(length) - 1
 
 
 def dp_right_boundary(box: BoxConfig, start_x: int, n: int) -> DpBoundary:
@@ -217,13 +279,13 @@ def dp_right_boundary(box: BoxConfig, start_x: int, n: int) -> DpBoundary:
     (``dead_from``).  Raises BoxTooNarrowError when the truncated seed row
     cannot be certified against influence entering past the left wall.
     """
-    return _boundary_from_tables(box, _reach_tables(box, start_x, n), n)
+    return _raised(_certified_dp(box, start_x, n)[0])
 
 
-def _boundary_from_tables(box: BoxConfig, tables, n: int) -> DpBoundary:
-    lower, upper, _, _ = tables
-    lo = np.fromiter(map(int.bit_length, lower[:n + 1]), np.int64, n + 1)
-    hi = np.fromiter(map(int.bit_length, upper[:n + 1]), np.int64, n + 1)
+def _boundary_from_lengths(box: BoxConfig, lo: np.ndarray, hi: np.ndarray,
+                           n: int):
+    """The boundary, or its refusal, from the bit lengths of the rows of
+    the lower (``lo``) and upper (``hi``) tables."""
     # the first level whose maxima differ or that is empty ends the values
     stops = np.flatnonzero((lo != hi) | (lo == 0))
     j = int(stops[0]) if len(stops) else n + 1
@@ -231,10 +293,10 @@ def _boundary_from_tables(box: BoxConfig, tables, n: int) -> DpBoundary:
     if j > n:
         return DpBoundary(box.t_min, values)
     if lo[j] != hi[j]:
-        raise BoxTooNarrowError(
+        return BoxTooNarrowError(
             f"level {box.t_min + j}: truncated max "
-            f"{_max_or_none(lower[j], box.lefts[j])} vs pessimistic max "
-            f"{_max_or_none(upper[j], box.lefts[j])}")
+            f"{_max_or_none(lo[j], box.lefts[j])} vs pessimistic max "
+            f"{_max_or_none(hi[j], box.lefts[j])}")
     return DpBoundary(box.t_min, values, box.t_min + j)
 
 
@@ -245,17 +307,17 @@ def dp_rightmost_path(box: BoxConfig, start_x: int, n: int) -> np.ndarray:
     candidate predecessor cells must agree between the truncated and the
     pessimistic tables, otherwise the path cannot be certified.
     """
-    return _path_from_tables(box, _reach_tables(box, start_x, n), n)
+    return _raised(_certified_dp(box, start_x, n)[1])
 
 
 def _path_from_tables(box: BoxConfig, tables, n: int) -> np.ndarray:
     lower, upper, ur, ul = tables
     lefts = box.lefts
-    anchor = _max_or_none(lower[n], lefts[n])
-    if anchor is None or anchor != _max_or_none(upper[n], lefts[n]):
-        if anchor is None and _max_or_none(upper[n], lefts[n]) is None:
-            raise NoPathError(f"no open path reaches level {box.t_min + n}")
-        raise BoxTooNarrowError("right boundary not certified at the top level")
+    anchor = _max_or_none(lower[n].bit_length(), lefts[n])
+    if anchor is None or anchor != _max_or_none(upper[n].bit_length(),
+                                                lefts[n]):
+        raise _refusal(NO_PATH if lower[n] == upper[n] == 0 else TOP,
+                       box.t_min + n)
     width = box.x_max - box.x_min + 1
     path = [anchor]
     y = anchor
@@ -266,8 +328,7 @@ def _path_from_tables(box: BoxConfig, tables, n: int) -> np.ndarray:
         ci = y + 1 - lefts[j]
         if 0 <= ci < width:
             if unsure >> ci & 1:
-                raise BoxTooNarrowError(
-                    f"predecessor cell ({y + 1}, {box.t_min + j}) not certified")
+                raise _refusal(UNSURE, box.t_min + j, y + 1)
             if (lo & ul[j]) >> ci & 1:
                 y += 1
                 path.append(y)
@@ -275,13 +336,12 @@ def _path_from_tables(box: BoxConfig, tables, n: int) -> np.ndarray:
         ci -= 2
         if 0 <= ci < width:
             if unsure >> ci & 1:
-                raise BoxTooNarrowError(
-                    f"predecessor cell ({y - 1}, {box.t_min + j}) not certified")
+                raise _refusal(UNSURE, box.t_min + j, y - 1)
             if (lo & ur[j]) >> ci & 1:
                 y -= 1
                 path.append(y)
                 continue
-        raise NoPathError("backtrack lost the path; inconsistent tables")
+        raise _refusal(LOST)
     path.reverse()
     return np.array(path, dtype=np.int64)
 
@@ -369,11 +429,11 @@ def coalescing_walk_survival(delta: float, t: float) -> float:
 def _judge(box: BoxConfig, right: np.ndarray, left: np.ndarray,
            n: int) -> str:
     """One box's outcome for a walk from (0, 0) to level ``n``."""
-    # dp_right_boundary and dp_rightmost_path on one build of the tables
     try:
-        tables = _reach_tables(box, 0, n)
-        dp = _boundary_from_tables(box, tables, n)
+        dp, path = _certified_dp(box, 0, n)
     except BoxTooNarrowError:
+        return "box_too_narrow"
+    if isinstance(dp, BoxTooNarrowError):
         return "box_too_narrow"
     if dp.dead_from is not None:
         # a box that dies judges only the paths inside it
@@ -381,11 +441,9 @@ def _judge(box: BoxConfig, right: np.ndarray, left: np.ndarray,
         return "box_too_narrow" if outside else "dp_dead"
     if not np.array_equal(dp.values, right):
         return "right_boundary_mismatch"
-    try:
-        path = _path_from_tables(box, tables, n)
-    except BoxTooNarrowError:
+    if isinstance(path, BoxTooNarrowError):
         return "box_too_narrow"
-    if not np.array_equal(path, left):
+    if not np.array_equal(_raised(path), left):
         return "left_boundary_mismatch"
     return "ok"
 

@@ -198,7 +198,7 @@ def test_check_suite_rejects_a_repeated_p():
 
 
 def _record_boxes(monkeypatch):
-    """The boxes the oracle builds, and the boxes it builds tables on."""
+    """The boxes the oracle builds, and the boxes it runs the DP on."""
     from opweb import oracle
     built, tabled = [], []
 
@@ -207,46 +207,64 @@ def _record_boxes(monkeypatch):
             super().__post_init__()
             built.append(self)
 
-    reach = oracle._reach_tables
+    certified = oracle._certified_dp
 
     def recording(box, *args):
         tabled.append(box)
-        return reach(box, *args)
+        return certified(box, *args)
 
     monkeypatch.setattr(oracle, "BoxConfig", Recorded)
-    monkeypatch.setattr(oracle, "_reach_tables", recording)
+    monkeypatch.setattr(oracle, "_certified_dp", recording)
     return built, tabled
 
 
-def test_check_worker_builds_reach_tables_once_per_rung(monkeypatch):
+def _bodies(native, patch):
+    """Each body of the certified DP in turn: the native one when
+    ``native``, the loader module, builds it here, then the Python bit rows
+    of a loader that finds no compiler.  ``patch`` undoes the switch."""
+    if native.load() is not None:
+        yield "native"
+    patch.setattr(native, "_lib", None)
+    patch.setattr(native, "_tried", False)
+    patch.setattr(native, "_COMPILERS", ("opweb-no-such-cc",))
+    assert native.load() is None
+    yield "python"
+
+
+def test_check_worker_builds_reach_tables_once_per_rung(fresh_loader,
+                                                        monkeypatch):
     from opweb import oracle
     built, tabled = _record_boxes(monkeypatch)
-    for corrupt, outcome in ((False, "ok"), (True, "right_boundary_mismatch")):
-        built.clear()
-        tabled.clear()
-        job = (Config(3, 0.8, 1024), 40, 64, corrupt)
-        assert oracle._check_worker(job) == outcome
-        assert len(built) == 1 and tabled == built
+    for _ in _bodies(fresh_loader, monkeypatch):
+        for corrupt, outcome in ((False, "ok"),
+                                 (True, "right_boundary_mismatch")):
+            built.clear()
+            tabled.clear()
+            job = (Config(3, 0.8, 1024), 40, 64, corrupt)
+            assert oracle._check_worker(job) == outcome
+            assert len(built) == 1 and tabled == built
 
 
-def test_check_dp_walks_certify_on_the_first_box(monkeypatch):
+def test_check_dp_walks_certify_on_the_first_box(fresh_loader, monkeypatch):
     # the benchmark's check-dp call at seed 1001: every walk is judged on
     # the first band, of at most (max(r - l) + m + 3) * n edges
     from opweb import oracle
     built, tabled = _record_boxes(monkeypatch)
     n = 500
-    for idx, p in enumerate((0.7, 0.7, 0.8, 0.8, 0.9, 0.9)):
-        cfg = replica_config(1001, p, idx)
-        built.clear()
-        tabled.clear()
-        assert oracle._check_worker((cfg, n, 64, False)) == "ok"
-        right, left = _walk(cfg, n)
-        (box,) = built
-        assert tabled == [box]
-        assert box.x_min == left[0] - oracle.FIRST_MARGIN
-        assert list(box.shear) == list(left - left[0])
-        edges = (box.x_max - box.x_min + 1) * (box.t_max - box.t_min)
-        assert edges <= ((right - left).max() + oracle.FIRST_MARGIN + 3) * n
+    for _ in _bodies(fresh_loader, monkeypatch):
+        for idx, p in enumerate((0.7, 0.7, 0.8, 0.8, 0.9, 0.9)):
+            cfg = replica_config(1001, p, idx)
+            built.clear()
+            tabled.clear()
+            assert oracle._check_worker((cfg, n, 64, False)) == "ok"
+            right, left = _walk(cfg, n)
+            (box,) = built
+            assert tabled == [box]
+            assert box.x_min == left[0] - oracle.FIRST_MARGIN
+            assert list(box.shear) == list(left - left[0])
+            edges = (box.x_max - box.x_min + 1) * (box.t_max - box.t_min)
+            assert edges <= ((right - left).max() + oracle.FIRST_MARGIN
+                             + 3) * n
 
 
 @pytest.mark.parametrize("path_shift, boundary_shift, outcome, walls", [
@@ -345,11 +363,14 @@ def test_check_reports_a_refused_box_as_a_failure_kind(monkeypatch):
     assert [f["kind"] for f in report["failures"]] == ["box_too_narrow"] * 5
     assert report["p0_agreement"]
 
+    certified = oracle._certified_dp
+
     def refuse(*args):
-        raise BoxTooNarrowError("predecessor cell not certified")
+        dp, _ = certified(*args)
+        return dp, BoxTooNarrowError("predecessor cell not certified")
 
     # a refusal while backtracking the path is the same failure kind
-    monkeypatch.setattr(oracle, "_path_from_tables", refuse)
+    monkeypatch.setattr(oracle, "_certified_dp", refuse)
     job = (Config(3, 0.8, 1024), 40, 64, False)
     assert oracle._check_worker(job) == "box_too_narrow"
 
@@ -374,13 +395,14 @@ def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
     # a box that dies under a walk whose path it holds is a real failure
     ok_job = (Config(3, 0.8, 1024), 40, 64, False)
     assert oracle._check_worker(ok_job) == "ok"
-    boundary = oracle._boundary_from_tables
+    certified = oracle._certified_dp
 
-    def dying(box, tables, n):
-        dp = boundary(box, tables, n)
-        return oracle.DpBoundary(dp.start_t, dp.values[:5], box.t_min + 5)
+    def dying(box, start_x, n):
+        dp, path = certified(box, start_x, n)
+        return (oracle.DpBoundary(dp.start_t, dp.values[:5], box.t_min + 5),
+                path)
 
-    monkeypatch.setattr(oracle, "_boundary_from_tables", dying)
+    monkeypatch.setattr(oracle, "_certified_dp", dying)
     assert oracle._check_worker(ok_job) == "dp_dead"
 
 
@@ -391,8 +413,8 @@ def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
 def test_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
     # wherever the box [-2n - slack, n + 2] certifies, the ladder gives its
     # outcome, for the true walk and for walks that report their path too
-    # far right or their right boundary too far left
-    from opweb import oracle
+    # far right or their right boundary too far left, on both DP bodies
+    from opweb import _native, oracle
     slack = data.draw(st.integers(-2 * n, 256), label="slack")
     cfg = Config(11, p, stream)
     right, left = _walk(cfg, n)
@@ -403,14 +425,16 @@ def test_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
     boundary_shift = data.draw(st.integers(0, 4), label="boundary_shift")
     right = right - boundary_shift
     left = left + path_shift
-    outcome = oracle._ladder_outcome(cfg, n, right, left, slack)
-    if not path_shift and not boundary_shift:
-        job = (cfg, n, slack, corrupt)
-        assert oracle._check_worker(job) == outcome
-    full = oracle._judge(BoxConfig(cfg, -2 * n - slack, n + 2, 0, n),
-                         right, left, n)
-    if full not in ("box_too_narrow", "dp_dead"):
-        assert outcome == full
+    with pytest.MonkeyPatch.context() as patch:
+        for _ in _bodies(_native, patch):
+            outcome = oracle._ladder_outcome(cfg, n, right, left, slack)
+            if not path_shift and not boundary_shift:
+                job = (cfg, n, slack, corrupt)
+                assert oracle._check_worker(job) == outcome
+            full = oracle._judge(BoxConfig(cfg, -2 * n - slack, n + 2, 0, n),
+                                 right, left, n)
+            if full not in ("box_too_narrow", "dp_dead"):
+                assert outcome == full
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -561,6 +585,16 @@ def _as_ints(tables):
                  for rows in tables)
 
 
+def _native_tables(box, start_x, n):
+    """The two tables of ``dp_box`` as ints, one per row, or its refusal."""
+    from opweb import _native, oracle
+    code, lower, upper, *_ = _native.dp(box, start_x - box.lefts[0], n)
+    if code in (oracle.SEED_WALL, oracle.WALL):
+        raise oracle._refusal(code)
+    return tuple([int.from_bytes(row.astype("<u8").tobytes(), "little")
+                  for row in rows] for rows in (lower, upper))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(p=st.sampled_from([0.0, 0.5, 0.65, 0.8, 1.0]),
        stream=st.integers(0, 10**6),
@@ -569,6 +603,27 @@ def _as_ints(tables):
        data=st.data())
 def test_bit_row_dp_matches_numpy_rows(p, stream, x_min, t_min, width,
                                        height, data):
+    _bit_row_dp_matches_numpy_rows(p, stream, x_min, t_min, width, height,
+                                   data)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(p=st.sampled_from([0.0, 0.5, 0.65, 0.8, 1.0]),
+       stream=st.integers(0, 10**6),
+       x_min=st.integers(-13, 0), t_min=st.integers(-3, 3),
+       width=st.sampled_from([62, 63, 64, 128, 129]),
+       height=st.integers(1, 12), data=st.data())
+def test_bit_row_dp_matches_numpy_rows_across_words(p, stream, x_min, t_min,
+                                                    width, height, data):
+    # boxes of 63, 64, 65, 129 and 130 columns: rows of one to three
+    # 64-bit words, whose shifts and masks cross the words' edges
+    _bit_row_dp_matches_numpy_rows(p, stream, x_min, t_min, width, height,
+                                   data)
+
+
+def _bit_row_dp_matches_numpy_rows(p, stream, x_min, t_min, width, height,
+                                   data):
+    from opweb import _native
     from opweb.oracle import _reach_tables
     # a rectangle, or a band whose left wall steps by -1, 0 or +1 per row
     steps = data.draw(st.one_of(
@@ -587,10 +642,16 @@ def test_bit_row_dp_matches_numpy_rows(p, stream, x_min, t_min, width,
     n = data.draw(st.integers(0, height))
 
     args = (box, start_x, n)
+    tables = _outcome(_reference_tables, *args, view=_as_ints)
     assert (_outcome(_reach_tables, *args, view=lambda tables: tables[:2])
-            == _outcome(_reference_tables, *args, view=_as_ints))
-    assert (_outcome(dp_right_boundary, *args,
-                     view=lambda dp: (list(dp.values), dp.dead_from))
-            == _outcome(_reference_boundary, *args))
-    assert (_outcome(dp_rightmost_path, *args, view=list)
-            == _outcome(_reference_path, *args))
+            == tables)
+    if _native.load() is not None:
+        assert _outcome(_native_tables, *args) == tables
+    # the boundary and the path on each body of the DP
+    with pytest.MonkeyPatch.context() as patch:
+        for _ in _bodies(_native, patch):
+            assert (_outcome(dp_right_boundary, *args,
+                             view=lambda dp: (list(dp.values), dp.dead_from))
+                    == _outcome(_reference_boundary, *args))
+            assert (_outcome(dp_rightmost_path, *args, view=list)
+                    == _outcome(_reference_path, *args))

@@ -20,6 +20,12 @@ CALLS = {
         ["simulate", "--p", "0.8", "--n", "50", "--horizon", "100",
          "--replicas", "3", "--seed", "3", "--out", "{dir}"],
         "3b5bcf6331961a691b3ba026523a61265d244e776e32570a19bf171ed2862684"),
+    # replica 1's left boundary on [0, 50] moves on five levels between
+    # levels 50 and 100, so its l and gamma columns differ there
+    "simulate_l_moves": (
+        ["simulate", "--p", "0.8", "--n", "50", "--horizon", "100",
+         "--replicas", "3", "--seed", "4", "--out", "{dir}"],
+        "8073b30d0afbc402984794fbe1e4db2d69e6992a37cb77d663092d1250903fda"),
     "estimate": (
         ["estimate", "--p", "0.8", "--n", "2000", "--margin", "200",
          "--replicas", "4", "--seed", "2"],
