@@ -6,10 +6,13 @@ no walk outlives the call, and nothing is copied after it.  `lockstep` is
 the native body of `explore.walk_lockstep` (``walk_value`` for one start,
 ``walk_pair`` for an equal-time pair), `breaks` of the estimate worker
 `regen._estimate_worker` (``walk_breaks``), and `bounds` of
-`explore.explore_to_level` (``walk_bounds``).  `dp` is the body of the
-certified DP of `oracle` on one box (``dp_box``), which reads only the
-box's own arrays and runs no walk.  Each caller picks it by one rule: the
-native body when `load` succeeds, and else its Python reference.
+`explore.explore_to_level` (``walk_bounds``).  The judge of these walks
+runs no walk code: `edges` writes the edge statuses of an
+`oracle.BoxConfig` into the box's own arrays (``box_edges``, with its own
+copy of the edge hash), and `dp` is the certified DP of `oracle` on one
+box (``dp_box``), which reads only those arrays.  Each caller picks it by
+one rule: the native body when `load` succeeds, and else its Python
+reference.
 
 `explore` imports this module the first time a Config-driven walk runs,
 never at ``import opweb``.  The first `load` in a process compiles
@@ -40,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .explore import Boundaries, guard_error
 from .lattice import MASK64
 
@@ -66,8 +70,10 @@ _Breaks = c_int64 * 10
 # a walk's report: its scan offset, last completed level and edges examined
 _Report = c_int64 * 3
 
-# t0, then the sampler and the guard as _sampler gives them
-_WALK = [c_int64, c_uint64, c_uint64, c_int, c_int64]
+# the sampler as _sampler gives it
+_SAMPLER = [c_uint64, c_uint64, c_int]
+# t0, the sampler and the guard
+_WALK = [c_int64, *_SAMPLER, c_int64]
 # every entry of _walk.c, as (argtypes, restype)
 _ENTRIES = {
     "walk_value": ([c_int64, *_WALK, c_int64, c_void_p], c_int),
@@ -75,7 +81,9 @@ _ENTRIES = {
     "walk_breaks": ([c_int64, *_WALK, c_int64, c_int64, c_void_p], c_int),
     "walk_bounds": ([c_int64, *_WALK, c_int64, c_int64] + [c_void_p] * 4,
                     c_int),
-    "dp_box": ([c_int64] * 3 + [c_void_p, c_int64] + [c_void_p] * 8, c_int),
+    "box_edges": ([c_int64] * 3 + [c_void_p, *_SAMPLER] + [c_void_p] * 3,
+                  None),
+    "dp_box": ([c_int64] * 3 + [c_void_p, c_int64] + [c_void_p] * 9, c_int),
 }
 
 
@@ -156,13 +164,17 @@ def _build(cc: str, source: bytes, path: Path, key: bytes) -> None:
                 stale.unlink()
 
 
-def _sampler(cfg, scan_guard) -> tuple:
-    """The Config's sampler and the guard as the entries take them: base,
-    threshold, all-open flag and an integer guard."""
+def _sampler(cfg) -> tuple:
+    """The Config's sampler as the entries take it: base, threshold and
+    all-open flag."""
     threshold = cfg._threshold
-    # the walk trips once scan_offset >= scan_guard, an integer count
-    return (cfg._base, min(threshold, MASK64), threshold > MASK64,
-            min(math.ceil(scan_guard), 1 << 62))
+    return cfg._base, min(threshold, MASK64), threshold > MASK64
+
+
+def _guard(scan_guard) -> int:
+    """The guard as the walks take it: the walk trips once scan_offset >=
+    scan_guard, an integer count."""
+    return min(math.ceil(scan_guard), 1 << 62)
 
 
 def _check(code: int, scan_offset: int, level: int) -> None:
@@ -178,7 +190,7 @@ def lockstep(xs, t0: int, level: int, cfg, scan_guard):
     """`explore.walk_lockstep` in one C call."""
     lib = load()
     out = _Out()
-    args = (t0, *_sampler(cfg, scan_guard), level, out)
+    args = (t0, *_sampler(cfg), _guard(scan_guard), level, out)
     if len(xs) == 1:
         code = lib.walk_value(xs[0], *args)
     else:
@@ -194,8 +206,8 @@ def breaks(cfg, n: int, margin: int, scan_guard):
     of the walk from (0, 0) to level ``n + margin`` and r(n), as
     `regen._estimate_reference` returns them.  Needs ``0 < margin <= n``."""
     out = _Breaks()
-    code = load().walk_breaks(0, 0, *_sampler(cfg, scan_guard), n, margin,
-                              out)
+    code = load().walk_breaks(0, 0, *_sampler(cfg), _guard(scan_guard), n,
+                              margin, out)
     _check(code, out[7], out[8])
     return tuple(out[:6]), out[6]
 
@@ -207,38 +219,44 @@ def bounds(z, n: int, horizon: int, cfg, scan_guard) -> Boundaries:
     left = np.empty(n - z.t + 1, dtype=np.int64)
     gamma = np.empty_like(right)
     rep = _Report()
-    code = load().walk_bounds(z.x, z.t, *_sampler(cfg, scan_guard), n,
-                              horizon, right.ctypes.data, left.ctypes.data,
+    code = load().walk_bounds(z.x, z.t, *_sampler(cfg), _guard(scan_guard),
+                              n, horizon, right.ctypes.data, left.ctypes.data,
                               gamma.ctypes.data, rep)
     _check(code, rep[0], rep[1])
     return Boundaries(z, right, left, gamma, rep[0], rep[2])
 
 
-def _word_rows(cells: np.ndarray, words: int) -> np.ndarray:
-    """Each row of a bool array as ``words`` 64-bit words, bit i of word k
-    standing for column 64 k + i."""
-    rows = np.zeros((len(cells), 8 * words), dtype=np.uint8)
-    packed = np.packbits(cells, axis=1, bitorder="little")
-    rows[:, :packed.shape[1]] = packed
-    return rows.view("<u8").astype(np.uint64, copy=False)
+def edges(box) -> None:
+    """The edge statuses of a box in one C call, which writes them straight
+    into its ``open_ur``, ``open_ul`` and ``entry_open``: C-contiguous bool
+    arrays of shape ``(height, width)`` and ``(height,)``."""
+    height, width = box.open_ur.shape
+    lefts = box.x_min + box.shear
+    load().box_edges(height, width, box.t_min, lefts.ctypes.data,
+                     *_sampler(box.cfg), box.open_ur.ctypes.data,
+                     box.open_ul.ctypes.data, box.entry_open.ctypes.data)
 
 
 def dp(box, start: int, n: int):
     """The certified DP of `oracle` on one box over ``n`` levels in one C
     call, from the seed row's cells up to cell ``start`` of row 0.
 
-    Packs the box's ``open_ur`` and ``open_ul`` rows as it runs.  Returns
-    ``dp_box``'s code; the lower and upper tables, ``n + 1`` rows of
-    ``ceil(width / 64)`` words each; the bit lengths of their rows, shape
-    ``(2, n + 1)``; the path; and the level and column that a refusal
-    names.
+    ``dp_box`` reads the box's ``open_ur``, ``open_ul`` and ``entry_open``
+    as they are now, and packs each row of the first two into 64-bit words
+    as it reaches it.  Returns its code; the lower and upper tables,
+    ``n + 1`` rows of ``ceil(width / 64)`` words each; the bit lengths of
+    their rows, shape ``(2, n + 1)``; the path; and the level and column
+    that a refusal names.
     """
     width = box.x_max - box.x_min + 1
     words = -(-width // 64)
-    ur = _word_rows(box.open_ur[:n], words)
-    ul = _word_rows(box.open_ul[:n], words)
-    entry = np.ascontiguousarray(box.entry_open[:n], dtype=np.uint8)
+    ur = np.ascontiguousarray(box.open_ur[:n], dtype=bool)
+    ul = np.ascontiguousarray(box.open_ul[:n], dtype=bool)
+    entry = np.ascontiguousarray(box.entry_open[:n], dtype=bool)
+    if ur.shape != (n, width) or ul.shape != ur.shape or entry.shape != (n,):
+        raise InvalidArgumentError("the box's arrays do not fit its shape")
     lefts = box.x_min + box.shear[:n + 1]
+    rows = np.empty((2, words), dtype=np.uint64)
     lower = np.empty((n + 1, words), dtype=np.uint64)
     upper = np.empty_like(lower)
     lengths = np.empty((2, n + 1), dtype=np.int64)
@@ -246,6 +264,7 @@ def dp(box, start: int, n: int):
     at = (c_int64 * 2)()
     code = load().dp_box(n, width, box.t_min, lefts.ctypes.data, start,
                          ur.ctypes.data, ul.ctypes.data, entry.ctypes.data,
-                         lower.ctypes.data, upper.ctypes.data,
-                         lengths.ctypes.data, path.ctypes.data, at)
+                         rows.ctypes.data, lower.ctypes.data,
+                         upper.ctypes.data, lengths.ctypes.data,
+                         path.ctypes.data, at)
     return code, lower, upper, lengths, path, tuple(at)

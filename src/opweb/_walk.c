@@ -1,7 +1,8 @@
-/* Native form of the exploration walk in explore.py.
+/* Native form of the exploration walk in explore.py, and of its judge, the
+ * certified DP of oracle.py.
  *
- * Each entry at the end makes, runs and frees its walks inside one call,
- * and hands back a few numbers or fills arrays the caller owns.  One walk
+ * Each walk entry makes, runs and frees its walks inside one call, and
+ * hands back a few numbers or fills arrays the caller owns.  One walk
  * is the splitmix64 edge sampler (base and threshold of the Config), the
  * depth-first stack, the count of examined edges, the scan offset and the
  * scan guard, and on some walks the right-boundary values r.  No edge
@@ -72,11 +73,19 @@
  * Keys are the packed keys of lattice.py taken mod 2**64, which is all the
  * sampler reads of them.
  *
- * dp_box is the certified DP of oracle.py on one box, and uses no walk
- * code: no sampler, no key, no walk_t.  Its edges are the box's own
- * arrays, open_ur and open_ul packed by the caller into rows of 64-bit
- * words, bit i of word k standing for cell 64 k + i of the row, and its
- * entry_open flags.  It fills the lower and upper tables row by row, as
+ * box_edges and dp_box are the judge of these walks, and use no walk
+ * code: no sample, no pack, no walk_t.  box_edges writes a box's edge
+ * statuses, as oracle.BoxConfig holds them, into byte arrays the caller
+ * owns: the up-right and up-left status of each site at its cell of
+ * open_ur and open_ul, 0 at the other cells, and the entry_open flags.  It
+ * hashes each edge with its own copy of the splitmix64 mix of lattice.py,
+ * under the Config's base, threshold and all-open flag.
+ *
+ * dp_box is the certified DP of oracle.py on one box.  Its edges are the
+ * box's own byte rows, read on every call, so edits made to them after
+ * box_edges are seen: each row of open_ur and open_ul is packed into 64-bit
+ * words as the DP reaches it, bit i of word k standing for cell 64 k + i
+ * of the row.  It fills the lower and upper tables row by row, as
  * oracle._reach_tables does: one level is
  * ((lo & ur) << 2 | (lo & ul)) >> drop, masked to the box width, which is
  * an up-right move by 2 - drop cells and an up-left one by -drop, done word
@@ -384,6 +393,50 @@ int walk_bounds(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
     return code;
 }
 
+/* Whether the edge of `key` is open under the sampler (base, threshold,
+ * all_open): box_edges' own copy of the splitmix64 mix of lattice.py, so
+ * that the judge runs no walk code. */
+static uint8_t box_open(uint64_t base, uint64_t threshold, int all_open,
+                        uint64_t key)
+{
+    uint64_t z = base + key * GOLDEN;
+    z = (z ^ (z >> 30)) * MIX1;
+    z = (z ^ (z >> 27)) * MIX2;
+    z ^= z >> 31;
+    return all_open || z < threshold;
+}
+
+/* The edge statuses of a box of `height` rows of `width` cells, row j at
+ * level t_min + j from column lefts[j], with lefts holding height + 1
+ * columns, as oracle.BoxConfig holds them: ur and ul, height rows of width
+ * bytes, get each site's up-right and up-left status at its cell and 0 at
+ * every other cell; entry[j] gets the status of the up-right edge from the
+ * site just left of row j when that edge lands on row j + 1, else 0. */
+void box_edges(int64_t height, int64_t width, int64_t t_min,
+               const int64_t *lefts, uint64_t base, uint64_t threshold,
+               int all_open, uint8_t *ur, uint8_t *ul, uint8_t *entry)
+{
+    for (int64_t j = 0; j < height; j++) {
+        int64_t t = t_min + j, left = lefts[j];
+        uint64_t right_hi = (uint64_t)(2 * t + 1) << 32;
+        uint64_t left_hi = (uint64_t)(2 * t) << 32;
+        uint8_t *u = ur + j * width, *v = ul + j * width;
+        memset(u, 0, (size_t)width);
+        memset(v, 0, (size_t)width);
+        for (int64_t c = (left + t) & 1; c < width; c += 2) {
+            uint64_t x = (uint64_t)(left + c + X_BIAS);
+            u[c] = box_open(base, threshold, all_open, right_hi | x);
+            v[c] = box_open(base, threshold, all_open, left_hi | x);
+        }
+        /* its up-right edge lands on row j + 1's first site unless the
+         * wall steps right */
+        int64_t source = left - 1 - ((left - 1 + t) & 1);
+        entry[j] = source + 1 >= lefts[j + 1]
+                   && box_open(base, threshold, all_open,
+                               right_hi | (uint64_t)(source + X_BIAS));
+    }
+}
+
 /* dp_box's return codes, oracle's refusal codes */
 enum { DP_OK = 0, DP_SEED_WALL, DP_WALL, DP_NO_PATH, DP_TOP, DP_UNSURE,
        DP_LOST };
@@ -392,6 +445,32 @@ enum { DP_OK = 0, DP_SEED_WALL, DP_WALL, DP_NO_PATH, DP_TOP, DP_UNSURE,
 static int cell(const uint64_t *row, int64_t i)
 {
     return row[i >> 6] >> (i & 63) & 1;
+}
+
+/* `count` <= 8 byte cells, each 0 or 1, as the low bits of a word, cell i
+ * to bit i.  The cells are read as one word, byte i holding cell i, and one
+ * multiply moves byte i's bit to bit 56 + i: the multiplier's bits sit at
+ * 7, 14, ..., 56, so no two products share a bit and none carries. */
+static uint64_t pack8(const uint8_t *cells, size_t count)
+{
+    uint64_t v = 0;
+    memcpy(&v, cells, count);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    return v * 0x0102040810204080ULL >> 56;
+}
+
+/* A row of `width` byte cells as words: cell 64 k + i to bit i of word k. */
+static void pack_row(const uint8_t *row, int64_t width, uint64_t *to)
+{
+    int64_t full = width / 8;
+    memset(to, 0, (size_t)(width + 63) / 64 * sizeof *to);
+    for (int64_t b = 0; b < full; b++)
+        to[b >> 3] |= pack8(row + 8 * b, 8) << (8 * (b & 7));
+    if (width % 8)
+        to[full >> 3] |= pack8(row + 8 * full, (size_t)(width % 8))
+                         << (8 * (full & 7));
 }
 
 /* The number of cells up to and including the row's rightmost set one;
@@ -427,17 +506,19 @@ static void dp_step(const uint64_t *from, const uint64_t *ur,
 
 /* The certified DP of a box `width` >= 2 columns wide over `n` levels from
  * t_min, row j starting at column lefts[j], with the seed row's cells up to
- * `start`.  ur and ul hold n rows and lower and upper n + 1 rows, each of
- * (width + 63) / 64 words; entry holds n flags.  Writes the bit lengths of
- * lower's rows into lengths[0:n + 1] and of upper's into
- * lengths[n + 1:2 n + 2], and the path into path[0:n + 1].  Returns a
- * refusal code or DP_OK; at[0:2] get the level and the column that
- * DP_NO_PATH, DP_UNSURE and DP_LOST name.  On DP_SEED_WALL and DP_WALL
+ * `start`.  ur and ul hold n rows of width byte cells and entry n flags, as
+ * box_edges writes them; each row is packed into `rows`, room for two rows
+ * of (width + 63) / 64 words, as the DP reaches it.  lower and upper hold
+ * n + 1 rows of that many words.  Writes the bit lengths of lower's rows
+ * into lengths[0:n + 1] and of upper's into lengths[n + 1:2 n + 2], and
+ * the path into path[0:n + 1].  Returns a refusal code or DP_OK; at[0:2]
+ * get the level and the column that DP_NO_PATH, DP_UNSURE and DP_LOST
+ * name.  On DP_SEED_WALL and DP_WALL
  * nothing past the refused row is written. */
 int dp_box(int64_t n, int64_t width, int64_t t_min, const int64_t *lefts,
-           int64_t start, const uint64_t *ur, const uint64_t *ul,
-           const uint8_t *entry, uint64_t *lower, uint64_t *upper,
-           int64_t *lengths, int64_t *path, int64_t *at)
+           int64_t start, const uint8_t *ur, const uint8_t *ul,
+           const uint8_t *entry, uint64_t *rows, uint64_t *lower,
+           uint64_t *upper, int64_t *lengths, int64_t *path, int64_t *at)
 {
     int64_t words = (width + 63) / 64;
     uint64_t top = width % 64 ? ((uint64_t)1 << width % 64) - 1 : ~0ULL;
@@ -451,8 +532,10 @@ int dp_box(int64_t n, int64_t width, int64_t t_min, const int64_t *lefts,
     memcpy(upper, lower, (size_t)words * sizeof *upper);
     for (int64_t j = 0; j < n; j++) {
         int drop = (int)(1 + lefts[j + 1] - lefts[j]);
-        const uint64_t *u = ur + j * words, *v = ul + j * words;
+        uint64_t *u = rows, *v = rows + words;
         uint64_t *hi = upper + (j + 1) * words;
+        pack_row(ur + j * width, width, u);
+        pack_row(ul + j * width, width, v);
         dp_step(lower + j * words, u, v, words, drop, top,
                 lower + (j + 1) * words);
         dp_step(upper + j * words, u, v, words, drop, top, hi);
@@ -476,7 +559,7 @@ int dp_box(int64_t n, int64_t width, int64_t t_min, const int64_t *lefts,
     path[n] = y;
     for (int64_t j = n - 1; j >= 0; j--) {
         const uint64_t *lo = lower + j * words, *hi = upper + j * words;
-        const uint64_t *edge[2] = {ul + j * words, ur + j * words};
+        const uint8_t *edge[2] = {ul + j * width, ur + j * width};
         int moved = 0;
         at[0] = j;
         /* the up-left edge from y + 1 first, then the up-right one */
@@ -488,7 +571,7 @@ int dp_box(int64_t n, int64_t width, int64_t t_min, const int64_t *lefts,
                 at[1] = x;
                 return DP_UNSURE;
             }
-            if (cell(lo, c) & cell(edge[k], c)) {
+            if (cell(lo, c) && edge[k][c]) {
                 y = x;
                 moved = 1;
             }

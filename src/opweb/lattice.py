@@ -13,6 +13,21 @@ base via a golden-ratio multiply, and passed through the splitmix64
 finalizer; the edge is open iff the 64-bit output is below
 ``floor(p * 2**64)``.  Multiplying a float ``p`` by ``2**64`` is exact
 (power-of-two scaling), so the threshold is bit-reproducible.
+
+The reference is `edge_status`, which runs `make_key_sampler`, the scalar
+mix with `mix64` inlined.  Each other copy of the hash is pinned to it by
+a test:
+
+* the numpy one, `edge_status_array`, by
+  ``test_determinism_and_vector_scalar_agreement``;
+* the walk's ``sample`` in ``_walk.c``, through the walks it drives, by
+  ``test_native_walk_matches_python_walk``, whose Python walk samples
+  through `make_key_sampler`;
+* the judge's ``box_open`` in ``_walk.c``, which ``box_edges`` runs to fill
+  an `oracle.BoxConfig`, cell by cell against `edge_status_array` by
+  ``test_box_fill_matches_the_lattice_bit_for_bit``.  Its all-open flag
+  stands in for the threshold ``2**64`` of p = 1, as
+  ``test_an_edge_hashed_to_the_top_is_open_at_p_one`` checks.
 """
 
 from __future__ import annotations

@@ -26,9 +26,11 @@ its bit length less one.  `_certified_dp` runs it by the rule of every
 walk: the native body, ``dp_box`` of ``_walk.c`` on rows of 64-bit words,
 when `opweb._native` loads, and else the Python reference, one int per row
 (`_reach_tables`, `_path_from_tables`).  Both bodies read only the box's
-own arrays, whose statuses come from `lattice.edge_status_array`; neither
-calls the walk's sampler or any other walk code, so a fault in the walk
-cannot also hide in its judge.
+own arrays.  These are filled by the same rule: by ``box_edges`` of
+``_walk.c``, which hashes each edge with its own copy of the lattice's
+mix, or else from `lattice.edge_status_array` (`_edges_reference`).  No
+fill and no DP calls the walk's sampler or any other walk code, so a
+fault in the walk cannot also hide in its judge.
 
 A narrow box certifies only what a wider one would.  Take boxes B inside W
 over the same levels, of any shape, and compare them on B's cells.  B's
@@ -80,10 +82,12 @@ class BoxConfig:
     ``entry_open[j]`` is the status of the up-right edge from the site just
     left of row ``j`` when that edge lands on row ``j + 1``, at its first
     site, else False: the only kind of edge through which anything left of
-    the box can influence it.  The DP packs ``open_ur``/``open_ul``
-    into bit rows (bit ``i`` of row ``j`` is column ``lefts[j] + i``) each
-    time it runs, so edits to the arrays after construction are seen by the
-    next DP call.
+    the box can influence it.  The three arrays are C-contiguous bool,
+    filled by ``box_edges`` of ``_walk.c`` when `opweb._native` loads, and
+    else from `lattice.edge_status_array`.  The DP reads them as they are
+    each time it runs, packing ``open_ur``/``open_ul`` into bit rows (bit
+    ``i`` of row ``j`` is column ``lefts[j] + i``), so edits to any of them
+    after construction are seen by the next DP call.
     """
 
     cfg: Config
@@ -112,30 +116,44 @@ class BoxConfig:
             raise InvalidArgumentError(
                 "shear must start at 0 and step by at most 1 per level")
         self.shear = shear
-        lefts = self.x_min + shear
-        self.lefts = lefts.tolist()
-        # row j's sites sit at the bits odd_j, odd_j + 2, ...: one broadcast
-        # call per direction covers every row.  On an odd-width box, rows
-        # with odd_j = 1 get one site past the right wall, dropped below.
-        rows = np.arange(height)
-        ts = self.t_min + rows
-        odd = ((lefts[:-1] + ts) & 1).astype(bool)[:, None]
-        k = (width + 1) // 2
-        xs = ((lefts[:-1, None] + odd) + 2 * np.arange(k)).ravel()
-        ft = np.repeat(ts, k)
-        self.open_ur = _site_columns(
-            edge_status_array(self.cfg, xs, ft, np.ones_like(xs)), odd, width)
-        self.open_ul = _site_columns(
-            edge_status_array(self.cfg, xs, ft, np.zeros_like(xs)), odd, width)
-        # the site just left of row j; its up-right edge lands on row j + 1's
-        # first site unless the wall steps right
-        sources = lefts[:-1] - 1 - ((lefts[:-1] - 1 + ts) & 1)
-        entering = sources + 1 >= lefts[1:]
-        self.entry_open = np.zeros(height, dtype=bool)
-        if entering.any():
-            xs = sources[entering]
-            self.entry_open[entering] = edge_status_array(
-                self.cfg, xs, ts[entering], np.ones_like(xs))
+        self.lefts = (self.x_min + shear).tolist()
+        self.open_ur = np.empty((height, width), dtype=bool)
+        self.open_ul = np.empty_like(self.open_ur)
+        self.entry_open = np.empty(height, dtype=bool)
+        from . import _native  # may build the library: not at import
+        if _native.load() is not None:
+            _native.edges(self)
+        else:
+            _edges_reference(self)
+
+
+def _edges_reference(box: BoxConfig) -> None:
+    """``box_edges`` of ``_walk.c`` in numpy: the box's statuses from
+    `lattice.edge_status_array`, written into its arrays."""
+    height, width = box.open_ur.shape
+    lefts = box.x_min + box.shear
+    # row j's sites sit at the bits odd_j, odd_j + 2, ...: one broadcast
+    # call per direction covers every row.  On an odd-width box, rows with
+    # odd_j = 1 get one site past the right wall, dropped below.
+    rows = np.arange(height)
+    ts = box.t_min + rows
+    odd = ((lefts[:-1] + ts) & 1).astype(bool)[:, None]
+    k = (width + 1) // 2
+    xs = ((lefts[:-1, None] + odd) + 2 * np.arange(k)).ravel()
+    ft = np.repeat(ts, k)
+    box.open_ur[:] = _site_columns(
+        edge_status_array(box.cfg, xs, ft, np.ones_like(xs)), odd, width)
+    box.open_ul[:] = _site_columns(
+        edge_status_array(box.cfg, xs, ft, np.zeros_like(xs)), odd, width)
+    # the site just left of row j; its up-right edge lands on row j + 1's
+    # first site unless the wall steps right
+    sources = lefts[:-1] - 1 - ((lefts[:-1] - 1 + ts) & 1)
+    entering = sources + 1 >= lefts[1:]
+    box.entry_open[:] = False
+    if entering.any():
+        xs = sources[entering]
+        box.entry_open[entering] = edge_status_array(
+            box.cfg, xs, ts[entering], np.ones_like(xs))
 
 
 def _site_columns(status: np.ndarray, odd: np.ndarray, width: int):

@@ -423,8 +423,9 @@ from opweb.lattice import replica_config
 right, left, gamma = (np.empty(22_001, dtype=np.int64) for _ in range(3))
 rep = _native._Report()
 code = _native.load().walk_bounds(
-    0, 0, *_native._sampler(replica_config(1, 0.64, 0), 10_000), 22_000,
-    22_000, right.ctypes.data, left.ctypes.data, gamma.ctypes.data, rep)
+    0, 0, *_native._sampler(replica_config(1, 0.64, 0)),
+    _native._guard(10_000), 22_000, 22_000, right.ctypes.data,
+    left.ctypes.data, gamma.ctypes.data, rep)
 print(code, rep[2], rep[0])
 try:
     _native._check(code, rep[0], rep[1])

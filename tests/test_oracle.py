@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,9 @@ from hypothesis import strategies as st
 
 from opweb.errors import BoxTooNarrowError, InvalidArgumentError, NoPathError
 from opweb.explore import explore_to_level
-from opweb.lattice import (Config, LatticeSite, STREAMS_PER_REPLICA,
-                           edge_status_array, replica_config)
+from opweb.lattice import (GOLDEN, MASK64, X_BIAS, Config, LatticeSite,
+                           STREAMS_PER_REPLICA, _MIX1, _MIX2,
+                           edge_status_array, mix64, replica_config)
 from opweb.oracle import (BoxConfig, box_ladder, cbm_baseline, check_suite,
                           coalescing_walk_survival, dp_right_boundary,
                           dp_rightmost_path, gap_walk_survival_exact)
@@ -109,12 +114,14 @@ def test_oracle_matches_exploration():
             assert list(dp_rightmost_path(box, 0, 30)) == list(left)
 
 
-def test_box_statuses_match_lattice_oracle():
+def test_box_statuses_match_lattice_oracle(fresh_loader, monkeypatch):
     # both row parities: the even columns of row 0 start at x_min or x_min+1;
     # the rectangle, a band whose wall follows a lattice path, and one whose
-    # wall also holds still
+    # wall also holds still; on each body of the box's fill
     shears = (None, [0, 1, 2, 1, 0, -1], [0, -1, -1, 0, 0, 1])
-    for p, shear in itertools.product((0.0, 0.6, 1.0), shears):
+    cases = ((p, shear) for _ in _bodies(fresh_loader, monkeypatch)
+             for p, shear in itertools.product((0.0, 0.6, 1.0), shears))
+    for p, shear in cases:
         for x_min, t_min in ((-4, 0), (-3, 0), (-4, 1), (-3, 1)):
             cfg = Config(7, p, 5)
             box = BoxConfig(cfg, x_min, x_min + 10, t_min, t_min + 5, shear)
@@ -136,6 +143,116 @@ def test_box_statuses_match_lattice_oracle():
                 wall = source + 1 >= box.lefts[j + 1] and edge_status_array(
                     cfg, [source], [t], [1])[0]
                 assert box.entry_open[j] == wall
+
+
+def _lattice_statuses(cfg, lefts, t_min, width):
+    """The box's three arrays, from `edge_status_array` site by site."""
+    lefts = np.asarray(lefts)
+    ts = t_min + np.arange(len(lefts) - 1)
+    xs = lefts[:-1, None] + np.arange(width)
+    tt = np.broadcast_to(ts[:, None], xs.shape)
+    site = (xs + tt) % 2 == 0
+    arrays = []
+    for d in (1, 0):
+        cells = np.zeros(xs.shape, dtype=bool)
+        cells[site] = edge_status_array(cfg, xs[site], tt[site],
+                                        np.full(site.sum(), d))
+        arrays.append(cells)
+    sources = lefts[:-1] - 1 - ((lefts[:-1] - 1 + ts) % 2)
+    entry = [bool(source + 1 >= lefts[j + 1]
+                  and edge_status_array(cfg, [source], [ts[j]], [1])[0])
+             for j, source in enumerate(sources.tolist())]
+    return (*arrays, np.array(entry, dtype=bool)), site
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+       stream=st.integers(0, 10**6),
+       x_min=st.one_of(st.integers(-13, 0),
+                       st.integers(-(1 << 30), 1 << 30)),
+       t_min=st.integers(-3, 3),
+       width=st.integers(1, 257), height=st.integers(1, 12),
+       data=st.data())
+def test_box_fill_matches_the_lattice_bit_for_bit(p, stream, x_min, t_min,
+                                                  width, height, data):
+    # boxes of 2 to 258 columns, one to five words, with rows whose last
+    # site falls past the wall; rectangles and bands; p = 1 on the
+    # all-open flag; on each body of the box's fill
+    from opweb import _native
+    steps = data.draw(st.one_of(
+        st.just([0] * height),
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=height,
+                 max_size=height)), label="steps")
+    cfg = Config(3, p, stream)
+    args = (cfg, x_min, x_min + width, t_min, t_min + height,
+            np.cumsum([0, *steps]))
+    boxes = []
+    with pytest.MonkeyPatch.context() as patch:
+        for _ in _bodies(_native, patch):
+            boxes.append(BoxConfig(*args))
+    want, site = _lattice_statuses(cfg, boxes[0].lefts, t_min, width + 1)
+    for box in boxes:
+        got = (box.open_ur, box.open_ul, box.entry_open)
+        for arr, shape in zip(got, [(height, width + 1)] * 2 + [(height,)]):
+            assert arr.dtype == bool and arr.flags.c_contiguous
+            assert arr.shape == shape
+        for arr, expected in zip(got, want):
+            assert np.array_equal(arr, expected)
+        assert not box.open_ur[~site].any() and not box.open_ul[~site].any()
+        for arr, reference in zip(got, (boxes[-1].open_ur, boxes[-1].open_ul,
+                                        boxes[-1].entry_open)):
+            assert np.array_equal(arr, reference)
+
+
+def _unshift(z, s):
+    """The inverse of ``z ^ (z >> s)``."""
+    x = z
+    for _ in range(64 // s):
+        x = z ^ (x >> s)
+    return x
+
+
+def _edge_hashed_to_the_top(seed):
+    """A stream of ``seed`` and an up-right edge (x, t) whose hash under it
+    is 2**64 - 1, the one value that no threshold passes: found by
+    inverting `lattice.mix64` and the key's golden-ratio multiply."""
+    z = _unshift(MASK64, 31)
+    z = z * pow(_MIX2, -1, 1 << 64) & MASK64
+    z = _unshift(z, 27)
+    z = z * pow(_MIX1, -1, 1 << 64) & MASK64
+    mixed = _unshift(z, 30)
+    for stream in itertools.count():
+        base = Config(seed, 0.0, stream)._base
+        key = (mixed - base) * pow(GOLDEN, -1, 1 << 64) & MASK64
+        x, q = (key & 0xFFFFFFFF) - X_BIAS, key >> 32
+        t, d = q >> 1, q & 1
+        if d == 1 and (x + t) % 2 == 0:
+            assert mix64(base + key * GOLDEN) == MASK64
+            return stream, x, t
+
+
+def test_an_edge_hashed_to_the_top_is_open_at_p_one(fresh_loader,
+                                                    monkeypatch):
+    # at p = 1 every edge is open, the one whose hash is 2**64 - 1 too,
+    # in the box's cells and as its entry edge; just below p = 1 it is shut
+    stream, x, t = _edge_hashed_to_the_top(11)
+    for _ in _bodies(fresh_loader, monkeypatch):
+        for p in (1.0, 1 - 2.0**-53):
+            cfg = Config(11, p, stream)
+            cell = BoxConfig(cfg, x - 2, x + 2, t, t + 1)
+            entry = BoxConfig(cfg, x + 1, x + 5, t, t + 1)
+            assert cell.open_ur[0, 2] == entry.entry_open[0] == (p == 1.0)
+            assert edge_status_array(cfg, [x], [t], [1])[0] == (p == 1.0)
+
+
+def test_arrays_that_do_not_fit_the_box_never_reach_the_native_dp():
+    from opweb import _native
+    if _native.load() is None:
+        pytest.skip("the native walk does not build here")
+    box = BoxConfig(Config(7, 0.6, 5), -10, 10, 0, 5)
+    box.open_ul = box.open_ul[:, :-1]
+    with pytest.raises(InvalidArgumentError, match="do not fit"):
+        dp_right_boundary(box, 0, 5)
 
 
 def test_a_shear_that_jumps_is_rejected():
@@ -471,6 +588,46 @@ def test_band_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
         assert list(band.shear) == list(left - left[0])
 
 
+_WIDE_BOX = """
+import resource
+from opweb import _native
+from opweb.explore import explore_to_level
+from opweb.lattice import LatticeSite, replica_config
+from opweb.oracle import _judge, box_ladder
+# the last rung of check's ladder at n = 2000 with the default slack of 64
+n = 2000
+cfg = replica_config(1001, 0.7, 0)
+walk = explore_to_level(LatticeSite(0, 0), n, cfg)
+for box in box_ladder(cfg, n, walk.left, walk.right, 64):
+    pass
+print(_native.load() is not None, box.open_ur.shape,
+      _judge(box, walk.right, walk.left, n))
+try:  # the peak of this process alone: ru_maxrss also holds the parent's
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak // 1024)
+"""
+
+
+def test_the_widest_box_stays_small():
+    # 6067 columns by 2000 rows: its two byte arrays take 24 MB, and the C
+    # fill makes no temporaries; the numpy fill's peaked near 330 MB
+    from opweb import _native
+    if _native.load() is None:
+        pytest.skip("the native walk does not build here")
+    src = Path(_native.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _WIDE_BOX], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    judged, max_rss_mb = done.stdout.splitlines()
+    assert judged == "True (2000, 6067) ok"
+    assert int(max_rss_mb) < 128
+
+
 def test_a_seed_on_the_right_wall_is_refused():
     # a seed in the two rightmost columns can leave the box at once: here
     # its up-right edge is open, so the true boundary is at 1 on level 1,
@@ -497,7 +654,8 @@ def _propagate(reach, open_ur, open_ul, step):
 
 
 def _entries(box, j):
-    """Columns of row j + 1 hit by an open edge from a site left of row j."""
+    """Columns of row j + 1 hit by an open edge from a site left of row j,
+    on the lattice."""
     t = box.t_min + j
     hit = []
     for x in range(box.lefts[j] - 4, box.lefts[j]):
@@ -521,7 +679,8 @@ def _reference_tables(box, start_x, n):
         step = box.lefts[j] - box.lefts[j - 1]
         lo = _propagate(lower[-1], box.open_ur[j - 1], box.open_ul[j - 1], step)
         hi = _propagate(upper[-1], box.open_ur[j - 1], box.open_ul[j - 1], step)
-        hi[_entries(box, j - 1)] = True
+        if box.entry_open[j - 1]:
+            hi[(box.lefts[j] + box.t_min + j) % 2] = True
         lower.append(lo)
         upper.append(hi)
         if hi[-1] or hi[-2]:
@@ -632,10 +791,19 @@ def _bit_row_dp_matches_numpy_rows(p, stream, x_min, t_min, width, height,
                  max_size=height)), label="steps")
     box = BoxConfig(Config(3, p, stream), x_min, x_min + width, t_min,
                     t_min + height, np.cumsum([0, *steps]))
+    # the entry flag marks the one lattice edge from left of the box that
+    # lands on the next row, at its first site
+    for j in range(height):
+        first = (box.lefts[j + 1] + t_min + j + 1) % 2
+        assert _entries(box, j) == ([first] if box.entry_open[j] else [])
     # edits made after construction must reach the DP, odd cells included
     for _ in range(data.draw(st.integers(0, 3))):
-        arr = data.draw(st.sampled_from([box.open_ur, box.open_ul]))
+        arr = data.draw(st.sampled_from(
+            [box.open_ur, box.open_ul, box.entry_open]))
         t = data.draw(st.integers(0, height - 1))
+        if arr.ndim == 1:
+            arr[t] = not arr[t]
+            continue
         x = data.draw(st.integers(0, width))
         arr[t, x] = not arr[t, x]
     start_x = data.draw(st.integers(x_min, x_min + width))
