@@ -3,29 +3,35 @@
 Each body here makes one C call, which makes, runs and frees its walks and
 hands back a few integers or fills arrays that Python allocated and owns:
 no walk outlives the call, and nothing is copied after it.  `lockstep` is
-the native body of `explore.walk_lockstep` (``walk_value`` for one start,
+the body of `explore.walk_lockstep` (``walk_value`` for one start,
 ``walk_pair`` for an equal-time pair), `breaks` of the estimate worker
 `regen._estimate_worker` (``walk_breaks``), and `bounds` of
 `explore.explore_to_level` (``walk_bounds``).  The judge of these walks
 runs no walk code: `edges` writes the edge statuses of an
 `oracle.BoxConfig` into the box's own arrays (``box_edges``, with its own
 copy of the edge hash), and `dp` is the certified DP of `oracle` on one
-box (``dp_box``), which reads only those arrays.  Each caller picks it by
-one rule: the native body when `load` succeeds, and else its Python
-reference.
+box (``dp_box``), which reads only those arrays.  These are the only
+bodies of those computations in the package.  The Python references they
+are tested against live with the tests: the walks' in
+``tests/_references.py``, on `explore.ExplorationCluster`, and the DP's
+and the box fill's in ``tests/test_oracle.py``.  Where the header of
+``_walk.c`` names ``regen.break_point_arrays``, ``oracle._reach_tables``
+or ``oracle._path_from_tables``, it names those references.
 
-`explore` imports this module the first time a Config-driven walk runs,
-never at ``import opweb``.  The first `load` in a process compiles
-``_walk.c`` with the local ``cc`` (or ``gcc``) unless a cached build exists,
-and loads it through ctypes.  The cache is the package's ``__pycache__``,
-file ``_walk-<key>.so``, where ``<key>`` hashes the source, the compiler and
-its flags.  A build is written to a temporary file and moved into place by
-``os.replace``, so concurrent processes only ever see whole files; the other
-``_walk-*.so`` files, builds of older sources, are then removed.  Every
-cached file ends in a trailer holding its key and the SHA-256 of the bytes
-before it; a file whose trailer does not check out (truncated, stale or
-foreign) is rebuilt and never loaded.  Without a compiler, or with an
-unwritable cache, `load` returns None and every walk is the Python walk.
+`explore` and `oracle` import this module the first time a walk or a box
+needs it, never at ``import opweb``.  The first `load` in a process
+compiles ``_walk.c`` with the local ``cc`` (or ``gcc``) unless a cached
+build exists, and loads it through ctypes.  The cache is the package's
+``__pycache__``, file ``_walk-<key>.so``, where ``<key>`` hashes the
+source, the compiler and its flags.  A build is written to a temporary
+file and moved into place by ``os.replace``, so concurrent processes only
+ever see whole files; the other ``_walk-*.so`` files, builds of older
+sources, are then removed.  Every cached file ends in a trailer holding
+its key and the SHA-256 of the bytes before it; a file whose trailer does
+not check out (truncated, stale or foreign) is rebuilt and never loaded.
+The library is required: without a compiler, with an unreadable source, a
+failed build, an unwritable cache or a library that does not load, `load`
+raises `NativeLibraryError`, which names the cause.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NativeLibraryError
 from .explore import Boundaries, guard_error
 from .lattice import MASK64
 
@@ -59,7 +65,6 @@ _GUARD = 1
 _NOMEM = 2
 
 _lib = None
-_tried = False
 
 # what walk_value and walk_pair write: the merge's level from the start, or
 # -1; two r values; and the report of the walk that stopped
@@ -88,13 +93,13 @@ _ENTRIES = {
 
 
 def load():
-    """The native library, or None when it cannot be built or loaded here.
+    """The native library, built and loaded on the first call in a process.
 
-    Tried once per process; forked pool workers inherit the result.
+    Raises `NativeLibraryError` when it cannot be built or loaded here; the
+    next call tries again.  Forked pool workers inherit a loaded library.
     """
-    global _lib, _tried
-    if not _tried:
-        _tried = True
+    global _lib
+    if _lib is None:
         _lib = _load()
     return _lib
 
@@ -102,19 +107,20 @@ def load():
 def _load():
     cc = next(filter(shutil.which, _COMPILERS), None)
     if cc is None:
-        return None
+        raise NativeLibraryError(
+            f"no C compiler: none of {', '.join(_COMPILERS)} is on PATH")
     try:
         source = _SOURCE.read_bytes()
-    except OSError:
-        return None
+    except OSError as e:
+        raise NativeLibraryError(f"cannot read {_SOURCE}: {e}") from e
     key = _key(source, cc)
     path = _CACHE / f"_walk-{key.decode()}.so"
+    if not _valid(path, key):
+        _build(cc, source, path, key)
     try:
-        if not _valid(path, key):
-            _build(cc, source, path, key)
         lib = ctypes.CDLL(str(path))
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except OSError as e:
+        raise NativeLibraryError(f"cannot load {path}: {e}") from e
     for name, (argtypes, restype) in _ENTRIES.items():
         fn = getattr(lib, name)
         fn.argtypes = argtypes
@@ -144,24 +150,47 @@ def _valid(path: Path, key: bytes) -> bool:
 
 
 def _build(cc: str, source: bytes, path: Path, key: bytes) -> None:
-    path.parent.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix="_walk-", suffix=".tmp")
-    os.close(fd)
     try:
-        subprocess.run([cc, *_CFLAGS, "-x", "c", "-o", tmp, "-"], input=source,
-                       capture_output=True, check=True, timeout=120)
+        path.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix="_walk-",
+                                   suffix=".tmp")
+        os.close(fd)
+    except OSError as e:
+        raise NativeLibraryError(
+            f"cannot write the build cache {path.parent}: {e}") from e
+    try:
+        _compile(cc, source, tmp)
         with open(tmp, "r+b") as fh:
             body = fh.read()
             fh.write(_trailer(body, key))
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise NativeLibraryError(
+                f"cannot write the build cache {path.parent}: {e}") from e
         raise
     for stale in path.parent.glob("_walk-*.so"):
         if stale != path:
             with contextlib.suppress(OSError):
                 stale.unlink()
+
+
+def _compile(cc: str, source: bytes, out: str) -> None:
+    """Compile ``source`` into the shared library ``out``."""
+    try:
+        subprocess.run([cc, *_CFLAGS, "-x", "c", "-o", out, "-"],
+                       input=source, capture_output=True, check=True,
+                       timeout=120)
+    except subprocess.CalledProcessError as e:
+        lines = e.stderr.decode(errors="replace").strip().splitlines()
+        raise NativeLibraryError(
+            f"{cc} failed to build {_SOURCE.name}"
+            + (f": {lines[0]}" if lines else "")) from e
+    except (OSError, subprocess.TimeoutExpired) as e:
+        raise NativeLibraryError(
+            f"{cc} failed to build {_SOURCE.name}: {e}") from e
 
 
 def _sampler(cfg) -> tuple:
@@ -203,8 +232,9 @@ def lockstep(xs, t0: int, level: int, cfg, scan_guard):
 
 def breaks(cfg, n: int, margin: int, scan_guard):
     """The estimate worker's body in one C call: the six break-point sums
-    of the walk from (0, 0) to level ``n + margin`` and r(n), as
-    `regen._estimate_reference` returns them.  Needs ``0 < margin <= n``."""
+    of the walk from (0, 0) to level ``n + margin``, as
+    `regen.RegenAccumulator.add` takes them, and r(n).  Needs
+    ``0 < margin <= n``."""
     out = _Breaks()
     code = load().walk_breaks(0, 0, *_sampler(cfg), _guard(scan_guard), n,
                               margin, out)

@@ -3,9 +3,12 @@
 Subcommands: ``simulate | estimate | coalesce | eta | check``.  A run is
 pinned by its spec (flags or ``--spec`` JSON file; flags win) plus the
 package version; outputs are byte-identical across repeat runs and worker
-counts, and every output file embeds the spec hash.  Exit codes: 0 ok,
-1 check failures, 2 invalid spec, insufficient data or out of memory,
-3 scan guard tripped, 4 I/O failure.
+counts, and every output file embeds the spec hash.  Every walk runs in
+the native library of ``_walk.c``, built with the local C compiler on the
+first walk of a process.  Exit codes: 0 ok, 1 check failures, 2 invalid
+spec, insufficient data or out of memory, 3 scan guard tripped, 4 I/O
+failure or a native library that cannot be built or loaded
+(`NativeLibraryError`, whose message names the cause).
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import numpy as np
 from . import __version__
 from .couple import coalescence_survival_curve
 from .errors import (InsufficientDataError, InvalidArgumentError,
-                     InvalidSiteError, ScanLimitExceededError)
+                     InvalidSiteError, NativeLibraryError,
+                     ScanLimitExceededError)
 from .explore import explore_to_level, write_trajectory_csv
 from .lattice import (LatticeSite, STREAMS_PER_REPLICA, calibration_seed,
                       replica_config)
@@ -254,7 +258,7 @@ def cmd_check(spec: ExperimentSpec) -> int:
     # --delta doubles as the list of p values to sweep; default suite below
     ps = spec.delta or (0.7, 0.8, 0.9)
     report = check_suite(ps, spec.replicas, spec.n, spec.seed,
-                         workers=spec.workers)
+                         workers=spec.workers, scan_guard=spec.scan_guard)
     for p in ps:
         ok = report["per_p"][p]
         print(f"p={p}: {ok['passed']}/{ok['total']} exact matches")
@@ -360,9 +364,13 @@ def spec_from_args(args) -> ExperimentSpec:
         # check reads its list of p values from --delta
         if not all(0.0 <= p <= 1.0 for p in spec.delta):
             raise InvalidArgumentError("check p values must lie in [0, 1]")
+        if spec.n < 1:
+            raise InvalidArgumentError("check needs --n of at least 1")
     elif spec.command in ("coalesce", "eta"):
         if any(delta <= 0 for delta in spec.delta):
             raise InvalidArgumentError("delta must be positive")
+        if any(t <= 0 for t in spec.t):
+            raise InvalidArgumentError("t must be positive")
     return spec
 
 
@@ -388,6 +396,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as e:
         print(f"i/o failure: {e}", file=sys.stderr)
+        return 4
+    except NativeLibraryError as e:
+        print(f"native library unavailable: {e}", file=sys.stderr)
         return 4
 
 

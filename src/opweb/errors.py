@@ -38,3 +38,11 @@ class NoPathError(OpwebError):
 
 class PreconditionNotMetError(OpwebError):
     """A structural precondition of the requested check does not hold."""
+
+
+class NativeLibraryError(OpwebError):
+    """The native walk library of ``_walk.c`` cannot be built or loaded.
+
+    The message names the cause: no C compiler, an unreadable source, a
+    failed build, an unwritable cache or a library that does not load.
+    """

@@ -22,26 +22,25 @@ the next push at its level (the argument is in ``_walk.c``).  Neither walk
 keeps the examined edges, only their count, `n_examined`.
 
 There are two walks, integer-identical.  `ExplorationCluster` is the Python
-walk, the reference: a resumable cluster, advanced level by level, which
-the ledger coupling (`opweb.couple.run_coupled_many`) drives through an
-edge ``source``.  The native walk of ``_walk.c`` runs to its end inside one
-C call, built with the local C compiler on the first such call in a
-process (never at import) and cached in the package's ``__pycache__``.
+walk: a resumable cluster, advanced level by level, which the ledger
+coupling (`opweb.couple.run_coupled_many`) drives through an edge
+``source``, and from which the tests build the references that the native
+walk is compared with.  The native walk of ``_walk.c`` runs to its end
+inside one C call, built with the local C compiler on the first such call
+in a process (never at import) and cached in the package's
+``__pycache__``; a machine where it cannot be built raises
+`opweb.errors.NativeLibraryError`.
 
-Every walk that starts from a `Config` picks its body by one rule: the
-native body when the native library loads, and else a reference made from
-Python walks.  There are three such walks, one per shape of answer.
-`explore_to_level` runs one start to its boundaries: r through a horizon,
-the left boundary ``l`` frozen at a level ``n``, and the left boundary at
-the horizon, the stand-in γ for the rightmost infinite open path
-(`opweb._native.bounds`, else `_bounds_reference`).  `walk_lockstep` serves
-callers that need r at one level: one start, or an equal-time pair walked
-in lockstep up to the level where it merges (`opweb._native.lockstep`,
-else `_lockstep_reference`).  The estimate worker needs only the sums of
+Every walk that starts from a `Config` is one native call, and there are
+three, one per shape of answer.  `explore_to_level` runs one start to its
+boundaries: r through a horizon, the left boundary ``l`` frozen at a level
+``n``, and the left boundary at the horizon, the stand-in γ for the
+rightmost infinite open path (`opweb._native.bounds`).  `walk_lockstep`
+serves callers that need r at one level: one start, or an equal-time pair
+walked in lockstep up to the level where it merges
+(`opweb._native.lockstep`).  The estimate worker needs only the sums of
 the increments between break points, where r meets the left boundary at
-the horizon (`opweb._native.breaks`, else
-`opweb.regen._estimate_reference`).  Machines without a working compiler
-run every walk in Python.
+the horizon (`opweb._native.breaks`).
 
 The Python walk always keeps its left-delta record (`left_deltas`): per
 level, the lowest stack index the advance rewrote and the stack from there
@@ -260,8 +259,7 @@ def explore_to_level(z: LatticeSite, n: int, cfg: Config, *,
     boundary at target level ``n``, and r and γ at ``horizon`` (by default
     ``n``), from one walk.
 
-    Runs the native walk when the library loads, and else the Python walk
-    (`_bounds_reference`).  A tripped scan guard raises its
+    Runs the native walk.  A tripped scan guard raises its
     ScanLimitExceededError.
     """
     if n < z.t:
@@ -270,19 +268,7 @@ def explore_to_level(z: LatticeSite, n: int, cfg: Config, *,
     if horizon < n:
         raise InvalidArgumentError(f"horizon {horizon} precedes level {n}")
     from . import _native  # may build the library: not at import
-    if _native.load() is not None:
-        return _native.bounds(z, n, horizon, cfg, scan_guard)
-    return _bounds_reference(z, n, horizon, cfg, scan_guard)
-
-
-def _bounds_reference(z, n, horizon, cfg, scan_guard) -> Boundaries:
-    """`explore_to_level` on the Python walk, the reference."""
-    cluster = ExplorationCluster(z, cfg, scan_guard=scan_guard)
-    cluster.advance_to(n)
-    left = cluster.left_values
-    cluster.advance_to(horizon)
-    return Boundaries(z, cluster.right_values, left, cluster.left_values,
-                      cluster.scan_offset, cluster.n_examined)
+    return _native.bounds(z, n, horizon, cfg, scan_guard)
 
 
 def walk_lockstep(xs, t0: int, level: int, cfg: Config, *, scan_guard):
@@ -301,24 +287,7 @@ def walk_lockstep(xs, t0: int, level: int, cfg: Config, *, scan_guard):
     walk after the merge is never reached.
     """
     from . import _native  # may build the library: not at import
-    if _native.load() is not None:
-        return _native.lockstep(xs, t0, level, cfg, scan_guard)
-    return _lockstep_reference(xs, t0, level, cfg, scan_guard)
-
-
-def _lockstep_reference(xs, t0, level, cfg, scan_guard):
-    """`walk_lockstep` on Python walks, the reference."""
-    walks = [ExplorationCluster(LatticeSite(x, t0), cfg,
-                                scan_guard=scan_guard) for x in xs]
-    pair = len(xs) == 2
-    values, n = list(xs), t0
-    while n < level and not (pair and values[1] <= values[0]):
-        n += 1
-        values = [w.advance_level() for w in walks]
-    if pair and values[1] <= values[0]:
-        walks[0].advance_to(level)
-        return n, None
-    return None, tuple(values)
+    return _native.lockstep(xs, t0, level, cfg, scan_guard)
 
 
 def gamma_approx(z: LatticeSite, horizon: int, cfg: Config, *,

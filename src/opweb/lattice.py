@@ -19,15 +19,20 @@ mix with `mix64` inlined.  Each other copy of the hash is pinned to it by
 a test:
 
 * the numpy one, `edge_status_array`, by
-  ``test_determinism_and_vector_scalar_agreement``;
+  ``test_determinism_and_vector_scalar_agreement``.  No walk or box reads
+  it: the tests build their reference boxes from it;
 * the walk's ``sample`` in ``_walk.c``, through the walks it drives, by
-  ``test_native_walk_matches_python_walk``, whose Python walk samples
-  through `make_key_sampler`;
+  ``test_native_walk_matches_python_walk`` and the walk references of
+  ``tests/_references.py``, whose Python walk samples through
+  `make_key_sampler`;
 * the judge's ``box_open`` in ``_walk.c``, which ``box_edges`` runs to fill
   an `oracle.BoxConfig`, cell by cell against `edge_status_array` by
   ``test_box_fill_matches_the_lattice_bit_for_bit``.  Its all-open flag
   stands in for the threshold ``2**64`` of p = 1, as
   ``test_an_edge_hashed_to_the_top_is_open_at_p_one`` checks.
+
+``_walk.c`` holds the only body of each walk and of the judge in the
+package; their Python references live with the tests.
 """
 
 from __future__ import annotations

@@ -22,15 +22,13 @@ The DP runs on bit rows: each box row is packed at DP time, bit ``i``
 standing for column ``lefts[j] + i``, so one level of reachability is
 ``((r & ur) << 2 | (r & ul)) >> (1 + d)`` masked to the box width, where
 ``d = lefts[j + 1] - lefts[j]``, and a row's rightmost reachable site is
-its bit length less one.  `_certified_dp` runs it by the rule of every
-walk: the native body, ``dp_box`` of ``_walk.c`` on rows of 64-bit words,
-when `opweb._native` loads, and else the Python reference, one int per row
-(`_reach_tables`, `_path_from_tables`).  Both bodies read only the box's
-own arrays.  These are filled by the same rule: by ``box_edges`` of
-``_walk.c``, which hashes each edge with its own copy of the lattice's
-mix, or else from `lattice.edge_status_array` (`_edges_reference`).  No
-fill and no DP calls the walk's sampler or any other walk code, so a
-fault in the walk cannot also hide in its judge.
+its bit length less one.  `_certified_dp` runs it in one call of
+``dp_box`` of ``_walk.c``, on rows of 64-bit words, which reads only the
+box's own arrays.  These are filled by ``box_edges`` of ``_walk.c``, which
+hashes each edge with its own copy of the lattice's mix.  Neither calls
+the walk's sampler or any other walk code, so a fault in the walk cannot
+also hide in its judge.  The tests hold the references of both: a DP on
+numpy bool rows, and the box's cells read from `lattice.edge_status_array`.
 
 A narrow box certifies only what a wider one would.  Take boxes B inside W
 over the same levels, of any shape, and compare them on B's cells.  B's
@@ -64,8 +62,8 @@ import numpy as np
 
 from .errors import (BoxTooNarrowError, InvalidArgumentError, NoPathError,
                      ScanLimitExceededError)
-from .explore import explore_to_level
-from .lattice import Config, LatticeSite, edge_status_array, replica_config
+from .explore import DEFAULT_SCAN_GUARD, explore_to_level
+from .lattice import Config, LatticeSite, replica_config
 from .runner import pmap
 
 
@@ -83,8 +81,7 @@ class BoxConfig:
     left of row ``j`` when that edge lands on row ``j + 1``, at its first
     site, else False: the only kind of edge through which anything left of
     the box can influence it.  The three arrays are C-contiguous bool,
-    filled by ``box_edges`` of ``_walk.c`` when `opweb._native` loads, and
-    else from `lattice.edge_status_array`.  The DP reads them as they are
+    filled by ``box_edges`` of ``_walk.c``.  The DP reads them as they are
     each time it runs, packing ``open_ur``/``open_ul`` into bit rows (bit
     ``i`` of row ``j`` is column ``lefts[j] + i``), so edits to any of them
     after construction are seen by the next DP call.
@@ -102,7 +99,8 @@ class BoxConfig:
     lefts: list = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        # numpy integer bounds would turn the bit-row masks into int64
+        # as Python ints: a numpy bound of another dtype would change the
+        # dtype of the rows' left columns, x_min + shear
         self.x_min, self.x_max, self.t_min, self.t_max = map(
             int, (self.x_min, self.x_max, self.t_min, self.t_max))
         if self.x_max <= self.x_min or self.t_max <= self.t_min:
@@ -121,48 +119,7 @@ class BoxConfig:
         self.open_ul = np.empty_like(self.open_ur)
         self.entry_open = np.empty(height, dtype=bool)
         from . import _native  # may build the library: not at import
-        if _native.load() is not None:
-            _native.edges(self)
-        else:
-            _edges_reference(self)
-
-
-def _edges_reference(box: BoxConfig) -> None:
-    """``box_edges`` of ``_walk.c`` in numpy: the box's statuses from
-    `lattice.edge_status_array`, written into its arrays."""
-    height, width = box.open_ur.shape
-    lefts = box.x_min + box.shear
-    # row j's sites sit at the bits odd_j, odd_j + 2, ...: one broadcast
-    # call per direction covers every row.  On an odd-width box, rows with
-    # odd_j = 1 get one site past the right wall, dropped below.
-    rows = np.arange(height)
-    ts = box.t_min + rows
-    odd = ((lefts[:-1] + ts) & 1).astype(bool)[:, None]
-    k = (width + 1) // 2
-    xs = ((lefts[:-1, None] + odd) + 2 * np.arange(k)).ravel()
-    ft = np.repeat(ts, k)
-    box.open_ur[:] = _site_columns(
-        edge_status_array(box.cfg, xs, ft, np.ones_like(xs)), odd, width)
-    box.open_ul[:] = _site_columns(
-        edge_status_array(box.cfg, xs, ft, np.zeros_like(xs)), odd, width)
-    # the site just left of row j; its up-right edge lands on row j + 1's
-    # first site unless the wall steps right
-    sources = lefts[:-1] - 1 - ((lefts[:-1] - 1 + ts) & 1)
-    entering = sources + 1 >= lefts[1:]
-    box.entry_open[:] = False
-    if entering.any():
-        xs = sources[entering]
-        box.entry_open[entering] = edge_status_array(
-            box.cfg, xs, ts[entering], np.ones_like(xs))
-
-
-def _site_columns(status: np.ndarray, odd: np.ndarray, width: int):
-    """Site ``i`` of row ``j`` placed at column ``2 i + odd[j]``."""
-    status = status.reshape(len(odd), -1)
-    cells = np.zeros(status.shape + (2,), dtype=bool)
-    cells[:, :, 0] = status & ~odd
-    cells[:, :, 1] = status & odd
-    return cells.reshape(len(odd), -1)[:, :width]
+        _native.edges(self)
 
 
 @dataclass(frozen=True)
@@ -174,7 +131,7 @@ class DpBoundary:
     dead_from: int | None = None
 
 
-# the DP's refusals, by the codes that both bodies give them
+# the DP's refusals, by the codes that dp_box returns
 SEED_WALL, WALL, NO_PATH, TOP, UNSURE, LOST = range(1, 7)
 _REFUSALS = {
     SEED_WALL: (BoxTooNarrowError, "seed row touched the right wall"),
@@ -205,8 +162,7 @@ def _certified_dp(box: BoxConfig, start_x: int, n: int):
     Returns the right boundary over ``n`` levels and the rightmost path,
     each as its value or as the refusal that stands for it, so that a
     caller can rank the two; a reachable set that touches the right wall
-    refuses both and is raised.  The body is ``dp_box`` of ``_walk.c``
-    when the native library loads, and else the Python bit rows.
+    refuses both and is raised.  The body is ``dp_box`` of ``_walk.c``.
     """
     lefts = box.lefts
     width = box.x_max - box.x_min + 1
@@ -215,73 +171,12 @@ def _certified_dp(box: BoxConfig, start_x: int, n: int):
     if box.t_min + n > box.t_max:
         raise InvalidArgumentError("box too short for the requested levels")
     from . import _native  # may build the library: not at import
-    if _native.load() is not None:
-        code, _, _, lengths, path, (j, x) = _native.dp(
-            box, start_x - lefts[0], n)
-        if code in (SEED_WALL, WALL):
-            raise _refusal(code)
-        if code:
-            path = _refusal(code, box.t_min + j, x)
-    else:
-        tables = _reach_tables(box, start_x, n)
-        lengths = np.array([list(map(int.bit_length, rows))
-                            for rows in tables[:2]], dtype=np.int64)
-        try:
-            path = _path_from_tables(box, tables, n)
-        except (BoxTooNarrowError, NoPathError) as refusal:
-            path = refusal
+    code, _, _, lengths, path, (j, x) = _native.dp(box, start_x - lefts[0], n)
+    if code in (SEED_WALL, WALL):
+        raise _refusal(code)
+    if code:
+        path = _refusal(code, box.t_min + j, x)
     return _boundary_from_lengths(box, *lengths, n), path
-
-
-def _bit_rows(arr: np.ndarray) -> list[int]:
-    """Each row of a bool array as an int; bit i is column i."""
-    packed = np.packbits(arr, axis=1, bitorder="little")
-    k = packed.shape[1]
-    if k <= 8:
-        # one 64-bit word per row, converted in one call
-        words = np.zeros((len(packed), 8), dtype=np.uint8)
-        words[:, :k] = packed
-        return words.view("<u8")[:, 0].tolist()
-    blob = packed.tobytes()
-    return [int.from_bytes(blob[i:i + k], "little")
-            for i in range(0, len(blob), k)]
-
-
-def _reach_tables(box: BoxConfig, start_x: int, n: int):
-    """Lower (truncated seeds) and upper (wall-pessimistic) reach tables.
-
-    Returns the two tables as bit rows, one int per level, with the packed
-    ``open_ur``/``open_ul`` rows they were built from.
-    """
-    lefts = box.lefts
-    width = box.x_max - box.x_min + 1
-    ur = _bit_rows(box.open_ur[:n])
-    ul = _bit_rows(box.open_ul[:n])
-    full = (1 << width) - 1
-    wall = 0b11 << (width - 2)
-    # seeds: every column up to start_x whose site has even parity
-    c0 = (lefts[0] + box.t_min) % 2
-    seed = sum(1 << c for c in range(c0, start_x - lefts[0] + 1, 2))
-    if seed & wall:
-        raise _refusal(SEED_WALL)
-    # a cell at bit i of row j moves to bit i + 1 - d (up-right) or
-    # i - 1 - d (up-left) of row j + 1, where d = lefts[j + 1] - lefts[j]
-    drops = (1 + np.diff(box.shear[:n + 1])).tolist()
-    # an open entry edge marks row j + 1's first site, at bit 0 or 1
-    firsts = (box.x_min + box.shear[1:n + 1] + box.t_min
-              + np.arange(1, n + 1)) & 1
-    entries = (box.entry_open[:n].astype(np.int64) << firsts).tolist()
-    lower = [seed]
-    upper = [seed]
-    lo = hi = seed
-    for u, v, drop, entry in zip(ur, ul, drops, entries):
-        lo = (((lo & u) << 2 | (lo & v)) >> drop) & full
-        hi = ((((hi & u) << 2 | (hi & v)) >> drop) & full) | entry
-        lower.append(lo)
-        upper.append(hi)
-        if hi & wall:
-            raise _refusal(WALL)
-    return lower, upper, ur, ul
 
 
 def _max_or_none(length: int, left: int):
@@ -326,42 +221,6 @@ def dp_rightmost_path(box: BoxConfig, start_x: int, n: int) -> np.ndarray:
     pessimistic tables, otherwise the path cannot be certified.
     """
     return _raised(_certified_dp(box, start_x, n)[1])
-
-
-def _path_from_tables(box: BoxConfig, tables, n: int) -> np.ndarray:
-    lower, upper, ur, ul = tables
-    lefts = box.lefts
-    anchor = _max_or_none(lower[n].bit_length(), lefts[n])
-    if anchor is None or anchor != _max_or_none(upper[n].bit_length(),
-                                                lefts[n]):
-        raise _refusal(NO_PATH if lower[n] == upper[n] == 0 else TOP,
-                       box.t_min + n)
-    width = box.x_max - box.x_min + 1
-    path = [anchor]
-    y = anchor
-    for j in range(n - 1, -1, -1):
-        lo = lower[j]
-        unsure = lo ^ upper[j]
-        # the up-left edge from y + 1 first, then the up-right one from y - 1
-        ci = y + 1 - lefts[j]
-        if 0 <= ci < width:
-            if unsure >> ci & 1:
-                raise _refusal(UNSURE, box.t_min + j, y + 1)
-            if (lo & ul[j]) >> ci & 1:
-                y += 1
-                path.append(y)
-                continue
-        ci -= 2
-        if 0 <= ci < width:
-            if unsure >> ci & 1:
-                raise _refusal(UNSURE, box.t_min + j, y - 1)
-            if (lo & ur[j]) >> ci & 1:
-                y -= 1
-                path.append(y)
-                continue
-        raise _refusal(LOST)
-    path.reverse()
-    return np.array(path, dtype=np.int64)
 
 
 FIRST_MARGIN = 16  # columns between a ladder's first band and the walk's path
@@ -481,8 +340,8 @@ def _ladder_outcome(cfg: Config, n: int, right: np.ndarray, left: np.ndarray,
 
 
 def _check_worker(args):
-    cfg, n, slack, corrupt = args
-    b = explore_to_level(LatticeSite(0, 0), n, cfg)
+    cfg, n, slack, corrupt, scan_guard = args
+    b = explore_to_level(LatticeSite(0, 0), n, cfg, scan_guard=scan_guard)
     r, left = b.right, b.left
     if corrupt:
         r[n // 2] += 1
@@ -490,14 +349,17 @@ def _check_worker(args):
 
 
 def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
-                slack: int = 64, corrupt_run: int | None = None) -> dict:
+                scan_guard: int = DEFAULT_SCAN_GUARD, slack: int = 64,
+                corrupt_run: int | None = None) -> dict:
     """Exact explore-vs-DP equivalence sweep plus the p=0 guard agreement.
 
-    Every run demands integer equality of both boundaries.  The box follows
-    the walk: each walk is judged on the bands of `box_ladder`, and a true
-    walk on the first of them, so a run reports ``box_too_narrow`` or
-    ``dp_dead`` only when the last box, the rectangle ``2n + slack``
-    columns left of the walk's path, refuses or dies.
+    Every run demands integer equality of both boundaries.  Each judged
+    walk runs with ``scan_guard``, and a tripped guard raises its
+    ScanLimitExceededError; the p = 0 probe keeps a guard of its own.  The
+    box follows the walk: each walk is judged on the bands of `box_ladder`,
+    and a true walk on the first of them, so a run reports
+    ``box_too_narrow`` or ``dp_dead`` only when the last box, the rectangle
+    ``2n + slack`` columns left of the walk's path, refuses or dies.
     ``corrupt_run`` injects an off-by-one into that run's explored right
     boundary (negative control for the reporting path).  The p values must
     be distinct: the report keeps one tally per p.
@@ -510,7 +372,7 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
         for rep in range(seeds_per_p):
             idx = ip * seeds_per_p + rep
             jobs.append((replica_config(seed, p, idx), n, slack,
-                         idx == corrupt_run))
+                         idx == corrupt_run, scan_guard))
             labels.append((p, rep))
     outcomes = pmap(_check_worker, jobs, workers)
     per_p = {p: {"passed": 0, "total": seeds_per_p} for p in ps}

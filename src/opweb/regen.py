@@ -10,10 +10,10 @@ from estimation.
 
 Each estimate replica hands `RegenAccumulator` six integer sums of its
 increments and nothing else.  The estimate worker forms them in one C call
-(`opweb._native.breaks`, the ``walk_breaks`` entry of ``_walk.c``) when the
-native library loads, the rule of `opweb.explore.walk_lockstep`, and else
-in `_estimate_reference` on the Python walk, from `break_point_arrays` and
-`increment_sums`.
+(`opweb._native.breaks`, the ``walk_breaks`` entry of ``_walk.c``), which
+detects the break points on ``[0, n - margin]`` of a walk run to level
+``n + margin``: those inside the trailing ``margin`` levels of the window
+are discarded, as their survival evidence is one-sided.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
-from .explore import ExplorationCluster, explore_to_level
+from .explore import explore_to_level
 from .lattice import LatticeSite, replica_config
 from .runner import pmap
 from .stats import wilson_interval
@@ -42,30 +42,6 @@ class DriftDiffusivity:
     sigma_se: float
 
 
-def break_point_arrays(r, left, t0: int, n_end: int, margin: int):
-    """Break times and boundary values from an explored cluster's
-    boundaries.
-
-    ``r`` and ``left`` are the right and left boundaries of a cluster
-    started at time ``t0`` (its `right_values` and `left_values`), advanced
-    to at least ``n_end + margin``; detection runs on ``[t0, n_end]`` and
-    break points inside the trailing ``margin`` levels are discarded (their
-    survival evidence is one-sided).  Returns ``(T, RT)``: absolute break
-    times and ``r`` evaluated there.
-    """
-    horizon = n_end + margin
-    if margin <= 0:
-        raise InvalidArgumentError("margin must be positive")
-    if t0 + len(r) - 1 < horizon:
-        raise InvalidArgumentError("cluster not explored to the survival horizon")
-    keep = n_end - margin - t0
-    if keep < 0:
-        raise InvalidArgumentError("margin leaves no detection window")
-    r = r[:keep + 1]
-    idx = np.flatnonzero(r == left[:keep + 1])
-    return t0 + idx, r[idx]
-
-
 def _plugin(stats) -> tuple[float, float]:
     n, sx, st, sxx, sxt, stt = stats
     mx, mt, xx, xt, tt = sx / n, st / n, sxx / n, sxt / n, stt / n
@@ -74,25 +50,17 @@ def _plugin(stats) -> tuple[float, float]:
     return float(sx / st), math.sqrt(max(sigma2, 0.0))
 
 
-def increment_sums(X, tau) -> tuple:
-    """The six sums that `RegenAccumulator.add` takes, of integer
-    increments ``(X, tau)``: the count, ΣX, Στ, ΣX², ΣXτ and Στ²."""
-    X = np.asarray(X, dtype=np.int64)
-    tau = np.asarray(tau, dtype=np.int64)
-    return (len(X), int(X.sum()), int(tau.sum()), int(X @ X), int(X @ tau),
-            int(tau @ tau))
-
-
 class RegenAccumulator:
     """The one drift and diffusivity estimator: plug-in α and σ from
     per-replica sufficient statistics.
 
-    Feed each replica's six increment sums (`increment_sums`) with `add`;
-    a replica without records is dropped.  `finalize` pools every record.
-    Its standard errors come from ``b = min(DEFAULT_BATCHES, m)`` batches
-    of consecutive replicas, where ``m`` replicas hold records; replicas
-    are independent by design.  With ``m < 2`` the standard errors are
-    undefined and come out as NaN.
+    Feed each replica's six sums of its integer increments ``(X, tau)``
+    with `add`: the count, ΣX, Στ, ΣX², ΣXτ and Στ².  A replica without
+    records is dropped.  `finalize` pools every record.  Its standard
+    errors come from ``b = min(DEFAULT_BATCHES, m)`` batches of consecutive
+    replicas, where ``m`` replicas hold records; replicas are independent
+    by design.  With ``m < 2`` the standard errors are undefined and come
+    out as NaN.
     """
 
     def __init__(self):
@@ -121,22 +89,9 @@ class RegenAccumulator:
 
 
 def _estimate_worker(args):
-    """One replica's increment sums and r(n), from its native body when the
-    library loads and else from the reference."""
+    """One replica's increment sums and r(n), in one native call."""
     from . import _native  # may build the library: not at import
-    if _native.load() is not None:
-        return _native.breaks(*args)
-    return _estimate_reference(*args)
-
-
-def _estimate_reference(cfg, n, margin, scan_guard):
-    """`_estimate_worker` on the Python walk, the reference."""
-    cluster = ExplorationCluster(LatticeSite(0, 0), cfg,
-                                 scan_guard=scan_guard)
-    cluster.advance_to(n + margin)
-    r = cluster.right_values
-    T, RT = break_point_arrays(r, cluster.left_values, 0, n, margin)
-    return increment_sums(np.diff(RT), np.diff(T)), int(r[n])
+    return _native.breaks(*args)
 
 
 def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
@@ -145,7 +100,7 @@ def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
 
     Replica ``k`` explores ``replica_config(seed, p, k)`` to level
     ``n + margin`` and contributes the sums of the increments between its
-    break points (`break_point_arrays`), so its first record is left out.
+    break points on ``[0, n - margin]``, so its first record is left out.
     Needs ``0 < margin <= n``, checked before any walk starts.  Returns the
     pooled `DriftDiffusivity`, whose batches are whole replicas, and the
     endpoints ``r(n)``, one per replica.

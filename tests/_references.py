@@ -1,0 +1,85 @@
+"""Python references of the native walks, made from `ExplorationCluster`.
+
+Each reference takes the arguments of the `opweb._native` body it stands
+for and gives the same answer, or raises the same guard error:
+`bounds_reference` for `_native.bounds` (`explore.explore_to_level`),
+`lockstep_reference` for `_native.lockstep` (`explore.walk_lockstep`) and
+`estimate_reference` for `_native.breaks` (the estimate worker).  Tests
+compare each native body with its reference, and run the command line on
+the references by monkeypatching them over the native bodies.
+"""
+
+import numpy as np
+
+from opweb.errors import InvalidArgumentError
+from opweb.explore import Boundaries, ExplorationCluster
+from opweb.lattice import LatticeSite
+
+
+def bounds_reference(z, n, horizon, cfg, scan_guard) -> Boundaries:
+    """`explore_to_level` on the Python walk."""
+    cluster = ExplorationCluster(z, cfg, scan_guard=scan_guard)
+    cluster.advance_to(n)
+    left = cluster.left_values
+    cluster.advance_to(horizon)
+    return Boundaries(z, cluster.right_values, left, cluster.left_values,
+                      cluster.scan_offset, cluster.n_examined)
+
+
+def lockstep_reference(xs, t0, level, cfg, scan_guard):
+    """`walk_lockstep` on Python walks."""
+    walks = [ExplorationCluster(LatticeSite(x, t0), cfg,
+                                scan_guard=scan_guard) for x in xs]
+    pair = len(xs) == 2
+    values, n = list(xs), t0
+    while n < level and not (pair and values[1] <= values[0]):
+        n += 1
+        values = [w.advance_level() for w in walks]
+    if pair and values[1] <= values[0]:
+        walks[0].advance_to(level)
+        return n, None
+    return None, tuple(values)
+
+
+def break_point_arrays(r, left, t0: int, n_end: int, margin: int):
+    """Break times and boundary values from an explored cluster's
+    boundaries.
+
+    ``r`` and ``left`` are the right and left boundaries of a cluster
+    started at time ``t0`` (its `right_values` and `left_values`), advanced
+    to at least ``n_end + margin``; detection runs on ``[t0, n_end]`` and
+    break points inside the trailing ``margin`` levels are discarded (their
+    survival evidence is one-sided).  Returns ``(T, RT)``: absolute break
+    times and ``r`` evaluated there.
+    """
+    horizon = n_end + margin
+    if margin <= 0:
+        raise InvalidArgumentError("margin must be positive")
+    if t0 + len(r) - 1 < horizon:
+        raise InvalidArgumentError("cluster not explored to the survival horizon")
+    keep = n_end - margin - t0
+    if keep < 0:
+        raise InvalidArgumentError("margin leaves no detection window")
+    r = r[:keep + 1]
+    idx = np.flatnonzero(r == left[:keep + 1])
+    return t0 + idx, r[idx]
+
+
+def increment_sums(X, tau) -> tuple:
+    """The six sums that `RegenAccumulator.add` takes, of integer
+    increments ``(X, tau)``: the count, ΣX, Στ, ΣX², ΣXτ and Στ²."""
+    X = np.asarray(X, dtype=np.int64)
+    tau = np.asarray(tau, dtype=np.int64)
+    return (len(X), int(X.sum()), int(tau.sum()), int(X @ X), int(X @ tau),
+            int(tau @ tau))
+
+
+def estimate_reference(cfg, n, margin, scan_guard):
+    """The estimate worker on the Python walk: one replica's increment
+    sums and r(n)."""
+    cluster = ExplorationCluster(LatticeSite(0, 0), cfg,
+                                 scan_guard=scan_guard)
+    cluster.advance_to(n + margin)
+    r = cluster.right_values
+    T, RT = break_point_arrays(r, cluster.left_values, 0, n, margin)
+    return increment_sums(np.diff(RT), np.diff(T)), int(r[n])

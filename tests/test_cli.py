@@ -5,7 +5,6 @@ import dataclasses
 import functools
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +103,27 @@ def test_exit_2_on_invalid_spec(capsys, tmp_path):
     assert code == 2 and "bogus" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["coalesce", "--eps", "0.01", "--delta", "1", "--t", "0", "0.5",
+     "--sigma", "0.87", "--replicas", "3", "--out", "{out}"],
+    # no sigma: the calibration's walks would run first
+    ["eta", "--eps", "0.01", "--delta", "0.5", "--t", "-1", "--replicas", "3"],
+    ["check", "--delta", "0.8", "--n", "0", "--replicas", "2"],
+], ids=["coalesce_t", "eta_t", "check_n"])
+def test_exit_2_before_any_walk(capsys, tmp_path, monkeypatch, argv):
+    from opweb import _native
+
+    def walk(*args):
+        raise AssertionError("a walk ran before the spec was checked")
+
+    for body in ("bounds", "lockstep", "breaks", "edges", "dp"):
+        monkeypatch.setattr(_native, body, walk)
+    out = tmp_path / "out.csv"
+    code, stdout, err = _main(capsys, *(a.format(out=out) for a in argv))
+    assert code == 2 and err.startswith("invalid spec:")
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     '5', 'null', '["p"]', '{"p": "0.8"}', '{"eps": 0.1}', '{"t": [1, "a"]}',
     '{"seed": 2.7}', '{"scan_guard": 1e400}', '{"workers": "2"}',
@@ -138,8 +158,16 @@ def test_exit_3_through_the_native_walk(capsys):
     assert code == 3
     assert err == ("scan guard tripped: 50 start sites exhausted below "
                    "level 1\n")
-    if shutil.which("cc") or shutil.which("gcc"):
-        assert _native.load() is not None
+    assert _native.load() is not None
+
+
+def test_exit_3_when_the_check_walks_trip_their_guard(capsys):
+    # the judged walks run with the spec's guard; the p = 0 probe, which
+    # keeps a guard of its own, is never reached
+    code, out, err = _main(capsys, "check", "--delta", "0.55", "--n", "100",
+                           "--replicas", "2", "--scan-guard", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("scan guard tripped: 1 start sites exhausted")
 
 
 # n = 2**59: the native walk's size guard and numpy's allocation both refuse
@@ -152,9 +180,6 @@ HUGE_N = str(2**59)
     ["check", "--delta", "0.8", "--n", HUGE_N, "--replicas", "1"],
 ], ids=["estimate", "check"])
 def test_exit_2_when_a_walk_cannot_be_allocated(capsys, argv):
-    # the Python walk would run on instead, growing level by level
-    if not (shutil.which("cc") or shutil.which("gcc")):
-        pytest.skip("no cc or gcc on PATH")
     code, out, err = _main(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("out of memory: ") and err.count("\n") == 1
@@ -176,6 +201,34 @@ def test_exit_3_from_the_shared_configuration(capsys, tmp_path, argv):
     assert err == ("scan guard tripped: 10000 start sites exhausted below "
                    "level 18\n")
     assert not (tmp_path / "unused.csv").exists()
+
+
+NO_COMPILER_ARGV = {
+    "simulate": ["simulate", "--n", "20", "--out", "{dir}"],
+    "estimate": ["estimate", "--n", "200", "--margin", "50",
+                 "--replicas", "1"],
+    "coalesce": ["coalesce", "--eps", "0.01", "--t", "0.5", "--delta", "1",
+                 "--sigma", "0.87", "--replicas", "3", "--out", "{file}"],
+    "eta": ["eta", "--eps", "0.01", "--t", "0.5", "--delta", "0.5",
+            "--replicas", "3"],
+    "check": ["check", "--delta", "0.8", "--n", "10", "--replicas", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_COMPILER_ARGV))
+def test_every_subcommand_exits_4_without_a_compiler(capsys, tmp_path,
+                                                     fresh_loader,
+                                                     monkeypatch, command):
+    # every walk runs in the native library: with no compiler to build it,
+    # the first walk raises the typed error, and no output is written
+    monkeypatch.setattr(fresh_loader, "_COMPILERS", ("opweb-no-such-cc",))
+    out_file = tmp_path / "out.csv"
+    argv = [a.format(dir=tmp_path / "out", file=out_file)
+            for a in NO_COMPILER_ARGV[command]]
+    code, out, err = _main(capsys, *argv)
+    assert code == 4 and out == "" and not out_file.exists()
+    assert err == ("native library unavailable: no C compiler: none of "
+                   "opweb-no-such-cc is on PATH\n")
 
 
 def test_exit_4_on_unwritable_out(capsys, tmp_path):

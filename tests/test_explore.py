@@ -13,13 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opweb import _native
-from opweb.errors import (InvalidArgumentError, ScanLimitExceededError)
+from opweb.errors import (InvalidArgumentError, NativeLibraryError,
+                          ScanLimitExceededError)
 from opweb.couple import _first_leq
-from opweb.explore import (ExplorationCluster, _lockstep_reference,
-                           boundary_ordering_check, explore_to_level,
-                           gamma_approx, walk_lockstep, write_trajectory_csv)
+from opweb.explore import (ExplorationCluster, boundary_ordering_check,
+                           explore_to_level, gamma_approx, walk_lockstep,
+                           write_trajectory_csv)
 from opweb.lattice import (Config, LatticeSite, X_BIAS, make_key_sampler,
                            replica_config)
+
+from _references import lockstep_reference
 
 ORIGIN = LatticeSite(0, 0)
 
@@ -187,9 +190,8 @@ def test_scan_offset_counts_exhausted_starts():
 
 
 # -- the native walk against the Python walk ---------------------------------
-# A Config-driven walk runs the native walk when the library loads; a
-# cluster, and with it the stepped walk, is always the Python walk, the
-# reference.
+# A Config-driven walk runs the native walk; a cluster, and with it the
+# stepped walk, is always the Python walk, the reference.
 
 def _bounds_state(b):
     return (b.right.tolist(), b.left.tolist(), b.gamma.tolist(),
@@ -343,7 +345,7 @@ def test_lockstep_matches_whole_python_walks(seed, p, t0, x, gap,
         assert walk_lockstep((x0,), t0, level, cfg, scan_guard=10_000) == (
             None, (r[-1],))
     assert walk_lockstep(xs, t0, level, cfg, scan_guard=10_000) == expected
-    assert _lockstep_reference(xs, t0, level, cfg, 10_000) == expected
+    assert lockstep_reference(xs, t0, level, cfg, 10_000) == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -352,25 +354,20 @@ def test_lockstep_matches_whole_python_walks(seed, p, t0, x, gap,
        level_above=st.integers(0, 300), guard=st.integers(1, 60))
 def test_native_lockstep_trips_as_the_python_lockstep(seed, p, t0, gap,
                                                       level_above, guard):
-    if _native.load() is None:
-        pytest.skip("the native walk does not build here")
     cfg = Config(seed, p, 1)
     xl = t0 & 1
     level = t0 + level_above
     for xs in ((xl,), (xl + 2 * gap,), (xl, xl + 2 * gap)):
         assert _lockstep_outcome(_native.lockstep, xs, t0, level, cfg,
                                  guard) == _lockstep_outcome(
-            _lockstep_reference, xs, t0, level, cfg, guard)
+            lockstep_reference, xs, t0, level, cfg, guard)
 
 
 def test_left_walk_goes_on_past_the_merge_to_its_guard():
     # subcritical: the pair merges at level 5, and the left walk, which
     # goes on alone, trips its guard below level 18
     cfg = replica_config(0, 0.3, 0)
-    bodies = [_lockstep_reference]
-    if _native.load() is not None:
-        bodies.append(_native.lockstep)
-    for lockstep in bodies:
+    for lockstep in (lockstep_reference, _native.lockstep):
         assert lockstep((0, 4), 0, 17, cfg, 10_000) == (5, None)
         assert _lockstep_outcome(lockstep, (0, 4), 0, 18, cfg, 10_000) == (
             "10000 start sites exhausted below level 18", 10_000)
@@ -444,8 +441,6 @@ print(peak // 1024)
 def test_near_critical_native_walk_stays_small():
     # about 8.7 M sites die before the guard trips, and the walk keeps no
     # record of them: its buffers hold one entry per level
-    if _native.load() is None:
-        pytest.skip("the native walk does not build here")
     src = Path(_native.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", _NEAR_CRITICAL_WALK],
@@ -467,14 +462,45 @@ def test_walk_source_compiles_clean():
 
 
 def test_native_walk_loads_where_a_compiler_exists():
-    if not (shutil.which("cc") or shutil.which("gcc")):
-        pytest.skip("no cc or gcc on PATH")
     assert _native.load() is not None
     cfg = Config(1, 0.8, 1)
     reference = ExplorationCluster(ORIGIN, cfg)
     reference.advance_to(300)
     assert _bounds_state(explore_to_level(ORIGIN, 300, cfg)) == _walk_state(
         reference)
+
+
+def test_a_library_that_cannot_be_had_names_its_cause(fresh_loader,
+                                                     monkeypatch, tmp_path):
+    # no compiler, an unreadable source, a failed build, an unwritable
+    # cache and a library that does not load each raise the typed error,
+    # and the next load tries again
+    native = fresh_loader
+    broken = tmp_path / "broken.c"
+    broken.write_text("int walk_value(void) { return }\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    causes = {
+        "no C compiler": ("_COMPILERS", ("opweb-no-such-cc",)),
+        "cannot read": ("_SOURCE", tmp_path / "missing.c"),
+        "failed to build broken.c": ("_SOURCE", broken),
+        "cannot write the build cache": ("_CACHE", blocker / "cache"),
+    }
+    for cause, (name, value) in causes.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(native, name, value)
+            with pytest.raises(NativeLibraryError, match=cause):
+                native.load()
+        assert native._lib is None
+    # a whole cached file that is no shared library
+    key = native._key(native._SOURCE.read_bytes(),
+                      next(filter(shutil.which, native._COMPILERS)))
+    fake = tmp_path / f"_walk-{key.decode()}.so"
+    fake.write_bytes(b"not ELF" + native._trailer(b"not ELF", key))
+    with pytest.raises(NativeLibraryError, match="cannot load"):
+        native.load()
+    fake.unlink()
+    assert native.load() is not None
 
 
 def test_walk_exports_are_the_registered_entries():
@@ -501,21 +527,10 @@ def test_python_walk_for_sources_and_left_deltas():
         ExplorationCluster(ORIGIN)
 
 
-def test_python_walk_without_compiler(fresh_loader, monkeypatch):
-    cfg = Config(7, 0.7, 3)
-    native = explore_to_level(ORIGIN, 300, cfg, horizon=700)
-    monkeypatch.setattr(fresh_loader, "_tried", False)
-    monkeypatch.setattr(fresh_loader, "_COMPILERS", ("opweb-no-such-cc",))
-    fallback = explore_to_level(ORIGIN, 300, cfg, horizon=700)
-    assert fresh_loader.load() is None
-    assert _bounds_state(fallback) == _bounds_state(native)
-
-
 def test_damaged_cache_file_is_rebuilt_not_loaded(fresh_loader, monkeypatch,
                                                   tmp_path):
     native = fresh_loader
-    if native.load() is None:
-        pytest.skip("the native walk does not build here")
+    native.load()
     [cached] = tmp_path.glob("_walk-*.so")
     key = cached.name[len("_walk-"):-len(".so")].encode()
     whole = cached.read_bytes()
@@ -541,7 +556,7 @@ def test_damaged_cache_file_is_rebuilt_not_loaded(fresh_loader, monkeypatch,
         spare = tmp_path / "damaged"
         spare.write_bytes(content)
         spare.replace(cached)
-        monkeypatch.setattr(native, "_tried", False)
+        monkeypatch.setattr(native, "_lib", None)
         assert native.load() is not None, name
         assert native._valid(cached, key), name
     assert len(builds) == len(damaged)
@@ -553,8 +568,6 @@ def test_damaged_cache_file_is_rebuilt_not_loaded(fresh_loader, monkeypatch,
 
 
 def test_a_build_removes_older_builds(fresh_loader, tmp_path):
-    if not (shutil.which("cc") or shutil.which("gcc")):
-        pytest.skip("no cc or gcc on PATH")
     stale = [tmp_path / f"_walk-{key}.so" for key in ("0" * 16, "f" * 16)]
     kept = [tmp_path / "_walk-0000.tmp", tmp_path / "other.so"]
     for path in stale + kept:
@@ -570,9 +583,7 @@ def test_a_stale_build_without_an_entry_is_rebuilt(fresh_loader, tmp_path):
     # lacks walk_breaks: the source's hash in the key sends load to a new
     # build, which exports every entry that load registers
     native = fresh_loader
-    cc = next(filter(shutil.which, native._COMPILERS), None)
-    if cc is None:
-        pytest.skip("no cc or gcc on PATH")
+    cc = next(filter(shutil.which, native._COMPILERS))
     old = native._SOURCE.read_bytes().replace(b"walk_breaks", b"walk_gone")
     old_key = native._key(old, cc)
     stale = tmp_path / f"_walk-{old_key.decode()}.so"
@@ -595,8 +606,6 @@ def _build_and_walk(_):
 
 
 def test_concurrent_first_builds_load_whole_files(fresh_loader, tmp_path):
-    if not (shutil.which("cc") or shutil.which("gcc")):
-        pytest.skip("no cc or gcc on PATH")
     reference = ExplorationCluster(ORIGIN, Config(11, 0.75, 5))
     reference.advance_to(500)
     # forked workers start with the loader untried and the cache empty

@@ -19,6 +19,7 @@ from opweb.oracle import (BoxConfig, box_ladder, cbm_baseline, check_suite,
                           dp_rightmost_path, gap_walk_survival_exact)
 
 ERF_HALF = 0.5204998778130465  # math.erf(0.5)
+GUARD = 10_000  # the scan guard of the check workers' walks
 
 
 def test_dp_all_open():
@@ -114,14 +115,12 @@ def test_oracle_matches_exploration():
             assert list(dp_rightmost_path(box, 0, 30)) == list(left)
 
 
-def test_box_statuses_match_lattice_oracle(fresh_loader, monkeypatch):
+def test_box_statuses_match_lattice_oracle():
     # both row parities: the even columns of row 0 start at x_min or x_min+1;
     # the rectangle, a band whose wall follows a lattice path, and one whose
-    # wall also holds still; on each body of the box's fill
+    # wall also holds still
     shears = (None, [0, 1, 2, 1, 0, -1], [0, -1, -1, 0, 0, 1])
-    cases = ((p, shear) for _ in _bodies(fresh_loader, monkeypatch)
-             for p, shear in itertools.product((0.0, 0.6, 1.0), shears))
-    for p, shear in cases:
+    for p, shear in itertools.product((0.0, 0.6, 1.0), shears):
         for x_min, t_min in ((-4, 0), (-3, 0), (-4, 1), (-3, 1)):
             cfg = Config(7, p, 5)
             box = BoxConfig(cfg, x_min, x_min + 10, t_min, t_min + 5, shear)
@@ -177,31 +176,22 @@ def test_box_fill_matches_the_lattice_bit_for_bit(p, stream, x_min, t_min,
                                                   width, height, data):
     # boxes of 2 to 258 columns, one to five words, with rows whose last
     # site falls past the wall; rectangles and bands; p = 1 on the
-    # all-open flag; on each body of the box's fill
-    from opweb import _native
+    # all-open flag
     steps = data.draw(st.one_of(
         st.just([0] * height),
         st.lists(st.sampled_from([-1, 0, 1]), min_size=height,
                  max_size=height)), label="steps")
     cfg = Config(3, p, stream)
-    args = (cfg, x_min, x_min + width, t_min, t_min + height,
-            np.cumsum([0, *steps]))
-    boxes = []
-    with pytest.MonkeyPatch.context() as patch:
-        for _ in _bodies(_native, patch):
-            boxes.append(BoxConfig(*args))
-    want, site = _lattice_statuses(cfg, boxes[0].lefts, t_min, width + 1)
-    for box in boxes:
-        got = (box.open_ur, box.open_ul, box.entry_open)
-        for arr, shape in zip(got, [(height, width + 1)] * 2 + [(height,)]):
-            assert arr.dtype == bool and arr.flags.c_contiguous
-            assert arr.shape == shape
-        for arr, expected in zip(got, want):
-            assert np.array_equal(arr, expected)
-        assert not box.open_ur[~site].any() and not box.open_ul[~site].any()
-        for arr, reference in zip(got, (boxes[-1].open_ur, boxes[-1].open_ul,
-                                        boxes[-1].entry_open)):
-            assert np.array_equal(arr, reference)
+    box = BoxConfig(cfg, x_min, x_min + width, t_min, t_min + height,
+                    np.cumsum([0, *steps]))
+    want, site = _lattice_statuses(cfg, box.lefts, t_min, width + 1)
+    got = (box.open_ur, box.open_ul, box.entry_open)
+    for arr, shape in zip(got, [(height, width + 1)] * 2 + [(height,)]):
+        assert arr.dtype == bool and arr.flags.c_contiguous
+        assert arr.shape == shape
+    for arr, expected in zip(got, want):
+        assert np.array_equal(arr, expected)
+    assert not box.open_ur[~site].any() and not box.open_ul[~site].any()
 
 
 def _unshift(z, s):
@@ -231,24 +221,19 @@ def _edge_hashed_to_the_top(seed):
             return stream, x, t
 
 
-def test_an_edge_hashed_to_the_top_is_open_at_p_one(fresh_loader,
-                                                    monkeypatch):
+def test_an_edge_hashed_to_the_top_is_open_at_p_one():
     # at p = 1 every edge is open, the one whose hash is 2**64 - 1 too,
     # in the box's cells and as its entry edge; just below p = 1 it is shut
     stream, x, t = _edge_hashed_to_the_top(11)
-    for _ in _bodies(fresh_loader, monkeypatch):
-        for p in (1.0, 1 - 2.0**-53):
-            cfg = Config(11, p, stream)
-            cell = BoxConfig(cfg, x - 2, x + 2, t, t + 1)
-            entry = BoxConfig(cfg, x + 1, x + 5, t, t + 1)
-            assert cell.open_ur[0, 2] == entry.entry_open[0] == (p == 1.0)
-            assert edge_status_array(cfg, [x], [t], [1])[0] == (p == 1.0)
+    for p in (1.0, 1 - 2.0**-53):
+        cfg = Config(11, p, stream)
+        cell = BoxConfig(cfg, x - 2, x + 2, t, t + 1)
+        entry = BoxConfig(cfg, x + 1, x + 5, t, t + 1)
+        assert cell.open_ur[0, 2] == entry.entry_open[0] == (p == 1.0)
+        assert edge_status_array(cfg, [x], [t], [1])[0] == (p == 1.0)
 
 
 def test_arrays_that_do_not_fit_the_box_never_reach_the_native_dp():
-    from opweb import _native
-    if _native.load() is None:
-        pytest.skip("the native walk does not build here")
     box = BoxConfig(Config(7, 0.6, 5), -10, 10, 0, 5)
     box.open_ul = box.open_ul[:, :-1]
     with pytest.raises(InvalidArgumentError, match="do not fit"):
@@ -335,53 +320,35 @@ def _record_boxes(monkeypatch):
     return built, tabled
 
 
-def _bodies(native, patch):
-    """Each body of the certified DP in turn: the native one when
-    ``native``, the loader module, builds it here, then the Python bit rows
-    of a loader that finds no compiler.  ``patch`` undoes the switch."""
-    if native.load() is not None:
-        yield "native"
-    patch.setattr(native, "_lib", None)
-    patch.setattr(native, "_tried", False)
-    patch.setattr(native, "_COMPILERS", ("opweb-no-such-cc",))
-    assert native.load() is None
-    yield "python"
-
-
-def test_check_worker_builds_reach_tables_once_per_rung(fresh_loader,
-                                                        monkeypatch):
+def test_check_worker_builds_reach_tables_once_per_rung(monkeypatch):
     from opweb import oracle
     built, tabled = _record_boxes(monkeypatch)
-    for _ in _bodies(fresh_loader, monkeypatch):
-        for corrupt, outcome in ((False, "ok"),
-                                 (True, "right_boundary_mismatch")):
-            built.clear()
-            tabled.clear()
-            job = (Config(3, 0.8, 1024), 40, 64, corrupt)
-            assert oracle._check_worker(job) == outcome
-            assert len(built) == 1 and tabled == built
+    for corrupt, outcome in ((False, "ok"), (True, "right_boundary_mismatch")):
+        built.clear()
+        tabled.clear()
+        job = (Config(3, 0.8, 1024), 40, 64, corrupt, GUARD)
+        assert oracle._check_worker(job) == outcome
+        assert len(built) == 1 and tabled == built
 
 
-def test_check_dp_walks_certify_on_the_first_box(fresh_loader, monkeypatch):
+def test_check_dp_walks_certify_on_the_first_box(monkeypatch):
     # the benchmark's check-dp call at seed 1001: every walk is judged on
     # the first band, of at most (max(r - l) + m + 3) * n edges
     from opweb import oracle
     built, tabled = _record_boxes(monkeypatch)
     n = 500
-    for _ in _bodies(fresh_loader, monkeypatch):
-        for idx, p in enumerate((0.7, 0.7, 0.8, 0.8, 0.9, 0.9)):
-            cfg = replica_config(1001, p, idx)
-            built.clear()
-            tabled.clear()
-            assert oracle._check_worker((cfg, n, 64, False)) == "ok"
-            right, left = _walk(cfg, n)
-            (box,) = built
-            assert tabled == [box]
-            assert box.x_min == left[0] - oracle.FIRST_MARGIN
-            assert list(box.shear) == list(left - left[0])
-            edges = (box.x_max - box.x_min + 1) * (box.t_max - box.t_min)
-            assert edges <= ((right - left).max() + oracle.FIRST_MARGIN
-                             + 3) * n
+    for idx, p in enumerate((0.7, 0.7, 0.8, 0.8, 0.9, 0.9)):
+        cfg = replica_config(1001, p, idx)
+        built.clear()
+        tabled.clear()
+        assert oracle._check_worker((cfg, n, 64, False, GUARD)) == "ok"
+        right, left = _walk(cfg, n)
+        (box,) = built
+        assert tabled == [box]
+        assert box.x_min == left[0] - oracle.FIRST_MARGIN
+        assert list(box.shear) == list(left - left[0])
+        edges = (box.x_max - box.x_min + 1) * (box.t_max - box.t_min)
+        assert edges <= ((right - left).max() + oracle.FIRST_MARGIN + 3) * n
 
 
 @pytest.mark.parametrize("path_shift, boundary_shift, outcome, walls", [
@@ -488,7 +455,7 @@ def test_check_reports_a_refused_box_as_a_failure_kind(monkeypatch):
 
     # a refusal while backtracking the path is the same failure kind
     monkeypatch.setattr(oracle, "_certified_dp", refuse)
-    job = (Config(3, 0.8, 1024), 40, 64, False)
+    job = (Config(3, 0.8, 1024), 40, 64, False, GUARD)
     assert oracle._check_worker(job) == "box_too_narrow"
 
 
@@ -505,12 +472,12 @@ def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
     # p = 0.6, stream 1024: slack = -238 makes the only box [-264, 102]; it
     # dies at level 89 while the walk's path reaches column -302, left of
     # the box: the box cannot see it
-    job = (Config(0, 0.6, STREAMS_PER_REPLICA), 100, -238, False)
+    job = (Config(0, 0.6, STREAMS_PER_REPLICA), 100, -238, False, GUARD)
     assert oracle._check_worker(job) == "box_too_narrow"
     _, left = _walk(Config(0, 0.6, STREAMS_PER_REPLICA), 100)
     assert left.min() == -302
     # a box that dies under a walk whose path it holds is a real failure
-    ok_job = (Config(3, 0.8, 1024), 40, 64, False)
+    ok_job = (Config(3, 0.8, 1024), 40, 64, False, GUARD)
     assert oracle._check_worker(ok_job) == "ok"
     certified = oracle._certified_dp
 
@@ -530,8 +497,8 @@ def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
 def test_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
     # wherever the box [-2n - slack, n + 2] certifies, the ladder gives its
     # outcome, for the true walk and for walks that report their path too
-    # far right or their right boundary too far left, on both DP bodies
-    from opweb import _native, oracle
+    # far right or their right boundary too far left
+    from opweb import oracle
     slack = data.draw(st.integers(-2 * n, 256), label="slack")
     cfg = Config(11, p, stream)
     right, left = _walk(cfg, n)
@@ -542,16 +509,14 @@ def test_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
     boundary_shift = data.draw(st.integers(0, 4), label="boundary_shift")
     right = right - boundary_shift
     left = left + path_shift
-    with pytest.MonkeyPatch.context() as patch:
-        for _ in _bodies(_native, patch):
-            outcome = oracle._ladder_outcome(cfg, n, right, left, slack)
-            if not path_shift and not boundary_shift:
-                job = (cfg, n, slack, corrupt)
-                assert oracle._check_worker(job) == outcome
-            full = oracle._judge(BoxConfig(cfg, -2 * n - slack, n + 2, 0, n),
-                                 right, left, n)
-            if full not in ("box_too_narrow", "dp_dead"):
-                assert outcome == full
+    outcome = oracle._ladder_outcome(cfg, n, right, left, slack)
+    if not path_shift and not boundary_shift:
+        job = (cfg, n, slack, corrupt, GUARD)
+        assert oracle._check_worker(job) == outcome
+    full = oracle._judge(BoxConfig(cfg, -2 * n - slack, n + 2, 0, n),
+                         right, left, n)
+    if full not in ("box_too_narrow", "dp_dead"):
+        assert outcome == full
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -614,10 +579,8 @@ print(peak // 1024)
 
 def test_the_widest_box_stays_small():
     # 6067 columns by 2000 rows: its two byte arrays take 24 MB, and the C
-    # fill makes no temporaries; the numpy fill's peaked near 330 MB
+    # fill makes no temporaries; a numpy fill's peaked near 330 MB
     from opweb import _native
-    if _native.load() is None:
-        pytest.skip("the native walk does not build here")
     src = Path(_native.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", _WIDE_BOX], env=env,
@@ -640,8 +603,8 @@ def test_a_seed_on_the_right_wall_is_refused():
 
 
 # -- numpy-row reference DP --------------------------------------------------
-# One bool array per level, propagated cell-wise; the oracle's bit-row DP
-# must give the same tables, answers and refusals.
+# One bool array per level, propagated cell-wise; the oracle's DP, dp_box of
+# _walk.c, must give the same tables, answers and refusals.
 
 def _propagate(reach, open_ur, open_ul, step):
     """Row j's reach carried to row j + 1, whose left wall sits ``step``
@@ -782,8 +745,6 @@ def test_bit_row_dp_matches_numpy_rows_across_words(p, stream, x_min, t_min,
 
 def _bit_row_dp_matches_numpy_rows(p, stream, x_min, t_min, width, height,
                                    data):
-    from opweb import _native
-    from opweb.oracle import _reach_tables
     # a rectangle, or a band whose left wall steps by -1, 0 or +1 per row
     steps = data.draw(st.one_of(
         st.just([0] * height),
@@ -811,15 +772,9 @@ def _bit_row_dp_matches_numpy_rows(p, stream, x_min, t_min, width, height,
 
     args = (box, start_x, n)
     tables = _outcome(_reference_tables, *args, view=_as_ints)
-    assert (_outcome(_reach_tables, *args, view=lambda tables: tables[:2])
-            == tables)
-    if _native.load() is not None:
-        assert _outcome(_native_tables, *args) == tables
-    # the boundary and the path on each body of the DP
-    with pytest.MonkeyPatch.context() as patch:
-        for _ in _bodies(_native, patch):
-            assert (_outcome(dp_right_boundary, *args,
-                             view=lambda dp: (list(dp.values), dp.dead_from))
-                    == _outcome(_reference_boundary, *args))
-            assert (_outcome(dp_rightmost_path, *args, view=list)
-                    == _outcome(_reference_path, *args))
+    assert _outcome(_native_tables, *args) == tables
+    assert (_outcome(dp_right_boundary, *args,
+                     view=lambda dp: (list(dp.values), dp.dead_from))
+            == _outcome(_reference_boundary, *args))
+    assert (_outcome(dp_rightmost_path, *args, view=list)
+            == _outcome(_reference_path, *args))

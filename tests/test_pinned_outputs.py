@@ -11,7 +11,10 @@ import hashlib
 
 import pytest
 
-from opweb import cli
+from opweb import _native, cli
+
+from _references import (bounds_reference, estimate_reference,
+                         lockstep_reference)
 
 SIGMA = ["--sigma", "0.87"]
 
@@ -80,12 +83,13 @@ def test_output_bytes_are_pinned(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
-def test_python_walk_writes_the_pinned_bytes(name, fresh_loader, monkeypatch,
-                                             tmp_path, capsys):
-    # with no compiler every call, the estimate workers that also calibrate
-    # sigma included, runs on the Python walks, which must write the same
-    # bytes as the native walk
-    monkeypatch.setattr(fresh_loader, "_COMPILERS", ("opweb-no-such-cc",))
-    assert fresh_loader.load() is None
+def test_python_walk_writes_the_pinned_bytes(name, monkeypatch, tmp_path,
+                                             capsys):
+    # every walk of every call, the estimate workers that also calibrate
+    # sigma included, runs on the Python references of the tests, which
+    # must write the same bytes as the native walks
+    monkeypatch.setattr(_native, "bounds", bounds_reference)
+    monkeypatch.setattr(_native, "lockstep", lockstep_reference)
+    monkeypatch.setattr(_native, "breaks", estimate_reference)
     argv, expected = CALLS[name]
     assert _output_digest(argv, tmp_path, capsys) == expected

@@ -10,10 +10,11 @@ from opweb.errors import (InsufficientDataError, InvalidArgumentError,
                           ScanLimitExceededError)
 from opweb.explore import explore_to_level
 from opweb.lattice import Config, LatticeSite, replica_config
-from opweb.regen import (RegenAccumulator, _estimate_reference,
-                         break_point_arrays, error_gap_frequencies,
-                         increment_sums, replica_estimate)
+from opweb.regen import (RegenAccumulator, error_gap_frequencies,
+                         replica_estimate)
 from opweb.stats import ks_distance_to_normal, wilson_interval
+
+from _references import break_point_arrays, estimate_reference, increment_sums
 
 ORIGIN = LatticeSite(0, 0)
 KS_CRIT_1PCT_2000 = 0.0364  # asymptotic 1.628 / sqrt(2000)
@@ -181,15 +182,13 @@ def _worker_outcome(body, cfg, n, margin, guard):
 def test_native_break_sums_match_the_reference(p):
     # the native worker body against the Python walk's arrays, on windows
     # of every width down to the single level of n == margin
-    if _native.load() is None:
-        pytest.skip("the native walk does not build here")
     counts = []
     for rep in range(30):
         cfg = replica_config(6, p, rep)
         n = 20 + 9 * rep
         margin = n if rep % 5 == 0 else 1 + (7 * rep) % n
         native = _native.breaks(cfg, n, margin, 10_000)
-        assert native == _estimate_reference(cfg, n, margin, 10_000)
+        assert native == estimate_reference(cfg, n, margin, 10_000)
         assert all(type(v) is int for v in (*native[0], native[1]))
         counts.append(native[0][0])
         if p == 1.0:  # every level is a break level
@@ -200,11 +199,9 @@ def test_native_break_sums_match_the_reference(p):
 
 @pytest.mark.parametrize("guard", [1, 7, 40])
 def test_native_break_sums_trip_as_the_reference(guard):
-    if _native.load() is None:
-        pytest.skip("the native walk does not build here")
     cfg = replica_config(2, 0.5, 0)
     outcome = _worker_outcome(_native.breaks, cfg, 200, 50, guard)
-    assert outcome == _worker_outcome(_estimate_reference, cfg, 200, 50, guard)
+    assert outcome == _worker_outcome(estimate_reference, cfg, 200, 50, guard)
     assert outcome[1] == guard
 
 
