@@ -4,8 +4,9 @@ Each body here makes one C call, which makes, runs and frees its walks and
 hands back a few integers or fills arrays that Python allocated and owns:
 no walk outlives the call, and nothing is copied after it.  `lockstep` is
 the body of `explore.walk_lockstep` (``walk_value`` for one start,
-``walk_pair`` for an equal-time pair), `breaks` of the estimate worker
-`regen._estimate_worker` (``walk_breaks``), and `bounds` of
+``walk_pair`` for an equal-time pair), `pairs` of `couple.pair_merges`
+(``walk_pairs``, the pair on a batch of replicas), `breaks` of the estimate
+worker `regen._estimate_worker` (``walk_breaks``), and `bounds` of
 `explore.explore_to_level` (``walk_bounds``).  The judge of these walks
 runs no walk code: `edges` writes the edge statuses of an
 `oracle.BoxConfig` into the box's own arrays (``box_edges``, with its own
@@ -14,9 +15,7 @@ box (``dp_box``), which reads only those arrays.  These are the only
 bodies of those computations in the package.  The Python references they
 are tested against live with the tests: the walks' in
 ``tests/_references.py``, on `explore.ExplorationCluster`, and the DP's
-and the box fill's in ``tests/test_oracle.py``.  Where the header of
-``_walk.c`` names ``regen.break_point_arrays``, ``oracle._reach_tables``
-or ``oracle._path_from_tables``, it names those references.
+and the box fill's in ``tests/test_oracle.py``.
 
 `explore` and `oracle` import this module the first time a walk or a box
 needs it, never at ``import opweb``.  The first `load` in a process
@@ -51,7 +50,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NativeLibraryError
 from .explore import Boundaries, guard_error
-from .lattice import MASK64
+from .lattice import MASK64, edge_threshold, replica_bases
 
 _COMPILERS = ("cc", "gcc")
 _CFLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
@@ -74,6 +73,9 @@ _Out = c_int64 * 6
 _Breaks = c_int64 * 10
 # a walk's report: its scan offset, last completed level and edges examined
 _Report = c_int64 * 3
+# what walk_pairs reports: the index of the replica that stopped the batch,
+# and its walk's report
+_BatchReport = c_int64 * 4
 
 # the sampler as _sampler gives it
 _SAMPLER = [c_uint64, c_uint64, c_int]
@@ -83,6 +85,9 @@ _WALK = [c_int64, *_SAMPLER, c_int64]
 _ENTRIES = {
     "walk_value": ([c_int64, *_WALK, c_int64, c_void_p], c_int),
     "walk_pair": ([c_int64, c_int64, *_WALK, c_int64, c_void_p], c_int),
+    "walk_pairs": ([c_int64] * 3 + [c_void_p, c_int64, c_uint64, c_int,
+                                    c_int64, c_int64, c_void_p, c_void_p],
+                   c_int),
     "walk_breaks": ([c_int64, *_WALK, c_int64, c_int64, c_void_p], c_int),
     "walk_bounds": ([c_int64, *_WALK, c_int64, c_int64] + [c_void_p] * 4,
                     c_int),
@@ -196,8 +201,13 @@ def _compile(cc: str, source: bytes, out: str) -> None:
 def _sampler(cfg) -> tuple:
     """The Config's sampler as the entries take it: base, threshold and
     all-open flag."""
-    threshold = cfg._threshold
-    return cfg._base, min(threshold, MASK64), threshold > MASK64
+    return cfg._base, *_cut(cfg._threshold)
+
+
+def _cut(threshold: int) -> tuple:
+    """A threshold as the entries take it: cut to 64 bits, and the all-open
+    flag that stands in for ``2**64``."""
+    return min(threshold, MASK64), threshold > MASK64
 
 
 def _guard(scan_guard) -> int:
@@ -228,6 +238,25 @@ def lockstep(xs, t0: int, level: int, cfg, scan_guard):
     if out[0] >= 0:
         return t0 + out[0], None
     return None, tuple(out[1:1 + len(xs)])
+
+
+def pairs(xl: int, xr: int, t0: int, level: int, seed: int, p: float,
+          first: int, count: int, scan_guard) -> np.ndarray:
+    """`explore.walk_lockstep` of the pair ``(xl, xr)`` on replicas
+    ``first, ..., first + count - 1`` in one C call: entry ``k`` of the
+    int64 array is the merge's level from ``t0`` on
+    ``replica_config(seed, p, first + k)``, or -1 where the pair has not
+    merged by ``level``.  The batch stops at the first replica, in order,
+    whose walk fails, and raises that walk's error."""
+    threshold, all_open = _cut(edge_threshold(p))
+    bases = replica_bases(seed, first, count)
+    merges = np.empty(count, dtype=np.int64)
+    rep = _BatchReport()
+    code = load().walk_pairs(xl, xr, t0, bases.ctypes.data, count, threshold,
+                             all_open, _guard(scan_guard), level,
+                             merges.ctypes.data, rep)
+    _check(code, rep[1], rep[2])
+    return merges
 
 
 def breaks(cfg, n: int, margin: int, scan_guard):

@@ -1,5 +1,6 @@
-/* Native form of the exploration walk in explore.py, and of its judge, the
- * certified DP of oracle.py.
+/* The exploration walk of explore.py, and its judge, the certified DP of
+ * oracle.py: the only bodies of both in the package.  Their Python
+ * references live with the tests, and each entry is tested against one.
  *
  * Each walk entry makes, runs and frees its walks inside one call, and
  * hands back a few numbers or fills arrays the caller owns.  One walk
@@ -14,7 +15,8 @@
  * keys, the same guard.  It folds the up-right and up-left steps into one
  * block on the direction d, where the Python walk keeps the two blocks
  * unrolled because that runs faster there.  The Python walk, with its set
- * of dead sites, stays the reference this one is tested against.
+ * of dead sites, is the reference this one is tested against, in
+ * tests/_references.py.
  *
  * Dead sites need no set, because the walk is planar: a site queried from
  * the stack is dead exactly when its column is at or right of the least
@@ -50,11 +52,12 @@
  * of the walk's size together pass that threshold, and were handed back to
  * the kernel and faulted in again on every call.
  *
- * walk_breaks follows regen.break_point_arrays.  Level j in [0, n - margin]
- * is a break level when r[j] equals sx[j] of the stack frozen at level
- * n + margin; the increments (X, tau) between consecutive break levels are
- * the records of regen.RegenAccumulator, summed here into the six sums it
- * takes.  Every sum is an exact integer.
+ * walk_breaks finds the break levels as break_point_arrays of
+ * tests/_references.py finds them on the Python walk's boundaries.  Level
+ * j in [0, n - margin] is a break level when r[j] equals sx[j] of the
+ * stack frozen at level n + margin; the increments (X, tau) between
+ * consecutive break levels are the records of regen.RegenAccumulator,
+ * summed here into the six sums it takes.  Every sum is an exact integer.
  *
  * walk_pair advances level by level, the left walk before the right on
  * each, and compares r until the first level n with r_R(n) <= r_L(n).
@@ -69,6 +72,14 @@
  * that cannot get there must still trip its guard: subcritical pairs merge
  * within a few levels.  Guard trips come in level-then-left-then-right
  * order, so a trip of the right walk after the merge is never reached.
+ *
+ * walk_pairs runs walk_pair on a batch of replicas in replica order, so
+ * that a batch costs one call from Python: the replicas differ in their
+ * base only, and share the starts, the threshold, the guard and the level.
+ * It writes each merge level into an array the caller owns, and stops at
+ * the first replica whose walk_pair does not return 0, with that code, the
+ * replica's index and its walk's report.  No later replica is walked, so a
+ * batch raises what its replicas would raise walked one by one.
  *
  * Keys are the packed keys of lattice.py taken mod 2**64, which is all the
  * sampler reads of them.
@@ -85,8 +96,8 @@
  * box's own byte rows, read on every call, so edits made to them after
  * box_edges are seen: each row of open_ur and open_ul is packed into 64-bit
  * words as the DP reaches it, bit i of word k standing for cell 64 k + i
- * of the row.  It fills the lower and upper tables row by row, as
- * oracle._reach_tables does: one level is
+ * of the row.  It fills the lower and upper tables row by row, as the
+ * numpy-row reference DP of tests/test_oracle.py does: one level is
  * ((lo & ur) << 2 | (lo & ul)) >> drop, masked to the box width, which is
  * an up-right move by 2 - drop cells and an up-left one by -drop, done word
  * by word with the bits a shift moves past a word's edge carried over from
@@ -95,9 +106,9 @@
  * two rightmost columns refuses the box.  Then it writes each row's bit
  * length in both tables, from which oracle reads the level maxima, and
  * backtracks the rightmost path from the top level's maximum, trying the
- * up-left edge from y + 1 before the up-right one from y - 1, as
- * oracle._path_from_tables does.  The return code is oracle's refusal
- * code, or 0.  Build: cc -O2 -std=c99 -shared -fPIC.
+ * up-left edge from y + 1 before the up-right one from y - 1, as that
+ * reference does.  The return code is oracle's refusal code, or 0.
+ * Build: cc -O2 -std=c99 -shared -fPIC.
  */
 
 #include <stdint.h>
@@ -324,6 +335,31 @@ int walk_pair(int64_t xl, int64_t xr, int64_t t0, uint64_t base,
     walk_release(&w[0]);
     walk_release(&w[1]);
     return code;
+}
+
+/* walk_pair of (xl, t0) and (xr, t0) to `level` on `count` configurations,
+ * replica k on bases[k], all under one threshold: merge[k] gets its out[0],
+ * the merge's level from t0 or -1.  Stops at the first replica, in order,
+ * whose walk_pair does not return 0, and returns that code, with the
+ * replica's index in rep[0] and its walk's report in rep[1:4]; merge[k]
+ * past it is not written. */
+int walk_pairs(int64_t xl, int64_t xr, int64_t t0, const uint64_t *bases,
+               int64_t count, uint64_t threshold, int all_open,
+               int64_t scan_guard, int64_t level, int64_t *merge,
+               int64_t *rep)
+{
+    int64_t out[6];
+    for (int64_t k = 0; k < count; k++) {
+        int code = walk_pair(xl, xr, t0, bases[k], threshold, all_open,
+                             scan_guard, level, out);
+        if (code) {
+            rep[0] = k;
+            memcpy(rep + 1, out + 3, 3 * sizeof *out);
+            return code;
+        }
+        merge[k] = out[0];
+    }
+    return WALK_OK;
 }
 
 /* The break-point sums of the walk from (x, t0) to level t0 + n + margin,

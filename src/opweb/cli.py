@@ -108,13 +108,14 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
     horizon = 4 * spec.n if spec.horizon is None else spec.horizon
     if horizon < spec.n:
         raise InvalidArgumentError("simulate needs a horizon of at least --n")
-    out = Path(spec.out)
-    out.mkdir(parents=True, exist_ok=True)
     jobs = [(replica_config(spec.seed, spec.p, r), spec.n, horizon,
              spec.scan_guard) for r in range(spec.replicas)]
+    walks = pmap(_simulate_worker, jobs, spec.workers)
+    # made once every walk has returned: a run that fails leaves no directory
+    out = Path(spec.out)
+    out.mkdir(parents=True, exist_ok=True)
     files = []
-    for r, (right, left, gamma) in enumerate(
-            pmap(_simulate_worker, jobs, spec.workers)):
+    for r, (right, left, gamma) in enumerate(walks):
         name = f"traj_{r:05d}.csv"
         write_trajectory_csv(out / name, right, left, gamma,
                              header_comment=f"spec_hash={spec.hash()}")

@@ -16,10 +16,10 @@ left-delta record, from which `_replay_left` rebuilds its left boundary at
 every level; `run_coupled_many` reads each cluster's switch level off the
 sources as it advances the cluster level by level.
 
-Batteries (`family_eta`, `coalescence_survival_curve`): since the ledger's
-joint law is the law of one configuration, and B1, B2 and the survival
-curve only estimate probabilities, every cluster of a replica is built
-from one ``replica_config(seed, p, replica)``, the ledger's first stream,
+Batteries (`family_eta`, `pair_merges`): since the ledger's joint law is
+the law of one configuration, and B1, B2 and the survival curve only
+estimate probabilities, every cluster of a replica is built from one
+``replica_config(seed, p, replica)``, the ledger's first stream,
 and advances on its own with no ledger.  On one configuration the sites
 reachable at level ``n`` from the half-line ``(-inf, x]`` grow with ``x``,
 so the right boundary ``r_x(n)`` is non-decreasing in ``x``: for
@@ -31,7 +31,9 @@ each reads r through `explore.walk_lockstep`, which walks an equal-time
 pair in lockstep and stops at the first level where ``r_R <= r_L``, as from
 there the two boundaries stay equal.  That level is the survival curve's
 ``kappa_rr``, and a family whose end clusters merge by its level has one
-value.
+value.  Where only that level is asked for (the survival curve, B1 and the
+P(eta >= 2) side of B2), `pair_merges` walks the same pair on a range of
+replicas in one native call.
 
 Coalescence bookkeeping for a pair started left (cluster ``L``) and right
 (cluster ``R``) at the same time:
@@ -59,7 +61,7 @@ from .errors import InvalidArgumentError, PreconditionNotMetError
 from .explore import DEFAULT_SCAN_GUARD, ExplorationCluster, walk_lockstep
 from .lattice import Config, make_key_sampler, replica_config
 from .oracle import cbm_baseline
-from .runner import pmap
+from .runner import pmap, replica_ranges
 
 DEFAULT_GAMMA_MARGIN = 500
 
@@ -385,10 +387,32 @@ def family_eta(start_xs, t0: int, level: int, cfg: Config, *,
     return eta if cap is None else min(eta, cap)
 
 
-def _survival_worker(args):
-    cfg, gap, horizon, scan_guard = args
-    krr, _ = walk_lockstep((0, gap), 0, horizon, cfg, scan_guard=scan_guard)
-    return -1 if krr is None else krr
+def _pairs_worker(args):
+    from . import _native  # may build the library: not at import
+    return _native.pairs(*args)
+
+
+def pair_merges(xl: int, xr: int, level: int, p: float, *, seed: int,
+                first: int, count: int, workers: int = 1,
+                scan_guard: int = DEFAULT_SCAN_GUARD) -> np.ndarray:
+    """Merge levels of the equal-time pair from ``(xl, 0)`` and ``(xr, 0)``
+    on replicas ``first, ..., first + count - 1``.
+
+    Entry ``k`` is the first level ``n <= level`` with ``r_R(n) <= r_L(n)``
+    on ``replica_config(seed, p, first + k)``, as `explore.walk_lockstep`
+    finds it, or -1 where the pair has not merged by ``level``.  The
+    replicas are walked in the contiguous ranges of
+    `runner.replica_ranges`, one native call each, and joined in order, so
+    the array is the same for any worker count.  A tripped guard raises the
+    error of the first replica, in order, whose walk trips in its range.
+    """
+    if xl >= xr:
+        raise InvalidArgumentError("start columns must be strictly increasing")
+    if level < 0:
+        raise InvalidArgumentError("level precedes start time")
+    jobs = [(xl, xr, 0, level, seed, p, first + offset, size, scan_guard)
+            for offset, size in replica_ranges(count, workers)]
+    return np.concatenate(pmap(_pairs_worker, jobs, workers))
 
 
 def coalescence_survival_curve(delta_lattice: int, p: float, eps: float, t_grid,
@@ -399,16 +423,18 @@ def coalescence_survival_curve(delta_lattice: int, p: float, eps: float, t_grid,
 
     Starts are ``(0, 0)`` and ``(delta_lattice, 0)``; the rescaled gap is
     ``delta_lattice * sqrt(eps) / sigma_hat``.  Replica ``k`` runs on
-    ``replica_config(seed, p, replica_offset + k)``.  Runs unresolved at the
-    horizon count as survivors (right-censoring, conservative).
+    ``replica_config(seed, p, replica_offset + k)``, and its ``kappa_rr``
+    comes from `pair_merges`, which walks the replicas in ranges, one native
+    call each.  Runs unresolved at the horizon count as survivors
+    (right-censoring, conservative).
     """
     if delta_lattice <= 0 or delta_lattice % 2 != 0:
         raise InvalidArgumentError("lattice gap must be positive and even")
     t_grid = sorted(t_grid)
     horizon = int(math.ceil(max(t_grid) / eps))
-    jobs = [(replica_config(seed, p, replica_offset + rep), delta_lattice,
-             horizon, scan_guard) for rep in range(replicas)]
-    kappas = np.array(pmap(_survival_worker, jobs, workers), dtype=np.int64)
+    kappas = pair_merges(0, delta_lattice, horizon, p, seed=seed,
+                         first=replica_offset, count=replicas,
+                         workers=workers, scan_guard=scan_guard)
     censored = int((kappas < 0).sum())
     delta_eff = delta_lattice * math.sqrt(eps) / sigma_hat
     rows = []

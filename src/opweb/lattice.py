@@ -21,6 +21,10 @@ a test:
 * the numpy one, `edge_status_array`, by
   ``test_determinism_and_vector_scalar_agreement``.  No walk or box reads
   it: the tests build their reference boxes from it;
+* the numpy copy of `_config_base`, `replica_bases`, which gives the bases
+  of a batch of replicas at once, by
+  ``test_replica_bases_are_those_of_replica_configs``.  It shares its mix
+  with `edge_status_array`;
 * the walk's ``sample`` in ``_walk.c``, through the walks it drives, by
   ``test_native_walk_matches_python_walk`` and the walk references of
   ``tests/_references.py``, whose Python walk samples through
@@ -55,7 +59,8 @@ X_BIAS = 1 << 31
 # The one stream rule: replica r of an experiment owns the stream_ids
 # r * STREAMS_PER_REPLICA + 1 .. (r + 1) * STREAMS_PER_REPLICA.  Its
 # configuration is the first of them, and cluster i of a ledger coupling
-# takes the (i + 1)-th; `replica_config` builds both.  Replicas of one
+# takes the (i + 1)-th; `replica_config` builds both, and `replica_bases`
+# gives the bases of a batch of replica configurations.  Replicas of one
 # run are numbered without gaps across all its workloads, so no two
 # workloads of a run share a stream; a run's drift/diffusivity calibration
 # draws its replicas under a seed of its own (`calibration_seed`).
@@ -134,14 +139,27 @@ class Config:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise InvalidArgumentError(f"p={self.p} outside [0, 1]")
         object.__setattr__(self, "_base", _config_base(self.seed, self.stream_id))
-        object.__setattr__(self, "_threshold", int(self.p * 2.0**64))
+        object.__setattr__(self, "_threshold", edge_threshold(self.p))
+
+
+def edge_threshold(p: float) -> int:
+    """The sampler's threshold at ``p``: an edge is open iff its hash is
+    below it.  At p = 1 it is ``2**64``, above every hash."""
+    if not 0.0 <= p <= 1.0:
+        raise InvalidArgumentError(f"p={p} outside [0, 1]")
+    return int(p * 2.0**64)
 
 
 def _config_base(seed: int, stream_id: int) -> int:
     return mix64((mix64(seed) + (stream_id & MASK64) * GOLDEN) & MASK64)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """`mix64` of each entry of a uint64 array."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 def replica_config(seed: int, p: float, replica: int,
@@ -149,6 +167,16 @@ def replica_config(seed: int, p: float, replica: int,
     """The configuration of replica ``replica`` of an experiment, or that of
     cluster ``cluster`` of its ledger coupling (the rule above)."""
     return Config(seed, p, replica * STREAMS_PER_REPLICA + cluster + 1)
+
+
+def replica_bases(seed: int, first: int, count: int) -> np.ndarray:
+    """The bases of replicas ``first, ..., first + count - 1`` of an
+    experiment, as uint64: entry ``k`` is the ``_base`` of
+    ``replica_config(seed, p, first + k)``, for any p."""
+    stream = (first * STREAMS_PER_REPLICA + 1) & MASK64
+    streams = (np.uint64(stream) + np.arange(count, dtype=np.uint64)
+               * np.uint64(STREAMS_PER_REPLICA))
+    return _mix64_array(np.uint64(mix64(seed)) + streams * np.uint64(GOLDEN))
 
 
 def calibration_seed(seed: int) -> int:
@@ -186,10 +214,7 @@ def edge_status_array(cfg, xs, ts, directions) -> np.ndarray:
     if np.any((xs + ts) & 1):
         raise InvalidSiteError("some sites violate even parity")
     keys = ((2 * ts + directions) << 32 | (xs + X_BIAS)).astype(np.uint64)
-    z = (np.uint64(cfg._base) + keys * np.uint64(GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
+    z = _mix64_array(np.uint64(cfg._base) + keys * np.uint64(GOLDEN))
     if cfg._threshold > MASK64:
         return np.ones(len(keys), dtype=bool)
     return z < np.uint64(cfg._threshold)

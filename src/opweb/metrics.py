@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couple import family_eta
+from .couple import family_eta, pair_merges
 from .errors import InvalidArgumentError
 from .explore import Trajectory
 from .lattice import replica_config
@@ -179,8 +179,9 @@ def b1_battery(p: float, eps: float, t: float, delta_list, replicas: int, *,
     For each target gap ``delta`` the family starts on all even columns of
     ``[0, x_eps]``, where ``x_eps = even_span(delta * sigma_hat / sqrt(eps))``,
     and eta is counted at level ``floor(t / eps)``.  Each replica is one
-    configuration (`opweb.couple.family_eta`), on which ``eta >= 2`` iff the
-    two extreme clusters differ, so only those two run.  Both the estimate and
+    configuration, on which ``eta >= 2`` iff the two extreme clusters have
+    not merged by that level (`opweb.couple.family_eta`), so only that pair
+    runs, through `opweb.couple.pair_merges`.  Both the estimate and
     the erf baseline refer to the gap the lattice realises,
     ``delta_eff = x_eps * sqrt(eps) / sigma_hat``, not to ``delta``; as
     ``x_eps >= 2``, ``delta_eff`` is never below ``2 sqrt(eps) / sigma_hat``.
@@ -189,12 +190,11 @@ def b1_battery(p: float, eps: float, t: float, delta_list, replicas: int, *,
     rows = []
     for idx, delta in enumerate(delta_list):
         x_eps = even_span(delta * sigma_hat / math.sqrt(eps))
-        xs = tuple(range(0, x_eps + 1, 2))
-        jobs = [(replica_config(seed, p, replica_offset + idx * replicas + rep),
-                 xs, 0, level, scan_guard, 2)
-                for rep in range(replicas)]
-        etas = pmap(_family_eta_worker, jobs, workers)
-        k = sum(1 for e in etas if e >= 2)
+        merges = pair_merges(0, x_eps, level, p, seed=seed,
+                             first=replica_offset + idx * replicas,
+                             count=replicas, workers=workers,
+                             scan_guard=scan_guard)
+        k = int((merges < 0).sum())
         ci = wilson_interval(k, replicas)
         delta_eff = x_eps * math.sqrt(eps) / sigma_hat
         rows.append({
@@ -231,9 +231,10 @@ def b2_fkg_check(p: float, n: int, x: int, replicas: int, *, seed: int = 0,
     The two sides come from independent replica banks (half the budget
     each); the slack combines their delta-method standard errors, so a
     violation beyond slack is a genuine positive-correlation failure.  Each
-    replica is one configuration, counted by squeeze
-    (`opweb.couple.family_eta`) up to the 3 or 2 distinct values its side
-    asks about.
+    replica is one configuration.  On the first bank the family is counted
+    by squeeze (`opweb.couple.family_eta`) up to 3 distinct values; on the
+    second, ``eta >= 2`` iff the two extreme clusters have not merged by
+    level ``n``, so only that pair runs, through `opweb.couple.pair_merges`.
     """
     if x < 1:
         raise InvalidArgumentError("x must be at least 1")
@@ -241,12 +242,12 @@ def b2_fkg_check(p: float, n: int, x: int, replicas: int, *, seed: int = 0,
     xs = tuple(range(0, 2 * x + 1, 2))
     jobs3 = [(replica_config(seed, p, rep), xs, 0, n, scan_guard, 3)
              for rep in range(per_side)]
-    jobs2 = [(replica_config(seed, p, per_side + rep), xs, 0, n, scan_guard, 2)
-             for rep in range(per_side)]
     etas3 = pmap(_family_eta_worker, jobs3, workers)
-    etas2 = pmap(_family_eta_worker, jobs2, workers)
+    merges2 = pair_merges(0, 2 * x, n, p, seed=seed, first=per_side,
+                          count=per_side, workers=workers,
+                          scan_guard=scan_guard)
     k3 = sum(1 for e in etas3 if e >= 3)
-    k2 = sum(1 for e in etas2 if e >= 2)
+    k2 = int((merges2 < 0).sum())
     p3, p2 = k3 / per_side, k2 / per_side
     se3 = math.sqrt(max(p3 * (1 - p3), 1.0 / per_side) / per_side)
     se2 = math.sqrt(max(p2 * (1 - p2), 1.0 / per_side) / per_side)

@@ -3,7 +3,8 @@
 Each reference takes the arguments of the `opweb._native` body it stands
 for and gives the same answer, or raises the same guard error:
 `bounds_reference` for `_native.bounds` (`explore.explore_to_level`),
-`lockstep_reference` for `_native.lockstep` (`explore.walk_lockstep`) and
+`lockstep_reference` for `_native.lockstep` (`explore.walk_lockstep`),
+`pairs_reference` for `_native.pairs` (`couple.pair_merges`) and
 `estimate_reference` for `_native.breaks` (the estimate worker).  Tests
 compare each native body with its reference, and run the command line on
 the references by monkeypatching them over the native bodies.
@@ -13,7 +14,7 @@ import numpy as np
 
 from opweb.errors import InvalidArgumentError
 from opweb.explore import Boundaries, ExplorationCluster
-from opweb.lattice import LatticeSite
+from opweb.lattice import LatticeSite, replica_config
 
 
 def bounds_reference(z, n, horizon, cfg, scan_guard) -> Boundaries:
@@ -39,6 +40,17 @@ def lockstep_reference(xs, t0, level, cfg, scan_guard):
         walks[0].advance_to(level)
         return n, None
     return None, tuple(values)
+
+
+def pairs_reference(xl, xr, t0, level, seed, p, first, count, scan_guard):
+    """`_native.pairs` as a loop of `lockstep_reference` over the replicas'
+    configurations, which raises at the first replica whose walk trips."""
+    merges = []
+    for k in range(count):
+        cfg = replica_config(seed, p, first + k)
+        merge, _ = lockstep_reference((xl, xr), t0, level, cfg, scan_guard)
+        merges.append(-1 if merge is None else merge - t0)
+    return np.array(merges, dtype=np.int64)
 
 
 def break_point_arrays(r, left, t0: int, n_end: int, margin: int):

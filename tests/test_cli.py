@@ -116,7 +116,7 @@ def test_exit_2_before_any_walk(capsys, tmp_path, monkeypatch, argv):
     def walk(*args):
         raise AssertionError("a walk ran before the spec was checked")
 
-    for body in ("bounds", "lockstep", "breaks", "edges", "dp"):
+    for body in ("bounds", "lockstep", "pairs", "breaks", "edges", "dp"):
         monkeypatch.setattr(_native, body, walk)
     out = tmp_path / "out.csv"
     code, stdout, err = _main(capsys, *(a.format(out=out) for a in argv))
@@ -148,6 +148,15 @@ def test_exit_3_when_scan_guard_trips(capsys, tmp_path):
     code, _, err = _main(capsys, "estimate", "--p", "0.3", "--n", "200",
                          "--margin", "50", "--replicas", "1", "--spec", spec)
     assert code == 3 and err.startswith("scan guard tripped:")
+
+
+def test_simulate_that_trips_its_guard_makes_no_directory(capsys, tmp_path):
+    out = tmp_path / "simout"
+    code, stdout, err = _main(capsys, "simulate", "--p", "0", "--n", "20",
+                              "--scan-guard", "5", "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert err.startswith("scan guard tripped:")
+    assert not out.exists()
 
 
 def test_exit_3_through_the_native_walk(capsys):
@@ -295,17 +304,26 @@ def test_estimate_report_keys(capsys):
 ], ids=["eta_b1", "eta_b2", "coalesce", "check"])
 def test_no_two_replicas_of_a_run_share_a_stream(capsys, tmp_path,
                                                  monkeypatch, argv, replicas):
-    # every replica builds its one configuration in the parent process;
-    # the clusters of a B1/B2 family or a coalescing pair share it
-    from opweb.lattice import Config
+    # every replica builds its one configuration, or the base of it in a
+    # batch of replicas, in this process (one worker); the clusters of a
+    # B1/B2 family or a coalescing pair share it
+    from opweb import _native
+    from opweb.lattice import STREAMS_PER_REPLICA, Config
     built = []
     post_init = Config.__post_init__
+    replica_bases = _native.replica_bases
 
     def recording(cfg):
         post_init(cfg)
         built.append((cfg.seed, cfg.stream_id))
 
+    def recording_bases(seed, first, count):
+        built.extend((seed, (first + k) * STREAMS_PER_REPLICA + 1)
+                     for k in range(count))
+        return replica_bases(seed, first, count)
+
     monkeypatch.setattr(Config, "__post_init__", recording)
+    monkeypatch.setattr(_native, "replica_bases", recording_bases)
     out = tmp_path / "out.csv"
     argv = [a.format(out=out) for a in argv]
     assert _main(capsys, *argv, "--p", "0.8", "--seed", "3")[0] == 0
@@ -374,9 +392,16 @@ def _run_ok(capsys, argv, workers):
      "--replicas", "3", "--seed", "2"],
     ["eta", "--p", "0.8", "--eps", "0.01", "--t", "0.5", "--delta", "0.5",
      "1.0", "--replicas", "6", "--seed", "3"],
+    # on 2 workers, 7 replicas walk in 7 ranges of one, and 13 in 8 ranges
+    # of one or two
+    ["eta", "--p", "0.8", "--eps", "0.01", "--t", "0.5", "--delta", "0.5",
+     "1.0", "--replicas", "7", "--seed", "3"],
+    ["eta", "--p", "0.8", "--eps", "0.01", "--t", "0.5", "--delta", "0.5",
+     "1.0", "--replicas", "13", "--seed", "3"],
     ["eta", "--p", "0.8", "--n", "100", "--x", "4", "--replicas", "12",
      "--seed", "3"],
-], ids=["check", "check_near_critical", "estimate", "eta", "eta_b2"])
+], ids=["check", "check_near_critical", "estimate", "eta", "eta_7", "eta_13",
+        "eta_b2"])
 def test_stdout_independent_of_workers(capsys, tmp_path, argv):
     if argv[0] == "eta" and "--x" not in argv:
         argv = argv + ["--spec", _spec_file(tmp_path, SIGMA_SPEC)]
@@ -385,15 +410,16 @@ def test_stdout_independent_of_workers(capsys, tmp_path, argv):
 
 def test_coalesce_file_independent_of_workers(capsys, tmp_path):
     spec = _spec_file(tmp_path, SIGMA_SPEC)
-    outs = []
-    for workers in (1, 2):
-        out = tmp_path / f"coalesce-{workers}.csv"
-        _run_ok(capsys, ["coalesce", "--p", "0.8", "--eps", "0.01",
-                         "--delta", "1", "--t", "0.25", "0.5",
-                         "--replicas", "6", "--seed", "3", "--spec", spec,
-                         "--out", str(out)], workers)
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    for replicas in ("6", "7", "13"):
+        outs = []
+        for workers in (1, 2):
+            out = tmp_path / f"coalesce-{replicas}-{workers}.csv"
+            _run_ok(capsys, ["coalesce", "--p", "0.8", "--eps", "0.01",
+                             "--delta", "1", "--t", "0.25", "0.5",
+                             "--replicas", replicas, "--seed", "3",
+                             "--spec", spec, "--out", str(out)], workers)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], replicas
 
 
 def test_simulate_files_independent_of_workers(capsys, tmp_path):

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from opweb import couple
-from opweb.couple import (_replay_left, _survival_worker,
-                          check_coalescence_structure,
+from opweb.couple import (_replay_left, check_coalescence_structure,
                           coalescence_survival_curve, family_eta,
-                          run_coupled_many)
+                          pair_merges, run_coupled_many)
 from opweb.errors import InvalidArgumentError, PreconditionNotMetError
 from opweb.explore import ExplorationCluster, explore_to_level
 from opweb.lattice import Config, LatticeSite, make_key_sampler, replica_config
-from opweb.metrics import _family_eta_worker
+from opweb.metrics import _family_eta_worker, b1_battery
 
 O = LatticeSite(0, 0)
 
@@ -336,10 +335,33 @@ def test_survival_curve_validates_gap():
                                    sigma_hat=0.9)
 
 
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+def test_batteries_reject_p_outside_the_unit_interval(p):
+    # the batched pairs build no Config; lattice.edge_threshold checks p
+    with pytest.raises(InvalidArgumentError, match="outside"):
+        coalescence_survival_curve(6, p, 0.1, [1.0], 3, seed=1,
+                                   sigma_hat=0.9)
+    with pytest.raises(InvalidArgumentError, match="outside"):
+        b1_battery(p, 0.1, 1.0, [0.5], 3, sigma_hat=0.9)
+
+
+def test_pair_merges_join_their_ranges_in_order():
+    # one range on one worker, eight on two, joined in order
+    one = pair_merges(0, 6, 200, 0.8, seed=4, first=2, count=13)
+    two = pair_merges(0, 6, 200, 0.8, seed=4, first=2, count=13, workers=2)
+    assert one.tolist() == two.tolist()
+    assert one.tolist() == [pair_merges(0, 6, 200, 0.8, seed=4, first=2 + k,
+                                        count=1)[0] for k in range(13)]
+    with pytest.raises(InvalidArgumentError):
+        pair_merges(6, 6, 200, 0.8, seed=4, first=0, count=1)
+    with pytest.raises(InvalidArgumentError):
+        pair_merges(0, 6, -1, 0.8, seed=4, first=0, count=1)
+
+
 @pytest.mark.parametrize("run", [
     lambda: _family_eta_worker((Config(3, 0.8, 1), tuple(range(0, 16, 2)), 0,
                                 200, 10_000, None)),
-    lambda: _survival_worker((Config(3, 0.8, 1), 6, 300, 10_000)),
+    lambda: pair_merges(0, 6, 300, 0.8, seed=3, first=0, count=1),
     lambda: run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=3),
     lambda: run_coupled_many([O, LatticeSite(4, 0), LatticeSite(8, 0)], 200,
                              p=0.8, seed=3),

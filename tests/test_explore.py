@@ -22,7 +22,7 @@ from opweb.explore import (ExplorationCluster, boundary_ordering_check,
 from opweb.lattice import (Config, LatticeSite, X_BIAS, make_key_sampler,
                            replica_config)
 
-from _references import lockstep_reference
+from _references import lockstep_reference, pairs_reference
 
 ORIGIN = LatticeSite(0, 0)
 
@@ -361,6 +361,44 @@ def test_native_lockstep_trips_as_the_python_lockstep(seed, p, t0, gap,
         assert _lockstep_outcome(_native.lockstep, xs, t0, level, cfg,
                                  guard) == _lockstep_outcome(
             lockstep_reference, xs, t0, level, cfg, guard)
+
+
+@pytest.mark.parametrize("p", [0.65, 0.8, 1.0])
+@pytest.mark.parametrize("gap", [2, 14, 28])
+@pytest.mark.parametrize("t0", [0, 3])
+def test_batched_pairs_match_the_per_replica_lockstep(t0, gap, p):
+    # p = 1 runs on the all-open flag; merges count levels from t0
+    seed, first, count, level = 5, 3, 12, t0 + 300
+    xl = t0 & 1
+    expected = []
+    for k in range(count):
+        merge, _ = walk_lockstep((xl, xl + gap), t0, level,
+                                 replica_config(seed, p, first + k),
+                                 scan_guard=10_000)
+        expected.append(-1 if merge is None else merge - t0)
+    args = (xl, xl + gap, t0, level, seed, p, first, count, 10_000)
+    merges = _native.pairs(*args)
+    assert merges.dtype == np.int64
+    assert merges.tolist() == expected
+    assert pairs_reference(*args).tolist() == expected
+
+
+def test_a_batch_trips_as_its_first_tripping_replica():
+    # replicas 5 and 6 merge by level 8; replica 7 trips below level 7, and
+    # replica 8, walked on its own, below level 5
+    seed, p, first, count, level, guard = 0, 0.3, 5, 20, 8, 40
+    for k in range(first, first + count):
+        cfg = replica_config(seed, p, k)
+        try:
+            walk_lockstep((0, 14), 0, level, cfg, scan_guard=guard)
+        except ScanLimitExceededError as e:
+            trip = (k, str(e), e.scan_offset)
+            break
+    assert trip == (7, "40 start sites exhausted below level 7", 40)
+    for pairs in (_native.pairs, pairs_reference):
+        with pytest.raises(ScanLimitExceededError) as batch:
+            pairs(0, 14, 0, level, seed, p, first, count, guard)
+        assert (str(batch.value), batch.value.scan_offset) == trip[1:]
 
 
 def test_left_walk_goes_on_past_the_merge_to_its_guard():

@@ -9,7 +9,7 @@ from opweb.errors import InvalidArgumentError, InvalidSiteError
 from opweb.lattice import (Config, EdgeRef, LatticeSite, Orientation,
                            edge_key, edge_status, edge_status_array,
                            independence_probe, make_key_sampler,
-                           unpack_edge_key)
+                           replica_bases, replica_config, unpack_edge_key)
 
 CHI2_CRIT_1DOF_001 = 10.828  # chi-square upper 0.001 quantile, 1 dof
 
@@ -61,6 +61,18 @@ def test_determinism_and_vector_scalar_agreement(seed, stream, x, t):
     assert s == make_key_sampler(cfg2)(key)
     vec = edge_status_array(cfg1, [x], [t], [1])
     assert bool(vec[0]) == s
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**62),
+       st.integers(0, 6))
+@settings(max_examples=60)
+def test_replica_bases_are_those_of_replica_configs(seed, first, count):
+    # from replica 2**54 on, the stream id itself passes 2**64 and wraps;
+    # its product with GOLDEN wraps from replica 0 on
+    bases = replica_bases(seed, first, count)
+    assert bases.dtype == np.uint64 and bases.shape == (count,)
+    assert [int(b) for b in bases] == [
+        replica_config(seed, 0.37, first + k)._base for k in range(count)]
 
 
 @pytest.mark.parametrize("x, t", [(-1, 0), (0, -1), (-3, -2), (-4, 7),

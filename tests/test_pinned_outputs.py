@@ -14,7 +14,7 @@ import pytest
 from opweb import _native, cli
 
 from _references import (bounds_reference, estimate_reference,
-                         lockstep_reference)
+                         lockstep_reference, pairs_reference)
 
 SIGMA = ["--sigma", "0.87"]
 
@@ -87,9 +87,11 @@ def test_python_walk_writes_the_pinned_bytes(name, monkeypatch, tmp_path,
                                              capsys):
     # every walk of every call, the estimate workers that also calibrate
     # sigma included, runs on the Python references of the tests, which
-    # must write the same bytes as the native walks
+    # must write the same bytes as the native walks; the batched pairs run
+    # one Config per replica, which also checks `lattice.replica_bases`
     monkeypatch.setattr(_native, "bounds", bounds_reference)
     monkeypatch.setattr(_native, "lockstep", lockstep_reference)
+    monkeypatch.setattr(_native, "pairs", pairs_reference)
     monkeypatch.setattr(_native, "breaks", estimate_reference)
     argv, expected = CALLS[name]
     assert _output_digest(argv, tmp_path, capsys) == expected
