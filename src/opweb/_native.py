@@ -73,8 +73,8 @@ _Out = c_int64 * 6
 _Breaks = c_int64 * 10
 # a walk's report: its scan offset, last completed level and edges examined
 _Report = c_int64 * 3
-# what walk_pairs reports: the index of the replica that stopped the batch,
-# and its walk's report
+# what walk_pairs reports: the index of the last replica walked, the one
+# that stopped the batch if one did, and its walk's report
 _BatchReport = c_int64 * 4
 
 # the sampler as _sampler gives it

@@ -10,7 +10,7 @@
  * status is kept: an edge is sampled where it is examined, and no edge is
  * examined twice.  A site's out-edges are examined only while it is on the
  * stack; it leaves the stack only after both are, and it is then dead, so
- * no later edge enters it.  The loop in walk_advance makes the same steps
+ * no later edge enters it.  The one loop of walk_to makes the same steps
  * as ExplorationCluster.advance_level: the same scan order, the same packed
  * keys, the same guard.  It folds the up-right and up-left steps into one
  * block on the direction d, where the Python walk keeps the two blocks
@@ -35,9 +35,24 @@
  * died before it at its level, as it was pushed left of them, and a
  * popped site's entry stays in sx until the next push at its level.  So
  * above the top, sx[j] is the least dead column at level j; sx[target]
- * holds INT64_MAX while the walk searches for the new level, where
- * nothing is dead.  Between levels the stack sx[0:r_len] is the left
- * boundary, and its top sx[r_len - 1] is r at the last level completed.
+ * holds INT64_MAX from the moment its level opens, as nothing is dead
+ * there yet.  Between levels the stack sx[0:target] is the left boundary,
+ * and its top sx[target - 1] is r at the last level completed.
+ *
+ * A walk is its buffers, walk_t, and its cursor, cursor_t: the top of the
+ * stack, the top's column x and state st (how many of its out-edges have
+ * been examined), the level it searches, the scan offset and the count of
+ * examined edges.  walk_to reads the cursor and the buffers' pointers into
+ * locals on entry, and writes the cursor back once, on return; while it
+ * runs, st stands for state[top], which is written only when the top
+ * pushes.  The sampler, t0, the origin and the guard come in as arguments.
+ * So nothing the loop reads lives behind a pointer that its stores can
+ * reach.  A store through the uint8_t state may alias any object: were the
+ * cursor and the constants fields of walk_t, the compiled loop would
+ * reload them all after each push and keep n_examined in memory.  A
+ * completed level is a branch inside the loop, not a return to an outer
+ * one: it writes r, grows a growing walk's stack and opens the next
+ * level's sx slot, and leaves the loop only at the last level asked for.
  *
  * walk_value walks one start to r at one level, walk_pair an equal-time
  * pair in lockstep; their walks keep no r, and their sx and state buffers
@@ -45,12 +60,13 @@
  * target level.  walk_breaks walks one start to its break-point sums, and
  * walk_bounds one start to its boundaries at two levels.  These two keep
  * r, as they need it at every level, and their target level is known up
- * front, so r, sx and state share one block of that size: no realloc while
- * walking, and one free at the end.  glibc raises its trim threshold to
- * twice the largest mapped block freed, so the next call's block of the
- * same size comes from the heap, and stays there when freed; three buffers
- * of the walk's size together pass that threshold, and were handed back to
- * the kernel and faulted in again on every call.
+ * front, so r, sx and state share one block of that size, with the sx
+ * slot of the level after it: no realloc while walking, and one free at
+ * the end.  glibc raises its trim threshold to twice the largest mapped
+ * block freed, so the next call's block of the same size comes from the
+ * heap, and stays there when freed; three buffers of the walk's size
+ * together pass that threshold, and were handed back to the kernel and
+ * faulted in again on every call.
  *
  * walk_breaks finds the break levels as break_point_arrays of
  * tests/_references.py finds them on the Python walk's boundaries.  Level
@@ -59,27 +75,31 @@
  * consecutive break levels are the records of regen.RegenAccumulator,
  * summed here into the six sums it takes.  Every sum is an exact integer.
  *
- * walk_pair advances level by level, the left walk before the right on
- * each, and compares r until the first level n with r_R(n) <= r_L(n).
- * Stopping the right walk there is exact for starts at one time t0
- * (Durrett, Ann. Probab. 1984).  r_x(n) is the rightmost site at level n
- * reached from the half-line (-inf, x] at t0, so r_L <= r_R.  An open path
- * from the right half-line to a site at or left of r_L(n) starts right of
- * the left walk's path to r_L(n) and ends at or left of it, so the two
- * share a site.  So the left half-line reaches every site that the right
- * one reaches at level n, hence at every later level, and the boundaries
- * stay equal.  The left walk goes on alone to the target level, as a walk
- * that cannot get there must still trip its guard: subcritical pairs merge
- * within a few levels.  Guard trips come in level-then-left-then-right
- * order, so a trip of the right walk after the merge is never reached.
+ * walk_pair keeps both walks' cursors in its own locals and steps them in
+ * lockstep through walk_to, inlined, so that no level costs a call: one
+ * level of the left walk, then one of the right, until the first level n
+ * with r_R(n) <= r_L(n), read off the two cursors' x.  Stopping the right
+ * walk there is exact for starts at one time t0 (Durrett, Ann. Probab.
+ * 1984).  r_x(n) is the rightmost site at level n reached from the
+ * half-line (-inf, x] at t0, so r_L <= r_R.  An open path from the right
+ * half-line to a site at or left of r_L(n) starts right of the left walk's
+ * path to r_L(n) and ends at or left of it, so the two share a site.  So
+ * the left half-line reaches every site that the right one reaches at
+ * level n, hence at every later level, and the boundaries stay equal.  The
+ * left walk goes on alone to the target level, its remaining levels in one
+ * walk_to, as a walk that cannot get there must still trip its guard:
+ * subcritical pairs merge within a few levels.  Guard trips come in
+ * level-then-left-then-right order, so a trip of the right walk after the
+ * merge is never reached.
  *
  * walk_pairs runs walk_pair on a batch of replicas in replica order, so
  * that a batch costs one call from Python: the replicas differ in their
  * base only, and share the starts, the threshold, the guard and the level.
  * It writes each merge level into an array the caller owns, and stops at
  * the first replica whose walk_pair does not return 0, with that code, the
- * replica's index and its walk's report.  No later replica is walked, so a
- * batch raises what its replicas would raise walked one by one.
+ * replica's index and its walk's report; a batch that runs through reports
+ * its last replica.  No later replica is walked, so a batch raises what
+ * its replicas would raise walked one by one.
  *
  * Keys are the packed keys of lattice.py taken mod 2**64, which is all the
  * sampler reads of them.
@@ -123,26 +143,29 @@
 
 enum { WALK_OK = 0, WALK_GUARD = 1, WALK_NOMEM = 2 };
 
+/* A walk's buffers: the stack's columns sx and states, and r. */
 typedef struct {
-    int64_t r_len;             /* levels completed + 1 */
-    int64_t scan_offset;
-    int64_t n_examined;
     int64_t *r;                /* on a walk of fixed size only */
     int64_t *sx;
     uint8_t *state;
     void *block;               /* r, sx and state, on a walk of fixed size */
-    int64_t stack_cap;
-    int64_t t0, origin_x, scan_guard;
-    uint64_t base, threshold;
-    int all_open;
+    int64_t cap;               /* entries of sx and state */
 } walk_t;
 
-/* Room for `need` stack entries in both sx and state. */
+/* Where a walk is: the top of its stack, the top's column x and state st,
+ * the level it searches, counted from t0, and its two counts. */
+typedef struct {
+    int64_t top, x, target, scan_offset, n_examined;
+    int st;
+} cursor_t;
+
+/* Room for `need` stack entries in both sx and state; a block is never
+ * regrown. */
 static int grow_stack(walk_t *w, int64_t need)
 {
-    if (need <= w->stack_cap)
-        return 1;
-    int64_t cap = w->stack_cap;
+    if (w->block)
+        return 0;
+    int64_t cap = w->cap;
     while (cap < need)
         cap *= 2;
     int64_t *sx = realloc(w->sx, (size_t)cap * sizeof *sx);
@@ -153,48 +176,42 @@ static int grow_stack(walk_t *w, int64_t need)
     if (!state)
         return 0;
     w->state = state;
-    w->stack_cap = cap;
+    w->cap = cap;
     return 1;
 }
 
-/* Set up the walk of the half-line at (origin_x, t0) in *w.  With
+/* Set up the walk of the half-line at (origin_x, t0) in *w and *c.  With
  * `levels` >= 0, r, sx and state share one block with room for that many
- * levels past the start, and the walk must go no further; with GROWING,
- * it keeps no r, and sx and state start small and grow with the walk.
- * Returns 0 if out of memory, and *w can then still be released. */
-static int walk_init(walk_t *w, int64_t origin_x, int64_t t0, uint64_t base,
-                     uint64_t threshold, int all_open, int64_t scan_guard,
+ * levels past the start and the next one's sx slot, and the walk must go
+ * no further; with GROWING, it keeps no r, and sx and state start small
+ * and grow with the walk.  Returns 0 if out of memory, and *w can then
+ * still be released. */
+static int walk_init(walk_t *w, cursor_t *c, int64_t origin_x,
                      int64_t levels)
 {
+    *c = (cursor_t){0, origin_x, 1, 0, 0, 0};
     memset(w, 0, sizeof *w);
+    int64_t cap = 64;
     if (levels != GROWING) {
         if ((uint64_t)levels >= SIZE_MAX / 32)
             return 0; /* the block's size would overflow */
-        int64_t cap = levels + 1;
+        cap = levels + 2;
         w->block = malloc((size_t)cap * (2 * sizeof(int64_t) + 1));
         if (!w->block)
             return 0;
         w->sx = w->block;
         w->r = w->sx + cap;
         w->state = (uint8_t *)(w->r + cap);
-        w->stack_cap = cap;
         w->r[0] = origin_x;
     } else {
-        w->stack_cap = 64;
-        w->sx = malloc(64 * sizeof *w->sx);
-        w->state = malloc(64);
+        w->sx = malloc((size_t)cap * sizeof *w->sx);
+        w->state = malloc((size_t)cap);
         if (!w->sx || !w->state)
             return 0;
     }
-    w->origin_x = origin_x;
-    w->t0 = t0;
-    w->base = base;
-    w->threshold = threshold;
-    w->all_open = all_open;
-    w->scan_guard = scan_guard;
+    w->cap = cap;
     w->sx[0] = origin_x;
-    w->state[0] = 0;
-    w->r_len = 1;
+    w->sx[1] = INT64_MAX; /* nothing is dead at the new level */
     return 1;
 }
 
@@ -208,13 +225,14 @@ static void walk_release(walk_t *w)
     free(w->state);
 }
 
-static int sample(const walk_t *w, uint64_t key)
+static int sample(uint64_t base, uint64_t threshold, int all_open,
+                  uint64_t key)
 {
-    uint64_t z = w->base + key * GOLDEN;
+    uint64_t z = base + key * GOLDEN;
     z = (z ^ (z >> 30)) * MIX1;
     z = (z ^ (z >> 27)) * MIX2;
     z ^= z >> 31;
-    return w->all_open || z < w->threshold;
+    return all_open || z < threshold;
 }
 
 static uint64_t pack(int64_t hi, int64_t x)
@@ -222,67 +240,86 @@ static uint64_t pack(int64_t hi, int64_t x)
     return ((uint64_t)hi << 32) | (uint64_t)(x + X_BIAS);
 }
 
-/* Explore `levels` more levels.  Stops early on the guard or on failed
- * allocation, after which the walk must not be advanced again.  On return
- * r_len counts the completed levels. */
-static int walk_advance(walk_t *w, int64_t levels)
+/* Walk on from the cursor *c until level t0 + last is complete, under the
+ * sampler (base, threshold, all_open), from the half-line at (origin_x,
+ * t0) with its guard.  Stops early on the guard or on failed allocation,
+ * after which the walk must not go on.  The cursor is read into locals on
+ * entry and written back on return.  always_inline, a GCC and Clang
+ * attribute: walk_pair steps each walk one level at a time, and GCC at -O2
+ * would otherwise call this loop on every step. */
+__attribute__((always_inline))
+static inline int walk_to(walk_t *w, cursor_t *c, int64_t last,
+                          uint64_t base, uint64_t threshold, int all_open,
+                          int64_t t0, int64_t origin_x, int64_t scan_guard)
 {
-    if (w->block && levels > w->stack_cap - w->r_len)
-        return WALK_NOMEM; /* a block is never regrown */
-    for (int64_t done = 0; done < levels; done++) {
-        int64_t target = w->r_len;
-        int64_t top = target - 1;
-        if (!grow_stack(w, target + 1))
-            return WALK_NOMEM;
-        int64_t *sx = w->sx;
-        uint8_t *state = w->state;
-        sx[target] = INT64_MAX; /* nothing is dead at the new level */
-        for (;;) {
-            uint8_t st = state[top];
-            if (st < 2) {
-                state[top] = st + 1;
-                int64_t x = sx[top];
-                int64_t t = w->t0 + top;
-                int d = st == 0; /* up-right first, then up-left */
-                uint64_t key = pack(2 * t + d, x);
-                w->n_examined++;
-                if (sample(w, key)) {
-                    int64_t cx = d ? x + 1 : x - 1;
-                    /* above the top, sx holds the least dead column */
-                    if (cx < sx[top + 1]) {
-                        top++;
-                        sx[top] = cx;
-                        state[top] = 0;
-                        if (top == target)
-                            break;
-                    }
+    if (c->target > last)
+        return WALK_OK;
+    int64_t top = c->top, x = c->x, target = c->target;
+    int64_t scan_offset = c->scan_offset, n_examined = c->n_examined;
+    int st = c->st;
+    int64_t *r = w->r, *sx = w->sx, cap = w->cap;
+    uint8_t *state = w->state;
+    int code = WALK_OK;
+    for (;;) {
+        if (st < 2) {
+            int d = st == 0; /* up-right first, then up-left */
+            st++;
+            n_examined++;
+            if (!sample(base, threshold, all_open,
+                        pack(2 * (t0 + top) + d, x)))
+                continue;
+            int64_t cx = d ? x + 1 : x - 1;
+            /* above the top, sx holds the least dead column */
+            if (cx >= sx[top + 1])
+                continue;
+            state[top++] = (uint8_t)st;
+            sx[top] = x = cx;
+            st = 0;
+            if (top < target)
+                continue;
+            /* the level is complete: the next one opens */
+            if (r)
+                r[target] = x;
+            target++;
+            if (target + 1 > cap) {
+                if (!grow_stack(w, target + 1)) {
+                    code = WALK_NOMEM;
+                    break;
                 }
-            } else {
-                top--; /* sx[top + 1] stays, the level's least dead column */
-                if (top < 0) {
-                    w->scan_offset++;
-                    if (w->scan_offset >= w->scan_guard)
-                        return WALK_GUARD;
-                    sx[0] = w->origin_x - 2 * w->scan_offset;
-                    state[0] = 0;
-                    top = 0;
-                }
+                sx = w->sx;
+                state = w->state;
+                cap = w->cap;
             }
+            sx[target] = INT64_MAX; /* nothing is dead at the new level */
+            if (target > last)
+                break;
+        } else if (top > 0) {
+            top--; /* sx[top + 1] stays, the level's least dead column */
+            x = sx[top];
+            st = state[top];
+        } else {
+            /* every path from the start site is dead: restart two columns
+             * left */
+            scan_offset++;
+            if (scan_offset >= scan_guard) {
+                code = WALK_GUARD;
+                break;
+            }
+            sx[0] = x = origin_x - 2 * scan_offset;
+            st = 0;
         }
-        if (w->r)
-            w->r[target] = sx[target];
-        w->r_len = target + 1;
     }
-    return WALK_OK;
+    *c = (cursor_t){top, x, target, scan_offset, n_examined, st};
+    return code;
 }
 
-/* rep[0:3]: the scan offset of w, the last level it completed and the
- * edges it examined; the first two name a guard trip. */
-static int report(const walk_t *w, int code, int64_t *rep)
+/* rep[0:3]: the scan offset of the walk at c, the last level it completed
+ * and the edges it examined; the first two name a guard trip. */
+static int report(const cursor_t *c, int64_t t0, int code, int64_t *rep)
 {
-    rep[0] = w->scan_offset;
-    rep[1] = w->t0 + w->r_len - 1;
-    rep[2] = w->n_examined;
+    rep[0] = c->scan_offset;
+    rep[1] = t0 + c->target - 1;
+    rep[2] = c->n_examined;
     return code;
 }
 
@@ -292,12 +329,14 @@ int walk_value(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
                int all_open, int64_t scan_guard, int64_t level, int64_t *out)
 {
     walk_t w;
-    int code = walk_init(&w, x, t0, base, threshold, all_open, scan_guard,
-                         GROWING)
-               ? walk_advance(&w, level - t0) : WALK_NOMEM;
+    cursor_t c;
+    int code = walk_init(&w, &c, x, GROWING)
+               ? walk_to(&w, &c, level - t0, base, threshold, all_open, t0,
+                         x, scan_guard)
+               : WALK_NOMEM;
     out[0] = -1;
-    out[1] = code ? 0 : w.sx[w.r_len - 1];
-    code = report(&w, code, out + 3);
+    out[1] = code ? 0 : c.x;
+    code = report(&c, t0, code, out + 3);
     walk_release(&w);
     return code;
 }
@@ -312,26 +351,28 @@ int walk_pair(int64_t xl, int64_t xr, int64_t t0, uint64_t base,
               int64_t level, int64_t *out)
 {
     walk_t w[2];
-    int ok = walk_init(&w[0], xl, t0, base, threshold, all_open,
-                       scan_guard, GROWING);
-    ok &= walk_init(&w[1], xr, t0, base, threshold, all_open, scan_guard,
-                    GROWING);
+    cursor_t c[2];
+    int ok = walk_init(&w[0], &c[0], xl, GROWING);
+    ok &= walk_init(&w[1], &c[1], xr, GROWING);
     int code = ok ? WALK_OK : WALK_NOMEM;
-    walk_t *stop = &w[0];
+    cursor_t *stop = &c[0];
     out[0] = xr <= xl ? 0 : -1;
     for (int64_t j = 1; !code && out[0] < 0 && j <= level - t0; j++) {
-        code = walk_advance(stop = &w[0], 1);
+        code = walk_to(&w[0], stop = &c[0], j, base, threshold, all_open, t0,
+                       xl, scan_guard);
         if (!code)
-            code = walk_advance(stop = &w[1], 1);
-        if (!code && w[1].sx[j] <= w[0].sx[j])
+            code = walk_to(&w[1], stop = &c[1], j, base, threshold,
+                           all_open, t0, xr, scan_guard);
+        if (!code && c[1].x <= c[0].x)
             out[0] = j;
     }
     /* past the merge the left walk goes on alone, for its guard */
     if (!code && out[0] >= 0)
-        code = walk_advance(stop = &w[0], level - t0 - (w[0].r_len - 1));
-    out[1] = code ? 0 : w[0].sx[w[0].r_len - 1];
-    out[2] = code ? 0 : w[1].sx[w[1].r_len - 1];
-    code = report(stop, code, out + 3);
+        code = walk_to(&w[0], stop = &c[0], level - t0, base, threshold,
+                       all_open, t0, xl, scan_guard);
+    out[1] = code ? 0 : c[0].x;
+    out[2] = code ? 0 : c[1].x;
+    code = report(stop, t0, code, out + 3);
     walk_release(&w[0]);
     walk_release(&w[1]);
     return code;
@@ -340,9 +381,9 @@ int walk_pair(int64_t xl, int64_t xr, int64_t t0, uint64_t base,
 /* walk_pair of (xl, t0) and (xr, t0) to `level` on `count` configurations,
  * replica k on bases[k], all under one threshold: merge[k] gets its out[0],
  * the merge's level from t0 or -1.  Stops at the first replica, in order,
- * whose walk_pair does not return 0, and returns that code, with the
- * replica's index in rep[0] and its walk's report in rep[1:4]; merge[k]
- * past it is not written. */
+ * whose walk_pair does not return 0, and returns that code; merge[k] past
+ * it is not written.  rep[0] gets the index of the last replica walked,
+ * and rep[1:4] its walk's report. */
 int walk_pairs(int64_t xl, int64_t xr, int64_t t0, const uint64_t *bases,
                int64_t count, uint64_t threshold, int all_open,
                int64_t scan_guard, int64_t level, int64_t *merge,
@@ -352,11 +393,10 @@ int walk_pairs(int64_t xl, int64_t xr, int64_t t0, const uint64_t *bases,
     for (int64_t k = 0; k < count; k++) {
         int code = walk_pair(xl, xr, t0, bases[k], threshold, all_open,
                              scan_guard, level, out);
-        if (code) {
-            rep[0] = k;
-            memcpy(rep + 1, out + 3, 3 * sizeof *out);
+        rep[0] = k;
+        memcpy(rep + 1, out + 3, 3 * sizeof *out);
+        if (code)
             return code;
-        }
         merge[k] = out[0];
     }
     return WALK_OK;
@@ -373,9 +413,11 @@ int walk_breaks(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
                 int64_t *out)
 {
     walk_t w;
-    int code = walk_init(&w, x, t0, base, threshold, all_open, scan_guard,
-                         n + margin)
-               ? walk_advance(&w, n + margin) : WALK_NOMEM;
+    cursor_t c;
+    int code = walk_init(&w, &c, x, n + margin)
+               ? walk_to(&w, &c, n + margin, base, threshold, all_open, t0,
+                         x, scan_guard)
+               : WALK_NOMEM;
     memset(out, 0, 7 * sizeof *out);
     if (!code) {
         const int64_t *r = w.r, *sx = w.sx;
@@ -396,7 +438,7 @@ int walk_breaks(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
         }
         out[6] = r[n];
     }
-    code = report(&w, code, out + 7);
+    code = report(&c, t0, code, out + 7);
     walk_release(&w);
     return code;
 }
@@ -412,19 +454,22 @@ int walk_bounds(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
                 int64_t *rep)
 {
     walk_t w;
-    int code = walk_init(&w, x, t0, base, threshold, all_open, scan_guard,
-                         horizon - t0)
-               ? walk_advance(&w, n - t0) : WALK_NOMEM;
+    cursor_t c;
+    int code = walk_init(&w, &c, x, horizon - t0)
+               ? walk_to(&w, &c, n - t0, base, threshold, all_open, t0, x,
+                         scan_guard)
+               : WALK_NOMEM;
     if (!code) {
         memcpy(left_out, w.sx, (size_t)(n - t0 + 1) * sizeof *left_out);
-        code = walk_advance(&w, horizon - n);
+        code = walk_to(&w, &c, horizon - t0, base, threshold, all_open, t0,
+                       x, scan_guard);
     }
     if (!code) {
         size_t size = (size_t)(horizon - t0 + 1) * sizeof *r_out;
         memcpy(r_out, w.r, size);
         memcpy(gamma_out, w.sx, size);
     }
-    code = report(&w, code, rep);
+    code = report(&c, t0, code, rep);
     walk_release(&w);
     return code;
 }

@@ -19,8 +19,8 @@ from opweb.couple import _first_leq
 from opweb.explore import (ExplorationCluster, boundary_ordering_check,
                            explore_to_level, gamma_approx, walk_lockstep,
                            write_trajectory_csv)
-from opweb.lattice import (Config, LatticeSite, X_BIAS, make_key_sampler,
-                           replica_config)
+from opweb.lattice import (Config, LatticeSite, X_BIAS, edge_threshold,
+                           make_key_sampler, replica_bases, replica_config)
 
 from _references import lockstep_reference, pairs_reference
 
@@ -411,6 +411,97 @@ def test_left_walk_goes_on_past_the_merge_to_its_guard():
             "10000 start sites exhausted below level 18", 10_000)
 
 
+def _words(walk):
+    """A Python walk's report words as the native entries write them: the
+    scan offset, the last completed level and the edges examined."""
+    return walk.scan_offset, walk.level, walk.n_examined
+
+
+def _python_report(x, t0, level, cfg, guard):
+    """The code and report words of the Python walk from (x, t0) run to
+    ``level``."""
+    walk = ExplorationCluster(LatticeSite(x, t0), cfg, scan_guard=guard)
+    try:
+        walk.advance_to(level)
+    except ScanLimitExceededError:
+        return _native._GUARD, _words(walk)
+    return 0, _words(walk)
+
+
+def _python_pair_report(xs, t0, level, cfg, guard):
+    """The code and report words of the Python lockstep pair: those of the
+    walk that tripped, else of the left walk once the pair has merged, and
+    of the right walk otherwise."""
+    walks = [ExplorationCluster(LatticeSite(x, t0), cfg, scan_guard=guard)
+             for x in xs]
+    stop, values = walks[0], list(xs)
+    try:
+        for _ in range(t0, level):
+            if values[1] <= values[0]:
+                break
+            for k, walk in enumerate(walks):
+                stop = walk
+                values[k] = walk.advance_level()
+        if values[1] <= values[0]:
+            stop = walks[0]
+            walks[0].advance_to(level)
+    except ScanLimitExceededError:
+        return _native._GUARD, _words(stop)
+    return 0, _words(stop)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.6447, 0.7, 0.8, 0.9, 1.0])
+def test_report_words_match_the_python_walk(p):
+    # every entry's three report words, on walks past 2000 levels, whose
+    # growing buffers reallocate inside the level loop; at p = 0.5 the
+    # walks trip, which the words report as well
+    lib, guard = _native.load(), 2000
+    threshold, all_open = _native._cut(edge_threshold(p))
+    for seed, t0, x, gap in ((1, 0, 0, 30), (2, -7, 1, 2), (3, 4, 6, -2)):
+        cfg = replica_config(seed, p, 0)
+        args = (t0, *_native._sampler(cfg), guard)
+        level = t0 + 2500
+        out = _native._Out()
+        code = lib.walk_value(x, *args, level, out)
+        assert (code, tuple(out[3:6])) == _python_report(x, t0, level, cfg,
+                                                          guard)
+        xs = (x, x + 2 * gap)
+        expected = _python_pair_report(xs, t0, level, cfg, guard)
+        code = lib.walk_pair(*xs, *args, level, out)
+        assert (code, tuple(out[3:6])) == expected
+        bases = replica_bases(seed, 0, 1)
+        merges, rep = np.empty(1, dtype=np.int64), _native._BatchReport()
+        code = lib.walk_pairs(*xs, t0, bases.ctypes.data, 1, threshold,
+                              all_open, guard, level, merges.ctypes.data, rep)
+        assert (code, rep[0], tuple(rep[1:4])) == (expected[0], 0,
+                                                   expected[1])
+        breaks = _native._Breaks()
+        n, margin = 2000, 500
+        code = lib.walk_breaks(x, *args, n, margin, breaks)
+        assert (code, tuple(breaks[7:10])) == _python_report(
+            x, t0, t0 + n + margin, cfg, guard)
+        right, left, gamma = (np.empty(2501, dtype=np.int64)
+                              for _ in range(3))
+        rep = _native._Report()
+        code = lib.walk_bounds(x, *args, t0 + 2000, level, right.ctypes.data,
+                               left.ctypes.data, gamma.ctypes.data, rep)
+        assert (code, tuple(rep)) == _python_report(x, t0, level, cfg, guard)
+
+
+def test_a_batch_reports_its_last_replica():
+    # replicas 3 to 7 run through: the report is replica 7's, index 4
+    seed, p, level, guard = 4, 0.8, 300, 10_000
+    lib = _native.load()
+    threshold, all_open = _native._cut(edge_threshold(p))
+    bases = replica_bases(seed, 3, 5)
+    merges, rep = np.empty(5, dtype=np.int64), _native._BatchReport()
+    assert lib.walk_pairs(0, 28, 0, bases.ctypes.data, 5, threshold,
+                          all_open, guard, level, merges.ctypes.data,
+                          rep) == 0
+    assert (rep[0], tuple(rep[1:4])) == (4, _python_pair_report(
+        (0, 28), 0, level, replica_config(seed, p, 7), guard)[1])
+
+
 def test_boundary_arrays_are_owned_int64_copies():
     n = 50
     cfg = Config(8, 0.7, 3)  # its left boundary on [0, n] moves by level 4n
@@ -490,13 +581,97 @@ def test_near_critical_native_walk_stays_small():
     assert int(max_rss_mb) < 64
 
 
-def test_walk_source_compiles_clean():
+def test_walk_source_compiles_clean(tmp_path):
+    # with the build's own flags, so that the optimizer runs and warnings
+    # that need it, such as -Wmaybe-uninitialized, can appear
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no cc or gcc on PATH")
-    subprocess.run([cc, "-std=c99", "-Wall", "-Wextra", "-pedantic",
-                    "-Werror", "-fsyntax-only", str(_native._SOURCE)],
-                   check=True, timeout=120)
+    subprocess.run([cc, *_native._CFLAGS, "-Wall", "-Wextra", "-pedantic",
+                    "-Werror", "-c", "-o", str(tmp_path / "_walk.o"),
+                    str(_native._SOURCE)], check=True, timeout=120)
+
+
+_SANITIZED_RUN = """
+import ctypes
+import hashlib
+import sys
+from opweb import _native
+from opweb.errors import ScanLimitExceededError
+from opweb.explore import explore_to_level
+from opweb.lattice import LatticeSite, replica_config
+from opweb.oracle import _judge, box_ladder
+if len(sys.argv) > 1:  # a build of _walk.c in place of the cached one
+    _native._lib = ctypes.CDLL(sys.argv[1])
+    for name, (argtypes, restype) in _native._ENTRIES.items():
+        getattr(_native._lib, name).argtypes = argtypes
+        getattr(_native._lib, name).restype = restype
+
+
+def show(body, *args):
+    try:
+        result = body(*args)
+    except ScanLimitExceededError as e:
+        result = (str(e), e.scan_offset)
+    if hasattr(result, "gamma"):
+        result = (result.right, result.left, result.gamma,
+                  result.scan_offset, result.n_examined)
+    print(body.__name__, [getattr(v, "tolist", lambda: v)() for v in result])
+
+
+for p, guard in ((0.8, 10_000), (1.0, 10_000), (0.6447, 2000), (0.5, 40)):
+    for seed in range(3):
+        c = replica_config(seed, p, 0)
+        # one start, a pair with xr <= xl, and pairs that grow their
+        # buffers in lockstep or trip on either walk
+        for xs in ((0,), (6, 0), (0, 60), (0, 8)):
+            show(_native.lockstep, xs, 0, 3000, c, guard)
+        show(_native.pairs, 0, 28, 0, 2000, seed, p, 0, 10, guard)
+        show(_native.breaks, c, 2000, 500, guard)
+        show(_native.bounds, LatticeSite(1, -1), 1000, 3000, c, guard)
+show(_native.pairs, 6, 0, 0, 2000, 11, 0.8, 0, 10, 10_000)
+show(_native.breaks, replica_config(1, 0.8, 0), 20_000, 500, 10_000)
+# the widest box: the last rung of check's ladder at n = 2000
+n, cfg = 2000, replica_config(1001, 0.7, 0)
+walk = explore_to_level(LatticeSite(0, 0), n, cfg)
+for box in box_ladder(cfg, n, walk.left, walk.right, 64):
+    pass
+print(box.open_ur.shape, _judge(box, walk.right, walk.left, n),
+      hashlib.sha256(box.open_ur.tobytes() + box.open_ul.tobytes()
+                     + box.entry_open.tobytes()).hexdigest())
+"""
+
+
+def test_walk_entries_run_clean_under_sanitizers(tmp_path):
+    # every entry, built with AddressSanitizer and UBSan, on guard trips,
+    # a pair with xr <= xl, growing walks and the widest box: no report,
+    # and the outputs of the plain build
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no cc or gcc on PATH")
+    asan = subprocess.run([cc, "-print-file-name=libasan.so"],
+                          capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(asan):
+        pytest.skip(f"{cc} finds no libasan.so")
+    lib = tmp_path / "_walk-sanitized.so"
+    subprocess.run([cc, *_native._CFLAGS, "-g", "-fsanitize=address,undefined",
+                    "-fno-sanitize-recover=all", "-o", str(lib),
+                    str(_native._SOURCE)], check=True, timeout=120)
+    src = Path(_native.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    plain = subprocess.run([sys.executable, "-c", _SANITIZED_RUN], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=300)
+    # a small quarantine of freed blocks: the child peaks near 170 MB, not
+    # 230 MB
+    env.update(LD_PRELOAD=asan,
+               ASAN_OPTIONS="detect_leaks=0:quarantine_size_mb=16")
+    sanitized = subprocess.run([sys.executable, "-c", _SANITIZED_RUN,
+                                str(lib)], env=env, capture_output=True,
+                               text=True, timeout=300)
+    assert sanitized.returncode == 0, sanitized.stderr[-4000:]
+    assert sanitized.stdout == plain.stdout
+    assert "(2000, 6067) ok" in plain.stdout
 
 
 def test_native_walk_loads_where_a_compiler_exists():
