@@ -4,7 +4,8 @@ Each body here makes one C call, which makes, runs and frees its walks and
 hands back a few integers or fills arrays that Python allocated and owns:
 no walk outlives the call, and nothing is copied after it.  `lockstep` is
 the body of `explore.walk_lockstep` (``walk_value`` for one start,
-``walk_pair`` for an equal-time pair), `pairs` of `couple.pair_merges`
+``walk_pair`` for an equal-time pair, walked left then right up to its
+merge), `pairs` of `couple.pair_merges`
 (``walk_pairs``, the pair on a batch of replicas), `breaks` of the estimate
 worker `regen._estimate_worker` (``walk_breaks``), and `bounds` of
 `explore.explore_to_level` (``walk_bounds``).  The judge of these walks

@@ -10,8 +10,8 @@
  * status is kept: an edge is sampled where it is examined, and no edge is
  * examined twice.  A site's out-edges are examined only while it is on the
  * stack; it leaves the stack only after both are, and it is then dead, so
- * no later edge enters it.  The one loop of walk_to makes the same steps
- * as ExplorationCluster.advance_level: the same scan order, the same packed
+ * no later edge enters it.  walk_to makes the same steps as
+ * ExplorationCluster.advance_level: the same scan order, the same packed
  * keys, the same guard.  It folds the up-right and up-left steps into one
  * block on the direction d, where the Python walk keeps the two blocks
  * unrolled because that runs faster there.  The Python walk, with its set
@@ -42,31 +42,47 @@
  * A walk is its buffers, walk_t, and its cursor, cursor_t: the top of the
  * stack, the top's column x and state st (how many of its out-edges have
  * been examined), the level it searches, the scan offset and the count of
- * examined edges.  walk_to reads the cursor and the buffers' pointers into
- * locals on entry, and writes the cursor back once, on return; while it
- * runs, st stands for state[top], which is written only when the top
- * pushes.  The sampler, t0, the origin and the guard come in as arguments.
- * So nothing the loop reads lives behind a pointer that its stores can
- * reach.  A store through the uint8_t state may alias any object: were the
- * cursor and the constants fields of walk_t, the compiled loop would
- * reload them all after each push and keep n_examined in memory.  A
- * completed level is a branch inside the loop, not a return to an outer
- * one: it writes r, grows a growing walk's stack and opens the next
- * level's sx slot, and leaves the loop only at the last level asked for.
+ * examined edges.  walk_to reads the cursor and the buffers into locals on
+ * entry, and writes the cursor back once, on return; while it runs, st
+ * stands for state[top], which is written only when the top pushes.  The
+ * sampler, t0, the origin and the guard come in as arguments.  So nothing
+ * the loop reads lives behind a pointer that its stores can reach.  A
+ * store through the uint8_t state may alias any object: were the cursor
+ * and the constants fields of walk_t, the compiled loop would reload them
+ * all after each push and keep n_examined in memory.  A completed level is
+ * a branch inside the loop, not a return to an outer one, and the only
+ * place a level completes: it writes r, grows a growing walk's buffers,
+ * opens the next level's sx slot, and stops the walk at the last level
+ * asked for, or at the first level where x <= bound on a walk given a
+ * bound.
  *
- * walk_value walks one start to r at one level, walk_pair an equal-time
- * pair in lockstep; their walks keep no r, and their sx and state buffers
- * grow with the walk, as a pair may stop at its merge long before its
- * target level.  walk_breaks walks one start to its break-point sums, and
- * walk_bounds one start to its boundaries at two levels.  These two keep
- * r, as they need it at every level, and their target level is known up
- * front, so r, sx and state share one block of that size, with the sx
- * slot of the level after it: no realloc while walking, and one free at
- * the end.  glibc raises its trim threshold to twice the largest mapped
- * block freed, so the next call's block of the same size comes from the
- * heap, and stays there when freed; three buffers of the walk's size
- * together pass that threshold, and were handed back to the kernel and
- * faulted in again on every call.
+ * The level a completed level opens is open in the other sense too:
+ * nothing is dead on it, as sx[target] holds INT64_MAX, so an open edge
+ * from the top always pushes.  So from each completed level walk_to runs
+ * a tighter loop while the top stays one level below the target with its
+ * state 0: it samples the up-right edge, then the up-left one, pushes the
+ * first that is open and closes the level, with no dead-column test.  It
+ * carries z = base + key * GOLDEN of the top's up-right edge from level
+ * to level, adding the key's step times GOLDEN: the key steps by 2**33 + 1
+ * on an up-right push and by 2**33 - 1 on an up-left one, and the up-left
+ * key is 2**32 below the up-right one.  That is pack's key wherever
+ * |x| < 2**31, the domain that lattice.X_BIAS documents.  The first pop,
+ * with both out-edges closed, hands the top back to the general loop.
+ *
+ * walk_value walks one start to r at one level, and keeps no r.
+ * walk_pair's left walk keeps r, and the right one does not.  Their
+ * buffers start with room for FIRST_LEVELS levels, or fewer if the target
+ * level is nearer, and grow with the walk, as a subcritical walk may trip
+ * its guard far below a target level too high to allocate.  walk_breaks
+ * walks one start to its break-point sums, and walk_bounds one start to
+ * its boundaries at two levels.  These two keep r, and their target level
+ * is known up front, so r, sx and state share one block of that size,
+ * with the sx slot of the level after it: no realloc while walking, and
+ * one free at the end.  glibc raises its trim threshold to twice the
+ * largest mapped block freed, so the next call's block of the same size
+ * comes from the heap, and stays there when freed; three buffers of the
+ * walk's size together pass that threshold, and were handed back to the
+ * kernel and faulted in again on every call.
  *
  * walk_breaks finds the break levels as break_point_arrays of
  * tests/_references.py finds them on the Python walk's boundaries.  Level
@@ -75,22 +91,31 @@
  * consecutive break levels are the records of regen.RegenAccumulator,
  * summed here into the six sums it takes.  Every sum is an exact integer.
  *
- * walk_pair keeps both walks' cursors in its own locals and steps them in
- * lockstep through walk_to, inlined, so that no level costs a call: one
- * level of the left walk, then one of the right, until the first level n
- * with r_R(n) <= r_L(n), read off the two cursors' x.  Stopping the right
- * walk there is exact for starts at one time t0 (Durrett, Ann. Probab.
- * 1984).  r_x(n) is the rightmost site at level n reached from the
- * half-line (-inf, x] at t0, so r_L <= r_R.  An open path from the right
- * half-line to a site at or left of r_L(n) starts right of the left walk's
- * path to r_L(n) and ends at or left of it, so the two share a site.  So
- * the left half-line reaches every site that the right one reaches at
- * level n, hence at every later level, and the boundaries stay equal.  The
- * left walk goes on alone to the target level, its remaining levels in one
- * walk_to, as a walk that cannot get there must still trip its guard:
- * subcritical pairs merge within a few levels.  Guard trips come in
- * level-then-left-then-right order, so a trip of the right walk after the
- * merge is never reached.
+ * walk_pair walks an equal-time pair to the first level n with
+ * r_R(n) <= r_L(n).  Stopping the right walk there is exact for starts at
+ * one time t0 (Durrett, Ann. Probab. 1984).  r_x(n) is the rightmost site
+ * at level n reached from the half-line (-inf, x] at t0, so r_L <= r_R.
+ * An open path from the right half-line to a site at or left of r_L(n)
+ * starts right of the left walk's path to r_L(n) and ends at or left of
+ * it, so the two share a site.  So the left half-line reaches every site
+ * that the right one reaches at level n, hence at every later level, and
+ * the boundaries stay equal.  The left walk goes on to the target level,
+ * as a walk that cannot get there must still trip its guard: subcritical
+ * pairs merge within a few levels.
+ *
+ * The two walks meet only in that stop test, so walk_pair runs each in one
+ * walk_to call, the left one first.  The left walk goes to the target
+ * level and records r_L at every level it completes.  The right walk then
+ * goes up to the left walk's last complete level, with r_L as its bound,
+ * and stops at the first level it completes with x <= r_L.  A level by
+ * level lockstep would raise guard trips in level, then left, then right
+ * order, and so does this.  A left walk that trips searching level a is
+ * past every level below a, where the lockstep would have walked the right
+ * walk too; the right walk here walks just those, so a right trip there
+ * comes first, and otherwise the left trip does, merge or not.  A right
+ * trip at level a or above, or after the merge, is never reached in either
+ * order.  With no trip and no merge, the report is the right walk's, whose
+ * level the lockstep searched last.
  *
  * walk_pairs runs walk_pair on a batch of replicas in replica order, so
  * that a batch costs one call from Python: the replicas differ in their
@@ -105,7 +130,7 @@
  * sampler reads of them.
  *
  * box_edges and dp_box are the judge of these walks, and use no walk
- * code: no sample, no pack, no walk_t.  box_edges writes a box's edge
+ * code: no is_open, no pack, no walk_t.  box_edges writes a box's edge
  * statuses, as oracle.BoxConfig holds them, into byte arrays the caller
  * owns: the up-right and up-left status of each site at its cell of
  * open_ur and open_ul, 0 at the other cells, and the entry_open flags.  It
@@ -139,17 +164,27 @@
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 #define MIX1 0xBF58476D1CE4E5B9ULL
 #define MIX2 0x94D049BB133111EBULL
-#define GROWING (-1) /* walk_init's `levels` for a walk of no fixed size */
+/* walk_init's kinds of walk: of fixed size, and growing, keeping no r or
+ * keeping r */
+enum { FIXED, GROWING, GROWING_R };
+/* the most levels a growing walk has room for at its start */
+#define FIRST_LEVELS 1024
+/* z = base + key * GOLDEN steps by these on the open level: from the top's
+ * up-right edge to its up-left one, and to the next top's up-right edge
+ * after an up-right or an up-left push */
+#define UL_Z ((1ULL << 32) * GOLDEN)
+#define UR_STEP (((2ULL << 32) + 1) * GOLDEN)
+#define UL_STEP (((2ULL << 32) - 1) * GOLDEN)
 
 enum { WALK_OK = 0, WALK_GUARD = 1, WALK_NOMEM = 2 };
 
 /* A walk's buffers: the stack's columns sx and states, and r. */
 typedef struct {
-    int64_t *r;                /* on a walk of fixed size only */
+    int64_t *r;                /* on a walk that keeps r */
     int64_t *sx;
     uint8_t *state;
     void *block;               /* r, sx and state, on a walk of fixed size */
-    int64_t cap;               /* entries of sx and state */
+    int64_t cap;               /* entries of each */
 } walk_t;
 
 /* Where a walk is: the top of its stack, the top's column x and state st,
@@ -159,7 +194,7 @@ typedef struct {
     int st;
 } cursor_t;
 
-/* Room for `need` stack entries in both sx and state; a block is never
+/* Room for `need` entries in sx, state and any r; a block is never
  * regrown. */
 static int grow_stack(walk_t *w, int64_t need)
 {
@@ -176,40 +211,50 @@ static int grow_stack(walk_t *w, int64_t need)
     if (!state)
         return 0;
     w->state = state;
+    if (w->r) {
+        int64_t *r = realloc(w->r, (size_t)cap * sizeof *r);
+        if (!r)
+            return 0;
+        w->r = r;
+    }
     w->cap = cap;
     return 1;
 }
 
-/* Set up the walk of the half-line at (origin_x, t0) in *w and *c.  With
- * `levels` >= 0, r, sx and state share one block with room for that many
- * levels past the start and the next one's sx slot, and the walk must go
- * no further; with GROWING, it keeps no r, and sx and state start small
- * and grow with the walk.  Returns 0 if out of memory, and *w can then
- * still be released. */
+/* Set up the walk of the half-line at (origin_x, t0) in *w and *c, for
+ * `levels` levels past the start.  A FIXED walk has r, sx and state in one
+ * block with room for that many levels and the next one's sx slot, and
+ * must go no further.  A GROWING or GROWING_R walk keeps no r or keeps r,
+ * and its buffers start with room for at most FIRST_LEVELS levels and grow
+ * with the walk.  Returns 0 if out of memory, and *w can then still be
+ * released. */
 static int walk_init(walk_t *w, cursor_t *c, int64_t origin_x,
-                     int64_t levels)
+                     int64_t levels, int kind)
 {
     *c = (cursor_t){0, origin_x, 1, 0, 0, 0};
     memset(w, 0, sizeof *w);
-    int64_t cap = 64;
-    if (levels != GROWING) {
+    if (kind == FIXED) {
         if ((uint64_t)levels >= SIZE_MAX / 32)
             return 0; /* the block's size would overflow */
-        cap = levels + 2;
-        w->block = malloc((size_t)cap * (2 * sizeof(int64_t) + 1));
+        w->cap = levels + 2;
+        w->block = malloc((size_t)w->cap * (2 * sizeof(int64_t) + 1));
         if (!w->block)
             return 0;
         w->sx = w->block;
-        w->r = w->sx + cap;
-        w->state = (uint8_t *)(w->r + cap);
-        w->r[0] = origin_x;
+        w->r = w->sx + w->cap;
+        w->state = (uint8_t *)(w->r + w->cap);
     } else {
-        w->sx = malloc((size_t)cap * sizeof *w->sx);
-        w->state = malloc((size_t)cap);
-        if (!w->sx || !w->state)
+        int64_t first = levels < FIRST_LEVELS ? levels : FIRST_LEVELS;
+        w->cap = (first > 0 ? first : 0) + 2;
+        w->sx = malloc((size_t)w->cap * sizeof *w->sx);
+        w->state = malloc((size_t)w->cap);
+        if (kind == GROWING_R)
+            w->r = malloc((size_t)w->cap * sizeof *w->r);
+        if (!w->sx || !w->state || (kind == GROWING_R && !w->r))
             return 0;
     }
-    w->cap = cap;
+    if (w->r)
+        w->r[0] = origin_x;
     w->sx[0] = origin_x;
     w->sx[1] = INT64_MAX; /* nothing is dead at the new level */
     return 1;
@@ -221,14 +266,15 @@ static void walk_release(walk_t *w)
         free(w->block);
         return;
     }
+    free(w->r);
     free(w->sx);
     free(w->state);
 }
 
-static int sample(uint64_t base, uint64_t threshold, int all_open,
-                  uint64_t key)
+/* Whether the edge whose key k gives z = base + k * GOLDEN is open under
+ * threshold and all_open. */
+static int is_open(uint64_t z, uint64_t threshold, int all_open)
 {
-    uint64_t z = base + key * GOLDEN;
     z = (z ^ (z >> 30)) * MIX1;
     z = (z ^ (z >> 27)) * MIX2;
     z ^= z >> 31;
@@ -242,61 +288,84 @@ static uint64_t pack(int64_t hi, int64_t x)
 
 /* Walk on from the cursor *c until level t0 + last is complete, under the
  * sampler (base, threshold, all_open), from the half-line at (origin_x,
- * t0) with its guard.  Stops early on the guard or on failed allocation,
- * after which the walk must not go on.  The cursor is read into locals on
- * entry and written back on return.  always_inline, a GCC and Clang
- * attribute: walk_pair steps each walk one level at a time, and GCC at -O2
- * would otherwise call this loop on every step. */
+ * t0) with its guard; with a bound, stop too at the first level j it
+ * completes with x <= bound[j], which must hold up to `last`.  Stops early
+ * on the guard or on failed allocation, after which the walk must not go
+ * on.  The cursor is read into locals on entry and written back on
+ * return.  always_inline, a GCC and Clang attribute, so that each caller
+ * gets a loop of its own, which drops the bound test where bound is NULL:
+ * GCC at -O2 would otherwise call one shared loop. */
 __attribute__((always_inline))
 static inline int walk_to(walk_t *w, cursor_t *c, int64_t last,
                           uint64_t base, uint64_t threshold, int all_open,
-                          int64_t t0, int64_t origin_x, int64_t scan_guard)
+                          int64_t t0, int64_t origin_x, int64_t scan_guard,
+                          const int64_t *bound)
 {
     if (c->target > last)
         return WALK_OK;
     int64_t top = c->top, x = c->x, target = c->target;
     int64_t scan_offset = c->scan_offset, n_examined = c->n_examined;
     int st = c->st;
-    int64_t *r = w->r, *sx = w->sx, cap = w->cap;
-    uint8_t *state = w->state;
+    walk_t b = *w;
     int code = WALK_OK;
     for (;;) {
         if (st < 2) {
             int d = st == 0; /* up-right first, then up-left */
             st++;
             n_examined++;
-            if (!sample(base, threshold, all_open,
-                        pack(2 * (t0 + top) + d, x)))
+            if (!is_open(base + pack(2 * (t0 + top) + d, x) * GOLDEN,
+                         threshold, all_open))
                 continue;
             int64_t cx = d ? x + 1 : x - 1;
             /* above the top, sx holds the least dead column */
-            if (cx >= sx[top + 1])
+            if (cx >= b.sx[top + 1])
                 continue;
-            state[top++] = (uint8_t)st;
-            sx[top] = x = cx;
+            b.state[top++] = (uint8_t)st;
+            b.sx[top] = x = cx;
             st = 0;
             if (top < target)
                 continue;
-            /* the level is complete: the next one opens */
-            if (r)
-                r[target] = x;
-            target++;
-            if (target + 1 > cap) {
-                if (!grow_stack(w, target + 1)) {
-                    code = WALK_NOMEM;
-                    break;
+            /* the level is complete; up the open levels it opens, each
+             * open edge from the top pushes, until the first pop */
+            uint64_t z = base + pack(2 * (t0 + top) + 1, x) * GOLDEN;
+            for (;;) {
+                int64_t j = target++; /* level j is complete */
+                if (b.r)
+                    b.r[j] = x;
+                if (j + 2 > b.cap) {
+                    if (!grow_stack(w, j + 2)) {
+                        code = WALK_NOMEM;
+                        goto done;
+                    }
+                    b = *w;
                 }
-                sx = w->sx;
-                state = w->state;
-                cap = w->cap;
+                b.sx[j + 1] = INT64_MAX; /* nothing is dead at the new level */
+                if (j >= last || (bound && x <= bound[j]))
+                    goto done;
+                /* the open level: up-right first, then up-left */
+                n_examined++;
+                int s = 1;
+                uint64_t step = UR_STEP;
+                int64_t dx = 1;
+                if (!is_open(z, threshold, all_open)) {
+                    n_examined++;
+                    if (!is_open(z - UL_Z, threshold, all_open)) {
+                        st = 2; /* both closed: the general loop pops */
+                        break;
+                    }
+                    s = 2;
+                    step = UL_STEP;
+                    dx = -1;
+                }
+                z += step;
+                x += dx;
+                b.state[top++] = (uint8_t)s;
+                b.sx[top] = x;
             }
-            sx[target] = INT64_MAX; /* nothing is dead at the new level */
-            if (target > last)
-                break;
         } else if (top > 0) {
             top--; /* sx[top + 1] stays, the level's least dead column */
-            x = sx[top];
-            st = state[top];
+            x = b.sx[top];
+            st = b.state[top];
         } else {
             /* every path from the start site is dead: restart two columns
              * left */
@@ -305,10 +374,11 @@ static inline int walk_to(walk_t *w, cursor_t *c, int64_t last,
                 code = WALK_GUARD;
                 break;
             }
-            sx[0] = x = origin_x - 2 * scan_offset;
+            b.sx[0] = x = origin_x - 2 * scan_offset;
             st = 0;
         }
     }
+done:
     *c = (cursor_t){top, x, target, scan_offset, n_examined, st};
     return code;
 }
@@ -330,9 +400,9 @@ int walk_value(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
 {
     walk_t w;
     cursor_t c;
-    int code = walk_init(&w, &c, x, GROWING)
+    int code = walk_init(&w, &c, x, level - t0, GROWING)
                ? walk_to(&w, &c, level - t0, base, threshold, all_open, t0,
-                         x, scan_guard)
+                         x, scan_guard, NULL)
                : WALK_NOMEM;
     out[0] = -1;
     out[1] = code ? 0 : c.x;
@@ -341,35 +411,38 @@ int walk_value(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
     return code;
 }
 
-/* The pair from (xl, t0) and (xr, t0) in lockstep to `level`: out[0] is
- * n - t0 for the first level n with r_R(n) <= r_L(n), or -1 with r_L and
- * r_R at `level` in out[1] and out[2].  The right walk stops at that level
- * and the left one goes on to `level`.  Returns the code of the walk that
- * stopped the pair (0 if none did), with that walk's report in out[3:6]. */
+/* The pair from (xl, t0) and (xr, t0) to `level`: out[0] is n - t0 for the
+ * first level n with r_R(n) <= r_L(n), or -1 with r_L and r_R at `level`
+ * in out[1] and out[2].  The left walk goes to `level`, and the right one
+ * up to the left one's last complete level, or that first level.  Returns
+ * the code of the walk that stopped the pair (0 if none did), with that
+ * walk's report in out[3:6], as a lockstep pair would. */
 int walk_pair(int64_t xl, int64_t xr, int64_t t0, uint64_t base,
               uint64_t threshold, int all_open, int64_t scan_guard,
               int64_t level, int64_t *out)
 {
     walk_t w[2];
     cursor_t c[2];
-    int ok = walk_init(&w[0], &c[0], xl, GROWING);
-    ok &= walk_init(&w[1], &c[1], xr, GROWING);
-    int code = ok ? WALK_OK : WALK_NOMEM;
-    cursor_t *stop = &c[0];
+    int ok = walk_init(&w[0], &c[0], xl, level - t0, GROWING_R);
+    ok &= walk_init(&w[1], &c[1], xr, level - t0, GROWING);
+    int code = ok ? walk_to(&w[0], &c[0], level - t0, base, threshold,
+                            all_open, t0, xl, scan_guard, NULL)
+                  : WALK_NOMEM;
+    const cursor_t *stop = &c[0];
     out[0] = xr <= xl ? 0 : -1;
-    for (int64_t j = 1; !code && out[0] < 0 && j <= level - t0; j++) {
-        code = walk_to(&w[0], stop = &c[0], j, base, threshold, all_open, t0,
-                       xl, scan_guard);
-        if (!code)
-            code = walk_to(&w[1], stop = &c[1], j, base, threshold,
-                           all_open, t0, xr, scan_guard);
-        if (!code && c[1].x <= c[0].x)
-            out[0] = j;
+    if (out[0] < 0 && code != WALK_NOMEM) {
+        /* below the level at which the left walk stopped, bounded by r_L */
+        int right = walk_to(&w[1], &c[1], c[0].target - 1, base, threshold,
+                            all_open, t0, xr, scan_guard, w[0].r);
+        if (right) {
+            code = right;
+            stop = &c[1];
+        } else if (c[1].x <= w[0].r[c[1].target - 1]) {
+            out[0] = c[1].target - 1;
+        } else if (!code) {
+            stop = &c[1];
+        }
     }
-    /* past the merge the left walk goes on alone, for its guard */
-    if (!code && out[0] >= 0)
-        code = walk_to(&w[0], stop = &c[0], level - t0, base, threshold,
-                       all_open, t0, xl, scan_guard);
     out[1] = code ? 0 : c[0].x;
     out[2] = code ? 0 : c[1].x;
     code = report(stop, t0, code, out + 3);
@@ -414,9 +487,9 @@ int walk_breaks(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
 {
     walk_t w;
     cursor_t c;
-    int code = walk_init(&w, &c, x, n + margin)
+    int code = walk_init(&w, &c, x, n + margin, FIXED)
                ? walk_to(&w, &c, n + margin, base, threshold, all_open, t0,
-                         x, scan_guard)
+                         x, scan_guard, NULL)
                : WALK_NOMEM;
     memset(out, 0, 7 * sizeof *out);
     if (!code) {
@@ -455,14 +528,14 @@ int walk_bounds(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
 {
     walk_t w;
     cursor_t c;
-    int code = walk_init(&w, &c, x, horizon - t0)
+    int code = walk_init(&w, &c, x, horizon - t0, FIXED)
                ? walk_to(&w, &c, n - t0, base, threshold, all_open, t0, x,
-                         scan_guard)
+                         scan_guard, NULL)
                : WALK_NOMEM;
     if (!code) {
         memcpy(left_out, w.sx, (size_t)(n - t0 + 1) * sizeof *left_out);
         code = walk_to(&w, &c, horizon - t0, base, threshold, all_open, t0,
-                       x, scan_guard);
+                       x, scan_guard, NULL);
     }
     if (!code) {
         size_t size = (size_t)(horizon - t0 + 1) * sizeof *r_out;

@@ -215,7 +215,7 @@ def cmd_coalesce(spec: ExperimentSpec) -> int:
 # -- eta ---------------------------------------------------------------------
 
 def cmd_eta(spec: ExperimentSpec) -> int:
-    rows = []
+    rows, spec_hash = [], spec.hash()
     if spec.x is not None:
         rep = b2_fkg_check(spec.p, spec.n, spec.x, spec.replicas,
                            seed=spec.seed, workers=spec.workers,
@@ -226,7 +226,7 @@ def cmd_eta(spec: ExperimentSpec) -> int:
             "n": rep.n_per_side, "p2": rep.p2,
             "p2_ci_low": rep.p2_ci[0], "p2_ci_high": rep.p2_ci[1],
             "rhs": rep.rhs, "slack": rep.slack, "holds": rep.holds,
-            "spec_hash": spec.hash(),
+            "spec_hash": spec_hash,
         })
     else:
         if not spec.eps or not spec.delta or not spec.t:
@@ -243,7 +243,7 @@ def cmd_eta(spec: ExperimentSpec) -> int:
                 offset += spec.replicas * len(spec.delta)
                 for row in batch:
                     row["battery"] = "b1"
-                    row["spec_hash"] = spec.hash()
+                    row["spec_hash"] = spec_hash
                     rows.append(row)
     text = "\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n"
     if spec.out:

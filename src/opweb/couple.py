@@ -28,12 +28,13 @@ distinct values of a family are thus one plus the increases between
 neighbours, and bisection counts them from the clusters at the ends of
 each unsettled interval (the squeeze).  The batteries keep no cluster:
 each reads r through `explore.walk_lockstep`, which walks an equal-time
-pair in lockstep and stops at the first level where ``r_R <= r_L``, as from
-there the two boundaries stay equal.  That level is the survival curve's
-``kappa_rr``, and a family whose end clusters merge by its level has one
-value.  Where only that level is asked for (the survival curve, B1 and the
-P(eta >= 2) side of B2), `pair_merges` walks the same pair on a range of
-replicas in one native call.
+pair, the left walk and then the right one, and stops the right walk at
+the first level where ``r_R <= r_L``, as from there the two boundaries stay
+equal.  That level is the survival curve's ``kappa_rr``, and a family
+whose end clusters merge by its level has one value.  Where only that
+level is asked for (the survival curve, B1 and the P(eta >= 2) side of
+B2), `pair_merges` walks the same pair on a range of replicas in one
+native call.
 
 Coalescence bookkeeping for a pair started left (cluster ``L``) and right
 (cluster ``R``) at the same time:
@@ -348,9 +349,9 @@ def family_eta(start_xs, t0: int, level: int, cfg: Config, *,
     """Distinct values of ``r_x(level)`` over an equal-time family on ``cfg``.
 
     Counted by squeeze: the leftmost and the rightmost cluster run first,
-    as one pair in lockstep; if they merge by ``level`` the family has one
-    value.  Otherwise an interval of starts whose end values differ is
-    split at its midpoint, so only the clusters that separate distinct
+    as one pair stopped at its merge; if they merge by ``level`` the family
+    has one value.  Otherwise an interval of starts whose end values differ
+    is split at its midpoint, so only the clusters that separate distinct
     values run.  With ``cap >= 1`` the count stops once the values found,
     plus one for each interval still to split, reach ``cap``, and
     ``min(eta, cap)`` is returned; ``cap=2`` runs the two extreme clusters

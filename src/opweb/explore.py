@@ -37,10 +37,10 @@ boundaries: r through a horizon, the left boundary ``l`` frozen at a level
 ``n``, and the left boundary at the horizon, the stand-in γ for the
 rightmost infinite open path (`opweb._native.bounds`).  `walk_lockstep`
 serves callers that need r at one level: one start, or an equal-time pair
-walked in lockstep up to the level where it merges
-(`opweb._native.lockstep`).  The estimate worker needs only the sums of
-the increments between break points, where r meets the left boundary at
-the horizon (`opweb._native.breaks`).
+walked up to the level where it merges (`opweb._native.lockstep`).  The
+estimate worker needs only the sums of the increments between break
+points, where r meets the left boundary at the horizon
+(`opweb._native.breaks`).
 
 The Python walk always keeps its left-delta record (`left_deltas`): per
 level, the lowest stack index the advance rewrote and the stack from there
@@ -276,15 +276,18 @@ def walk_lockstep(xs, t0: int, level: int, cfg: Config, *, scan_guard):
     ``xl < xr``, from time ``t0`` toward ``level`` on ``cfg``; no cluster is
     kept.
 
-    Returns ``(merge, values)``.  The pair advances level by level, the
-    left walk first, until the first level ``n`` with ``r_R(n) <= r_L(n)``:
-    ``merge`` is that level and ``values`` None.  From there the two
+    Returns ``(merge, values)``.  For a pair, ``merge`` is the first level
+    ``n`` with ``r_R(n) <= r_L(n)`` and ``values`` None.  From there the two
     boundaries are equal for good (equal-time starts), so the right walk
-    stops; the left one goes on to ``level``, so that input on which it
-    cannot get there still trips its guard.  Otherwise ``merge`` is None
-    and ``values`` holds r at ``level`` of each start.  A tripped scan guard
-    raises its ScanLimitExceededError in that order, so a trip of the right
-    walk after the merge is never reached.
+    stops there.  The left walk goes on to ``level``, so that input on which
+    it cannot get there still trips its guard.  Otherwise ``merge`` is None
+    and ``values`` holds r at ``level`` of each start.  The two walks meet
+    only in that stop test, so the left one walks first, recording r_L, and
+    the right one then walks up to the left one's last complete level,
+    bounded by r_L.  A tripped scan guard raises its ScanLimitExceededError
+    as a level-by-level lockstep would, trips at lower levels first and the
+    left walk's before the right one's at the same level, so a trip of the
+    right walk after the merge is never reached.
     """
     from . import _native  # may build the library: not at import
     return _native.lockstep(xs, t0, level, cfg, scan_guard)

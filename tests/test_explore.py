@@ -411,6 +411,19 @@ def test_left_walk_goes_on_past_the_merge_to_its_guard():
             "10000 start sites exhausted below level 18", 10_000)
 
 
+def test_a_pair_far_below_its_level_trips_its_guard():
+    # subcritical, to level 10**12: the left walk trips below level 5, and
+    # its buffers grow with the walk, so none is sized to the level
+    level, guard = 10**12, 40
+    for call in (lambda: _native.pairs(0, 4, 0, level, 0, 0.3, 0, 1, guard),
+                 lambda: _native.lockstep((0, 4), 0, level,
+                                          replica_config(0, 0.3, 0), guard)):
+        with pytest.raises(ScanLimitExceededError) as trip:
+            call()
+        assert (str(trip.value), trip.value.scan_offset) == (
+            "40 start sites exhausted below level 5", 40)
+
+
 def _words(walk):
     """A Python walk's report words as the native entries write them: the
     scan offset, the last completed level and the edges examined."""
@@ -623,13 +636,22 @@ for p, guard in ((0.8, 10_000), (1.0, 10_000), (0.6447, 2000), (0.5, 40)):
     for seed in range(3):
         c = replica_config(seed, p, 0)
         # one start, a pair with xr <= xl, and pairs that grow their
-        # buffers in lockstep or trip on either walk
+        # buffers or trip on either walk
         for xs in ((0,), (6, 0), (0, 60), (0, 8)):
             show(_native.lockstep, xs, 0, 3000, c, guard)
         show(_native.pairs, 0, 28, 0, 2000, seed, p, 0, 10, guard)
         show(_native.breaks, c, 2000, 500, guard)
         show(_native.bounds, LatticeSite(1, -1), 1000, 3000, c, guard)
 show(_native.pairs, 6, 0, 0, 2000, 11, 0.8, 0, 10, 10_000)
+# the pair's branches: a left walk that trips with no merge below its trip,
+# a right walk that trips below the left one's trip, a merge at level 1
+# before a left trip, one with no trip, whose left walk of 3000 levels
+# reallocates its r, and pairs walked to their start level
+for seed, p, guard, xs in ((1, 0.5, 5, (0, 8)), (0, 0.5, 5, (0, 20)),
+                           (0, 0.5, 5, (0, 2)), (6, 0.6447, 40, (0, 2))):
+    show(_native.lockstep, xs, 0, 3000, replica_config(seed, p, 0), guard)
+show(_native.lockstep, (0, 8), 4, 4, replica_config(0, 0.8, 0), 10_000)
+show(_native.pairs, 0, 8, 4, 4, 0, 0.8, 0, 3, 10_000)
 show(_native.breaks, replica_config(1, 0.8, 0), 20_000, 500, 10_000)
 # the widest box: the last rung of check's ladder at n = 2000
 n, cfg = 2000, replica_config(1001, 0.7, 0)
@@ -644,8 +666,8 @@ print(box.open_ur.shape, _judge(box, walk.right, walk.left, n),
 
 def test_walk_entries_run_clean_under_sanitizers(tmp_path):
     # every entry, built with AddressSanitizer and UBSan, on guard trips,
-    # a pair with xr <= xl, growing walks and the widest box: no report,
-    # and the outputs of the plain build
+    # a pair with xr <= xl, each branch of the pair, growing walks and the
+    # widest box: no report, and the outputs of the plain build
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no cc or gcc on PATH")
@@ -672,6 +694,11 @@ def test_walk_entries_run_clean_under_sanitizers(tmp_path):
     assert sanitized.returncode == 0, sanitized.stderr[-4000:]
     assert sanitized.stdout == plain.stdout
     assert "(2000, 6067) ok" in plain.stdout
+    # the trips and the merge of the pair's branches
+    assert ("lockstep ['5 start sites exhausted below level 9', 5]\n"
+            "lockstep ['5 start sites exhausted below level 8', 5]\n"
+            "lockstep ['5 start sites exhausted below level 14', 5]\n"
+            "lockstep [1, None]\n") in plain.stdout
 
 
 def test_native_walk_loads_where_a_compiler_exists():
