@@ -11,12 +11,14 @@ worker `regen._estimate_worker` (``walk_breaks``), and `bounds` of
 `explore.explore_to_level` (``walk_bounds``).  The judge of these walks
 runs no walk code: `edges` writes the edge statuses of an
 `oracle.BoxConfig` into the box's own arrays (``box_edges``, with its own
-copy of the edge hash), and `dp` is the certified DP of `oracle` on one
-box (``dp_box``), which reads only those arrays.  These are the only
+copy of the edge hash), `dp` is the certified DP of `oracle` on one box
+(``dp_box``), which reads only those arrays, and `judge` is one rung of
+`oracle.box_ladder` (``judge_box``): that DP on one box, compared with a
+walk's two boundaries, the body of `oracle._judge`.  These are the only
 bodies of those computations in the package.  The Python references they
-are tested against live with the tests: the walks' in
-``tests/_references.py``, on `explore.ExplorationCluster`, and the DP's
-and the box fill's in ``tests/test_oracle.py``.
+are tested against live with the tests: the walks' and the rung's in
+``tests/_references.py``, the walks' on `explore.ExplorationCluster`, and
+the DP's and the box fill's in ``tests/test_oracle.py``.
 
 `explore` and `oracle` import this module the first time a walk or a box
 needs it, never at ``import opweb``.  The first `load` in a process
@@ -66,6 +68,9 @@ _NOMEM = 2
 
 _lib = None
 
+# a view of no bytes, whose address is its buffer's
+_BYTES = ctypes.c_char * 0
+
 # what walk_value and walk_pair write: the merge's level from the start, or
 # -1; two r values; and the report of the walk that stopped
 _Out = c_int64 * 6
@@ -95,6 +100,8 @@ _ENTRIES = {
     "box_edges": ([c_int64] * 3 + [c_void_p, *_SAMPLER] + [c_void_p] * 3,
                   None),
     "dp_box": ([c_int64] * 3 + [c_void_p, c_int64] + [c_void_p] * 9, c_int),
+    "judge_box": ([c_int64] * 4 + [c_void_p] * 4
+                  + [c_void_p, c_int64, c_void_p, c_int64, c_void_p], c_int),
 }
 
 
@@ -199,6 +206,15 @@ def _compile(cc: str, source: bytes, out: str) -> None:
             f"{cc} failed to build {_SOURCE.name}: {e}") from e
 
 
+def _address(array: np.ndarray) -> int:
+    """The address of an array's first byte, as ``array.ctypes.data`` gives
+    it, in about a third of the time for a writable C-contiguous array."""
+    try:
+        return ctypes.addressof(_BYTES.from_buffer(array))
+    except TypeError:  # read-only, or not contiguous
+        return array.ctypes.data
+
+
 def _sampler(cfg) -> tuple:
     """The Config's sampler as the entries take it: base, threshold and
     all-open flag."""
@@ -253,9 +269,9 @@ def pairs(xl: int, xr: int, t0: int, level: int, seed: int, p: float,
     bases = replica_bases(seed, first, count)
     merges = np.empty(count, dtype=np.int64)
     rep = _BatchReport()
-    code = load().walk_pairs(xl, xr, t0, bases.ctypes.data, count, threshold,
+    code = load().walk_pairs(xl, xr, t0, _address(bases), count, threshold,
                              all_open, _guard(scan_guard), level,
-                             merges.ctypes.data, rep)
+                             _address(merges), rep)
     _check(code, rep[1], rep[2])
     return merges
 
@@ -280,21 +296,63 @@ def bounds(z, n: int, horizon: int, cfg, scan_guard) -> Boundaries:
     gamma = np.empty_like(right)
     rep = _Report()
     code = load().walk_bounds(z.x, z.t, *_sampler(cfg), _guard(scan_guard),
-                              n, horizon, right.ctypes.data, left.ctypes.data,
-                              gamma.ctypes.data, rep)
+                              n, horizon, _address(right), _address(left),
+                              _address(gamma), rep)
     _check(code, rep[0], rep[1])
     return Boundaries(z, right, left, gamma, rep[0], rep[2])
 
 
-def edges(box) -> None:
+def edges(box, block: np.ndarray):
     """The edge statuses of a box in one C call, which writes them straight
     into its ``open_ur``, ``open_ul`` and ``entry_open``: C-contiguous bool
-    arrays of shape ``(height, width)`` and ``(height,)``."""
+    arrays of shape ``(height, width)``, ``(height, width)`` and
+    ``(height,)``, laid out in that order in the bool array ``block``.
+
+    Returns what `dp` and `judge` read while the box keeps these arrays:
+    its ``lefts`` and the three arrays, and their addresses."""
     height, width = box.open_ur.shape
-    lefts = box.x_min + box.shear
-    load().box_edges(height, width, box.t_min, lefts.ctypes.data,
-                     *_sampler(box.cfg), box.open_ur.ctypes.data,
-                     box.open_ul.ctypes.data, box.entry_open.ctypes.data)
+    arrays = box.lefts, box.open_ur, box.open_ul, box.entry_open
+    cells = _address(block)
+    addresses = (_address(box.lefts), cells, cells + height * width,
+                 cells + 2 * height * width)
+    load().box_edges(height, width, box.t_min, addresses[0],
+                     *_sampler(box.cfg), *addresses[1:])
+    return arrays, addresses
+
+
+def _cell_addresses(box, n: int):
+    """The addresses of a box's ``lefts``, ``open_ur``, ``open_ul`` and
+    ``entry_open`` as ``dp_box`` reads them over ``n`` levels, and the
+    arrays that hold them.
+
+    A box that still holds the arrays it was built with gives the addresses
+    taken then.  Arrays put in their place are read as C-contiguous copies
+    of the right dtype, and refused unless they fit the box's shape."""
+    arrays, addresses = box._cells
+    if (box.lefts is arrays[0] and box.open_ur is arrays[1]
+            and box.open_ul is arrays[2] and box.entry_open is arrays[3]
+            and 0 <= n <= box.t_max - box.t_min):
+        return addresses, arrays
+    width = box.x_max - box.x_min + 1
+    lefts = np.ascontiguousarray(box.lefts[:n + 1], dtype=np.int64)
+    ur = np.ascontiguousarray(box.open_ur[:n], dtype=bool)
+    ul = np.ascontiguousarray(box.open_ul[:n], dtype=bool)
+    entry = np.ascontiguousarray(box.entry_open[:n], dtype=bool)
+    if (n < 0 or lefts.shape != (n + 1,) or ur.shape != (n, width)
+            or ul.shape != ur.shape or entry.shape != (n,)):
+        raise InvalidArgumentError("the box's arrays do not fit its shape")
+    arrays = lefts, ur, ul, entry
+    return tuple(map(_address, arrays)), arrays
+
+
+def _dp_block(n: int, width: int):
+    """One block for ``dp_box`` on ``n`` levels of a box ``width`` columns
+    wide, and the words in one of its rows: two row buffers, the lower and
+    upper tables, ``n + 1`` rows each, then the int64 bit lengths of their
+    rows, the path, and the level and column that a refusal names."""
+    words = -(-width // 64)
+    return np.empty(2 * words * (n + 2) + 3 * (n + 1) + 2,
+                    dtype=np.uint64), words
 
 
 def dp(box, start: int, n: int):
@@ -306,25 +364,49 @@ def dp(box, start: int, n: int):
     as it reaches it.  Returns its code; the lower and upper tables,
     ``n + 1`` rows of ``ceil(width / 64)`` words each; the bit lengths of
     their rows, shape ``(2, n + 1)``; the path; and the level and column
-    that a refusal names.
+    that a refusal names.  All but the code are views of one block.
     """
     width = box.x_max - box.x_min + 1
-    words = -(-width // 64)
-    ur = np.ascontiguousarray(box.open_ur[:n], dtype=bool)
-    ul = np.ascontiguousarray(box.open_ul[:n], dtype=bool)
-    entry = np.ascontiguousarray(box.entry_open[:n], dtype=bool)
-    if ur.shape != (n, width) or ul.shape != ur.shape or entry.shape != (n,):
-        raise InvalidArgumentError("the box's arrays do not fit its shape")
-    lefts = box.x_min + box.shear[:n + 1]
-    rows = np.empty((2, words), dtype=np.uint64)
-    lower = np.empty((n + 1, words), dtype=np.uint64)
-    upper = np.empty_like(lower)
-    lengths = np.empty((2, n + 1), dtype=np.int64)
-    path = np.empty(n + 1, dtype=np.int64)
-    at = (c_int64 * 2)()
-    code = load().dp_box(n, width, box.t_min, lefts.ctypes.data, start,
-                         ur.ctypes.data, ul.ctypes.data, entry.ctypes.data,
-                         rows.ctypes.data, lower.ctypes.data,
-                         upper.ctypes.data, lengths.ctypes.data,
-                         path.ctypes.data, at)
-    return code, lower, upper, lengths, path, tuple(at)
+    (lefts, ur, ul, entry), _arrays = _cell_addresses(box, n)
+    block, words = _dp_block(n, width)
+    rows, table = 2 * words, (n + 1) * words
+    ints = block[rows + 2 * table:].view(np.int64)
+    ints[-2:] = 0
+    views = (block[:rows], block[rows:rows + table].reshape(n + 1, words),
+             block[rows + table:rows + 2 * table].reshape(n + 1, words),
+             ints[:2 * (n + 1)].reshape(2, n + 1), ints[2 * (n + 1):-2],
+             ints[-2:])
+    code = load().dp_box(n, width, box.t_min, lefts, start, ur, ul, entry,
+                         *map(_address, views))
+    return (code, *views[1:5], tuple(views[5].tolist()))
+
+
+def _boundary(values) -> np.ndarray:
+    """A walk's boundary as ``judge_box`` reads it: a C-contiguous int64
+    row."""
+    row = np.ascontiguousarray(values)
+    if row.dtype != np.int64 or row.ndim != 1:
+        raise InvalidArgumentError(
+            "a walk's boundaries must be one-dimensional int64 arrays")
+    return row
+
+
+def judge(box, right, left, n: int):
+    """One rung of `oracle.box_ladder` in one C call: the outcome code of
+    ``judge_box`` for the walk from (0, 0) to level ``n`` with right
+    boundary ``right`` and rightmost path ``left``, and, for a negative
+    code, the level and column that the refusal names, else None.
+
+    ``judge_box`` runs the box's DP on one scratch block made here, then
+    compares its answers with the walk's; nothing of it outlives the call.
+    """
+    width = box.x_max - box.x_min + 1
+    cells, _arrays = _cell_addresses(box, n)
+    right, left = _boundary(right), _boundary(left)
+    block, _ = _dp_block(n, width)
+    code = load().judge_box(n, box.t_max - box.t_min, width, box.t_min,
+                            *cells, _address(right), len(right),
+                            _address(left), len(left), _address(block))
+    if code >= 0:
+        return code, None
+    return code, tuple(block[-2:].view(np.int64).tolist())

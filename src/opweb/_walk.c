@@ -153,6 +153,21 @@
  * backtracks the rightmost path from the top level's maximum, trying the
  * up-left edge from y + 1 before the up-right one from y - 1, as that
  * reference does.  The return code is oracle's refusal code, or 0.
+ *
+ * judge_box is one rung of oracle.box_ladder: the whole verdict of one box
+ * on a walk from (0, 0), as oracle._judge gives it.  It runs dp_box from
+ * the seed row up to column 0 on one scratch block the caller owns, which
+ * holds dp_box's two row buffers, tables, bit lengths, path and refusal
+ * site, and then compares.  A wall refusal, or a level whose lower and upper
+ * maxima differ, refuses the box (JUDGE_NARROW).  A box that dies, with
+ * both tables empty at some level, judges only the paths inside it: it is
+ * JUDGE_DEAD unless the walk's path l steps left of a row's wall, when it
+ * refuses.  Else the certified maxima are compared with the walk's r
+ * (JUDGE_RIGHT on any difference, a length other than n + 1 included),
+ * an uncertified predecessor cell refuses, and the backtracked path is
+ * compared with l (JUDGE_LEFT).  A lost path returns minus dp_box's code,
+ * which oracle raises as NoPathError.  It too runs no walk code: it reads
+ * the box's arrays and the walk's two arrays, nothing else.
  * Build: cc -O2 -std=c99 -shared -fPIC.
  */
 
@@ -735,4 +750,55 @@ int dp_box(int64_t n, int64_t width, int64_t t_min, const int64_t *lefts,
         path[j] = y;
     }
     return DP_OK;
+}
+
+/* judge_box's outcomes, oracle's outcome strings in order */
+enum { JUDGE_OK = 0, JUDGE_NARROW, JUDGE_DEAD, JUDGE_RIGHT, JUDGE_LEFT };
+
+/* The verdict of the box of dp_box, `height` >= n rows high, on a walk
+ * from (0, 0) to level n: its right boundary r, right_len values, and its
+ * rightmost path l, left_len values.  lefts holds height + 1 columns.
+ * scratch holds 2 (n + 2) (width + 63) / 64 + 3 (n + 1) + 2 words: dp_box's
+ * two row buffers, its lower and upper tables, its bit lengths and path,
+ * and at[0:2] last.  Returns a JUDGE_ outcome, or minus dp_box's code for
+ * a path it lost, with at[0:2] naming where. */
+int judge_box(int64_t n, int64_t height, int64_t width, int64_t t_min,
+              const int64_t *lefts, const uint8_t *ur, const uint8_t *ul,
+              const uint8_t *entry, const int64_t *right, int64_t right_len,
+              const int64_t *left, int64_t left_len, uint64_t *scratch)
+{
+    int64_t words = (width + 63) / 64;
+    uint64_t *lower = scratch + 2 * words, *upper = lower + (n + 1) * words;
+    int64_t *lengths = (int64_t *)(upper + (n + 1) * words);
+    int64_t *path = lengths + 2 * (n + 1), *at = path + n + 1;
+    int code = dp_box(n, width, t_min, lefts, -lefts[0], ur, ul, entry,
+                      scratch, lower, upper, lengths, path, at);
+    if (code == DP_SEED_WALL || code == DP_WALL)
+        return JUDGE_NARROW;
+    for (int64_t j = 0; j <= n; j++) {
+        if (lengths[j] != lengths[n + 1 + j])
+            return JUDGE_NARROW;
+        if (lengths[j] == 0) {
+            /* a box that dies judges only the paths inside it */
+            for (int64_t i = 0; i < left_len && i <= height; i++)
+                if (left[i] < lefts[i])
+                    return JUDGE_NARROW;
+            return JUDGE_DEAD;
+        }
+    }
+    if (right_len != n + 1)
+        return JUDGE_RIGHT;
+    for (int64_t j = 0; j <= n; j++)
+        if (lefts[j] + lengths[j] - 1 != right[j])
+            return JUDGE_RIGHT;
+    if (code == DP_TOP || code == DP_UNSURE)
+        return JUDGE_NARROW;
+    if (code)
+        return -code;
+    if (left_len != n + 1)
+        return JUDGE_LEFT;
+    for (int64_t j = 0; j <= n; j++)
+        if (path[j] != left[j])
+            return JUDGE_LEFT;
+    return JUDGE_OK;
 }

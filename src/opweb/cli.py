@@ -114,13 +114,13 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
     # made once every walk has returned: a run that fails leaves no directory
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
-    files = []
+    files, spec_hash = [], spec.hash()
     for r, (right, left, gamma) in enumerate(walks):
         name = f"traj_{r:05d}.csv"
         write_trajectory_csv(out / name, right, left, gamma,
-                             header_comment=f"spec_hash={spec.hash()}")
+                             header_comment=f"spec_hash={spec_hash}")
         files.append({"name": name, "rows": len(left)})
-    manifest = {"spec": spec.canonical(), "spec_hash": spec.hash(),
+    manifest = {"spec": spec.canonical(), "spec_hash": spec_hash,
                 "version": __version__, "files": files}
     _write_text(out / "manifest.json",
                 json.dumps(manifest, sort_keys=True, indent=1) + "\n")

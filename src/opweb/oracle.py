@@ -22,13 +22,18 @@ The DP runs on bit rows: each box row is packed at DP time, bit ``i``
 standing for column ``lefts[j] + i``, so one level of reachability is
 ``((r & ur) << 2 | (r & ul)) >> (1 + d)`` masked to the box width, where
 ``d = lefts[j + 1] - lefts[j]``, and a row's rightmost reachable site is
-its bit length less one.  `_certified_dp` runs it in one call of
-``dp_box`` of ``_walk.c``, on rows of 64-bit words, which reads only the
-box's own arrays.  These are filled by ``box_edges`` of ``_walk.c``, which
-hashes each edge with its own copy of the lattice's mix.  Neither calls
-the walk's sampler or any other walk code, so a fault in the walk cannot
-also hide in its judge.  The tests hold the references of both: a DP on
-numpy bool rows, and the box's cells read from `lattice.edge_status_array`.
+its bit length less one.  ``dp_box`` of ``_walk.c`` runs it on rows of
+64-bit words, reading only the box's own arrays: `_certified_dp` in one
+call of it, for `dp_right_boundary` and `dp_rightmost_path`.  A rung of
+the ladder below is judged in one call of ``judge_box``, which runs
+``dp_box`` on a scratch block and compares its answers with the walk's
+boundaries; `_judge` only names the outcome.  The box's arrays are filled
+by ``box_edges`` of ``_walk.c``, which hashes each edge with its own copy
+of the lattice's mix.  None of these calls the walk's sampler or any other
+walk code, so a fault in the walk cannot also hide in its judge.  The
+tests hold the references of all three: a DP on numpy bool rows, the
+box's cells read from `lattice.edge_status_array`, and the rung's verdict
+in Python.
 
 A narrow box certifies only what a wider one would.  Take boxes B inside W
 over the same levels, of any shape, and compare them on B's cells.  B's
@@ -80,11 +85,13 @@ class BoxConfig:
     ``entry_open[j]`` is the status of the up-right edge from the site just
     left of row ``j`` when that edge lands on row ``j + 1``, at its first
     site, else False: the only kind of edge through which anything left of
-    the box can influence it.  The three arrays are C-contiguous bool,
-    filled by ``box_edges`` of ``_walk.c``.  The DP reads them as they are
-    each time it runs, packing ``open_ur``/``open_ul`` into bit rows (bit
-    ``i`` of row ``j`` is column ``lefts[j] + i``), so edits to any of them
-    after construction are seen by the next DP call.
+    the box can influence it.  The three arrays are C-contiguous bool views
+    of one block, filled by ``box_edges`` of ``_walk.c``; ``lefts`` is an
+    int64 array.  The native DP takes their addresses once, here, and reads
+    the arrays as they are each time it runs, packing ``open_ur``/``open_ul``
+    into bit rows (bit ``i`` of row ``j`` is column ``lefts[j] + i``), so
+    edits to any of them after construction are seen by the next DP call.
+    An array put in the place of one of them is read instead, if it fits.
     """
 
     cfg: Config
@@ -96,7 +103,9 @@ class BoxConfig:
     open_ur: np.ndarray = field(init=False, repr=False, default=None)
     open_ul: np.ndarray = field(init=False, repr=False, default=None)
     entry_open: np.ndarray = field(init=False, repr=False, default=None)
-    lefts: list = field(init=False, repr=False, default=None)
+    lefts: np.ndarray = field(init=False, repr=False, default=None)
+    # the arrays above as the native DP reads them, and their addresses
+    _cells: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         # as Python ints: a numpy bound of another dtype would change the
@@ -107,19 +116,23 @@ class BoxConfig:
             raise InvalidArgumentError("degenerate box")
         height = self.t_max - self.t_min
         width = self.x_max - self.x_min + 1
-        shear = (np.zeros(height + 1, dtype=np.int64) if self.shear is None
-                 else np.array(self.shear, dtype=np.int64))
-        if (shear.shape != (height + 1,) or shear[0] != 0
-                or np.any(np.abs(np.diff(shear)) > 1)):
-            raise InvalidArgumentError(
-                "shear must start at 0 and step by at most 1 per level")
+        if self.shear is None:
+            shear = np.zeros(height + 1, dtype=np.int64)
+        else:
+            shear = np.array(self.shear, dtype=np.int64)
+            if (shear.shape != (height + 1,) or shear[0] != 0
+                    or np.abs(shear[1:] - shear[:-1]).max() > 1):
+                raise InvalidArgumentError(
+                    "shear must start at 0 and step by at most 1 per level")
         self.shear = shear
-        self.lefts = (self.x_min + shear).tolist()
-        self.open_ur = np.empty((height, width), dtype=bool)
-        self.open_ul = np.empty_like(self.open_ur)
-        self.entry_open = np.empty(height, dtype=bool)
+        self.lefts = self.x_min + shear
+        cells = height * width
+        block = np.empty(2 * cells + height, dtype=bool)
+        self.open_ur = block[:cells].reshape(height, width)
+        self.open_ul = block[cells:2 * cells].reshape(height, width)
+        self.entry_open = block[2 * cells:]
         from . import _native  # may build the library: not at import
-        _native.edges(self)
+        self._cells = _native.edges(self, block)
 
 
 @dataclass(frozen=True)
@@ -164,19 +177,24 @@ def _certified_dp(box: BoxConfig, start_x: int, n: int):
     caller can rank the two; a reachable set that touches the right wall
     refuses both and is raised.  The body is ``dp_box`` of ``_walk.c``.
     """
-    lefts = box.lefts
-    width = box.x_max - box.x_min + 1
-    if not lefts[0] <= start_x <= lefts[0] + width - 1:
-        raise InvalidArgumentError("start_x outside the box")
-    if box.t_min + n > box.t_max:
-        raise InvalidArgumentError("box too short for the requested levels")
+    _check_levels(box, start_x, n)
     from . import _native  # may build the library: not at import
-    code, _, _, lengths, path, (j, x) = _native.dp(box, start_x - lefts[0], n)
+    code, _, _, lengths, path, (j, x) = _native.dp(box, start_x - box.x_min,
+                                                   n)
     if code in (SEED_WALL, WALL):
         raise _refusal(code)
     if code:
         path = _refusal(code, box.t_min + j, x)
     return _boundary_from_lengths(box, *lengths, n), path
+
+
+def _check_levels(box: BoxConfig, start_x: int, n: int) -> None:
+    """Refuse a seed column outside row 0, or more levels than the box
+    has."""
+    if not box.x_min <= start_x <= box.x_max:
+        raise InvalidArgumentError("start_x outside the box")
+    if box.t_min + n > box.t_max:
+        raise InvalidArgumentError("box too short for the requested levels")
 
 
 def _max_or_none(length: int, left: int):
@@ -202,7 +220,7 @@ def _boundary_from_lengths(box: BoxConfig, lo: np.ndarray, hi: np.ndarray,
     # the first level whose maxima differ or that is empty ends the values
     stops = np.flatnonzero((lo != hi) | (lo == 0))
     j = int(stops[0]) if len(stops) else n + 1
-    values = box.x_min + box.shear[:j] + lo[:j] - 1
+    values = box.lefts[:j] + lo[:j] - 1
     if j > n:
         return DpBoundary(box.t_min, values)
     if lo[j] != hi[j]:
@@ -231,9 +249,10 @@ def _is_lattice_walk(left: np.ndarray, right: np.ndarray, n: int) -> bool:
     to level ``n`` that stays at or left of ``right``."""
     if len(left) != n + 1 or len(right) != n + 1:
         return False
-    return bool(left[0] <= 0 and left[0] % 2 == 0
-                and np.all(np.abs(np.diff(left)) == 1)
-                and np.all(left <= right))
+    start = int(left[0])
+    return bool(start <= 0 and start % 2 == 0
+                and (np.abs(left[1:] - left[:-1]) == 1).all()
+                and (left <= right).all())
 
 
 def box_ladder(cfg: Config, n: int, left: np.ndarray, right: np.ndarray,
@@ -256,11 +275,12 @@ def box_ladder(cfg: Config, n: int, left: np.ndarray, right: np.ndarray,
     """
     widest = 2 * n + slack
     if _is_lattice_walk(left, right, n):
-        reach = max(int((right - left).max()), -int(left[0]))
-        shear = left - left[0]
+        start = int(left[0])
+        reach = max(int((right - left).max()), -start)
+        shear = left - start
         margin = FIRST_MARGIN
         while margin < widest:
-            x_min = int(left[0]) - margin
+            x_min = start - margin
             yield BoxConfig(cfg, x_min, x_min + margin + reach + 2, 0, n,
                             shear)
             margin *= 2
@@ -303,26 +323,22 @@ def coalescing_walk_survival(delta: float, t: float) -> float:
     return gap_walk_survival_exact(d, steps)
 
 
+# a rung's outcomes, by the codes that judge_box returns
+OUTCOMES = ("ok", "box_too_narrow", "dp_dead", "right_boundary_mismatch",
+            "left_boundary_mismatch")
+
+
 def _judge(box: BoxConfig, right: np.ndarray, left: np.ndarray,
            n: int) -> str:
-    """One box's outcome for a walk from (0, 0) to level ``n``."""
-    try:
-        dp, path = _certified_dp(box, 0, n)
-    except BoxTooNarrowError:
-        return "box_too_narrow"
-    if isinstance(dp, BoxTooNarrowError):
-        return "box_too_narrow"
-    if dp.dead_from is not None:
-        # a box that dies judges only the paths inside it
-        outside = any(x < wall for x, wall in zip(left.tolist(), box.lefts))
-        return "box_too_narrow" if outside else "dp_dead"
-    if not np.array_equal(dp.values, right):
-        return "right_boundary_mismatch"
-    if isinstance(path, BoxTooNarrowError):
-        return "box_too_narrow"
-    if not np.array_equal(_raised(path), left):
-        return "left_boundary_mismatch"
-    return "ok"
+    """One box's outcome for a walk from (0, 0) to level ``n``, from one
+    call of ``judge_box`` of ``_walk.c``; a path that its DP loses raises
+    NoPathError."""
+    _check_levels(box, 0, n)
+    from . import _native  # may build the library: not at import
+    code, at = _native.judge(box, right, left, n)
+    if code < 0:
+        raise _refusal(-code, box.t_min + at[0], at[1])
+    return OUTCOMES[code]
 
 
 def _ladder_outcome(cfg: Config, n: int, right: np.ndarray, left: np.ndarray,

@@ -8,13 +8,17 @@ for and gives the same answer, or raises the same guard error:
 `estimate_reference` for `_native.breaks` (the estimate worker).  Tests
 compare each native body with its reference, and run the command line on
 the references by monkeypatching them over the native bodies.
+`judge_reference` stands for `oracle._judge`, a rung of the check's box
+ladder (``judge_box``): it reads the same certified DP through
+`oracle._certified_dp` and compares in Python.
 """
 
 import numpy as np
 
-from opweb.errors import InvalidArgumentError
+from opweb.errors import BoxTooNarrowError, InvalidArgumentError
 from opweb.explore import Boundaries, ExplorationCluster
 from opweb.lattice import LatticeSite, replica_config
+from opweb.oracle import _certified_dp, _raised
 
 
 def bounds_reference(z, n, horizon, cfg, scan_guard) -> Boundaries:
@@ -95,3 +99,26 @@ def estimate_reference(cfg, n, margin, scan_guard):
     r = cluster.right_values
     T, RT = break_point_arrays(r, cluster.left_values, 0, n, margin)
     return increment_sums(np.diff(RT), np.diff(T)), int(r[n])
+
+
+def judge_reference(box, right, left, n) -> str:
+    """`oracle._judge` in Python: one box's outcome for a walk from (0, 0)
+    to level ``n``."""
+    try:
+        dp, path = _certified_dp(box, 0, n)
+    except BoxTooNarrowError:
+        return "box_too_narrow"
+    if isinstance(dp, BoxTooNarrowError):
+        return "box_too_narrow"
+    if dp.dead_from is not None:
+        # a box that dies judges only the paths inside it
+        outside = any(x < wall for x, wall in zip(left.tolist(),
+                                                  box.lefts.tolist()))
+        return "box_too_narrow" if outside else "dp_dead"
+    if not np.array_equal(dp.values, right):
+        return "right_boundary_mismatch"
+    if isinstance(path, BoxTooNarrowError):
+        return "box_too_narrow"
+    if not np.array_equal(_raised(path), left):
+        return "left_boundary_mismatch"
+    return "ok"

@@ -609,10 +609,11 @@ _SANITIZED_RUN = """
 import ctypes
 import hashlib
 import sys
+import numpy as np
 from opweb import _native
 from opweb.errors import ScanLimitExceededError
 from opweb.explore import explore_to_level
-from opweb.lattice import LatticeSite, replica_config
+from opweb.lattice import Config, LatticeSite, replica_config
 from opweb.oracle import _judge, box_ladder
 if len(sys.argv) > 1:  # a build of _walk.c in place of the cached one
     _native._lib = ctypes.CDLL(sys.argv[1])
@@ -653,7 +654,8 @@ for seed, p, guard, xs in ((1, 0.5, 5, (0, 8)), (0, 0.5, 5, (0, 20)),
 show(_native.lockstep, (0, 8), 4, 4, replica_config(0, 0.8, 0), 10_000)
 show(_native.pairs, 0, 8, 4, 4, 0, 0.8, 0, 3, 10_000)
 show(_native.breaks, replica_config(1, 0.8, 0), 20_000, 500, 10_000)
-# the widest box: the last rung of check's ladder at n = 2000
+# the rung judge on the widest box, the last rung of check's ladder at
+# n = 2000
 n, cfg = 2000, replica_config(1001, 0.7, 0)
 walk = explore_to_level(LatticeSite(0, 0), n, cfg)
 for box in box_ladder(cfg, n, walk.left, walk.right, 64):
@@ -661,13 +663,25 @@ for box in box_ladder(cfg, n, walk.left, walk.right, 64):
 print(box.open_ur.shape, _judge(box, walk.right, walk.left, n),
       hashlib.sha256(box.open_ur.tobytes() + box.open_ul.tobytes()
                      + box.entry_open.tobytes()).hexdigest())
+# on bands that refuse, for a path that hugs its boundary at p = 0.6, and
+# on a box that dies left of the walk's path (slack -238)
+cfg = Config(0, 0.6, 1024)
+walk = explore_to_level(LatticeSite(0, 0), 100, cfg)
+j = np.arange(101)
+hugging = np.maximum(walk.left, (walk.right[None, :]
+                                 + np.abs(j[:, None] - j[None, :])).min(1))
+print("bands", [_judge(box, walk.right, hugging, 100)
+                for box in box_ladder(cfg, 100, hugging, walk.right, 64)])
+print("dying", [_judge(box, walk.right, walk.left, 100)
+                for box in box_ladder(cfg, 100, walk.left, walk.right, -238)])
 """
 
 
 def test_walk_entries_run_clean_under_sanitizers(tmp_path):
     # every entry, built with AddressSanitizer and UBSan, on guard trips,
-    # a pair with xr <= xl, each branch of the pair, growing walks and the
-    # widest box: no report, and the outputs of the plain build
+    # a pair with xr <= xl, each branch of the pair, growing walks, and the
+    # rung judge on the widest box, on refusing bands and on a dying box:
+    # no report, and the outputs of the plain build
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no cc or gcc on PATH")
@@ -694,6 +708,10 @@ def test_walk_entries_run_clean_under_sanitizers(tmp_path):
     assert sanitized.returncode == 0, sanitized.stderr[-4000:]
     assert sanitized.stdout == plain.stdout
     assert "(2000, 6067) ok" in plain.stdout
+    # bands of margin 16 to 256, then the rectangle
+    assert ("bands " + str(["box_too_narrow"] * 3
+                           + ["left_boundary_mismatch"] * 3) + "\n"
+            "dying ['box_too_narrow']\n") in plain.stdout
     # the trips and the merge of the pair's branches
     assert ("lockstep ['5 start sites exhausted below level 9', 5]\n"
             "lockstep ['5 start sites exhausted below level 8', 5]\n"

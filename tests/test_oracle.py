@@ -18,6 +18,8 @@ from opweb.oracle import (BoxConfig, box_ladder, cbm_baseline, check_suite,
                           coalescing_walk_survival, dp_right_boundary,
                           dp_rightmost_path, gap_walk_survival_exact)
 
+from _references import judge_reference
+
 ERF_HALF = 0.5204998778130465  # math.erf(0.5)
 GUARD = 10_000  # the scan guard of the check workers' walks
 
@@ -234,10 +236,40 @@ def test_an_edge_hashed_to_the_top_is_open_at_p_one():
 
 
 def test_arrays_that_do_not_fit_the_box_never_reach_the_native_dp():
+    from opweb import oracle
     box = BoxConfig(Config(7, 0.6, 5), -10, 10, 0, 5)
     box.open_ul = box.open_ul[:, :-1]
     with pytest.raises(InvalidArgumentError, match="do not fit"):
         dp_right_boundary(box, 0, 5)
+    right = left = np.zeros(6, dtype=np.int64)
+    with pytest.raises(InvalidArgumentError, match="do not fit"):
+        oracle._judge(box, right, left, 5)
+    with pytest.raises(InvalidArgumentError, match="int64"):
+        oracle._judge(BoxConfig(Config(7, 0.6, 5), -10, 10, 0, 5),
+                      right.astype(np.int32), left, 5)
+
+
+def test_arrays_put_in_a_box_are_judged_as_they_read():
+    # a box's arrays replaced by equal ones in Fortran order, read-only or
+    # of another dtype, and read-only boundaries, give the verdicts and the
+    # DP of the arrays the box was built with
+    from opweb import oracle
+    cfg = Config(3, 0.8, 1024)
+    right, left = _walk(cfg, 40)
+    frozen = [a.copy() for a in (right, left)]
+    for a in frozen:
+        a.flags.writeable = False
+    for r, l in ((right, left), (right + 2, left), tuple(frozen)):
+        box = next(box_ladder(cfg, 40, l, r, 64))
+        want = (oracle._judge(box, r, l, 40),
+                list(dp_right_boundary(box, 0, 40).values))
+        box.open_ur = np.asfortranarray(box.open_ur)
+        box.open_ul = box.open_ul.astype(np.uint8)
+        box.entry_open = box.entry_open.copy()
+        box.entry_open.flags.writeable = False
+        assert (oracle._judge(box, r, l, 40),
+                list(dp_right_boundary(box, 0, 40).values)) == want
+        assert want[0] in ("ok", "right_boundary_mismatch")
 
 
 def test_a_shear_that_jumps_is_rejected():
@@ -300,8 +332,9 @@ def test_check_suite_rejects_a_repeated_p():
 
 
 def _record_boxes(monkeypatch):
-    """The boxes the oracle builds, and the boxes it runs the DP on."""
-    from opweb import oracle
+    """The boxes the oracle builds, and the boxes it runs the DP on: each
+    call of the rung entry, `_native.judge`, runs one DP."""
+    from opweb import _native, oracle
     built, tabled = [], []
 
     class Recorded(oracle.BoxConfig):
@@ -309,14 +342,14 @@ def _record_boxes(monkeypatch):
             super().__post_init__()
             built.append(self)
 
-    certified = oracle._certified_dp
+    judge = _native.judge
 
     def recording(box, *args):
         tabled.append(box)
-        return certified(box, *args)
+        return judge(box, *args)
 
     monkeypatch.setattr(oracle, "BoxConfig", Recorded)
-    monkeypatch.setattr(oracle, "_certified_dp", recording)
+    monkeypatch.setattr(_native, "judge", recording)
     return built, tabled
 
 
@@ -402,20 +435,30 @@ def test_a_refused_band_widens(monkeypatch):
     assert outcomes == ["box_too_narrow"] * 3 + ["left_boundary_mismatch"]
 
 
+def _malformed(right, left):
+    """Four reports made from a true walk that are not walks."""
+    n = len(left) - 1
+    downs = np.flatnonzero(np.diff(left) == -1)
+    jump = left.copy()
+    if len(downs):
+        jump[downs[0] + 1:] -= 2  # a step of -3
+    else:
+        jump[1:] += 2  # a step of +3
+    return {
+        "step": (right, jump),
+        "start": (right + 2, left + 2 - left[0]),  # starts at (2, 0)
+        "parity": (right, left - 1),
+        "crossing": (np.minimum(right,
+                                left - 2 * (np.arange(n + 1) == n // 2)),
+                     left),
+    }
+
+
 def _malformed_walks():
     """A true walk at p = 0.8, then four reports that are not walks."""
     cfg = Config(3, 0.8, 1024)
     right, left = _walk(cfg, 40)
-    down = int(np.flatnonzero(np.diff(left) == -1)[0]) + 1
-    jump = left.copy()
-    jump[down:] -= 2  # a step of -3
-    return cfg, right, {
-        "step": (right, jump),
-        "start": (right + 2, left + 2 - left[0]),  # starts at (2, 0)
-        "parity": (right, left - 1),
-        "crossing": (np.minimum(right, left - 2 * (np.arange(41) == 20)),
-                     left),
-    }
+    return cfg, right, _malformed(right, left)
 
 
 @pytest.mark.parametrize("kind", ["step", "start", "parity", "crossing"])
@@ -447,14 +490,18 @@ def test_check_reports_a_refused_box_as_a_failure_kind(monkeypatch):
     assert [f["kind"] for f in report["failures"]] == ["box_too_narrow"] * 5
     assert report["p0_agreement"]
 
-    certified = oracle._certified_dp
+    from opweb import _native
+    judge = _native.judge
+    narrow = oracle.OUTCOMES.index("box_too_narrow")
 
     def refuse(*args):
-        dp, _ = certified(*args)
-        return dp, BoxTooNarrowError("predecessor cell not certified")
+        code, at = judge(*args)
+        assert code == 0 and at is None
+        return narrow, None
 
-    # a refusal while backtracking the path is the same failure kind
-    monkeypatch.setattr(oracle, "_certified_dp", refuse)
+    # a refusal while backtracking the path, which judge_box reports as the
+    # code of a refused box, is the same failure kind
+    monkeypatch.setattr(_native, "judge", refuse)
     job = (Config(3, 0.8, 1024), 40, 64, False, GUARD)
     assert oracle._check_worker(job) == "box_too_narrow"
 
@@ -479,14 +526,15 @@ def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
     # a box that dies under a walk whose path it holds is a real failure
     ok_job = (Config(3, 0.8, 1024), 40, 64, False, GUARD)
     assert oracle._check_worker(ok_job) == "ok"
-    certified = oracle._certified_dp
+    from opweb import _native
+    judge = _native.judge
 
-    def dying(box, start_x, n):
-        dp, path = certified(box, start_x, n)
-        return (oracle.DpBoundary(dp.start_t, dp.values[:5], box.t_min + 5),
-                path)
+    def dying(box, *args):
+        # no edge out of row 4 is open, so every rung dies at level 5
+        box.open_ur[4] = box.open_ul[4] = box.entry_open[4] = False
+        return judge(box, *args)
 
-    monkeypatch.setattr(oracle, "_certified_dp", dying)
+    monkeypatch.setattr(_native, "judge", dying)
     assert oracle._check_worker(ok_job) == "dp_dead"
 
 
@@ -551,6 +599,60 @@ def test_band_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
         (band,) = built
         assert band.x_min == left[0] - oracle.FIRST_MARGIN
         assert list(band.shear) == list(left - left[0])
+
+
+def _verdict(judge, *args):
+    """A rung's outcome, or the NoPathError it raises, by its message."""
+    try:
+        return judge(*args)
+    except NoPathError as e:
+        return "NoPathError", str(e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 60),
+       p=st.sampled_from([0.55, 0.6447, 0.7, 0.8, 0.9, 1.0]),
+       stream=st.integers(1, 10**6),
+       kind=st.sampled_from(["true", "corrupt", "top", "short_r", "short_l",
+                             "shift", "step", "start", "parity",
+                             "crossing"]),
+       data=st.data())
+def test_the_native_rung_judge_equals_the_reference(n, p, stream, kind,
+                                                    data):
+    # judge_box gives the outcome of the Python judge on every rung of the
+    # ladder: for the true walk, r corrupted at n // 2 or at n, r or l a
+    # level short, a path moved right or a boundary moved left, and the four
+    # reports that are not walks;
+    # slack below -2n makes boxes refuse and die, and on p = 0 boxes every
+    # DP dies at level 1, where the path's NoPathError still escapes
+    from opweb import oracle
+    cfg = Config(17, p, stream)
+    right, left = _walk(cfg, n)
+    if kind == "corrupt":
+        right[n // 2] += 1
+    elif kind == "top":
+        right[n] += 2
+    elif kind == "short_r":
+        right = right[:-1]
+    elif kind == "short_l":
+        left = left[:-1]
+    elif kind == "shift":
+        left = left + data.draw(st.integers(0, 8 - int(left.min())),
+                                label="path_shift")
+        right = right - data.draw(st.integers(0, 4), label="boundary_shift")
+    elif kind != "true":
+        right, left = _malformed(right, left)[kind]
+    slack = data.draw(st.one_of(st.integers(-2 * n - 40, -2 * n),
+                                st.integers(-2 * n, 128)), label="slack")
+    if data.draw(st.booleans(), label="closed"):
+        cfg = Config(17, 0.0, stream)
+        box = BoxConfig(cfg, -2, 2, 0, n)
+        assert dp_right_boundary(box, 0, n).dead_from == 1
+        with pytest.raises(NoPathError, match="no open path"):
+            dp_rightmost_path(box, 0, n)
+    for box in box_ladder(cfg, n, left, right, slack):
+        assert (_verdict(oracle._judge, box, right, left, n)
+                == _verdict(judge_reference, box, right, left, n))
 
 
 _WIDE_BOX = """
