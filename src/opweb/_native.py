@@ -269,9 +269,9 @@ def pairs(xl: int, xr: int, t0: int, level: int, seed: int, p: float,
     bases = replica_bases(seed, first, count)
     merges = np.empty(count, dtype=np.int64)
     rep = _BatchReport()
-    code = load().walk_pairs(xl, xr, t0, _address(bases), count, threshold,
+    code = load().walk_pairs(xl, xr, t0, bases.ctypes.data, count, threshold,
                              all_open, _guard(scan_guard), level,
-                             _address(merges), rep)
+                             merges.ctypes.data, rep)
     _check(code, rep[1], rep[2])
     return merges
 
@@ -302,46 +302,33 @@ def bounds(z, n: int, horizon: int, cfg, scan_guard) -> Boundaries:
     return Boundaries(z, right, left, gamma, rep[0], rep[2])
 
 
-def edges(box, block: np.ndarray):
+def edges(box) -> None:
     """The edge statuses of a box in one C call, which writes them straight
     into its ``open_ur``, ``open_ul`` and ``entry_open``: C-contiguous bool
-    arrays of shape ``(height, width)``, ``(height, width)`` and
-    ``(height,)``, laid out in that order in the bool array ``block``.
-
-    Returns what `dp` and `judge` read while the box keeps these arrays:
-    its ``lefts`` and the three arrays, and their addresses."""
+    arrays of shape ``(height, width)`` and ``(height,)``."""
     height, width = box.open_ur.shape
-    arrays = box.lefts, box.open_ur, box.open_ul, box.entry_open
-    cells = _address(block)
-    addresses = (_address(box.lefts), cells, cells + height * width,
-                 cells + 2 * height * width)
-    load().box_edges(height, width, box.t_min, addresses[0],
-                     *_sampler(box.cfg), *addresses[1:])
-    return arrays, addresses
+    load().box_edges(height, width, box.t_min, _address(box.lefts),
+                     *_sampler(box.cfg), _address(box.open_ur),
+                     _address(box.open_ul), _address(box.entry_open))
 
 
-def _cell_addresses(box, n: int):
+def _cells(box, n: int):
     """The addresses of a box's ``lefts``, ``open_ur``, ``open_ul`` and
-    ``entry_open`` as ``dp_box`` reads them over ``n`` levels, and the
-    arrays that hold them.
-
-    A box that still holds the arrays it was built with gives the addresses
-    taken then.  Arrays put in their place are read as C-contiguous copies
-    of the right dtype, and refused unless they fit the box's shape."""
-    arrays, addresses = box._cells
-    if (box.lefts is arrays[0] and box.open_ur is arrays[1]
-            and box.open_ul is arrays[2] and box.entry_open is arrays[3]
-            and 0 <= n <= box.t_max - box.t_min):
-        return addresses, arrays
-    width = box.x_max - box.x_min + 1
-    lefts = np.ascontiguousarray(box.lefts[:n + 1], dtype=np.int64)
-    ur = np.ascontiguousarray(box.open_ur[:n], dtype=bool)
-    ul = np.ascontiguousarray(box.open_ul[:n], dtype=bool)
-    entry = np.ascontiguousarray(box.entry_open[:n], dtype=bool)
-    if (n < 0 or lefts.shape != (n + 1,) or ur.shape != (n, width)
-            or ul.shape != ur.shape or entry.shape != (n,)):
+    ``entry_open`` as the native DP reads them over ``n`` levels, and the
+    arrays that hold them: the box's own, or C-contiguous copies of the
+    right dtype of arrays put in their place.  Refuses arrays that do not
+    fit the box's shape: ``lefts`` holds a column for each of its rows, the
+    other three ``n`` rows of its width."""
+    height, width = box.t_max - box.t_min, box.x_max - box.x_min + 1
+    arrays = (np.ascontiguousarray(box.lefts, dtype=np.int64),
+              np.ascontiguousarray(box.open_ur[:n], dtype=bool),
+              np.ascontiguousarray(box.open_ul[:n], dtype=bool),
+              np.ascontiguousarray(box.entry_open[:n], dtype=bool))
+    lefts, ur, ul, entry = arrays
+    if (not 0 <= n <= height or lefts.shape != (height + 1,)
+            or ur.shape != (n, width) or ul.shape != ur.shape
+            or entry.shape != (n,)):
         raise InvalidArgumentError("the box's arrays do not fit its shape")
-    arrays = lefts, ur, ul, entry
     return tuple(map(_address, arrays)), arrays
 
 
@@ -367,7 +354,7 @@ def dp(box, start: int, n: int):
     that a refusal names.  All but the code are views of one block.
     """
     width = box.x_max - box.x_min + 1
-    (lefts, ur, ul, entry), _arrays = _cell_addresses(box, n)
+    (lefts, ur, ul, entry), _arrays = _cells(box, n)
     block, words = _dp_block(n, width)
     rows, table = 2 * words, (n + 1) * words
     ints = block[rows + 2 * table:].view(np.int64)
@@ -401,7 +388,7 @@ def judge(box, right, left, n: int):
     compares its answers with the walk's; nothing of it outlives the call.
     """
     width = box.x_max - box.x_min + 1
-    cells, _arrays = _cell_addresses(box, n)
+    cells, _arrays = _cells(box, n)
     right, left = _boundary(right), _boundary(left)
     block, _ = _dp_block(n, width)
     code = load().judge_box(n, box.t_max - box.t_min, width, box.t_min,

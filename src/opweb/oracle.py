@@ -87,11 +87,11 @@ class BoxConfig:
     site, else False: the only kind of edge through which anything left of
     the box can influence it.  The three arrays are C-contiguous bool views
     of one block, filled by ``box_edges`` of ``_walk.c``; ``lefts`` is an
-    int64 array.  The native DP takes their addresses once, here, and reads
-    the arrays as they are each time it runs, packing ``open_ur``/``open_ul``
-    into bit rows (bit ``i`` of row ``j`` is column ``lefts[j] + i``), so
-    edits to any of them after construction are seen by the next DP call.
-    An array put in the place of one of them is read instead, if it fits.
+    int64 array.  The native DP reads the arrays as they are each time it
+    runs, packing ``open_ur``/``open_ul`` into bit rows (bit ``i`` of row
+    ``j`` is column ``lefts[j] + i``), so edits to any of them after
+    construction are seen by the next DP call.  An array put in the place
+    of one of them is read instead, if it fits the box's shape.
     """
 
     cfg: Config
@@ -104,8 +104,6 @@ class BoxConfig:
     open_ul: np.ndarray = field(init=False, repr=False, default=None)
     entry_open: np.ndarray = field(init=False, repr=False, default=None)
     lefts: np.ndarray = field(init=False, repr=False, default=None)
-    # the arrays above as the native DP reads them, and their addresses
-    _cells: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         # as Python ints: a numpy bound of another dtype would change the
@@ -132,7 +130,7 @@ class BoxConfig:
         self.open_ul = block[cells:2 * cells].reshape(height, width)
         self.entry_open = block[2 * cells:]
         from . import _native  # may build the library: not at import
-        self._cells = _native.edges(self, block)
+        _native.edges(self)
 
 
 @dataclass(frozen=True)

@@ -247,6 +247,15 @@ def test_arrays_that_do_not_fit_the_box_never_reach_the_native_dp():
     with pytest.raises(InvalidArgumentError, match="int64"):
         oracle._judge(BoxConfig(Config(7, 0.6, 5), -10, 10, 0, 5),
                       right.astype(np.int32), left, 5)
+    # bounds moved after the box was built leave its arrays too small
+    for bound, n in (("x_max", 5), ("t_max", 5), ("t_max", 40)):
+        moved = BoxConfig(Config(7, 0.6, 5), -10, 10, 0, 5)
+        setattr(moved, bound, 50)
+        with pytest.raises(InvalidArgumentError, match="do not fit"):
+            dp_right_boundary(moved, 0, n)
+        with pytest.raises(InvalidArgumentError, match="do not fit"):
+            oracle._judge(moved, np.zeros(n + 1, dtype=np.int64),
+                          np.zeros(n + 1, dtype=np.int64), n)
 
 
 def test_arrays_put_in_a_box_are_judged_as_they_read():
@@ -270,6 +279,19 @@ def test_arrays_put_in_a_box_are_judged_as_they_read():
         assert (oracle._judge(box, r, l, 40),
                 list(dp_right_boundary(box, 0, 40).values)) == want
         assert want[0] in ("ok", "right_boundary_mismatch")
+    # a dying box taller than the walk reads its whole wall, copied or
+    # not: a path left of it above level n refuses the box
+    for replaced in (False, True):
+        box = BoxConfig(cfg, -20, 20, 0, 12)
+        box.open_ur[4] = box.open_ul[4] = box.entry_open[4] = False
+        if replaced:
+            box.open_ur = np.asfortranarray(box.open_ur)
+            box.lefts = box.lefts.astype(np.int32)
+        path = -(np.arange(13, dtype=np.int64) % 2)
+        for last, want in ((-19, "dp_dead"), (-30, "box_too_narrow")):
+            path[12] = last
+            assert (oracle._judge(box, path[:9], path, 8)
+                    == judge_reference(box, path[:9], path, 8) == want)
 
 
 def test_a_shear_that_jumps_is_rejected():
