@@ -2,14 +2,13 @@
 
 Each body here makes one C call, which makes, runs and frees its walks and
 hands back a few integers or fills arrays that Python allocated and owns:
-no walk outlives the call, and nothing is copied after it.  `lockstep` is
-the body of `explore.walk_lockstep` (``walk_value`` for one start,
-``walk_pair`` for an equal-time pair, walked left then right up to its
-merge), `pairs` of `couple.pair_merges`
-(``walk_pairs``, the pair on a batch of replicas), `breaks` of the estimate
-worker `regen._estimate_worker` (``walk_breaks``), and `bounds` of
-`explore.explore_to_level` (``walk_bounds``).  The judge of these walks
-runs no walk code: `edges` writes the edge statuses of an
+no walk outlives the call, and nothing is copied after it.  `chain` is the
+body of `couple.family_eta`, `couple.family_etas` and `couple.pair_merges`
+(``walk_chain``: equal-time starts on a batch of replicas, each walked from
+the left up to its first level at or left of its neighbour's r), `breaks`
+of the estimate worker `regen._estimate_worker` (``walk_breaks``), and
+`bounds` of `explore.explore_to_level` (``walk_bounds``).  The judge of
+these walks runs no walk code: `edges` writes the edge statuses of an
 `oracle.BoxConfig` into the box's own arrays (``box_edges``, with its own
 copy of the edge hash), `dp` is the certified DP of `oracle` on one box
 (``dp_box``), which reads only those arrays, and `judge` is one rung of
@@ -51,9 +50,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NativeLibraryError
+from .errors import InvalidArgumentError, InvalidSiteError, NativeLibraryError
 from .explore import Boundaries, guard_error
-from .lattice import MASK64, edge_threshold, replica_bases
+from .lattice import MASK64, edge_threshold
 
 _COMPILERS = ("cc", "gcc")
 _CFLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
@@ -71,17 +70,14 @@ _lib = None
 # a view of no bytes, whose address is its buffer's
 _BYTES = ctypes.c_char * 0
 
-# what walk_value and walk_pair write: the merge's level from the start, or
-# -1; two r values; and the report of the walk that stopped
-_Out = c_int64 * 6
 # what walk_breaks writes: the six break-point sums, r[n], and its walk's
 # report
 _Breaks = c_int64 * 10
 # a walk's report: its scan offset, last completed level and edges examined
 _Report = c_int64 * 3
-# what walk_pairs reports: the index of the last replica walked, the one
+# what walk_chain reports: the index of the last replica walked, the one
 # that stopped the batch if one did, and its walk's report
-_BatchReport = c_int64 * 4
+_ChainReport = c_int64 * 4
 
 # the sampler as _sampler gives it
 _SAMPLER = [c_uint64, c_uint64, c_int]
@@ -89,11 +85,8 @@ _SAMPLER = [c_uint64, c_uint64, c_int]
 _WALK = [c_int64, *_SAMPLER, c_int64]
 # every entry of _walk.c, as (argtypes, restype)
 _ENTRIES = {
-    "walk_value": ([c_int64, *_WALK, c_int64, c_void_p], c_int),
-    "walk_pair": ([c_int64, c_int64, *_WALK, c_int64, c_void_p], c_int),
-    "walk_pairs": ([c_int64] * 3 + [c_void_p, c_int64, c_uint64, c_int,
-                                    c_int64, c_int64, c_void_p, c_void_p],
-                   c_int),
+    "walk_chain": ([c_void_p, c_int64, c_int64, c_void_p, c_int64, c_uint64,
+                    c_int] + [c_int64] * 3 + [c_void_p] * 2, c_int),
     "walk_breaks": ([c_int64, *_WALK, c_int64, c_int64, c_void_p], c_int),
     "walk_bounds": ([c_int64, *_WALK, c_int64, c_int64] + [c_void_p] * 4,
                     c_int),
@@ -242,38 +235,37 @@ def _check(code: int, scan_offset: int, level: int) -> None:
                           "its buffers")
 
 
-def lockstep(xs, t0: int, level: int, cfg, scan_guard):
-    """`explore.walk_lockstep` in one C call."""
-    lib = load()
-    out = _Out()
-    args = (t0, *_sampler(cfg), _guard(scan_guard), level, out)
-    if len(xs) == 1:
-        code = lib.walk_value(xs[0], *args)
-    else:
-        code = lib.walk_pair(xs[0], xs[1], *args)
-    _check(code, out[3], out[4])
-    if out[0] >= 0:
-        return t0 + out[0], None
-    return None, tuple(out[1:1 + len(xs)])
+def chain(xs, t0: int, level: int, p: float, bases, cap, scan_guard):
+    """The chain of the equal-time starts ``xs``, at least one, from
+    ``t0`` to ``level`` on the configurations at ``p`` with sampler bases
+    ``bases`` (`lattice.Config._base`), in one C call.
 
-
-def pairs(xl: int, xr: int, t0: int, level: int, seed: int, p: float,
-          first: int, count: int, scan_guard) -> np.ndarray:
-    """`explore.walk_lockstep` of the pair ``(xl, xr)`` on replicas
-    ``first, ..., first + count - 1`` in one C call: entry ``k`` of the
-    int64 array is the merge's level from ``t0`` on
-    ``replica_config(seed, p, first + k)``, or -1 where the pair has not
-    merged by ``level``.  The batch stops at the first replica, in order,
-    whose walk fails, and raises that walk's error."""
-    threshold, all_open = _cut(edge_threshold(p))
-    bases = replica_bases(seed, first, count)
-    merges = np.empty(count, dtype=np.int64)
-    rep = _BatchReport()
-    code = load().walk_pairs(xl, xr, t0, bases.ctypes.data, count, threshold,
-                             all_open, _guard(scan_guard), level,
-                             merges.ctypes.data, rep)
+    Entry ``[n, i - 1]`` of the int64 array is the first level, counted
+    from ``t0``, at which the walk from ``xs[i]`` on configuration ``n``
+    has r at or left of r of the start to its left, or -1 where it reaches
+    ``level`` without stopping.  Once eta, one plus the walks that never
+    stop, reaches ``cap`` (None for no cap), the chain ends and the starts
+    past it get -2.  The batch stops at the first configuration, in order,
+    whose chain trips, and raises the error of its walk that trips first in
+    a level by level lockstep: lowest level first, then leftmost start.  A
+    start off the even lattice raises `InvalidSiteError`, as
+    `lattice.LatticeSite` does.
+    """
+    if not len(xs):
+        raise InvalidArgumentError("need at least one start column")
+    odd = [x for x in xs if (x + t0) % 2]
+    if odd:
+        raise InvalidSiteError(f"({odd[0]}, {t0}) has odd parity")
+    starts = np.array(xs, dtype=np.int64)
+    bases = np.ascontiguousarray(bases, dtype=np.uint64)
+    stops = np.empty((len(bases), len(xs) - 1), dtype=np.int64)
+    rep = _ChainReport()
+    code = load().walk_chain(_address(starts), len(xs), t0,
+                             _address(bases), len(bases),
+                             *_cut(edge_threshold(p)), _guard(scan_guard),
+                             level, cap or 0, _address(stops), rep)
     _check(code, rep[1], rep[2])
-    return merges
+    return stops
 
 
 def breaks(cfg, n: int, margin: int, scan_guard):

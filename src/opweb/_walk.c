@@ -6,11 +6,11 @@
  * hands back a few numbers or fills arrays the caller owns.  One walk
  * is the splitmix64 edge sampler (base and threshold of the Config), the
  * depth-first stack, the count of examined edges, the scan offset and the
- * scan guard, and on some walks the right-boundary values r.  No edge
- * status is kept: an edge is sampled where it is examined, and no edge is
- * examined twice.  A site's out-edges are examined only while it is on the
- * stack; it leaves the stack only after both are, and it is then dead, so
- * no later edge enters it.  walk_to makes the same steps as
+ * scan guard, and the right-boundary values r.  No edge status is kept:
+ * an edge is sampled where it is examined, and no edge is examined twice.
+ * A site's out-edges are examined only while it is on the stack; it
+ * leaves the stack only after both are, and it is then dead, so no later
+ * edge enters it.  walk_to makes the same steps as
  * ExplorationCluster.advance_level: the same scan order, the same packed
  * keys, the same guard.  It folds the up-right and up-left steps into one
  * block on the direction d, where the Python walk keeps the two blocks
@@ -69,16 +69,15 @@
  * |x| < 2**31, the domain that lattice.X_BIAS documents.  The first pop,
  * with both out-edges closed, hands the top back to the general loop.
  *
- * walk_value walks one start to r at one level, and keeps no r.
- * walk_pair's left walk keeps r, and the right one does not.  Their
- * buffers start with room for FIRST_LEVELS levels, or fewer if the target
- * level is nearer, and grow with the walk, as a subcritical walk may trip
- * its guard far below a target level too high to allocate.  walk_breaks
- * walks one start to its break-point sums, and walk_bounds one start to
- * its boundaries at two levels.  These two keep r, and their target level
- * is known up front, so r, sx and state share one block of that size,
- * with the sx slot of the level after it: no realloc while walking, and
- * one free at the end.  glibc raises its trim threshold to twice the
+ * walk_chain's walks keep r in buffers that start with room for
+ * FIRST_LEVELS levels, or fewer if the target level is nearer, and grow
+ * with the walk, as a subcritical walk may trip its guard far below a
+ * target level too high to allocate; one call reuses them for every walk
+ * it makes.  walk_breaks walks one start to its break-point sums, and
+ * walk_bounds one start to its boundaries at two levels.  Their target
+ * level is known up front, so r, sx and state share one block of that
+ * size, with the sx slot of the level after it: no realloc while walking,
+ * and one free at the end.  glibc raises its trim threshold to twice the
  * largest mapped block freed, so the next call's block of the same size
  * comes from the heap, and stays there when freed; three buffers of the
  * walk's size together pass that threshold, and were handed back to the
@@ -91,40 +90,46 @@
  * consecutive break levels are the records of regen.RegenAccumulator,
  * summed here into the six sums it takes.  Every sum is an exact integer.
  *
- * walk_pair walks an equal-time pair to the first level n with
- * r_R(n) <= r_L(n).  Stopping the right walk there is exact for starts at
- * one time t0 (Durrett, Ann. Probab. 1984).  r_x(n) is the rightmost site
- * at level n reached from the half-line (-inf, x] at t0, so r_L <= r_R.
- * An open path from the right half-line to a site at or left of r_L(n)
- * starts right of the left walk's path to r_L(n) and ends at or left of
- * it, so the two share a site.  So the left half-line reaches every site
- * that the right one reaches at level n, hence at every later level, and
- * the boundaries stay equal.  The left walk goes on to the target level,
- * as a walk that cannot get there must still trip its guard: subcritical
- * pairs merge within a few levels.
+ * walk_chain walks equal-time starts x_0 < ... < x_{k-1} at t0 to a
+ * target level, and finds for each start i >= 1 the first level n with
+ * r_i(n) <= r_{i-1}(n), if there is one.  r_x(n) is the rightmost site at
+ * level n reached from the half-line (-inf, x] at t0, so it does not
+ * decrease in x, and at that level r_i(n) = r_{i-1}(n).  From there the
+ * two are equal for good (Durrett, Ann. Probab. 1984): an open path from
+ * the right half-line to a site at or left of r_{i-1}(n) starts right of
+ * the left walk's path to r_{i-1}(n) and ends at or left of it, so the two
+ * share a site, and the left half-line reaches every site that the right
+ * one reaches at level n, hence at every later level.  So the number of
+ * distinct r at the target level, the eta of the batteries, is one plus
+ * the number of starts that never stop.
  *
- * The two walks meet only in that stop test, so walk_pair runs each in one
- * walk_to call, the left one first.  The left walk goes to the target
- * level and records r_L at every level it completes.  The right walk then
- * goes up to the left walk's last complete level, with r_L as its bound,
- * and stops at the first level it completes with x <= r_L.  A level by
- * level lockstep would raise guard trips in level, then left, then right
- * order, and so does this.  A left walk that trips searching level a is
- * past every level below a, where the lockstep would have walked the right
- * walk too; the right walk here walks just those, so a right trip there
- * comes first, and otherwise the left trip does, merge or not.  A right
- * trip at level a or above, or after the merge, is never reached in either
- * order.  With no trip and no merge, the report is the right walk's, whose
- * level the lockstep searched last.
+ * The walks meet only in that stop test, so each runs in one walk_to
+ * call, from the left, on one shared buffer that holds r of the walk just
+ * left of the next one.  Walk 0 runs to the target level with the buffer
+ * as its r, as a walk that cannot get there must still trip its guard.
+ * Walk i then runs bounded by the buffer, and stops at the first level j
+ * it completes with x <= buf[j]; it copies its own r into buf[0:j), and
+ * past j the buffer holds r of its left neighbour, which equals its own
+ * there.  walk_to writes r[j] before it tests bound[j], so a bounded walk
+ * keeps its own r and copies it: it cannot walk on the buffer.  A cap
+ * ends the chain once the starts that never stop bring eta to it.
  *
- * walk_pairs runs walk_pair on a batch of replicas in replica order, so
+ * A level by level lockstep of the walks advances them from the left at
+ * each level, each up to its stop level, and so raises guard trips lowest
+ * level first, then leftmost start; the chain raises the same trip.  Each
+ * walk runs only up to the lowest last complete level of the walks left
+ * of it that tripped: the lockstep reaches their trips before any higher
+ * level of its own.  Below that level a trip of its own comes first, and
+ * its last complete level then bounds the walks right of it.  Once a walk
+ * has tripped, the cap no longer ends the chain, so every start is walked.
+ * With no trip, the report is that of the rightmost walk that reaches the
+ * target level without stopping: walk 0's when every other start stops.
+ * For two starts the chain is the pair of the survival curve.
+ *
+ * walk_chain runs the chain on a batch of replicas in replica order, so
  * that a batch costs one call from Python: the replicas differ in their
- * base only, and share the starts, the threshold, the guard and the level.
- * It writes each merge level into an array the caller owns, and stops at
- * the first replica whose walk_pair does not return 0, with that code, the
- * replica's index and its walk's report; a batch that runs through reports
- * its last replica.  No later replica is walked, so a batch raises what
- * its replicas would raise walked one by one.
+ * base only.  It walks no replica past the first whose chain trips, so a
+ * batch raises what its replicas would raise walked one by one.
  *
  * Keys are the packed keys of lattice.py taken mod 2**64, which is all the
  * sampler reads of them.
@@ -179,9 +184,6 @@
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 #define MIX1 0xBF58476D1CE4E5B9ULL
 #define MIX2 0x94D049BB133111EBULL
-/* walk_init's kinds of walk: of fixed size, and growing, keeping no r or
- * keeping r */
-enum { FIXED, GROWING, GROWING_R };
 /* the most levels a growing walk has room for at its start */
 #define FIRST_LEVELS 1024
 /* z = base + key * GOLDEN steps by these on the open level: from the top's
@@ -193,9 +195,13 @@ enum { FIXED, GROWING, GROWING_R };
 
 enum { WALK_OK = 0, WALK_GUARD = 1, WALK_NOMEM = 2 };
 
-/* A walk's buffers: the stack's columns sx and states, and r. */
+/* walk_chain's stop entry for a start past the one at which eta reached
+ * the cap: it is not walked */
+#define CHAIN_CUT (-2)
+
+/* A walk's buffers: r and the stack's columns sx and states. */
 typedef struct {
-    int64_t *r;                /* on a walk that keeps r */
+    int64_t *r;
     int64_t *sx;
     uint8_t *state;
     void *block;               /* r, sx and state, on a walk of fixed size */
@@ -209,8 +215,7 @@ typedef struct {
     int st;
 } cursor_t;
 
-/* Room for `need` entries in sx, state and any r; a block is never
- * regrown. */
+/* Room for `need` entries in r, sx and state; a block is never regrown. */
 static int grow_stack(walk_t *w, int64_t need)
 {
     if (w->block)
@@ -218,6 +223,10 @@ static int grow_stack(walk_t *w, int64_t need)
     int64_t cap = w->cap;
     while (cap < need)
         cap *= 2;
+    int64_t *r = realloc(w->r, (size_t)cap * sizeof *r);
+    if (!r)
+        return 0;
+    w->r = r;
     int64_t *sx = realloc(w->sx, (size_t)cap * sizeof *sx);
     if (!sx)
         return 0;
@@ -226,29 +235,31 @@ static int grow_stack(walk_t *w, int64_t need)
     if (!state)
         return 0;
     w->state = state;
-    if (w->r) {
-        int64_t *r = realloc(w->r, (size_t)cap * sizeof *r);
-        if (!r)
-            return 0;
-        w->r = r;
-    }
     w->cap = cap;
     return 1;
 }
 
-/* Set up the walk of the half-line at (origin_x, t0) in *w and *c, for
- * `levels` levels past the start.  A FIXED walk has r, sx and state in one
- * block with room for that many levels and the next one's sx slot, and
- * must go no further.  A GROWING or GROWING_R walk keeps no r or keeps r,
- * and its buffers start with room for at most FIRST_LEVELS levels and grow
- * with the walk.  Returns 0 if out of memory, and *w can then still be
- * released. */
+/* Start the walk of the half-line at (origin_x, t0) on the buffers of *w,
+ * with the cursor *c. */
+static void walk_start(walk_t *w, cursor_t *c, int64_t origin_x)
+{
+    *c = (cursor_t){0, origin_x, 1, 0, 0, 0};
+    w->r[0] = w->sx[0] = origin_x;
+    w->sx[1] = INT64_MAX; /* nothing is dead at the new level */
+}
+
+/* Make the buffers of a walk of `levels` levels past its start in *w, and
+ * start the walk from (origin_x, t0) in *w and *c.  A fixed walk has r, sx
+ * and state in one block with room for that many levels and the next one's
+ * sx slot, and must go no further.  A growing walk's buffers start with
+ * room for at most FIRST_LEVELS levels and grow with the walk.  Returns 0
+ * if out of memory, with *c set and *w still fit to release. */
 static int walk_init(walk_t *w, cursor_t *c, int64_t origin_x,
-                     int64_t levels, int kind)
+                     int64_t levels, int fixed)
 {
     *c = (cursor_t){0, origin_x, 1, 0, 0, 0};
     memset(w, 0, sizeof *w);
-    if (kind == FIXED) {
+    if (fixed) {
         if ((uint64_t)levels >= SIZE_MAX / 32)
             return 0; /* the block's size would overflow */
         w->cap = levels + 2;
@@ -261,17 +272,13 @@ static int walk_init(walk_t *w, cursor_t *c, int64_t origin_x,
     } else {
         int64_t first = levels < FIRST_LEVELS ? levels : FIRST_LEVELS;
         w->cap = (first > 0 ? first : 0) + 2;
+        w->r = malloc((size_t)w->cap * sizeof *w->r);
         w->sx = malloc((size_t)w->cap * sizeof *w->sx);
         w->state = malloc((size_t)w->cap);
-        if (kind == GROWING_R)
-            w->r = malloc((size_t)w->cap * sizeof *w->r);
-        if (!w->sx || !w->state || (kind == GROWING_R && !w->r))
+        if (!w->r || !w->sx || !w->state)
             return 0;
     }
-    if (w->r)
-        w->r[0] = origin_x;
-    w->sx[0] = origin_x;
-    w->sx[1] = INT64_MAX; /* nothing is dead at the new level */
+    walk_start(w, c, origin_x);
     return 1;
 }
 
@@ -345,8 +352,7 @@ static inline int walk_to(walk_t *w, cursor_t *c, int64_t last,
             uint64_t z = base + pack(2 * (t0 + top) + 1, x) * GOLDEN;
             for (;;) {
                 int64_t j = target++; /* level j is complete */
-                if (b.r)
-                    b.r[j] = x;
+                b.r[j] = x;
                 if (j + 2 > b.cap) {
                     if (!grow_stack(w, j + 2)) {
                         code = WALK_NOMEM;
@@ -408,86 +414,92 @@ static int report(const cursor_t *c, int64_t t0, int code, int64_t *rep)
     return code;
 }
 
-/* r at `level` of the walk from (x, t0), into out[1]; out[0] = -1.
- * Returns the walk's code, and the walk's report in out[3:6]. */
-int walk_value(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
-               int all_open, int64_t scan_guard, int64_t level, int64_t *out)
+/* walk_chain on one replica, on the sampler (base, threshold, all_open)
+ * and the two growing walks w[0:2], whose buffers it reuses: w[0]'s r is
+ * the shared buffer.  Writes stops[0:k - 1] and, into *stop, the cursor
+ * of the walk whose report the replica gives.  Returns the code of the
+ * walk that trips first in the lockstep's order, or of one out of memory,
+ * or 0. */
+static int chain(walk_t *w, const int64_t *xs, int64_t k, int64_t t0,
+                 uint64_t base, uint64_t threshold, int all_open,
+                 int64_t scan_guard, int64_t last, int64_t cap,
+                 int64_t *stops, cursor_t *stop)
 {
-    walk_t w;
     cursor_t c;
-    int code = walk_init(&w, &c, x, level - t0, GROWING)
-               ? walk_to(&w, &c, level - t0, base, threshold, all_open, t0,
-                         x, scan_guard, NULL)
-               : WALK_NOMEM;
-    out[0] = -1;
-    out[1] = code ? 0 : c.x;
-    code = report(&c, t0, code, out + 3);
-    walk_release(&w);
+    walk_start(&w[0], &c, xs[0]);
+    int code = walk_to(&w[0], &c, last, base, threshold, all_open, t0, xs[0],
+                       scan_guard, NULL);
+    *stop = c;
+    if (code == WALK_NOMEM)
+        return code;
+    /* the lowest last complete level of the walks that tripped, else last */
+    int64_t lim = c.target - 1, eta = 1;
+    int64_t *buf = w[0].r;
+    for (int64_t i = 1; i < k; i++) {
+        if (!code && eta == cap) {
+            for (; i < k; i++)
+                stops[i - 1] = CHAIN_CUT;
+            break;
+        }
+        if (xs[i] <= buf[0]) {
+            stops[i - 1] = 0;
+            continue;
+        }
+        walk_start(&w[1], &c, xs[i]);
+        int walked = walk_to(&w[1], &c, lim, base, threshold, all_open, t0,
+                             xs[i], scan_guard, buf);
+        int64_t j = c.target - 1, copy = j + 1;
+        if (walked) {
+            /* below lim + 1, so below every trip to its left */
+            *stop = c;
+            if (walked == WALK_NOMEM)
+                return walked;
+            code = walked;
+            lim = j;
+        } else if (c.x <= buf[j]) {
+            stops[i - 1] = copy = j;
+        } else {
+            stops[i - 1] = -1;
+            if (!code) {
+                eta++;
+                *stop = c;
+            }
+        }
+        if (i + 1 < k) /* no walk reads the last one's r */
+            memcpy(buf, w[1].r, (size_t)copy * sizeof *buf);
+    }
     return code;
 }
 
-/* The pair from (xl, t0) and (xr, t0) to `level`: out[0] is n - t0 for the
- * first level n with r_R(n) <= r_L(n), or -1 with r_L and r_R at `level`
- * in out[1] and out[2].  The left walk goes to `level`, and the right one
- * up to the left one's last complete level, or that first level.  Returns
- * the code of the walk that stopped the pair (0 if none did), with that
- * walk's report in out[3:6], as a lockstep pair would. */
-int walk_pair(int64_t xl, int64_t xr, int64_t t0, uint64_t base,
-              uint64_t threshold, int all_open, int64_t scan_guard,
-              int64_t level, int64_t *out)
+/* The chain of the equal-time starts xs[0:k], k >= 1, from t0 to `level`
+ * on `count` configurations, replica n on bases[n], all under one
+ * threshold.  stops[n (k - 1) + i - 1] gets walk i's stop level on replica
+ * n, counted from t0: the first level j with r_i(j) <= r_{i-1}(j), or -1
+ * if it reaches `level` without stopping, or CHAIN_CUT past the walk that
+ * brings eta to `cap` (none if cap is 0).  Stops at the first replica, in
+ * order, whose chain does not return 0, and returns that code; its row and
+ * those past it are not all written.  rep[0] gets the index of the last
+ * replica walked, and rep[1:4] the report of its walk that tripped first,
+ * or of its rightmost walk that reached the level. */
+int walk_chain(const int64_t *xs, int64_t k, int64_t t0,
+               const uint64_t *bases, int64_t count, uint64_t threshold,
+               int all_open, int64_t scan_guard, int64_t level, int64_t cap,
+               int64_t *stops, int64_t *rep)
 {
     walk_t w[2];
-    cursor_t c[2];
-    int ok = walk_init(&w[0], &c[0], xl, level - t0, GROWING_R);
-    ok &= walk_init(&w[1], &c[1], xr, level - t0, GROWING);
-    int code = ok ? walk_to(&w[0], &c[0], level - t0, base, threshold,
-                            all_open, t0, xl, scan_guard, NULL)
-                  : WALK_NOMEM;
-    const cursor_t *stop = &c[0];
-    out[0] = xr <= xl ? 0 : -1;
-    if (out[0] < 0 && code != WALK_NOMEM) {
-        /* below the level at which the left walk stopped, bounded by r_L */
-        int right = walk_to(&w[1], &c[1], c[0].target - 1, base, threshold,
-                            all_open, t0, xr, scan_guard, w[0].r);
-        if (right) {
-            code = right;
-            stop = &c[1];
-        } else if (c[1].x <= w[0].r[c[1].target - 1]) {
-            out[0] = c[1].target - 1;
-        } else if (!code) {
-            stop = &c[1];
-        }
+    cursor_t stop;
+    int ok = walk_init(&w[0], &stop, xs[0], level - t0, 0);
+    ok &= walk_init(&w[1], &stop, xs[0], level - t0, 0);
+    int code = ok ? WALK_OK : WALK_NOMEM;
+    for (int64_t n = 0; n < count && !code; n++) {
+        code = chain(w, xs, k, t0, bases[n], threshold, all_open, scan_guard,
+                     level - t0, cap, stops + n * (k - 1), &stop);
+        rep[0] = n;
+        report(&stop, t0, code, rep + 1);
     }
-    out[1] = code ? 0 : c[0].x;
-    out[2] = code ? 0 : c[1].x;
-    code = report(stop, t0, code, out + 3);
     walk_release(&w[0]);
     walk_release(&w[1]);
     return code;
-}
-
-/* walk_pair of (xl, t0) and (xr, t0) to `level` on `count` configurations,
- * replica k on bases[k], all under one threshold: merge[k] gets its out[0],
- * the merge's level from t0 or -1.  Stops at the first replica, in order,
- * whose walk_pair does not return 0, and returns that code; merge[k] past
- * it is not written.  rep[0] gets the index of the last replica walked,
- * and rep[1:4] its walk's report. */
-int walk_pairs(int64_t xl, int64_t xr, int64_t t0, const uint64_t *bases,
-               int64_t count, uint64_t threshold, int all_open,
-               int64_t scan_guard, int64_t level, int64_t *merge,
-               int64_t *rep)
-{
-    int64_t out[6];
-    for (int64_t k = 0; k < count; k++) {
-        int code = walk_pair(xl, xr, t0, bases[k], threshold, all_open,
-                             scan_guard, level, out);
-        rep[0] = k;
-        memcpy(rep + 1, out + 3, 3 * sizeof *out);
-        if (code)
-            return code;
-        merge[k] = out[0];
-    }
-    return WALK_OK;
 }
 
 /* The break-point sums of the walk from (x, t0) to level t0 + n + margin,
@@ -502,7 +514,7 @@ int walk_breaks(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
 {
     walk_t w;
     cursor_t c;
-    int code = walk_init(&w, &c, x, n + margin, FIXED)
+    int code = walk_init(&w, &c, x, n + margin, 1)
                ? walk_to(&w, &c, n + margin, base, threshold, all_open, t0,
                          x, scan_guard, NULL)
                : WALK_NOMEM;
@@ -543,7 +555,7 @@ int walk_bounds(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
 {
     walk_t w;
     cursor_t c;
-    int code = walk_init(&w, &c, x, horizon - t0, FIXED)
+    int code = walk_init(&w, &c, x, horizon - t0, 1)
                ? walk_to(&w, &c, n - t0, base, threshold, all_open, t0, x,
                          scan_guard, NULL)
                : WALK_NOMEM;

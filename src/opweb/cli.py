@@ -30,7 +30,8 @@ from .couple import coalescence_survival_curve
 from .errors import (InsufficientDataError, InvalidArgumentError,
                      InvalidSiteError, NativeLibraryError,
                      ScanLimitExceededError)
-from .explore import explore_to_level, write_trajectory_csv
+from .explore import (DEFAULT_SCAN_GUARD, explore_to_level,
+                      write_trajectory_csv)
 from .lattice import (LatticeSite, STREAMS_PER_REPLICA, calibration_seed,
                       replica_config)
 from .metrics import b1_battery, b2_fkg_check
@@ -66,7 +67,7 @@ class ExperimentSpec:
     out: str | None = None
     workers: int = 1
     sigma: float | None = None
-    scan_guard: int = 10_000
+    scan_guard: int = DEFAULT_SCAN_GUARD
 
     def canonical(self) -> dict:
         """Content-determining fields only; destination and worker count are
@@ -168,7 +169,7 @@ CALIBRATION_REPLICAS, CALIBRATION_N, CALIBRATION_MARGIN = 16, 4000, 400
 
 
 def calibrate_sigma(p: float, seed: int, *, workers: int = 1,
-                    scan_guard: int = 10_000) -> float:
+                    scan_guard: int = DEFAULT_SCAN_GUARD) -> float:
     """Quick internal diffusivity calibration on a seed of its own."""
     est, _ = replica_estimate(p, calibration_seed(seed), CALIBRATION_REPLICAS,
                               CALIBRATION_N, CALIBRATION_MARGIN,

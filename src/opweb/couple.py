@@ -16,24 +16,21 @@ left-delta record, from which `_replay_left` rebuilds its left boundary at
 every level; `run_coupled_many` reads each cluster's switch level off the
 sources as it advances the cluster level by level.
 
-Batteries (`family_eta`, `pair_merges`): since the ledger's joint law is
-the law of one configuration, and B1, B2 and the survival curve only
-estimate probabilities, every cluster of a replica is built from one
-``replica_config(seed, p, replica)``, the ledger's first stream,
-and advances on its own with no ledger.  On one configuration the sites
-reachable at level ``n`` from the half-line ``(-inf, x]`` grow with ``x``,
-so the right boundary ``r_x(n)`` is non-decreasing in ``x``: for
-``x < y < z``, ``r_x(n) = r_z(n)`` pins ``r_y(n)`` to the same value.  The
-distinct values of a family are thus one plus the increases between
-neighbours, and bisection counts them from the clusters at the ends of
-each unsettled interval (the squeeze).  The batteries keep no cluster:
-each reads r through `explore.walk_lockstep`, which walks an equal-time
-pair, the left walk and then the right one, and stops the right walk at
-the first level where ``r_R <= r_L``, as from there the two boundaries stay
-equal.  That level is the survival curve's ``kappa_rr``, and a family
-whose end clusters merge by its level has one value.  Where only that
-level is asked for (the survival curve, B1 and the P(eta >= 2) side of
-B2), `pair_merges` walks the same pair on a range of replicas in one
+Batteries (`family_eta`, `family_etas`, `pair_merges`): since the
+ledger's joint law is the law of one configuration, and B1, B2 and the
+survival curve only estimate probabilities, every cluster of a replica is
+built from one ``replica_config(seed, p, replica)``, the ledger's first
+stream, and advances on its own with no ledger.  On one configuration the
+sites reachable at level ``n`` from the half-line ``(-inf, x]`` grow with
+``x``, so the right boundary ``r_x(n)`` is non-decreasing in ``x``, and
+two equal-time boundaries that meet stay equal.  The batteries keep no
+cluster: each reads the chain of `opweb._native.chain`, which walks the
+starts of a family from the left, each up to the first level where its r
+is at or left of its neighbour's.  The distinct values of a family at its
+level are one plus the starts that never stop, and for a pair that first
+level is the survival curve's ``kappa_rr``.  `family_eta` counts them on
+one configuration; `family_etas` (B2) and `pair_merges` (the survival
+curve, B1 and the P(eta >= 2) side of B2) walk a range of replicas in one
 native call.
 
 Coalescence bookkeeping for a pair started left (cluster ``L``) and right
@@ -59,8 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionNotMetError
-from .explore import DEFAULT_SCAN_GUARD, ExplorationCluster, walk_lockstep
-from .lattice import Config, make_key_sampler, replica_config
+from .explore import DEFAULT_SCAN_GUARD, ExplorationCluster
+from .lattice import Config, make_key_sampler, replica_bases, replica_config
 from .oracle import cbm_baseline
 from .runner import pmap, replica_ranges
 
@@ -296,7 +293,7 @@ def _check_left_merge(run: CoupledRun, left: int, right: int,
 
 def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
                      replica: int = 0,
-                     scan_guard: int = 10_000) -> CoupledRun:
+                     scan_guard: int = DEFAULT_SCAN_GUARD) -> CoupledRun:
     """Couple clusters per the two-stream ledger; pairwise times recorded.
 
     Cluster ``i`` starts on ``replica_config(seed, p, replica, i)`` and runs
@@ -343,54 +340,68 @@ def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
 
 # -- shared-configuration batteries ------------------------------------------
 
-def family_eta(start_xs, t0: int, level: int, cfg: Config, *,
-               cap: int | None = None,
-               scan_guard: int = DEFAULT_SCAN_GUARD) -> int:
-    """Distinct values of ``r_x(level)`` over an equal-time family on ``cfg``.
-
-    Counted by squeeze: the leftmost and the rightmost cluster run first,
-    as one pair stopped at its merge; if they merge by ``level`` the family
-    has one value.  Otherwise an interval of starts whose end values differ
-    is split at its midpoint, so only the clusters that separate distinct
-    values run.  With ``cap >= 1`` the count stops once the values found,
-    plus one for each interval still to split, reach ``cap``, and
-    ``min(eta, cap)`` is returned; ``cap=2`` runs the two extreme clusters
-    only.
-    """
-    xs = tuple(start_xs)
-    if not xs:
-        raise InvalidArgumentError("need at least one start column")
+def _check_family(xs, t0: int, level: int, cap) -> None:
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise InvalidArgumentError("start columns must be strictly increasing")
     if level < t0:
         raise InvalidArgumentError("level precedes start time")
     if cap is not None and cap < 1:
         raise InvalidArgumentError("cap must be at least 1")
-    last = len(xs) - 1
-    ends = (xs[0], xs[last]) if last else xs
-    merge, values = walk_lockstep(ends, t0, level, cfg, scan_guard=scan_guard)
-    if merge is not None:
-        return 1
-    r = dict(zip((0, last), values))
-    # todo: the intervals whose ends differ, each holding one more value
-    eta = 1
-    todo = [(0, last)] if r[0] != r[last] else []
-    while todo and (cap is None or eta + len(todo) < cap):
-        lo, hi = todo.pop()
-        if hi - lo == 1:
-            eta += 1
-            continue
-        mid = (lo + hi) // 2
-        _, (r[mid],) = walk_lockstep((xs[mid],), t0, level, cfg,
-                                     scan_guard=scan_guard)
-        todo += [(a, b) for a, b in ((mid, hi), (lo, mid)) if r[a] != r[b]]
-    eta += len(todo)
-    return eta if cap is None else min(eta, cap)
 
 
-def _pairs_worker(args):
+def _etas(stops) -> list:
+    """eta of each row of the chain's stops: one plus the walks that reach
+    the level without stopping."""
+    return [1 + row.count(-1) for row in stops.tolist()]
+
+
+def family_eta(start_xs, t0: int, level: int, cfg: Config, *,
+               cap: int | None = None,
+               scan_guard: int = DEFAULT_SCAN_GUARD) -> int:
+    """Distinct values of ``r_x(level)`` over an equal-time family on ``cfg``.
+
+    One chain of `opweb._native.chain`: a start that meets its left
+    neighbour's boundary by ``level`` shares its value there, and one that
+    does not adds one.  With ``cap >= 1`` the chain ends once the count
+    reaches ``cap``, and ``min(eta, cap)`` is returned.
+    """
+    xs = tuple(start_xs)
+    _check_family(xs, t0, level, cap)
     from . import _native  # may build the library: not at import
-    return _native.pairs(*args)
+    stops = _native.chain(xs, t0, level, cfg.p, [cfg._base], cap, scan_guard)
+    return _etas(stops)[0]
+
+
+def _chain_worker(args):
+    xs, level, p, seed, first, count, cap, scan_guard = args
+    from . import _native  # may build the library: not at import
+    return _native.chain(xs, 0, level, p, replica_bases(seed, first, count),
+                         cap, scan_guard)
+
+
+def _chains(xs, level: int, p: float, seed: int, first: int, count: int,
+            cap, workers: int, scan_guard) -> np.ndarray:
+    """The chain's stops of the family ``xs`` at time 0 on replicas
+    ``first, ..., first + count - 1``, one row per replica.  The replicas
+    are walked in the contiguous ranges of `runner.replica_ranges`, one
+    native call each, and joined in order, so the array is the same for any
+    worker count.  A tripped guard raises the error of the first replica,
+    in order, whose chain trips in its range."""
+    xs = tuple(xs)
+    _check_family(xs, 0, level, cap)
+    jobs = [(xs, level, p, seed, first + offset, size, cap, scan_guard)
+            for offset, size in replica_ranges(count, workers)]
+    return np.concatenate(pmap(_chain_worker, jobs, workers))
+
+
+def family_etas(start_xs, level: int, p: float, *, seed: int, first: int,
+                count: int, cap: int | None = None, workers: int = 1,
+                scan_guard: int = DEFAULT_SCAN_GUARD) -> list:
+    """`family_eta` of the family from ``(x, 0)``, x in ``start_xs``, on
+    ``replica_config(seed, p, first + k)`` as entry ``k``, for the
+    ``count`` replicas from ``first``, walked as `pair_merges` walks them."""
+    return _etas(_chains(start_xs, level, p, seed, first, count, cap,
+                         workers, scan_guard))
 
 
 def pair_merges(xl: int, xr: int, level: int, p: float, *, seed: int,
@@ -400,25 +411,21 @@ def pair_merges(xl: int, xr: int, level: int, p: float, *, seed: int,
     on replicas ``first, ..., first + count - 1``.
 
     Entry ``k`` is the first level ``n <= level`` with ``r_R(n) <= r_L(n)``
-    on ``replica_config(seed, p, first + k)``, as `explore.walk_lockstep`
-    finds it, or -1 where the pair has not merged by ``level``.  The
-    replicas are walked in the contiguous ranges of
-    `runner.replica_ranges`, one native call each, and joined in order, so
-    the array is the same for any worker count.  A tripped guard raises the
-    error of the first replica, in order, whose walk trips in its range.
+    on ``replica_config(seed, p, first + k)``, or -1 where the pair has not
+    merged by ``level``: the right walk's stop level in the chain of the
+    pair.  The replicas are walked in contiguous ranges, one native call
+    each, and joined in order, so the array is the same for any worker
+    count.  A tripped guard raises the error of the first replica, in
+    order, whose walk trips in its range.
     """
-    if xl >= xr:
-        raise InvalidArgumentError("start columns must be strictly increasing")
-    if level < 0:
-        raise InvalidArgumentError("level precedes start time")
-    jobs = [(xl, xr, 0, level, seed, p, first + offset, size, scan_guard)
-            for offset, size in replica_ranges(count, workers)]
-    return np.concatenate(pmap(_pairs_worker, jobs, workers))
+    return _chains((xl, xr), level, p, seed, first, count, None, workers,
+                   scan_guard)[:, 0]
 
 
 def coalescence_survival_curve(delta_lattice: int, p: float, eps: float, t_grid,
                                replicas: int, *, seed: int, sigma_hat: float,
-                               workers: int = 1, scan_guard: int = 10_000,
+                               workers: int = 1,
+                               scan_guard: int = DEFAULT_SCAN_GUARD,
                                replica_offset: int = 0):
     """Empirical P(eps * kappa_rr > t) against the erf baseline, per t.
 

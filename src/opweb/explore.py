@@ -35,12 +35,12 @@ Every walk that starts from a `Config` is one native call, and there are
 three, one per shape of answer.  `explore_to_level` runs one start to its
 boundaries: r through a horizon, the left boundary ``l`` frozen at a level
 ``n``, and the left boundary at the horizon, the stand-in γ for the
-rightmost infinite open path (`opweb._native.bounds`).  `walk_lockstep`
-serves callers that need r at one level: one start, or an equal-time pair
-walked up to the level where it merges (`opweb._native.lockstep`).  The
-estimate worker needs only the sums of the increments between break
-points, where r meets the left boundary at the horizon
-(`opweb._native.breaks`).
+rightmost infinite open path (`opweb._native.bounds`).  The batteries of
+`opweb.couple` need only where equal-time boundaries meet: a chain of
+walks from the left, each up to the level where its r meets the one to its
+left (`opweb._native.chain`).  The estimate worker needs only the sums of
+the increments between break points, where r meets the left boundary at
+the horizon (`opweb._native.breaks`).
 
 The Python walk always keeps its left-delta record (`left_deltas`): per
 level, the lowest stack index the advance rewrote and the stack from there
@@ -269,28 +269,6 @@ def explore_to_level(z: LatticeSite, n: int, cfg: Config, *,
         raise InvalidArgumentError(f"horizon {horizon} precedes level {n}")
     from . import _native  # may build the library: not at import
     return _native.bounds(z, n, horizon, cfg, scan_guard)
-
-
-def walk_lockstep(xs, t0: int, level: int, cfg: Config, *, scan_guard):
-    """Walk one start column, or an equal-time pair ``xs = (xl, xr)`` with
-    ``xl < xr``, from time ``t0`` toward ``level`` on ``cfg``; no cluster is
-    kept.
-
-    Returns ``(merge, values)``.  For a pair, ``merge`` is the first level
-    ``n`` with ``r_R(n) <= r_L(n)`` and ``values`` None.  From there the two
-    boundaries are equal for good (equal-time starts), so the right walk
-    stops there.  The left walk goes on to ``level``, so that input on which
-    it cannot get there still trips its guard.  Otherwise ``merge`` is None
-    and ``values`` holds r at ``level`` of each start.  The two walks meet
-    only in that stop test, so the left one walks first, recording r_L, and
-    the right one then walks up to the left one's last complete level,
-    bounded by r_L.  A tripped scan guard raises its ScanLimitExceededError
-    as a level-by-level lockstep would, trips at lower levels first and the
-    left walk's before the right one's at the same level, so a trip of the
-    right walk after the merge is never reached.
-    """
-    from . import _native  # may build the library: not at import
-    return _native.lockstep(xs, t0, level, cfg, scan_guard)
 
 
 def gamma_approx(z: LatticeSite, horizon: int, cfg: Config, *,

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couple import family_eta, pair_merges
+from .couple import family_etas, pair_merges
 from .errors import InvalidArgumentError
-from .explore import Trajectory
-from .lattice import replica_config
+from .explore import DEFAULT_SCAN_GUARD, Trajectory
 from .oracle import cbm_baseline
-from .runner import pmap
 from .stats import Z95, wilson_interval
 
 # bounds on |(sech^2)'| and |(sech^2)''|, for the slope of the gap's derivative
@@ -160,11 +158,6 @@ def set_distance(K1, K2) -> float:
 
 # -- empirical batteries -----------------------------------------------------
 
-def _family_eta_worker(args):
-    cfg, xs, t0, level, scan_guard, cap = args
-    return family_eta(xs, t0, level, cfg, cap=cap, scan_guard=scan_guard)
-
-
 def even_span(gap: float) -> int:
     """Smallest even lattice span covering a real gap, and at least 2."""
     span = max(2, int(math.ceil(gap)))
@@ -173,7 +166,7 @@ def even_span(gap: float) -> int:
 
 def b1_battery(p: float, eps: float, t: float, delta_list, replicas: int, *,
                sigma_hat: float, seed: int = 0, workers: int = 1,
-               scan_guard: int = 10_000, replica_offset: int = 0):
+               scan_guard: int = DEFAULT_SCAN_GUARD, replica_offset: int = 0):
     """P(eta >= 2) for right-boundary families spanning rescaled gaps.
 
     For each target gap ``delta`` the family starts on all even columns of
@@ -225,24 +218,25 @@ class FkgReport:
 
 
 def b2_fkg_check(p: float, n: int, x: int, replicas: int, *, seed: int = 0,
-                 workers: int = 1, scan_guard: int = 10_000) -> FkgReport:
+                 workers: int = 1,
+                 scan_guard: int = DEFAULT_SCAN_GUARD) -> FkgReport:
     """Estimate P(eta >= 3) against P(eta >= 2)^2 on the family over [0, 2x].
 
     The two sides come from independent replica banks (half the budget
     each); the slack combines their delta-method standard errors, so a
     violation beyond slack is a genuine positive-correlation failure.  Each
     replica is one configuration.  On the first bank the family is counted
-    by squeeze (`opweb.couple.family_eta`) up to 3 distinct values; on the
-    second, ``eta >= 2`` iff the two extreme clusters have not merged by
-    level ``n``, so only that pair runs, through `opweb.couple.pair_merges`.
+    up to 3 distinct values (`opweb.couple.family_etas`); on the second,
+    ``eta >= 2`` iff the two extreme clusters have not merged by level
+    ``n``, so only that pair runs, through `opweb.couple.pair_merges`.  Both
+    banks walk their replicas in ranges, one native call each.
     """
     if x < 1:
         raise InvalidArgumentError("x must be at least 1")
     per_side = max(1, replicas // 2)
     xs = tuple(range(0, 2 * x + 1, 2))
-    jobs3 = [(replica_config(seed, p, rep), xs, 0, n, scan_guard, 3)
-             for rep in range(per_side)]
-    etas3 = pmap(_family_eta_worker, jobs3, workers)
+    etas3 = family_etas(xs, n, p, seed=seed, first=0, count=per_side, cap=3,
+                        workers=workers, scan_guard=scan_guard)
     merges2 = pair_merges(0, 2 * x, n, p, seed=seed, first=per_side,
                           count=per_side, workers=workers,
                           scan_guard=scan_guard)

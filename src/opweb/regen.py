@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
-from .explore import explore_to_level
+from .explore import DEFAULT_SCAN_GUARD, explore_to_level
 from .lattice import LatticeSite, replica_config
 from .runner import pmap
 from .stats import wilson_interval
@@ -95,7 +95,8 @@ def _estimate_worker(args):
 
 
 def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
-                     *, workers: int = 1, scan_guard: int = 10_000):
+                     *, workers: int = 1,
+                     scan_guard: int = DEFAULT_SCAN_GUARD):
     """Drift and diffusivity pooled over independent replicas from (0, 0).
 
     Replica ``k`` explores ``replica_config(seed, p, k)`` to level
@@ -143,7 +144,7 @@ def _has_meeting_gap(meets, window, threshold) -> bool:
 
 def error_gap_frequencies(replicas: int, p: float, eps_list, delta: float,
                           L: float, *, seed: int = 0, workers: int = 1,
-                          scan_guard: int = 10_000):
+                          scan_guard: int = DEFAULT_SCAN_GUARD):
     """Frequencies of the sup-error and meeting-gap events per epsilon.
 
     For each eps: the sup of ``r - gamma`` over ``[0, L/eps]`` reaching

@@ -3,21 +3,27 @@
 Each reference takes the arguments of the `opweb._native` body it stands
 for and gives the same answer, or raises the same guard error:
 `bounds_reference` for `_native.bounds` (`explore.explore_to_level`),
-`lockstep_reference` for `_native.lockstep` (`explore.walk_lockstep`),
-`pairs_reference` for `_native.pairs` (`couple.pair_merges`) and
-`estimate_reference` for `_native.breaks` (the estimate worker).  Tests
-compare each native body with its reference, and run the command line on
-the references by monkeypatching them over the native bodies.
+`chain_reference` for `_native.chain` (`couple.family_eta`,
+`couple.family_etas` and `couple.pair_merges`) and `estimate_reference`
+for `_native.breaks` (the estimate worker).  Tests compare each native
+body with its reference, and run the command line on the references by
+monkeypatching them over the native bodies.  The chain's reference is a
+level by level lockstep of Python walks, `lockstep_reference`; its count
+of distinct values is checked against bisection on whole Python walks,
+`squeeze_reference`.
 `judge_reference` stands for `oracle._judge`, a rung of the check's box
 ladder (``judge_box``): it reads the same certified DP through
 `oracle._certified_dp` and compares in Python.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from opweb.errors import BoxTooNarrowError, InvalidArgumentError
+from opweb.errors import (BoxTooNarrowError, InvalidArgumentError,
+                          ScanLimitExceededError)
 from opweb.explore import Boundaries, ExplorationCluster
-from opweb.lattice import LatticeSite, replica_config
+from opweb.lattice import LatticeSite, edge_threshold
 from opweb.oracle import _certified_dp, _raised
 
 
@@ -32,29 +38,95 @@ def bounds_reference(z, n, horizon, cfg, scan_guard) -> Boundaries:
 
 
 def lockstep_reference(xs, t0, level, cfg, scan_guard):
-    """`walk_lockstep` on Python walks."""
+    """The stops of the chain of the equal-time starts ``xs`` on ``cfg``,
+    one row of `_native.chain` with no cap, from a level by level lockstep
+    of Python walks, and the walk whose report the chain gives.
+
+    At each level the walks advance from the left.  Walk ``i >= 1`` stops
+    at the first level where its r is at or left of the value of the start
+    to its left, and from then on takes that value; walk 0 goes on to
+    ``level``.  The walk returned is the rightmost that reaches ``level``
+    without stopping.  The first guard trip, lowest level and then leftmost
+    start, raises its error, with the walk that tripped as its ``walk``.
+    """
     walks = [ExplorationCluster(LatticeSite(x, t0), cfg,
                                 scan_guard=scan_guard) for x in xs]
-    pair = len(xs) == 2
-    values, n = list(xs), t0
-    while n < level and not (pair and values[1] <= values[0]):
-        n += 1
-        values = [w.advance_level() for w in walks]
-    if pair and values[1] <= values[0]:
-        walks[0].advance_to(level)
-        return n, None
-    return None, tuple(values)
+    values, stops = list(xs), [-1] * (len(xs) - 1)
+    for n in range(level - t0 + 1):
+        for i, walk in enumerate(walks):
+            moving = i == 0 or stops[i - 1] < 0
+            if n and moving:
+                try:
+                    values[i] = walk.advance_level()
+                except ScanLimitExceededError as trip:
+                    trip.walk = walk
+                    raise
+            if moving and i and values[i] <= values[i - 1]:
+                stops[i - 1] = n
+            if i and stops[i - 1] >= 0:
+                values[i] = values[i - 1]
+    last = max([0] + [i for i, s in enumerate(stops, 1) if s < 0])
+    return stops, walks[last]
 
 
-def pairs_reference(xl, xr, t0, level, seed, p, first, count, scan_guard):
-    """`_native.pairs` as a loop of `lockstep_reference` over the replicas'
-    configurations, which raises at the first replica whose walk trips."""
-    merges = []
-    for k in range(count):
-        cfg = replica_config(seed, p, first + k)
-        merge, _ = lockstep_reference((xl, xr), t0, level, cfg, scan_guard)
-        merges.append(-1 if merge is None else merge - t0)
-    return np.array(merges, dtype=np.int64)
+def chain_row_reference(xs, t0, level, cfg, cap, scan_guard):
+    """One row of `_native.chain` on ``cfg``, and the walk whose report it
+    gives: the lockstep of the starts up to the one at which eta reaches
+    ``cap``, with -2 for the starts past it, unless a prefix of the starts
+    trips before it does; then the lockstep of every start."""
+    k = len(xs)
+    for m in range(min(cap or k, k), k + 1):
+        try:
+            stops, walk = lockstep_reference(xs[:m], t0, level, cfg,
+                                             scan_guard)
+        except ScanLimitExceededError:
+            return lockstep_reference(xs, t0, level, cfg, scan_guard)
+        if m == k or 1 + stops.count(-1) == cap:
+            return stops + [-2] * (k - m), walk
+
+
+def chain_reference(xs, t0, level, p, bases, cap, scan_guard):
+    """`_native.chain` as rows of `chain_row_reference`, one per base,
+    which raises at the first configuration whose chain trips."""
+    rows = []
+    for base in bases:
+        # a configuration by its sampler alone, as make_key_sampler reads it
+        cfg = SimpleNamespace(_base=int(base), _threshold=edge_threshold(p))
+        rows.append(chain_row_reference(xs, t0, level, cfg, cap,
+                                        scan_guard)[0])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(xs) - 1)
+
+
+def squeeze_reference(xs, t0, level, cfg, cap=None):
+    """The number of distinct values of ``r_x(level)`` over the equal-time
+    family ``xs`` on ``cfg``, counted by bisection (the squeeze) on whole
+    Python walks, or ``min(eta, cap)``.
+
+    r_x(level) does not decrease in x, so the starts between two of equal
+    value share it.  An interval of starts whose end values differ is split
+    at its midpoint until its ends are neighbours, each pair of which adds
+    one value.  With a cap, the count stops once the values found, plus one
+    for each interval still to split, reach it.
+    """
+    def value(i):
+        walk = ExplorationCluster(LatticeSite(xs[i], t0), cfg)
+        walk.advance_to(level)
+        return walk.right_values[-1]
+
+    last = len(xs) - 1
+    r = {0: value(0), last: value(last)}
+    eta = 1
+    todo = [(0, last)] if r[0] != r[last] else []
+    while todo and (cap is None or eta + len(todo) < cap):
+        lo, hi = todo.pop()
+        if hi - lo == 1:
+            eta += 1
+            continue
+        mid = (lo + hi) // 2
+        r[mid] = value(mid)
+        todo += [(a, b) for a, b in ((mid, hi), (lo, mid)) if r[a] != r[b]]
+    eta += len(todo)
+    return eta if cap is None else min(eta, cap)
 
 
 def break_point_arrays(r, left, t0: int, n_end: int, margin: int):

@@ -116,7 +116,7 @@ def test_exit_2_before_any_walk(capsys, tmp_path, monkeypatch, argv):
     def walk(*args):
         raise AssertionError("a walk ran before the spec was checked")
 
-    for body in ("bounds", "lockstep", "pairs", "breaks", "edges", "dp"):
+    for body in ("bounds", "chain", "breaks", "edges", "dp"):
         monkeypatch.setattr(_native, body, walk)
     out = tmp_path / "out.csv"
     code, stdout, err = _main(capsys, *(a.format(out=out) for a in argv))
@@ -307,11 +307,11 @@ def test_no_two_replicas_of_a_run_share_a_stream(capsys, tmp_path,
     # every replica builds its one configuration, or the base of it in a
     # batch of replicas, in this process (one worker); the clusters of a
     # B1/B2 family or a coalescing pair share it
-    from opweb import _native
+    from opweb import couple
     from opweb.lattice import STREAMS_PER_REPLICA, Config
     built = []
     post_init = Config.__post_init__
-    replica_bases = _native.replica_bases
+    replica_bases = couple.replica_bases
 
     def recording(cfg):
         post_init(cfg)
@@ -323,7 +323,7 @@ def test_no_two_replicas_of_a_run_share_a_stream(capsys, tmp_path,
         return replica_bases(seed, first, count)
 
     monkeypatch.setattr(Config, "__post_init__", recording)
-    monkeypatch.setattr(_native, "replica_bases", recording_bases)
+    monkeypatch.setattr(couple, "replica_bases", recording_bases)
     out = tmp_path / "out.csv"
     argv = [a.format(out=out) for a in argv]
     assert _main(capsys, *argv, "--p", "0.8", "--seed", "3")[0] == 0

@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from opweb import couple
+from opweb import _native
 from opweb.couple import (_replay_left, check_coalescence_structure,
                           coalescence_survival_curve, family_eta,
-                          pair_merges, run_coupled_many)
-from opweb.errors import InvalidArgumentError, PreconditionNotMetError
+                          family_etas, pair_merges, run_coupled_many)
+from opweb.errors import (InvalidArgumentError, InvalidSiteError,
+                          PreconditionNotMetError)
 from opweb.explore import ExplorationCluster, explore_to_level
 from opweb.lattice import Config, LatticeSite, make_key_sampler, replica_config
-from opweb.metrics import _family_eta_worker, b1_battery
+from opweb.metrics import b1_battery
+
+from _references import squeeze_reference
 
 O = LatticeSite(0, 0)
 
@@ -239,7 +242,9 @@ def test_family_eta_matches_value_count():
 def test_squeeze_count_equals_distinct_count(seed, p, t0, gaps, level_above,
                                              cap):
     # r_x(n) is non-decreasing in x on one configuration, so bisection
-    # between merged ends finds every distinct value of the family
+    # between merged ends finds every distinct value of the family, and so
+    # does the chain, which counts the starts that never meet their left
+    # neighbour
     xs = [t0 % 2]
     for g in gaps:
         xs.append(xs[-1] + 2 * g)
@@ -248,37 +253,34 @@ def test_squeeze_count_equals_distinct_count(seed, p, t0, gaps, level_above,
     values = _family_values(xs, t0, level, cfg)
     assert values == sorted(values)
     eta = len(set(values))
-    assert family_eta(xs, t0, level, cfg, cap=cap) == (
-        eta if cap is None else min(eta, cap))
+    expected = eta if cap is None else min(eta, cap)
+    assert family_eta(xs, t0, level, cfg, cap=cap) == expected
+    assert squeeze_reference(xs, t0, level, cfg, cap) == expected
 
 
-def test_capped_squeeze_stops_at_its_cap(monkeypatch):
-    # cap=2 runs the two extreme clusters, as one pair call, and no more;
-    # any cap returns min(eta, cap) from no more calls than the full count
-    # makes
-    calls = []
-    inner = couple.walk_lockstep
-
-    def counting(xs, *args, **kwargs):
-        calls.append(len(xs))
-        return inner(xs, *args, **kwargs)
-
-    monkeypatch.setattr(couple, "walk_lockstep", counting)
-    xs = tuple(range(0, 30, 2))
-    split = 0
+def test_capped_chain_stops_at_its_cap():
+    # any cap returns min(eta, cap), from the walks of the uncapped chain up
+    # to the one that brings eta to the cap and no more; the batched
+    # families count as one Config at a time does
+    xs, etas = tuple(range(0, 30, 2)), []
     for rep in range(120):
         cfg = replica_config(5, 0.8, rep)
-        calls.clear()
+        [full] = _native.chain(xs, 0, 1000, 0.8, [cfg._base], None,
+                               10_000).tolist()
         eta = family_eta(xs, 0, 1000, cfg)
-        full = len(calls)
-        split += eta >= 2
+        assert eta == 1 + full.count(-1)
+        etas.append(eta)
         for cap in (1, 2, 3):
-            calls.clear()
+            [capped] = _native.chain(xs, 0, 1000, 0.8, [cfg._base], cap,
+                                     10_000).tolist()
+            cut = next((i for i in range(len(full) + 1)
+                        if full[:i].count(-1) == cap - 1), len(full))
+            assert capped == full[:cut] + [-2] * (len(full) - cut)
             assert family_eta(xs, 0, 1000, cfg, cap=cap) == min(eta, cap)
-            assert len(calls) <= full
-            if cap == 2:
-                assert calls == [2]
-    assert split >= 30
+    assert sum(eta >= 2 for eta in etas) >= 30
+    for cap in (1, 2, 3):
+        assert family_etas(xs, 1000, 0.8, seed=5, first=0, count=120,
+                           cap=cap) == [min(e, cap) for e in etas]
 
 
 def test_family_rejects_bad_input():
@@ -288,6 +290,17 @@ def test_family_rejects_bad_input():
             family_eta(xs, 0, level, cfg)
     with pytest.raises(InvalidArgumentError):
         family_eta((0, 2), 0, 10, cfg, cap=0)
+
+
+def test_starts_off_the_even_lattice_are_rejected():
+    # boundaries on the two sublattices never share a site, so the stop
+    # rule does not apply to them
+    with pytest.raises(InvalidSiteError):
+        family_eta((0, 1), 0, 10, Config(1, 0.8, 1))
+    with pytest.raises(InvalidSiteError):
+        family_eta((0, 2), 1, 10, Config(1, 0.8, 1))
+    with pytest.raises(InvalidSiteError):
+        pair_merges(0, 3, 2000, 0.8, seed=3, first=0, count=10)
 
 
 def test_shared_config_left_cluster_is_the_ledger_first_cluster():
@@ -359,8 +372,8 @@ def test_pair_merges_join_their_ranges_in_order():
 
 
 @pytest.mark.parametrize("run", [
-    lambda: _family_eta_worker((Config(3, 0.8, 1), tuple(range(0, 16, 2)), 0,
-                                200, 10_000, None)),
+    lambda: family_etas(tuple(range(0, 16, 2)), 200, 0.8, seed=3, first=0,
+                        count=4),
     lambda: pair_merges(0, 6, 300, 0.8, seed=3, first=0, count=1),
     lambda: run_coupled_many([O, LatticeSite(6, 0)], 300, p=0.8, seed=3),
     lambda: run_coupled_many([O, LatticeSite(4, 0), LatticeSite(8, 0)], 200,

@@ -1,7 +1,6 @@
 import math
 import multiprocessing
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -17,12 +16,13 @@ from opweb.errors import (InvalidArgumentError, NativeLibraryError,
                           ScanLimitExceededError)
 from opweb.couple import _first_leq
 from opweb.explore import (ExplorationCluster, boundary_ordering_check,
-                           explore_to_level, gamma_approx, walk_lockstep,
+                           explore_to_level, gamma_approx,
                            write_trajectory_csv)
 from opweb.lattice import (Config, LatticeSite, X_BIAS, edge_threshold,
                            make_key_sampler, replica_bases, replica_config)
 
-from _references import lockstep_reference, pairs_reference
+from _references import (chain_reference, chain_row_reference,
+                         lockstep_reference, squeeze_reference)
 
 ORIGIN = LatticeSite(0, 0)
 
@@ -315,52 +315,77 @@ def test_dead_lookups_follow_the_per_level_rule(seed, p, x, t, guard, levels):
     assert dead.lookups == opened
 
 
-def _lockstep_outcome(lockstep, xs, t0, level, cfg, guard):
-    """What a lockstep body returns, or its guard error's message and
-    scan offset."""
+def _chain_outcome(body, *args):
+    """The stops a chain body returns, as lists, or its guard error's
+    message and scan offset."""
     try:
-        return lockstep(xs, t0, level, cfg, guard)
+        return body(*args).tolist()
     except ScanLimitExceededError as e:
         return str(e), e.scan_offset
 
 
+def _family(t0, x, gaps):
+    """Equal-time starts on the even lattice from about x, the given gaps
+    apart in steps of 2."""
+    xs = [x + ((x + t0) & 1)]
+    for gap in gaps:
+        xs.append(xs[-1] + 2 * gap)
+    return xs
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=seeds, p=st.sampled_from([0.65, 0.7, 0.8, 0.9, 1.0]),
-       t0=st.integers(-3, 3), x=st.integers(-20, 20), gap=st.integers(1, 20),
-       level_above=st.integers(0, 300))
-def test_lockstep_matches_whole_python_walks(seed, p, t0, x, gap,
-                                             level_above):
-    # one start gives r at the level; a pair gives the first level with
-    # r_R <= r_L, read off whole boundaries, or r of both at the level
+       t0=st.integers(-3, 3), x=st.integers(-20, 20),
+       gaps=st.lists(st.integers(1, 20), max_size=15),
+       level_above=st.integers(0, 300),
+       cap=st.one_of(st.none(), st.integers(1, 4)))
+def test_lockstep_matches_whole_python_walks(seed, p, t0, x, gaps,
+                                             level_above, cap):
+    # walk i stops at the first level where r_i <= r_{i-1}, read off whole
+    # boundaries, or never; once eta reaches the cap the chain ends; and
+    # eta is the squeeze's count of distinct values at the level
     cfg = Config(seed, p, 1)
-    xl = x + ((x + t0) & 1)
-    xs, level = (xl, xl + 2 * gap), t0 + level_above
+    xs, level = _family(t0, x, gaps), t0 + level_above
     walks = [ExplorationCluster(LatticeSite(z, t0), cfg) for z in xs]
     for walk in walks:
         walk.advance_to(level)
-    r_l, r_r = (walk.right_values for walk in walks)
-    merge = _first_leq(r_r, r_l, t0, t0, t0)
-    expected = (merge, None if merge is not None else (r_l[-1], r_r[-1]))
-    for x0, r in zip(xs, (r_l, r_r)):
-        assert walk_lockstep((x0,), t0, level, cfg, scan_guard=10_000) == (
-            None, (r[-1],))
-    assert walk_lockstep(xs, t0, level, cfg, scan_guard=10_000) == expected
-    assert lockstep_reference(xs, t0, level, cfg, 10_000) == expected
+    r = [walk.right_values for walk in walks]
+    stops = []
+    for left, right in zip(r, r[1:]):
+        merge = _first_leq(right, left, t0, t0, t0)
+        stops.append(-1 if merge is None else merge - t0)
+    eta = 1
+    for i, stop in enumerate(stops):
+        if eta == cap:
+            stops[i:] = [-2] * (len(stops) - i)
+            break
+        eta += stop < 0
+    chain = _native.chain(xs, t0, level, p, [cfg._base], cap, 10_000)
+    assert chain.dtype == np.int64 and chain.tolist() == [stops]
+    assert chain_row_reference(xs, t0, level, cfg, cap, 10_000)[0] == stops
+    assert eta == squeeze_reference(xs, t0, level, cfg, cap)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=seeds, p=st.sampled_from([0.5, 0.6, 0.6447, 0.66, 0.7]),
-       t0=st.integers(-3, 3), gap=st.integers(1, 20),
-       level_above=st.integers(0, 300), guard=st.integers(1, 60))
-def test_native_lockstep_trips_as_the_python_lockstep(seed, p, t0, gap,
-                                                      level_above, guard):
-    cfg = Config(seed, p, 1)
-    xl = t0 & 1
-    level = t0 + level_above
-    for xs in ((xl,), (xl + 2 * gap,), (xl, xl + 2 * gap)):
-        assert _lockstep_outcome(_native.lockstep, xs, t0, level, cfg,
-                                 guard) == _lockstep_outcome(
-            lockstep_reference, xs, t0, level, cfg, guard)
+       t0=st.integers(-3, 3), gaps=st.lists(st.integers(1, 20), min_size=1,
+                                            max_size=5),
+       level_above=st.integers(0, 300), guard=st.integers(1, 60),
+       cap=st.one_of(st.none(), st.integers(1, 3)))
+# the start at 2 of (0, 2, 4) trips first, below level 3
+@example(seed=15, p=0.5, t0=0, gaps=[1, 1], level_above=20, guard=5,
+         cap=None)
+def test_native_lockstep_trips_as_the_python_lockstep(seed, p, t0, gaps,
+                                                      level_above, guard,
+                                                      cap):
+    # with a pair whose right start is left of its left one, which stops
+    # at the start level
+    base = Config(seed, p, 1)._base
+    xs, level = _family(t0, 0, gaps), t0 + level_above
+    for starts in ([xs[0]], [xs[-1]], xs[:2], xs[1::-1], xs):
+        args = (starts, t0, level, p, [base], cap, guard)
+        assert _chain_outcome(_native.chain, *args) == _chain_outcome(
+            chain_reference, *args)
 
 
 @pytest.mark.parametrize("p", [0.65, 0.8, 1.0])
@@ -369,18 +394,19 @@ def test_native_lockstep_trips_as_the_python_lockstep(seed, p, t0, gap,
 def test_batched_pairs_match_the_per_replica_lockstep(t0, gap, p):
     # p = 1 runs on the all-open flag; merges count levels from t0
     seed, first, count, level = 5, 3, 12, t0 + 300
-    xl = t0 & 1
+    xs = (t0 & 1, (t0 & 1) + gap)
     expected = []
     for k in range(count):
-        merge, _ = walk_lockstep((xl, xl + gap), t0, level,
-                                 replica_config(seed, p, first + k),
-                                 scan_guard=10_000)
-        expected.append(-1 if merge is None else merge - t0)
-    args = (xl, xl + gap, t0, level, seed, p, first, count, 10_000)
-    merges = _native.pairs(*args)
+        cfg = replica_config(seed, p, first + k)
+        [[merge]] = _native.chain(xs, t0, level, p, [cfg._base], None,
+                                  10_000).tolist()
+        assert lockstep_reference(xs, t0, level, cfg, 10_000)[0] == [merge]
+        expected.append([merge])
+    args = (xs, t0, level, p, replica_bases(seed, first, count), None, 10_000)
+    merges = _native.chain(*args)
     assert merges.dtype == np.int64
     assert merges.tolist() == expected
-    assert pairs_reference(*args).tolist() == expected
+    assert chain_reference(*args).tolist() == expected
 
 
 def test_a_batch_trips_as_its_first_tripping_replica():
@@ -388,26 +414,27 @@ def test_a_batch_trips_as_its_first_tripping_replica():
     # replica 8, walked on its own, below level 5
     seed, p, first, count, level, guard = 0, 0.3, 5, 20, 8, 40
     for k in range(first, first + count):
-        cfg = replica_config(seed, p, k)
-        try:
-            walk_lockstep((0, 14), 0, level, cfg, scan_guard=guard)
-        except ScanLimitExceededError as e:
-            trip = (k, str(e), e.scan_offset)
+        base = replica_config(seed, p, k)._base
+        trip = _chain_outcome(_native.chain, (0, 14), 0, level, p, [base],
+                              None, guard)
+        if isinstance(trip, tuple):
             break
-    assert trip == (7, "40 start sites exhausted below level 7", 40)
-    for pairs in (_native.pairs, pairs_reference):
-        with pytest.raises(ScanLimitExceededError) as batch:
-            pairs(0, 14, 0, level, seed, p, first, count, guard)
-        assert (str(batch.value), batch.value.scan_offset) == trip[1:]
+    assert (k, *trip) == (7, "40 start sites exhausted below level 7", 40)
+    for body in (_native.chain, chain_reference):
+        assert _chain_outcome(body, (0, 14), 0, level, p,
+                              replica_bases(seed, first, count), None,
+                              guard) == trip
 
 
 def test_left_walk_goes_on_past_the_merge_to_its_guard():
     # subcritical: the pair merges at level 5, and the left walk, which
     # goes on alone, trips its guard below level 18
-    cfg = replica_config(0, 0.3, 0)
-    for lockstep in (lockstep_reference, _native.lockstep):
-        assert lockstep((0, 4), 0, 17, cfg, 10_000) == (5, None)
-        assert _lockstep_outcome(lockstep, (0, 4), 0, 18, cfg, 10_000) == (
+    base = replica_config(0, 0.3, 0)._base
+    for body in (chain_reference, _native.chain):
+        assert body((0, 4), 0, 17, 0.3, [base], None, 10_000).tolist() == [
+            [5]]
+        assert _chain_outcome(body, (0, 4), 0, 18, 0.3, [base], None,
+                              10_000) == (
             "10000 start sites exhausted below level 18", 10_000)
 
 
@@ -415,12 +442,9 @@ def test_a_pair_far_below_its_level_trips_its_guard():
     # subcritical, to level 10**12: the left walk trips below level 5, and
     # its buffers grow with the walk, so none is sized to the level
     level, guard = 10**12, 40
-    for call in (lambda: _native.pairs(0, 4, 0, level, 0, 0.3, 0, 1, guard),
-                 lambda: _native.lockstep((0, 4), 0, level,
-                                          replica_config(0, 0.3, 0), guard)):
-        with pytest.raises(ScanLimitExceededError) as trip:
-            call()
-        assert (str(trip.value), trip.value.scan_offset) == (
+    for xs in ((0, 4), (0, 4, 8)):
+        assert _chain_outcome(_native.chain, xs, 0, level, 0.3,
+                              replica_bases(0, 0, 1), None, guard) == (
             "40 start sites exhausted below level 5", 40)
 
 
@@ -441,26 +465,28 @@ def _python_report(x, t0, level, cfg, guard):
     return 0, _words(walk)
 
 
-def _python_pair_report(xs, t0, level, cfg, guard):
-    """The code and report words of the Python lockstep pair: those of the
-    walk that tripped, else of the left walk once the pair has merged, and
-    of the right walk otherwise."""
-    walks = [ExplorationCluster(LatticeSite(x, t0), cfg, scan_guard=guard)
-             for x in xs]
-    stop, values = walks[0], list(xs)
+def _python_chain_report(xs, t0, level, cfg, guard):
+    """The code and report words of the Python lockstep of the chain with
+    no cap: those of the walk that tripped first, else of the rightmost
+    walk that reached the level without stopping."""
     try:
-        for _ in range(t0, level):
-            if values[1] <= values[0]:
-                break
-            for k, walk in enumerate(walks):
-                stop = walk
-                values[k] = walk.advance_level()
-        if values[1] <= values[0]:
-            stop = walks[0]
-            walks[0].advance_to(level)
-    except ScanLimitExceededError:
-        return _native._GUARD, _words(stop)
-    return 0, _words(stop)
+        _, walk = chain_row_reference(xs, t0, level, cfg, None, guard)
+    except ScanLimitExceededError as trip:
+        return _native._GUARD, _words(trip.walk)
+    return 0, _words(walk)
+
+
+def _chain_report(xs, t0, bases, p, guard, level):
+    """The code of walk_chain on ``bases`` and its report: the index of the
+    last replica walked and that replica's report words."""
+    starts = np.array(xs, dtype=np.int64)
+    stops = np.empty((len(bases), len(xs) - 1), dtype=np.int64)
+    rep = _native._ChainReport()
+    code = _native.load().walk_chain(
+        starts.ctypes.data, len(xs), t0, bases.ctypes.data, len(bases),
+        *_native._cut(edge_threshold(p)), guard, level, 0, stops.ctypes.data,
+        rep)
+    return code, rep[0], tuple(rep[1:4])
 
 
 @pytest.mark.parametrize("p", [0.5, 0.6447, 0.7, 0.8, 0.9, 1.0])
@@ -469,25 +495,15 @@ def test_report_words_match_the_python_walk(p):
     # growing buffers reallocate inside the level loop; at p = 0.5 the
     # walks trip, which the words report as well
     lib, guard = _native.load(), 2000
-    threshold, all_open = _native._cut(edge_threshold(p))
     for seed, t0, x, gap in ((1, 0, 0, 30), (2, -7, 1, 2), (3, 4, 6, -2)):
         cfg = replica_config(seed, p, 0)
         args = (t0, *_native._sampler(cfg), guard)
         level = t0 + 2500
-        out = _native._Out()
-        code = lib.walk_value(x, *args, level, out)
-        assert (code, tuple(out[3:6])) == _python_report(x, t0, level, cfg,
-                                                          guard)
-        xs = (x, x + 2 * gap)
-        expected = _python_pair_report(xs, t0, level, cfg, guard)
-        code = lib.walk_pair(*xs, *args, level, out)
-        assert (code, tuple(out[3:6])) == expected
-        bases = replica_bases(seed, 0, 1)
-        merges, rep = np.empty(1, dtype=np.int64), _native._BatchReport()
-        code = lib.walk_pairs(*xs, t0, bases.ctypes.data, 1, threshold,
-                              all_open, guard, level, merges.ctypes.data, rep)
-        assert (code, rep[0], tuple(rep[1:4])) == (expected[0], 0,
-                                                   expected[1])
+        for xs in ((x,), (x, x + 2 * gap), (x, x + 2, x + 2 + 2 * gap),
+                   (x - 4, x, x + 2 * gap, x + 2 * gap + 6)):
+            code, words = _python_chain_report(xs, t0, level, cfg, guard)
+            assert _chain_report(xs, t0, replica_bases(seed, 0, 1), p,
+                                 guard, level) == (code, 0, words)
         breaks = _native._Breaks()
         n, margin = 2000, 500
         code = lib.walk_breaks(x, *args, n, margin, breaks)
@@ -499,20 +515,27 @@ def test_report_words_match_the_python_walk(p):
         code = lib.walk_bounds(x, *args, t0 + 2000, level, right.ctypes.data,
                                left.ctypes.data, gamma.ctypes.data, rep)
         assert (code, tuple(rep)) == _python_report(x, t0, level, cfg, guard)
+    if p == 0.5:
+        # an interior start trips first: the one at 2, below level 3
+        cfg = Config(15, p, 1)
+        bases = np.array([cfg._base], dtype=np.uint64)
+        assert _chain_report((0, 2, 4), 0, bases, p, 5, 20) == (
+            _native._GUARD, 0, _python_chain_report((0, 2, 4), 0, 20, cfg,
+                                                    5)[1])
+        with pytest.raises(ScanLimitExceededError) as trip:
+            chain_row_reference((0, 2, 4), 0, 20, cfg, None, 5)
+        assert (trip.value.walk.origin, str(trip.value)) == (
+            LatticeSite(2, 0), "5 start sites exhausted below level 3")
 
 
 def test_a_batch_reports_its_last_replica():
     # replicas 3 to 7 run through: the report is replica 7's, index 4
     seed, p, level, guard = 4, 0.8, 300, 10_000
-    lib = _native.load()
-    threshold, all_open = _native._cut(edge_threshold(p))
-    bases = replica_bases(seed, 3, 5)
-    merges, rep = np.empty(5, dtype=np.int64), _native._BatchReport()
-    assert lib.walk_pairs(0, 28, 0, bases.ctypes.data, 5, threshold,
-                          all_open, guard, level, merges.ctypes.data,
-                          rep) == 0
-    assert (rep[0], tuple(rep[1:4])) == (4, _python_pair_report(
-        (0, 28), 0, level, replica_config(seed, p, 7), guard)[1])
+    for xs in ((0, 28), (0, 4, 28, 30)):
+        assert _chain_report(xs, 0, replica_bases(seed, 3, 5), p, guard,
+                             level) == (0, 4, _python_chain_report(
+                                 xs, 0, level, replica_config(seed, p, 7),
+                                 guard)[1])
 
 
 def test_boundary_arrays_are_owned_int64_copies():
@@ -613,7 +636,7 @@ import numpy as np
 from opweb import _native
 from opweb.errors import ScanLimitExceededError
 from opweb.explore import explore_to_level
-from opweb.lattice import Config, LatticeSite, replica_config
+from opweb.lattice import Config, LatticeSite, replica_bases, replica_config
 from opweb.oracle import _judge, box_ladder
 if len(sys.argv) > 1:  # a build of _walk.c in place of the cached one
     _native._lib = ctypes.CDLL(sys.argv[1])
@@ -636,23 +659,37 @@ def show(body, *args):
 for p, guard in ((0.8, 10_000), (1.0, 10_000), (0.6447, 2000), (0.5, 40)):
     for seed in range(3):
         c = replica_config(seed, p, 0)
-        # one start, a pair with xr <= xl, and pairs that grow their
-        # buffers or trip on either walk
-        for xs in ((0,), (6, 0), (0, 60), (0, 8)):
-            show(_native.lockstep, xs, 0, 3000, c, guard)
-        show(_native.pairs, 0, 28, 0, 2000, seed, p, 0, 10, guard)
+        # one start, a pair with xr <= xl, pairs that grow their buffers
+        # or trip on either walk, and families of 3 and 8, capped or not
+        for xs in ((0,), (6, 0), (0, 60), (0, 8), (0, 2, 6),
+                   tuple(range(0, 30, 4))):
+            for cap in (None, 2):
+                show(_native.chain, xs, 0, 3000, p, [c._base], cap, guard)
+        show(_native.chain, (0, 28), 0, 2000, p, replica_bases(seed, 0, 10),
+             None, guard)
+        show(_native.chain, (0, 4, 8, 12), 0, 2000, p,
+             replica_bases(seed, 0, 10), 3, guard)
         show(_native.breaks, c, 2000, 500, guard)
         show(_native.bounds, LatticeSite(1, -1), 1000, 3000, c, guard)
-show(_native.pairs, 6, 0, 0, 2000, 11, 0.8, 0, 10, 10_000)
+show(_native.chain, (6, 0), 0, 2000, 0.8, replica_bases(11, 0, 10), None,
+     10_000)
 # the pair's branches: a left walk that trips with no merge below its trip,
 # a right walk that trips below the left one's trip, a merge at level 1
-# before a left trip, one with no trip, whose left walk of 3000 levels
-# reallocates its r, and pairs walked to their start level
+# before a left trip, and one with no trip, whose left walk of 3000 levels
+# reallocates its r; an interior start that trips first
 for seed, p, guard, xs in ((1, 0.5, 5, (0, 8)), (0, 0.5, 5, (0, 20)),
                            (0, 0.5, 5, (0, 2)), (6, 0.6447, 40, (0, 2))):
-    show(_native.lockstep, xs, 0, 3000, replica_config(seed, p, 0), guard)
-show(_native.lockstep, (0, 8), 4, 4, replica_config(0, 0.8, 0), 10_000)
-show(_native.pairs, 0, 8, 4, 4, 0, 0.8, 0, 3, 10_000)
+    show(_native.chain, xs, 0, 3000, p, replica_bases(seed, 0, 1), None,
+         guard)
+show(_native.chain, (0, 2, 4), 0, 20, 0.5, [Config(15, 0.5, 1)._base], None,
+     5)
+# a middle walk that stops above FIRST_LEVELS, and one that reaches the
+# level, whose r copies span more than FIRST_LEVELS levels
+show(_native.chain, (0, 28, 30), 0, 2000, 0.8, replica_bases(3, 0, 2), None,
+     10_000)
+# walks to their start level
+for xs in ((0, 8), (8, 0), (0, 8, 10)):
+    show(_native.chain, xs, 4, 4, 0.8, replica_bases(0, 0, 3), None, 10_000)
 show(_native.breaks, replica_config(1, 0.8, 0), 20_000, 500, 10_000)
 # the rung judge on the widest box, the last rung of check's ladder at
 # n = 2000
@@ -679,9 +716,11 @@ print("dying", [_judge(box, walk.right, walk.left, 100)
 
 def test_walk_entries_run_clean_under_sanitizers(tmp_path):
     # every entry, built with AddressSanitizer and UBSan, on guard trips,
-    # a pair with xr <= xl, each branch of the pair, growing walks, and the
-    # rung judge on the widest box, on refusing bands and on a dying box:
-    # no report, and the outputs of the plain build
+    # a pair with xr <= xl, each branch of the pair, capped and uncapped
+    # families, an interior trip, growing walks and long copies, walks to
+    # their start level, and the rung judge on the widest box, on refusing
+    # bands and on a dying box: no report, and the outputs of the plain
+    # build
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no cc or gcc on PATH")
@@ -712,11 +751,17 @@ def test_walk_entries_run_clean_under_sanitizers(tmp_path):
     assert ("bands " + str(["box_too_narrow"] * 3
                            + ["left_boundary_mismatch"] * 3) + "\n"
             "dying ['box_too_narrow']\n") in plain.stdout
-    # the trips and the merge of the pair's branches
-    assert ("lockstep ['5 start sites exhausted below level 9', 5]\n"
-            "lockstep ['5 start sites exhausted below level 8', 5]\n"
-            "lockstep ['5 start sites exhausted below level 14', 5]\n"
-            "lockstep [1, None]\n") in plain.stdout
+    # the trips and the merge of the pair's branches, the interior trip,
+    # the long copies, and the walks to their start level
+    assert ("chain ['5 start sites exhausted below level 9', 5]\n"
+            "chain ['5 start sites exhausted below level 8', 5]\n"
+            "chain ['5 start sites exhausted below level 14', 5]\n"
+            "chain [[1]]\n"
+            "chain ['5 start sites exhausted below level 3', 5]\n"
+            "chain [[-1, 2], [1512, 5]]\n"
+            "chain [[-1], [-1], [-1]]\n"
+            "chain [[0], [0], [0]]\n"
+            "chain [[-1, -1], [-1, -1], [-1, -1]]\n") in plain.stdout
 
 
 def test_native_walk_loads_where_a_compiler_exists():
@@ -735,7 +780,7 @@ def test_a_library_that_cannot_be_had_names_its_cause(fresh_loader,
     # and the next load tries again
     native = fresh_loader
     broken = tmp_path / "broken.c"
-    broken.write_text("int walk_value(void) { return }\n")
+    broken.write_text("int walk_chain(void) { return }\n")
     blocker = tmp_path / "file"
     blocker.write_text("")
     causes = {
@@ -759,18 +804,6 @@ def test_a_library_that_cannot_be_had_names_its_cause(fresh_loader,
         native.load()
     fake.unlink()
     assert native.load() is not None
-
-
-def test_walk_exports_are_the_registered_entries():
-    # every function that _walk.c exports is registered in _ENTRIES and
-    # called from _native.py, so no export outlives its caller
-    source = _native._SOURCE.read_text(encoding="utf-8")
-    exported = re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(",
-                          source, re.M)
-    assert sorted(exported) == sorted(_native._ENTRIES)
-    caller = Path(_native.__file__).read_text(encoding="utf-8")
-    assert [name for name in _native._ENTRIES
-            if f".{name}(" not in caller] == []
 
 
 def test_python_walk_for_sources_and_left_deltas():

@@ -9,12 +9,13 @@ update the hash with the package version.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from opweb import _native, cli
+from opweb import _native, cli, couple
+from opweb.lattice import replica_config
 
-from _references import (bounds_reference, estimate_reference,
-                         lockstep_reference, pairs_reference)
+from _references import bounds_reference, chain_reference, estimate_reference
 
 SIGMA = ["--sigma", "0.87"]
 
@@ -87,11 +88,16 @@ def test_python_walk_writes_the_pinned_bytes(name, monkeypatch, tmp_path,
                                              capsys):
     # every walk of every call, the estimate workers that also calibrate
     # sigma included, runs on the Python references of the tests, which
-    # must write the same bytes as the native walks; the batched pairs run
-    # one Config per replica, which also checks `lattice.replica_bases`
+    # must write the same bytes as the native walks; the batched chains
+    # take one Config's base per replica, which also checks
+    # `lattice.replica_bases`
+    def config_bases(seed, first, count):
+        return np.array([replica_config(seed, 0.0, first + k)._base
+                         for k in range(count)], dtype=np.uint64)
+
     monkeypatch.setattr(_native, "bounds", bounds_reference)
-    monkeypatch.setattr(_native, "lockstep", lockstep_reference)
-    monkeypatch.setattr(_native, "pairs", pairs_reference)
+    monkeypatch.setattr(_native, "chain", chain_reference)
+    monkeypatch.setattr(couple, "replica_bases", config_bases)
     monkeypatch.setattr(_native, "breaks", estimate_reference)
     argv, expected = CALLS[name]
     assert _output_digest(argv, tmp_path, capsys) == expected

@@ -1,7 +1,8 @@
 """Every top-level definition in ``src/opweb`` is reached by name from
-``cli.main`` or from one of a few kept roots, each kept for a reason; and
-every defaulted parameter of a module-level function is passed by some call
-in ``src/opweb``, or is kept for a reason.
+``cli.main`` or from one of a few kept roots, each kept for a reason; every
+defaulted parameter of a module-level function is passed by some call in
+``src/opweb``, or is kept for a reason; and every function that ``_walk.c``
+exports is called by a reached body of ``_native``.
 
 The reach is static: a definition reaches every top-level name of its own
 module that it mentions, every name it imports from a sibling module, and
@@ -11,6 +12,7 @@ parameters resolves calls the same way.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import opweb
@@ -22,6 +24,9 @@ KEPT_ROOTS = {
     # pair and the families are checked against
     "couple.run_coupled_many": "ledger proof device",
     "couple.check_coalescence_structure": "ledger proof device",
+    # the batteries' family count on one Config, which tests check the
+    # batched counts against
+    "couple.family_eta": "one-configuration form of a battery",
     # references that tests compare the walks and the oracle against
     "lattice.edge_status": "test reference",
     "lattice.edge_key": "test reference",
@@ -46,6 +51,8 @@ KEPT_DEFAULTS = {
     "oracle.check_suite(corrupt_run)": "negative control that tests inject",
     "couple.run_coupled_many(replica)": "run parameter of a kept root",
     "couple.run_coupled_many(scan_guard)": "run parameter of a kept root",
+    "couple.family_eta(cap)": "run parameter of a kept root",
+    "couple.family_eta(scan_guard)": "run parameter of a kept root",
     "explore.gamma_approx(scan_guard)": "run parameter of a kept root",
     "regen.error_gap_frequencies(seed)": "run parameter of a kept root",
     "regen.error_gap_frequencies(workers)": "run parameter of a kept root",
@@ -130,6 +137,29 @@ def test_every_definition_is_reached_from_the_cli_or_a_kept_root():
     assert set(KEPT_ROOTS) <= set(graph), "a kept root no longer exists"
     unreached = _unreached(graph, ["cli.main", *KEPT_ROOTS])
     assert unreached == [], f"unreached definitions: {unreached}"
+
+
+def test_every_c_entry_is_registered_and_reached():
+    # the rule above, carried into _walk.c: each function it exports has a
+    # row in _native._ENTRIES and each row an export, and each is called by
+    # a body of _native that the CLI or a kept root reaches, so no entry
+    # outlives its last caller in src/opweb
+    from opweb import _native
+    source = (PACKAGE / "_walk.c").read_text(encoding="utf-8")
+    exported = re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(",
+                          source, re.M)
+    assert sorted(exported) == sorted(_native._ENTRIES)
+    graph = _graph()
+    reached = set(graph) - set(_unreached(graph, ["cli.main", *KEPT_ROOTS]))
+    called = set()
+    for node in _modules()["_native"].body:
+        if (isinstance(node, ast.FunctionDef)
+                and f"_native.{node.name}" in reached):
+            called.update(sub.func.attr for sub in ast.walk(node)
+                          if isinstance(sub, ast.Call)
+                          and isinstance(sub.func, ast.Attribute))
+    assert sorted(set(_native._ENTRIES) - called) == [], (
+        "entries no reached body calls")
 
 
 def _defaulted(fn):
