@@ -36,10 +36,6 @@ class NoPathError(OpwebError):
     """No open path exists in the queried region."""
 
 
-class PreconditionNotMetError(OpwebError):
-    """A structural precondition of the requested check does not hold."""
-
-
 class NativeLibraryError(OpwebError):
     """The native walk library of ``_walk.c`` cannot be built or loaded.
 

@@ -22,13 +22,13 @@ the next push at its level (the argument is in ``_walk.c``).  Neither walk
 keeps the examined edges, only their count, `n_examined`.
 
 There are two walks, integer-identical.  `ExplorationCluster` is the Python
-walk: a resumable cluster, advanced level by level, which the ledger
-coupling (`opweb.couple.run_coupled_many`) drives through an edge
-``source``, and from which the tests build the references that the native
-walk is compared with.  The native walk of ``_walk.c`` runs to its end
-inside one C call, built with the local C compiler on the first such call
-in a process (never at import) and cached in the package's
-``__pycache__``; a machine where it cannot be built raises
+walk: a resumable cluster, advanced level by level.  No body of the package
+runs it.  The tests build from it the references that the native walk is
+compared with (``tests/_references.py``), and drive it through an edge
+``source`` in the ledger coupling (``tests/_ledger.py``).  The native walk
+of ``_walk.c`` runs to its end inside one C call, built with the local C
+compiler on the first such call in a process (never at import) and cached
+in the package's ``__pycache__``; a machine where it cannot be built raises
 `opweb.errors.NativeLibraryError`.
 
 Every walk that starts from a `Config` is one native call, and there are
@@ -44,8 +44,8 @@ the horizon (`opweb._native.breaks`).
 
 The Python walk always keeps its left-delta record (`left_deltas`): per
 level, the lowest stack index the advance rewrote and the stack from there
-up, from which a replay rebuilds the left boundary at every level.  The
-ledger coupling reads it.
+up, from which a replay rebuilds the left boundary at every level.  Only
+the ledger coupling of the tests reads it.
 """
 
 from __future__ import annotations

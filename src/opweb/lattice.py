@@ -58,12 +58,13 @@ X_BIAS = 1 << 31
 
 # The one stream rule: replica r of an experiment owns the stream_ids
 # r * STREAMS_PER_REPLICA + 1 .. (r + 1) * STREAMS_PER_REPLICA.  Its
-# configuration is the first of them, and cluster i of a ledger coupling
-# takes the (i + 1)-th; `replica_config` builds both, and `replica_bases`
-# gives the bases of a batch of replica configurations.  Replicas of one
-# run are numbered without gaps across all its workloads, so no two
-# workloads of a run share a stream; a run's drift/diffusivity calibration
-# draws its replicas under a seed of its own (`calibration_seed`).
+# configuration is the first of them, which `replica_config` builds and
+# whose base `replica_bases` gives for a batch of replicas; the ledger
+# coupling of the tests (``tests/_ledger.py``) gives cluster i the
+# (i + 1)-th.  Replicas of one run are numbered without gaps across all its
+# workloads, so no two workloads of a run share a stream; a run's
+# drift/diffusivity calibration draws its replicas under a seed of its own
+# (`calibration_seed`).
 STREAMS_PER_REPLICA = 1024
 
 
@@ -162,11 +163,10 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def replica_config(seed: int, p: float, replica: int,
-                   cluster: int = 0) -> Config:
-    """The configuration of replica ``replica`` of an experiment, or that of
-    cluster ``cluster`` of its ledger coupling (the rule above)."""
-    return Config(seed, p, replica * STREAMS_PER_REPLICA + cluster + 1)
+def replica_config(seed: int, p: float, replica: int) -> Config:
+    """The configuration of replica ``replica`` of an experiment: the first
+    of its streams (the rule above)."""
+    return Config(seed, p, replica * STREAMS_PER_REPLICA + 1)
 
 
 def replica_bases(seed: int, first: int, count: int) -> np.ndarray:

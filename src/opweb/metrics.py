@@ -148,14 +148,6 @@ def path_distance(p1: RescaledPath, p2: RescaledPath) -> float:
     return max(start_term, sup_term)
 
 
-def set_distance(K1, K2) -> float:
-    """Hausdorff distance between two finite path sets."""
-    if len(K1) == 0 or len(K2) == 0:
-        raise InvalidArgumentError("path sets must be nonempty")
-    d = np.array([[path_distance(a, b) for b in K2] for a in K1])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
 # -- empirical batteries -----------------------------------------------------
 
 def even_span(gap: float) -> int:

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from opweb import _native
-from opweb.couple import (_replay_left, check_coalescence_structure,
-                          coalescence_survival_curve, family_eta,
-                          family_etas, pair_merges, run_coupled_many)
-from opweb.errors import (InvalidArgumentError, InvalidSiteError,
-                          PreconditionNotMetError)
+from opweb.couple import (coalescence_survival_curve, family_eta, family_etas,
+                          pair_merges)
+from opweb.errors import InvalidArgumentError, InvalidSiteError
 from opweb.explore import ExplorationCluster, explore_to_level
-from opweb.lattice import Config, LatticeSite, make_key_sampler, replica_config
+from opweb.lattice import (STREAMS_PER_REPLICA, Config, LatticeSite,
+                           make_key_sampler, replica_config)
 from opweb.metrics import b1_battery
 
+from _ledger import (PreconditionNotMetError, _replay_left,
+                     check_coalescence_structure, run_coupled_many)
 from _references import squeeze_reference
 
 O = LatticeSite(0, 0)
@@ -65,7 +66,8 @@ def test_switch_level_is_the_first_level_to_query_a_ledger_edge():
         second = LatticeSite((2, 6, 40)[rep % 3], 0)
         run = run_coupled_many([O, second], horizon, p=p, seed=seed,
                                replica=rep)
-        first_stream = make_key_sampler(replica_config(seed, p, rep, 0))
+        first_stream = make_key_sampler(
+            Config(seed, p, rep * STREAMS_PER_REPLICA + 1))
         ledger = set()
 
         def recording(key):
@@ -73,7 +75,7 @@ def test_switch_level_is_the_first_level_to_query_a_ledger_edge():
             return first_stream(key)
 
         ExplorationCluster(O, source=recording).advance_to(horizon)
-        own = make_key_sampler(replica_config(seed, p, rep, 1))
+        own = make_key_sampler(Config(seed, p, rep * STREAMS_PER_REPLICA + 2))
         queried = []
 
         def counting(key):

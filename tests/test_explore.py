@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 from opweb import _native
 from opweb.errors import (InvalidArgumentError, NativeLibraryError,
                           ScanLimitExceededError)
-from opweb.couple import _first_leq
 from opweb.explore import (ExplorationCluster, boundary_ordering_check,
                            explore_to_level, gamma_approx,
                            write_trajectory_csv)
 from opweb.lattice import (Config, LatticeSite, X_BIAS, edge_threshold,
                            make_key_sampler, replica_bases, replica_config)
 
+from _ledger import _first_leq
 from _references import (chain_reference, chain_row_reference,
                          lockstep_reference, squeeze_reference)
 

@@ -8,7 +8,7 @@ from opweb.errors import InvalidArgumentError
 from opweb.explore import Trajectory
 from opweb.lattice import replica_config
 from opweb.metrics import (RescaledPath, b1_battery, b2_fkg_check, even_span,
-                           path_distance, set_distance, shear_rescale)
+                           path_distance, shear_rescale)
 from opweb.oracle import cbm_baseline
 
 TANH1 = math.tanh(1.0)
@@ -127,38 +127,6 @@ def test_distance_is_the_sup_of_a_dense_grid():
         d = path_distance(p1, p2)
         assert dense <= d + 1e-12
         assert d <= dense + 1e-9
-
-
-# -- set distance ------------------------------------------------------------
-
-def _naive_hausdorff(K1, K2):
-    one = max(min(path_distance(a, b) for b in K2) for a in K1)
-    two = max(min(path_distance(a, b) for a in K1) for b in K2)
-    return max(one, two)
-
-
-def test_set_distance_identity_and_containment():
-    rng = np.random.default_rng(11)
-    K = [_random_path(rng) for _ in range(4)]
-    assert set_distance(K, K) == 0.0
-    sub = K[:2]
-    d = set_distance(sub, K)
-    assert d == pytest.approx(
-        max(min(path_distance(b, a) for a in sub) for b in K), abs=1e-15)
-
-
-def test_set_distance_matches_naive_double_loop():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        K1 = [_random_path(rng) for _ in range(int(rng.integers(1, 5)))]
-        K2 = [_random_path(rng) for _ in range(int(rng.integers(1, 5)))]
-        assert set_distance(K1, K2) == pytest.approx(
-            _naive_hausdorff(K1, K2), abs=1e-15)
-
-
-def test_set_distance_rejects_empty():
-    with pytest.raises(InvalidArgumentError):
-        set_distance([], [_pl([0, 1], [0, 0])])
 
 
 # -- eta ---------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Every top-level definition in ``src/opweb`` is reached by name from
-``cli.main`` or from one of a few kept roots, each kept for a reason; every
-defaulted parameter of a module-level function is passed by some call in
-``src/opweb``, or is kept for a reason; and every function that ``_walk.c``
-exports is called by a reached body of ``_native``.
+``cli.main`` or from one of a few kept roots, each kept for a reason and
+none reached from ``cli.main``; every defaulted parameter of a module-level
+function is passed by some call in ``src/opweb``, or is kept for a reason;
+and every function that ``_walk.c`` exports is called by a reached body of
+``_native``.
 
 The reach is static: a definition reaches every top-level name of its own
 module that it mentions, every name it imports from a sibling module, and
@@ -20,14 +21,12 @@ import opweb
 PACKAGE = Path(opweb.__file__).parent
 
 KEPT_ROOTS = {
-    # the ledger proof device: the N-cluster coupling that the two-cluster
-    # pair and the families are checked against
-    "couple.run_coupled_many": "ledger proof device",
-    "couple.check_coalescence_structure": "ledger proof device",
     # the batteries' family count on one Config, which tests check the
     # batched counts against
     "couple.family_eta": "one-configuration form of a battery",
     # references that tests compare the walks and the oracle against
+    "explore.ExplorationCluster": (
+        "test reference walk; `bench/tracing.py` patches it by attribute"),
     "lattice.edge_status": "test reference",
     "lattice.edge_key": "test reference",
     "lattice.unpack_edge_key": "test reference",
@@ -41,7 +40,6 @@ KEPT_ROOTS = {
     "regen.error_gap_frequencies": "paper claim, not yet wired",
     "metrics.shear_rescale": "paper claim, not yet wired",
     "metrics.path_distance": "paper claim, not yet wired",
-    "metrics.set_distance": "paper claim, not yet wired",
 }
 
 # defaulted parameters that no call in src/opweb passes
@@ -49,8 +47,6 @@ KEPT_DEFAULTS = {
     "cli.main(argv)": "the entry point",
     "oracle.check_suite(slack)": "negative control that tests inject",
     "oracle.check_suite(corrupt_run)": "negative control that tests inject",
-    "couple.run_coupled_many(replica)": "run parameter of a kept root",
-    "couple.run_coupled_many(scan_guard)": "run parameter of a kept root",
     "couple.family_eta(cap)": "run parameter of a kept root",
     "couple.family_eta(scan_guard)": "run parameter of a kept root",
     "explore.gamma_approx(scan_guard)": "run parameter of a kept root",
@@ -137,6 +133,14 @@ def test_every_definition_is_reached_from_the_cli_or_a_kept_root():
     assert set(KEPT_ROOTS) <= set(graph), "a kept root no longer exists"
     unreached = _unreached(graph, ["cli.main", *KEPT_ROOTS])
     assert unreached == [], f"unreached definitions: {unreached}"
+
+
+def test_no_kept_root_is_reached_from_the_cli():
+    # a root that the command line wires in comes off the list
+    graph = _graph()
+    from_cli = set(graph) - set(_unreached(graph, ["cli.main"]))
+    assert sorted(from_cli & set(KEPT_ROOTS)) == [], (
+        "kept roots the CLI now reaches")
 
 
 def test_every_c_entry_is_registered_and_reached():
