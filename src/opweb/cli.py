@@ -1,24 +1,34 @@
 """Command-line front end: reproducible experiment orchestration.
 
-Subcommands: ``simulate | estimate | coalesce | eta | check``.  A run is
-pinned by its spec (flags or ``--spec`` JSON file; flags win) plus the
-package version; outputs are byte-identical across repeat runs and worker
-counts, and every output file embeds the spec hash.  Every walk runs in
-the native library of ``_walk.c``, built with the local C compiler on the
-first walk of a process.  Exit codes: 0 ok, 1 check failures, 2 invalid
-spec, insufficient data or out of memory, 3 scan guard tripped, 4 I/O
-failure or a native library that cannot be built or loaded
+    opweb <command> [--flag value ...]
+
+The command is one of ``simulate | estimate | coalesce | eta | check``.
+Each flag sets the spec field of its name (``--scan-guard`` sets
+``scan_guard``) and takes one value, given as the next token or as
+``--flag=value``; the list flags ``--eps``, ``--delta`` and ``--t`` take
+every value that follows them.  A flag may be shortened to any prefix that
+names it alone, and when a flag is repeated the last one wins.  A token
+that starts with ``-`` is a value only when it is ``-`` alone, a negative
+number such as ``-3`` or ``-.5``, or contains a space.  ``-h`` or
+``--help`` prints the usage.
+
+A run is pinned by its spec (flags or ``--spec`` JSON file; flags win) plus
+the package version; outputs are byte-identical across repeat runs and
+worker counts, and every output file embeds the spec hash.  Every walk runs
+in the native library of ``_walk.c``, built with the local C compiler on
+the first walk of a process.  Exit codes: 0 ok, 1 check failures, 2 an
+argv error, invalid spec, insufficient data or out of memory, 3 scan guard
+tripped, 4 I/O failure or a native library that cannot be built or loaded
 (`NativeLibraryError`, whose message names the cause).
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +52,7 @@ from .stats import ks_distance_to_normal
 
 DEFAULT_T_GRID = tuple(round(0.1 * k, 1) for k in range(1, 21))
 
-# the spec fields that flags set, in --help order, with their types; a
+# the spec fields that flags set, with the types that read their values; a
 # field ``scan_guard`` is the flag ``--scan-guard``
 SPEC_FLAGS = {"p": float, "seed": int, "replicas": int, "n": int,
               "horizon": int, "margin": int, "eps": float, "delta": float,
@@ -72,8 +82,7 @@ class ExperimentSpec:
     def canonical(self) -> dict:
         """Content-determining fields only; destination and worker count are
         execution details and never influence output bytes."""
-        d = dataclasses.asdict(self)
-        del d["out"], d["workers"]
+        d = {key: getattr(self, key) for key in _CANONICAL_FIELDS}
         for key in LIST_FIELDS:
             d[key] = list(d[key])
         return d
@@ -81,6 +90,13 @@ class ExperimentSpec:
     def hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+# read once: the defaults that a spec file's values are checked against,
+# and the fields that canonical() copies
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
+_CANONICAL_FIELDS = tuple(key for key in _DEFAULTS
+                          if key not in ("out", "workers"))
 
 
 def _fmt(v) -> str:
@@ -284,21 +300,128 @@ COMMAND_DEFAULTS = {
 }
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process and shared by every call.
+# each flag -> the spec field it sets, "spec" for the spec file and "help"
+# for the usage; before the command only help is a flag
+_TOP_FLAGS = {"-h": "help", "--help": "help"}
+_FLAGS = {**{"--" + key.replace("_", "-"): key
+             for key in [*SPEC_FLAGS, "spec"]}, **_TOP_FLAGS}
+# argparse's: a token that matches it is a value, not a flag
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    Parsing leaves it unchanged; callers must not add to it.
+
+def usage() -> str:
+    """What ``-h`` and ``--help`` print."""
+    flags = "".join(f"  --{key.replace('_', '-')} {kind.__name__}"
+                    f"{' ...' if key in LIST_FIELDS else ''}\n"
+                    for key, kind in SPEC_FLAGS.items())
+    commands = "".join(
+        f"  {name}: " + ", ".join(f"--{key} {val}" for key, val in d.items())
+        + "\n" for name, d in COMMAND_DEFAULTS.items())
+    return (f"usage: opweb {{{','.join(COMMAND_DEFAULTS)}}} "
+            f"[--flag value ...]\n\n{__doc__}\nflags:\n{flags}"
+            f"  --spec str  (a JSON file of spec fields)\n\n"
+            f"defaults by command:\n{commands}")
+
+
+def _classify(token: str, flags: dict):
+    """``(field, text)`` for a flag token, where ``text`` follows its ``=``
+    or is None, and ``field`` is "" for an unknown flag; None for a value.
+
+    Tokens are told apart as argparse tells them.  A flag may be a unique
+    prefix of one in ``flags``; an ambiguous prefix is an error.
     """
-    ap = argparse.ArgumentParser(prog="opweb", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMAND_DEFAULTS:
-        sp = sub.add_parser(name)
-        for key, kind in SPEC_FLAGS.items():
-            sp.add_argument("--" + key.replace("_", "-"), type=kind,
-                            nargs="*" if key in LIST_FIELDS else None)
-        sp.add_argument("--spec", type=str)
-    return ap
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return flags[token], None
+    name, eq, text = token.partition("=")
+    text = text if eq else None
+    if name in flags:
+        return flags[name], text
+    if token[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            raise InvalidArgumentError(
+                f"ambiguous flag {token!r} could be {', '.join(matches)}")
+        if matches:
+            return flags[matches[0]], text
+    elif token[:2] in flags:  # "-h" with text glued on
+        return flags[token[:2]], token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return "", None
+
+
+def _help(token: str, text):
+    """None, the answer to a help flag, unless text was glued onto it."""
+    if text is not None:
+        raise InvalidArgumentError(f"{token!r}: help takes no value")
+
+
+def parse_argv(argv) -> tuple[str, dict] | None:
+    """The command and the fields that ``argv``'s flags set, "spec" among
+    them for ``--spec``; None when ``argv`` asks for help.
+
+    One pass reads each flag's values with its ``SPEC_FLAGS`` type when it
+    reaches the flag.  Any argv error raises `InvalidArgumentError`, at the
+    point where argparse would stop: an ambiguous flag before the pass,
+    even after ``--help``; unknown flags and stray values after it, so a
+    later ``--help`` still prints the usage.
+    """
+    stray = []
+    for i, token in enumerate(argv):
+        kind = None if token == "--" else _classify(token, _TOP_FLAGS)
+        if kind is None:
+            command, rest = token, argv[i + 1:]
+            break
+        if kind[0]:
+            return _help(token, kind[1])
+        stray.append(token)
+    else:
+        raise InvalidArgumentError(
+            f"no command; expected one of {', '.join(COMMAND_DEFAULTS)}")
+    if command not in COMMAND_DEFAULTS:
+        raise InvalidArgumentError(
+            f"unknown command {command!r}; expected one of "
+            f"{', '.join(COMMAND_DEFAULTS)}")
+    # a bare "--" would end the flags, and no command takes anything else
+    end = rest.index("--") if "--" in rest else len(rest)
+    kinds = [_classify(token, _FLAGS) for token in rest[:end]]
+    fields = {}
+    i = 0
+    while i < end:
+        kind, token = kinds[i], rest[i]
+        i += 1
+        if kind is None or not kind[0]:
+            stray.append(token)
+            continue
+        key, text = kind
+        if key == "help":
+            return _help(token, text)
+        if text is not None:
+            values = [text]
+        else:
+            stop = i
+            while stop < end and kinds[stop] is None:
+                stop += 1
+            if key not in LIST_FIELDS:
+                stop = min(stop, i + 1)
+                if stop == i:
+                    raise InvalidArgumentError(f"{token} expects a value")
+            values, i = rest[i:stop], stop
+        read = SPEC_FLAGS.get(key, str)
+        try:
+            values = [read(v) for v in values]
+        except ValueError:
+            raise InvalidArgumentError(
+                f"{token} needs {read.__name__} values: {' '.join(values)!r}"
+            ) from None
+        fields[key] = values if key in LIST_FIELDS else values[0]
+    stray += rest[end:]
+    if stray:
+        raise InvalidArgumentError(
+            f"unrecognized arguments: {' '.join(stray)}")
+    return command, fields
 
 
 def _parses_as(val, kind) -> bool:
@@ -315,8 +438,7 @@ def _check_spec_file(base) -> None:
     valid spec keeps its hash."""
     if not isinstance(base, dict):
         raise InvalidArgumentError("spec file must hold a JSON object")
-    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
-    unknown = set(base) - set(defaults)
+    unknown = set(base) - set(_DEFAULTS)
     if unknown:
         raise InvalidArgumentError(f"unknown spec keys: {sorted(unknown)}")
     for key, val in base.items():
@@ -326,27 +448,30 @@ def _check_spec_file(base) -> None:
         if key in LIST_FIELDS:
             ok = isinstance(val, list) and all(_parses_as(v, kind) for v in val)
         else:
-            ok = ((val is None and defaults[key] is None)
+            ok = ((val is None and _DEFAULTS[key] is None)
                   or _parses_as(val, kind))
         if not ok:
             raise InvalidArgumentError(
                 f"spec key {key!r} holds {val!r}, which its flag would not give")
 
 
-def spec_from_args(args) -> ExperimentSpec:
-    """Resolve precedence: flags > spec file > per-command defaults."""
-    base = {}
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
+def spec_from_argv(argv) -> ExperimentSpec | None:
+    """Resolve precedence: flags > spec file > per-command defaults.
+
+    None when ``argv`` asks for help.
+    """
+    parsed = parse_argv(argv)
+    if parsed is None:
+        return None
+    command, merged = parsed
+    spec_file = merged.pop("spec", None)
+    if spec_file:
+        with open(spec_file, encoding="utf-8") as fh:
             base = json.load(fh)
         _check_spec_file(base)
-    merged = dict(base)
-    merged["command"] = args.command
-    for key in SPEC_FLAGS:
-        val = getattr(args, key)
-        if val is not None:
-            merged[key] = val
-    for key, val in COMMAND_DEFAULTS[args.command].items():
+        merged = {**base, **merged}
+    merged["command"] = command
+    for key, val in COMMAND_DEFAULTS[command].items():
         merged.setdefault(key, val)
     for key in LIST_FIELDS:
         merged[key] = tuple(merged.get(key) or ())
@@ -355,6 +480,8 @@ def spec_from_args(args) -> ExperimentSpec:
         raise InvalidArgumentError("spec values out of range")
     if spec.scan_guard < 1:
         raise InvalidArgumentError("scan guard must be at least 1")
+    if spec.workers < 1:
+        raise InvalidArgumentError("workers must be at least 1")
     if not all(map(math.isfinite, spec.eps + spec.delta + spec.t)):
         raise InvalidArgumentError("eps, delta and t must be finite")
     if spec.sigma is not None and not (math.isfinite(spec.sigma)
@@ -377,9 +504,11 @@ def spec_from_args(args) -> ExperimentSpec:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        spec = spec_from_args(args)
+        spec = spec_from_argv(sys.argv[1:] if argv is None else list(argv))
+        if spec is None:
+            sys.stdout.write(usage())
+            return 0
         handler = {"simulate": cmd_simulate, "estimate": cmd_estimate,
                    "coalesce": cmd_coalesce, "eta": cmd_eta,
                    "check": cmd_check}[spec.command]

@@ -7,14 +7,13 @@ replicas in one call maps over `replica_ranges` instead of over replicas.
 
 from __future__ import annotations
 
-import multiprocessing
-
 
 def pmap(fn, items, workers: int = 1):
     """Ordered map over items; fn must be a module-level callable."""
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    import multiprocessing  # only a pool needs it: a serial run never loads it
     ctx = multiprocessing.get_context("fork")
     chunk = max(1, len(items) // (workers * 4))
     with ctx.Pool(processes=min(workers, len(items))) as pool:

@@ -14,8 +14,16 @@ of distinct values is checked against bisection on whole Python walks,
 `judge_reference` stands for `oracle._judge`, a rung of the check's box
 ladder (``judge_box``): it reads the same certified DP through
 `oracle._certified_dp` and compares in Python.
+
+Two references stand for the command line's front end: `argparse_reference`
+is the argparse parser that `cli.parse_argv` must agree with, and
+`canonical_reference` is `ExperimentSpec.canonical` made with
+`dataclasses.asdict`, whose JSON bytes every spec hash is taken from.
 """
 
+import argparse
+import dataclasses
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +32,7 @@ from opweb.errors import (BoxTooNarrowError, InvalidArgumentError,
                           ScanLimitExceededError)
 from opweb.explore import Boundaries, ExplorationCluster
 from opweb.lattice import LatticeSite, edge_threshold
+from opweb.cli import COMMAND_DEFAULTS, LIST_FIELDS, SPEC_FLAGS
 from opweb.oracle import _certified_dp, _raised
 
 
@@ -194,3 +203,28 @@ def judge_reference(box, right, left, n) -> str:
     if not np.array_equal(_raised(path), left):
         return "left_boundary_mismatch"
     return "ok"
+
+
+@functools.cache
+def argparse_reference() -> argparse.ArgumentParser:
+    """The command line as argparse reads it: one subparser per command,
+    a flag per spec field, list flags with ``nargs="*"``.  Built once;
+    parsing leaves it unchanged."""
+    ap = argparse.ArgumentParser(prog="opweb")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in COMMAND_DEFAULTS:
+        sp = sub.add_parser(name)
+        for key, kind in SPEC_FLAGS.items():
+            sp.add_argument("--" + key.replace("_", "-"), type=kind,
+                            nargs="*" if key in LIST_FIELDS else None)
+        sp.add_argument("--spec", type=str)
+    return ap
+
+
+def canonical_reference(spec) -> dict:
+    """`ExperimentSpec.canonical` by a deep copy of every field."""
+    d = dataclasses.asdict(spec)
+    del d["out"], d["workers"]
+    for key in LIST_FIELDS:
+        d[key] = list(d[key])
+    return d

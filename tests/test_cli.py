@@ -1,8 +1,11 @@
 """The command-line contract: exit codes, spec precedence, and output bytes
 that do not depend on the worker count."""
 
+import contextlib
 import dataclasses
 import functools
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,10 +13,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opweb
 from opweb import cli
+from opweb.errors import InvalidArgumentError
 from opweb.oracle import check_suite
+
+from _references import argparse_reference, canonical_reference
 
 SIGMA_SPEC = {"sigma": 0.8733}
 
@@ -89,6 +97,16 @@ INVALID_ARGV = [
        "--scan-guard", guard] for guard in ("0", "-1")),
     ["estimate", "--n", "200", "--margin", "0"],
     ["estimate", "--n", "100", "--margin", "200"],
+    # argv errors: unknown flag, no command, unknown command, a value of
+    # the wrong type, a flag with no value, a bare "--"
+    ["eta", "--bogus", "1"],
+    [],
+    ["nope"],
+    ["eta", "--n", "x"],
+    ["eta", "--n"],
+    ["eta", "--n", "5", "--"],
+    *(["check", "--delta", "0.8", "--n", "10", "--replicas", "2",
+       "--workers", workers] for workers in ("0", "-3")),
 ]
 
 
@@ -335,26 +353,22 @@ def test_no_two_replicas_of_a_run_share_a_stream(capsys, tmp_path,
 
 def test_precedence_flag_over_spec_over_default(tmp_path):
     spec = _spec_file(tmp_path, {"n": 77, "seed": 5, "sigma": 0.5})
-    args = cli.build_parser().parse_args(
+    resolved = cli.spec_from_argv(
         ["eta", "--spec", spec, "--n", "12", "--replicas", "3"])
-    resolved = cli.spec_from_args(args)
     assert resolved.n == 12  # flag beats the spec file
     assert resolved.seed == 5 and resolved.sigma == 0.5  # spec file
     assert resolved.replicas == 3  # flag beats the command default
     assert resolved.margin == 500  # default
-    bare = cli.spec_from_args(cli.build_parser().parse_args(["eta"]))
+    bare = cli.spec_from_argv(["eta"])
     assert (bare.n, bare.replicas, bare.seed) == (1000, 1000, 0)
 
 
 def test_every_spec_field_but_command_has_one_flag():
-    parser = cli.build_parser()
-    assert cli.build_parser() is parser  # built once per process
     fields = {f.name for f in dataclasses.fields(cli.ExperimentSpec)}
     assert set(cli.SPEC_FLAGS) == fields - {"command"}
     for key in cli.SPEC_FLAGS:
         flag = "--" + key.replace("_", "-")
-        args = parser.parse_args(["eta", flag, "1"])
-        value = getattr(cli.spec_from_args(args), key)
+        value = getattr(cli.spec_from_argv(["eta", flag, "1"]), key)
         assert value == ((1.0,) if key in cli.LIST_FIELDS else
                          "1" if key == "out" else 1), key
 
@@ -363,7 +377,7 @@ def test_precedence_of_sigma_and_scan_guard(tmp_path):
     spec = _spec_file(tmp_path, {"sigma": 0.5, "scan_guard": 300})
 
     def resolve(*argv):
-        return cli.spec_from_args(cli.build_parser().parse_args(["eta", *argv]))
+        return cli.spec_from_argv(["eta", *argv])
 
     flagged = resolve("--spec", spec, "--sigma", "0.9", "--scan-guard", "70")
     assert (flagged.sigma, flagged.scan_guard) == (0.9, 70)
@@ -373,6 +387,155 @@ def test_precedence_of_sigma_and_scan_guard(tmp_path):
     assert (bare.sigma, bare.scan_guard) == (None, 10_000)
     # the flags set the same spec fields, so the spec hash follows the value
     assert resolve("--sigma", "0.5", "--scan-guard", "300").hash() == filed.hash()
+
+
+# -- the argv grammar ----------------------------------------------------------
+
+def _argparse_reads(argv):
+    """The spec fields argparse reads from ``argv``, or its exit code."""
+    try:
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO())):
+            ns = argparse_reference().parse_args(argv)
+    except SystemExit as e:
+        return e.code
+    return {key: getattr(ns, key) for key in ("command", "spec",
+                                              *cli.SPEC_FLAGS)}
+
+
+def _cli_reads(argv):
+    """The same from `cli.parse_argv`: 0 for help and 2 for an error."""
+    try:
+        parsed = cli.parse_argv(argv)
+    except InvalidArgumentError:
+        return 2
+    if parsed is None:
+        return 0
+    command, fields = parsed
+    return {"command": command,
+            **{key: fields.get(key) for key in ("spec", *cli.SPEC_FLAGS)}}
+
+
+FLAGS = ["--" + key.replace("_", "-") for key in (*cli.SPEC_FLAGS, "spec")]
+JUNK = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),  # exponents, "nan", "inf" and "-inf" among them
+    st.sampled_from([
+        "-.5", ".5", "-1.", "-1e5", "1E-3", "+3", "1_0", "-nan", "NaN",
+        "abc", "x", "", "-", "-x", "-5x", "-1 e", "a b", "- 1", "--n 5",
+        "--eps 1", "-h x", "=", "-=", "--bogus", "-h", "--he"]))
+TYPED = {int: st.integers(-10**6, 10**6).map(str),
+         float: st.one_of(st.floats().map(repr),
+                          st.integers(-99, 99).map(str)),
+         str: st.one_of(st.text(max_size=4).filter(lambda text: text != "--"),
+                        st.sampled_from(["-", "- 1", "-1 e", "--n 5"]))}
+
+
+def _mostly(draw, strategy, other):
+    """A draw from ``strategy``, or one time in ten from ``other``."""
+    return draw(other if draw(st.integers(0, 9)) == 0 else strategy)
+
+
+@st.composite
+def _argv(draw):
+    """An argv, mostly well formed: a command, then flags, each exact, a
+    prefix or with ``=value``, and values mostly of the flag's type; now
+    and then tokens before the command, an unknown command or none, an
+    unknown flag, a help flag, or a value of any kind."""
+    argv = []
+    if draw(st.integers(0, 9)) == 0:
+        argv += draw(st.lists(JUNK, max_size=2))
+    argv += _mostly(draw, st.sampled_from(list(cli.COMMAND_DEFAULTS)),
+                    st.sampled_from(["", "nope", "-h"])).split()
+    for _ in range(draw(st.integers(0, 6))):
+        flag = _mostly(draw, st.sampled_from(FLAGS),
+                       st.sampled_from(["--help", "-h", "--bogus", "-x"]))
+        key = cli._FLAGS.get(flag)
+        kind = cli.SPEC_FLAGS.get(key, str)
+        if flag.startswith("--") and draw(st.booleans()):
+            flag = flag[:draw(st.integers(3, len(flag)))]
+        count = _mostly(draw, st.just(1), st.integers(0, 3))
+        if key in cli.LIST_FIELDS:
+            count = draw(st.integers(0, 3))
+        values = [_mostly(draw, TYPED[kind], JUNK) for _ in range(count)]
+        if values and draw(st.integers(0, 3)) == 0:
+            flag += "=" + values.pop(0)
+        argv += [flag, *values]
+    return argv
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(_argv())
+def test_argv_reads_as_argparse_reads_it(argv):
+    # a bare "--" is left out: it is an error here, and argparse, whose
+    # handling of it differs between versions, has nothing after it to read
+    assert repr(_cli_reads(argv)) == repr(_argparse_reads(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["eta", "--ep", "0.1", "0.2", "--ep", "0.3"],  # the last repeat wins
+    ["eta", "--eps"],  # a list flag with no values
+    ["eta", "--p", "-.5", "--seed=-3", "--t", "-1", "-2.5", "--x", "-"],
+    ["eta", "--p", "-1e5"],  # not argparse's negative number: a flag
+    ["eta", "--spec", "a b", "--out", "-1 e"],
+    ["eta", "--s", "1"],  # ambiguous
+    ["eta", "--h"],  # ambiguous: --help, --horizon
+    ["--h"],  # help: the only flag before the command
+    ["--bogus", "eta", "-h"],  # a later help wins over an unknown flag
+    ["eta", "--bogus", "--help"],
+    ["eta", "-h", "--s"],  # an ambiguous flag anywhere is an error
+    ["eta", "-h", "--n", "x"],  # values after help are not read
+    ["eta", "--n", "x", "-h"],
+    ["eta", "--help=1"],
+    ["-hx", "eta"],
+    ["eta", "--eps=1", "2"],  # "=" gives a list flag its one value
+    ["eta", "--n=", "5"],
+    ["-5"], ["", "eta"], ["eta", ""],
+])
+def test_argv_edge_cases_read_as_argparse_reads_them(argv):
+    assert repr(_cli_reads(argv)) == repr(_argparse_reads(argv))
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["eta", "--he"],
+                                  ["--bogus", "check", "-h"]])
+def test_help_prints_the_usage(capsys, argv):
+    code, out, err = _main(capsys, *argv)
+    assert code == 0 and err == "" and out == cli.usage()
+    for word in [*cli.COMMAND_DEFAULTS, *FLAGS]:
+        assert f"{word} " in out, word
+
+
+# -- spec hashes ---------------------------------------------------------------
+
+NUMBERS = st.one_of(st.integers(-2**70, 2**70), st.floats())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.builds(
+    cli.ExperimentSpec, command=st.sampled_from(sorted(cli.COMMAND_DEFAULTS)),
+    p=NUMBERS, seed=st.integers(), replicas=st.integers(), n=st.integers(),
+    horizon=st.none() | st.integers(), margin=st.integers(),
+    eps=st.lists(NUMBERS, max_size=4).map(tuple),
+    delta=st.lists(NUMBERS, max_size=4).map(tuple),
+    x=st.none() | st.integers(), t=st.lists(NUMBERS, max_size=4).map(tuple),
+    out=st.none() | st.text(), workers=st.integers(),
+    sigma=st.none() | NUMBERS, scan_guard=st.integers()))
+def test_canonical_is_the_deep_copy(spec):
+    # ints stand in float fields as a spec file may put them there
+    new, old = spec.canonical(), canonical_reference(spec)
+    assert list(new) == list(old)
+    assert (json.dumps(new, sort_keys=True)
+            == json.dumps(old, sort_keys=True))
+
+
+def test_spec_file_ints_keep_their_hash(tmp_path):
+    spec = cli.spec_from_argv(["eta", "--spec", _spec_file(
+        tmp_path, {"p": 1, "sigma": 2, "eps": [1, 0.5], "t": [2],
+                   "x": None})])
+    blob = json.dumps(canonical_reference(spec), sort_keys=True).encode()
+    assert spec.hash() == hashlib.sha256(blob).hexdigest()[:16]
+    assert json.dumps(spec.canonical()) == json.dumps(
+        canonical_reference(spec))
 
 
 # -- worker-count invariance ---------------------------------------------------
@@ -447,9 +610,10 @@ def test_package_and_project_versions_agree():
 def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ,
                PYTHONPATH=str(Path(opweb.__file__).resolve().parents[1]))
-    # nor the native walk, whose first use may build the library
-    probe = ("import sys, opweb.cli; "
-             "print('scipy' in sys.modules, 'opweb._native' in sys.modules)")
+    # nor the native walk, whose first use may build the library, nor
+    # argparse, nor multiprocessing, which only a pool of workers needs
+    probe = ("import sys, opweb.cli; print(*(m in sys.modules for m in "
+             "('scipy', 'opweb._native', 'argparse', 'multiprocessing')))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["False", "False"]
+    assert done.stdout.split() == ["False"] * 4
