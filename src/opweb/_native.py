@@ -70,14 +70,13 @@ _lib = None
 # a view of no bytes, whose address is its buffer's
 _BYTES = ctypes.c_char * 0
 
-# what walk_breaks writes: the six break-point sums, r[n], and its walk's
-# report
-_Breaks = c_int64 * 10
-# a walk's report: its scan offset, last completed level and edges examined
-_Report = c_int64 * 3
-# what walk_chain reports: the index of the last replica walked, the one
-# that stopped the batch if one did, and its walk's report
-_ChainReport = c_int64 * 4
+# what walk_breaks writes besides its report: the six break-point sums and
+# r[n]
+_Breaks = c_int64 * 7
+# what every walk entry reports: its walk's scan offset, last completed
+# level and edges examined, then, from walk_chain, the index of the last
+# replica walked, the one that stopped the batch if one did
+_Report = c_int64 * 4
 
 # the sampler as _sampler gives it
 _SAMPLER = [c_uint64, c_uint64, c_int]
@@ -87,7 +86,8 @@ _WALK = [c_int64, *_SAMPLER, c_int64]
 _ENTRIES = {
     "walk_chain": ([c_void_p, c_int64, c_int64, c_void_p, c_int64, c_uint64,
                     c_int] + [c_int64] * 3 + [c_void_p] * 2, c_int),
-    "walk_breaks": ([c_int64, *_WALK, c_int64, c_int64, c_void_p], c_int),
+    "walk_breaks": ([c_int64, *_WALK, c_int64, c_int64] + [c_void_p] * 2,
+                    c_int),
     "walk_bounds": ([c_int64, *_WALK, c_int64, c_int64] + [c_void_p] * 4,
                     c_int),
     "box_edges": ([c_int64] * 3 + [c_void_p, *_SAMPLER] + [c_void_p] * 3,
@@ -226,10 +226,10 @@ def _guard(scan_guard) -> int:
     return min(math.ceil(scan_guard), 1 << 62)
 
 
-def _check(code: int, scan_offset: int, level: int) -> None:
-    """Raise what a one-call entry's return code and report name."""
+def _check(code: int, rep) -> None:
+    """Raise what a walk entry's return code and report name."""
     if code == _GUARD:
-        raise guard_error(scan_offset, level)
+        raise guard_error(rep[0], rep[1])
     if code == _NOMEM:
         raise MemoryError("the native exploration walk cannot allocate "
                           "its buffers")
@@ -259,12 +259,12 @@ def chain(xs, t0: int, level: int, p: float, bases, cap, scan_guard):
     starts = np.array(xs, dtype=np.int64)
     bases = np.ascontiguousarray(bases, dtype=np.uint64)
     stops = np.empty((len(bases), len(xs) - 1), dtype=np.int64)
-    rep = _ChainReport()
+    rep = _Report()
     code = load().walk_chain(_address(starts), len(xs), t0,
                              _address(bases), len(bases),
                              *_cut(edge_threshold(p)), _guard(scan_guard),
                              level, cap or 0, _address(stops), rep)
-    _check(code, rep[1], rep[2])
+    _check(code, rep)
     return stops
 
 
@@ -273,10 +273,10 @@ def breaks(cfg, n: int, margin: int, scan_guard):
     of the walk from (0, 0) to level ``n + margin``, as
     `regen.RegenAccumulator.add` takes them, and r(n).  Needs
     ``0 < margin <= n``."""
-    out = _Breaks()
+    out, rep = _Breaks(), _Report()
     code = load().walk_breaks(0, 0, *_sampler(cfg), _guard(scan_guard), n,
-                              margin, out)
-    _check(code, out[7], out[8])
+                              margin, out, rep)
+    _check(code, rep)
     return tuple(out[:6]), out[6]
 
 
@@ -290,7 +290,7 @@ def bounds(z, n: int, horizon: int, cfg, scan_guard) -> Boundaries:
     code = load().walk_bounds(z.x, z.t, *_sampler(cfg), _guard(scan_guard),
                               n, horizon, _address(right), _address(left),
                               _address(gamma), rep)
-    _check(code, rep[0], rep[1])
+    _check(code, rep)
     return Boundaries(z, right, left, gamma, rep[0], rep[2])
 
 

@@ -39,10 +39,10 @@
  * there yet.  Between levels the stack sx[0:target] is the left boundary,
  * and its top sx[target - 1] is r at the last level completed.
  *
- * A walk is its buffers, walk_t, and its cursor, cursor_t: the top of the
+ * A walk is its block, walk_t, and its cursor, cursor_t: the top of the
  * stack, the top's column x and state st (how many of its out-edges have
  * been examined), the level it searches, the scan offset and the count of
- * examined edges.  walk_to reads the cursor and the buffers into locals on
+ * examined edges.  walk_to reads the cursor and the block into locals on
  * entry, and writes the cursor back once, on return; while it runs, st
  * stands for state[top], which is written only when the top pushes.  The
  * sampler, t0, the origin and the guard come in as arguments.  So nothing
@@ -51,10 +51,10 @@
  * and the constants fields of walk_t, the compiled loop would reload them
  * all after each push and keep n_examined in memory.  A completed level is
  * a branch inside the loop, not a return to an outer one, and the only
- * place a level completes: it writes r, grows a growing walk's buffers,
- * opens the next level's sx slot, and stops the walk at the last level
- * asked for, or at the first level where x <= bound on a walk given a
- * bound.
+ * place a level completes: it writes r, moves a walk that has outgrown
+ * its block to a larger one, opens the next level's sx slot, and stops
+ * the walk at the last level asked for, or at the first level where
+ * x <= bound on a walk given a bound.
  *
  * The level a completed level opens is open in the other sense too:
  * nothing is dead on it, as sx[target] holds INT64_MAX, so an open edge
@@ -69,19 +69,20 @@
  * |x| < 2**31, the domain that lattice.X_BIAS documents.  The first pop,
  * with both out-edges closed, hands the top back to the general loop.
  *
- * walk_chain's walks keep r in buffers that start with room for
- * FIRST_LEVELS levels, or fewer if the target level is nearer, and grow
- * with the walk, as a subcritical walk may trip its guard far below a
- * target level too high to allocate; one call reuses them for every walk
- * it makes.  walk_breaks walks one start to its break-point sums, and
- * walk_bounds one start to its boundaries at two levels.  Their target
- * level is known up front, so r, sx and state share one block of that
- * size, with the sx slot of the level after it: no realloc while walking,
- * and one free at the end.  glibc raises its trim threshold to twice the
+ * Every walk keeps r, sx and state in one block, with room for a number
+ * of levels and the sx slot of the level after them, and one free
+ * releases it.  walk_breaks walks one start to its break-point sums, and
+ * walk_bounds one start to its boundaries at two levels: their target
+ * level is known up front, so the block has room for it and never moves.
+ * walk_chain's walks start with room for FIRST_LEVELS levels, or fewer if
+ * the target level is nearer, as a subcritical walk may trip its guard far
+ * below a target level too high to allocate.  A walk that outgrows its
+ * block moves to one twice its size, and one call reuses its two blocks
+ * for every walk it makes.  glibc raises its trim threshold to twice the
  * largest mapped block freed, so the next call's block of the same size
  * comes from the heap, and stays there when freed; three buffers of the
- * walk's size together pass that threshold, and were handed back to the
- * kernel and faulted in again on every call.
+ * walk's size, freed one by one, together pass that threshold, and were
+ * handed back to the kernel and faulted in again on every call.
  *
  * walk_breaks finds the break levels as break_point_arrays of
  * tests/_references.py finds them on the Python walk's boundaries.  Level
@@ -184,7 +185,7 @@
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 #define MIX1 0xBF58476D1CE4E5B9ULL
 #define MIX2 0x94D049BB133111EBULL
-/* the most levels a growing walk has room for at its start */
+/* the most levels a walk of walk_chain has room for at its start */
 #define FIRST_LEVELS 1024
 /* z = base + key * GOLDEN steps by these on the open level: from the top's
  * up-right edge to its up-left one, and to the next top's up-right edge
@@ -199,13 +200,13 @@ enum { WALK_OK = 0, WALK_GUARD = 1, WALK_NOMEM = 2 };
  * the cap: it is not walked */
 #define CHAIN_CUT (-2)
 
-/* A walk's buffers: r and the stack's columns sx and states. */
+/* A walk's one block: the stack's columns sx, then r, then the stack's
+ * states, cap entries each. */
 typedef struct {
     int64_t *r;
-    int64_t *sx;
+    int64_t *sx;               /* the block's start */
     uint8_t *state;
-    void *block;               /* r, sx and state, on a walk of fixed size */
-    int64_t cap;               /* entries of each */
+    int64_t cap;
 } walk_t;
 
 /* Where a walk is: the top of its stack, the top's column x and state st,
@@ -215,82 +216,36 @@ typedef struct {
     int st;
 } cursor_t;
 
-/* Room for `need` entries in r, sx and state; a block is never regrown. */
-static int grow_stack(walk_t *w, int64_t need)
+/* Move *w, an empty walk or one that has outgrown its block, to a new
+ * block with room for `levels` levels past its start and the sx slot of
+ * the level after them, and free its old block.  Returns 0 if out of
+ * memory or if the block's size would overflow, with *w unchanged. */
+static int walk_grow(walk_t *w, int64_t levels)
 {
-    if (w->block)
+    if ((uint64_t)levels >= SIZE_MAX / 32)
         return 0;
-    int64_t cap = w->cap;
-    while (cap < need)
-        cap *= 2;
-    int64_t *r = realloc(w->r, (size_t)cap * sizeof *r);
-    if (!r)
-        return 0;
-    w->r = r;
-    int64_t *sx = realloc(w->sx, (size_t)cap * sizeof *sx);
+    int64_t cap = levels + 2;
+    int64_t *sx = malloc((size_t)cap * (2 * sizeof(int64_t) + 1));
     if (!sx)
         return 0;
-    w->sx = sx;
-    uint8_t *state = realloc(w->state, (size_t)cap);
-    if (!state)
-        return 0;
-    w->state = state;
-    w->cap = cap;
+    walk_t b = {sx + cap, sx, (uint8_t *)(sx + 2 * cap), cap};
+    if (w->cap) {
+        memcpy(b.sx, w->sx, (size_t)w->cap * sizeof *b.sx);
+        memcpy(b.r, w->r, (size_t)w->cap * sizeof *b.r);
+        memcpy(b.state, w->state, (size_t)w->cap);
+    }
+    free(w->sx);
+    *w = b;
     return 1;
 }
 
-/* Start the walk of the half-line at (origin_x, t0) on the buffers of *w,
+/* Start the walk of the half-line at (origin_x, t0) on the block of *w,
  * with the cursor *c. */
 static void walk_start(walk_t *w, cursor_t *c, int64_t origin_x)
 {
     *c = (cursor_t){0, origin_x, 1, 0, 0, 0};
     w->r[0] = w->sx[0] = origin_x;
     w->sx[1] = INT64_MAX; /* nothing is dead at the new level */
-}
-
-/* Make the buffers of a walk of `levels` levels past its start in *w, and
- * start the walk from (origin_x, t0) in *w and *c.  A fixed walk has r, sx
- * and state in one block with room for that many levels and the next one's
- * sx slot, and must go no further.  A growing walk's buffers start with
- * room for at most FIRST_LEVELS levels and grow with the walk.  Returns 0
- * if out of memory, with *c set and *w still fit to release. */
-static int walk_init(walk_t *w, cursor_t *c, int64_t origin_x,
-                     int64_t levels, int fixed)
-{
-    *c = (cursor_t){0, origin_x, 1, 0, 0, 0};
-    memset(w, 0, sizeof *w);
-    if (fixed) {
-        if ((uint64_t)levels >= SIZE_MAX / 32)
-            return 0; /* the block's size would overflow */
-        w->cap = levels + 2;
-        w->block = malloc((size_t)w->cap * (2 * sizeof(int64_t) + 1));
-        if (!w->block)
-            return 0;
-        w->sx = w->block;
-        w->r = w->sx + w->cap;
-        w->state = (uint8_t *)(w->r + w->cap);
-    } else {
-        int64_t first = levels < FIRST_LEVELS ? levels : FIRST_LEVELS;
-        w->cap = (first > 0 ? first : 0) + 2;
-        w->r = malloc((size_t)w->cap * sizeof *w->r);
-        w->sx = malloc((size_t)w->cap * sizeof *w->sx);
-        w->state = malloc((size_t)w->cap);
-        if (!w->r || !w->sx || !w->state)
-            return 0;
-    }
-    walk_start(w, c, origin_x);
-    return 1;
-}
-
-static void walk_release(walk_t *w)
-{
-    if (w->block) {
-        free(w->block);
-        return;
-    }
-    free(w->r);
-    free(w->sx);
-    free(w->state);
 }
 
 /* Whether the edge whose key k gives z = base + k * GOLDEN is open under
@@ -353,8 +308,8 @@ static inline int walk_to(walk_t *w, cursor_t *c, int64_t last,
             for (;;) {
                 int64_t j = target++; /* level j is complete */
                 b.r[j] = x;
-                if (j + 2 > b.cap) {
-                    if (!grow_stack(w, j + 2)) {
+                if (j + 2 > b.cap) { /* j = cap - 1: twice the block */
+                    if (!walk_grow(w, 2 * j)) {
                         code = WALK_NOMEM;
                         goto done;
                     }
@@ -404,19 +359,19 @@ done:
     return code;
 }
 
-/* rep[0:3]: the scan offset of the walk at c, the last level it completed
- * and the edges it examined; the first two name a guard trip. */
-static int report(const cursor_t *c, int64_t t0, int code, int64_t *rep)
+/* Every walk entry's report, rep[0:3]: the scan offset of the walk at c,
+ * the last level it completed and the edges it examined; the first two
+ * name a guard trip. */
+static void report(const cursor_t *c, int64_t t0, int64_t *rep)
 {
     rep[0] = c->scan_offset;
     rep[1] = t0 + c->target - 1;
     rep[2] = c->n_examined;
-    return code;
 }
 
 /* walk_chain on one replica, on the sampler (base, threshold, all_open)
- * and the two growing walks w[0:2], whose buffers it reuses: w[0]'s r is
- * the shared buffer.  Writes stops[0:k - 1] and, into *stop, the cursor
+ * and the two walks w[0:2], whose blocks it reuses: w[0]'s r is the
+ * shared buffer.  Writes stops[0:k - 1] and, into *stop, the cursor
  * of the walk whose report the replica gives.  Returns the code of the
  * walk that trips first in the lockstep's order, or of one out of memory,
  * or 0. */
@@ -478,27 +433,27 @@ static int chain(walk_t *w, const int64_t *xs, int64_t k, int64_t t0,
  * if it reaches `level` without stopping, or CHAIN_CUT past the walk that
  * brings eta to `cap` (none if cap is 0).  Stops at the first replica, in
  * order, whose chain does not return 0, and returns that code; its row and
- * those past it are not all written.  rep[0] gets the index of the last
- * replica walked, and rep[1:4] the report of its walk that tripped first,
- * or of its rightmost walk that reached the level. */
+ * those past it are not all written.  rep[0:3] gets the report of the
+ * last replica's walk that tripped first, or of its rightmost walk that
+ * reached the level, and rep[3] that replica's index. */
 int walk_chain(const int64_t *xs, int64_t k, int64_t t0,
                const uint64_t *bases, int64_t count, uint64_t threshold,
                int all_open, int64_t scan_guard, int64_t level, int64_t cap,
                int64_t *stops, int64_t *rep)
 {
-    walk_t w[2];
+    walk_t w[2] = {{0}, {0}};
     cursor_t stop;
-    int ok = walk_init(&w[0], &stop, xs[0], level - t0, 0);
-    ok &= walk_init(&w[1], &stop, xs[0], level - t0, 0);
-    int code = ok ? WALK_OK : WALK_NOMEM;
+    int64_t first = level - t0 < FIRST_LEVELS ? level - t0 : FIRST_LEVELS;
+    int code = walk_grow(&w[0], first) & walk_grow(&w[1], first)
+               ? WALK_OK : WALK_NOMEM;
     for (int64_t n = 0; n < count && !code; n++) {
         code = chain(w, xs, k, t0, bases[n], threshold, all_open, scan_guard,
                      level - t0, cap, stops + n * (k - 1), &stop);
-        rep[0] = n;
-        report(&stop, t0, code, rep + 1);
+        report(&stop, t0, rep);
+        rep[3] = n;
     }
-    walk_release(&w[0]);
-    walk_release(&w[1]);
+    free(w[0].sx);
+    free(w[1].sx);
     return code;
 }
 
@@ -507,17 +462,18 @@ int walk_chain(const int64_t *xs, int64_t k, int64_t t0,
  * increments X = r[j] - r[i] and tau = j - i from each break level i to
  * the next one j, summed into out[0:6] as the count, sum X, sum tau,
  * sum X^2, sum X tau and sum tau^2; r[n] into out[6].  Returns the walk's
- * code, and the walk's report in out[7:10]. */
+ * code, and the walk's report in rep[0:3]. */
 int walk_breaks(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
                 int all_open, int64_t scan_guard, int64_t n, int64_t margin,
-                int64_t *out)
+                int64_t *out, int64_t *rep)
 {
-    walk_t w;
+    walk_t w = {0};
     cursor_t c;
-    int code = walk_init(&w, &c, x, n + margin, 1)
-               ? walk_to(&w, &c, n + margin, base, threshold, all_open, t0,
-                         x, scan_guard, NULL)
-               : WALK_NOMEM;
+    if (!walk_grow(&w, n + margin))
+        return WALK_NOMEM;
+    walk_start(&w, &c, x);
+    int code = walk_to(&w, &c, n + margin, base, threshold, all_open, t0, x,
+                       scan_guard, NULL);
     memset(out, 0, 7 * sizeof *out);
     if (!code) {
         const int64_t *r = w.r, *sx = w.sx;
@@ -538,8 +494,8 @@ int walk_breaks(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
         }
         out[6] = r[n];
     }
-    code = report(&c, t0, code, out + 7);
-    walk_release(&w);
+    report(&c, t0, rep);
+    free(w.sx);
     return code;
 }
 
@@ -553,12 +509,13 @@ int walk_bounds(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
                 int64_t *r_out, int64_t *left_out, int64_t *gamma_out,
                 int64_t *rep)
 {
-    walk_t w;
+    walk_t w = {0};
     cursor_t c;
-    int code = walk_init(&w, &c, x, horizon - t0, 1)
-               ? walk_to(&w, &c, n - t0, base, threshold, all_open, t0, x,
-                         scan_guard, NULL)
-               : WALK_NOMEM;
+    if (!walk_grow(&w, horizon - t0))
+        return WALK_NOMEM;
+    walk_start(&w, &c, x);
+    int code = walk_to(&w, &c, n - t0, base, threshold, all_open, t0, x,
+                       scan_guard, NULL);
     if (!code) {
         memcpy(left_out, w.sx, (size_t)(n - t0 + 1) * sizeof *left_out);
         code = walk_to(&w, &c, horizon - t0, base, threshold, all_open, t0,
@@ -569,8 +526,8 @@ int walk_bounds(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
         memcpy(r_out, w.r, size);
         memcpy(gamma_out, w.sx, size);
     }
-    code = report(&c, t0, code, rep);
-    walk_release(&w);
+    report(&c, t0, rep);
+    free(w.sx);
     return code;
 }
 

@@ -59,6 +59,8 @@ SPEC_FLAGS = {"p": float, "seed": int, "replicas": int, "n": int,
               "x": int, "t": float, "out": str, "workers": int,
               "sigma": float, "scan_guard": int}
 LIST_FIELDS = ("eps", "delta", "t")  # flags taking any number of values
+_INT64_FIELDS = tuple(key for key, kind in SPEC_FLAGS.items()
+                      if kind is int and key != "seed")
 
 
 @dataclass
@@ -466,8 +468,12 @@ def spec_from_argv(argv) -> ExperimentSpec | None:
     command, merged = parsed
     spec_file = merged.pop("spec", None)
     if spec_file:
-        with open(spec_file, encoding="utf-8") as fh:
-            base = json.load(fh)
+        try:
+            with open(spec_file, encoding="utf-8") as fh:
+                base = json.load(fh)
+        except UnicodeDecodeError as e:
+            raise InvalidArgumentError(
+                f"spec file {spec_file} is not UTF-8: {e}") from None
         _check_spec_file(base)
         merged = {**base, **merged}
     merged["command"] = command
@@ -476,6 +482,12 @@ def spec_from_argv(argv) -> ExperimentSpec | None:
     for key in LIST_FIELDS:
         merged[key] = tuple(merged.get(key) or ())
     spec = ExperimentSpec(**merged)
+    # the native walks and numpy read these as int64; the seed is hashed
+    # mod 2**64 instead
+    for key in _INT64_FIELDS:
+        val = getattr(spec, key)
+        if val is not None and not -2**63 <= val < 2**63:
+            raise InvalidArgumentError(f"{key} {val} does not fit in int64")
     if not 0.0 <= spec.p <= 1.0 or spec.replicas < 1 or spec.n < 0:
         raise InvalidArgumentError("spec values out of range")
     if spec.scan_guard < 1:

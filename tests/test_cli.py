@@ -107,6 +107,17 @@ INVALID_ARGV = [
     ["eta", "--n", "5", "--"],
     *(["check", "--delta", "0.8", "--n", "10", "--replicas", "2",
        "--workers", workers] for workers in ("0", "-3")),
+    # integers past int64, which ctypes and numpy would wrap or refuse
+    ["eta", "--p", "0.8", "--x", "2", "--n", str(2**64 + 200),
+     "--replicas", "20"],
+    ["estimate", "--n", str(2**64 + 2000), "--margin", "500",
+     "--replicas", "2"],
+    ["eta", "--n", "100", "--x", "3", "--replicas", str(10**20)],
+    ["simulate", "--n", str(10**20), "--out", "{out}"],
+    ["check", "--delta", "0.8", "--n", str(10**20), "--replicas", "1"],
+    ["estimate", "--n", "200", "--margin", "50", "--scan-guard",
+     str(2**63)],
+    ["eta", "--n", "100", "--x", str(-2**63 - 2), "--replicas", "2"],
 ]
 
 
@@ -119,6 +130,13 @@ def test_exit_2_on_invalid_spec(capsys, tmp_path):
     spec = _spec_file(tmp_path, {"bogus": 1})
     code, _, err = _main(capsys, "estimate", "--spec", spec)
     assert code == 2 and "bogus" in err
+    spec = _spec_file(tmp_path, {"n": 2**64 + 200})
+    code, _, err = _main(capsys, "estimate", "--spec", spec)
+    assert code == 2 and "int64" in err
+    spec = tmp_path / "utf16.json"
+    spec.write_bytes(b"\xff\xfe{}")
+    code, stdout, err = _main(capsys, "eta", "--spec", str(spec))
+    assert code == 2 and stdout == "" and err.startswith("invalid spec:")
 
 
 @pytest.mark.parametrize("argv", [

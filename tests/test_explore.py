@@ -440,7 +440,7 @@ def test_left_walk_goes_on_past_the_merge_to_its_guard():
 
 def test_a_pair_far_below_its_level_trips_its_guard():
     # subcritical, to level 10**12: the left walk trips below level 5, and
-    # its buffers grow with the walk, so none is sized to the level
+    # its block grows with the walk, so none is sized to the level
     level, guard = 10**12, 40
     for xs in ((0, 4), (0, 4, 8)):
         assert _chain_outcome(_native.chain, xs, 0, level, 0.3,
@@ -481,19 +481,19 @@ def _chain_report(xs, t0, bases, p, guard, level):
     last replica walked and that replica's report words."""
     starts = np.array(xs, dtype=np.int64)
     stops = np.empty((len(bases), len(xs) - 1), dtype=np.int64)
-    rep = _native._ChainReport()
+    rep = _native._Report()
     code = _native.load().walk_chain(
         starts.ctypes.data, len(xs), t0, bases.ctypes.data, len(bases),
         *_native._cut(edge_threshold(p)), guard, level, 0, stops.ctypes.data,
         rep)
-    return code, rep[0], tuple(rep[1:4])
+    return code, rep[3], tuple(rep[:3])
 
 
 @pytest.mark.parametrize("p", [0.5, 0.6447, 0.7, 0.8, 0.9, 1.0])
 def test_report_words_match_the_python_walk(p):
     # every entry's three report words, on walks past 2000 levels, whose
-    # growing buffers reallocate inside the level loop; at p = 0.5 the
-    # walks trip, which the words report as well
+    # blocks grow inside the level loop; at p = 0.5 the walks trip, which
+    # the words report as well
     lib, guard = _native.load(), 2000
     for seed, t0, x, gap in ((1, 0, 0, 30), (2, -7, 1, 2), (3, 4, 6, -2)):
         cfg = replica_config(seed, p, 0)
@@ -504,17 +504,18 @@ def test_report_words_match_the_python_walk(p):
             code, words = _python_chain_report(xs, t0, level, cfg, guard)
             assert _chain_report(xs, t0, replica_bases(seed, 0, 1), p,
                                  guard, level) == (code, 0, words)
-        breaks = _native._Breaks()
+        breaks, rep = _native._Breaks(), _native._Report()
         n, margin = 2000, 500
-        code = lib.walk_breaks(x, *args, n, margin, breaks)
-        assert (code, tuple(breaks[7:10])) == _python_report(
+        code = lib.walk_breaks(x, *args, n, margin, breaks, rep)
+        assert (code, tuple(rep[:3])) == _python_report(
             x, t0, t0 + n + margin, cfg, guard)
         right, left, gamma = (np.empty(2501, dtype=np.int64)
                               for _ in range(3))
         rep = _native._Report()
         code = lib.walk_bounds(x, *args, t0 + 2000, level, right.ctypes.data,
                                left.ctypes.data, gamma.ctypes.data, rep)
-        assert (code, tuple(rep)) == _python_report(x, t0, level, cfg, guard)
+        assert (code, tuple(rep[:3])) == _python_report(x, t0, level, cfg,
+                                                        guard)
     if p == 0.5:
         # an interior start trips first: the one at 2, below level 3
         cfg = Config(15, p, 1)
@@ -536,6 +537,21 @@ def test_a_batch_reports_its_last_replica():
                              level) == (0, 4, _python_chain_report(
                                  xs, 0, level, replica_config(seed, p, 7),
                                  guard)[1])
+
+
+def test_a_walk_block_that_grows_twice_matches_the_lockstep():
+    # to level 4100, the walks' blocks, with room for FIRST_LEVELS = 1024
+    # levels at first, move to blocks twice their size at levels 1025 and
+    # 2051 on replica 0, and replica 1 walks on the blocks they moved to
+    seed, p, level, guard, xs = 9, 0.8, 4100, 10_000, (0, 6, 400)
+    bases = replica_bases(seed, 0, 2)
+    stops = _native.chain(xs, 0, level, p, bases, None, guard).tolist()
+    assert stops == chain_reference(xs, 0, level, p, bases, None,
+                                    guard).tolist()
+    assert stops[0][0] > 0 and stops[0][1] == -1
+    assert _chain_report(xs, 0, bases, p, guard, level) == (
+        0, 1, _python_chain_report(xs, 0, level, replica_config(seed, p, 1),
+                                   guard)[1])
 
 
 def test_boundary_arrays_are_owned_int64_copies():
@@ -590,7 +606,7 @@ code = _native.load().walk_bounds(
     left.ctypes.data, gamma.ctypes.data, rep)
 print(code, rep[2], rep[0])
 try:
-    _native._check(code, rep[0], rep[1])
+    _native._check(code, rep)
 except ScanLimitExceededError as e:
     print(e)
 try:  # the peak of this process alone: ru_maxrss also holds the parent's
