@@ -7,22 +7,34 @@ body of `couple.family_eta`, `couple.family_etas` and `couple.pair_merges`
 (``walk_chain``: equal-time starts on a batch of replicas, each walked from
 the left up to its first level at or left of its neighbour's r), `breaks`
 of the estimate worker `regen._estimate_worker` (``walk_breaks``), and
-`bounds` of `explore.explore_to_level` (``walk_bounds``).  The judge of
-these walks runs no walk code: `edges` writes the edge statuses of an
-`oracle.BoxConfig` into the box's own arrays (``box_edges``, with its own
-copy of the edge hash), `dp` is the certified DP of `oracle` on one box
-(``dp_box``), which reads only those arrays, and `judge` is one rung of
-`oracle.box_ladder` (``judge_box``): that DP on one box, compared with a
-walk's two boundaries, the body of `oracle._judge`.  These are the only
-bodies of those computations in the package.  The Python references they
-are tested against live with the tests: the walks' and the rung's in
+`bounds` of `explore.explore_to_level` (``walk_bounds``); `config_bases`
+(``config_bases``) gives `lattice.replica_bases`, the sampler bases of a
+batch of replicas, which `chain` takes.  The judge of these walks runs no
+walk code: `edges` writes the edge statuses of an `oracle.BoxConfig` into
+the box's own arrays (``box_edges``, with its own copy of the edge hash),
+`dp` is the certified DP of `oracle` on one box (``dp_box``), which reads
+only those arrays, and `judge` is one rung of `oracle.box_ladder`
+(``judge_box``): that DP on one box, compared with a walk's two
+boundaries, the body of `oracle._judge`.  These are the only bodies of
+those computations in the package.  The Python references they are
+tested against live with the tests: the walks' and the rung's in
 ``tests/_references.py``, the walks' on `explore.ExplorationCluster`, and
 the DP's and the box fill's in ``tests/test_oracle.py``.
 
-`explore` and `oracle` import this module the first time a walk or a box
-needs it, never at ``import opweb``.  The first `load` in a process
-compiles ``_walk.c`` with the local ``cc`` (or ``gcc``) unless a cached
-build exists, and loads it through ctypes.  The cache is the package's
+The bodies that the walk commands run, `config_bases`, `chain` and
+`breaks`, use no numpy: they pass ``array.array`` buffers and ctypes
+words, and `chain` returns its stop levels as lists.  So ``estimate``,
+``eta`` and ``coalesce`` never load numpy.  The array bodies, `bounds`,
+`edges`, `dp` and `judge`, serve ``simulate`` and ``check``: they read
+and write numpy arrays, and get numpy from `_numpy`, which imports it on
+its first call.  A size too large for any address space raises
+`InvalidArgumentError` before it is allocated (`_sized`).
+
+Its callers, `couple`, `regen`, `lattice`, `explore` and `oracle`, import
+this module the first time a walk, a batch of bases or a box needs it,
+never at import.  The first `load` in a process compiles ``_walk.c`` with
+the local ``cc`` (or ``gcc``) unless a cached build exists, and loads it
+through ctypes.  The cache is the package's
 ``__pycache__``, file ``_walk-<key>.so``, where ``<key>`` hashes the
 source, the compiler and its flags.  A build is written to a temporary
 file and moved into place by ``os.replace``, so concurrent processes only
@@ -44,14 +56,14 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
+from array import array
 from ctypes import c_int, c_int64, c_uint64, c_void_p
 from pathlib import Path
 
-import numpy as np
-
-from .errors import InvalidArgumentError, InvalidSiteError, NativeLibraryError
-from .explore import Boundaries, guard_error
+from .errors import (InvalidArgumentError, InvalidSiteError,
+                     NativeLibraryError, guard_error)
 from .lattice import MASK64, edge_threshold
 
 _COMPILERS = ("cc", "gcc")
@@ -66,6 +78,7 @@ _GUARD = 1
 _NOMEM = 2
 
 _lib = None
+_np = None
 
 # a view of no bytes, whose address is its buffer's
 _BYTES = ctypes.c_char * 0
@@ -84,6 +97,7 @@ _SAMPLER = [c_uint64, c_uint64, c_int]
 _WALK = [c_int64, *_SAMPLER, c_int64]
 # every entry of _walk.c, as (argtypes, restype)
 _ENTRIES = {
+    "config_bases": ([c_uint64] * 3 + [c_int64, c_void_p], None),
     "walk_chain": ([c_void_p, c_int64, c_int64, c_void_p, c_int64, c_uint64,
                     c_int] + [c_int64] * 3 + [c_void_p] * 2, c_int),
     "walk_breaks": ([c_int64, *_WALK, c_int64, c_int64] + [c_void_p] * 2,
@@ -199,13 +213,46 @@ def _compile(cc: str, source: bytes, out: str) -> None:
             f"{cc} failed to build {_SOURCE.name}: {e}") from e
 
 
-def _address(array: np.ndarray) -> int:
-    """The address of an array's first byte, as ``array.ctypes.data`` gives
-    it, in about a third of the time for a writable C-contiguous array."""
+def _numpy():
+    """numpy, imported on the first call.  Only the array bodies call it,
+    so a process that runs no ``simulate`` or ``check`` never loads numpy.
+    An ``import`` statement in each body cost ``check`` about 4% of its
+    throughput in the benchmark."""
+    global _np
+    if _np is None:
+        import numpy
+        _np = numpy
+    return _np
+
+
+def _address(ndarray) -> int:
+    """The address of a numpy array's first byte, as ``ndarray.ctypes.data``
+    gives it, in about a third of the time for a writable C-contiguous
+    array."""
     try:
-        return ctypes.addressof(_BYTES.from_buffer(array))
+        return ctypes.addressof(_BYTES.from_buffer(ndarray))
     except TypeError:  # read-only, or not contiguous
-        return array.ctypes.data
+        return ndarray.ctypes.data
+
+
+def _sized(count: int, itemsize: int) -> int:
+    """``count``, once ``count`` items of ``itemsize`` bytes fit in the
+    address space.  A size past it is an argument no machine can hold, and
+    raises `InvalidArgumentError`, where numpy would raise ValueError and
+    ctypes OverflowError; a size within it that cannot be allocated raises
+    MemoryError from the allocation."""
+    if count * itemsize > sys.maxsize:
+        raise InvalidArgumentError(
+            f"{count} items of {itemsize} bytes exceed the address space")
+    return count
+
+
+def _words(typecode: str, count: int) -> array:
+    """A zeroed ``array.array`` of ``count`` 64-bit words."""
+    try:
+        return array(typecode, [0]) * _sized(count, 8)
+    except MemoryError:  # array's carries no message
+        raise MemoryError(f"cannot allocate {count} words of 8 bytes") from None
 
 
 def _sampler(cfg) -> tuple:
@@ -235,37 +282,57 @@ def _check(code: int, rep) -> None:
                           "its buffers")
 
 
+def config_bases(seed_mix: int, stream: int, stride: int, count: int):
+    """The sampler bases of the ``count`` configurations of one seed on
+    the streams ``stream + k * stride``, in one C call (``config_bases``):
+    entry ``k`` of the ``array.array`` of typecode ``"Q"`` is
+    ``mix64(seed_mix + (stream + k * stride) * GOLDEN)`` mod 2**64, with
+    ``seed_mix`` the seed's `lattice.mix64`, as `lattice.Config` forms its
+    ``_base``.  The body of `lattice.replica_bases`."""
+    bases = _words("Q", count)
+    load().config_bases(seed_mix, stream, stride, count,
+                        bases.buffer_info()[0])
+    return bases
+
+
 def chain(xs, t0: int, level: int, p: float, bases, cap, scan_guard):
     """The chain of the equal-time starts ``xs``, at least one, from
     ``t0`` to ``level`` on the configurations at ``p`` with sampler bases
     ``bases`` (`lattice.Config._base`), in one C call.
 
-    Entry ``[n, i - 1]`` of the int64 array is the first level, counted
-    from ``t0``, at which the walk from ``xs[i]`` on configuration ``n``
-    has r at or left of r of the start to its left, or -1 where it reaches
-    ``level`` without stopping.  Once eta, one plus the walks that never
-    stop, reaches ``cap`` (None for no cap), the chain ends and the starts
-    past it get -2.  The batch stops at the first configuration, in order,
-    whose chain trips, and raises the error of its walk that trips first in
-    a level by level lockstep: lowest level first, then leftmost start.  A
-    start off the even lattice raises `InvalidSiteError`, as
-    `lattice.LatticeSite` does.
+    ``bases`` is any sequence of integers in [0, 2**64): an ``array.array``
+    of typecode ``"Q"``, as `lattice.replica_bases` gives, is read in
+    place, and any other is copied into one.  Returns one list per
+    configuration, of one int per start but the first: entry ``[n][i -
+    1]`` is the first level, counted from ``t0``, at which the walk from
+    ``xs[i]`` on configuration ``n`` has r at or left of r of the start to
+    its left, or -1 where it reaches ``level`` without stopping.  Once
+    eta, one plus the walks that never stop, reaches ``cap`` (None for no
+    cap), the chain ends and the starts past it get -2.  The batch stops
+    at the first configuration, in order, whose chain trips, and raises
+    the error of its walk that trips first in a level by level lockstep:
+    lowest level first, then leftmost start.  A start off the even lattice
+    raises `InvalidSiteError`, as `lattice.LatticeSite` does.
     """
-    if not len(xs):
+    k = len(xs)
+    if not k:
         raise InvalidArgumentError("need at least one start column")
     odd = [x for x in xs if (x + t0) % 2]
     if odd:
         raise InvalidSiteError(f"({odd[0]}, {t0}) has odd parity")
-    starts = np.array(xs, dtype=np.int64)
-    bases = np.ascontiguousarray(bases, dtype=np.uint64)
-    stops = np.empty((len(bases), len(xs) - 1), dtype=np.int64)
+    starts = array("q", xs)
+    if not (isinstance(bases, array) and bases.typecode == "Q"):
+        bases = array("Q", bases)
+    count, m = len(bases), k - 1
+    stops = _words("q", count * m)
     rep = _Report()
-    code = load().walk_chain(_address(starts), len(xs), t0,
-                             _address(bases), len(bases),
+    code = load().walk_chain(starts.buffer_info()[0], k, t0,
+                             bases.buffer_info()[0], count,
                              *_cut(edge_threshold(p)), _guard(scan_guard),
-                             level, cap or 0, _address(stops), rep)
+                             level, cap or 0, stops.buffer_info()[0], rep)
     _check(code, rep)
-    return stops
+    flat = stops.tolist()
+    return [flat[n * m:(n + 1) * m] for n in range(count)]
 
 
 def breaks(cfg, n: int, margin: int, scan_guard):
@@ -280,10 +347,13 @@ def breaks(cfg, n: int, margin: int, scan_guard):
     return tuple(out[:6]), out[6]
 
 
-def bounds(z, n: int, horizon: int, cfg, scan_guard) -> Boundaries:
+def bounds(z, n: int, horizon: int, cfg, scan_guard) -> tuple:
     """`explore.explore_to_level` in one C call, which writes r, l and γ
-    straight into the record's arrays."""
-    right = np.empty(horizon - z.t + 1, dtype=np.int64)
+    straight into new int64 numpy arrays.  Returns them, the scan offset
+    and the edges examined: the fields of `explore.Boundaries` after its
+    start."""
+    np = _numpy()
+    right = np.empty(_sized(horizon - z.t + 1, 8), dtype=np.int64)
     left = np.empty(n - z.t + 1, dtype=np.int64)
     gamma = np.empty_like(right)
     rep = _Report()
@@ -291,7 +361,7 @@ def bounds(z, n: int, horizon: int, cfg, scan_guard) -> Boundaries:
                               n, horizon, _address(right), _address(left),
                               _address(gamma), rep)
     _check(code, rep)
-    return Boundaries(z, right, left, gamma, rep[0], rep[2])
+    return right, left, gamma, rep[0], rep[2]
 
 
 def edges(box) -> None:
@@ -311,6 +381,7 @@ def _cells(box, n: int):
     right dtype of arrays put in their place.  Refuses arrays that do not
     fit the box's shape: ``lefts`` holds a column for each of its rows, the
     other three ``n`` rows of its width."""
+    np = _numpy()
     height, width = box.t_max - box.t_min, box.x_max - box.x_min + 1
     arrays = (np.ascontiguousarray(box.lefts, dtype=np.int64),
               np.ascontiguousarray(box.open_ur[:n], dtype=bool),
@@ -329,6 +400,7 @@ def _dp_block(n: int, width: int):
     wide, and the words in one of its rows: two row buffers, the lower and
     upper tables, ``n + 1`` rows each, then the int64 bit lengths of their
     rows, the path, and the level and column that a refusal names."""
+    np = _numpy()
     words = -(-width // 64)
     return np.empty(2 * words * (n + 2) + 3 * (n + 1) + 2,
                     dtype=np.uint64), words
@@ -349,7 +421,7 @@ def dp(box, start: int, n: int):
     (lefts, ur, ul, entry), _arrays = _cells(box, n)
     block, words = _dp_block(n, width)
     rows, table = 2 * words, (n + 1) * words
-    ints = block[rows + 2 * table:].view(np.int64)
+    ints = block[rows + 2 * table:].view("int64")
     ints[-2:] = 0
     views = (block[:rows], block[rows:rows + table].reshape(n + 1, words),
              block[rows + table:rows + 2 * table].reshape(n + 1, words),
@@ -360,9 +432,10 @@ def dp(box, start: int, n: int):
     return (code, *views[1:5], tuple(views[5].tolist()))
 
 
-def _boundary(values) -> np.ndarray:
+def _boundary(values):
     """A walk's boundary as ``judge_box`` reads it: a C-contiguous int64
-    row."""
+    numpy row."""
+    np = _numpy()
     row = np.ascontiguousarray(values)
     if row.dtype != np.int64 or row.ndim != 1:
         raise InvalidArgumentError(
@@ -388,4 +461,4 @@ def judge(box, right, left, n: int):
                             _address(left), len(left), _address(block))
     if code >= 0:
         return code, None
-    return code, tuple(block[-2:].view(np.int64).tolist())
+    return code, tuple(block[-2:].view("int64").tolist())

@@ -129,8 +129,10 @@
  *
  * walk_chain runs the chain on a batch of replicas in replica order, so
  * that a batch costs one call from Python: the replicas differ in their
- * base only.  It walks no replica past the first whose chain trips, so a
- * batch raises what its replicas would raise walked one by one.
+ * base only.  config_bases fills the bases of such a batch, as
+ * lattice.replica_bases gives them.  walk_chain
+ * walks no replica past the first whose chain trips, so a batch raises
+ * what its replicas would raise walked one by one.
  *
  * Keys are the packed keys of lattice.py taken mod 2**64, which is all the
  * sampler reads of them.
@@ -770,4 +772,23 @@ int judge_box(int64_t n, int64_t height, int64_t width, int64_t t_min,
         if (path[j] != left[j])
             return JUDGE_LEFT;
     return JUDGE_OK;
+}
+
+/* The sampler bases of `count` configurations of one seed, as
+ * lattice.Config forms its _base: out[k] is lattice.mix64 of seed_mix +
+ * (stream + k stride) GOLDEN, all mod 2**64, where seed_mix is mix64 of
+ * the seed and stream + k stride the stream id of configuration k.  Its
+ * own copy of the mix, and last in the file: sharing is_open's moved the
+ * registers of every walk loop that GCC inlines is_open into, and placed
+ * above the walks it moved their code and so the alignment of their
+ * loops. */
+void config_bases(uint64_t seed_mix, uint64_t stream, uint64_t stride,
+                  int64_t count, uint64_t *out)
+{
+    for (int64_t k = 0; k < count; k++) {
+        uint64_t z = seed_mix + (stream + (uint64_t)k * stride) * GOLDEN;
+        z = (z ^ (z >> 30)) * MIX1;
+        z = (z ^ (z >> 27)) * MIX2;
+        out[k] = z ^ (z >> 31);
+    }
 }

@@ -17,9 +17,16 @@ the package version; outputs are byte-identical across repeat runs and
 worker counts, and every output file embeds the spec hash.  Every walk runs
 in the native library of ``_walk.c``, built with the local C compiler on
 the first walk of a process.  Exit codes: 0 ok, 1 check failures, 2 an
-argv error, invalid spec, insufficient data or out of memory, 3 scan guard
-tripped, 4 I/O failure or a native library that cannot be built or loaded
-(`NativeLibraryError`, whose message names the cause).
+argv error, an invalid spec (one that asks for an array larger than any
+address space among them), insufficient data or out of memory, 3 scan
+guard tripped, 4 I/O failure or a native library that cannot be built or
+loaded (`NativeLibraryError`, whose message names the cause).
+
+Importing this module loads no numpy.  ``estimate``, ``eta`` and
+``coalesce`` never load it: their walks hand back ints, and their
+statistics are plain floats.  ``simulate`` and ``check`` write and judge
+whole boundaries, held in numpy arrays: they import `opweb.explore` and
+`opweb.oracle`, and with them numpy, when they run.
 """
 
 from __future__ import annotations
@@ -33,19 +40,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .couple import coalescence_survival_curve
-from .errors import (InsufficientDataError, InvalidArgumentError,
-                     InvalidSiteError, NativeLibraryError,
-                     ScanLimitExceededError)
-from .explore import (DEFAULT_SCAN_GUARD, explore_to_level,
-                      write_trajectory_csv)
+from .couple import b1_battery, b2_fkg_check, coalescence_survival_curve
+from .errors import (DEFAULT_SCAN_GUARD, InsufficientDataError,
+                     InvalidArgumentError, InvalidSiteError,
+                     NativeLibraryError, ScanLimitExceededError)
 from .lattice import (LatticeSite, STREAMS_PER_REPLICA, calibration_seed,
                       replica_config)
-from .metrics import b1_battery, b2_fkg_check
-from .oracle import check_suite
 from .regen import replica_estimate
 from .runner import pmap
 from .stats import ks_distance_to_normal
@@ -116,6 +117,7 @@ def _write_text(path, text):
 
 def _simulate_worker(args):
     cfg, n, horizon, scan_guard = args
+    from .explore import explore_to_level  # numpy: not at import
     b = explore_to_level(LatticeSite(0, 0), n, cfg, horizon=horizon,
                          scan_guard=scan_guard)
     return b.right[:n + 1], b.left, b.gamma[:n + 1]
@@ -130,6 +132,7 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
     jobs = [(replica_config(spec.seed, spec.p, r), spec.n, horizon,
              spec.scan_guard) for r in range(spec.replicas)]
     walks = pmap(_simulate_worker, jobs, spec.workers)
+    from .explore import write_trajectory_csv
     # made once every walk has returned: a run that fails leaves no directory
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,10 +155,12 @@ def estimate_report(spec: ExperimentSpec) -> dict:
     est, endpoints = replica_estimate(spec.p, spec.seed, spec.replicas, spec.n,
                                       spec.margin, workers=spec.workers,
                                       scan_guard=spec.scan_guard)
-    norm = (np.array(endpoints, dtype=np.float64) - est.alpha_hat * spec.n)
     ks = None
     if est.sigma_hat > 0 and len(endpoints) > 1:
-        ks = ks_distance_to_normal(norm / (est.sigma_hat * math.sqrt(spec.n)))
+        shift = est.alpha_hat * spec.n
+        scale = est.sigma_hat * math.sqrt(spec.n)
+        ks = ks_distance_to_normal([(float(r) - shift) / scale
+                                    for r in endpoints])
     return {
         "p": spec.p, "n_records": est.n_records,
         "alpha_hat": est.alpha_hat, "alpha_se": _defined(est.alpha_se),
@@ -277,6 +282,7 @@ def cmd_eta(spec: ExperimentSpec) -> int:
 def cmd_check(spec: ExperimentSpec) -> int:
     # --delta doubles as the list of p values to sweep; default suite below
     ps = spec.delta or (0.7, 0.8, 0.9)
+    from .oracle import check_suite  # numpy: not at import
     report = check_suite(ps, spec.replicas, spec.n, spec.seed,
                          workers=spec.workers, scan_guard=spec.scan_guard)
     for p in ps:

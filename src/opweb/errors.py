@@ -1,4 +1,15 @@
-"""Typed errors shared across the package."""
+"""Typed errors shared across the package, and the scan guard that raises
+one of them.
+
+Every walk gives up once it has exhausted `DEFAULT_SCAN_GUARD` start sites
+(or the guard a caller passes) without reaching its target level: the
+input is then effectively subcritical, and `guard_error` is what the walk
+raises.  They live here, with no walk, so that the modules that only pass
+a guard on, the batteries and the command line among them, import no walk
+module.
+"""
+
+DEFAULT_SCAN_GUARD = 10_000
 
 
 class OpwebError(Exception):
@@ -22,6 +33,14 @@ class ScanLimitExceededError(OpwebError):
     def __init__(self, message, scan_offset=None):
         super().__init__(message)
         self.scan_offset = scan_offset
+
+
+def guard_error(scan_offset: int, level: int) -> ScanLimitExceededError:
+    """The error of a walk whose guard tripped after ``scan_offset`` start
+    sites, with ``level`` its last completed level."""
+    return ScanLimitExceededError(
+        f"{scan_offset} start sites exhausted below level {level + 1}",
+        scan_offset=scan_offset)
 
 
 class InsufficientDataError(OpwebError):

@@ -46,6 +46,14 @@ The Python walk always keeps its left-delta record (`left_deltas`): per
 level, the lowest stack index the advance rewrote and the stack from there
 up, from which a replay rebuilds the left boundary at every level.  Only
 the ledger coupling of the tests reads it.
+
+This module holds numpy arrays (`Boundaries`, `Trajectory`), so it is
+imported only where they are used: by ``simulate``, by the oracle of
+``check``, by the path-space metric of `opweb.metrics` and by
+`opweb.regen.error_gap_frequencies`, never by the walk commands
+``estimate``, ``eta`` and ``coalesce``.  The scan guard it applies,
+`opweb.errors.DEFAULT_SCAN_GUARD` and `opweb.errors.guard_error`, lives
+with the errors, which every module imports.
 """
 
 from __future__ import annotations
@@ -54,18 +62,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ScanLimitExceededError
+from .errors import (DEFAULT_SCAN_GUARD, InvalidArgumentError,
+                     ScanLimitExceededError, guard_error)
 from .lattice import Config, LatticeSite, X_BIAS, make_key_sampler
-
-DEFAULT_SCAN_GUARD = 10_000
-
-
-def guard_error(scan_offset: int, level: int) -> ScanLimitExceededError:
-    """The error of a walk whose guard tripped after ``scan_offset`` start
-    sites, with ``level`` its last completed level."""
-    return ScanLimitExceededError(
-        f"{scan_offset} start sites exhausted below level {level + 1}",
-        scan_offset=scan_offset)
 
 
 @dataclass(frozen=True)
@@ -268,7 +267,7 @@ def explore_to_level(z: LatticeSite, n: int, cfg: Config, *,
     if horizon < n:
         raise InvalidArgumentError(f"horizon {horizon} precedes level {n}")
     from . import _native  # may build the library: not at import
-    return _native.bounds(z, n, horizon, cfg, scan_guard)
+    return Boundaries(z, *_native.bounds(z, n, horizon, cfg, scan_guard))
 
 
 def gamma_approx(z: LatticeSite, horizon: int, cfg: Config, *,

@@ -21,11 +21,10 @@ a test:
 * the numpy one, `edge_status_array`, by
   ``test_determinism_and_vector_scalar_agreement``.  No walk or box reads
   it: the tests build their reference boxes from it;
-* the numpy copy of `_config_base`, `replica_bases`, which gives the bases
-  of a batch of replicas at once, by
-  ``test_replica_bases_are_those_of_replica_configs``.  It shares its mix
-  with `edge_status_array`;
-* the walk's ``sample`` in ``_walk.c``, through the walks it drives, by
+* the C copy of `_config_base`, ``config_bases`` in ``_walk.c``, which
+  `replica_bases` calls to give the bases of a batch of replicas at once,
+  by ``test_replica_bases_are_those_of_replica_configs``;
+* the walk's sampler in ``_walk.c``, through the walks it drives, by
   ``test_native_walk_matches_python_walk`` and the walk references of
   ``tests/_references.py``, whose Python walk samples through
   `make_key_sampler`;
@@ -37,14 +36,16 @@ a test:
 
 ``_walk.c`` holds the only body of each walk and of the judge in the
 package; their Python references live with the tests.
+
+Only `edge_status_array` and `independence_probe`, which the tests call,
+use numpy, and they import it when they run: the walk commands load this
+module without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-
-import numpy as np
 
 from .errors import InvalidArgumentError, InvalidSiteError
 
@@ -156,27 +157,21 @@ def _config_base(seed: int, stream_id: int) -> int:
     return mix64((mix64(seed) + (stream_id & MASK64) * GOLDEN) & MASK64)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """`mix64` of each entry of a uint64 array."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
-
-
 def replica_config(seed: int, p: float, replica: int) -> Config:
     """The configuration of replica ``replica`` of an experiment: the first
     of its streams (the rule above)."""
     return Config(seed, p, replica * STREAMS_PER_REPLICA + 1)
 
 
-def replica_bases(seed: int, first: int, count: int) -> np.ndarray:
+def replica_bases(seed: int, first: int, count: int):
     """The bases of replicas ``first, ..., first + count - 1`` of an
-    experiment, as uint64: entry ``k`` is the ``_base`` of
-    ``replica_config(seed, p, first + k)``, for any p."""
-    stream = (first * STREAMS_PER_REPLICA + 1) & MASK64
-    streams = (np.uint64(stream) + np.arange(count, dtype=np.uint64)
-               * np.uint64(STREAMS_PER_REPLICA))
-    return _mix64_array(np.uint64(mix64(seed)) + streams * np.uint64(GOLDEN))
+    experiment, as an ``array.array`` of uint64 (typecode ``"Q"``): entry
+    ``k`` is the ``_base`` of ``replica_config(seed, p, first + k)``, for
+    any p.  Filled in one native call (`opweb._native.config_bases`)."""
+    from . import _native  # may build the library: not at import
+    return _native.config_bases(mix64(seed),
+                                (first * STREAMS_PER_REPLICA + 1) & MASK64,
+                                STREAMS_PER_REPLICA, count)
 
 
 def calibration_seed(seed: int) -> int:
@@ -206,15 +201,21 @@ def edge_status(cfg: Config, edge: EdgeRef) -> bool:
     return make_key_sampler(cfg)(edge.key())
 
 
-def edge_status_array(cfg, xs, ts, directions) -> np.ndarray:
-    """Vectorized `edge_status`; bit-identical to the scalar path."""
+def edge_status_array(cfg, xs, ts, directions):
+    """Vectorized `edge_status`, as a numpy bool array; bit-identical to the
+    scalar path."""
+    import numpy as np
     xs = np.asarray(xs, dtype=np.int64)
     ts = np.asarray(ts, dtype=np.int64)
     directions = np.asarray(directions, dtype=np.int64)
     if np.any((xs + ts) & 1):
         raise InvalidSiteError("some sites violate even parity")
     keys = ((2 * ts + directions) << 32 | (xs + X_BIAS)).astype(np.uint64)
-    z = _mix64_array(np.uint64(cfg._base) + keys * np.uint64(GOLDEN))
+    z = np.uint64(cfg._base) + keys * np.uint64(GOLDEN)
+    # mix64, entry by entry
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z = z ^ (z >> np.uint64(31))
     if cfg._threshold > MASK64:
         return np.ones(len(keys), dtype=bool)
     return z < np.uint64(cfg._threshold)
@@ -237,6 +238,7 @@ def independence_probe(cfg1: Config, cfg2: Config, edges) -> ProbeResult:
     """
     if len(edges) == 0:
         raise InvalidArgumentError("empty edge sample")
+    import numpy as np
     xs = np.array([e.site.x for e in edges], dtype=np.int64)
     ts = np.array([e.site.t for e in edges], dtype=np.int64)
     ds = np.array([int(e.direction) for e in edges], dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Rescaling map, path-space metrics, crossing counts and test batteries.
+"""Rescaling map and path-space metric.
 
 Spatial coordinates are squashed by ``tanh(x) / (1 + |t|)`` and times by
 ``tanh(t)``, which compactifies the plane; both infinities of a time row
@@ -9,6 +9,10 @@ t = 0, where the squashed gap is smooth: its maximum there lies at an end
 or at a zero of its derivative, and the zeros are isolated by bisection
 with a bound on the derivative's slope.  The result is the true supremum to
 within rounding, so the triangle inequality holds between distances.
+
+The paths are numpy arrays, so no command imports this module.  The
+crossing-count batteries B1 and B2 of the convergence criteria, which
+build no path, live in `opweb.couple`.
 """
 
 from __future__ import annotations
@@ -18,11 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couple import family_etas, pair_merges
 from .errors import InvalidArgumentError
-from .explore import DEFAULT_SCAN_GUARD, Trajectory
-from .oracle import cbm_baseline
-from .stats import Z95, wilson_interval
+from .explore import Trajectory
 
 # bounds on |(sech^2)'| and |(sech^2)''|, for the slope of the gap's derivative
 _SECH2_SLOPE = 4.0 / (3.0 * math.sqrt(3.0))
@@ -146,97 +147,3 @@ def path_distance(p1: RescaledPath, p2: RescaledPath) -> float:
     ts = np.union1d(np.concatenate([p1.times, p2.times]), [0.0])
     sup_term = _sup_squashed_gap(ts, p1.evaluate(ts), p2.evaluate(ts))
     return max(start_term, sup_term)
-
-
-# -- empirical batteries -----------------------------------------------------
-
-def even_span(gap: float) -> int:
-    """Smallest even lattice span covering a real gap, and at least 2."""
-    span = max(2, int(math.ceil(gap)))
-    return span + (span % 2)
-
-
-def b1_battery(p: float, eps: float, t: float, delta_list, replicas: int, *,
-               sigma_hat: float, seed: int = 0, workers: int = 1,
-               scan_guard: int = DEFAULT_SCAN_GUARD, replica_offset: int = 0):
-    """P(eta >= 2) for right-boundary families spanning rescaled gaps.
-
-    For each target gap ``delta`` the family starts on all even columns of
-    ``[0, x_eps]``, where ``x_eps = even_span(delta * sigma_hat / sqrt(eps))``,
-    and eta is counted at level ``floor(t / eps)``.  Each replica is one
-    configuration, on which ``eta >= 2`` iff the two extreme clusters have
-    not merged by that level (`opweb.couple.family_eta`), so only that pair
-    runs, through `opweb.couple.pair_merges`.  Both the estimate and
-    the erf baseline refer to the gap the lattice realises,
-    ``delta_eff = x_eps * sqrt(eps) / sigma_hat``, not to ``delta``; as
-    ``x_eps >= 2``, ``delta_eff`` is never below ``2 sqrt(eps) / sigma_hat``.
-    """
-    level = int(math.floor(t / eps))
-    rows = []
-    for idx, delta in enumerate(delta_list):
-        x_eps = even_span(delta * sigma_hat / math.sqrt(eps))
-        merges = pair_merges(0, x_eps, level, p, seed=seed,
-                             first=replica_offset + idx * replicas,
-                             count=replicas, workers=workers,
-                             scan_guard=scan_guard)
-        k = int((merges < 0).sum())
-        ci = wilson_interval(k, replicas)
-        delta_eff = x_eps * math.sqrt(eps) / sigma_hat
-        rows.append({
-            "delta": delta, "delta_eff": delta_eff, "eps": eps, "t": t,
-            "x_eps": x_eps, "level": level, "estimate": k / replicas,
-            "ci_low": ci[0], "ci_high": ci[1], "n": replicas,
-            "baseline": cbm_baseline(delta_eff, t),
-        })
-    return rows
-
-
-@dataclass(frozen=True)
-class FkgReport:
-    p3: float
-    p3_ci: tuple
-    p2: float
-    p2_ci: tuple
-    n_per_side: int
-    slack: float
-
-    @property
-    def rhs(self) -> float:
-        return self.p2 * self.p2
-
-    @property
-    def holds(self) -> bool:
-        return self.p3 <= self.rhs + self.slack
-
-
-def b2_fkg_check(p: float, n: int, x: int, replicas: int, *, seed: int = 0,
-                 workers: int = 1,
-                 scan_guard: int = DEFAULT_SCAN_GUARD) -> FkgReport:
-    """Estimate P(eta >= 3) against P(eta >= 2)^2 on the family over [0, 2x].
-
-    The two sides come from independent replica banks (half the budget
-    each); the slack combines their delta-method standard errors, so a
-    violation beyond slack is a genuine positive-correlation failure.  Each
-    replica is one configuration.  On the first bank the family is counted
-    up to 3 distinct values (`opweb.couple.family_etas`); on the second,
-    ``eta >= 2`` iff the two extreme clusters have not merged by level
-    ``n``, so only that pair runs, through `opweb.couple.pair_merges`.  Both
-    banks walk their replicas in ranges, one native call each.
-    """
-    if x < 1:
-        raise InvalidArgumentError("x must be at least 1")
-    per_side = max(1, replicas // 2)
-    xs = tuple(range(0, 2 * x + 1, 2))
-    etas3 = family_etas(xs, n, p, seed=seed, first=0, count=per_side, cap=3,
-                        workers=workers, scan_guard=scan_guard)
-    merges2 = pair_merges(0, 2 * x, n, p, seed=seed, first=per_side,
-                          count=per_side, workers=workers,
-                          scan_guard=scan_guard)
-    k3 = sum(1 for e in etas3 if e >= 3)
-    k2 = int((merges2 < 0).sum())
-    p3, p2 = k3 / per_side, k2 / per_side
-    se3 = math.sqrt(max(p3 * (1 - p3), 1.0 / per_side) / per_side)
-    se2 = math.sqrt(max(p2 * (1 - p2), 1.0 / per_side) / per_side)
-    slack = Z95 * math.sqrt(se3**2 + (2 * p2 * se2)**2)
-    return FkgReport(p3, wilson_interval(k3, per_side), p2,
-                     wilson_interval(k2, per_side), per_side, slack)

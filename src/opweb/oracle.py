@@ -56,18 +56,21 @@ at or right of ``l`` must meet ``l`` at a site, from where the lower table
 follows it.  So the two tables agree on every cell at or right of ``l``,
 which holds every level max and both predecessor cells of every step of
 ``l``.
+
+The boxes and tables are numpy arrays, so only ``check`` imports this
+module, when it runs; the walk commands never do.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BoxTooNarrowError, InvalidArgumentError, NoPathError,
+from .errors import (DEFAULT_SCAN_GUARD, BoxTooNarrowError,
+                     InvalidArgumentError, NoPathError,
                      ScanLimitExceededError)
-from .explore import DEFAULT_SCAN_GUARD, explore_to_level
+from .explore import explore_to_level
 from .lattice import Config, LatticeSite, replica_config
 from .runner import pmap
 
@@ -287,19 +290,9 @@ def box_ladder(cfg: Config, n: int, left: np.ndarray, right: np.ndarray,
     yield BoxConfig(cfg, x_min, n + 2, 0, n)
 
 
-# -- coalescing-Brownian baseline and its random-walk oracle ----------------
+# -- the random-walk oracle of the coalescing-Brownian baseline --------------
 
 WALK_RESOLUTION = 48  # lattice gap units per unit of rescaled gap
-
-def cbm_baseline(delta: float, t: float) -> float:
-    """Survival probability of two coalescing Brownian paths a gap apart.
-
-    Closed form erf(delta / (2 sqrt(t))); validate against
-    `coalescing_walk_survival` before trusting it in an experiment.
-    """
-    if delta <= 0 or t <= 0:
-        raise InvalidArgumentError("delta and t must be positive")
-    return math.erf(delta / (2.0 * math.sqrt(t)))
 
 
 def coalescing_walk_survival(delta: float, t: float) -> float:
@@ -307,9 +300,9 @@ def coalescing_walk_survival(delta: float, t: float) -> float:
 
     The walks step +-1 per unit time and merge on meeting; under diffusive
     scaling with `WALK_RESOLUTION` lattice gap units per unit of ``delta`` the
-    survival probability converges to `cbm_baseline`.  Start gap and step
-    count are derived so the rescaled gap is exactly ``delta``; the gap
-    chain is then solved exactly by `gap_walk_survival_exact`.
+    survival probability converges to `opweb.stats.cbm_baseline`.  Start gap
+    and step count are derived so the rescaled gap is exactly ``delta``; the
+    gap chain is then solved exactly by `gap_walk_survival_exact`.
     """
     if delta <= 0 or t <= 0:
         raise InvalidArgumentError("delta and t must be positive")

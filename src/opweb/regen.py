@@ -21,13 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InsufficientDataError, InvalidArgumentError
-from .explore import DEFAULT_SCAN_GUARD, explore_to_level
+from .errors import (DEFAULT_SCAN_GUARD, InsufficientDataError,
+                     InvalidArgumentError)
 from .lattice import LatticeSite, replica_config
 from .runner import pmap
-from .stats import wilson_interval
+from .stats import float_sum, sample_std, wilson_interval
 
 DEFAULT_BATCHES = 30
 HORIZON_MARGIN = 256  # least levels past the window that gamma runs to
@@ -71,21 +69,30 @@ class RegenAccumulator:
         self._per_replica.append(tuple(sums))
 
     def finalize(self) -> DriftDiffusivity:
-        rows = np.array(self._per_replica, dtype=np.float64).reshape(-1, 6)
-        rows = rows[rows[:, 0] > 0]
-        n = rows[:, 0].sum()
+        rows = [row for row in self._per_replica if row[0] > 0]
+        n = sum(row[0] for row in rows)
         if n < 2:
-            raise InsufficientDataError(f"{int(n)} records; need at least 2")
-        alpha, sigma = _plugin(rows.sum(axis=0))
-        b = min(DEFAULT_BATCHES, len(rows))
+            raise InsufficientDataError(f"{n} records; need at least 2")
+        alpha, sigma = _plugin(_column_sums(rows))
+        m = len(rows)
+        b = min(DEFAULT_BATCHES, m)
         if b < 2:
-            return DriftDiffusivity(alpha, sigma, int(n), math.nan, math.nan)
-        bounds = np.linspace(0, len(rows), b + 1).astype(int)
-        batches = [_plugin(rows[lo:hi].sum(axis=0))
-                   for lo, hi in zip(bounds[:-1], bounds[1:])]
-        alpha_se, sigma_se = (float(np.std(v, ddof=1) / math.sqrt(b))
+            return DriftDiffusivity(alpha, sigma, n, math.nan, math.nan)
+        # numpy.linspace(0, m, b + 1), truncated to integers
+        step = m / b
+        bounds = [int(i * step) for i in range(b)] + [m]
+        batches = [_plugin(_column_sums(rows[lo:hi]))
+                   for lo, hi in zip(bounds, bounds[1:])]
+        alpha_se, sigma_se = (sample_std(v) / math.sqrt(b)
                               for v in zip(*batches))
-        return DriftDiffusivity(alpha, sigma, int(n), alpha_se, sigma_se)
+        return DriftDiffusivity(alpha, sigma, n, alpha_se, sigma_se)
+
+
+def _column_sums(rows) -> list:
+    """The six sums over ``rows``, as floats.  Each is an integer below
+    2**53, so it equals a float sum of the rows in any order, numpy's
+    among them."""
+    return [float(sum(column)) for column in zip(*rows)]
 
 
 def _estimate_worker(args):
@@ -122,22 +129,24 @@ def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
 
 def _error_gap_worker(args):
     cfg, window, threshold, horizon, scan_guard = args
+    from .explore import explore_to_level  # numpy: not at import
     b = explore_to_level(LatticeSite(0, 0), window, cfg, horizon=horizon,
                          scan_guard=scan_guard)
     r, gam = b.right, b.gamma
     sup_err = int((r[:window + 1] - gam[:window + 1]).max())
-    meets = np.flatnonzero(r == gam)
+    meets = (r == gam).nonzero()[0]
     gap_event = _has_meeting_gap(meets, window, threshold)
     return sup_err >= threshold, gap_event
 
 
 def _has_meeting_gap(meets, window, threshold) -> bool:
     """True iff a meeting-free stretch of length ``threshold`` starts
-    somewhere in [0, window]; ``meets`` must cover [0, window + threshold]."""
+    somewhere in [0, window]; ``meets``, an increasing integer array, must
+    cover [0, window + threshold]."""
     if len(meets) == 0 or meets[0] > threshold:
         return True
-    diffs = np.diff(meets)
-    if np.any((diffs > threshold) & (meets[:-1] < window)):
+    diffs = meets[1:] - meets[:-1]
+    if ((diffs > threshold) & (meets[:-1] < window)).any():
         return True
     return bool(meets[-1] < window)
 

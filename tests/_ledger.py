@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from opweb.errors import InvalidArgumentError, OpwebError
-from opweb.explore import DEFAULT_SCAN_GUARD, ExplorationCluster
+from opweb.errors import DEFAULT_SCAN_GUARD, InvalidArgumentError, OpwebError
+from opweb.explore import ExplorationCluster
 from opweb.lattice import STREAMS_PER_REPLICA, Config, make_key_sampler
 
 

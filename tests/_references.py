@@ -30,20 +30,21 @@ import numpy as np
 
 from opweb.errors import (BoxTooNarrowError, InvalidArgumentError,
                           ScanLimitExceededError)
-from opweb.explore import Boundaries, ExplorationCluster
+from opweb.explore import ExplorationCluster
 from opweb.lattice import LatticeSite, edge_threshold
 from opweb.cli import COMMAND_DEFAULTS, LIST_FIELDS, SPEC_FLAGS
 from opweb.oracle import _certified_dp, _raised
 
 
-def bounds_reference(z, n, horizon, cfg, scan_guard) -> Boundaries:
-    """`explore_to_level` on the Python walk."""
+def bounds_reference(z, n, horizon, cfg, scan_guard) -> tuple:
+    """`_native.bounds`, the body of `explore_to_level`, on the Python
+    walk."""
     cluster = ExplorationCluster(z, cfg, scan_guard=scan_guard)
     cluster.advance_to(n)
     left = cluster.left_values
     cluster.advance_to(horizon)
-    return Boundaries(z, cluster.right_values, left, cluster.left_values,
-                      cluster.scan_offset, cluster.n_examined)
+    return (cluster.right_values, left, cluster.left_values,
+            cluster.scan_offset, cluster.n_examined)
 
 
 def lockstep_reference(xs, t0, level, cfg, scan_guard):
@@ -103,7 +104,7 @@ def chain_reference(xs, t0, level, p, bases, cap, scan_guard):
         cfg = SimpleNamespace(_base=int(base), _threshold=edge_threshold(p))
         rows.append(chain_row_reference(xs, t0, level, cfg, cap,
                                         scan_guard)[0])
-    return np.array(rows, dtype=np.int64).reshape(len(rows), len(xs) - 1)
+    return rows
 
 
 def squeeze_reference(xs, t0, level, cfg, cap=None):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opweb
-from opweb import cli
+from opweb import cli, oracle
 from opweb.errors import InvalidArgumentError
 from opweb.oracle import check_suite
 
@@ -52,7 +52,8 @@ def test_exit_0_on_clean_check(capsys):
 
 
 def test_exit_1_on_check_failure(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "check_suite",
+    # cmd_check imports check_suite from the oracle when it runs
+    monkeypatch.setattr(oracle, "check_suite",
                         functools.partial(check_suite, corrupt_run=0))
     code, out, _ = _main(capsys, "check", "--delta", "0.8", "--n", "10",
                          "--replicas", "2")
@@ -63,7 +64,7 @@ def test_exit_1_on_check_failure(capsys, monkeypatch):
 def test_exit_1_when_the_box_is_too_narrow(capsys, monkeypatch):
     # the widest box holds every true walk's path; slack = -2n - 1 puts its
     # left wall one column right of the path, and each box refuses or dies
-    monkeypatch.setattr(cli, "check_suite",
+    monkeypatch.setattr(oracle, "check_suite",
                         functools.partial(check_suite, slack=-201))
     code, out, _ = _main(capsys, "check", "--delta", "0.6", "--n", "100",
                          "--replicas", "5")
@@ -118,6 +119,12 @@ INVALID_ARGV = [
     ["estimate", "--n", "200", "--margin", "50", "--scan-guard",
      str(2**63)],
     ["eta", "--n", "100", "--x", str(-2**63 - 2), "--replicas", "2"],
+    # sizes within int64 whose arrays no address space holds, which
+    # numpy, ctypes and array would refuse with ValueError, OverflowError
+    # or MemoryError
+    ["eta", "--n", "100", "--x", "3", "--replicas", str(2**62)],
+    ["check", "--delta", "0.8", "--n", str(2**62), "--replicas", "1"],
+    ["simulate", "--n", str(2**62), "--out", "{out}"],
 ]
 
 
@@ -629,9 +636,51 @@ def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ,
                PYTHONPATH=str(Path(opweb.__file__).resolve().parents[1]))
     # nor the native walk, whose first use may build the library, nor
-    # argparse, nor multiprocessing, which only a pool of workers needs
+    # argparse, nor multiprocessing, which only a pool of workers needs,
+    # nor numpy, which only simulate and check need
     probe = ("import sys, opweb.cli; print(*(m in sys.modules for m in "
-             "('scipy', 'opweb._native', 'argparse', 'multiprocessing')))")
+             "('scipy', 'opweb._native', 'argparse', 'multiprocessing', "
+             "'numpy')))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["False"] * 4
+    assert done.stdout.split() == ["False"] * 5
+
+
+_WALK_COMMANDS = [
+    ["estimate", "--n", "400", "--margin", "100", "--replicas", "3"],
+    ["eta", "--eps", "0.01", "--t", "0.5", "--delta", "0.5", "1",
+     "--replicas", "3", "--sigma", "0.87"],
+    # no sigma: the calibration's estimate runs first
+    ["eta", "--eps", "0.01", "--t", "0.5", "--delta", "0.5",
+     "--replicas", "3"],
+    ["eta", "--n", "100", "--x", "3", "--replicas", "6"],
+    ["coalesce", "--eps", "0.01", "--delta", "1", "--t", "0.25", "0.5",
+     "--replicas", "3", "--sigma", "0.87", "--out", "{out}"],
+]
+
+_WALK_PROBE = """
+import contextlib, io, json, sys
+from opweb import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_walk_commands_run_without_numpy(tmp_path):
+    # estimate, eta B1 with and without a sigma, eta B2 and coalesce, in
+    # one fresh interpreter: each exits 0, and none loads numpy, so a
+    # shell call of any of them never pays numpy's import
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(opweb.__file__).resolve().parents[1]))
+    out = tmp_path / "out.csv"
+    argvs = [[a.format(out=out) for a in argv] for argv in _WALK_COMMANDS]
+    done = subprocess.run([sys.executable, "-c", _WALK_PROBE,
+                           json.dumps(argvs)], env=env, capture_output=True,
+                          text=True, check=True, timeout=300)
+    assert json.loads(done.stdout) == [[argv[0], 0, False]
+                                       for argv in argvs]
+    assert out.read_text(encoding="utf-8").startswith("# spec_hash=")

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from opweb import _native
-from opweb.couple import (coalescence_survival_curve, family_eta, family_etas,
-                          pair_merges)
+from opweb.couple import (b1_battery, coalescence_survival_curve, family_eta,
+                          family_etas, pair_merges)
 from opweb.errors import InvalidArgumentError, InvalidSiteError
 from opweb.explore import ExplorationCluster, explore_to_level
 from opweb.lattice import (STREAMS_PER_REPLICA, Config, LatticeSite,
                            make_key_sampler, replica_config)
-from opweb.metrics import b1_battery
 
 from _ledger import (PreconditionNotMetError, _replay_left,
                      check_coalescence_structure, run_coupled_many)
@@ -267,14 +266,13 @@ def test_capped_chain_stops_at_its_cap():
     xs, etas = tuple(range(0, 30, 2)), []
     for rep in range(120):
         cfg = replica_config(5, 0.8, rep)
-        [full] = _native.chain(xs, 0, 1000, 0.8, [cfg._base], None,
-                               10_000).tolist()
+        [full] = _native.chain(xs, 0, 1000, 0.8, [cfg._base], None, 10_000)
         eta = family_eta(xs, 0, 1000, cfg)
         assert eta == 1 + full.count(-1)
         etas.append(eta)
         for cap in (1, 2, 3):
             [capped] = _native.chain(xs, 0, 1000, 0.8, [cfg._base], cap,
-                                     10_000).tolist()
+                                     10_000)
             cut = next((i for i in range(len(full) + 1)
                         if full[:i].count(-1) == cap - 1), len(full))
             assert capped == full[:cut] + [-2] * (len(full) - cut)
@@ -364,9 +362,9 @@ def test_pair_merges_join_their_ranges_in_order():
     # one range on one worker, eight on two, joined in order
     one = pair_merges(0, 6, 200, 0.8, seed=4, first=2, count=13)
     two = pair_merges(0, 6, 200, 0.8, seed=4, first=2, count=13, workers=2)
-    assert one.tolist() == two.tolist()
-    assert one.tolist() == [pair_merges(0, 6, 200, 0.8, seed=4, first=2 + k,
-                                        count=1)[0] for k in range(13)]
+    assert one == two
+    assert one == [pair_merges(0, 6, 200, 0.8, seed=4, first=2 + k,
+                               count=1)[0] for k in range(13)]
     with pytest.raises(InvalidArgumentError):
         pair_merges(6, 6, 200, 0.8, seed=4, first=0, count=1)
     with pytest.raises(InvalidArgumentError):

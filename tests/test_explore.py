@@ -319,7 +319,7 @@ def _chain_outcome(body, *args):
     """The stops a chain body returns, as lists, or its guard error's
     message and scan offset."""
     try:
-        return body(*args).tolist()
+        return body(*args)
     except ScanLimitExceededError as e:
         return str(e), e.scan_offset
 
@@ -361,7 +361,7 @@ def test_lockstep_matches_whole_python_walks(seed, p, t0, x, gaps,
             break
         eta += stop < 0
     chain = _native.chain(xs, t0, level, p, [cfg._base], cap, 10_000)
-    assert chain.dtype == np.int64 and chain.tolist() == [stops]
+    assert chain == [stops] and all(type(v) is int for v in chain[0])
     assert chain_row_reference(xs, t0, level, cfg, cap, 10_000)[0] == stops
     assert eta == squeeze_reference(xs, t0, level, cfg, cap)
 
@@ -399,14 +399,14 @@ def test_batched_pairs_match_the_per_replica_lockstep(t0, gap, p):
     for k in range(count):
         cfg = replica_config(seed, p, first + k)
         [[merge]] = _native.chain(xs, t0, level, p, [cfg._base], None,
-                                  10_000).tolist()
+                                  10_000)
         assert lockstep_reference(xs, t0, level, cfg, 10_000)[0] == [merge]
         expected.append([merge])
     args = (xs, t0, level, p, replica_bases(seed, first, count), None, 10_000)
     merges = _native.chain(*args)
-    assert merges.dtype == np.int64
-    assert merges.tolist() == expected
-    assert chain_reference(*args).tolist() == expected
+    assert all(type(merge) is int for row in merges for merge in row)
+    assert merges == expected
+    assert chain_reference(*args) == expected
 
 
 def test_a_batch_trips_as_its_first_tripping_replica():
@@ -431,8 +431,7 @@ def test_left_walk_goes_on_past_the_merge_to_its_guard():
     # goes on alone, trips its guard below level 18
     base = replica_config(0, 0.3, 0)._base
     for body in (chain_reference, _native.chain):
-        assert body((0, 4), 0, 17, 0.3, [base], None, 10_000).tolist() == [
-            [5]]
+        assert body((0, 4), 0, 17, 0.3, [base], None, 10_000) == [[5]]
         assert _chain_outcome(body, (0, 4), 0, 18, 0.3, [base], None,
                               10_000) == (
             "10000 start sites exhausted below level 18", 10_000)
@@ -479,6 +478,7 @@ def _python_chain_report(xs, t0, level, cfg, guard):
 def _chain_report(xs, t0, bases, p, guard, level):
     """The code of walk_chain on ``bases`` and its report: the index of the
     last replica walked and that replica's report words."""
+    bases = np.asarray(bases, dtype=np.uint64)
     starts = np.array(xs, dtype=np.int64)
     stops = np.empty((len(bases), len(xs) - 1), dtype=np.int64)
     rep = _native._Report()
@@ -545,9 +545,8 @@ def test_a_walk_block_that_grows_twice_matches_the_lockstep():
     # 2051 on replica 0, and replica 1 walks on the blocks they moved to
     seed, p, level, guard, xs = 9, 0.8, 4100, 10_000, (0, 6, 400)
     bases = replica_bases(seed, 0, 2)
-    stops = _native.chain(xs, 0, level, p, bases, None, guard).tolist()
-    assert stops == chain_reference(xs, 0, level, p, bases, None,
-                                    guard).tolist()
+    stops = _native.chain(xs, 0, level, p, bases, None, guard)
+    assert stops == chain_reference(xs, 0, level, p, bases, None, guard)
     assert stops[0][0] > 0 and stops[0][1] == -1
     assert _chain_report(xs, 0, bases, p, guard, level) == (
         0, 1, _python_chain_report(xs, 0, level, replica_config(seed, p, 1),

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from opweb.couple import family_eta
+from opweb.couple import b1_battery, b2_fkg_check, even_span, family_eta
 from opweb.errors import InvalidArgumentError
 from opweb.explore import Trajectory
 from opweb.lattice import replica_config
-from opweb.metrics import (RescaledPath, b1_battery, b2_fkg_check, even_span,
-                           path_distance, shear_rescale)
-from opweb.oracle import cbm_baseline
+from opweb.metrics import RescaledPath, path_distance, shear_rescale
+from opweb.stats import cbm_baseline
 
 TANH1 = math.tanh(1.0)
 

@@ -14,9 +14,10 @@ from opweb.explore import explore_to_level
 from opweb.lattice import (GOLDEN, MASK64, X_BIAS, Config, LatticeSite,
                            STREAMS_PER_REPLICA, _MIX1, _MIX2,
                            edge_status_array, mix64, replica_config)
-from opweb.oracle import (BoxConfig, box_ladder, cbm_baseline, check_suite,
+from opweb.oracle import (BoxConfig, box_ladder, check_suite,
                           coalescing_walk_survival, dp_right_boundary,
                           dp_rightmost_path, gap_walk_survival_exact)
+from opweb.stats import cbm_baseline
 
 from _references import judge_reference
 

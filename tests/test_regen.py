@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from opweb import _native
@@ -10,9 +12,10 @@ from opweb.errors import (InsufficientDataError, InvalidArgumentError,
                           ScanLimitExceededError)
 from opweb.explore import explore_to_level
 from opweb.lattice import Config, LatticeSite, replica_config
-from opweb.regen import (RegenAccumulator, error_gap_frequencies,
-                         replica_estimate)
-from opweb.stats import ks_distance_to_normal, wilson_interval
+from opweb.regen import (DEFAULT_BATCHES, DriftDiffusivity, RegenAccumulator,
+                         _plugin, error_gap_frequencies, replica_estimate)
+from opweb.stats import (float_sum, ks_distance_to_normal, sample_std,
+                         wilson_interval)
 
 from _references import break_point_arrays, estimate_reference, increment_sums
 
@@ -257,3 +260,82 @@ def test_wilson_interval_basics():
     assert wilson_interval(100, 100)[1] == 1.0
     lo_small, hi_small = wilson_interval(1, 10)
     assert 0.0 < lo_small < 0.1 < hi_small < 0.5
+
+
+# -- the plain-float statistics, bit for bit against the numpy they replace ----
+
+def _numpy_finalize(per_replica) -> DriftDiffusivity:
+    """`RegenAccumulator.finalize` as numpy computed it."""
+    rows = np.array(per_replica, dtype=np.float64).reshape(-1, 6)
+    rows = rows[rows[:, 0] > 0]
+    n = rows[:, 0].sum()
+    if n < 2:
+        raise InsufficientDataError(f"{int(n)} records; need at least 2")
+    alpha, sigma = _plugin(rows.sum(axis=0))
+    b = min(DEFAULT_BATCHES, len(rows))
+    if b < 2:
+        return DriftDiffusivity(alpha, sigma, int(n), math.nan, math.nan)
+    bounds = np.linspace(0, len(rows), b + 1).astype(int)
+    batches = [_plugin(rows[lo:hi].sum(axis=0))
+               for lo, hi in zip(bounds[:-1], bounds[1:])]
+    alpha_se, sigma_se = (float(np.std(v, ddof=1) / math.sqrt(b))
+                          for v in zip(*batches))
+    return DriftDiffusivity(alpha, sigma, int(n), alpha_se, sigma_se)
+
+
+def _numpy_ks(samples) -> float:
+    """`ks_distance_to_normal` as numpy computed it."""
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    n = len(x)
+    cdf = np.fromiter((0.5 * math.erfc(-v / math.sqrt(2.0))
+                       for v in x.tolist()), dtype=np.float64, count=n)
+    hi = np.arange(1, n + 1) / n - cdf
+    lo = cdf - np.arange(0, n) / n
+    return float(max(hi.max(), lo.max()))
+
+
+def _bits(est: DriftDiffusivity) -> tuple:
+    """The fields of an estimate as exact values, NaN equal to NaN."""
+    return tuple(v if isinstance(v, int) else float(v).hex()
+                 for v in (est.alpha_hat, est.sigma_hat, est.n_records,
+                           est.alpha_se, est.sigma_se))
+
+
+# a replica's records: increments (X, tau), tau >= 1, or none
+_REPLICA = st.lists(st.tuples(st.integers(-1000, 1000), st.integers(1, 1000)),
+                    max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(replicas=st.lists(_REPLICA, min_size=1, max_size=70))
+# 70 replicas, 52 of them with records: 30 batches of one or two replicas
+@example(replicas=[[(i % 7 - 3, 1 + i % 5)] * (i % 4) for i in range(70)])
+def test_finalize_is_the_numpy_finalize_bit_for_bit(replicas):
+    # 1 to 70 replicas, record-less ones among them, so b = min(30, m)
+    # batches runs from none to 30 over every m
+    acc = RegenAccumulator()
+    for records in replicas:
+        acc.add(increment_sums([x for x, _ in records],
+                               [tau for _, tau in records]))
+    try:
+        expected = _numpy_finalize(acc._per_replica)
+    except InsufficientDataError as e:
+        with pytest.raises(InsufficientDataError, match=str(e)):
+            acc.finalize()
+        return
+    got = acc.finalize()
+    assert type(got.n_records) is int
+    assert _bits(got) == _bits(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
+def test_ks_distance_is_the_numpy_distance_bit_for_bit(samples):
+    assert ks_distance_to_normal(samples).hex() == _numpy_ks(samples).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e9, 1e9), min_size=2, max_size=128))
+def test_float_sum_and_sample_std_are_numpy_s_bit_for_bit(values):
+    assert float_sum(values).hex() == float(np.sum(values)).hex()
+    assert sample_std(values).hex() == float(np.std(values, ddof=1)).hex()
