@@ -6,7 +6,7 @@ no walk outlives the call, and nothing is copied after it.  `chain` is the
 body of `couple.family_eta`, `couple.family_etas` and `couple.pair_merges`
 (``walk_chain``: equal-time starts on a batch of replicas, each walked from
 the left up to its first level at or left of its neighbour's r), `breaks`
-of the estimate worker `regen._estimate_worker` (``walk_breaks``), and
+of each replica of `regen.replica_estimate` (``walk_breaks``), and
 `bounds` of `explore.explore_to_level` (``walk_bounds``); `config_bases`
 (``config_bases``) gives `lattice.replica_bases`, the sampler bases of a
 batch of replicas, which `chain` takes.  The judge of these walks runs no
@@ -58,6 +58,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from array import array
 from ctypes import c_int, c_int64, c_uint64, c_void_p
 from pathlib import Path
@@ -79,6 +80,7 @@ _NOMEM = 2
 
 _lib = None
 _np = None
+_LOAD_LOCK = threading.Lock()  # held while a first load builds and loads
 
 # a view of no bytes, whose address is its buffer's
 _BYTES = ctypes.c_char * 0
@@ -116,11 +118,14 @@ def load():
     """The native library, built and loaded on the first call in a process.
 
     Raises `NativeLibraryError` when it cannot be built or loaded here; the
-    next call tries again.  Forked pool workers inherit a loaded library.
+    next call tries again.  Threads whose first calls meet wait on
+    `_LOAD_LOCK` while one of them builds, and then share its library.
     """
     global _lib
     if _lib is None:
-        _lib = _load()
+        with _LOAD_LOCK:
+            if _lib is None:
+                _lib = _load()
     return _lib
 
 
@@ -336,7 +341,7 @@ def chain(xs, t0: int, level: int, p: float, bases, cap, scan_guard):
 
 
 def breaks(cfg, n: int, margin: int, scan_guard):
-    """The estimate worker's body in one C call: the six break-point sums
+    """One estimate replica in one C call: the six break-point sums
     of the walk from (0, 0) to level ``n + margin``, as
     `regen.RegenAccumulator.add` takes them, and r(n).  Needs
     ``0 < margin <= n``."""

@@ -13,8 +13,9 @@ number such as ``-3`` or ``-.5``, or contains a space.  ``-h`` or
 ``--help`` prints the usage.
 
 A run is pinned by its spec (flags or ``--spec`` JSON file; flags win) plus
-the package version; outputs are byte-identical across repeat runs and
-worker counts, and every output file embeds the spec hash.  Every walk runs
+the package version; stdout, output files, exit code and stderr are
+identical across repeat runs and for any ``--workers`` (`opweb.runner`),
+and every output file embeds the spec hash.  Every walk runs
 in the native library of ``_walk.c``, built with the local C compiler on
 the first walk of a process.  Exit codes: 0 ok, 1 check failures, 2 an
 argv error, an invalid spec (one that asks for an array larger than any
@@ -115,24 +116,21 @@ def _write_text(path, text):
 
 # -- simulate ----------------------------------------------------------------
 
-def _simulate_worker(args):
-    cfg, n, horizon, scan_guard = args
-    from .explore import explore_to_level  # numpy: not at import
-    b = explore_to_level(LatticeSite(0, 0), n, cfg, horizon=horizon,
-                         scan_guard=scan_guard)
-    return b.right[:n + 1], b.left, b.gamma[:n + 1]
-
-
 def cmd_simulate(spec: ExperimentSpec) -> int:
     if not spec.out:
         raise InvalidArgumentError("simulate requires --out directory")
     horizon = 4 * spec.n if spec.horizon is None else spec.horizon
     if horizon < spec.n:
         raise InvalidArgumentError("simulate needs a horizon of at least --n")
-    jobs = [(replica_config(spec.seed, spec.p, r), spec.n, horizon,
-             spec.scan_guard) for r in range(spec.replicas)]
-    walks = pmap(_simulate_worker, jobs, spec.workers)
-    from .explore import write_trajectory_csv
+    # explore loads numpy: imported here, not at module import
+    from .explore import explore_to_level, write_trajectory_csv
+
+    def walk(r):
+        b = explore_to_level(LatticeSite(0, 0), spec.n,
+                             replica_config(spec.seed, spec.p, r),
+                             horizon=horizon, scan_guard=spec.scan_guard)
+        return b.right[:spec.n + 1], b.left, b.gamma[:spec.n + 1]
+    walks = pmap(walk, range(spec.replicas), spec.workers)
     # made once every walk has returned: a run that fails leaves no directory
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)

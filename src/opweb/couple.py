@@ -72,13 +72,6 @@ def family_eta(start_xs, t0: int, level: int, cfg: Config, *,
     return _etas(stops)[0]
 
 
-def _chain_worker(args):
-    xs, level, p, seed, first, count, cap, scan_guard = args
-    from . import _native  # may build the library: not at import
-    return _native.chain(xs, 0, level, p, replica_bases(seed, first, count),
-                         cap, scan_guard)
-
-
 def _chains(xs, level: int, p: float, seed: int, first: int, count: int,
             cap, workers: int, scan_guard) -> list:
     """The chain's stops of the family ``xs`` at time 0 on replicas
@@ -89,9 +82,14 @@ def _chains(xs, level: int, p: float, seed: int, first: int, count: int,
     replica, in order, whose chain trips in its range."""
     xs = tuple(xs)
     _check_family(xs, 0, level, cap)
-    jobs = [(xs, level, p, seed, first + offset, size, cap, scan_guard)
-            for offset, size in replica_ranges(count, workers)]
-    return [row for rows in pmap(_chain_worker, jobs, workers)
+    from . import _native  # may build the library: not at import
+
+    def walk(piece):
+        offset, size = piece
+        return _native.chain(xs, 0, level, p,
+                             replica_bases(seed, first + offset, size), cap,
+                             scan_guard)
+    return [row for rows in pmap(walk, replica_ranges(count, workers), workers)
             for row in rows]
 
 

@@ -38,7 +38,7 @@ boundaries: r through a horizon, the left boundary ``l`` frozen at a level
 rightmost infinite open path (`opweb._native.bounds`).  The batteries of
 `opweb.couple` need only where equal-time boundaries meet: a chain of
 walks from the left, each up to the level where its r meets the one to its
-left (`opweb._native.chain`).  The estimate worker needs only the sums of
+left (`opweb._native.chain`).  An estimate replica needs only the sums of
 the increments between break points, where r meets the left boundary at
 the horizon (`opweb._native.breaks`).
 

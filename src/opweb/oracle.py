@@ -346,8 +346,7 @@ def _ladder_outcome(cfg: Config, n: int, right: np.ndarray, left: np.ndarray,
     return outcome
 
 
-def _check_worker(args):
-    cfg, n, slack, corrupt, scan_guard = args
+def _check_worker(cfg, n, slack, corrupt, scan_guard):
     b = explore_to_level(LatticeSite(0, 0), n, cfg, scan_guard=scan_guard)
     r, left = b.right, b.left
     if corrupt:
@@ -373,15 +372,11 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
     """
     if len(set(ps)) != len(ps):
         raise InvalidArgumentError("check p values must be distinct")
-    jobs = []
-    labels = []
-    for ip, p in enumerate(ps):
-        for rep in range(seeds_per_p):
-            idx = ip * seeds_per_p + rep
-            jobs.append((replica_config(seed, p, idx), n, slack,
-                         idx == corrupt_run, scan_guard))
-            labels.append((p, rep))
-    outcomes = pmap(_check_worker, jobs, workers)
+    labels = [(p, rep) for p in ps for rep in range(seeds_per_p)]
+    configs = [replica_config(seed, p, i) for i, (p, _) in enumerate(labels)]
+    outcomes = pmap(lambda i: _check_worker(configs[i], n, slack,
+                                            i == corrupt_run, scan_guard),
+                    range(len(configs)), workers)
     per_p = {p: {"passed": 0, "total": seeds_per_p} for p in ps}
     failures = []
     for (p, rep), outcome in zip(labels, outcomes):
@@ -390,7 +385,7 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
         else:
             failures.append({"p": p, "replica": rep, "kind": outcome})
     # degenerate input: the walk must trip its guard, the DP must report dead
-    p0 = replica_config(seed, 0.0, len(jobs))
+    p0 = replica_config(seed, 0.0, len(configs))
     guard_tripped = False
     try:
         explore_to_level(LatticeSite(0, 0), 4, p0, scan_guard=64)

@@ -9,7 +9,7 @@ are i.i.d. from the second record on; the first record is always excluded
 from estimation.
 
 Each estimate replica hands `RegenAccumulator` six integer sums of its
-increments and nothing else.  The estimate worker forms them in one C call
+increments and nothing else, formed in one C call
 (`opweb._native.breaks`, the ``walk_breaks`` entry of ``_walk.c``), which
 detects the break points on ``[0, n - margin]`` of a walk run to level
 ``n + margin``: those inside the trailing ``margin`` levels of the window
@@ -95,12 +95,6 @@ def _column_sums(rows) -> list:
     return [float(sum(column)) for column in zip(*rows)]
 
 
-def _estimate_worker(args):
-    """One replica's increment sums and r(n), in one native call."""
-    from . import _native  # may build the library: not at import
-    return _native.breaks(*args)
-
-
 def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
                      *, workers: int = 1,
                      scan_guard: int = DEFAULT_SCAN_GUARD):
@@ -117,18 +111,19 @@ def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
         raise InvalidArgumentError("margin must be positive")
     if n < margin:
         raise InvalidArgumentError("margin leaves no detection window")
-    jobs = [(replica_config(seed, p, rep), n, margin, scan_guard)
-            for rep in range(replicas)]
+    from . import _native  # may build the library: not at import
+    walks = pmap(lambda rep: _native.breaks(replica_config(seed, p, rep), n,
+                                            margin, scan_guard),
+                 range(replicas), workers)
     acc = RegenAccumulator()
     endpoints = []
-    for sums, r_n in pmap(_estimate_worker, jobs, workers):
+    for sums, r_n in walks:
         acc.add(sums)
         endpoints.append(r_n)
     return acc.finalize(), endpoints
 
 
-def _error_gap_worker(args):
-    cfg, window, threshold, horizon, scan_guard = args
+def _error_gap_worker(cfg, window, threshold, horizon, scan_guard):
     from .explore import explore_to_level  # numpy: not at import
     b = explore_to_level(LatticeSite(0, 0), window, cfg, horizon=horizon,
                          scan_guard=scan_guard)
@@ -170,9 +165,9 @@ def error_gap_frequencies(replicas: int, p: float, eps_list, delta: float,
         window = int(math.floor(L / eps))
         threshold = eps**(-delta)
         horizon = window + max(3 * window, HORIZON_MARGIN)
-        jobs = [(replica_config(seed, p, i * replicas + rep), window,
-                 threshold, horizon, scan_guard) for rep in range(replicas)]
-        outcomes = pmap(_error_gap_worker, jobs, workers)
+        outcomes = pmap(lambda rep: _error_gap_worker(
+            replica_config(seed, p, i * replicas + rep), window, threshold,
+            horizon, scan_guard), range(replicas), workers)
         k_err = sum(1 for e, _ in outcomes if e)
         k_gap = sum(1 for _, g in outcomes if g)
         rows.append({

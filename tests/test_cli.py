@@ -593,26 +593,27 @@ def _run_ok(capsys, argv, workers):
 def test_stdout_independent_of_workers(capsys, tmp_path, argv):
     if argv[0] == "eta" and "--x" not in argv:
         argv = argv + ["--spec", _spec_file(tmp_path, SIGMA_SPEC)]
-    assert _run_ok(capsys, argv, 1) == _run_ok(capsys, argv, 2)
+    one = _run_ok(capsys, argv, 1)
+    assert [_run_ok(capsys, argv, w) for w in (2, 3)] == [one, one]
 
 
 def test_coalesce_file_independent_of_workers(capsys, tmp_path):
     spec = _spec_file(tmp_path, SIGMA_SPEC)
     for replicas in ("6", "7", "13"):
         outs = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             out = tmp_path / f"coalesce-{replicas}-{workers}.csv"
             _run_ok(capsys, ["coalesce", "--p", "0.8", "--eps", "0.01",
                              "--delta", "1", "--t", "0.25", "0.5",
                              "--replicas", replicas, "--seed", "3",
                              "--spec", spec, "--out", str(out)], workers)
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1], replicas
+        assert outs[1:] == [outs[0]] * 2, replicas
 
 
 def test_simulate_files_independent_of_workers(capsys, tmp_path):
     trees = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         out = tmp_path / f"sim-{workers}"
         _run_ok(capsys, ["simulate", "--p", "0.8", "--n", "50",
                          "--horizon", "100", "--replicas", "3", "--seed", "3",
@@ -620,7 +621,23 @@ def test_simulate_files_independent_of_workers(capsys, tmp_path):
         trees.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert sorted(trees[0]) == ["manifest.json", "traj_00000.csv",
                                 "traj_00001.csv", "traj_00002.csv"]
-    assert trees[0] == trees[1]
+    assert trees[1:] == [trees[0]] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--p", "0.55", "--n", "2000", "--margin", "100",
+     "--replicas", "8", "--seed", "3"],
+    ["eta", "--p", "0.56", "--eps", "0.001", "--t", "1", "--delta", "1",
+     "--sigma", "1", "--replicas", "40", "--seed", "3"],
+    ["check", "--delta", "0.55", "--n", "400", "--replicas", "8",
+     "--seed", "3"],
+], ids=["estimate", "eta", "check"])
+def test_failed_run_independent_of_workers(capsys, argv):
+    # subcritical p: several replicas trip the guard, and the run reports
+    # the first of them in order, whichever trips first in time
+    one, two = (_main(capsys, *argv, "--workers", w) for w in ("1", "2"))
+    assert one[0] == 3 and one[2].startswith("scan guard tripped")
+    assert two == one
 
 
 # -- start-up and version ------------------------------------------------------
@@ -636,14 +653,14 @@ def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ,
                PYTHONPATH=str(Path(opweb.__file__).resolve().parents[1]))
     # nor the native walk, whose first use may build the library, nor
-    # argparse, nor multiprocessing, which only a pool of workers needs,
-    # nor numpy, which only simulate and check need
+    # argparse, nor multiprocessing, nor concurrent.futures, which only a
+    # pool of workers needs, nor numpy, which only simulate and check need
     probe = ("import sys, opweb.cli; print(*(m in sys.modules for m in "
              "('scipy', 'opweb._native', 'argparse', 'multiprocessing', "
-             "'numpy')))")
+             "'concurrent.futures', 'numpy')))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["False"] * 5
+    assert done.stdout.split() == ["False"] * 6
 
 
 _WALK_COMMANDS = [
@@ -665,22 +682,39 @@ seen = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    seen.append([argv[0], code, "numpy" in sys.modules])
+    seen.append([argv[0], code, sys.argv[2] in sys.modules])
 print(json.dumps(seen))
 """
+
+
+def _probe(argvs, module):
+    """Runs ``argvs`` in order in one fresh interpreter, and returns each
+    one's command, exit code and whether ``module`` was loaded after it."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(opweb.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _WALK_PROBE,
+                           json.dumps(argvs), module], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=300)
+    return json.loads(done.stdout)
 
 
 def test_walk_commands_run_without_numpy(tmp_path):
     # estimate, eta B1 with and without a sigma, eta B2 and coalesce, in
     # one fresh interpreter: each exits 0, and none loads numpy, so a
     # shell call of any of them never pays numpy's import
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(opweb.__file__).resolve().parents[1]))
     out = tmp_path / "out.csv"
     argvs = [[a.format(out=out) for a in argv] for argv in _WALK_COMMANDS]
-    done = subprocess.run([sys.executable, "-c", _WALK_PROBE,
-                           json.dumps(argvs)], env=env, capture_output=True,
-                          text=True, check=True, timeout=300)
-    assert json.loads(done.stdout) == [[argv[0], 0, False]
-                                       for argv in argvs]
+    assert _probe(argvs, "numpy") == [[argv[0], 0, False] for argv in argvs]
     assert out.read_text(encoding="utf-8").startswith("# spec_hash=")
+
+
+def test_workers_run_without_multiprocessing():
+    # the workers are threads of the one process: eta B1 and check on two
+    # of them start no process pool
+    argvs = [["eta", "--eps", "0.01", "--t", "0.5", "--delta", "0.5", "1",
+              "--replicas", "8", "--sigma", "0.87", "--workers", "2"],
+             ["check", "--delta", "0.8", "--n", "50", "--replicas", "4",
+              "--workers", "2"]]
+    assert _probe(argvs, "multiprocessing") == [["eta", 0, False],
+                                                ["check", 0, False]]

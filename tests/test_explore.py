@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -921,3 +922,35 @@ def test_concurrent_first_builds_load_whole_files(fresh_loader, tmp_path):
         (True, reference.right_values.tolist())] * 3
     [cached] = tmp_path.iterdir()
     assert cached.suffix == ".so"
+
+
+def test_threads_share_one_first_build(fresh_loader, monkeypatch):
+    # more threads than cores make their first call at once, with the cache
+    # empty and thread switches forced often: one of them builds, and all
+    # get its library
+    native, builds, libs = fresh_loader, [], []
+    build = native._build
+
+    def counted_build(*args):
+        builds.append(args)
+        build(*args)
+
+    def first_call():
+        start.wait(timeout=60)
+        libs.append(native.load())
+
+    monkeypatch.setattr(native, "_build", counted_build)
+    start = threading.Barrier(8)
+    threads = [threading.Thread(target=first_call) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == 1
+    assert len(libs) == 8 and all(lib is libs[0] for lib in libs)

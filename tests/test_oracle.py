@@ -383,7 +383,7 @@ def test_check_worker_builds_reach_tables_once_per_rung(monkeypatch):
         built.clear()
         tabled.clear()
         job = (Config(3, 0.8, 1024), 40, 64, corrupt, GUARD)
-        assert oracle._check_worker(job) == outcome
+        assert oracle._check_worker(*job) == outcome
         assert len(built) == 1 and tabled == built
 
 
@@ -397,7 +397,7 @@ def test_check_dp_walks_certify_on_the_first_box(monkeypatch):
         cfg = replica_config(1001, p, idx)
         built.clear()
         tabled.clear()
-        assert oracle._check_worker((cfg, n, 64, False, GUARD)) == "ok"
+        assert oracle._check_worker(cfg, n, 64, False, GUARD) == "ok"
         right, left = _walk(cfg, n)
         (box,) = built
         assert tabled == [box]
@@ -526,7 +526,7 @@ def test_check_reports_a_refused_box_as_a_failure_kind(monkeypatch):
     # code of a refused box, is the same failure kind
     monkeypatch.setattr(_native, "judge", refuse)
     job = (Config(3, 0.8, 1024), 40, 64, False, GUARD)
-    assert oracle._check_worker(job) == "box_too_narrow"
+    assert oracle._check_worker(*job) == "box_too_narrow"
 
 
 def test_a_slack_below_minus_2n_keeps_the_start_in_the_box():
@@ -543,12 +543,12 @@ def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
     # dies at level 89 while the walk's path reaches column -302, left of
     # the box: the box cannot see it
     job = (Config(0, 0.6, STREAMS_PER_REPLICA), 100, -238, False, GUARD)
-    assert oracle._check_worker(job) == "box_too_narrow"
+    assert oracle._check_worker(*job) == "box_too_narrow"
     _, left = _walk(Config(0, 0.6, STREAMS_PER_REPLICA), 100)
     assert left.min() == -302
     # a box that dies under a walk whose path it holds is a real failure
     ok_job = (Config(3, 0.8, 1024), 40, 64, False, GUARD)
-    assert oracle._check_worker(ok_job) == "ok"
+    assert oracle._check_worker(*ok_job) == "ok"
     from opweb import _native
     judge = _native.judge
 
@@ -558,7 +558,7 @@ def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
         return judge(box, *args)
 
     monkeypatch.setattr(_native, "judge", dying)
-    assert oracle._check_worker(ok_job) == "dp_dead"
+    assert oracle._check_worker(*ok_job) == "dp_dead"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -583,7 +583,7 @@ def test_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
     outcome = oracle._ladder_outcome(cfg, n, right, left, slack)
     if not path_shift and not boundary_shift:
         job = (cfg, n, slack, corrupt, GUARD)
-        assert oracle._check_worker(job) == outcome
+        assert oracle._check_worker(*job) == outcome
     full = oracle._judge(BoxConfig(cfg, -2 * n - slack, n + 2, 0, n),
                          right, left, n)
     if full not in ("box_too_narrow", "dp_dead"):
