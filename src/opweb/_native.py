@@ -10,24 +10,26 @@ of each replica of `regen.replica_estimate` (``walk_breaks``), and
 `bounds` of `explore.explore_to_level` (``walk_bounds``); `config_bases`
 (``config_bases``) gives `lattice.replica_bases`, the sampler bases of a
 batch of replicas, which `chain` takes.  The judge of these walks runs no
-walk code: `edges` writes the edge statuses of an `oracle.BoxConfig` into
-the box's own arrays (``box_edges``, with its own copy of the edge hash),
-`dp` is the certified DP of `oracle` on one box (``dp_box``), which reads
-only those arrays, and `judge` is one rung of `oracle.box_ladder`
-(``judge_box``): that DP on one box, compared with a walk's two
-boundaries, the body of `oracle._judge`.  These are the only bodies of
-those computations in the package.  The Python references they are
-tested against live with the tests: the walks' and the rung's in
-``tests/_references.py``, the walks' on `explore.ExplorationCluster`, and
-the DP's and the box fill's in ``tests/test_oracle.py``.
+walk code, and hashes each edge with its own copy of the edge hash:
+`edges` writes the edge statuses of an `oracle.BoxConfig` into the box's
+own arrays (``box_edges``), `dp` is the certified DP of `oracle` on one
+box (``dp_box``), which reads only those arrays, and `judge_walk` is the
+body of `oracle._ladder_outcome`, the whole ladder of boxes that ``check``
+judges one walk on (``judge_walk``): the same DP on each box, its rows of
+edges hashed as it reaches them, compared with the walk's two boundaries.
+These are the only bodies of those computations in the package.  The
+Python references they are tested against live with the tests: the walks'
+and the ladder's in ``tests/_references.py``, the walks' on
+`explore.ExplorationCluster`, and the DP's and the box fill's in
+``tests/test_oracle.py``.
 
 The bodies that the walk commands run, `config_bases`, `chain` and
 `breaks`, use no numpy: they pass ``array.array`` buffers and ctypes
 words, and `chain` returns its stop levels as lists.  So ``estimate``,
 ``eta`` and ``coalesce`` never load numpy.  The array bodies, `bounds`,
-`edges`, `dp` and `judge`, serve ``simulate`` and ``check``: they read
-and write numpy arrays, and get numpy from `_numpy`, which imports it on
-its first call.  A size too large for any address space raises
+`edges`, `dp` and `judge_walk`, serve ``simulate`` and ``check``: they
+read and write numpy arrays, and get numpy from `_numpy`, which imports it
+on its first call.  A size too large for any address space raises
 `InvalidArgumentError` before it is allocated (`_sized`).
 
 Its callers, `couple`, `regen`, `lattice`, `explore` and `oracle`, import
@@ -77,6 +79,7 @@ _KEY_LEN = 16
 # the entries' return codes
 _GUARD = 1
 _NOMEM = 2
+_JUDGE_NOMEM = 5  # judge_walk's; its others are outcomes
 
 _lib = None
 _np = None
@@ -92,6 +95,9 @@ _Breaks = c_int64 * 7
 # level and edges examined, then, from walk_chain, the index of the last
 # replica walked, the one that stopped the batch if one did
 _Report = c_int64 * 4
+# what judge_walk reports: the boxes it judged, the level and column where
+# a lost path was lost, then four words per box, for at most 64 boxes
+_Judged = c_int64 * (3 + 4 * 64)
 
 # the sampler as _sampler gives it
 _SAMPLER = [c_uint64, c_uint64, c_int]
@@ -108,9 +114,10 @@ _ENTRIES = {
                     c_int),
     "box_edges": ([c_int64] * 3 + [c_void_p, *_SAMPLER] + [c_void_p] * 3,
                   None),
-    "dp_box": ([c_int64] * 3 + [c_void_p, c_int64] + [c_void_p] * 9, c_int),
-    "judge_box": ([c_int64] * 4 + [c_void_p] * 4
-                  + [c_void_p, c_int64, c_void_p, c_int64, c_void_p], c_int),
+    "dp_box": ([c_int64] * 3 + [c_void_p, c_int64] + [c_void_p] * 3
+               + _SAMPLER + [c_void_p] * 6, c_int),
+    "judge_walk": ([c_int64] * 2 + _SAMPLER + [c_void_p, c_int64] * 2
+                   + [c_void_p], c_int),
 }
 
 
@@ -400,17 +407,6 @@ def _cells(box, n: int):
     return tuple(map(_address, arrays)), arrays
 
 
-def _dp_block(n: int, width: int):
-    """One block for ``dp_box`` on ``n`` levels of a box ``width`` columns
-    wide, and the words in one of its rows: two row buffers, the lower and
-    upper tables, ``n + 1`` rows each, then the int64 bit lengths of their
-    rows, the path, and the level and column that a refusal names."""
-    np = _numpy()
-    words = -(-width // 64)
-    return np.empty(2 * words * (n + 2) + 3 * (n + 1) + 2,
-                    dtype=np.uint64), words
-
-
 def dp(box, start: int, n: int):
     """The certified DP of `oracle` on one box over ``n`` levels in one C
     call, from the seed row's cells up to cell ``start`` of row 0.
@@ -422,10 +418,14 @@ def dp(box, start: int, n: int):
     their rows, shape ``(2, n + 1)``; the path; and the level and column
     that a refusal names.  All but the code are views of one block.
     """
+    np = _numpy()
     width = box.x_max - box.x_min + 1
     (lefts, ur, ul, entry), _arrays = _cells(box, n)
-    block, words = _dp_block(n, width)
+    # two row buffers, the two tables, then the int64 bit lengths, path
+    # and refusal site
+    words = -(-width // 64)
     rows, table = 2 * words, (n + 1) * words
+    block = np.empty(rows + 2 * table + 3 * (n + 1) + 2, dtype=np.uint64)
     ints = block[rows + 2 * table:].view("int64")
     ints[-2:] = 0
     views = (block[:rows], block[rows:rows + table].reshape(n + 1, words),
@@ -433,12 +433,12 @@ def dp(box, start: int, n: int):
              ints[:2 * (n + 1)].reshape(2, n + 1), ints[2 * (n + 1):-2],
              ints[-2:])
     code = load().dp_box(n, width, box.t_min, lefts, start, ur, ul, entry,
-                         *map(_address, views))
+                         0, 0, 0, *map(_address, views))
     return (code, *views[1:5], tuple(views[5].tolist()))
 
 
 def _boundary(values):
-    """A walk's boundary as ``judge_box`` reads it: a C-contiguous int64
+    """A walk's boundary as ``judge_walk`` reads it: a C-contiguous int64
     numpy row."""
     np = _numpy()
     row = np.ascontiguousarray(values)
@@ -448,22 +448,29 @@ def _boundary(values):
     return row
 
 
-def judge(box, right, left, n: int):
-    """One rung of `oracle.box_ladder` in one C call: the outcome code of
-    ``judge_box`` for the walk from (0, 0) to level ``n`` with right
-    boundary ``right`` and rightmost path ``left``, and, for a negative
-    code, the level and column that the refusal names, else None.
+def judge_walk(cfg, n: int, right, left, slack: int):
+    """The ladder of `oracle` for the walk from (0, 0) to level ``n`` with
+    right boundary ``right`` and rightmost path ``left``, on the
+    configuration ``cfg``, in one C call (``judge_walk``).
 
-    ``judge_box`` runs the box's DP on one scratch block made here, then
-    compares its answers with the walk's; nothing of it outlives the call.
+    Returns the code of the last box's outcome, an index of
+    `oracle.OUTCOMES`, or, negative, minus the refusal code of a path that
+    its DP lost; the level and column that such a refusal names; and the
+    boxes judged, in order, each as its left and right columns at level 0,
+    1 for a band or 0 for the rectangle, and its code.  The boxes' scratch
+    is made and freed inside the call.
     """
-    width = box.x_max - box.x_min + 1
-    cells, _arrays = _cells(box, n)
+    if n < 1:
+        raise InvalidArgumentError("degenerate box")
+    _sized(n + 1, 8)  # a box's n + 1 rows
     right, left = _boundary(right), _boundary(left)
-    block, _ = _dp_block(n, width)
-    code = load().judge_box(n, box.t_max - box.t_min, width, box.t_min,
-                            *cells, _address(right), len(right),
-                            _address(left), len(left), _address(block))
-    if code >= 0:
-        return code, None
-    return code, tuple(block[-2:].view("int64").tolist())
+    rep = _Judged()
+    # the C ladder is the same for any slack past +-2**61
+    slack = max(min(slack, 1 << 62), -(1 << 62))
+    code = load().judge_walk(n, slack, *_sampler(cfg), _address(right),
+                             len(right), _address(left), len(left), rep)
+    if code == _JUDGE_NOMEM:
+        raise MemoryError("the native judge cannot allocate its boxes")
+    boxes = rep[3:3 + 4 * rep[0]]
+    return code, (rep[1], rep[2]), [tuple(boxes[i:i + 4])
+                                    for i in range(0, len(boxes), 4)]

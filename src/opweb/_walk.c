@@ -137,20 +137,21 @@
  * Keys are the packed keys of lattice.py taken mod 2**64, which is all the
  * sampler reads of them.
  *
- * box_edges and dp_box are the judge of these walks, and use no walk
- * code: no is_open, no pack, no walk_t.  box_edges writes a box's edge
- * statuses, as oracle.BoxConfig holds them, into byte arrays the caller
- * owns: the up-right and up-left status of each site at its cell of
- * open_ur and open_ul, 0 at the other cells, and the entry_open flags.  It
- * hashes each edge with its own copy of the splitmix64 mix of lattice.py,
- * under the Config's base, threshold and all-open flag.
+ * box_edges, dp_box and judge_walk are the judge of these walks, and use
+ * no walk code: no is_open, no pack, no walk_t.  They hash each edge with
+ * their own copy of the splitmix64 mix of lattice.py, box_open, under the
+ * Config's base, threshold and all-open flag.  box_edges writes a box's
+ * edge statuses, as oracle.BoxConfig holds them, into byte arrays the
+ * caller owns: the up-right and up-left status of each site at its cell of
+ * open_ur and open_ul, 0 at the other cells, and the entry_open flags.
  *
- * dp_box is the certified DP of oracle.py on one box.  Its edges are the
- * box's own byte rows, read on every call, so edits made to them after
- * box_edges are seen: each row of open_ur and open_ul is packed into 64-bit
- * words as the DP reaches it, bit i of word k standing for cell 64 k + i
- * of the row.  It fills the lower and upper tables row by row, as the
- * numpy-row reference DP of tests/test_oracle.py does: one level is
+ * dp_box is the certified DP of oracle.py on one box, the only DP body.
+ * Its edges come in 64-bit words, bit i of word k standing for cell 64 k +
+ * i of a row, one row at a time as the DP reaches it: packed from the
+ * box's own byte rows, read on every call so that edits made to them
+ * after box_edges are seen, or, for judge_walk, hashed straight into the
+ * words.  It fills the lower and upper tables row by row, as the numpy-row
+ * reference DP of tests/test_oracle.py does: one level is
  * ((lo & ur) << 2 | (lo & ul)) >> drop, masked to the box width, which is
  * an up-right move by 2 - drop cells and an up-left one by -drop, done word
  * by word with the bits a shift moves past a word's edge carried over from
@@ -162,20 +163,24 @@
  * up-left edge from y + 1 before the up-right one from y - 1, as that
  * reference does.  The return code is oracle's refusal code, or 0.
  *
- * judge_box is one rung of oracle.box_ladder: the whole verdict of one box
- * on a walk from (0, 0), as oracle._judge gives it.  It runs dp_box from
- * the seed row up to column 0 on one scratch block the caller owns, which
- * holds dp_box's two row buffers, tables, bit lengths, path and refusal
- * site, and then compares.  A wall refusal, or a level whose lower and upper
- * maxima differ, refuses the box (JUDGE_NARROW).  A box that dies, with
- * both tables empty at some level, judges only the paths inside it: it is
- * JUDGE_DEAD unless the walk's path l steps left of a row's wall, when it
+ * judge_walk is the whole of oracle's ladder for one walk from (0, 0), in
+ * one call: it tests that the walk is a lattice walk, lays its boxes, the
+ * bands along its path l and then the last rectangle, and judges each with
+ * dp_box on hashed rows, in a scratch block it allocates, grows and frees,
+ * until a box gives an answer.  Per box, a wall refusal, or a level whose
+ * lower and upper maxima differ, refuses the box (JUDGE_NARROW).  A box
+ * that dies, with both tables empty at some level, judges only the paths
+ * inside it: it is JUDGE_DEAD unless l steps left of a row's wall, when it
  * refuses.  Else the certified maxima are compared with the walk's r
- * (JUDGE_RIGHT on any difference, a length other than n + 1 included),
- * an uncertified predecessor cell refuses, and the backtracked path is
+ * (JUDGE_RIGHT on any difference, a length other than n + 1 included), an
+ * uncertified predecessor cell refuses, and the backtracked path is
  * compared with l (JUDGE_LEFT).  A lost path returns minus dp_box's code,
- * which oracle raises as NoPathError.  It too runs no walk code: it reads
- * the box's arrays and the walk's two arrays, nothing else.
+ * which oracle raises as NoPathError.  It reports each box it judged, its
+ * walls and its verdict.  It too runs no walk code: it reads the walk's two
+ * arrays and the sampler, nothing else.  Its call of dp_box, an exported
+ * function, goes through the PLT, whose slots lie before the walks' code:
+ * a judge that called no exported function would move every walk by one
+ * slot.
  * Build: cc -O2 -std=c99 -shared -fPIC.
  */
 
@@ -533,8 +538,28 @@ int walk_bounds(int64_t x, int64_t t0, uint64_t base, uint64_t threshold,
     return code;
 }
 
+/* The sampler bases of `count` configurations of one seed, as
+ * lattice.Config forms its _base: out[k] is lattice.mix64 of seed_mix +
+ * (stream + k stride) GOLDEN, all mod 2**64, where seed_mix is mix64 of
+ * the seed and stream + k stride the stream id of configuration k.  Its
+ * own copy of the mix, and below the walks: sharing is_open's moved the
+ * registers of every walk loop that GCC inlines is_open into, and placed
+ * above the walks it moved their code and so the alignment of their
+ * loops.  The judge comes after it, so that changes to the judge move
+ * neither. */
+void config_bases(uint64_t seed_mix, uint64_t stream, uint64_t stride,
+                  int64_t count, uint64_t *out)
+{
+    for (int64_t k = 0; k < count; k++) {
+        uint64_t z = seed_mix + (stream + (uint64_t)k * stride) * GOLDEN;
+        z = (z ^ (z >> 30)) * MIX1;
+        z = (z ^ (z >> 27)) * MIX2;
+        out[k] = z ^ (z >> 31);
+    }
+}
+
 /* Whether the edge of `key` is open under the sampler (base, threshold,
- * all_open): box_edges' own copy of the splitmix64 mix of lattice.py, so
+ * all_open): the judge's own copy of the splitmix64 mix of lattice.py, so
  * that the judge runs no walk code. */
 static uint8_t box_open(uint64_t base, uint64_t threshold, int all_open,
                         uint64_t key)
@@ -544,6 +569,25 @@ static uint8_t box_open(uint64_t base, uint64_t threshold, int all_open,
     z = (z ^ (z >> 27)) * MIX2;
     z ^= z >> 31;
     return all_open || z < threshold;
+}
+
+/* The key of the edge from (x, t), up-right for d = 1 and up-left for
+ * d = 0, as lattice.py packs it, mod 2**64. */
+static uint64_t box_key(int64_t t, int d, int64_t x)
+{
+    return (uint64_t)(2 * t + d) << 32 | (uint64_t)(x + X_BIAS);
+}
+
+/* Whether the up-right edge from the site just left of a row at level t
+ * that starts at column `left` is open and lands on the next row, which
+ * starts at column `next`: it lands on that row's first site unless the
+ * wall steps right. */
+static uint8_t entry_open(uint64_t base, uint64_t threshold, int all_open,
+                          int64_t t, int64_t left, int64_t next)
+{
+    int64_t source = left - 1 - ((left - 1 + t) & 1);
+    return source + 1 >= next
+           && box_open(base, threshold, all_open, box_key(t, 1, source));
 }
 
 /* The edge statuses of a box of `height` rows of `width` cells, row j at
@@ -558,26 +602,19 @@ void box_edges(int64_t height, int64_t width, int64_t t_min,
 {
     for (int64_t j = 0; j < height; j++) {
         int64_t t = t_min + j, left = lefts[j];
-        uint64_t right_hi = (uint64_t)(2 * t + 1) << 32;
-        uint64_t left_hi = (uint64_t)(2 * t) << 32;
         uint8_t *u = ur + j * width, *v = ul + j * width;
         memset(u, 0, (size_t)width);
         memset(v, 0, (size_t)width);
         for (int64_t c = (left + t) & 1; c < width; c += 2) {
-            uint64_t x = (uint64_t)(left + c + X_BIAS);
-            u[c] = box_open(base, threshold, all_open, right_hi | x);
-            v[c] = box_open(base, threshold, all_open, left_hi | x);
+            u[c] = box_open(base, threshold, all_open, box_key(t, 1, left + c));
+            v[c] = box_open(base, threshold, all_open, box_key(t, 0, left + c));
         }
-        /* its up-right edge lands on row j + 1's first site unless the
-         * wall steps right */
-        int64_t source = left - 1 - ((left - 1 + t) & 1);
-        entry[j] = source + 1 >= lefts[j + 1]
-                   && box_open(base, threshold, all_open,
-                               right_hi | (uint64_t)(source + X_BIAS));
+        entry[j] = entry_open(base, threshold, all_open, t, left,
+                              lefts[j + 1]);
     }
 }
 
-/* dp_box's return codes, oracle's refusal codes */
+/* the DP's return codes, oracle's refusal codes */
 enum { DP_OK = 0, DP_SEED_WALL, DP_WALL, DP_NO_PATH, DP_TOP, DP_UNSURE,
        DP_LOST };
 
@@ -644,21 +681,51 @@ static void dp_step(const uint64_t *from, const uint64_t *ur,
     to[words - 1] &= top;
 }
 
+/* A row of a box at level t from column `left`, `width` cells wide, with
+ * its edges hashed under the sampler (base, threshold, all_open) into
+ * words: the up-right and up-left status of each site whose cell is set in
+ * `from` to that cell's bit of ur and ul, 0 at the other cells.  The DP
+ * reads a row's edges only through its own row, ANDed with them, and from
+ * is the upper table's row, which holds the lower table's; so the edges of
+ * the cells left out are never read, and only reached sites are hashed. */
+static void hash_row(int64_t t, int64_t left, int64_t width, uint64_t base,
+                     uint64_t threshold, int all_open, const uint64_t *from,
+                     uint64_t *ur, uint64_t *ul)
+{
+    for (int64_t k = 0; k < (width + 63) / 64; k++) {
+        uint64_t cells = from[k], u = 0, v = 0;
+        while (cells) {
+            int i = __builtin_ctzll(cells); /* a GCC and Clang builtin */
+            int64_t x = left + 64 * k + i;
+            cells &= cells - 1;
+            u |= (uint64_t)box_open(base, threshold, all_open,
+                                    box_key(t, 1, x)) << i;
+            v |= (uint64_t)box_open(base, threshold, all_open,
+                                    box_key(t, 0, x)) << i;
+        }
+        ur[k] = u;
+        ul[k] = v;
+    }
+}
+
 /* The certified DP of a box `width` >= 2 columns wide over `n` levels from
  * t_min, row j starting at column lefts[j], with the seed row's cells up to
- * `start`.  ur and ul hold n rows of width byte cells and entry n flags, as
- * box_edges writes them; each row is packed into `rows`, room for two rows
- * of (width + 63) / 64 words, as the DP reaches it.  lower and upper hold
- * n + 1 rows of that many words.  Writes the bit lengths of lower's rows
- * into lengths[0:n + 1] and of upper's into lengths[n + 1:2 n + 2], and
- * the path into path[0:n + 1].  Returns a refusal code or DP_OK; at[0:2]
- * get the level and the column that DP_NO_PATH, DP_UNSURE and DP_LOST
- * name.  On DP_SEED_WALL and DP_WALL
- * nothing past the refused row is written. */
+ * `start`.  Its edges are the byte rows ur and ul, n rows of width cells,
+ * and the n flags entry, as box_edges writes them, read as they are now;
+ * or, where ur is NULL, each row's edges and entry flag hashed under the
+ * sampler (base, threshold, all_open) as the DP reaches it.  Either way each
+ * row of edges is put into `rows`, room for two rows of (width + 63) / 64
+ * words, as 64-bit words.  lower and upper hold n + 1 rows of that many
+ * words.  Writes the bit lengths of lower's rows into lengths[0:n + 1] and
+ * of upper's into lengths[n + 1:2 n + 2], and the path into path[0:n + 1].
+ * Returns a refusal code or DP_OK; at[0:2] get the level and the column
+ * that DP_NO_PATH, DP_UNSURE and DP_LOST name.  On DP_SEED_WALL and
+ * DP_WALL nothing past the refused row is written. */
 int dp_box(int64_t n, int64_t width, int64_t t_min, const int64_t *lefts,
            int64_t start, const uint8_t *ur, const uint8_t *ul,
-           const uint8_t *entry, uint64_t *rows, uint64_t *lower,
-           uint64_t *upper, int64_t *lengths, int64_t *path, int64_t *at)
+           const uint8_t *entry, uint64_t base, uint64_t threshold,
+           int all_open, uint64_t *rows, uint64_t *lower, uint64_t *upper,
+           int64_t *lengths, int64_t *path, int64_t *at)
 {
     int64_t words = (width + 63) / 64;
     uint64_t top = width % 64 ? ((uint64_t)1 << width % 64) - 1 : ~0ULL;
@@ -674,13 +741,22 @@ int dp_box(int64_t n, int64_t width, int64_t t_min, const int64_t *lefts,
         int drop = (int)(1 + lefts[j + 1] - lefts[j]);
         uint64_t *u = rows, *v = rows + words;
         uint64_t *hi = upper + (j + 1) * words;
-        pack_row(ur + j * width, width, u);
-        pack_row(ul + j * width, width, v);
+        int in; /* the entry edge's status */
+        if (ur) {
+            pack_row(ur + j * width, width, u);
+            pack_row(ul + j * width, width, v);
+            in = entry[j];
+        } else {
+            hash_row(t_min + j, lefts[j], width, base, threshold, all_open,
+                     upper + j * words, u, v);
+            in = entry_open(base, threshold, all_open, t_min + j, lefts[j],
+                            lefts[j + 1]);
+        }
         dp_step(lower + j * words, u, v, words, drop, top,
                 lower + (j + 1) * words);
         dp_step(upper + j * words, u, v, words, drop, top, hi);
         /* the entry edge lands on row j + 1's first site, cell 0 or 1 */
-        if (entry[j])
+        if (in)
             hi[0] |= (uint64_t)1 << ((lefts[j + 1] + t_min + j + 1) & 1);
         if (cell(hi, width - 2) | cell(hi, width - 1))
             return DP_WALL;
@@ -699,19 +775,21 @@ int dp_box(int64_t n, int64_t width, int64_t t_min, const int64_t *lefts,
     path[n] = y;
     for (int64_t j = n - 1; j >= 0; j--) {
         const uint64_t *lo = lower + j * words, *hi = upper + j * words;
-        const uint8_t *edge[2] = {ul + j * width, ur + j * width};
         int moved = 0;
         at[0] = j;
         /* the up-left edge from y + 1 first, then the up-right one */
-        for (int k = 0; k < 2 && !moved; k++) {
-            int64_t x = y + 1 - 2 * k, c = x - lefts[j];
+        for (int d = 0; d < 2 && !moved; d++) {
+            int64_t x = y + 1 - 2 * d, c = x - lefts[j];
             if (c < 0 || c >= width)
                 continue;
             if (cell(lo, c) != cell(hi, c)) {
                 at[1] = x;
                 return DP_UNSURE;
             }
-            if (cell(lo, c) && edge[k][c]) {
+            if (cell(lo, c)
+                && (ur ? (d ? ur : ul)[j * width + c]
+                       : box_open(base, threshold, all_open,
+                                  box_key(t_min + j, d, x)))) {
                 y = x;
                 moved = 1;
             }
@@ -723,27 +801,32 @@ int dp_box(int64_t n, int64_t width, int64_t t_min, const int64_t *lefts,
     return DP_OK;
 }
 
-/* judge_box's outcomes, oracle's outcome strings in order */
-enum { JUDGE_OK = 0, JUDGE_NARROW, JUDGE_DEAD, JUDGE_RIGHT, JUDGE_LEFT };
+/* judge_walk's outcomes, oracle's outcome strings in order, and its code
+ * for scratch it cannot allocate */
+enum { JUDGE_OK = 0, JUDGE_NARROW, JUDGE_DEAD, JUDGE_RIGHT, JUDGE_LEFT,
+       JUDGE_NOMEM };
 
-/* The verdict of the box of dp_box, `height` >= n rows high, on a walk
- * from (0, 0) to level n: its right boundary r, right_len values, and its
- * rightmost path l, left_len values.  lefts holds height + 1 columns.
- * scratch holds 2 (n + 2) (width + 63) / 64 + 3 (n + 1) + 2 words: dp_box's
- * two row buffers, its lower and upper tables, its bit lengths and path,
- * and at[0:2] last.  Returns a JUDGE_ outcome, or minus dp_box's code for
- * a path it lost, with at[0:2] naming where. */
-int judge_box(int64_t n, int64_t height, int64_t width, int64_t t_min,
-              const int64_t *lefts, const uint8_t *ur, const uint8_t *ul,
-              const uint8_t *entry, const int64_t *right, int64_t right_len,
-              const int64_t *left, int64_t left_len, uint64_t *scratch)
+/* The verdict on a walk from (0, 0) to level n, its right boundary r,
+ * right_len values, and its rightmost path l, left_len values, of the box
+ * from level 0 to n, `width` columns wide, row j from column lefts[j],
+ * with its edges hashed under the sampler (base, threshold, all_open).
+ * scratch holds 3 (n + 1) + 2 (n + 2) (width + 63) / 64 words: the bit
+ * lengths and the path, then dp_box's two row buffers and two tables.
+ * Returns a JUDGE_ outcome, or minus dp_box's code for a path it lost, with
+ * at[0:2] naming where. */
+static int judge_rung(int64_t n, int64_t width, const int64_t *lefts,
+                      uint64_t base, uint64_t threshold, int all_open,
+                      const int64_t *right, int64_t right_len,
+                      const int64_t *left, int64_t left_len, int64_t *scratch,
+                      int64_t *at)
 {
     int64_t words = (width + 63) / 64;
-    uint64_t *lower = scratch + 2 * words, *upper = lower + (n + 1) * words;
-    int64_t *lengths = (int64_t *)(upper + (n + 1) * words);
-    int64_t *path = lengths + 2 * (n + 1), *at = path + n + 1;
-    int code = dp_box(n, width, t_min, lefts, -lefts[0], ur, ul, entry,
-                      scratch, lower, upper, lengths, path, at);
+    int64_t *lengths = scratch, *path = lengths + 2 * (n + 1);
+    uint64_t *rows = (uint64_t *)(path + n + 1), *lower = rows + 2 * words;
+    uint64_t *upper = lower + (n + 1) * words;
+    int code = dp_box(n, width, 0, lefts, -lefts[0], NULL, NULL, NULL, base,
+                      threshold, all_open, rows, lower, upper, lengths, path,
+                      at);
     if (code == DP_SEED_WALL || code == DP_WALL)
         return JUDGE_NARROW;
     for (int64_t j = 0; j <= n; j++) {
@@ -751,7 +834,7 @@ int judge_box(int64_t n, int64_t height, int64_t width, int64_t t_min,
             return JUDGE_NARROW;
         if (lengths[j] == 0) {
             /* a box that dies judges only the paths inside it */
-            for (int64_t i = 0; i < left_len && i <= height; i++)
+            for (int64_t i = 0; i < left_len && i <= n; i++)
                 if (left[i] < lefts[i])
                     return JUDGE_NARROW;
             return JUDGE_DEAD;
@@ -774,21 +857,95 @@ int judge_box(int64_t n, int64_t height, int64_t width, int64_t t_min,
     return JUDGE_OK;
 }
 
-/* The sampler bases of `count` configurations of one seed, as
- * lattice.Config forms its _base: out[k] is lattice.mix64 of seed_mix +
- * (stream + k stride) GOLDEN, all mod 2**64, where seed_mix is mix64 of
- * the seed and stream + k stride the stream id of configuration k.  Its
- * own copy of the mix, and last in the file: sharing is_open's moved the
- * registers of every walk loop that GCC inlines is_open into, and placed
- * above the walks it moved their code and so the alignment of their
- * loops. */
-void config_bases(uint64_t seed_mix, uint64_t stream, uint64_t stride,
-                  int64_t count, uint64_t *out)
+/* the first band's columns left of the walk's path */
+#define FIRST_MARGIN 2
+/* No box this wide or this tall fits in memory; bounding the ladder's
+ * columns by it keeps all its arithmetic inside int64_t. */
+#define FAR ((int64_t)1 << 59)
+
+/* A walk's verdict on the ladder of oracle: the walk from (0, 0) to level
+ * n >= 1 with right boundary r, right_len values, and rightmost path l,
+ * left_len values, judged on boxes from level 0 to n under the sampler
+ * (base, threshold, all_open).  A lattice walk, whose l is a lattice path
+ * from a site (l_0, 0), l_0 <= 0 and even, with l <= r, is judged first on
+ * bands: row j spans [l_j - m, l_j + reach + 2], reach = max(max(r - l),
+ * -l_0), with m = FIRST_MARGIN doubling while m < 2 n + slack.  The last
+ * box is the rectangle [min(min(l, 0) - 2 n - slack, 0), n + 2].  Each
+ * box's edges are hashed row by row as its DP reaches them, and the ladder
+ * stops at the first box whose verdict is not JUDGE_NARROW or JUDGE_DEAD.
+ * rep[0] gets the boxes judged, k, rep[1:3] where a lost path was lost,
+ * and rep[3 + 4 i:7 + 4 i] box i's left and right columns at level 0, 1
+ * for a band or 0 for the rectangle, and its verdict, for i < k <= 63.
+ * Returns the last verdict, or JUDGE_NOMEM, when rep[0] boxes were
+ * judged. */
+int judge_walk(int64_t n, int64_t slack, uint64_t base, uint64_t threshold,
+               int all_open, const int64_t *right, int64_t right_len,
+               const int64_t *left, int64_t left_len, int64_t *rep)
 {
-    for (int64_t k = 0; k < count; k++) {
-        uint64_t z = seed_mix + (stream + (uint64_t)k * stride) * GOLDEN;
-        z = (z ^ (z >> 30)) * MIX1;
-        z = (z ^ (z >> 27)) * MIX2;
-        out[k] = z ^ (z >> 31);
+    int walk = n >= 1 && left_len == n + 1 && right_len == n + 1
+               && left[0] <= 0 && left[0] % 2 == 0;
+    int64_t low = 0;
+    uint64_t gap = 0; /* max(r - l), exact where l <= r */
+    for (int64_t j = 0; j < left_len; j++) {
+        low = left[j] < low ? left[j] : low;
+        if (!walk)
+            continue;
+        uint64_t step = (uint64_t)left[j] - (uint64_t)left[j ? j - 1 : 0];
+        walk = left[j] <= right[j] && (!j || step == 1 || step == ~0ULL);
+        if ((uint64_t)right[j] - (uint64_t)left[j] > gap)
+            gap = (uint64_t)right[j] - (uint64_t)left[j];
     }
+    rep[0] = 0;
+    if (n < 1 || n > FAR || low < -FAR || (walk && gap > (uint64_t)FAR))
+        return JUDGE_NOMEM;
+    int64_t reach = 0;
+    if (walk)
+        reach = -left[0] > (int64_t)gap ? -left[0] : (int64_t)gap;
+    /* past 4 FAR either way the ladder is the same, or holds no box that
+     * fits */
+    int64_t widest = 2 * n + (slack < -4 * FAR ? -4 * FAR
+                              : slack > 4 * FAR ? 4 * FAR : slack);
+    int64_t *scratch = NULL, margin = FIRST_MARGIN, k = 0;
+    size_t cap = 0;
+    int code;
+    for (;;) {
+        int band = walk && margin < widest;
+        /* the last box holds the start (0, 0) however negative the slack */
+        int64_t x_min = band ? left[0] - margin
+                        : low - widest < 0 ? low - widest : 0;
+        int64_t width = band ? margin + reach + 3 : n + 3 - x_min;
+        int64_t words = (width + 63) / 64;
+        /* 8 (4 (n + 1) + 2 (n + 2) words) bytes, at most 16 (n + 2) (words
+         * + 2) */
+        if (width > FAR
+            || (uint64_t)(words + 2) > SIZE_MAX / 16 / (uint64_t)(n + 2)) {
+            code = JUDGE_NOMEM;
+            break;
+        }
+        size_t size = (size_t)(4 * (n + 1) + 2 * (n + 2) * words);
+        if (size > cap) {
+            free(scratch);
+            scratch = malloc(size * sizeof *scratch);
+            cap = scratch ? size : 0;
+            if (!scratch) {
+                code = JUDGE_NOMEM;
+                break;
+            }
+        }
+        for (int64_t j = 0; j <= n; j++)
+            scratch[j] = band ? left[j] - margin : x_min;
+        code = judge_rung(n, width, scratch, base, threshold, all_open, right,
+                          right_len, left, left_len, scratch + n + 1, rep + 1);
+        int64_t *rung = rep + 3 + 4 * k++;
+        rung[0] = x_min;
+        rung[1] = x_min + width - 1;
+        rung[2] = band;
+        rung[3] = code;
+        if (!band || (code != JUDGE_NARROW && code != JUDGE_DEAD))
+            break;
+        margin *= 2;
+    }
+    rep[0] = k;
+    free(scratch);
+    return code;
 }

@@ -30,7 +30,9 @@ a test:
   `make_key_sampler`;
 * the judge's ``box_open`` in ``_walk.c``, which ``box_edges`` runs to fill
   an `oracle.BoxConfig`, cell by cell against `edge_status_array` by
-  ``test_box_fill_matches_the_lattice_bit_for_bit``.  Its all-open flag
+  ``test_box_fill_matches_the_lattice_bit_for_bit``, and ``judge_walk`` to
+  hash its rows of bits, against those boxes' verdicts by
+  ``test_judge_walk_equals_the_reference_ladder``.  Its all-open flag
   stands in for the threshold ``2**64`` of p = 1, as
   ``test_an_edge_hashed_to_the_top_is_open_at_p_one`` checks.
 

@@ -18,22 +18,23 @@ does not step right; that is the entry the pessimistic DP marks.  On the
 right, a row whose reachable set touches its two rightmost columns is
 refused, because the next step could leave the box there.
 
-The DP runs on bit rows: each box row is packed at DP time, bit ``i``
-standing for column ``lefts[j] + i``, so one level of reachability is
-``((r & ur) << 2 | (r & ul)) >> (1 + d)`` masked to the box width, where
-``d = lefts[j + 1] - lefts[j]``, and a row's rightmost reachable site is
-its bit length less one.  ``dp_box`` of ``_walk.c`` runs it on rows of
-64-bit words, reading only the box's own arrays: `_certified_dp` in one
-call of it, for `dp_right_boundary` and `dp_rightmost_path`.  A rung of
-the ladder below is judged in one call of ``judge_box``, which runs
-``dp_box`` on a scratch block and compares its answers with the walk's
-boundaries; `_judge` only names the outcome.  The box's arrays are filled
-by ``box_edges`` of ``_walk.c``, which hashes each edge with its own copy
-of the lattice's mix.  None of these calls the walk's sampler or any other
-walk code, so a fault in the walk cannot also hide in its judge.  The
-tests hold the references of all three: a DP on numpy bool rows, the
-box's cells read from `lattice.edge_status_array`, and the rung's verdict
-in Python.
+The DP runs on bit rows, bit ``i`` standing for column ``lefts[j] + i``,
+so one level of reachability is ``((r & ur) << 2 | (r & ul)) >> (1 + d)``
+masked to the box width, where ``d = lefts[j + 1] - lefts[j]``, and a
+row's rightmost reachable site is its bit length less one.  ``dp_box`` of
+``_walk.c``, the one body of the DP, runs it on rows of 64-bit words, each
+made as the DP reaches it.  On a `BoxConfig` it packs them from the box's
+own byte arrays, which ``box_edges`` fills: `_certified_dp` is one call of
+it, for `dp_right_boundary` and `dp_rightmost_path`.  ``check`` builds no
+box: each walk is judged in one call of ``judge_walk``, which lays the
+whole ladder below and runs ``dp_box`` on each box with its edges hashed
+straight into the bit rows, and `_ladder_outcome` only names the outcome.
+Both hash each edge with the judge's own copy of the lattice's mix, and
+neither calls the walk's sampler or any other walk code, so a fault in the
+walk cannot also hide in its judge.  The tests hold the references: a DP
+on numpy bool rows, the box's cells read from
+`lattice.edge_status_array`, and the ladder and each box's verdict in
+Python.
 
 A narrow box certifies only what a wider one would.  Take boxes B inside W
 over the same levels, of any shape, and compare them on B's cells.  B's
@@ -44,18 +45,23 @@ and one that would enter B from the right must first leave it there, which
 B refuses.  So a level max or a predecessor cell on which B's two tables
 agree has the same value in W's two tables, and in the true configuration.
 
-`box_ladder` uses this to judge a walk on bands that follow its own path
-``l``: row ``j`` starts ``m`` columns left of ``l[j]`` and ends two columns
-right of the walk's widest reach, each refusal or death doubles ``m``, and
-the last box is the worst-case rectangle from ``2n + slack`` columns left
-of the walk's path to column ``n + 2``.  A band placed from a wrong walk
-can only cause a refusal, never a wrong answer.  A true walk is judged on
-the first band: ``l`` is an open path from a seed, so its cells are in the
-lower table, and a path that enters past the wall, left of ``l``, and ends
-at or right of ``l`` must meet ``l`` at a site, from where the lower table
-follows it.  So the two tables agree on every cell at or right of ``l``,
-which holds every level max and both predecessor cells of every step of
-``l``.
+``judge_walk`` uses this to judge a walk on a ladder of boxes.  A walk
+whose path ``l`` is a lattice path from a site ``(l_0, 0)``, ``l_0 <= 0``,
+that stays at or left of its r is judged first on bands that follow
+``l``: row ``j`` starts ``m`` columns left of ``l[j]`` and ends two
+columns right of the walk's widest reach, ``m`` is 2 on the first band,
+and each refusal or death doubles it while it stays below ``2n + slack``.
+The last box, and the only one of any other walk, is the worst-case
+rectangle from ``2n + slack`` columns left of the walk's path to column
+``n + 2``.  A band placed from a wrong walk can only cause a refusal,
+never a wrong answer.  A true walk is judged on the first band, as on any
+box that holds ``l`` and two columns right of r: ``l`` is an open path
+from a seed, so its cells are in the lower table, and a path that enters
+past the wall, left of ``l``, and ends at or right of ``l`` must cross
+``l``, so meet it at a site, from where the lower table follows it.  So
+the two tables agree on every cell at or right of ``l``, at any margin of
+0 or more, and those cells hold every level max and both predecessor
+cells of every step of ``l``.
 
 The boxes and tables are numpy arrays, so only ``check`` imports this
 module, when it runs; the walk commands never do.
@@ -242,54 +248,6 @@ def dp_rightmost_path(box: BoxConfig, start_x: int, n: int) -> np.ndarray:
     return _raised(_certified_dp(box, start_x, n)[1])
 
 
-FIRST_MARGIN = 16  # columns between a ladder's first band and the walk's path
-
-
-def _is_lattice_walk(left: np.ndarray, right: np.ndarray, n: int) -> bool:
-    """Whether ``left`` is a lattice path from a site (l_0, 0), l_0 <= 0,
-    to level ``n`` that stays at or left of ``right``."""
-    if len(left) != n + 1 or len(right) != n + 1:
-        return False
-    start = int(left[0])
-    return bool(start <= 0 and start % 2 == 0
-                and (np.abs(left[1:] - left[:-1]) == 1).all()
-                and (left <= right).all())
-
-
-def box_ladder(cfg: Config, n: int, left: np.ndarray, right: np.ndarray,
-               slack: int):
-    """Boxes of growing width that judge a walk from (0, 0) to level ``n``.
-
-    ``left`` and ``right`` are the walk's rightmost path and right boundary.
-    The first rungs are bands that follow the path: with margin ``m``, row
-    ``j`` spans ``[left[j] - m, left[j] + reach + 2]``, where
-    ``reach = max(max(right - left), -left[0])`` keeps the start (0, 0) and
-    every ``right[j]`` two columns inside the right wall; a band has
-    ``max(right - left) + m + 3`` columns for a walk with ``right[0] = 0``.
-    The first band has ``m = 16``, and each next one doubles ``m`` while it
-    stays below ``2n + slack``.  The last rung is the rectangle
-    ``[min(left.min(), 0) - 2n - slack, n + 2]``, whose left wall moves to
-    column 0 if it would lie right of the start.  A walk whose path is not
-    a lattice path from a site at or left of 0 that stays at or left of
-    ``right`` gets only the last rung.  Each box is built only when the
-    caller asks for it.
-    """
-    widest = 2 * n + slack
-    if _is_lattice_walk(left, right, n):
-        start = int(left[0])
-        reach = max(int((right - left).max()), -start)
-        shear = left - start
-        margin = FIRST_MARGIN
-        while margin < widest:
-            x_min = start - margin
-            yield BoxConfig(cfg, x_min, x_min + margin + reach + 2, 0, n,
-                            shear)
-            margin *= 2
-    # the last box holds the start (0, 0) however negative the slack
-    x_min = min(min(int(left.min()), 0) - widest, 0)
-    yield BoxConfig(cfg, x_min, n + 2, 0, n)
-
-
 # -- the random-walk oracle of the coalescing-Brownian baseline --------------
 
 WALK_RESOLUTION = 48  # lattice gap units per unit of rescaled gap
@@ -314,36 +272,21 @@ def coalescing_walk_survival(delta: float, t: float) -> float:
     return gap_walk_survival_exact(d, steps)
 
 
-# a rung's outcomes, by the codes that judge_box returns
+# a walk's outcomes, by the codes that judge_walk returns
 OUTCOMES = ("ok", "box_too_narrow", "dp_dead", "right_boundary_mismatch",
             "left_boundary_mismatch")
 
 
-def _judge(box: BoxConfig, right: np.ndarray, left: np.ndarray,
-           n: int) -> str:
-    """One box's outcome for a walk from (0, 0) to level ``n``, from one
-    call of ``judge_box`` of ``_walk.c``; a path that its DP loses raises
-    NoPathError."""
-    _check_levels(box, 0, n)
-    from . import _native  # may build the library: not at import
-    code, at = _native.judge(box, right, left, n)
-    if code < 0:
-        raise _refusal(-code, box.t_min + at[0], at[1])
-    return OUTCOMES[code]
-
-
 def _ladder_outcome(cfg: Config, n: int, right: np.ndarray, left: np.ndarray,
                     slack: int) -> str:
-    """A walk's outcome on the boxes of `box_ladder`.
-
-    A certified answer is final on any box; a refusal or a death widens the
-    box, and only the last box's is reported.
-    """
-    for box in box_ladder(cfg, n, left, right, slack):
-        outcome = _judge(box, right, left, n)
-        if outcome not in ("box_too_narrow", "dp_dead"):
-            break
-    return outcome
+    """A walk's outcome on its ladder of boxes, from one call of
+    ``judge_walk`` of ``_walk.c``; a path that a box's DP loses raises
+    NoPathError."""
+    from . import _native  # may build the library: not at import
+    code, at, _ = _native.judge_walk(cfg, n, right, left, slack)
+    if code < 0:
+        raise _refusal(-code, *at)
+    return OUTCOMES[code]
 
 
 def _check_worker(cfg, n, slack, corrupt, scan_guard):
@@ -362,8 +305,9 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
     Every run demands integer equality of both boundaries.  Each judged
     walk runs with ``scan_guard``, and a tripped guard raises its
     ScanLimitExceededError; the p = 0 probe keeps a guard of its own.  The
-    box follows the walk: each walk is judged on the bands of `box_ladder`,
-    and a true walk on the first of them, so a run reports
+    box follows the walk: each walk is judged on the bands of its ladder
+    (`_ladder_outcome`), and a true walk on the first of them, so a run
+    reports
     ``box_too_narrow`` or ``dp_dead`` only when the last box, the rectangle
     ``2n + slack`` columns left of the walk's path, refuses or dies.
     ``corrupt_run`` injects an off-by-one into that run's explored right

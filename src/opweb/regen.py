@@ -25,7 +25,7 @@ from .errors import (DEFAULT_SCAN_GUARD, InsufficientDataError,
                      InvalidArgumentError)
 from .lattice import LatticeSite, replica_config
 from .runner import pmap
-from .stats import float_sum, sample_std, wilson_interval
+from .stats import sample_std, wilson_interval
 
 DEFAULT_BATCHES = 30
 HORIZON_MARGIN = 256  # least levels past the window that gamma runs to

@@ -11,8 +11,10 @@ monkeypatching them over the native bodies.  The chain's reference is a
 level by level lockstep of Python walks, `lockstep_reference`; its count
 of distinct values is checked against bisection on whole Python walks,
 `squeeze_reference`.
-`judge_reference` stands for `oracle._judge`, a rung of the check's box
-ladder (``judge_box``): it reads the same certified DP through
+`ladder_reference` stands for `_native.judge_walk` (`oracle._ladder_outcome`,
+the check's judge of one walk): it lays the boxes of `box_ladder` as
+`oracle.BoxConfig` arrays filled by ``box_edges``, and judges each with
+`judge_reference`, which reads the certified DP through
 `oracle._certified_dp` and compares in Python.
 
 Two references stand for the command line's front end: `argparse_reference`
@@ -29,11 +31,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from opweb.errors import (BoxTooNarrowError, InvalidArgumentError,
-                          ScanLimitExceededError)
+                          NoPathError, ScanLimitExceededError)
 from opweb.explore import ExplorationCluster
 from opweb.lattice import LatticeSite, edge_threshold
 from opweb.cli import COMMAND_DEFAULTS, LIST_FIELDS, SPEC_FLAGS
-from opweb.oracle import _certified_dp, _raised
+from opweb.oracle import BoxConfig, _certified_dp, _raised
 
 
 def bounds_reference(z, n, horizon, cfg, scan_guard) -> tuple:
@@ -183,9 +185,56 @@ def estimate_reference(cfg, n, margin, scan_guard):
     return increment_sums(np.diff(RT), np.diff(T)), int(r[n])
 
 
+FIRST_MARGIN = 2  # columns between a ladder's first band and the walk's path
+
+
+def is_lattice_walk(left: np.ndarray, right: np.ndarray, n: int) -> bool:
+    """Whether ``left`` is a lattice path from a site (l_0, 0), l_0 <= 0,
+    to level ``n`` that stays at or left of ``right``."""
+    if len(left) != n + 1 or len(right) != n + 1:
+        return False
+    start = int(left[0])
+    return bool(start <= 0 and start % 2 == 0
+                and (np.abs(left[1:] - left[:-1]) == 1).all()
+                and (left <= right).all())
+
+
+def box_ladder(cfg, n: int, left: np.ndarray, right: np.ndarray, slack: int):
+    """Boxes of growing width that judge a walk from (0, 0) to level ``n``.
+
+    ``left`` and ``right`` are the walk's rightmost path and right boundary.
+    The first rungs are bands that follow the path: with margin ``m``, row
+    ``j`` spans ``[left[j] - m, left[j] + reach + 2]``, where
+    ``reach = max(max(right - left), -left[0])`` keeps the start (0, 0) and
+    every ``right[j]`` two columns inside the right wall; a band has
+    ``max(right - left) + m + 3`` columns for a walk with ``right[0] = 0``.
+    The first band has ``m = FIRST_MARGIN``, and each next one doubles
+    ``m`` while it stays below ``2n + slack``.  The last rung is the
+    rectangle ``[min(left.min(), 0) - 2n - slack, n + 2]``, whose left wall
+    moves to column 0 if it would lie right of the start.  A walk whose
+    path is not a lattice path from a site at or left of 0 that stays at or
+    left of ``right`` gets only the last rung.  Each box is built only when
+    the caller asks for it.
+    """
+    widest = 2 * n + slack
+    if is_lattice_walk(left, right, n):
+        start = int(left[0])
+        reach = max(int((right - left).max()), -start)
+        shear = left - start
+        margin = FIRST_MARGIN
+        while margin < widest:
+            x_min = start - margin
+            yield BoxConfig(cfg, x_min, x_min + margin + reach + 2, 0, n,
+                            shear)
+            margin *= 2
+    # the last box holds the start (0, 0) however negative the slack
+    x_min = min(min(int(left.min()), 0) - widest, 0)
+    yield BoxConfig(cfg, x_min, n + 2, 0, n)
+
+
 def judge_reference(box, right, left, n) -> str:
-    """`oracle._judge` in Python: one box's outcome for a walk from (0, 0)
-    to level ``n``."""
+    """One box's outcome for a walk from (0, 0) to level ``n``, a rung of
+    ``judge_walk``, in Python."""
     try:
         dp, path = _certified_dp(box, 0, n)
     except BoxTooNarrowError:
@@ -204,6 +253,25 @@ def judge_reference(box, right, left, n) -> str:
     if not np.array_equal(_raised(path), left):
         return "left_boundary_mismatch"
     return "ok"
+
+
+def ladder_reference(cfg, n, right, left, slack):
+    """`_native.judge_walk` in Python: the boxes of `box_ladder`, judged
+    one by one until one certifies an answer or is the last.  Returns the
+    boxes judged, each as its left and right columns at level 0, whether it
+    is a band, and its outcome; an outcome is ``("NoPathError", message)``
+    for a path that the box's DP loses, which ends the ladder."""
+    judged = []
+    for box in box_ladder(cfg, n, left, right, slack):
+        try:
+            outcome = judge_reference(box, right, left, n)
+        except NoPathError as e:
+            outcome = ("NoPathError", str(e))
+        # a band's rows follow a lattice path, so its shear is never all 0
+        judged.append((box.x_min, box.x_max, int(box.shear.any()), outcome))
+        if outcome not in ("box_too_narrow", "dp_dead"):
+            break
+    return judged
 
 
 @functools.cache

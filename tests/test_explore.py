@@ -653,7 +653,8 @@ from opweb import _native
 from opweb.errors import ScanLimitExceededError
 from opweb.explore import explore_to_level
 from opweb.lattice import Config, LatticeSite, replica_bases, replica_config
-from opweb.oracle import _judge, box_ladder
+from opweb.oracle import (OUTCOMES, BoxConfig, dp_right_boundary,
+                          dp_rightmost_path)
 if len(sys.argv) > 1:  # a build of _walk.c in place of the cached one
     _native._lib = ctypes.CDLL(sys.argv[1])
     for name, (argtypes, restype) in _native._ENTRIES.items():
@@ -707,26 +708,39 @@ show(_native.chain, (0, 28, 30), 0, 2000, 0.8, replica_bases(3, 0, 2), None,
 for xs in ((0, 8), (8, 0), (0, 8, 10)):
     show(_native.chain, xs, 4, 4, 0.8, replica_bases(0, 0, 3), None, 10_000)
 show(_native.breaks, replica_config(1, 0.8, 0), 20_000, 500, 10_000)
-# the rung judge on the widest box, the last rung of check's ladder at
-# n = 2000
+# the DP on the widest box, the last rung of check's ladder at n = 2000
 n, cfg = 2000, replica_config(1001, 0.7, 0)
 walk = explore_to_level(LatticeSite(0, 0), n, cfg)
-for box in box_ladder(cfg, n, walk.left, walk.right, 64):
-    pass
-print(box.open_ur.shape, _judge(box, walk.right, walk.left, n),
+box = BoxConfig(cfg, min(int(walk.left.min()), 0) - 2 * n - 64, n + 2, 0, n)
+print(box.open_ur.shape,
+      dp_right_boundary(box, 0, n).values.tolist() == walk.right.tolist(),
+      dp_rightmost_path(box, 0, n).tolist() == walk.left.tolist(),
       hashlib.sha256(box.open_ur.tobytes() + box.open_ul.tobytes()
                      + box.entry_open.tobytes()).hexdigest())
-# on bands that refuse, for a path that hugs its boundary at p = 0.6, and
-# on a box that dies left of the walk's path (slack -238)
+
+
+def judge(*args):
+    code, _, boxes = _native.judge_walk(*args)
+    print("judge", code, [(*box[:3], OUTCOMES[box[3]]) for box in boxes])
+
+
+# the ladder of that walk, which certifies on its first band, and of its
+# path moved a site off the lattice, which gets only the widest box
+judge(cfg, n, walk.right, walk.left, 64)
+judge(cfg, n, walk.right, walk.left - 1, 64)
+# on bands that refuse, each wider than the last, so that the scratch
+# grows, for a path that hugs its boundary at p = 0.6; on a box that dies
+# left of the walk's path (slack -238); and on bands and a box that all die
+# under a path that they hold, at p = 0.3
 cfg = Config(0, 0.6, 1024)
 walk = explore_to_level(LatticeSite(0, 0), 100, cfg)
 j = np.arange(101)
 hugging = np.maximum(walk.left, (walk.right[None, :]
                                  + np.abs(j[:, None] - j[None, :])).min(1))
-print("bands", [_judge(box, walk.right, hugging, 100)
-                for box in box_ladder(cfg, 100, hugging, walk.right, 64)])
-print("dying", [_judge(box, walk.right, walk.left, 100)
-                for box in box_ladder(cfg, 100, walk.left, walk.right, -238)])
+judge(cfg, 100, walk.right, hugging, 64)
+judge(cfg, 100, walk.right, walk.left, -238)
+zigzag = -(np.arange(41, dtype=np.int64) % 2)
+judge(Config(3, 0.3, 3), 40, zigzag, zigzag, 64)
 """
 
 
@@ -734,9 +748,9 @@ def test_walk_entries_run_clean_under_sanitizers(tmp_path):
     # every entry, built with AddressSanitizer and UBSan, on guard trips,
     # a pair with xr <= xl, each branch of the pair, capped and uncapped
     # families, an interior trip, growing walks and long copies, walks to
-    # their start level, and the rung judge on the widest box, on refusing
-    # bands and on a dying box: no report, and the outputs of the plain
-    # build
+    # their start level, the DP on the widest box, and the walk judge on its
+    # first band, on the widest box, on refusing bands and on dying boxes:
+    # no report, and the outputs of the plain build
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no cc or gcc on PATH")
@@ -762,11 +776,17 @@ def test_walk_entries_run_clean_under_sanitizers(tmp_path):
                                text=True, timeout=300)
     assert sanitized.returncode == 0, sanitized.stderr[-4000:]
     assert sanitized.stdout == plain.stdout
-    assert "(2000, 6067) ok" in plain.stdout
-    # bands of margin 16 to 256, then the rectangle
-    assert ("bands " + str(["box_too_narrow"] * 3
-                           + ["left_boundary_mismatch"] * 3) + "\n"
-            "dying ['box_too_narrow']\n") in plain.stdout
+    assert "(2000, 6067) True True" in plain.stdout
+    # bands of margin 2 to 64 refuse, and the one of margin 128 certifies
+    bands = [(-192 - m, 28, 1, "box_too_narrow") for m in (2, 4, 8, 16, 32,
+                                                            64)]
+    assert ("judge 0 [(-2, 28, 1, 'ok')]\n"
+            "judge 4 [(-4065, 2002, 0, 'left_boundary_mismatch')]\n"
+            "judge 4 " + str(bands + [(-320, 28, 1, "left_boundary_mismatch")])
+            + "\njudge 1 [(-264, 102, 0, 'box_too_narrow')]\n"
+            "judge 2 " + str([(-2 ** k, 2, 1, "dp_dead") for k in range(1, 8)]
+                             + [(-145, 42, 0, "dp_dead")])
+            + "\n") in plain.stdout
     # the trips and the merge of the pair's branches, the interior trip,
     # the long copies, and the walks to their start level
     assert ("chain ['5 start sites exhausted below level 9', 5]\n"

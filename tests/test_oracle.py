@@ -14,12 +14,13 @@ from opweb.explore import explore_to_level
 from opweb.lattice import (GOLDEN, MASK64, X_BIAS, Config, LatticeSite,
                            STREAMS_PER_REPLICA, _MIX1, _MIX2,
                            edge_status_array, mix64, replica_config)
-from opweb.oracle import (BoxConfig, box_ladder, check_suite,
-                          coalescing_walk_survival, dp_right_boundary,
-                          dp_rightmost_path, gap_walk_survival_exact)
+from opweb.oracle import (BoxConfig, check_suite, coalescing_walk_survival,
+                          dp_right_boundary, dp_rightmost_path,
+                          gap_walk_survival_exact)
 from opweb.stats import cbm_baseline
 
-from _references import judge_reference
+from _references import (FIRST_MARGIN, box_ladder, is_lattice_walk,
+                         judge_reference, ladder_reference)
 
 ERF_HALF = 0.5204998778130465  # math.erf(0.5)
 GUARD = 10_000  # the scan guard of the check workers' walks
@@ -98,15 +99,15 @@ def _walk(cfg, n):
 
 
 def test_oracle_matches_exploration():
-    # at n = 30 the ladder has three bands, 16, 32 and 64 columns left of
-    # the path, and the box 2n + 64 columns left of it; each must certify
-    # the walk on its own
+    # at n = 30 the ladder has six bands, 2, 4, 8, 16, 32 and 64 columns
+    # left of the path, and the box 2n + 64 columns left of it; each must
+    # certify the walk on its own
     for rep in range(50):
         cfg = Config(42, 0.8, (rep + 1) * 1024)
         right, left = _walk(cfg, 30)
         boxes = list(box_ladder(cfg, 30, left, right, 64))
         *bands, last = boxes
-        assert [left[0] - b.x_min for b in bands] == [16, 32, 64]
+        assert [left[0] - b.x_min for b in bands] == [2, 4, 8, 16, 32, 64]
         for band in bands:
             assert list(band.shear) == list(left - left[0])
         assert min(left.min(), 0) - last.x_min == 124
@@ -244,10 +245,12 @@ def test_arrays_that_do_not_fit_the_box_never_reach_the_native_dp():
         dp_right_boundary(box, 0, 5)
     right = left = np.zeros(6, dtype=np.int64)
     with pytest.raises(InvalidArgumentError, match="do not fit"):
-        oracle._judge(box, right, left, 5)
-    with pytest.raises(InvalidArgumentError, match="int64"):
-        oracle._judge(BoxConfig(Config(7, 0.6, 5), -10, 10, 0, 5),
-                      right.astype(np.int32), left, 5)
+        judge_reference(box, right, left, 5)
+    # nor do boundaries that are not one-dimensional int64 arrays reach the
+    # native ladder
+    for r, l in ((right.astype(np.int32), left), (right, left[None, :])):
+        with pytest.raises(InvalidArgumentError, match="int64"):
+            oracle._ladder_outcome(Config(7, 0.6, 5), 5, r, l, 64)
     # bounds moved after the box was built leave its arrays too small
     for bound, n in (("x_max", 5), ("t_max", 5), ("t_max", 40)):
         moved = BoxConfig(Config(7, 0.6, 5), -10, 10, 0, 5)
@@ -255,14 +258,15 @@ def test_arrays_that_do_not_fit_the_box_never_reach_the_native_dp():
         with pytest.raises(InvalidArgumentError, match="do not fit"):
             dp_right_boundary(moved, 0, n)
         with pytest.raises(InvalidArgumentError, match="do not fit"):
-            oracle._judge(moved, np.zeros(n + 1, dtype=np.int64),
-                          np.zeros(n + 1, dtype=np.int64), n)
+            judge_reference(moved, np.zeros(n + 1, dtype=np.int64),
+                            np.zeros(n + 1, dtype=np.int64), n)
 
 
 def test_arrays_put_in_a_box_are_judged_as_they_read():
     # a box's arrays replaced by equal ones in Fortran order, read-only or
-    # of another dtype, and read-only boundaries, give the verdicts and the
-    # DP of the arrays the box was built with
+    # of another dtype give the verdicts and the DP of the arrays the box
+    # was built with; read-only boundaries, the native ladder's verdict on
+    # its first band
     from opweb import oracle
     cfg = Config(3, 0.8, 1024)
     right, left = _walk(cfg, 40)
@@ -271,13 +275,14 @@ def test_arrays_put_in_a_box_are_judged_as_they_read():
         a.flags.writeable = False
     for r, l in ((right, left), (right + 2, left), tuple(frozen)):
         box = next(box_ladder(cfg, 40, l, r, 64))
-        want = (oracle._judge(box, r, l, 40),
+        want = (judge_reference(box, r, l, 40),
                 list(dp_right_boundary(box, 0, 40).values))
+        assert oracle._ladder_outcome(cfg, 40, r, l, 64) == want[0]
         box.open_ur = np.asfortranarray(box.open_ur)
         box.open_ul = box.open_ul.astype(np.uint8)
         box.entry_open = box.entry_open.copy()
         box.entry_open.flags.writeable = False
-        assert (oracle._judge(box, r, l, 40),
+        assert (judge_reference(box, r, l, 40),
                 list(dp_right_boundary(box, 0, 40).values)) == want
         assert want[0] in ("ok", "right_boundary_mismatch")
     # a dying box taller than the walk reads its whole wall, copied or
@@ -291,8 +296,7 @@ def test_arrays_put_in_a_box_are_judged_as_they_read():
         path = -(np.arange(13, dtype=np.int64) % 2)
         for last, want in ((-19, "dp_dead"), (-30, "box_too_narrow")):
             path[12] = last
-            assert (oracle._judge(box, path[:9], path, 8)
-                    == judge_reference(box, path[:9], path, 8) == want)
+            assert judge_reference(box, path[:9], path, 8) == want
 
 
 def test_a_shear_that_jumps_is_rejected():
@@ -354,25 +358,43 @@ def test_check_suite_rejects_a_repeated_p():
         check_suite([0.8, 0.8], 2, 20, 4)
 
 
+def _named(code, at):
+    """A verdict of `_native.judge_walk` as `ladder_reference` names it."""
+    from opweb import oracle
+    if code >= 0:
+        return oracle.OUTCOMES[code]
+    return "NoPathError", str(oracle._refusal(-code, *at))
+
+
+def _native_ladder(cfg, n, right, left, slack):
+    """The boxes that `_native.judge_walk` judged, as `ladder_reference`
+    gives them, after checking that its code is the last box's verdict."""
+    from opweb import _native
+    code, at, boxes = _native.judge_walk(cfg, n, right, left, slack)
+    assert boxes and code == boxes[-1][3]
+    return [(*box[:3], _named(box[3], at)) for box in boxes]
+
+
 def _record_boxes(monkeypatch):
-    """The boxes the oracle builds, and the boxes it runs the DP on: each
-    call of the rung entry, `_native.judge`, runs one DP."""
-    from opweb import _native, oracle
+    """The boxes that the oracle's one call of `_native.judge_walk` per
+    walk reports judging, built as `BoxConfig`s, and those of them on which
+    `judge_reference` gives the verdict that the call reports."""
+    from opweb import _native
     built, tabled = [], []
+    judge_walk = _native.judge_walk
 
-    class Recorded(oracle.BoxConfig):
-        def __post_init__(self):
-            super().__post_init__()
-            built.append(self)
+    def recording(cfg, n, right, left, slack):
+        code, at, boxes = judge_walk(cfg, n, right, left, slack)
+        for x_min, x_max, band, verdict in boxes:
+            box = BoxConfig(cfg, x_min, x_max, 0, n,
+                            left - left[0] if band else None)
+            built.append(box)
+            if _verdict(judge_reference, box, right, left, n) == _named(
+                    verdict, at):
+                tabled.append(box)
+        return code, at, boxes
 
-    judge = _native.judge
-
-    def recording(box, *args):
-        tabled.append(box)
-        return judge(box, *args)
-
-    monkeypatch.setattr(oracle, "BoxConfig", Recorded)
-    monkeypatch.setattr(_native, "judge", recording)
+    monkeypatch.setattr(_native, "judge_walk", recording)
     return built, tabled
 
 
@@ -401,10 +423,10 @@ def test_check_dp_walks_certify_on_the_first_box(monkeypatch):
         right, left = _walk(cfg, n)
         (box,) = built
         assert tabled == [box]
-        assert box.x_min == left[0] - oracle.FIRST_MARGIN
+        assert box.x_min == left[0] - FIRST_MARGIN
         assert list(box.shear) == list(left - left[0])
         edges = (box.x_max - box.x_min + 1) * (box.t_max - box.t_min)
-        assert edges <= ((right - left).max() + oracle.FIRST_MARGIN + 3) * n
+        assert edges <= ((right - left).max() + FIRST_MARGIN + 3) * n
 
 
 @pytest.mark.parametrize("path_shift, boundary_shift, outcome, walls", [
@@ -439,8 +461,8 @@ def _under(right):
 
 def test_a_refused_band_widens(monkeypatch):
     # a walk that reports its path hugging its right boundary: the bands of
-    # margin 16, 32 and 64 lose the true path at p = 0.6 and refuse, and the
-    # band of margin 128 holds it and certifies the mismatch
+    # margin 2 to 64 lose the true path at p = 0.6 and refuse, and the band
+    # of margin 128 holds it and certifies the mismatch
     from opweb import oracle
     cfg = Config(0, 0.6, STREAMS_PER_REPLICA)
     right, left = _walk(cfg, 100)
@@ -450,12 +472,13 @@ def test_a_refused_band_widens(monkeypatch):
     assert (oracle._ladder_outcome(cfg, 100, right, hugging, 64)
             == "left_boundary_mismatch")
     assert [(box.x_min, box.x_max) for box in built] == [
-        (-208, 28), (-224, 28), (-256, 28), (-320, 28)]
+        (-194, 28), (-196, 28), (-200, 28), (-208, 28), (-224, 28),
+        (-256, 28), (-320, 28)]
     for box in built:
         assert list(box.shear) == list(hugging - hugging[0])
     assert tabled == built
-    outcomes = [oracle._judge(box, right, hugging, 100) for box in built]
-    assert outcomes == ["box_too_narrow"] * 3 + ["left_boundary_mismatch"]
+    outcomes = [judge_reference(box, right, hugging, 100) for box in built]
+    assert outcomes == ["box_too_narrow"] * 6 + ["left_boundary_mismatch"]
 
 
 def _malformed(right, left):
@@ -492,13 +515,13 @@ def test_a_malformed_walk_is_judged_on_the_last_box(monkeypatch, kind):
     from opweb import oracle
     cfg, _, walks = _malformed_walks()
     right, left = walks[kind]
-    assert not oracle._is_lattice_walk(left, right, 40)
+    assert not is_lattice_walk(left, right, 40)
     built, tabled = _record_boxes(monkeypatch)
     outcome = oracle._ladder_outcome(cfg, 40, right, left, 64)
     (box,) = built
     assert (box.x_min, box.x_max) == (min(left.min(), 0) - 144, 42)
     assert tabled == [box]
-    assert outcome == oracle._judge(box, right, left, 40)
+    assert outcome == judge_reference(box, right, left, 40)
     assert outcome in ("right_boundary_mismatch", "left_boundary_mismatch")
 
 
@@ -514,17 +537,17 @@ def test_check_reports_a_refused_box_as_a_failure_kind(monkeypatch):
     assert report["p0_agreement"]
 
     from opweb import _native
-    judge = _native.judge
+    judge_walk = _native.judge_walk
     narrow = oracle.OUTCOMES.index("box_too_narrow")
 
     def refuse(*args):
-        code, at = judge(*args)
-        assert code == 0 and at is None
-        return narrow, None
+        code, at, boxes = judge_walk(*args)
+        assert code == 0 and len(boxes) == 1
+        return narrow, at, [(*boxes[0][:3], narrow)]
 
-    # a refusal while backtracking the path, which judge_box reports as the
-    # code of a refused box, is the same failure kind
-    monkeypatch.setattr(_native, "judge", refuse)
+    # a refusal while backtracking the path, which judge_walk reports as
+    # the code of a refused box, is the same failure kind
+    monkeypatch.setattr(_native, "judge_walk", refuse)
     job = (Config(3, 0.8, 1024), 40, 64, False, GUARD)
     assert oracle._check_worker(*job) == "box_too_narrow"
 
@@ -546,19 +569,20 @@ def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
     assert oracle._check_worker(*job) == "box_too_narrow"
     _, left = _walk(Config(0, 0.6, STREAMS_PER_REPLICA), 100)
     assert left.min() == -302
-    # a box that dies under a walk whose path it holds is a real failure
     ok_job = (Config(3, 0.8, 1024), 40, 64, False, GUARD)
     assert oracle._check_worker(*ok_job) == "ok"
-    from opweb import _native
-    judge = _native.judge
-
-    def dying(box, *args):
-        # no edge out of row 4 is open, so every rung dies at level 5
-        box.open_ur[4] = box.open_ul[4] = box.entry_open[4] = False
-        return judge(box, *args)
-
-    monkeypatch.setattr(_native, "judge", dying)
-    assert oracle._check_worker(*ok_job) == "dp_dead"
+    # a box that dies under a walk whose path it holds is a real failure:
+    # at p = 0.3, stream 3, every box of the ladder of a report whose path
+    # zigzags between columns 0 and -1 dies below level 40
+    n, cfg = 40, Config(3, 0.3, 3)
+    zigzag = -(np.arange(n + 1, dtype=np.int64) % 2)
+    built, tabled = _record_boxes(monkeypatch)
+    assert oracle._ladder_outcome(cfg, n, zigzag, zigzag, 64) == "dp_dead"
+    assert [(box.x_min, box.x_max) for box in built] == [
+        (-2, 2), (-4, 2), (-8, 2), (-16, 2), (-32, 2), (-64, 2), (-128, 2),
+        (-145, 42)]
+    assert tabled == built
+    assert all(dp_right_boundary(box, 0, n).dead_from for box in built)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -584,8 +608,8 @@ def test_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
     if not path_shift and not boundary_shift:
         job = (cfg, n, slack, corrupt, GUARD)
         assert oracle._check_worker(*job) == outcome
-    full = oracle._judge(BoxConfig(cfg, -2 * n - slack, n + 2, 0, n),
-                         right, left, n)
+    full = judge_reference(BoxConfig(cfg, -2 * n - slack, n + 2, 0, n),
+                           right, left, n)
     if full not in ("box_too_narrow", "dp_dead"):
         assert outcome == full
 
@@ -613,14 +637,14 @@ def test_band_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
         built, tabled = _record_boxes(patch)
         outcome = oracle._ladder_outcome(cfg, n, right, left, 64)
     assert tabled == built
-    full = oracle._judge(BoxConfig(cfg, -2 * n - 64, n + 2, 0, n),
-                         right, left, n)
+    full = judge_reference(BoxConfig(cfg, -2 * n - 64, n + 2, 0, n),
+                           right, left, n)
     if full not in ("box_too_narrow", "dp_dead"):
         assert outcome == full
     if not corrupt and not path_shift and not boundary_shift:
         assert outcome == "ok"
         (band,) = built
-        assert band.x_min == left[0] - oracle.FIRST_MARGIN
+        assert band.x_min == left[0] - FIRST_MARGIN
         assert list(band.shear) == list(left - left[0])
 
 
@@ -642,13 +666,12 @@ def _verdict(judge, *args):
        data=st.data())
 def test_the_native_rung_judge_equals_the_reference(n, p, stream, kind,
                                                     data):
-    # judge_box gives the outcome of the Python judge on every rung of the
-    # ladder: for the true walk, r corrupted at n // 2 or at n, r or l a
+    # judge_walk gives the boxes and the outcomes of the Python ladder on
+    # every rung: for the true walk, r corrupted at n // 2 or at n, r or l a
     # level short, a path moved right or a boundary moved left, and the four
     # reports that are not walks;
     # slack below -2n makes boxes refuse and die, and on p = 0 boxes every
     # DP dies at level 1, where the path's NoPathError still escapes
-    from opweb import oracle
     cfg = Config(17, p, stream)
     right, left = _walk(cfg, n)
     if kind == "corrupt":
@@ -673,9 +696,42 @@ def test_the_native_rung_judge_equals_the_reference(n, p, stream, kind,
         assert dp_right_boundary(box, 0, n).dead_from == 1
         with pytest.raises(NoPathError, match="no open path"):
             dp_rightmost_path(box, 0, n)
-    for box in box_ladder(cfg, n, left, right, slack):
-        assert (_verdict(oracle._judge, box, right, left, n)
-                == _verdict(judge_reference, box, right, left, n))
+    assert (_native_ladder(cfg, n, right, left, slack)
+            == ladder_reference(cfg, n, right, left, slack))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 60),
+       p=st.sampled_from([0.55, 0.6447, 0.7, 0.8, 0.9, 1.0]),
+       stream=st.integers(1, 10**6),
+       kind=st.sampled_from(["true", "corrupt", "path_shift",
+                             "boundary_shift", "step", "start", "parity",
+                             "crossing"]),
+       data=st.data())
+def test_judge_walk_equals_the_reference_ladder(n, p, stream, kind, data):
+    # one call of judge_walk lays the boxes of the reference box_ladder,
+    # walls and shear, and gives judge_reference's outcome on each of them
+    # up to the first that certifies, and that one's outcome for the walk:
+    # for the true walk, r corrupted at n // 2, a path moved right, a
+    # boundary moved left and the four reports that are not walks
+    from opweb import oracle
+    cfg = Config(19, p, stream)
+    right, left = _walk(cfg, n)
+    if kind == "corrupt":
+        right[n // 2] += 1
+    elif kind == "path_shift":
+        left = left + data.draw(st.integers(1, 8 - int(left.min())),
+                                label="path_shift")
+    elif kind == "boundary_shift":
+        right = right - data.draw(st.integers(1, 4), label="boundary_shift")
+    elif kind != "true":
+        right, left = _malformed(right, left)[kind]
+    slack = data.draw(st.integers(-2 * n, 256), label="slack")
+    judged = ladder_reference(cfg, n, right, left, slack)
+    assert _native_ladder(cfg, n, right, left, slack) == judged
+    assert oracle._ladder_outcome(cfg, n, right, left, slack) == judged[-1][3]
+    if kind == "true":
+        assert judged[-1][3] == "ok"
 
 
 _WIDE_BOX = """
@@ -683,15 +739,15 @@ import resource
 from opweb import _native
 from opweb.explore import explore_to_level
 from opweb.lattice import LatticeSite, replica_config
-from opweb.oracle import _judge, box_ladder
+from opweb.oracle import BoxConfig, dp_right_boundary, dp_rightmost_path
 # the last rung of check's ladder at n = 2000 with the default slack of 64
 n = 2000
 cfg = replica_config(1001, 0.7, 0)
 walk = explore_to_level(LatticeSite(0, 0), n, cfg)
-for box in box_ladder(cfg, n, walk.left, walk.right, 64):
-    pass
-print(_native.load() is not None, box.open_ur.shape,
-      _judge(box, walk.right, walk.left, n))
+box = BoxConfig(cfg, min(int(walk.left.min()), 0) - 2 * n - 64, n + 2, 0, n)
+ok = (dp_right_boundary(box, 0, n).values.tolist() == walk.right.tolist()
+      and dp_rightmost_path(box, 0, n).tolist() == walk.left.tolist())
+print(_native.load() is not None, box.open_ur.shape, "ok" if ok else "wrong")
 try:  # the peak of this process alone: ru_maxrss also holds the parent's
     with open("/proc/self/status") as fh:
         peak = next(int(line.split()[1]) for line in fh
