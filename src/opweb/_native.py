@@ -9,28 +9,33 @@ the left up to its first level at or left of its neighbour's r), `breaks`
 of each replica of `regen.replica_estimate` (``walk_breaks``), and
 `bounds` of `explore.explore_to_level` (``walk_bounds``); `config_bases`
 (``config_bases``) gives `lattice.replica_bases`, the sampler bases of a
-batch of replicas, which `chain` takes.  The judge of these walks runs no
-walk code, and hashes each edge with its own copy of the edge hash:
-`edges` writes the edge statuses of an `oracle.BoxConfig` into the box's
-own arrays (``box_edges``), `dp` is the certified DP of `oracle` on one
-box (``dp_box``), which reads only those arrays, and `judge_walk` is the
-body of `oracle._ladder_outcome`, the whole ladder of boxes that ``check``
-judges one walk on (``judge_walk``): the same DP on each box, its rows of
-edges hashed as it reaches them, compared with the walk's two boundaries.
+batch of replicas, which `chain` and `check_walks` take.  The judge of
+these walks runs no walk code, and hashes each edge with its own copy of
+the edge hash: `edges` writes the edge statuses of an `oracle.BoxConfig`
+into the box's own arrays (``box_edges``), `dp` is the certified DP of
+`oracle` on one box (``dp_box``), which reads only those arrays, and
+`hashed_dp` the same DP on a rectangle whose rows of edges it hashes as it
+reaches them, the p = 0 probe of ``check``.  `judge_walk` is the body of
+`oracle._ladder_outcome`, the whole ladder of boxes that judges one walk
+(``judge_walk``): the same DP on each box, on hashed rows, compared with
+the walk's two boundaries.  `check_walks` is ``check``'s walks and their
+judge on a batch of replicas (``check_walks``): each replica walked as
+`bounds` walks it and judged on that ladder in place, in the one call.
 These are the only bodies of those computations in the package.  The
 Python references they are tested against live with the tests: the walks'
 and the ladder's in ``tests/_references.py``, the walks' on
 `explore.ExplorationCluster`, and the DP's and the box fill's in
 ``tests/test_oracle.py``.
 
-The bodies that the walk commands run, `config_bases`, `chain` and
-`breaks`, use no numpy: they pass ``array.array`` buffers and ctypes
-words, and `chain` returns its stop levels as lists.  So ``estimate``,
-``eta`` and ``coalesce`` never load numpy.  The array bodies, `bounds`,
-`edges`, `dp` and `judge_walk`, serve ``simulate`` and ``check``: they
-read and write numpy arrays, and get numpy from `_numpy`, which imports it
-on its first call.  A size too large for any address space raises
-`InvalidArgumentError` before it is allocated (`_sized`).
+The bodies that the walk commands and ``check`` run, `config_bases`,
+`chain`, `breaks`, `check_walks` and `hashed_dp`, use no numpy: they pass
+``array.array`` buffers and ctypes words, and return lists.  So
+``estimate``, ``eta`` and ``coalesce`` never load numpy.  The array
+bodies, `bounds`, `edges`, `dp` and `judge_walk`, serve ``simulate``, the
+public DP of `oracle` and the tests: they read and write numpy arrays, and
+get numpy from `_numpy`, which imports it on its first call.  A size too
+large for any address space raises `InvalidArgumentError` before it is
+allocated (`_sized`).
 
 Its callers, `couple`, `regen`, `lattice`, `explore` and `oracle`, import
 this module the first time a walk, a batch of bases or a box needs it,
@@ -98,6 +103,9 @@ _Report = c_int64 * 4
 # what judge_walk reports: the boxes it judged, the level and column where
 # a lost path was lost, then four words per box, for at most 64 boxes
 _Judged = c_int64 * (3 + 4 * 64)
+# what check_walks reports: the walk entries' report, then the level and
+# column where a lost path was lost
+_Checked = c_int64 * 6
 
 # the sampler as _sampler gives it
 _SAMPLER = [c_uint64, c_uint64, c_int]
@@ -118,6 +126,8 @@ _ENTRIES = {
                + _SAMPLER + [c_void_p] * 6, c_int),
     "judge_walk": ([c_int64] * 2 + _SAMPLER + [c_void_p, c_int64] * 2
                    + [c_void_p], c_int),
+    "check_walks": ([c_void_p, c_int64, c_uint64, c_int] + [c_int64] * 4
+                    + [c_void_p] * 2, c_int),
 }
 
 
@@ -307,6 +317,15 @@ def config_bases(seed_mix: int, stream: int, stride: int, count: int):
     return bases
 
 
+def _base_array(bases) -> array:
+    """Sampler bases as the batch entries read them: an ``array.array`` of
+    typecode ``"Q"`` as it is, any other sequence of integers in [0, 2**64)
+    copied into one."""
+    if isinstance(bases, array) and bases.typecode == "Q":
+        return bases
+    return array("Q", bases)
+
+
 def chain(xs, t0: int, level: int, p: float, bases, cap, scan_guard):
     """The chain of the equal-time starts ``xs``, at least one, from
     ``t0`` to ``level`` on the configurations at ``p`` with sampler bases
@@ -333,8 +352,7 @@ def chain(xs, t0: int, level: int, p: float, bases, cap, scan_guard):
     if odd:
         raise InvalidSiteError(f"({odd[0]}, {t0}) has odd parity")
     starts = array("q", xs)
-    if not (isinstance(bases, array) and bases.typecode == "Q"):
-        bases = array("Q", bases)
+    bases = _base_array(bases)
     count, m = len(bases), k - 1
     stops = _words("q", count * m)
     rep = _Report()
@@ -465,12 +483,78 @@ def judge_walk(cfg, n: int, right, left, slack: int):
     _sized(n + 1, 8)  # a box's n + 1 rows
     right, left = _boundary(right), _boundary(left)
     rep = _Judged()
-    # the C ladder is the same for any slack past +-2**61
-    slack = max(min(slack, 1 << 62), -(1 << 62))
-    code = load().judge_walk(n, slack, *_sampler(cfg), _address(right),
-                             len(right), _address(left), len(left), rep)
+    code = load().judge_walk(n, _slack(slack), *_sampler(cfg),
+                             _address(right), len(right), _address(left),
+                             len(left), rep)
     if code == _JUDGE_NOMEM:
         raise MemoryError("the native judge cannot allocate its boxes")
     boxes = rep[3:3 + 4 * rep[0]]
     return code, (rep[1], rep[2]), [tuple(boxes[i:i + 4])
                                     for i in range(0, len(boxes), 4)]
+
+
+def _slack(slack: int) -> int:
+    """The slack as the ladder takes it: the same ladder for any slack past
+    +-2**61, cut to +-2**62."""
+    return max(min(slack, 1 << 62), -(1 << 62))
+
+
+def check_walks(bases, p: float, n: int, slack: int, corrupt: int,
+                scan_guard):
+    """``check``'s walks on a batch of replicas in one C call
+    (``check_walks``): replica ``i``'s walk from (0, 0) to level ``n`` on
+    the configuration at ``p`` with sampler base ``bases[i]``, judged on
+    the ladder of `judge_walk`, with its r raised by one at ``n // 2`` on
+    replica ``corrupt`` (none where that is no index of ``bases``).
+
+    ``bases`` is read as `chain` reads it.  Returns, for each replica
+    judged, its verdict, an index of `oracle.OUTCOMES`, and the boxes its
+    ladder judged, as two lists, and the level and column that a lost path
+    names.  The batch stops at the first replica, in order, whose walk
+    trips its guard, which raises that walk's error; whose walk or ladder
+    cannot allocate, which raises MemoryError; or whose DP loses a path:
+    that replica is the last one judged, with minus the DP's refusal code
+    as its verdict.
+    """
+    if n < 1:
+        raise InvalidArgumentError("degenerate box")
+    _sized(n + 1, 8)  # the walk's n + 1 levels, a box's n + 1 rows
+    bases = _base_array(bases)
+    count = len(bases)
+    judged = _words("q", 2 * count)
+    rep = _Checked()
+    code = load().check_walks(bases.buffer_info()[0], count,
+                              *_cut(edge_threshold(p)), _guard(scan_guard),
+                              n, _slack(slack), corrupt,
+                              judged.buffer_info()[0], rep)
+    if code == _JUDGE_NOMEM:
+        raise MemoryError("the native judge cannot allocate its boxes")
+    _check(code, rep)
+    flat = judged[:2 * (rep[3] + 1 if code else count)].tolist()
+    return flat[0::2], flat[1::2], (rep[4], rep[5])
+
+
+def hashed_dp(base: int, p: float, x_min: int, x_max: int, n: int,
+              start: int):
+    """The certified DP of `oracle` on the rectangle of columns ``x_min``
+    to ``x_max`` and levels 0 to ``n``, seeded up to column ``start``, on
+    the configuration at ``p`` with sampler base ``base``, in one C call:
+    ``dp_box`` with each row's edges hashed as it reaches the row, on
+    ``array.array`` buffers.  Returns its code and the bit lengths of the
+    rows of its lower table, then of its upper one, as one list."""
+    width, levels = x_max - x_min + 1, n + 1
+    words = -(-width // 64)
+    # the two row buffers, the two tables, the bit lengths, the path and
+    # the refusal site, in one block
+    sizes = (2 * words, levels * words, levels * words, 2 * levels, levels, 2)
+    block = _words("q", sum(sizes))
+    address, at = [], block.buffer_info()[0]
+    for size in sizes:
+        address.append(at)
+        at += 8 * size
+    lefts = array("q", [x_min]) * levels
+    code = load().dp_box(n, width, 0, lefts.buffer_info()[0], start - x_min,
+                         None, None, None, base, *_cut(edge_threshold(p)),
+                         *address)
+    lengths = sum(sizes[:3])
+    return code, block[lengths:lengths + 2 * levels].tolist()

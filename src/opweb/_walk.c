@@ -137,7 +137,7 @@
  * Keys are the packed keys of lattice.py taken mod 2**64, which is all the
  * sampler reads of them.
  *
- * box_edges, dp_box and judge_walk are the judge of these walks, and use
+ * box_edges, dp_box and the ladder are the judge of these walks, and use
  * no walk code: no is_open, no pack, no walk_t.  They hash each edge with
  * their own copy of the splitmix64 mix of lattice.py, box_open, under the
  * Config's base, threshold and all-open flag.  box_edges writes a box's
@@ -149,38 +149,51 @@
  * Its edges come in 64-bit words, bit i of word k standing for cell 64 k +
  * i of a row, one row at a time as the DP reaches it: packed from the
  * box's own byte rows, read on every call so that edits made to them
- * after box_edges are seen, or, for judge_walk, hashed straight into the
- * words.  It fills the lower and upper tables row by row, as the numpy-row
- * reference DP of tests/test_oracle.py does: one level is
- * ((lo & ur) << 2 | (lo & ul)) >> drop, masked to the box width, which is
- * an up-right move by 2 - drop cells and an up-left one by -drop, done word
- * by word with the bits a shift moves past a word's edge carried over from
- * its neighbour.  The upper table also takes the entry bit at the first
- * site of the next row.  A row of the upper table with a cell in the box's
- * two rightmost columns refuses the box.  Then it writes each row's bit
- * length in both tables, from which oracle reads the level maxima, and
+ * after box_edges are seen, or, for the ladder and check's p = 0 probe,
+ * hashed straight into the words.  It fills the lower and upper tables row
+ * by row, as the numpy-row reference DP of tests/test_oracle.py does: one
+ * level is ((lo & ur) << 2 | (lo & ul)) >> drop, masked to the box width,
+ * which is an up-right move by 2 - drop cells and an up-left one by -drop,
+ * done word by word with the bits a shift moves past a word's edge carried
+ * over from its neighbour.  The upper table also takes the entry bit at the
+ * first site of the next row.  A row of the upper table with a cell in the
+ * box's two rightmost columns refuses the box.  Then it writes each row's
+ * bit length in both tables, from which oracle reads the level maxima, and
  * backtracks the rightmost path from the top level's maximum, trying the
  * up-left edge from y + 1 before the up-right one from y - 1, as that
  * reference does.  The return code is oracle's refusal code, or 0.
  *
- * judge_walk is the whole of oracle's ladder for one walk from (0, 0), in
- * one call: it tests that the walk is a lattice walk, lays its boxes, the
- * bands along its path l and then the last rectangle, and judges each with
- * dp_box on hashed rows, in a scratch block it allocates, grows and frees,
- * until a box gives an answer.  Per box, a wall refusal, or a level whose
- * lower and upper maxima differ, refuses the box (JUDGE_NARROW).  A box
- * that dies, with both tables empty at some level, judges only the paths
- * inside it: it is JUDGE_DEAD unless l steps left of a row's wall, when it
- * refuses.  Else the certified maxima are compared with the walk's r
- * (JUDGE_RIGHT on any difference, a length other than n + 1 included), an
- * uncertified predecessor cell refuses, and the backtracked path is
+ * The ladder is the whole of oracle's ladder for one walk from (0, 0): it
+ * tests that the walk is a lattice walk, lays its boxes, the bands along
+ * its path l and then the last rectangle, and judges each with dp_box on
+ * hashed rows, in a scratch block that it grows, until a box gives an
+ * answer.  Per box, a wall refusal, or a level whose lower and upper maxima
+ * differ, refuses the box (JUDGE_NARROW).  A box that dies, with both
+ * tables empty at some level, judges only the paths inside it: it is
+ * JUDGE_DEAD unless l steps left of a row's wall, when it refuses.  Else
+ * the certified maxima are compared with the walk's r (JUDGE_RIGHT on any
+ * difference, a length other than n + 1 included), and the backtracked
+ * path, which certified maxima certify (oracle's docstring proves it), is
  * compared with l (JUDGE_LEFT).  A lost path returns minus dp_box's code,
  * which oracle raises as NoPathError.  It reports each box it judged, its
  * walls and its verdict.  It too runs no walk code: it reads the walk's two
- * arrays and the sampler, nothing else.  Its call of dp_box, an exported
- * function, goes through the PLT, whose slots lie before the walks' code:
- * a judge that called no exported function would move every walk by one
- * slot.
+ * arrays and the sampler, nothing else.
+ *
+ * Two entries run the ladder.  judge_walk judges one walk that the caller
+ * hands in, on scratch that it makes and frees.  check_walks is check's
+ * walks on a batch of replicas, which differ in their base only: each is
+ * walked from (0, 0) to level n by walk_to on one block, as walk_bounds
+ * walks it, and its r and its stack sx, which is its l, are judged in
+ * place, the ladders of all of them sharing one scratch block.  Like
+ * walk_chain it stops at the first replica, in order, whose walk trips or
+ * runs out of memory, or whose ladder runs out of memory or loses a path,
+ * so a batch raises what its replicas would raise walked and judged one by
+ * one.  The ladder is a static body, and the ladder's call of dp_box, an
+ * exported function, goes through the PLT, whose slots lie before the
+ * walks' code.  So neither entry calls the other: a call of the exported
+ * judge_walk would add a PLT slot and move every walk by 16 bytes, and a
+ * judge that called no exported function would move every walk by one
+ * slot the other way.
  * Build: cc -O2 -std=c99 -shared -fPIC.
  */
 
@@ -845,8 +858,6 @@ static int judge_rung(int64_t n, int64_t width, const int64_t *lefts,
     for (int64_t j = 0; j <= n; j++)
         if (lefts[j] + lengths[j] - 1 != right[j])
             return JUDGE_RIGHT;
-    if (code == DP_TOP || code == DP_UNSURE)
-        return JUDGE_NARROW;
     if (code)
         return -code;
     if (left_len != n + 1)
@@ -873,14 +884,16 @@ static int judge_rung(int64_t n, int64_t width, const int64_t *lefts,
  * box is the rectangle [min(min(l, 0) - 2 n - slack, 0), n + 2].  Each
  * box's edges are hashed row by row as its DP reaches them, and the ladder
  * stops at the first box whose verdict is not JUDGE_NARROW or JUDGE_DEAD.
- * rep[0] gets the boxes judged, k, rep[1:3] where a lost path was lost,
- * and rep[3 + 4 i:7 + 4 i] box i's left and right columns at level 0, 1
- * for a band or 0 for the rectangle, and its verdict, for i < k <= 63.
- * Returns the last verdict, or JUDGE_NOMEM, when rep[0] boxes were
- * judged. */
-int judge_walk(int64_t n, int64_t slack, uint64_t base, uint64_t threshold,
-               int all_open, const int64_t *right, int64_t right_len,
-               const int64_t *left, int64_t left_len, int64_t *rep)
+ * The boxes' scratch is *scratch, *cap words, which the ladder replaces
+ * by a larger block when a box needs one; the caller frees it.  rep[0]
+ * gets the boxes judged, k, rep[1:3] where a lost path was lost, and
+ * rep[3 + 4 i:7 + 4 i] box i's left and right columns at level 0, 1 for a
+ * band or 0 for the rectangle, and its verdict, for i < k <= 63.  Returns
+ * the last verdict, or JUDGE_NOMEM, when rep[0] boxes were judged. */
+static int ladder(int64_t n, int64_t slack, uint64_t base, uint64_t threshold,
+                  int all_open, const int64_t *right, int64_t right_len,
+                  const int64_t *left, int64_t left_len, int64_t **scratch,
+                  size_t *cap, int64_t *rep)
 {
     int walk = n >= 1 && left_len == n + 1 && right_len == n + 1
                && left[0] <= 0 && left[0] % 2 == 0;
@@ -905,8 +918,7 @@ int judge_walk(int64_t n, int64_t slack, uint64_t base, uint64_t threshold,
      * fits */
     int64_t widest = 2 * n + (slack < -4 * FAR ? -4 * FAR
                               : slack > 4 * FAR ? 4 * FAR : slack);
-    int64_t *scratch = NULL, margin = FIRST_MARGIN, k = 0;
-    size_t cap = 0;
+    int64_t margin = FIRST_MARGIN, k = 0;
     int code;
     for (;;) {
         int band = walk && margin < widest;
@@ -923,19 +935,20 @@ int judge_walk(int64_t n, int64_t slack, uint64_t base, uint64_t threshold,
             break;
         }
         size_t size = (size_t)(4 * (n + 1) + 2 * (n + 2) * words);
-        if (size > cap) {
-            free(scratch);
-            scratch = malloc(size * sizeof *scratch);
-            cap = scratch ? size : 0;
-            if (!scratch) {
+        if (size > *cap) {
+            free(*scratch);
+            *scratch = malloc(size * sizeof **scratch);
+            *cap = *scratch ? size : 0;
+            if (!*scratch) {
                 code = JUDGE_NOMEM;
                 break;
             }
         }
+        int64_t *lefts = *scratch;
         for (int64_t j = 0; j <= n; j++)
-            scratch[j] = band ? left[j] - margin : x_min;
-        code = judge_rung(n, width, scratch, base, threshold, all_open, right,
-                          right_len, left, left_len, scratch + n + 1, rep + 1);
+            lefts[j] = band ? left[j] - margin : x_min;
+        code = judge_rung(n, width, lefts, base, threshold, all_open, right,
+                          right_len, left, left_len, lefts + n + 1, rep + 1);
         int64_t *rung = rep + 3 + 4 * k++;
         rung[0] = x_min;
         rung[1] = x_min + width - 1;
@@ -946,6 +959,64 @@ int judge_walk(int64_t n, int64_t slack, uint64_t base, uint64_t threshold,
         margin *= 2;
     }
     rep[0] = k;
+    return code;
+}
+
+/* The ladder's verdict on one walk, with its report in rep, as ladder
+ * gives them, on scratch that it makes and frees. */
+int judge_walk(int64_t n, int64_t slack, uint64_t base, uint64_t threshold,
+               int all_open, const int64_t *right, int64_t right_len,
+               const int64_t *left, int64_t left_len, int64_t *rep)
+{
+    int64_t *scratch = NULL;
+    size_t cap = 0;
+    int code = ladder(n, slack, base, threshold, all_open, right, right_len,
+                      left, left_len, &scratch, &cap, rep);
     free(scratch);
+    return code;
+}
+
+/* check's walks on a batch of replicas, replica i on bases[i], all under
+ * one threshold: each walked from (0, 0) to level n >= 1 on one block, its
+ * r, corrupted by one at n / 2 on replica `corrupt`, judged with its l, the
+ * stack sx, in place on the ladder, on scratch that every replica's ladder
+ * reuses.  judged[2 i] gets replica i's verdict and judged[2 i + 1] the
+ * boxes its ladder judged.  Stops at the first replica, in order, whose walk
+ * trips its guard or runs out of memory, whose ladder runs out of memory,
+ * or whose DP loses a path; returns the walk's code, JUDGE_NOMEM, or minus
+ * the DP's code, else 0.  rep[0:3] gets the report of the last replica's
+ * walk, rep[3] that replica's index, and rep[4:6] where a lost path was
+ * lost. */
+int check_walks(const uint64_t *bases, int64_t count, uint64_t threshold,
+                int all_open, int64_t scan_guard, int64_t n, int64_t slack,
+                int64_t corrupt, int64_t *judged, int64_t *rep)
+{
+    walk_t w = {0};
+    cursor_t c;
+    int64_t boxes[3 + 4 * 64], *scratch = NULL;
+    size_t cap = 0;
+    int code = walk_grow(&w, n) ? WALK_OK : WALK_NOMEM;
+    for (int64_t i = 0; i < count && !code; i++) {
+        walk_start(&w, &c, 0);
+        code = walk_to(&w, &c, n, bases[i], threshold, all_open, 0, 0,
+                       scan_guard, NULL);
+        report(&c, 0, rep);
+        rep[3] = i;
+        if (code)
+            break;
+        if (i == corrupt)
+            w.r[n / 2]++;
+        int verdict = ladder(n, slack, bases[i], threshold, all_open, w.r,
+                             n + 1, w.sx, n + 1, &scratch, &cap, boxes);
+        if (verdict == JUDGE_NOMEM || verdict < 0) {
+            code = verdict;
+            rep[4] = boxes[1];
+            rep[5] = boxes[2];
+        }
+        judged[2 * i] = verdict;
+        judged[2 * i + 1] = boxes[0];
+    }
+    free(scratch);
+    free(w.sx);
     return code;
 }

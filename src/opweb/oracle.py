@@ -26,15 +26,19 @@ row's rightmost reachable site is its bit length less one.  ``dp_box`` of
 made as the DP reaches it.  On a `BoxConfig` it packs them from the box's
 own byte arrays, which ``box_edges`` fills: `_certified_dp` is one call of
 it, for `dp_right_boundary` and `dp_rightmost_path`.  ``check`` builds no
-box: each walk is judged in one call of ``judge_walk``, which lays the
-whole ladder below and runs ``dp_box`` on each box with its edges hashed
-straight into the bit rows, and `_ladder_outcome` only names the outcome.
-Both hash each edge with the judge's own copy of the lattice's mix, and
-neither calls the walk's sampler or any other walk code, so a fault in the
-walk cannot also hide in its judge.  The tests hold the references: a DP
-on numpy bool rows, the box's cells read from
-`lattice.edge_status_array`, and the ladder and each box's verdict in
-Python.
+box: each range of its replicas is walked and judged in one call of
+``check_walks``, which walks each replica and lays the whole ladder below
+on the walk in place, running ``dp_box`` on each box with its edges hashed
+straight into the bit rows, and `_judged_walks` only names the outcomes.
+Its p = 0 probe, `_probe_dead_from`, runs ``dp_box`` on hashed rows of one
+rectangle.  `_ladder_outcome` names the ladder's outcome on a walk handed
+in (``judge_walk``): the tests judge deliberately wrong walks with it.
+Each of them hashes each edge with the judge's own copy of the lattice's
+mix, and the judge calls neither the walk's sampler nor any other walk
+code, so a fault in the walk cannot also hide in its judge.  The tests
+hold the references: a DP on numpy bool rows, the box's cells read from
+`lattice.edge_status_array`, and the walks, the ladder and each box's
+verdict in Python.
 
 A narrow box certifies only what a wider one would.  Take boxes B inside W
 over the same levels, of any shape, and compare them on B's cells.  B's
@@ -63,8 +67,27 @@ the two tables agree on every cell at or right of ``l``, at any margin of
 0 or more, and those cells hold every level max and both predecessor
 cells of every step of ``l``.
 
-The boxes and tables are numpy arrays, so only ``check`` imports this
-module, when it runs; the walk commands never do.
+A box whose two tables agree on the bit length of every row, none of them
+empty, certifies its backtracked path too, so a box never refuses the
+path once its boundary certifies.  The path starts at the top level's
+max, a cell of the lower table, and steps from a cell ``y`` of the lower
+table at level ``j + 1`` to ``y + 1`` at level ``j`` where it can, else to
+``y - 1``.  The lower table is the seed row carried up by open edges, so
+some predecessor of ``y`` is in it with its edge to ``y`` open.  If that
+is not ``y + 1``, it is ``y - 1``: the step to ``y - 1`` is tried only
+where ``y - 1`` is in the lower table, hence in the upper one.  Say ``y +
+1`` were in the upper table and not in the lower one.  Then the lower
+table's path to ``y`` runs through ``(y - 1, j)``.  A cell of the upper
+table outside the lower one is reached from an entry edge, which lands on
+the first site of its row, at or left of that path, by an open path that
+stays in the box and ends at ``(y + 1, j)``, right of it.  Lattice paths
+move one column per level, so the two share a site; the lower table holds
+it, and from it follows the open path up to ``(y + 1, j)``, which is then
+in the lower table after all.  So every cell that the backtrack reads
+agrees between the two tables, and it never loses the path.
+
+The boxes and tables of the public DP are numpy arrays, so only
+``check`` imports this module, when it runs; the walk commands never do.
 """
 
 from __future__ import annotations
@@ -76,9 +99,8 @@ import numpy as np
 from .errors import (DEFAULT_SCAN_GUARD, BoxTooNarrowError,
                      InvalidArgumentError, NoPathError,
                      ScanLimitExceededError)
-from .explore import explore_to_level
-from .lattice import Config, LatticeSite, replica_config
-from .runner import pmap
+from .lattice import Config, replica_bases
+from .runner import pmap, replica_ranges
 
 
 @dataclass(eq=False)
@@ -231,11 +253,16 @@ def _boundary_from_lengths(box: BoxConfig, lo: np.ndarray, hi: np.ndarray,
     if j > n:
         return DpBoundary(box.t_min, values)
     if lo[j] != hi[j]:
-        return BoxTooNarrowError(
-            f"level {box.t_min + j}: truncated max "
-            f"{_max_or_none(lo[j], box.lefts[j])} vs pessimistic max "
-            f"{_max_or_none(hi[j], box.lefts[j])}")
+        return _uncertified(box.t_min + j, lo[j], hi[j], box.lefts[j])
     return DpBoundary(box.t_min, values, box.t_min + j)
+
+
+def _uncertified(t: int, lo: int, hi: int, left: int) -> BoxTooNarrowError:
+    """The refusal of level ``t``, whose row from column ``left`` has bit
+    length ``lo`` in the lower table and ``hi`` in the upper one."""
+    return BoxTooNarrowError(
+        f"level {t}: truncated max {_max_or_none(lo, left)} vs pessimistic "
+        f"max {_max_or_none(hi, left)}")
 
 
 def dp_rightmost_path(box: BoxConfig, start_x: int, n: int) -> np.ndarray:
@@ -289,12 +316,41 @@ def _ladder_outcome(cfg: Config, n: int, right: np.ndarray, left: np.ndarray,
     return OUTCOMES[code]
 
 
-def _check_worker(cfg, n, slack, corrupt, scan_guard):
-    b = explore_to_level(LatticeSite(0, 0), n, cfg, scan_guard=scan_guard)
-    r, left = b.right, b.left
-    if corrupt:
-        r[n // 2] += 1
-    return _ladder_outcome(cfg, n, r, left, slack)
+def _judged_walks(bases, p: float, n: int, slack: int, corrupt: int,
+                  scan_guard) -> list:
+    """The outcomes of ``check``'s walks on a batch of sampler bases at
+    ``p``, from one call of ``check_walks`` of ``_walk.c``; replica
+    ``corrupt`` of the batch gets the off-by-one of ``corrupt_run``.  A
+    path that a box's DP loses raises NoPathError."""
+    from . import _native  # may build the library: not at import
+    verdicts, _, at = _native.check_walks(bases, p, n, slack, corrupt,
+                                          scan_guard)
+    if verdicts and verdicts[-1] < 0:
+        raise _refusal(-verdicts[-1], *at)
+    return [OUTCOMES[v] for v in verdicts]
+
+
+# the p = 0 probe's box, columns -16 to 8 and levels 0 to 4, seeded up to
+# column 0, and the guard of its walk
+_PROBE_BOX = (-16, 8, 4)
+_PROBE_GUARD = 64
+
+
+def _probe_dead_from(base: int, p: float):
+    """``dp_right_boundary(BoxConfig(cfg, -16, 8, 0, 4), 0, 4).dead_from``
+    for the configuration ``cfg`` at ``p`` with sampler base ``base``,
+    refusals raised alike, from one ``dp_box`` call on hashed rows."""
+    from . import _native  # may build the library: not at import
+    x_min, x_max, n = _PROBE_BOX
+    code, lengths = _native.hashed_dp(base, p, x_min, x_max, n, 0)
+    if code in (SEED_WALL, WALL):
+        raise _refusal(code)
+    for j, (lo, hi) in enumerate(zip(lengths[:n + 1], lengths[n + 1:])):
+        if lo != hi:
+            raise _uncertified(j, lo, hi, x_min)
+        if not lo:
+            return j
+    return None
 
 
 def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
@@ -305,22 +361,34 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
     Every run demands integer equality of both boundaries.  Each judged
     walk runs with ``scan_guard``, and a tripped guard raises its
     ScanLimitExceededError; the p = 0 probe keeps a guard of its own.  The
-    box follows the walk: each walk is judged on the bands of its ladder
-    (`_ladder_outcome`), and a true walk on the first of them, so a run
-    reports
+    box follows the walk: each walk is judged on the bands of its ladder,
+    and a true walk on the first of them, so a run reports
     ``box_too_narrow`` or ``dp_dead`` only when the last box, the rectangle
-    ``2n + slack`` columns left of the walk's path, refuses or dies.
-    ``corrupt_run`` injects an off-by-one into that run's explored right
-    boundary (negative control for the reporting path).  The p values must
-    be distinct: the report keeps one tally per p.
+    ``2n + slack`` columns left of the walk's path, refuses or dies.  Each
+    p's replicas are walked and judged in one ``check_walks`` call per
+    range of `runner.replica_ranges`, on their bases from one
+    `lattice.replica_bases` call.  ``corrupt_run`` injects an off-by-one
+    into that run's explored right boundary (negative control for the
+    reporting path).  The p values must be distinct: the report keeps one
+    tally per p.
     """
     if len(set(ps)) != len(ps):
         raise InvalidArgumentError("check p values must be distinct")
     labels = [(p, rep) for p in ps for rep in range(seeds_per_p)]
-    configs = [replica_config(seed, p, i) for i, (p, _) in enumerate(labels)]
-    outcomes = pmap(lambda i: _check_worker(configs[i], n, slack,
-                                            i == corrupt_run, scan_guard),
-                    range(len(configs)), workers)
+    # every run's sampler base, then the p = 0 probe's
+    bases = replica_bases(seed, 0, len(labels) + 1)
+    jobs = [(p, k * seeds_per_p + offset, size) for k, p in enumerate(ps)
+            for offset, size in replica_ranges(seeds_per_p, workers) if size]
+
+    def judge(job):
+        p, first, size = job
+        corrupt = -1
+        if corrupt_run is not None and first <= corrupt_run < first + size:
+            corrupt = corrupt_run - first
+        return _judged_walks(bases[first:first + size], p, n, slack, corrupt,
+                             scan_guard)
+
+    outcomes = [o for batch in pmap(judge, jobs, workers) for o in batch]
     per_p = {p: {"passed": 0, "total": seeds_per_p} for p in ps}
     failures = []
     for (p, rep), outcome in zip(labels, outcomes):
@@ -329,15 +397,15 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
         else:
             failures.append({"p": p, "replica": rep, "kind": outcome})
     # degenerate input: the walk must trip its guard, the DP must report dead
-    p0 = replica_config(seed, 0.0, len(configs))
+    p0 = bases[len(labels):]
     guard_tripped = False
     try:
-        explore_to_level(LatticeSite(0, 0), 4, p0, scan_guard=64)
+        _judged_walks(p0, 0.0, _PROBE_BOX[2], slack, -1, _PROBE_GUARD)
     except ScanLimitExceededError:
         guard_tripped = True
-    dp0 = dp_right_boundary(BoxConfig(p0, -16, 8, 0, 4), 0, 4)
+    dead_from = _probe_dead_from(p0[0], 0.0)
     return {"per_p": per_p, "failures": failures,
-            "p0_agreement": guard_tripped and dp0.dead_from == 1}
+            "p0_agreement": guard_tripped and dead_from == 1}
 
 
 def gap_walk_survival_exact(d: int, steps: int) -> float:

@@ -12,10 +12,13 @@ level by level lockstep of Python walks, `lockstep_reference`; its count
 of distinct values is checked against bisection on whole Python walks,
 `squeeze_reference`.
 `ladder_reference` stands for `_native.judge_walk` (`oracle._ladder_outcome`,
-the check's judge of one walk): it lays the boxes of `box_ladder` as
+the ladder that judges one walk): it lays the boxes of `box_ladder` as
 `oracle.BoxConfig` arrays filled by ``box_edges``, and judges each with
 `judge_reference`, which reads the certified DP through
-`oracle._certified_dp` and compares in Python.
+`oracle._certified_dp` and compares in Python.  `check_reference` stands
+for `_native.check_walks`, the check's walks and their ladders on a batch
+of replicas: `bounds_reference`'s walk and `ladder_reference`'s ladder on
+each.
 
 Two references stand for the command line's front end: `argparse_reference`
 is the argparse parser that `cli.parse_argv` must agree with, and
@@ -35,7 +38,7 @@ from opweb.errors import (BoxTooNarrowError, InvalidArgumentError,
 from opweb.explore import ExplorationCluster
 from opweb.lattice import LatticeSite, edge_threshold
 from opweb.cli import COMMAND_DEFAULTS, LIST_FIELDS, SPEC_FLAGS
-from opweb.oracle import BoxConfig, _certified_dp, _raised
+from opweb.oracle import OUTCOMES, BoxConfig, _certified_dp, _raised
 
 
 def bounds_reference(z, n, horizon, cfg, scan_guard) -> tuple:
@@ -248,8 +251,7 @@ def judge_reference(box, right, left, n) -> str:
         return "box_too_narrow" if outside else "dp_dead"
     if not np.array_equal(dp.values, right):
         return "right_boundary_mismatch"
-    if isinstance(path, BoxTooNarrowError):
-        return "box_too_narrow"
+    # a certified boundary certifies the path: see oracle's docstring
     if not np.array_equal(_raised(path), left):
         return "left_boundary_mismatch"
     return "ok"
@@ -272,6 +274,28 @@ def ladder_reference(cfg, n, right, left, slack):
         if outcome not in ("box_too_narrow", "dp_dead"):
             break
     return judged
+
+
+def check_reference(bases, p, n, slack, corrupt, scan_guard):
+    """`_native.check_walks` on the Python walk and ladder: each base's
+    walk from (0, 0) to level ``n``, its r raised by one at ``n // 2`` on
+    replica ``corrupt``, judged by `ladder_reference`.  The first walk that
+    trips raises its guard error, and the first path that a DP loses its
+    NoPathError."""
+    verdicts, counts = [], []
+    for i, base in enumerate(bases):
+        cfg = SimpleNamespace(_base=int(base), _threshold=edge_threshold(p))
+        right, left, *_ = bounds_reference(LatticeSite(0, 0), n, n, cfg,
+                                           scan_guard)
+        right = np.array(right)
+        right[n // 2] += i == corrupt
+        judged = ladder_reference(cfg, n, right, np.asarray(left), slack)
+        outcome = judged[-1][3]
+        if isinstance(outcome, tuple):
+            raise NoPathError(outcome[1])
+        verdicts.append(OUTCOMES.index(outcome))
+        counts.append(len(judged))
+    return verdicts, counts, (0, 0)
 
 
 @functools.cache

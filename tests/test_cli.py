@@ -222,8 +222,49 @@ def test_exit_3_when_the_check_walks_trip_their_guard(capsys):
     assert err.startswith("scan guard tripped: 1 start sites exhausted")
 
 
-# n = 2**59: the native walk's size guard and numpy's allocation both refuse
-# it at once, whatever the machine's overcommit setting
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_trip_inside_a_batch_names_the_first_tripping_run(capsys, workers):
+    # at p = 0.6 and seed 2, runs 1, 7, 8, 11, 13, 14 and 17 trip a guard
+    # of 20 below levels 60, 46, 43, 35, 41, 38 and 60: the error is run
+    # 1's, second in its batch at 1 and 2 workers, though later batches
+    # trip lower
+    code, out, err = _main(capsys, "check", "--delta", "0.9", "0.6", "--n",
+                           "60", "--replicas", "20", "--scan-guard", "20",
+                           "--seed", "2", "--workers", str(workers))
+    assert code == 3 and out == ""
+    assert err == ("scan guard tripped: 20 start sites exhausted below "
+                   "level 60\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_check_walks_each_range_in_one_batch_call(capsys, monkeypatch,
+                                                   workers):
+    # one check_walks call per p and replica range, and one for the p = 0
+    # probe's walk; no walk is made or judged on its own
+    from opweb import _native
+    from opweb.runner import replica_ranges
+    batches, check_walks = [], _native.check_walks
+
+    def counted(bases, *args):
+        batches.append(len(bases))
+        return check_walks(bases, *args)
+
+    def refused(*args):
+        raise AssertionError("a walk made or judged on its own")
+
+    monkeypatch.setattr(_native, "check_walks", counted)
+    monkeypatch.setattr(_native, "bounds", refused)
+    monkeypatch.setattr(_native, "judge_walk", refused)
+    code, out, _ = _main(capsys, "check", "--delta", "0.7", "0.9", "--n",
+                         "20", "--replicas", "10", "--workers", str(workers))
+    assert code == 0 and out.endswith("p=0 guard agreement: ok\n")
+    ranges = [size for _, size in replica_ranges(10, workers)]
+    assert len(ranges) == (1 if workers == 1 else 8)
+    assert sorted(batches) == sorted(2 * ranges + [1])
+
+
+# n = 2**59: the native walk's size guard refuses it at once, whatever the
+# machine's overcommit setting
 HUGE_N = str(2**59)
 
 
@@ -355,6 +396,7 @@ def test_no_two_replicas_of_a_run_share_a_stream(capsys, tmp_path,
     built = []
     post_init = Config.__post_init__
     replica_bases = couple.replica_bases
+    assert oracle.replica_bases is replica_bases
 
     def recording(cfg):
         post_init(cfg)
@@ -367,6 +409,7 @@ def test_no_two_replicas_of_a_run_share_a_stream(capsys, tmp_path,
 
     monkeypatch.setattr(Config, "__post_init__", recording)
     monkeypatch.setattr(couple, "replica_bases", recording_bases)
+    monkeypatch.setattr(oracle, "replica_bases", recording_bases)
     out = tmp_path / "out.csv"
     argv = [a.format(out=out) for a in argv]
     assert _main(capsys, *argv, "--p", "0.8", "--seed", "3")[0] == 0

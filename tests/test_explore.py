@@ -741,6 +741,17 @@ judge(cfg, 100, walk.right, hugging, 64)
 judge(cfg, 100, walk.right, walk.left, -238)
 zigzag = -(np.arange(41, dtype=np.int64) % 2)
 judge(Config(3, 0.3, 3), 40, zigzag, zigzag, 64)
+# check's batches: one with a corrupt replica, one whose second walk trips
+# its guard, and one whose last boxes, one per walk at slack -201, grow the
+# scratch at walks 1 and 3, to 4 and then 7 words a row
+show(_native.check_walks, replica_bases(1001, 0, 6), 0.7, 2000, 64, 3,
+     10_000)
+show(_native.check_walks, replica_bases(2, 20, 10), 0.6, 60, 64, -1, 20)
+show(_native.check_walks, replica_bases(2, 0, 8), 0.6, 100, -201, -1,
+     10_000)
+# the p = 0 probe's DP, and that of a box whose level maxima differ
+for p, stream in ((0.0, 3), (0.3, 3), (0.3, 20)):
+    show(_native.hashed_dp, Config(0, p, stream)._base, p, -16, 8, 4, 0)
 """
 
 
@@ -748,9 +759,10 @@ def test_walk_entries_run_clean_under_sanitizers(tmp_path):
     # every entry, built with AddressSanitizer and UBSan, on guard trips,
     # a pair with xr <= xl, each branch of the pair, capped and uncapped
     # families, an interior trip, growing walks and long copies, walks to
-    # their start level, the DP on the widest box, and the walk judge on its
-    # first band, on the widest box, on refusing bands and on dying boxes:
-    # no report, and the outputs of the plain build
+    # their start level, the DP on the widest box, the walk judge on its
+    # first band, on the widest box, on refusing bands and on dying boxes,
+    # check's batches and the probe's DP on hashed rows: no report, and the
+    # outputs of the plain build
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no cc or gcc on PATH")
@@ -787,6 +799,17 @@ def test_walk_entries_run_clean_under_sanitizers(tmp_path):
             "judge 2 " + str([(-2 ** k, 2, 1, "dp_dead") for k in range(1, 8)]
                              + [(-145, 42, 0, "dp_dead")])
             + "\n") in plain.stdout
+    # a corrupt replica, a guard trip that stops its batch, growing
+    # scratch, and the probe's DP dying at level 1 and at level 3, with the
+    # upper table's row 4 reached by the entry edge
+    assert ("check_walks [[0, 0, 0, 3, 0, 0], [1, 1, 1, 1, 1, 1], (0, 0)]\n"
+            "check_walks ['20 start sites exhausted below level 60', 20]\n"
+            "check_walks [[1, 1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1, 1], "
+            "(0, 0)]\n"
+            "hashed_dp [3, [17, 0, 0, 0, 0, 17, 0, 0, 0, 0]]\n"
+            "hashed_dp [0, [17, 16, 11, 12, 11, 17, 16, 11, 12, 11]]\n"
+            "hashed_dp [4, [17, 16, 7, 0, 0, 17, 16, 7, 0, 1]]\n"
+            ) in plain.stdout
     # the trips and the merge of the pair's branches, the interior trip,
     # the long copies, and the walks to their start level
     assert ("chain ['5 start sites exhausted below level 9', 5]\n"

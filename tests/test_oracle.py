@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from opweb.errors import BoxTooNarrowError, InvalidArgumentError, NoPathError
 from opweb.explore import explore_to_level
 from opweb.lattice import (GOLDEN, MASK64, X_BIAS, Config, LatticeSite,
                            STREAMS_PER_REPLICA, _MIX1, _MIX2,
-                           edge_status_array, mix64, replica_config)
+                           edge_status_array, edge_threshold, mix64,
+                           replica_config)
 from opweb.oracle import (BoxConfig, check_suite, coalescing_walk_survival,
                           dp_right_boundary, dp_rightmost_path,
                           gap_walk_survival_exact)
@@ -352,6 +354,44 @@ def test_check_suite_passes_and_reports_injected_fault():
                                      "kind": "right_boundary_mismatch"}
 
 
+def _dead_from_or_refusal(dead_from, *args):
+    """The first empty level that ``dead_from`` gives, or its refusal's
+    type and message."""
+    try:
+        return dead_from(*args)
+    except (BoxTooNarrowError, NoPathError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 0.9, 1.0])
+def test_the_p0_probe_is_the_dp_of_its_box(monkeypatch, p):
+    # the probe's DP on hashed rows gives the first empty level that
+    # dp_right_boundary gives on the box [-16, 8] x [0, 4], or raises its
+    # refusal alike; on that box, narrowed to [-16, 3] or [-16, 1], the wall
+    # refusals too
+    from opweb import oracle
+    seen = set()
+    for box in ((-16, 8, 4), (-16, 3, 4), (-16, 1, 4)):
+        monkeypatch.setattr(oracle, "_PROBE_BOX", box)
+        x_min, x_max, n = box
+        for seed in range(150):
+            cfg = replica_config(seed, p, 3)
+            want = _dead_from_or_refusal(
+                lambda: dp_right_boundary(BoxConfig(cfg, x_min, x_max, 0, n),
+                                          0, n).dead_from)
+            got = _dead_from_or_refusal(oracle._probe_dead_from, cfg._base, p)
+            assert got == want
+            seen.add((box, got if type(got) is not tuple else got[1][:12]))
+    # at p = 0 the box dies at level 1; at p = 0.3 it dies at levels 2 to
+    # 4, lives, or has a level whose maxima differ; above, it lives
+    kinds = {0.0: {1}, 0.3: {None, 2, 3, 4, "level 2: tru", "level 3: tru",
+                             "level 4: tru"}}
+    assert {got for box, got in seen if box == (-16, 8, 4)} == kinds.get(
+        p, {None})
+    assert ((-16, 1, 4), "seed row tou") in seen
+    assert (((-16, 3, 4), "reachable se") in seen) == (p > 0)
+
+
 def test_check_suite_rejects_a_repeated_p():
     # one tally per p: a repeated p would count its runs twice over
     with pytest.raises(InvalidArgumentError, match="distinct"):
@@ -376,12 +416,16 @@ def _native_ladder(cfg, n, right, left, slack):
 
 
 def _record_boxes(monkeypatch):
-    """The boxes that the oracle's one call of `_native.judge_walk` per
-    walk reports judging, built as `BoxConfig`s, and those of them on which
-    `judge_reference` gives the verdict that the call reports."""
+    """The boxes that the oracle's calls of `_native.judge_walk`, one per
+    walk, and of `_native.check_walks`, one per batch of walks, report
+    judging, built as `BoxConfig`s, and those of them on which
+    `judge_reference` gives the verdict that the call reports.  A batch
+    reports each walk's verdict and count of boxes: its boxes are the first
+    ones of `box_ladder` on the walk, and each but the last must refuse or
+    die."""
     from opweb import _native
     built, tabled = [], []
-    judge_walk = _native.judge_walk
+    judge_walk, check_walks = _native.judge_walk, _native.check_walks
 
     def recording(cfg, n, right, left, slack):
         code, at, boxes = judge_walk(cfg, n, right, left, slack)
@@ -394,32 +438,56 @@ def _record_boxes(monkeypatch):
                 tabled.append(box)
         return code, at, boxes
 
+    def recording_batch(bases, p, n, slack, corrupt, scan_guard):
+        verdicts, counts, at = check_walks(bases, p, n, slack, corrupt,
+                                           scan_guard)
+        for i, (verdict, count) in enumerate(zip(verdicts, counts)):
+            cfg = SimpleNamespace(_base=int(bases[i]),
+                                  _threshold=edge_threshold(p))
+            right, left = _walk(cfg, n)
+            right[n // 2] += i == corrupt
+            ladder = box_ladder(cfg, n, left, right, slack)
+            for k, box in zip(range(count), ladder):
+                built.append(box)
+                want = ([_named(verdict, at)] if k == count - 1
+                        else ["box_too_narrow", "dp_dead"])
+                if _verdict(judge_reference, box, right, left, n) in want:
+                    tabled.append(box)
+        return verdicts, counts, at
+
     monkeypatch.setattr(_native, "judge_walk", recording)
+    monkeypatch.setattr(_native, "check_walks", recording_batch)
     return built, tabled
 
 
-def test_check_worker_builds_reach_tables_once_per_rung(monkeypatch):
+def _check_one(cfg, n, slack, corrupt, scan_guard):
+    """The outcome of ``check`` on the walk of one configuration: a batch
+    of its one base."""
     from opweb import oracle
+    return oracle._judged_walks([cfg._base], cfg.p, n, slack,
+                                0 if corrupt else -1, scan_guard)[0]
+
+
+def test_check_builds_reach_tables_once_per_rung(monkeypatch):
     built, tabled = _record_boxes(monkeypatch)
     for corrupt, outcome in ((False, "ok"), (True, "right_boundary_mismatch")):
         built.clear()
         tabled.clear()
         job = (Config(3, 0.8, 1024), 40, 64, corrupt, GUARD)
-        assert oracle._check_worker(*job) == outcome
+        assert _check_one(*job) == outcome
         assert len(built) == 1 and tabled == built
 
 
 def test_check_dp_walks_certify_on_the_first_box(monkeypatch):
     # the benchmark's check-dp call at seed 1001: every walk is judged on
     # the first band, of at most (max(r - l) + m + 3) * n edges
-    from opweb import oracle
     built, tabled = _record_boxes(monkeypatch)
     n = 500
     for idx, p in enumerate((0.7, 0.7, 0.8, 0.8, 0.9, 0.9)):
         cfg = replica_config(1001, p, idx)
         built.clear()
         tabled.clear()
-        assert oracle._check_worker(cfg, n, 64, False, GUARD) == "ok"
+        assert _check_one(cfg, n, 64, False, GUARD) == "ok"
         right, left = _walk(cfg, n)
         (box,) = built
         assert tabled == [box]
@@ -537,19 +605,21 @@ def test_check_reports_a_refused_box_as_a_failure_kind(monkeypatch):
     assert report["p0_agreement"]
 
     from opweb import _native
-    judge_walk = _native.judge_walk
+    check_walks = _native.check_walks
     narrow = oracle.OUTCOMES.index("box_too_narrow")
+    cfg = Config(3, 0.8, 1024)
+    right, left = _walk(cfg, 40)
+    ladder = list(box_ladder(cfg, 40, left, right, 64))
 
     def refuse(*args):
-        code, at, boxes = judge_walk(*args)
-        assert code == 0 and len(boxes) == 1
-        return narrow, at, [(*boxes[0][:3], narrow)]
+        verdicts, counts, at = check_walks(*args)
+        assert verdicts == [0] and counts == [1]
+        return [narrow], [len(ladder)], at
 
-    # a refusal while backtracking the path, which judge_walk reports as
-    # the code of a refused box, is the same failure kind
-    monkeypatch.setattr(_native, "judge_walk", refuse)
-    job = (Config(3, 0.8, 1024), 40, 64, False, GUARD)
-    assert oracle._check_worker(*job) == "box_too_narrow"
+    # a walk whose every box refuses, the last one on its right wall, is
+    # the same failure kind
+    monkeypatch.setattr(_native, "check_walks", refuse)
+    assert _check_one(cfg, 40, 64, False, GUARD) == "box_too_narrow"
 
 
 def test_a_slack_below_minus_2n_keeps_the_start_in_the_box():
@@ -566,11 +636,11 @@ def test_dp_dead_only_for_a_walk_inside_the_box(monkeypatch):
     # dies at level 89 while the walk's path reaches column -302, left of
     # the box: the box cannot see it
     job = (Config(0, 0.6, STREAMS_PER_REPLICA), 100, -238, False, GUARD)
-    assert oracle._check_worker(*job) == "box_too_narrow"
+    assert _check_one(*job) == "box_too_narrow"
     _, left = _walk(Config(0, 0.6, STREAMS_PER_REPLICA), 100)
     assert left.min() == -302
     ok_job = (Config(3, 0.8, 1024), 40, 64, False, GUARD)
-    assert oracle._check_worker(*ok_job) == "ok"
+    assert _check_one(*ok_job) == "ok"
     # a box that dies under a walk whose path it holds is a real failure:
     # at p = 0.3, stream 3, every box of the ladder of a report whose path
     # zigzags between columns 0 and -1 dies below level 40
@@ -606,8 +676,7 @@ def test_ladder_outcome_equals_the_full_box(n, p, stream, corrupt, data):
     left = left + path_shift
     outcome = oracle._ladder_outcome(cfg, n, right, left, slack)
     if not path_shift and not boundary_shift:
-        job = (cfg, n, slack, corrupt, GUARD)
-        assert oracle._check_worker(*job) == outcome
+        assert _check_one(cfg, n, slack, corrupt, GUARD) == outcome
     full = judge_reference(BoxConfig(cfg, -2 * n - slack, n + 2, 0, n),
                            right, left, n)
     if full not in ("box_too_narrow", "dp_dead"):

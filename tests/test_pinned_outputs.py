@@ -12,10 +12,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from opweb import _native, cli, couple
+from opweb import _native, cli, couple, oracle
 from opweb.lattice import replica_config
 
-from _references import bounds_reference, chain_reference, estimate_reference
+from _references import (bounds_reference, chain_reference, check_reference,
+                         estimate_reference)
 
 SIGMA = ["--sigma", "0.87"]
 
@@ -87,17 +88,19 @@ def test_output_bytes_are_pinned(name, tmp_path, capsys):
 def test_python_walk_writes_the_pinned_bytes(name, monkeypatch, tmp_path,
                                              capsys):
     # every walk of every call, the estimate workers that also calibrate
-    # sigma included, runs on the Python references of the tests, which
-    # must write the same bytes as the native walks; the batched chains
-    # take one Config's base per replica, which also checks
-    # `lattice.replica_bases`
+    # sigma included, and every ladder that judges a check's walk, runs on
+    # the Python references of the tests, which must write the same bytes
+    # as the native walks; the batched chains and checks take one Config's
+    # base per replica, which also checks `lattice.replica_bases`
     def config_bases(seed, first, count):
         return np.array([replica_config(seed, 0.0, first + k)._base
                          for k in range(count)], dtype=np.uint64)
 
     monkeypatch.setattr(_native, "bounds", bounds_reference)
     monkeypatch.setattr(_native, "chain", chain_reference)
+    monkeypatch.setattr(_native, "check_walks", check_reference)
     monkeypatch.setattr(couple, "replica_bases", config_bases)
+    monkeypatch.setattr(oracle, "replica_bases", config_bases)
     monkeypatch.setattr(_native, "breaks", estimate_reference)
     argv, expected = CALLS[name]
     assert _output_digest(argv, tmp_path, capsys) == expected
