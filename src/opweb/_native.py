@@ -11,37 +11,35 @@ of each replica of `regen.replica_estimate` (``walk_breaks``), and
 (``config_bases``) gives `lattice.replica_bases`, the sampler bases of a
 batch of replicas, which `chain` and `check_walks` take.  The judge of
 these walks runs no walk code, and hashes each edge with its own copy of
-the edge hash: `edges` writes the edge statuses of an `oracle.BoxConfig`
-into the box's own arrays (``box_edges``), `dp` is the certified DP of
-`oracle` on one box (``dp_box``), which reads only those arrays, and
-`hashed_dp` the same DP on a rectangle whose rows of edges it hashes as it
-reaches them, the p = 0 probe of ``check``.  `judge_walk` is the body of
-`oracle._ladder_outcome`, the whole ladder of boxes that judges one walk
-(``judge_walk``): the same DP on each box, on hashed rows, compared with
-the walk's two boundaries.  `check_walks` is ``check``'s walks and their
-judge on a batch of replicas (``check_walks``): each replica walked as
-`bounds` walks it and judged on that ladder in place, in the one call.
+the edge hash: `hashed_dp` is the certified DP of `oracle` on one box
+(``dp_box``), whose rows of edges it hashes as it reaches them, the body
+of `oracle.dp_right_boundary` and `oracle.dp_rightmost_path`.
+`judge_walk` is the body of `oracle._ladder_outcome`, the whole ladder of
+boxes that judges one walk (``judge_walk``): the same DP on each box, on
+hashed rows, compared with the walk's two boundaries.  `check_walks` is
+``check``'s walks and their judge on a batch of replicas
+(``check_walks``): each replica walked as `bounds` walks it and judged on
+that ladder in place, in the one call.
 These are the only bodies of those computations in the package.  The
 Python references they are tested against live with the tests: the walks'
 and the ladder's in ``tests/_references.py``, the walks' on
-`explore.ExplorationCluster`, and the DP's and the box fill's in
-``tests/test_oracle.py``.
+`explore.ExplorationCluster`, and the DP's in ``tests/test_oracle.py``.
 
 The bodies that the walk commands and ``check`` run, `config_bases`,
 `chain`, `breaks`, `check_walks` and `hashed_dp`, use no numpy: they pass
 ``array.array`` buffers and ctypes words, and return lists.  So
-``estimate``, ``eta`` and ``coalesce`` never load numpy.  The array
-bodies, `bounds`, `edges`, `dp` and `judge_walk`, serve ``simulate``, the
-public DP of `oracle` and the tests: they read and write numpy arrays, and
-get numpy from `_numpy`, which imports it on its first call.  A size too
-large for any address space raises `InvalidArgumentError` before it is
-allocated (`_sized`).
+``estimate``, ``eta``, ``coalesce`` and ``check`` never load numpy.  Only
+`bounds` and `judge_walk`, which serve ``simulate`` and the tests, read and
+write numpy arrays, and get numpy from `_numpy`, which imports it on its
+first call.  A size too large for any address space raises
+`InvalidArgumentError` before it is allocated (`_sized`).
 
-Its callers, `couple`, `regen`, `lattice`, `explore` and `oracle`, import
-this module the first time a walk, a batch of bases or a box needs it,
-never at import.  The first `load` in a process compiles ``_walk.c`` with
-the local ``cc`` (or ``gcc``) unless a cached build exists, and loads it
-through ctypes.  The cache is the package's
+Its callers `couple`, `regen`, `lattice` and `explore` import this module
+the first time a walk or a batch of bases needs it, never at import;
+`oracle`, which ``check`` imports when it runs, imports it at its own
+import.  Importing it builds nothing: the first `load` in a process
+compiles ``_walk.c`` with the local ``cc`` (or ``gcc``) unless a cached
+build exists, and loads it through ctypes.  The cache is the package's
 ``__pycache__``, file ``_walk-<key>.so``, where ``<key>`` hashes the
 source, the compiler and its flags.  A build is written to a temporary
 file and moved into place by ``os.replace``, so concurrent processes only
@@ -100,12 +98,9 @@ _Breaks = c_int64 * 7
 # level and edges examined, then, from walk_chain, the index of the last
 # replica walked, the one that stopped the batch if one did
 _Report = c_int64 * 4
-# what judge_walk reports: the boxes it judged, the level and column where
-# a lost path was lost, then four words per box, for at most 64 boxes
-_Judged = c_int64 * (3 + 4 * 64)
-# what check_walks reports: the walk entries' report, then the level and
-# column where a lost path was lost
-_Checked = c_int64 * 6
+# what judge_walk reports: the boxes it judged, then four words per box,
+# for at most 64 boxes
+_Judged = c_int64 * (1 + 4 * 64)
 
 # the sampler as _sampler gives it
 _SAMPLER = [c_uint64, c_uint64, c_int]
@@ -120,10 +115,8 @@ _ENTRIES = {
                     c_int),
     "walk_bounds": ([c_int64, *_WALK, c_int64, c_int64] + [c_void_p] * 4,
                     c_int),
-    "box_edges": ([c_int64] * 3 + [c_void_p, *_SAMPLER] + [c_void_p] * 3,
-                  None),
-    "dp_box": ([c_int64] * 3 + [c_void_p, c_int64] + [c_void_p] * 3
-               + _SAMPLER + [c_void_p] * 6, c_int),
+    "dp_box": ([c_int64] * 3 + [c_void_p, c_int64] + _SAMPLER
+               + [c_void_p] * 6, c_int),
     "judge_walk": ([c_int64] * 2 + _SAMPLER + [c_void_p, c_int64] * 2
                    + [c_void_p], c_int),
     "check_walks": ([c_void_p, c_int64, c_uint64, c_int] + [c_int64] * 4
@@ -237,7 +230,7 @@ def _compile(cc: str, source: bytes, out: str) -> None:
 
 def _numpy():
     """numpy, imported on the first call.  Only the array bodies call it,
-    so a process that runs no ``simulate`` or ``check`` never loads numpy.
+    so a process that runs no ``simulate`` never loads numpy.
     An ``import`` statement in each body cost ``check`` about 4% of its
     throughput in the benchmark."""
     global _np
@@ -394,67 +387,6 @@ def bounds(z, n: int, horizon: int, cfg, scan_guard) -> tuple:
     return right, left, gamma, rep[0], rep[2]
 
 
-def edges(box) -> None:
-    """The edge statuses of a box in one C call, which writes them straight
-    into its ``open_ur``, ``open_ul`` and ``entry_open``: C-contiguous bool
-    arrays of shape ``(height, width)`` and ``(height,)``."""
-    height, width = box.open_ur.shape
-    load().box_edges(height, width, box.t_min, _address(box.lefts),
-                     *_sampler(box.cfg), _address(box.open_ur),
-                     _address(box.open_ul), _address(box.entry_open))
-
-
-def _cells(box, n: int):
-    """The addresses of a box's ``lefts``, ``open_ur``, ``open_ul`` and
-    ``entry_open`` as the native DP reads them over ``n`` levels, and the
-    arrays that hold them: the box's own, or C-contiguous copies of the
-    right dtype of arrays put in their place.  Refuses arrays that do not
-    fit the box's shape: ``lefts`` holds a column for each of its rows, the
-    other three ``n`` rows of its width."""
-    np = _numpy()
-    height, width = box.t_max - box.t_min, box.x_max - box.x_min + 1
-    arrays = (np.ascontiguousarray(box.lefts, dtype=np.int64),
-              np.ascontiguousarray(box.open_ur[:n], dtype=bool),
-              np.ascontiguousarray(box.open_ul[:n], dtype=bool),
-              np.ascontiguousarray(box.entry_open[:n], dtype=bool))
-    lefts, ur, ul, entry = arrays
-    if (not 0 <= n <= height or lefts.shape != (height + 1,)
-            or ur.shape != (n, width) or ul.shape != ur.shape
-            or entry.shape != (n,)):
-        raise InvalidArgumentError("the box's arrays do not fit its shape")
-    return tuple(map(_address, arrays)), arrays
-
-
-def dp(box, start: int, n: int):
-    """The certified DP of `oracle` on one box over ``n`` levels in one C
-    call, from the seed row's cells up to cell ``start`` of row 0.
-
-    ``dp_box`` reads the box's ``open_ur``, ``open_ul`` and ``entry_open``
-    as they are now, and packs each row of the first two into 64-bit words
-    as it reaches it.  Returns its code; the lower and upper tables,
-    ``n + 1`` rows of ``ceil(width / 64)`` words each; the bit lengths of
-    their rows, shape ``(2, n + 1)``; the path; and the level and column
-    that a refusal names.  All but the code are views of one block.
-    """
-    np = _numpy()
-    width = box.x_max - box.x_min + 1
-    (lefts, ur, ul, entry), _arrays = _cells(box, n)
-    # two row buffers, the two tables, then the int64 bit lengths, path
-    # and refusal site
-    words = -(-width // 64)
-    rows, table = 2 * words, (n + 1) * words
-    block = np.empty(rows + 2 * table + 3 * (n + 1) + 2, dtype=np.uint64)
-    ints = block[rows + 2 * table:].view("int64")
-    ints[-2:] = 0
-    views = (block[:rows], block[rows:rows + table].reshape(n + 1, words),
-             block[rows + table:rows + 2 * table].reshape(n + 1, words),
-             ints[:2 * (n + 1)].reshape(2, n + 1), ints[2 * (n + 1):-2],
-             ints[-2:])
-    code = load().dp_box(n, width, box.t_min, lefts, start, ur, ul, entry,
-                         0, 0, 0, *map(_address, views))
-    return (code, *views[1:5], tuple(views[5].tolist()))
-
-
 def _boundary(values):
     """A walk's boundary as ``judge_walk`` reads it: a C-contiguous int64
     numpy row."""
@@ -472,11 +404,9 @@ def judge_walk(cfg, n: int, right, left, slack: int):
     configuration ``cfg``, in one C call (``judge_walk``).
 
     Returns the code of the last box's outcome, an index of
-    `oracle.OUTCOMES`, or, negative, minus the refusal code of a path that
-    its DP lost; the level and column that such a refusal names; and the
-    boxes judged, in order, each as its left and right columns at level 0,
-    1 for a band or 0 for the rectangle, and its code.  The boxes' scratch
-    is made and freed inside the call.
+    `oracle.OUTCOMES`, and the boxes judged, in order, each as its left and
+    right columns at level 0, 1 for a band or 0 for the rectangle, and its
+    code.  The boxes' scratch is made and freed inside the call.
     """
     if n < 1:
         raise InvalidArgumentError("degenerate box")
@@ -488,9 +418,8 @@ def judge_walk(cfg, n: int, right, left, slack: int):
                              len(left), rep)
     if code == _JUDGE_NOMEM:
         raise MemoryError("the native judge cannot allocate its boxes")
-    boxes = rep[3:3 + 4 * rep[0]]
-    return code, (rep[1], rep[2]), [tuple(boxes[i:i + 4])
-                                    for i in range(0, len(boxes), 4)]
+    boxes = rep[1:1 + 4 * rep[0]]
+    return code, [tuple(boxes[i:i + 4]) for i in range(0, len(boxes), 4)]
 
 
 def _slack(slack: int) -> int:
@@ -507,14 +436,11 @@ def check_walks(bases, p: float, n: int, slack: int, corrupt: int,
     the ladder of `judge_walk`, with its r raised by one at ``n // 2`` on
     replica ``corrupt`` (none where that is no index of ``bases``).
 
-    ``bases`` is read as `chain` reads it.  Returns, for each replica
-    judged, its verdict, an index of `oracle.OUTCOMES`, and the boxes its
-    ladder judged, as two lists, and the level and column that a lost path
-    names.  The batch stops at the first replica, in order, whose walk
-    trips its guard, which raises that walk's error; whose walk or ladder
-    cannot allocate, which raises MemoryError; or whose DP loses a path:
-    that replica is the last one judged, with minus the DP's refusal code
-    as its verdict.
+    ``bases`` is read as `chain` reads it.  Returns, for each replica, its
+    verdict, an index of `oracle.OUTCOMES`, and the boxes its ladder
+    judged, as two lists.  The batch stops at the first replica, in order,
+    whose walk trips its guard, which raises that walk's error, or whose
+    walk or ladder cannot allocate, which raises MemoryError.
     """
     if n < 1:
         raise InvalidArgumentError("degenerate box")
@@ -522,7 +448,7 @@ def check_walks(bases, p: float, n: int, slack: int, corrupt: int,
     bases = _base_array(bases)
     count = len(bases)
     judged = _words("q", 2 * count)
-    rep = _Checked()
+    rep = _Report()
     code = load().check_walks(bases.buffer_info()[0], count,
                               *_cut(edge_threshold(p)), _guard(scan_guard),
                               n, _slack(slack), corrupt,
@@ -530,31 +456,42 @@ def check_walks(bases, p: float, n: int, slack: int, corrupt: int,
     if code == _JUDGE_NOMEM:
         raise MemoryError("the native judge cannot allocate its boxes")
     _check(code, rep)
-    flat = judged[:2 * (rep[3] + 1 if code else count)].tolist()
-    return flat[0::2], flat[1::2], (rep[4], rep[5])
+    flat = judged.tolist()
+    return flat[0::2], flat[1::2]
 
 
-def hashed_dp(base: int, p: float, x_min: int, x_max: int, n: int,
-              start: int):
-    """The certified DP of `oracle` on the rectangle of columns ``x_min``
-    to ``x_max`` and levels 0 to ``n``, seeded up to column ``start``, on
-    the configuration at ``p`` with sampler base ``base``, in one C call:
-    ``dp_box`` with each row's edges hashed as it reaches the row, on
-    ``array.array`` buffers.  Returns its code and the bit lengths of the
-    rows of its lower table, then of its upper one, as one list."""
-    width, levels = x_max - x_min + 1, n + 1
+def hashed_dp(lefts, t_min: int, width: int, start: int, cfg):
+    """The certified DP of `oracle` in one C call (``dp_box``): on the box
+    of ``width`` columns whose row ``j``, at level ``t_min + j``, starts at
+    column ``lefts[j]``, over ``len(lefts) - 1`` levels, from the seed row's
+    cells up to cell ``start`` of row 0, with each row's edges hashed under
+    the sampler of ``cfg`` as the DP reaches the row, on ``array.array``
+    buffers.
+
+    Returns its code; the lower and upper tables, each an ``array.array``
+    of typecode ``"Q"`` holding ``len(lefts)`` rows of ``ceil(width / 64)``
+    words, bit ``i`` of row ``j`` standing for column ``lefts[j] + i``; the
+    bit lengths of their rows, as two lists; the path, as a list; and the
+    level and column that a refusal names.  Refuses walls that the DP cannot
+    read: a box narrower than two columns, no rows, or a wall that steps by
+    more than one column per level.
+    """
+    levels = len(lefts)
+    if width < 2 or not levels or any(
+            not -1 <= b - a <= 1 for a, b in zip(lefts, lefts[1:])):
+        raise InvalidArgumentError("the box's walls do not fit its shape")
     words = -(-width // 64)
-    # the two row buffers, the two tables, the bit lengths, the path and
-    # the refusal site, in one block
-    sizes = (2 * words, levels * words, levels * words, 2 * levels, levels, 2)
-    block = _words("q", sum(sizes))
-    address, at = [], block.buffer_info()[0]
-    for size in sizes:
-        address.append(at)
-        at += 8 * size
-    lefts = array("q", [x_min]) * levels
-    code = load().dp_box(n, width, 0, lefts.buffer_info()[0], start - x_min,
-                         None, None, None, base, *_cut(edge_threshold(p)),
-                         *address)
-    lengths = sum(sizes[:3])
-    return code, block[lengths:lengths + 2 * levels].tolist()
+    rows = _words("Q", 2 * words)
+    lower, upper = _words("Q", levels * words), _words("Q", levels * words)
+    # the bit lengths, the path and the refusal site
+    ints = _words("q", 3 * levels + 2)
+    walls = array("q", lefts)
+    address = ints.buffer_info()[0]
+    code = load().dp_box(levels - 1, width, t_min, walls.buffer_info()[0],
+                         start, *_sampler(cfg), rows.buffer_info()[0],
+                         lower.buffer_info()[0], upper.buffer_info()[0],
+                         address, address + 16 * levels,
+                         address + 24 * levels)
+    flat = ints.tolist()
+    return (code, lower, upper, (flat[:levels], flat[levels:2 * levels]),
+            flat[2 * levels:-2], (flat[-2], flat[-1]))

@@ -137,21 +137,16 @@
  * Keys are the packed keys of lattice.py taken mod 2**64, which is all the
  * sampler reads of them.
  *
- * box_edges, dp_box and the ladder are the judge of these walks, and use
- * no walk code: no is_open, no pack, no walk_t.  They hash each edge with
- * their own copy of the splitmix64 mix of lattice.py, box_open, under the
- * Config's base, threshold and all-open flag.  box_edges writes a box's
- * edge statuses, as oracle.BoxConfig holds them, into byte arrays the
- * caller owns: the up-right and up-left status of each site at its cell of
- * open_ur and open_ul, 0 at the other cells, and the entry_open flags.
+ * dp_box and the ladder are the judge of these walks, and use no walk
+ * code: no is_open, no pack, no walk_t.  They hash each edge with their
+ * own copy of the splitmix64 mix of lattice.py, box_open, under the
+ * Config's base, threshold and all-open flag.
  *
  * dp_box is the certified DP of oracle.py on one box, the only DP body.
  * Its edges come in 64-bit words, bit i of word k standing for cell 64 k +
- * i of a row, one row at a time as the DP reaches it: packed from the
- * box's own byte rows, read on every call so that edits made to them
- * after box_edges are seen, or, for the ladder and check's p = 0 probe,
- * hashed straight into the words.  It fills the lower and upper tables row
- * by row, as the numpy-row reference DP of tests/test_oracle.py does: one
+ * i of a row, one row at a time as the DP reaches it, hashed straight into
+ * the words.  It fills the lower and upper tables row by row, as the
+ * numpy-row reference DP of tests/test_oracle.py does: one
  * level is ((lo & ur) << 2 | (lo & ul)) >> drop, masked to the box width,
  * which is an up-right move by 2 - drop cells and an up-left one by -drop,
  * done word by word with the bits a shift moves past a word's edge carried
@@ -173,11 +168,10 @@
  * JUDGE_DEAD unless l steps left of a row's wall, when it refuses.  Else
  * the certified maxima are compared with the walk's r (JUDGE_RIGHT on any
  * difference, a length other than n + 1 included), and the backtracked
- * path, which certified maxima certify (oracle's docstring proves it), is
- * compared with l (JUDGE_LEFT).  A lost path returns minus dp_box's code,
- * which oracle raises as NoPathError.  It reports each box it judged, its
- * walls and its verdict.  It too runs no walk code: it reads the walk's two
- * arrays and the sampler, nothing else.
+ * path, which certified maxima certify (oracle's docstring proves it), so
+ * that dp_box cannot have refused it, is compared with l (JUDGE_LEFT).  It
+ * reports each box it judged, its walls and its verdict.  It too runs no
+ * walk code: it reads the walk's two arrays and the sampler, nothing else.
  *
  * Two entries run the ladder.  judge_walk judges one walk that the caller
  * hands in, on scratch that it makes and frees.  check_walks is check's
@@ -186,9 +180,9 @@
  * walks it, and its r and its stack sx, which is its l, are judged in
  * place, the ladders of all of them sharing one scratch block.  Like
  * walk_chain it stops at the first replica, in order, whose walk trips or
- * runs out of memory, or whose ladder runs out of memory or loses a path,
- * so a batch raises what its replicas would raise walked and judged one by
- * one.  The ladder is a static body, and the ladder's call of dp_box, an
+ * runs out of memory, or whose ladder runs out of memory, so a batch
+ * raises what its replicas would raise walked and judged one by one.  The
+ * ladder is a static body, and the ladder's call of dp_box, an
  * exported function, goes through the PLT, whose slots lie before the
  * walks' code.  So neither entry calls the other: a call of the exported
  * judge_walk would add a PLT slot and move every walk by 16 bytes, and a
@@ -603,30 +597,6 @@ static uint8_t entry_open(uint64_t base, uint64_t threshold, int all_open,
            && box_open(base, threshold, all_open, box_key(t, 1, source));
 }
 
-/* The edge statuses of a box of `height` rows of `width` cells, row j at
- * level t_min + j from column lefts[j], with lefts holding height + 1
- * columns, as oracle.BoxConfig holds them: ur and ul, height rows of width
- * bytes, get each site's up-right and up-left status at its cell and 0 at
- * every other cell; entry[j] gets the status of the up-right edge from the
- * site just left of row j when that edge lands on row j + 1, else 0. */
-void box_edges(int64_t height, int64_t width, int64_t t_min,
-               const int64_t *lefts, uint64_t base, uint64_t threshold,
-               int all_open, uint8_t *ur, uint8_t *ul, uint8_t *entry)
-{
-    for (int64_t j = 0; j < height; j++) {
-        int64_t t = t_min + j, left = lefts[j];
-        uint8_t *u = ur + j * width, *v = ul + j * width;
-        memset(u, 0, (size_t)width);
-        memset(v, 0, (size_t)width);
-        for (int64_t c = (left + t) & 1; c < width; c += 2) {
-            u[c] = box_open(base, threshold, all_open, box_key(t, 1, left + c));
-            v[c] = box_open(base, threshold, all_open, box_key(t, 0, left + c));
-        }
-        entry[j] = entry_open(base, threshold, all_open, t, left,
-                              lefts[j + 1]);
-    }
-}
-
 /* the DP's return codes, oracle's refusal codes */
 enum { DP_OK = 0, DP_SEED_WALL, DP_WALL, DP_NO_PATH, DP_TOP, DP_UNSURE,
        DP_LOST };
@@ -635,32 +605,6 @@ enum { DP_OK = 0, DP_SEED_WALL, DP_WALL, DP_NO_PATH, DP_TOP, DP_UNSURE,
 static int cell(const uint64_t *row, int64_t i)
 {
     return row[i >> 6] >> (i & 63) & 1;
-}
-
-/* `count` <= 8 byte cells, each 0 or 1, as the low bits of a word, cell i
- * to bit i.  The cells are read as one word, byte i holding cell i, and one
- * multiply moves byte i's bit to bit 56 + i: the multiplier's bits sit at
- * 7, 14, ..., 56, so no two products share a bit and none carries. */
-static uint64_t pack8(const uint8_t *cells, size_t count)
-{
-    uint64_t v = 0;
-    memcpy(&v, cells, count);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    v = __builtin_bswap64(v);
-#endif
-    return v * 0x0102040810204080ULL >> 56;
-}
-
-/* A row of `width` byte cells as words: cell 64 k + i to bit i of word k. */
-static void pack_row(const uint8_t *row, int64_t width, uint64_t *to)
-{
-    int64_t full = width / 8;
-    memset(to, 0, (size_t)(width + 63) / 64 * sizeof *to);
-    for (int64_t b = 0; b < full; b++)
-        to[b >> 3] |= pack8(row + 8 * b, 8) << (8 * (b & 7));
-    if (width % 8)
-        to[full >> 3] |= pack8(row + 8 * full, (size_t)(width % 8))
-                         << (8 * (full & 7));
 }
 
 /* The number of cells up to and including the row's rightmost set one;
@@ -723,22 +667,19 @@ static void hash_row(int64_t t, int64_t left, int64_t width, uint64_t base,
 
 /* The certified DP of a box `width` >= 2 columns wide over `n` levels from
  * t_min, row j starting at column lefts[j], with the seed row's cells up to
- * `start`.  Its edges are the byte rows ur and ul, n rows of width cells,
- * and the n flags entry, as box_edges writes them, read as they are now;
- * or, where ur is NULL, each row's edges and entry flag hashed under the
- * sampler (base, threshold, all_open) as the DP reaches it.  Either way each
- * row of edges is put into `rows`, room for two rows of (width + 63) / 64
- * words, as 64-bit words.  lower and upper hold n + 1 rows of that many
- * words.  Writes the bit lengths of lower's rows into lengths[0:n + 1] and
- * of upper's into lengths[n + 1:2 n + 2], and the path into path[0:n + 1].
+ * `start`.  Each row's edges and entry flag are hashed under the sampler
+ * (base, threshold, all_open) as the DP reaches the row, into `rows`, room
+ * for two rows of (width + 63) / 64 words.  lower and upper hold n + 1
+ * rows of that many words.  Writes the bit lengths of lower's rows into
+ * lengths[0:n + 1] and of upper's into lengths[n + 1:2 n + 2], and the path
+ * into path[0:n + 1].
  * Returns a refusal code or DP_OK; at[0:2] get the level and the column
  * that DP_NO_PATH, DP_UNSURE and DP_LOST name.  On DP_SEED_WALL and
  * DP_WALL nothing past the refused row is written. */
 int dp_box(int64_t n, int64_t width, int64_t t_min, const int64_t *lefts,
-           int64_t start, const uint8_t *ur, const uint8_t *ul,
-           const uint8_t *entry, uint64_t base, uint64_t threshold,
-           int all_open, uint64_t *rows, uint64_t *lower, uint64_t *upper,
-           int64_t *lengths, int64_t *path, int64_t *at)
+           int64_t start, uint64_t base, uint64_t threshold, int all_open,
+           uint64_t *rows, uint64_t *lower, uint64_t *upper, int64_t *lengths,
+           int64_t *path, int64_t *at)
 {
     int64_t words = (width + 63) / 64;
     uint64_t top = width % 64 ? ((uint64_t)1 << width % 64) - 1 : ~0ULL;
@@ -754,22 +695,14 @@ int dp_box(int64_t n, int64_t width, int64_t t_min, const int64_t *lefts,
         int drop = (int)(1 + lefts[j + 1] - lefts[j]);
         uint64_t *u = rows, *v = rows + words;
         uint64_t *hi = upper + (j + 1) * words;
-        int in; /* the entry edge's status */
-        if (ur) {
-            pack_row(ur + j * width, width, u);
-            pack_row(ul + j * width, width, v);
-            in = entry[j];
-        } else {
-            hash_row(t_min + j, lefts[j], width, base, threshold, all_open,
-                     upper + j * words, u, v);
-            in = entry_open(base, threshold, all_open, t_min + j, lefts[j],
-                            lefts[j + 1]);
-        }
+        hash_row(t_min + j, lefts[j], width, base, threshold, all_open,
+                 upper + j * words, u, v);
         dp_step(lower + j * words, u, v, words, drop, top,
                 lower + (j + 1) * words);
         dp_step(upper + j * words, u, v, words, drop, top, hi);
         /* the entry edge lands on row j + 1's first site, cell 0 or 1 */
-        if (in)
+        if (entry_open(base, threshold, all_open, t_min + j, lefts[j],
+                       lefts[j + 1]))
             hi[0] |= (uint64_t)1 << ((lefts[j + 1] + t_min + j + 1) & 1);
         if (cell(hi, width - 2) | cell(hi, width - 1))
             return DP_WALL;
@@ -800,9 +733,8 @@ int dp_box(int64_t n, int64_t width, int64_t t_min, const int64_t *lefts,
                 return DP_UNSURE;
             }
             if (cell(lo, c)
-                && (ur ? (d ? ur : ul)[j * width + c]
-                       : box_open(base, threshold, all_open,
-                                  box_key(t_min + j, d, x)))) {
+                && box_open(base, threshold, all_open,
+                            box_key(t_min + j, d, x))) {
                 y = x;
                 moved = 1;
             }
@@ -825,21 +757,19 @@ enum { JUDGE_OK = 0, JUDGE_NARROW, JUDGE_DEAD, JUDGE_RIGHT, JUDGE_LEFT,
  * with its edges hashed under the sampler (base, threshold, all_open).
  * scratch holds 3 (n + 1) + 2 (n + 2) (width + 63) / 64 words: the bit
  * lengths and the path, then dp_box's two row buffers and two tables.
- * Returns a JUDGE_ outcome, or minus dp_box's code for a path it lost, with
- * at[0:2] naming where. */
+ * Returns a JUDGE_ outcome; where every level's maxima certify, dp_box has
+ * certified the path too (oracle's docstring proves it). */
 static int judge_rung(int64_t n, int64_t width, const int64_t *lefts,
                       uint64_t base, uint64_t threshold, int all_open,
                       const int64_t *right, int64_t right_len,
-                      const int64_t *left, int64_t left_len, int64_t *scratch,
-                      int64_t *at)
+                      const int64_t *left, int64_t left_len, int64_t *scratch)
 {
-    int64_t words = (width + 63) / 64;
+    int64_t words = (width + 63) / 64, at[2];
     int64_t *lengths = scratch, *path = lengths + 2 * (n + 1);
     uint64_t *rows = (uint64_t *)(path + n + 1), *lower = rows + 2 * words;
     uint64_t *upper = lower + (n + 1) * words;
-    int code = dp_box(n, width, 0, lefts, -lefts[0], NULL, NULL, NULL, base,
-                      threshold, all_open, rows, lower, upper, lengths, path,
-                      at);
+    int code = dp_box(n, width, 0, lefts, -lefts[0], base, threshold, all_open,
+                      rows, lower, upper, lengths, path, at);
     if (code == DP_SEED_WALL || code == DP_WALL)
         return JUDGE_NARROW;
     for (int64_t j = 0; j <= n; j++) {
@@ -858,8 +788,6 @@ static int judge_rung(int64_t n, int64_t width, const int64_t *lefts,
     for (int64_t j = 0; j <= n; j++)
         if (lefts[j] + lengths[j] - 1 != right[j])
             return JUDGE_RIGHT;
-    if (code)
-        return -code;
     if (left_len != n + 1)
         return JUDGE_LEFT;
     for (int64_t j = 0; j <= n; j++)
@@ -886,10 +814,10 @@ static int judge_rung(int64_t n, int64_t width, const int64_t *lefts,
  * stops at the first box whose verdict is not JUDGE_NARROW or JUDGE_DEAD.
  * The boxes' scratch is *scratch, *cap words, which the ladder replaces
  * by a larger block when a box needs one; the caller frees it.  rep[0]
- * gets the boxes judged, k, rep[1:3] where a lost path was lost, and
- * rep[3 + 4 i:7 + 4 i] box i's left and right columns at level 0, 1 for a
- * band or 0 for the rectangle, and its verdict, for i < k <= 63.  Returns
- * the last verdict, or JUDGE_NOMEM, when rep[0] boxes were judged. */
+ * gets the boxes judged, k, and rep[1 + 4 i:5 + 4 i] box i's left and
+ * right columns at level 0, 1 for a band or 0 for the rectangle, and its
+ * verdict, for i < k <= 63.  Returns the last verdict, or JUDGE_NOMEM, when
+ * rep[0] boxes were judged. */
 static int ladder(int64_t n, int64_t slack, uint64_t base, uint64_t threshold,
                   int all_open, const int64_t *right, int64_t right_len,
                   const int64_t *left, int64_t left_len, int64_t **scratch,
@@ -948,8 +876,8 @@ static int ladder(int64_t n, int64_t slack, uint64_t base, uint64_t threshold,
         for (int64_t j = 0; j <= n; j++)
             lefts[j] = band ? left[j] - margin : x_min;
         code = judge_rung(n, width, lefts, base, threshold, all_open, right,
-                          right_len, left, left_len, lefts + n + 1, rep + 1);
-        int64_t *rung = rep + 3 + 4 * k++;
+                          right_len, left, left_len, lefts + n + 1);
+        int64_t *rung = rep + 1 + 4 * k++;
         rung[0] = x_min;
         rung[1] = x_min + width - 1;
         rung[2] = band;
@@ -982,18 +910,16 @@ int judge_walk(int64_t n, int64_t slack, uint64_t base, uint64_t threshold,
  * stack sx, in place on the ladder, on scratch that every replica's ladder
  * reuses.  judged[2 i] gets replica i's verdict and judged[2 i + 1] the
  * boxes its ladder judged.  Stops at the first replica, in order, whose walk
- * trips its guard or runs out of memory, whose ladder runs out of memory,
- * or whose DP loses a path; returns the walk's code, JUDGE_NOMEM, or minus
- * the DP's code, else 0.  rep[0:3] gets the report of the last replica's
- * walk, rep[3] that replica's index, and rep[4:6] where a lost path was
- * lost. */
+ * trips its guard or runs out of memory, or whose ladder runs out of
+ * memory; returns the walk's code or JUDGE_NOMEM, else 0.  rep[0:3] gets
+ * the report of the last replica's walk. */
 int check_walks(const uint64_t *bases, int64_t count, uint64_t threshold,
                 int all_open, int64_t scan_guard, int64_t n, int64_t slack,
                 int64_t corrupt, int64_t *judged, int64_t *rep)
 {
     walk_t w = {0};
     cursor_t c;
-    int64_t boxes[3 + 4 * 64], *scratch = NULL;
+    int64_t boxes[1 + 4 * 64], *scratch = NULL;
     size_t cap = 0;
     int code = walk_grow(&w, n) ? WALK_OK : WALK_NOMEM;
     for (int64_t i = 0; i < count && !code; i++) {
@@ -1001,18 +927,14 @@ int check_walks(const uint64_t *bases, int64_t count, uint64_t threshold,
         code = walk_to(&w, &c, n, bases[i], threshold, all_open, 0, 0,
                        scan_guard, NULL);
         report(&c, 0, rep);
-        rep[3] = i;
         if (code)
             break;
         if (i == corrupt)
             w.r[n / 2]++;
         int verdict = ladder(n, slack, bases[i], threshold, all_open, w.r,
                              n + 1, w.sx, n + 1, &scratch, &cap, boxes);
-        if (verdict == JUDGE_NOMEM || verdict < 0) {
+        if (verdict == JUDGE_NOMEM)
             code = verdict;
-            rep[4] = boxes[1];
-            rep[5] = boxes[2];
-        }
         judged[2 * i] = verdict;
         judged[2 * i + 1] = boxes[0];
     }

@@ -23,11 +23,12 @@ address space among them), insufficient data or out of memory, 3 scan
 guard tripped, 4 I/O failure or a native library that cannot be built or
 loaded (`NativeLibraryError`, whose message names the cause).
 
-Importing this module loads no numpy.  ``estimate``, ``eta`` and
-``coalesce`` never load it: their walks hand back ints, and their
-statistics are plain floats.  ``simulate`` and ``check`` write and judge
-whole boundaries, held in numpy arrays: they import `opweb.explore` and
-`opweb.oracle`, and with them numpy, when they run.
+Importing this module loads no numpy.  ``estimate``, ``eta``,
+``coalesce`` and ``check`` never load it: their walks and judges hand back
+ints and lists, and their statistics are plain floats.  ``simulate``
+writes whole boundaries, held in numpy arrays: it imports `opweb.explore`,
+and with it numpy, when it runs; ``check`` imports `opweb.oracle` when it
+runs.
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def cmd_eta(spec: ExperimentSpec) -> int:
 def cmd_check(spec: ExperimentSpec) -> int:
     # --delta doubles as the list of p values to sweep; default suite below
     ps = spec.delta or (0.7, 0.8, 0.9)
-    from .oracle import check_suite  # numpy: not at import
+    from .oracle import check_suite  # only check needs it: not at import
     report = check_suite(ps, spec.replicas, spec.n, spec.seed,
                          workers=spec.workers, scan_guard=spec.scan_guard)
     for p in ps:

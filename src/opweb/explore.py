@@ -48,10 +48,10 @@ up, from which a replay rebuilds the left boundary at every level.  Only
 the ledger coupling of the tests reads it.
 
 This module holds numpy arrays (`Boundaries`, `Trajectory`), so it is
-imported only where they are used: by ``simulate``, by the oracle of
-``check``, by the path-space metric of `opweb.metrics` and by
-`opweb.regen.error_gap_frequencies`, never by the walk commands
-``estimate``, ``eta`` and ``coalesce``.  The scan guard it applies,
+imported only where they are used: by ``simulate``, by the path-space
+metric of `opweb.metrics` and by `opweb.regen.error_gap_frequencies`,
+never by the walk commands ``estimate``, ``eta`` and ``coalesce``, nor by
+``check``.  The scan guard it applies,
 `opweb.errors.DEFAULT_SCAN_GUARD` and `opweb.errors.guard_error`, lives
 with the errors, which every module imports.
 """

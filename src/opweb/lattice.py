@@ -28,11 +28,11 @@ a test:
   ``test_native_walk_matches_python_walk`` and the walk references of
   ``tests/_references.py``, whose Python walk samples through
   `make_key_sampler`;
-* the judge's ``box_open`` in ``_walk.c``, which ``box_edges`` runs to fill
-  an `oracle.BoxConfig`, cell by cell against `edge_status_array` by
-  ``test_box_fill_matches_the_lattice_bit_for_bit``, and ``judge_walk`` to
-  hash its rows of bits, against those boxes' verdicts by
-  ``test_judge_walk_equals_the_reference_ladder``.  Its all-open flag
+* the judge's ``box_open`` in ``_walk.c``, which ``dp_box`` runs to hash
+  each box's rows of bits as it reaches them, against the numpy-row
+  reference DP on cells from `edge_status_array`, on boxes as far as
+  2**30 columns either side of 0, by
+  ``test_bit_row_dp_matches_numpy_rows_far_and_wide``.  Its all-open flag
   stands in for the threshold ``2**64`` of p = 1, as
   ``test_an_edge_hashed_to_the_top_is_open_at_p_one`` checks.
 

@@ -23,20 +23,20 @@ so one level of reachability is ``((r & ur) << 2 | (r & ul)) >> (1 + d)``
 masked to the box width, where ``d = lefts[j + 1] - lefts[j]``, and a
 row's rightmost reachable site is its bit length less one.  ``dp_box`` of
 ``_walk.c``, the one body of the DP, runs it on rows of 64-bit words, each
-made as the DP reaches it.  On a `BoxConfig` it packs them from the box's
-own byte arrays, which ``box_edges`` fills: `_certified_dp` is one call of
-it, for `dp_right_boundary` and `dp_rightmost_path`.  ``check`` builds no
-box: each range of its replicas is walked and judged in one call of
-``check_walks``, which walks each replica and lays the whole ladder below
-on the walk in place, running ``dp_box`` on each box with its edges hashed
-straight into the bit rows, and `_judged_walks` only names the outcomes.
-Its p = 0 probe, `_probe_dead_from`, runs ``dp_box`` on hashed rows of one
-rectangle.  `_ladder_outcome` names the ladder's outcome on a walk handed
-in (``judge_walk``): the tests judge deliberately wrong walks with it.
-Each of them hashes each edge with the judge's own copy of the lattice's
-mix, and the judge calls neither the walk's sampler nor any other walk
-code, so a fault in the walk cannot also hide in its judge.  The tests
-hold the references: a DP on numpy bool rows, the box's cells read from
+row's edges hashed straight into its words as the DP reaches it, so no box
+holds an edge: a `BoxConfig` is its walls alone, and `_certified_dp` is one
+call of ``dp_box`` on them, for `dp_right_boundary` and
+`dp_rightmost_path`.  ``check`` builds no box for its walks: each range of
+its replicas is walked and judged in one call of ``check_walks``, which
+walks each replica and lays the whole ladder below on the walk in place,
+running ``dp_box`` on each box, and `_judged_walks` only names the
+outcomes.  Its p = 0 probe is `dp_right_boundary` on one rectangle.
+`_ladder_outcome` names the ladder's outcome on a walk handed in
+(``judge_walk``): the tests judge deliberately wrong walks with it.  Each
+of them hashes each edge with the judge's own copy of the lattice's mix,
+and the judge calls neither the walk's sampler nor any other walk code, so
+a fault in the walk cannot also hide in its judge.  The tests hold the
+references: a DP on numpy bool rows, its cells read from
 `lattice.edge_status_array`, and the walks, the ladder and each box's
 verdict in Python.
 
@@ -86,43 +86,35 @@ it, and from it follows the open path up to ``(y + 1, j)``, which is then
 in the lower table after all.  So every cell that the backtrack reads
 agrees between the two tables, and it never loses the path.
 
-The boxes and tables of the public DP are numpy arrays, so only
-``check`` imports this module, when it runs; the walk commands never do.
+The public DP gives Python ints and lists, and this module loads no
+numpy: only `gap_walk_survival_exact`, a reference that the tests call,
+imports it, when it runs.  ``check`` imports this module when it runs; the
+walk commands never do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from . import _native
 from .errors import (DEFAULT_SCAN_GUARD, BoxTooNarrowError,
                      InvalidArgumentError, NoPathError,
                      ScanLimitExceededError)
-from .lattice import Config, replica_bases
+from .lattice import Config, replica_bases, replica_config
 from .runner import pmap, replica_ranges
 
 
 @dataclass(eq=False)
 class BoxConfig:
-    """Materialized edge statuses for all edges inside a box.
+    """A box of the lattice of a configuration, whose edges the DP hashes.
 
     Row ``j``, at level ``t_min + j``, holds the columns ``x_min + shear[j]``
     through ``x_max + shear[j]``.  ``shear`` has one entry per level from
     ``t_min`` to ``t_max``, starts at 0 and steps by at most 1 per row; left
     out, it is all zeros and the box is the rectangle ``[x_min, x_max]``.
-    ``lefts[j]`` is row ``j``'s left column.  Boolean arrays are indexed
-    ``[j, x - lefts[j]]``; entries at odd parity are False and never read.
-    ``entry_open[j]`` is the status of the up-right edge from the site just
-    left of row ``j`` when that edge lands on row ``j + 1``, at its first
-    site, else False: the only kind of edge through which anything left of
-    the box can influence it.  The three arrays are C-contiguous bool views
-    of one block, filled by ``box_edges`` of ``_walk.c``; ``lefts`` is an
-    int64 array.  The native DP reads the arrays as they are each time it
-    runs, packing ``open_ur``/``open_ul`` into bit rows (bit ``i`` of row
-    ``j`` is column ``lefts[j] + i``), so edits to any of them after
-    construction are seen by the next DP call.  An array put in the place
-    of one of them is read instead, if it fits the box's shape.
+    ``lefts[j]`` is row ``j``'s left column.  Both are lists of ints.  The
+    box holds no edge: the native DP hashes each row's edges under the
+    sampler of ``cfg`` as it reaches the row.
     """
 
     cfg: Config
@@ -130,38 +122,27 @@ class BoxConfig:
     x_max: int
     t_min: int
     t_max: int
-    shear: np.ndarray = field(repr=False, default=None)
-    open_ur: np.ndarray = field(init=False, repr=False, default=None)
-    open_ul: np.ndarray = field(init=False, repr=False, default=None)
-    entry_open: np.ndarray = field(init=False, repr=False, default=None)
-    lefts: np.ndarray = field(init=False, repr=False, default=None)
+    shear: list = field(repr=False, default=None)
+    lefts: list = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        # as Python ints: a numpy bound of another dtype would change the
-        # dtype of the rows' left columns, x_min + shear
+        # as Python ints, whatever integer type the bounds and the shear
+        # come in
         self.x_min, self.x_max, self.t_min, self.t_max = map(
             int, (self.x_min, self.x_max, self.t_min, self.t_max))
         if self.x_max <= self.x_min or self.t_max <= self.t_min:
             raise InvalidArgumentError("degenerate box")
         height = self.t_max - self.t_min
-        width = self.x_max - self.x_min + 1
         if self.shear is None:
-            shear = np.zeros(height + 1, dtype=np.int64)
+            shear = [0] * (height + 1)
         else:
-            shear = np.array(self.shear, dtype=np.int64)
-            if (shear.shape != (height + 1,) or shear[0] != 0
-                    or np.abs(shear[1:] - shear[:-1]).max() > 1):
+            shear = [int(s) for s in self.shear]
+            if (len(shear) != height + 1 or shear[0] != 0
+                    or any(abs(b - a) > 1 for a, b in zip(shear, shear[1:]))):
                 raise InvalidArgumentError(
                     "shear must start at 0 and step by at most 1 per level")
         self.shear = shear
-        self.lefts = self.x_min + shear
-        cells = height * width
-        block = np.empty(2 * cells + height, dtype=bool)
-        self.open_ur = block[:cells].reshape(height, width)
-        self.open_ul = block[cells:2 * cells].reshape(height, width)
-        self.entry_open = block[2 * cells:]
-        from . import _native  # may build the library: not at import
-        _native.edges(self)
+        self.lefts = [self.x_min + s for s in shear]
 
 
 @dataclass(frozen=True)
@@ -169,7 +150,7 @@ class DpBoundary:
     """Right boundary from the DP; ``dead_from`` is the first empty level."""
 
     start_t: int
-    values: np.ndarray
+    values: list
     dead_from: int | None = None
 
 
@@ -192,9 +173,13 @@ def _refusal(code: int, t: int | None = None, x: int | None = None):
 
 
 def _raised(result):
-    """``result``, unless it is a refusal, which is raised."""
+    """``result``, unless it stands for a refusal, which is raised: a
+    refusal itself, or a ``(code, t, x)`` of `_refusal`."""
     if isinstance(result, Exception):
         raise result
+    if isinstance(result, tuple):
+        code, t, x = result
+        raise _refusal(code, t, x)
     return result
 
 
@@ -202,33 +187,36 @@ def _certified_dp(box: BoxConfig, start_x: int, n: int):
     """The certified DP of one box from the seed row up to ``start_x``.
 
     Returns the right boundary over ``n`` levels and the rightmost path,
-    each as its value or as the refusal that stands for it, so that a
-    caller can rank the two; a reachable set that touches the right wall
-    refuses both and is raised.  The body is ``dp_box`` of ``_walk.c``.
+    each as its value or as what stands for its refusal, so that a caller
+    can rank the two: the boundary's refusal itself, the path's as the
+    ``(code, t, x)`` that `_raised` makes it from, so that only a caller
+    that wants the path builds its refusal.  A reachable set that touches
+    the right wall refuses both and is raised.  The body is ``dp_box`` of
+    ``_walk.c``.
     """
     _check_levels(box, start_x, n)
-    from . import _native  # may build the library: not at import
-    code, _, _, lengths, path, (j, x) = _native.dp(box, start_x - box.x_min,
-                                                   n)
+    code, _, _, lengths, path, (j, x) = _native.hashed_dp(
+        box.lefts[:n + 1], box.t_min, box.x_max - box.x_min + 1,
+        start_x - box.x_min, box.cfg)
     if code in (SEED_WALL, WALL):
         raise _refusal(code)
     if code:
-        path = _refusal(code, box.t_min + j, x)
-    return _boundary_from_lengths(box, *lengths, n), path
+        path = (code, box.t_min + j, x)
+    return _boundary_from_lengths(box, *lengths), path
 
 
 def _check_levels(box: BoxConfig, start_x: int, n: int) -> None:
-    """Refuse a seed column outside row 0, or more levels than the box
-    has."""
+    """Refuse a seed column outside row 0, or a count of levels ``n`` that
+    is negative or past the box's top row."""
     if not box.x_min <= start_x <= box.x_max:
         raise InvalidArgumentError("start_x outside the box")
-    if box.t_min + n > box.t_max:
+    if not 0 <= n < len(box.lefts):
         raise InvalidArgumentError("box too short for the requested levels")
 
 
 def _max_or_none(length: int, left: int):
     """The column of a row's rightmost reached cell, from its bit length."""
-    return None if length == 0 else left + int(length) - 1
+    return None if length == 0 else left + length - 1
 
 
 def dp_right_boundary(box: BoxConfig, start_x: int, n: int) -> DpBoundary:
@@ -242,19 +230,18 @@ def dp_right_boundary(box: BoxConfig, start_x: int, n: int) -> DpBoundary:
     return _raised(_certified_dp(box, start_x, n)[0])
 
 
-def _boundary_from_lengths(box: BoxConfig, lo: np.ndarray, hi: np.ndarray,
-                           n: int):
+def _boundary_from_lengths(box: BoxConfig, lo: list, hi: list):
     """The boundary, or its refusal, from the bit lengths of the rows of
     the lower (``lo``) and upper (``hi``) tables."""
     # the first level whose maxima differ or that is empty ends the values
-    stops = np.flatnonzero((lo != hi) | (lo == 0))
-    j = int(stops[0]) if len(stops) else n + 1
-    values = box.lefts[:j] + lo[:j] - 1
-    if j > n:
-        return DpBoundary(box.t_min, values)
-    if lo[j] != hi[j]:
-        return _uncertified(box.t_min + j, lo[j], hi[j], box.lefts[j])
-    return DpBoundary(box.t_min, values, box.t_min + j)
+    values = []
+    for j, (left, a, b) in enumerate(zip(box.lefts, lo, hi)):
+        if a != b:
+            return _uncertified(box.t_min + j, a, b, left)
+        if not a:
+            return DpBoundary(box.t_min, values, box.t_min + j)
+        values.append(left + a - 1)
+    return DpBoundary(box.t_min, values)
 
 
 def _uncertified(t: int, lo: int, hi: int, left: int) -> BoxTooNarrowError:
@@ -265,7 +252,7 @@ def _uncertified(t: int, lo: int, hi: int, left: int) -> BoxTooNarrowError:
         f"max {_max_or_none(hi, left)}")
 
 
-def dp_rightmost_path(box: BoxConfig, start_x: int, n: int) -> np.ndarray:
+def dp_rightmost_path(box: BoxConfig, start_x: int, n: int) -> list:
     """The pointwise-rightmost open path from the seed row to level ``n``.
 
     Backtracks the reachability DP right-edge-first; at every step the two
@@ -304,53 +291,23 @@ OUTCOMES = ("ok", "box_too_narrow", "dp_dead", "right_boundary_mismatch",
             "left_boundary_mismatch")
 
 
-def _ladder_outcome(cfg: Config, n: int, right: np.ndarray, left: np.ndarray,
-                    slack: int) -> str:
+def _ladder_outcome(cfg: Config, n: int, right, left, slack: int) -> str:
     """A walk's outcome on its ladder of boxes, from one call of
-    ``judge_walk`` of ``_walk.c``; a path that a box's DP loses raises
-    NoPathError."""
-    from . import _native  # may build the library: not at import
-    code, at, _ = _native.judge_walk(cfg, n, right, left, slack)
-    if code < 0:
-        raise _refusal(-code, *at)
-    return OUTCOMES[code]
+    ``judge_walk`` of ``_walk.c``; ``right`` and ``left`` are int64 numpy
+    rows."""
+    return OUTCOMES[_native.judge_walk(cfg, n, right, left, slack)[0]]
 
 
 def _judged_walks(bases, p: float, n: int, slack: int, corrupt: int,
                   scan_guard) -> list:
     """The outcomes of ``check``'s walks on a batch of sampler bases at
     ``p``, from one call of ``check_walks`` of ``_walk.c``; replica
-    ``corrupt`` of the batch gets the off-by-one of ``corrupt_run``.  A
-    path that a box's DP loses raises NoPathError."""
-    from . import _native  # may build the library: not at import
-    verdicts, _, at = _native.check_walks(bases, p, n, slack, corrupt,
-                                          scan_guard)
-    if verdicts and verdicts[-1] < 0:
-        raise _refusal(-verdicts[-1], *at)
+    ``corrupt`` of the batch gets the off-by-one of ``corrupt_run``."""
+    verdicts, _ = _native.check_walks(bases, p, n, slack, corrupt, scan_guard)
     return [OUTCOMES[v] for v in verdicts]
 
 
-# the p = 0 probe's box, columns -16 to 8 and levels 0 to 4, seeded up to
-# column 0, and the guard of its walk
-_PROBE_BOX = (-16, 8, 4)
-_PROBE_GUARD = 64
-
-
-def _probe_dead_from(base: int, p: float):
-    """``dp_right_boundary(BoxConfig(cfg, -16, 8, 0, 4), 0, 4).dead_from``
-    for the configuration ``cfg`` at ``p`` with sampler base ``base``,
-    refusals raised alike, from one ``dp_box`` call on hashed rows."""
-    from . import _native  # may build the library: not at import
-    x_min, x_max, n = _PROBE_BOX
-    code, lengths = _native.hashed_dp(base, p, x_min, x_max, n, 0)
-    if code in (SEED_WALL, WALL):
-        raise _refusal(code)
-    for j, (lo, hi) in enumerate(zip(lengths[:n + 1], lengths[n + 1:])):
-        if lo != hi:
-            raise _uncertified(j, lo, hi, x_min)
-        if not lo:
-            return j
-    return None
+_PROBE_GUARD = 64  # the guard of the p = 0 probe's walk
 
 
 def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
@@ -375,10 +332,10 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
     if len(set(ps)) != len(ps):
         raise InvalidArgumentError("check p values must be distinct")
     labels = [(p, rep) for p in ps for rep in range(seeds_per_p)]
-    # every run's sampler base, then the p = 0 probe's
-    bases = replica_bases(seed, 0, len(labels) + 1)
+    bases = replica_bases(seed, 0, len(labels))  # every run's sampler base
+    ranges = [r for r in replica_ranges(seeds_per_p, workers) if r[1]]
     jobs = [(p, k * seeds_per_p + offset, size) for k, p in enumerate(ps)
-            for offset, size in replica_ranges(seeds_per_p, workers) if size]
+            for offset, size in ranges]
 
     def judge(job):
         p, first, size = job
@@ -396,14 +353,17 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
             per_p[p]["passed"] += 1
         else:
             failures.append({"p": p, "replica": rep, "kind": outcome})
-    # degenerate input: the walk must trip its guard, the DP must report dead
-    p0 = bases[len(labels):]
+    # degenerate input, the replica after the runs: the walk to level 4 must
+    # trip its guard, and the DP of the box of columns -16 to 8 and levels 0
+    # to 4, seeded up to column 0, must report it dead from level 1
+    probe = replica_config(seed, 0.0, len(labels))
     guard_tripped = False
     try:
-        _judged_walks(p0, 0.0, _PROBE_BOX[2], slack, -1, _PROBE_GUARD)
+        _judged_walks([probe._base], 0.0, 4, slack, -1, _PROBE_GUARD)
     except ScanLimitExceededError:
         guard_tripped = True
-    dead_from = _probe_dead_from(p0[0], 0.0)
+    dead_from = dp_right_boundary(BoxConfig(probe, -16, 8, 0, 4), 0,
+                                  4).dead_from
     return {"per_p": per_p, "failures": failures,
             "p0_agreement": guard_tripped and dead_from == 1}
 
@@ -416,6 +376,7 @@ def gap_walk_survival_exact(d: int, steps: int) -> float:
     """
     if d <= 0 or d % 2 != 0:
         raise InvalidArgumentError("gap must be positive and even")
+    import numpy as np  # when it runs: this module loads no numpy
     size = d // 2 + steps + 1
     q = np.zeros(size, dtype=np.float64)
     q[d // 2] = 1.0

@@ -13,12 +13,11 @@ of distinct values is checked against bisection on whole Python walks,
 `squeeze_reference`.
 `ladder_reference` stands for `_native.judge_walk` (`oracle._ladder_outcome`,
 the ladder that judges one walk): it lays the boxes of `box_ladder` as
-`oracle.BoxConfig` arrays filled by ``box_edges``, and judges each with
-`judge_reference`, which reads the certified DP through
-`oracle._certified_dp` and compares in Python.  `check_reference` stands
-for `_native.check_walks`, the check's walks and their ladders on a batch
-of replicas: `bounds_reference`'s walk and `ladder_reference`'s ladder on
-each.
+`oracle.BoxConfig`s, and judges each with `judge_reference`, which reads
+the certified DP through `oracle._certified_dp` and compares in Python.
+`check_reference` stands for `_native.check_walks`, the check's walks and
+their ladders on a batch of replicas: `bounds_reference`'s walk and
+`ladder_reference`'s ladder on each.
 
 Two references stand for the command line's front end: `argparse_reference`
 is the argparse parser that `cli.parse_argv` must agree with, and
@@ -34,7 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from opweb.errors import (BoxTooNarrowError, InvalidArgumentError,
-                          NoPathError, ScanLimitExceededError)
+                          ScanLimitExceededError)
 from opweb.explore import ExplorationCluster
 from opweb.lattice import LatticeSite, edge_threshold
 from opweb.cli import COMMAND_DEFAULTS, LIST_FIELDS, SPEC_FLAGS
@@ -246,8 +245,7 @@ def judge_reference(box, right, left, n) -> str:
         return "box_too_narrow"
     if dp.dead_from is not None:
         # a box that dies judges only the paths inside it
-        outside = any(x < wall for x, wall in zip(left.tolist(),
-                                                  box.lefts.tolist()))
+        outside = any(x < wall for x, wall in zip(left.tolist(), box.lefts))
         return "box_too_narrow" if outside else "dp_dead"
     if not np.array_equal(dp.values, right):
         return "right_boundary_mismatch"
@@ -261,16 +259,12 @@ def ladder_reference(cfg, n, right, left, slack):
     """`_native.judge_walk` in Python: the boxes of `box_ladder`, judged
     one by one until one certifies an answer or is the last.  Returns the
     boxes judged, each as its left and right columns at level 0, whether it
-    is a band, and its outcome; an outcome is ``("NoPathError", message)``
-    for a path that the box's DP loses, which ends the ladder."""
+    is a band, and its outcome."""
     judged = []
     for box in box_ladder(cfg, n, left, right, slack):
-        try:
-            outcome = judge_reference(box, right, left, n)
-        except NoPathError as e:
-            outcome = ("NoPathError", str(e))
+        outcome = judge_reference(box, right, left, n)
         # a band's rows follow a lattice path, so its shear is never all 0
-        judged.append((box.x_min, box.x_max, int(box.shear.any()), outcome))
+        judged.append((box.x_min, box.x_max, int(any(box.shear)), outcome))
         if outcome not in ("box_too_narrow", "dp_dead"):
             break
     return judged
@@ -280,8 +274,7 @@ def check_reference(bases, p, n, slack, corrupt, scan_guard):
     """`_native.check_walks` on the Python walk and ladder: each base's
     walk from (0, 0) to level ``n``, its r raised by one at ``n // 2`` on
     replica ``corrupt``, judged by `ladder_reference`.  The first walk that
-    trips raises its guard error, and the first path that a DP loses its
-    NoPathError."""
+    trips raises its guard error."""
     verdicts, counts = [], []
     for i, base in enumerate(bases):
         cfg = SimpleNamespace(_base=int(base), _threshold=edge_threshold(p))
@@ -290,12 +283,9 @@ def check_reference(bases, p, n, slack, corrupt, scan_guard):
         right = np.array(right)
         right[n // 2] += i == corrupt
         judged = ladder_reference(cfg, n, right, np.asarray(left), slack)
-        outcome = judged[-1][3]
-        if isinstance(outcome, tuple):
-            raise NoPathError(outcome[1])
-        verdicts.append(OUTCOMES.index(outcome))
+        verdicts.append(OUTCOMES.index(judged[-1][3]))
         counts.append(len(judged))
-    return verdicts, counts, (0, 0)
+    return verdicts, counts
 
 
 @functools.cache

@@ -159,7 +159,8 @@ def test_exit_2_before_any_walk(capsys, tmp_path, monkeypatch, argv):
     def walk(*args):
         raise AssertionError("a walk ran before the spec was checked")
 
-    for body in ("bounds", "chain", "breaks", "edges", "dp"):
+    for body in ("bounds", "chain", "breaks", "check_walks",
+                 "hashed_dp"):
         monkeypatch.setattr(_native, body, walk)
     out = tmp_path / "out.csv"
     code, stdout, err = _main(capsys, *(a.format(out=out) for a in argv))
@@ -743,11 +744,15 @@ def _probe(argvs, module):
 
 
 def test_walk_commands_run_without_numpy(tmp_path):
-    # estimate, eta B1 with and without a sigma, eta B2 and coalesce, in
-    # one fresh interpreter: each exits 0, and none loads numpy, so a
-    # shell call of any of them never pays numpy's import
+    # estimate, eta B1 with and without a sigma, eta B2, coalesce, and check
+    # on one worker and on two, in one fresh interpreter: each exits 0, and
+    # none loads numpy, so a shell call of any of them never pays numpy's
+    # import; simulate is the one command that loads it
     out = tmp_path / "out.csv"
+    check = ["check", "--delta", "0.7", "0.8", "0.9", "--n", "500",
+             "--replicas", "2", "--workers"]
     argvs = [[a.format(out=out) for a in argv] for argv in _WALK_COMMANDS]
+    argvs += [check + ["1"], check + ["2"]]
     assert _probe(argvs, "numpy") == [[argv[0], 0, False] for argv in argvs]
     assert out.read_text(encoding="utf-8").startswith("# spec_hash=")
 

@@ -646,11 +646,10 @@ def test_walk_source_compiles_clean(tmp_path):
 
 _SANITIZED_RUN = """
 import ctypes
-import hashlib
 import sys
 import numpy as np
 from opweb import _native
-from opweb.errors import ScanLimitExceededError
+from opweb.errors import BoxTooNarrowError, NoPathError, ScanLimitExceededError
 from opweb.explore import explore_to_level
 from opweb.lattice import Config, LatticeSite, replica_bases, replica_config
 from opweb.oracle import (OUTCOMES, BoxConfig, dp_right_boundary,
@@ -708,19 +707,43 @@ show(_native.chain, (0, 28, 30), 0, 2000, 0.8, replica_bases(3, 0, 2), None,
 for xs in ((0, 8), (8, 0), (0, 8, 10)):
     show(_native.chain, xs, 4, 4, 0.8, replica_bases(0, 0, 3), None, 10_000)
 show(_native.breaks, replica_config(1, 0.8, 0), 20_000, 500, 10_000)
-# the DP on the widest box, the last rung of check's ladder at n = 2000
+
+
+def dp(box, n):
+    # the public DP on hashed rows: the boundary's last values, its first
+    # empty level and the path's last columns, or the refusal
+    try:
+        boundary = dp_right_boundary(box, 0, n)
+        path = (dp_rightmost_path(box, 0, n)
+                if boundary.dead_from is None else [])
+    except (BoxTooNarrowError, NoPathError) as e:
+        print("dp", type(e).__name__, e)
+        return
+    print("dp", boundary.values[-3:], boundary.dead_from, path[-3:])
+
+
+# the DP on the widest box, the last rung of check's ladder at n = 2000,
+# and on the first band of that ladder, which follows the walk's path
 n, cfg = 2000, replica_config(1001, 0.7, 0)
 walk = explore_to_level(LatticeSite(0, 0), n, cfg)
-box = BoxConfig(cfg, min(int(walk.left.min()), 0) - 2 * n - 64, n + 2, 0, n)
-print(box.open_ur.shape,
-      dp_right_boundary(box, 0, n).values.tolist() == walk.right.tolist(),
-      dp_rightmost_path(box, 0, n).tolist() == walk.left.tolist(),
-      hashlib.sha256(box.open_ur.tobytes() + box.open_ul.tobytes()
-                     + box.entry_open.tobytes()).hexdigest())
+right, left = walk.right.tolist(), walk.left.tolist()
+box = BoxConfig(cfg, min(min(left), 0) - 2 * n - 64, n + 2, 0, n)
+reach = max(max(r - l for r, l in zip(right, left)), -left[0])
+band = BoxConfig(cfg, left[0] - 2, left[0] + reach + 2, 0, n,
+                 [x - left[0] for x in left])
+for b in (box, band):
+    print((n, b.x_max - b.x_min + 1),
+          dp_right_boundary(b, 0, n).values == right,
+          dp_rightmost_path(b, 0, n) == left)
+# a box that dies, and the refusals of a seed and of a reachable set on the
+# right wall
+dp(BoxConfig(Config(3, 0.3, 3), -145, 42, 0, 40), 40)
+dp(BoxConfig(Config(1, 0.0, 1), -10, 0, 0, 2), 2)
+dp(BoxConfig(Config(1, 1.0, 1), -6, 6, 0, 10), 10)
 
 
 def judge(*args):
-    code, _, boxes = _native.judge_walk(*args)
+    code, boxes = _native.judge_walk(*args)
     print("judge", code, [(*box[:3], OUTCOMES[box[3]]) for box in boxes])
 
 
@@ -749,9 +772,12 @@ show(_native.check_walks, replica_bases(1001, 0, 6), 0.7, 2000, 64, 3,
 show(_native.check_walks, replica_bases(2, 20, 10), 0.6, 60, 64, -1, 20)
 show(_native.check_walks, replica_bases(2, 0, 8), 0.6, 100, -201, -1,
      10_000)
-# the p = 0 probe's DP, and that of a box whose level maxima differ
+# the p = 0 probe's DP, and that of a box whose level maxima differ: its
+# code and the bit lengths of the rows of its two tables
 for p, stream in ((0.0, 3), (0.3, 3), (0.3, 20)):
-    show(_native.hashed_dp, Config(0, p, stream)._base, p, -16, 8, 4, 0)
+    code, _, _, (lo, hi), _, _ = _native.hashed_dp([-16] * 5, 0, 25, 16,
+                                                   Config(0, p, stream))
+    print("hashed_dp", [code, lo + hi])
 """
 
 
@@ -759,10 +785,11 @@ def test_walk_entries_run_clean_under_sanitizers(tmp_path):
     # every entry, built with AddressSanitizer and UBSan, on guard trips,
     # a pair with xr <= xl, each branch of the pair, capped and uncapped
     # families, an interior trip, growing walks and long copies, walks to
-    # their start level, the DP on the widest box, the walk judge on its
-    # first band, on the widest box, on refusing bands and on dying boxes,
-    # check's batches and the probe's DP on hashed rows: no report, and the
-    # outputs of the plain build
+    # their start level, the public DP on hashed rows of the widest box, of
+    # a band, of a box that dies and of boxes that its walls refuse, the
+    # walk judge on its first band, on the widest box, on refusing bands and
+    # on dying boxes, check's batches and the probe's DP: no report, and
+    # the outputs of the plain build
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no cc or gcc on PATH")
@@ -779,8 +806,8 @@ def test_walk_entries_run_clean_under_sanitizers(tmp_path):
     plain = subprocess.run([sys.executable, "-c", _SANITIZED_RUN], env=env,
                            capture_output=True, text=True, check=True,
                            timeout=300)
-    # a small quarantine of freed blocks: the child peaks near 170 MB, not
-    # 230 MB
+    # a small quarantine of freed blocks: the child peaks near 95 MB, not
+    # 120 MB
     env.update(LD_PRELOAD=asan,
                ASAN_OPTIONS="detect_leaks=0:quarantine_size_mb=16")
     sanitized = subprocess.run([sys.executable, "-c", _SANITIZED_RUN,
@@ -788,7 +815,13 @@ def test_walk_entries_run_clean_under_sanitizers(tmp_path):
                                text=True, timeout=300)
     assert sanitized.returncode == 0, sanitized.stderr[-4000:]
     assert sanitized.stdout == plain.stdout
-    assert "(2000, 6067) True True" in plain.stdout
+    # the widest box and the first band certify the walk; the dying box
+    # dies at level 14, and the walls refuse
+    assert ("(2000, 6067) True True\n(2000, 31) True True\n"
+            "dp [-35, -40, -41] 14 []\n"
+            "dp BoxTooNarrowError seed row touched the right wall\n"
+            "dp BoxTooNarrowError reachable set touched the right wall\n"
+            ) in plain.stdout
     # bands of margin 2 to 64 refuse, and the one of margin 128 certifies
     bands = [(-192 - m, 28, 1, "box_too_narrow") for m in (2, 4, 8, 16, 32,
                                                             64)]
@@ -802,10 +835,10 @@ def test_walk_entries_run_clean_under_sanitizers(tmp_path):
     # a corrupt replica, a guard trip that stops its batch, growing
     # scratch, and the probe's DP dying at level 1 and at level 3, with the
     # upper table's row 4 reached by the entry edge
-    assert ("check_walks [[0, 0, 0, 3, 0, 0], [1, 1, 1, 1, 1, 1], (0, 0)]\n"
+    assert ("check_walks [[0, 0, 0, 3, 0, 0], [1, 1, 1, 1, 1, 1]]\n"
             "check_walks ['20 start sites exhausted below level 60', 20]\n"
-            "check_walks [[1, 1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1, 1], "
-            "(0, 0)]\n"
+            "check_walks [[1, 1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1, 1]]"
+            "\n"
             "hashed_dp [3, [17, 0, 0, 0, 0, 17, 0, 0, 0, 0]]\n"
             "hashed_dp [0, [17, 16, 11, 12, 11, 17, 16, 11, 12, 11]]\n"
             "hashed_dp [4, [17, 16, 7, 0, 0, 17, 16, 7, 0, 1]]\n"

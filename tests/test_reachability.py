@@ -31,7 +31,6 @@ KEPT_ROOTS = {
     "lattice.edge_key": "test reference",
     "lattice.unpack_edge_key": "test reference",
     "lattice.independence_probe": "test reference",
-    "oracle.dp_right_boundary": "test reference",
     "oracle.dp_rightmost_path": "test reference",
     "oracle._ladder_outcome": "test reference",
     "oracle.coalescing_walk_survival": "test reference",
