@@ -25,13 +25,13 @@ Python references they are tested against live with the tests: the walks'
 and the ladder's in ``tests/_references.py``, the walks' on
 `explore.ExplorationCluster`, and the DP's in ``tests/test_oracle.py``.
 
-The bodies that the walk commands and ``check`` run, `config_bases`,
-`chain`, `breaks`, `check_walks` and `hashed_dp`, use no numpy: they pass
-``array.array`` buffers and ctypes words, and return lists.  So
-``estimate``, ``eta``, ``coalesce`` and ``check`` never load numpy.  Only
-`bounds` and `judge_walk`, which serve ``simulate`` and the tests, read and
-write numpy arrays, and get numpy from `_numpy`, which imports it on its
-first call.  A size too large for any address space raises
+``array.array`` is the one buffer type at the C boundary: every body
+passes such buffers, by the address that ``buffer_info()`` gives, and
+ctypes words, and returns lists or those buffers.  A body that reads a
+sequence the caller hands in, the bases of `chain` and `check_walks` and
+the boundaries of `judge_walk`, reads an ``array.array`` of its typecode
+in place and copies any other sequence of integers into one
+(`_int_array`).  A size too large for any address space raises
 `InvalidArgumentError` before it is allocated (`_sized`), and so does a
 level or start column outside int64, which ctypes would wrap (`_int64`).
 
@@ -86,11 +86,7 @@ _NOMEM = 2
 _JUDGE_NOMEM = 5  # judge_walk's; its others are outcomes
 
 _lib = None
-_np = None
 _LOAD_LOCK = threading.Lock()  # held while a first load builds and loads
-
-# a view of no bytes, whose address is its buffer's
-_BYTES = ctypes.c_char * 0
 
 # what walk_breaks writes besides its report: the six break-point sums and
 # r[n]
@@ -229,34 +225,12 @@ def _compile(cc: str, source: bytes, out: str) -> None:
             f"{cc} failed to build {_SOURCE.name}: {e}") from e
 
 
-def _numpy():
-    """numpy, imported on the first call.  Only the array bodies call it,
-    so a process that runs no ``simulate`` never loads numpy.
-    An ``import`` statement in each body cost ``check`` about 4% of its
-    throughput in the benchmark."""
-    global _np
-    if _np is None:
-        import numpy
-        _np = numpy
-    return _np
-
-
-def _address(ndarray) -> int:
-    """The address of a numpy array's first byte, as ``ndarray.ctypes.data``
-    gives it, in about a third of the time for a writable C-contiguous
-    array."""
-    try:
-        return ctypes.addressof(_BYTES.from_buffer(ndarray))
-    except TypeError:  # read-only, or not contiguous
-        return ndarray.ctypes.data
-
-
 def _sized(count: int, itemsize: int) -> int:
     """``count``, once ``count`` items of ``itemsize`` bytes fit in the
     address space.  A size past it is an argument no machine can hold, and
-    raises `InvalidArgumentError`, where numpy would raise ValueError and
-    ctypes OverflowError; a size within it that cannot be allocated raises
-    MemoryError from the allocation."""
+    raises `InvalidArgumentError`, where ``array`` would raise MemoryError
+    or OverflowError and ctypes OverflowError; a size within it that cannot
+    be allocated raises MemoryError from the allocation."""
     if count * itemsize > sys.maxsize:
         raise InvalidArgumentError(
             f"{count} items of {itemsize} bytes exceed the address space")
@@ -319,13 +293,21 @@ def config_bases(seed_mix: int, stream: int, stride: int, count: int):
     return bases
 
 
-def _base_array(bases) -> array:
-    """Sampler bases as the batch entries read them: an ``array.array`` of
-    typecode ``"Q"`` as it is, any other sequence of integers in [0, 2**64)
-    copied into one."""
-    if isinstance(bases, array) and bases.typecode == "Q":
-        return bases
-    return array("Q", bases)
+def _int_array(typecode: str, values, what: str) -> array:
+    """``values`` as the entries read them: an ``array.array`` of
+    ``typecode`` (``"q"`` for int64, ``"Q"`` for uint64) as it is, any other
+    sequence of integers in its range copied into one, item by item, so
+    that bytes are read as ints and not as raw memory.  Anything else, such
+    as floats, nested rows or an integer out of range, raises
+    `InvalidArgumentError`, which names ``what``."""
+    if isinstance(values, array) and values.typecode == typecode:
+        return values
+    try:
+        return array(typecode, iter(values))
+    except (TypeError, OverflowError):
+        kind = "int64" if typecode == "q" else "uint64"
+        raise InvalidArgumentError(
+            f"{what} must be sequences of {kind} integers") from None
 
 
 def chain(xs, t0: int, level: int, p: float, bases, cap, scan_guard):
@@ -356,7 +338,7 @@ def chain(xs, t0: int, level: int, p: float, bases, cap, scan_guard):
     _int64("level", t0, level)
     _int64("start column", min(xs), max(xs))
     starts = array("q", xs)
-    bases = _base_array(bases)
+    bases = _int_array("Q", bases, "sampler bases")
     count, m = len(bases), k - 1
     stops = _words("q", count * m)
     rep = _Report()
@@ -384,30 +366,19 @@ def breaks(cfg, n: int, margin: int, scan_guard):
 
 def bounds(z, n: int, horizon: int, cfg, scan_guard) -> tuple:
     """`explore.explore_to_level` in one C call, which writes r, l and γ
-    straight into new int64 numpy arrays.  Returns them, the scan offset
-    and the edges examined: the fields of `explore.Boundaries` after its
-    start."""
-    np = _numpy()
-    right = np.empty(_sized(horizon - z.t + 1, 8), dtype=np.int64)
-    left = np.empty(n - z.t + 1, dtype=np.int64)
-    gamma = np.empty_like(right)
+    straight into new ``array.array`` buffers of typecode ``"q"``.  Returns
+    them, the scan offset and the edges examined: the fields of
+    `explore.Boundaries` after its start."""
+    right = _words("q", horizon - z.t + 1)
+    left = _words("q", n - z.t + 1)
+    gamma = _words("q", horizon - z.t + 1)
     rep = _Report()
     code = load().walk_bounds(z.x, z.t, *_sampler(cfg), _guard(scan_guard),
-                              n, horizon, _address(right), _address(left),
-                              _address(gamma), rep)
+                              n, horizon, right.buffer_info()[0],
+                              left.buffer_info()[0], gamma.buffer_info()[0],
+                              rep)
     _check(code, rep)
     return right, left, gamma, rep[0], rep[2]
-
-
-def _boundary(values):
-    """A walk's boundary as ``judge_walk`` reads it: a C-contiguous int64
-    numpy row."""
-    np = _numpy()
-    row = np.ascontiguousarray(values)
-    if row.dtype != np.int64 or row.ndim != 1:
-        raise InvalidArgumentError(
-            "a walk's boundaries must be one-dimensional int64 arrays")
-    return row
 
 
 def judge_walk(cfg, n: int, right, left, slack: int):
@@ -415,19 +386,22 @@ def judge_walk(cfg, n: int, right, left, slack: int):
     right boundary ``right`` and rightmost path ``left``, on the
     configuration ``cfg``, in one C call (``judge_walk``).
 
-    Returns the code of the last box's outcome, an index of
-    `oracle.OUTCOMES`, and the boxes judged, in order, each as its left and
-    right columns at level 0, 1 for a band or 0 for the rectangle, and its
-    code.  The boxes' scratch is made and freed inside the call.
+    ``right`` and ``left`` are any sequences of int64 integers, read as
+    `_int_array` reads them.  Returns the code of the last box's
+    outcome, an index of `oracle.OUTCOMES`, and the boxes judged, in order,
+    each as its left and right columns at level 0, 1 for a band or 0 for
+    the rectangle, and its code.  The boxes' scratch is made and freed
+    inside the call.
     """
     if n < 1:
         raise InvalidArgumentError("degenerate box")
     _sized(n + 1, 8)  # a box's n + 1 rows
-    right, left = _boundary(right), _boundary(left)
+    right, left = (_int_array("q", b, "a walk's boundaries")
+                   for b in (right, left))
     rep = _Judged()
     code = load().judge_walk(n, _slack(slack), *_sampler(cfg),
-                             _address(right), len(right), _address(left),
-                             len(left), rep)
+                             right.buffer_info()[0], len(right),
+                             left.buffer_info()[0], len(left), rep)
     if code == _JUDGE_NOMEM:
         raise MemoryError("the native judge cannot allocate its boxes")
     boxes = rep[1:1 + 4 * rep[0]]
@@ -457,7 +431,7 @@ def check_walks(bases, p: float, n: int, slack: int, corrupt: int,
     if n < 1:
         raise InvalidArgumentError("degenerate box")
     _sized(n + 1, 8)  # the walk's n + 1 levels, a box's n + 1 rows
-    bases = _base_array(bases)
+    bases = _int_array("Q", bases, "sampler bases")
     count = len(bases)
     judged = _words("q", 2 * count)
     rep = _Report()

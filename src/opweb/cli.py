@@ -34,12 +34,10 @@ writing and closing otherwise take.  A symlinked ``--out`` is written
 through its link, and a target that is not a regular file, such as
 ``/dev/null`` or a pipe, is written and not cut.
 
-Importing this module loads no numpy.  ``estimate``, ``eta``,
-``coalesce`` and ``check`` never load it: their walks and judges hand back
-ints and lists, and their statistics are plain floats.  ``simulate``
-writes whole boundaries, held in numpy arrays: it imports `opweb.explore`,
-and with it numpy, when it runs; ``check`` imports `opweb.oracle` when it
-runs.
+No command loads numpy.  The walks and judges hand back ints, lists and
+``array.array`` buffers, and the statistics are plain floats; ``simulate``
+writes whole boundaries, held in ``array.array`` buffers of int64.
+``check`` imports `opweb.oracle` when it runs.
 """
 
 from __future__ import annotations
@@ -61,6 +59,7 @@ from .couple import (b1_battery, b2_fkg_check, coalescence_survival_curve,
 from .errors import (DEFAULT_SCAN_GUARD, InsufficientDataError,
                      InvalidArgumentError, InvalidSiteError,
                      NativeLibraryError, ScanLimitExceededError)
+from .explore import explore_to_level, trajectory_csv
 from .lattice import (LatticeSite, STREAMS_PER_REPLICA, calibration_seed,
                       replica_config)
 from .regen import replica_estimate
@@ -161,8 +160,6 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
     horizon = 4 * spec.n if spec.horizon is None else spec.horizon
     if horizon < spec.n:
         raise InvalidArgumentError("simulate needs a horizon of at least --n")
-    # explore loads numpy: imported here, not at module import
-    from .explore import explore_to_level, trajectory_csv
 
     def walk(r):
         b = explore_to_level(LatticeSite(0, 0), spec.n,
@@ -524,7 +521,7 @@ def spec_from_argv(argv) -> ExperimentSpec | None:
     for key in LIST_FIELDS:
         merged[key] = tuple(merged.get(key) or ())
     spec = ExperimentSpec(**merged)
-    # the native walks and numpy read these as int64; the seed is hashed
+    # the native walks read these as int64; the seed is hashed
     # mod 2**64 instead
     for key in _INT64_FIELDS:
         val = getattr(spec, key)

@@ -47,21 +47,20 @@ level, the lowest stack index the advance rewrote and the stack from there
 up, from which a replay rebuilds the left boundary at every level.  Only
 the ledger coupling of the tests reads it.
 
-This module holds numpy arrays (`Boundaries`, `Trajectory`), so it is
-imported only where they are used: by ``simulate``, by the path-space
-metric of `opweb.metrics` and by `opweb.regen.error_gap_frequencies`,
-never by the walk commands ``estimate``, ``eta`` and ``coalesce``, nor by
-``check``.  It does no I/O: `trajectory_csv` formats ``simulate``'s CSV
-as text, which the command line writes.  The scan guard it applies,
+Boundaries are ``array.array`` buffers of int64 (typecode ``"q"``), as
+the native walk writes them (`Boundaries`, `Trajectory`, and the Python
+walk's `ExplorationCluster.right_values` and `left_values`), so this
+module loads no numpy, and the command line imports it at its own
+import.  It does no I/O: `trajectory_csv` formats ``simulate``'s CSV as
+text, which the command line writes.  The scan guard it applies,
 `opweb.errors.DEFAULT_SCAN_GUARD` and `opweb.errors.guard_error`, lives
 with the errors, which every module imports.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (DEFAULT_SCAN_GUARD, InvalidArgumentError,
                      ScanLimitExceededError, guard_error)
@@ -73,7 +72,7 @@ class Trajectory:
     """An integer-valued lattice trajectory starting at time ``start_t``."""
 
     start_t: int
-    values: np.ndarray  # values[j] is the position at time start_t + j
+    values: array  # values[j] is the position at time start_t + j
 
     def __len__(self):
         return len(self.values)
@@ -127,14 +126,16 @@ class ExplorationCluster:
         return self._t0
 
     @property
-    def right_values(self) -> np.ndarray:
-        """A fresh int64 copy of r, one value per level from the start."""
-        return np.array(self._r, dtype=np.int64)
+    def right_values(self) -> array:
+        """A fresh copy of r, one value per level from the start, as an
+        ``array.array`` of int64 (typecode ``"q"``)."""
+        return array("q", self._r)
 
     @property
-    def left_values(self) -> np.ndarray:
-        """A fresh int64 copy of the left boundary at the current level."""
-        return np.array(self._stack_x, dtype=np.int64)
+    def left_values(self) -> array:
+        """A fresh copy of the left boundary at the current level, as an
+        ``array.array`` of int64 (typecode ``"q"``)."""
+        return array("q", self._stack_x)
 
     @property
     def n_examined(self) -> int:
@@ -233,16 +234,16 @@ class Boundaries:
 
     ``right`` is r at every level from ``start.t`` to the horizon, ``left``
     the left boundary frozen at `level`, and ``gamma`` the left boundary at
-    the horizon (see `GammaApprox`).  Each is a fresh int64 array that a
-    caller may keep and write into.  ``scan_offset`` and ``n_examined``
-    count the start sites exhausted and the edges examined up to the
-    horizon.
+    the horizon (see `GammaApprox`).  Each is a fresh ``array.array`` of
+    int64 (typecode ``"q"``) that a caller may keep and write into.
+    ``scan_offset`` and ``n_examined`` count the start sites exhausted and
+    the edges examined up to the horizon.
     """
 
     start: LatticeSite
-    right: np.ndarray
-    left: np.ndarray
-    gamma: np.ndarray
+    right: array
+    left: array
+    gamma: array
     scan_offset: int
     n_examined: int
 
@@ -285,10 +286,8 @@ def boundary_ordering_check(bounds: Boundaries, g: GammaApprox) -> bool:
         raise InvalidArgumentError("gamma approximation has a different origin")
     if g.horizon < bounds.level:
         raise InvalidArgumentError("gamma horizon shorter than cluster level")
-    left = bounds.left
-    m = len(left)
-    return bool(np.all(g.values[:m] <= left)
-                and np.all(left <= bounds.right[:m]))
+    return all(lo <= mid <= hi for lo, mid, hi in zip(
+        g.values, bounds.left, bounds.right))
 
 
 def trajectory_csv(r, left, gamma, header_comment: str | None = None) -> str:
@@ -296,10 +295,10 @@ def trajectory_csv(r, left, gamma, header_comment: str | None = None) -> str:
     level, under an optional ``# header_comment`` line: what ``simulate``
     writes to each replica's CSV, through the command line's one writer.
 
-    All three are integer arrays, as in `Boundaries`.  ``left`` is the
-    left boundary frozen at a level, and sets the number of rows; ``r`` is
-    the right boundary and ``gamma`` the rightmost-path approximation
-    (`GammaApprox`), both of which may run past that level.
+    All three are ``array.array`` buffers of int64, as in `Boundaries`.
+    ``left`` is the left boundary frozen at a level, and sets the number of
+    rows; ``r`` is the right boundary and ``gamma`` the rightmost-path
+    approximation (`GammaApprox`), both of which may run past that level.
     """
     m = len(left)
     if len(r) < m or len(gamma) < m:

@@ -10,9 +10,12 @@ or at a zero of its derivative, and the zeros are isolated by bisection
 with a bound on the derivative's slope.  The result is the true supremum to
 within rounding, so the triangle inequality holds between distances.
 
-The paths are numpy arrays, so no command imports this module.  The
-crossing-count batteries B1 and B2 of the convergence criteria, which
-build no path, live in `opweb.couple`.
+The paths are numpy arrays, and this is the one module of the package
+that imports numpy at its own import, so no command imports it.
+`shear_rescale` reads a `opweb.explore.Trajectory`, whose values are an
+``array.array``, through ``np.asarray``.  The crossing-count batteries B1
+and B2 of the convergence criteria, which build no path, live in
+`opweb.couple`.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def shear_rescale(path, a: float, b: float, eps: float) -> RescaledPath:
         raise InvalidArgumentError("b and eps must be positive")
     if isinstance(path, Trajectory):
         times = path.start_t + np.arange(len(path.values), dtype=np.float64)
-        values = path.values.astype(np.float64)
+        values = np.asarray(path.values, dtype=np.float64)
     else:
         times = np.asarray(path.times, dtype=np.float64)
         values = np.asarray(path.values, dtype=np.float64)

@@ -172,37 +172,22 @@ def _refusal(code: int, t: int | None = None, x: int | None = None):
     return kind(message.format(t=t, x=x))
 
 
-def _raised(result):
-    """``result``, unless it stands for a refusal, which is raised: a
-    refusal itself, or a ``(code, t, x)`` of `_refusal`."""
-    if isinstance(result, Exception):
-        raise result
-    if isinstance(result, tuple):
-        code, t, x = result
-        raise _refusal(code, t, x)
-    return result
-
-
 def _certified_dp(box: BoxConfig, start_x: int, n: int):
-    """The certified DP of one box from the seed row up to ``start_x``.
+    """The certified DP of one box from the seed row up to ``start_x``,
+    over ``n`` levels, in one call of ``dp_box`` of ``_walk.c``.
 
-    Returns the right boundary over ``n`` levels and the rightmost path,
-    each as its value or as what stands for its refusal, so that a caller
-    can rank the two: the boundary's refusal itself, the path's as the
-    ``(code, t, x)`` that `_raised` makes it from, so that only a caller
-    that wants the path builds its refusal.  A reachable set that touches
-    the right wall refuses both and is raised.  The body is ``dp_box`` of
-    ``_walk.c``.
+    Returns its code, the bit lengths of the rows of the lower and upper
+    tables (two lists), the rightmost path and the level and column that a
+    refusal of the path names.  A reachable set that touches the right
+    wall refuses both the boundary and the path, and is raised.
     """
     _check_levels(box, start_x, n)
-    code, _, _, lengths, path, (j, x) = _native.hashed_dp(
+    code, _, _, (lo, hi), path, (j, x) = _native.hashed_dp(
         box.lefts[:n + 1], box.t_min, box.x_max - box.x_min + 1,
         start_x - box.x_min, box.cfg)
     if code in (SEED_WALL, WALL):
         raise _refusal(code)
-    if code:
-        path = (code, box.t_min + j, x)
-    return _boundary_from_lengths(box, *lengths), path
+    return code, lo, hi, path, (box.t_min + j, x)
 
 
 def _check_levels(box: BoxConfig, start_x: int, n: int) -> None:
@@ -225,19 +210,15 @@ def dp_right_boundary(box: BoxConfig, start_x: int, n: int) -> DpBoundary:
     Per level the value is the rightmost site reachable from the half-line
     seed row; levels with an empty reachable set terminate the trajectory
     (``dead_from``).  Raises BoxTooNarrowError when the truncated seed row
-    cannot be certified against influence entering past the left wall.
+    cannot be certified against influence entering past the left wall: at
+    the first level whose lower (truncated) and upper (pessimistic) tables
+    differ in their maximum, or at the right wall.
     """
-    return _raised(_certified_dp(box, start_x, n)[0])
-
-
-def _boundary_from_lengths(box: BoxConfig, lo: list, hi: list):
-    """The boundary, or its refusal, from the bit lengths of the rows of
-    the lower (``lo``) and upper (``hi``) tables."""
-    # the first level whose maxima differ or that is empty ends the values
+    _, lo, hi, _, _ = _certified_dp(box, start_x, n)
     values = []
     for j, (left, a, b) in enumerate(zip(box.lefts, lo, hi)):
         if a != b:
-            return _uncertified(box.t_min + j, a, b, left)
+            raise _uncertified(box.t_min + j, a, b, left)
         if not a:
             return DpBoundary(box.t_min, values, box.t_min + j)
         values.append(left + a - 1)
@@ -259,7 +240,10 @@ def dp_rightmost_path(box: BoxConfig, start_x: int, n: int) -> list:
     candidate predecessor cells must agree between the truncated and the
     pessimistic tables, otherwise the path cannot be certified.
     """
-    return _raised(_certified_dp(box, start_x, n)[1])
+    code, _, _, path, (t, x) = _certified_dp(box, start_x, n)
+    if code:
+        raise _refusal(code, t, x)
+    return path
 
 
 # -- the random-walk oracle of the coalescing-Brownian baseline --------------
@@ -293,8 +277,8 @@ OUTCOMES = ("ok", "box_too_narrow", "dp_dead", "right_boundary_mismatch",
 
 def _ladder_outcome(cfg: Config, n: int, right, left, slack: int) -> str:
     """A walk's outcome on its ladder of boxes, from one call of
-    ``judge_walk`` of ``_walk.c``; ``right`` and ``left`` are int64 numpy
-    rows."""
+    ``judge_walk`` of ``_walk.c``; ``right`` and ``left`` are sequences
+    of int64 integers, as `_native.judge_walk` reads them."""
     return OUTCOMES[_native.judge_walk(cfg, n, right, left, slack)[0]]
 
 
@@ -331,8 +315,8 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
     """
     if len(set(ps)) != len(ps):
         raise InvalidArgumentError("check p values must be distinct")
-    labels = [(p, rep) for p in ps for rep in range(seeds_per_p)]
-    bases = replica_bases(seed, 0, len(labels))  # every run's sampler base
+    runs = len(ps) * seeds_per_p
+    bases = replica_bases(seed, 0, runs)  # every run's sampler base, first
     ranges = [r for r in replica_ranges(seeds_per_p, workers) if r[1]]
     jobs = [(p, k * seeds_per_p + offset, size) for k, p in enumerate(ps)
             for offset, size in ranges]
@@ -348,15 +332,17 @@ def check_suite(ps, seeds_per_p: int, n: int, seed: int, *, workers: int = 1,
     outcomes = [o for batch in pmap(judge, jobs, workers) for o in batch]
     per_p = {p: {"passed": 0, "total": seeds_per_p} for p in ps}
     failures = []
-    for (p, rep), outcome in zip(labels, outcomes):
-        if outcome == "ok":
-            per_p[p]["passed"] += 1
-        else:
-            failures.append({"p": p, "replica": rep, "kind": outcome})
+    for k, p in enumerate(ps):
+        for rep in range(seeds_per_p):
+            outcome = outcomes[k * seeds_per_p + rep]
+            if outcome == "ok":
+                per_p[p]["passed"] += 1
+            else:
+                failures.append({"p": p, "replica": rep, "kind": outcome})
     # degenerate input, the replica after the runs: the walk to level 4 must
     # trip its guard, and the DP of the box of columns -16 to 8 and levels 0
     # to 4, seeded up to column 0, must report it dead from level 1
-    probe = replica_config(seed, 0.0, len(labels))
+    probe = replica_config(seed, 0.0, runs)
     guard_tripped = False
     try:
         _judged_walks([probe._base], 0.0, 4, slack, -1, _PROBE_GUARD)

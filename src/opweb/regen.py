@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .errors import (DEFAULT_SCAN_GUARD, InsufficientDataError,
                      InvalidArgumentError)
+from .explore import explore_to_level
 from .lattice import LatticeSite, replica_config
 from .runner import pmap
 from .stats import sample_std, wilson_interval
@@ -124,24 +125,22 @@ def replica_estimate(p: float, seed: int, replicas: int, n: int, margin: int,
 
 
 def _error_gap_worker(cfg, window, threshold, horizon, scan_guard):
-    from .explore import explore_to_level  # numpy: not at import
     b = explore_to_level(LatticeSite(0, 0), window, cfg, horizon=horizon,
                          scan_guard=scan_guard)
-    r, gam = b.right, b.gamma
-    sup_err = int((r[:window + 1] - gam[:window + 1]).max())
-    meets = (r == gam).nonzero()[0]
-    gap_event = _has_meeting_gap(meets, window, threshold)
-    return sup_err >= threshold, gap_event
+    sup_err = max(r - g for r, g in zip(b.right[:window + 1],
+                                        b.gamma[:window + 1]))
+    meets = [j for j, (r, g) in enumerate(zip(b.right, b.gamma)) if r == g]
+    return sup_err >= threshold, _has_meeting_gap(meets, window, threshold)
 
 
 def _has_meeting_gap(meets, window, threshold) -> bool:
     """True iff a meeting-free stretch of length ``threshold`` starts
-    somewhere in [0, window]; ``meets``, an increasing integer array, must
-    cover [0, window + threshold]."""
+    somewhere in [0, window]; ``meets``, an increasing sequence of levels,
+    must cover [0, window + threshold]."""
     if len(meets) == 0 or meets[0] > threshold:
         return True
-    diffs = meets[1:] - meets[:-1]
-    if ((diffs > threshold) & (meets[:-1] < window)).any():
+    if any(b - a > threshold and a < window
+           for a, b in zip(meets, meets[1:])):
         return True
     return bool(meets[-1] < window)
 

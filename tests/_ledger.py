@@ -70,7 +70,7 @@ class CoupledRun:
     starts: tuple
     horizon: int
     r: list = field(repr=False)  # per cluster, list of ints from its start
-    gamma: list = field(repr=False)  # per cluster, np.ndarray
+    gamma: list = field(repr=False)  # per cluster, an int64 array.array
     left_deltas: list = field(repr=False)  # per cluster, the walk's record
     switch_levels: list  # per cluster, first level on the ledger, or None
     kappas: dict  # (i, j) -> CoalescenceTimes

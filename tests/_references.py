@@ -14,7 +14,8 @@ of distinct values is checked against bisection on whole Python walks,
 `ladder_reference` stands for `_native.judge_walk` (`oracle._ladder_outcome`,
 the ladder that judges one walk): it lays the boxes of `box_ladder` as
 `oracle.BoxConfig`s, and judges each with `judge_reference`, which reads
-the certified DP through `oracle._certified_dp` and compares in Python.
+the certified DP's row lengths and path through `oracle._certified_dp` and
+compares in Python.
 `check_reference` stands for `_native.check_walks`, the check's walks and
 their ladders on a batch of replicas: `bounds_reference`'s walk and
 `ladder_reference`'s ladder on each.
@@ -37,7 +38,7 @@ from opweb.errors import (BoxTooNarrowError, InvalidArgumentError,
 from opweb.explore import ExplorationCluster
 from opweb.lattice import LatticeSite, edge_threshold
 from opweb.cli import COMMAND_DEFAULTS, LIST_FIELDS, SPEC_FLAGS
-from opweb.oracle import OUTCOMES, BoxConfig, _certified_dp, _raised
+from opweb.oracle import OUTCOMES, BoxConfig, _certified_dp, _refusal
 
 
 def bounds_reference(z, n, horizon, cfg, scan_guard) -> tuple:
@@ -162,8 +163,8 @@ def break_point_arrays(r, left, t0: int, n_end: int, margin: int):
     keep = n_end - margin - t0
     if keep < 0:
         raise InvalidArgumentError("margin leaves no detection window")
-    r = r[:keep + 1]
-    idx = np.flatnonzero(r == left[:keep + 1])
+    r = np.asarray(r)[:keep + 1]
+    idx = np.flatnonzero(r == np.asarray(left)[:keep + 1])
     return t0 + idx, r[idx]
 
 
@@ -201,7 +202,7 @@ def is_lattice_walk(left: np.ndarray, right: np.ndarray, n: int) -> bool:
                 and (left <= right).all())
 
 
-def box_ladder(cfg, n: int, left: np.ndarray, right: np.ndarray, slack: int):
+def box_ladder(cfg, n: int, left, right, slack: int):
     """Boxes of growing width that judge a walk from (0, 0) to level ``n``.
 
     ``left`` and ``right`` are the walk's rightmost path and right boundary.
@@ -219,6 +220,7 @@ def box_ladder(cfg, n: int, left: np.ndarray, right: np.ndarray, slack: int):
     the caller asks for it.
     """
     widest = 2 * n + slack
+    left, right = np.asarray(left), np.asarray(right)
     if is_lattice_walk(left, right, n):
         start = int(left[0])
         reach = max(int((right - left).max()), -start)
@@ -236,21 +238,27 @@ def box_ladder(cfg, n: int, left: np.ndarray, right: np.ndarray, slack: int):
 
 def judge_reference(box, right, left, n) -> str:
     """One box's outcome for a walk from (0, 0) to level ``n``, a rung of
-    ``judge_walk``, in Python."""
+    ``judge_walk``, in Python, from the certified DP's row lengths and
+    path."""
     try:
-        dp, path = _certified_dp(box, 0, n)
+        code, lo, hi, path, (t, x) = _certified_dp(box, 0, n)
     except BoxTooNarrowError:
         return "box_too_narrow"
-    if isinstance(dp, BoxTooNarrowError):
-        return "box_too_narrow"
-    if dp.dead_from is not None:
-        # a box that dies judges only the paths inside it
-        outside = any(x < wall for x, wall in zip(left.tolist(), box.lefts))
-        return "box_too_narrow" if outside else "dp_dead"
-    if not np.array_equal(dp.values, right):
+    values = []
+    for wall, a, b in zip(box.lefts, lo, hi):
+        if a != b:  # the row's maximum is not certified
+            return "box_too_narrow"
+        if not a:
+            # a box that dies judges only the paths inside it
+            outside = any(col < w for col, w in zip(left, box.lefts))
+            return "box_too_narrow" if outside else "dp_dead"
+        values.append(wall + a - 1)
+    if values != list(right):
         return "right_boundary_mismatch"
     # a certified boundary certifies the path: see oracle's docstring
-    if not np.array_equal(_raised(path), left):
+    if code:
+        raise _refusal(code, t, x)
+    if path != list(left):
         return "left_boundary_mismatch"
     return "ok"
 

@@ -108,7 +108,7 @@ INVALID_ARGV = [
     ["eta", "--n", "5", "--"],
     *(["check", "--delta", "0.8", "--n", "10", "--replicas", "2",
        "--workers", workers] for workers in ("0", "-3")),
-    # integers past int64, which ctypes and numpy would wrap or refuse
+    # integers past int64, which ctypes would wrap and array refuse
     ["eta", "--p", "0.8", "--x", "2", "--n", str(2**64 + 200),
      "--replicas", "20"],
     ["estimate", "--n", str(2**64 + 2000), "--margin", "500",
@@ -120,8 +120,7 @@ INVALID_ARGV = [
      str(2**63)],
     ["eta", "--n", "100", "--x", str(-2**63 - 2), "--replicas", "2"],
     # sizes within int64 whose arrays no address space holds, which
-    # numpy, ctypes and array would refuse with ValueError, OverflowError
-    # or MemoryError
+    # ctypes and array would refuse with OverflowError or MemoryError
     ["eta", "--n", "100", "--x", "3", "--replicas", str(2**62)],
     ["check", "--delta", "0.8", "--n", str(2**62), "--replicas", "1"],
     ["simulate", "--n", str(2**62), "--out", "{out}"],
@@ -139,6 +138,33 @@ INVALID_ARGV = [
                                    ("5e-324", "1", "1", "0.87"),
                                    ("1e-3", "1", "1e300", "1e300")]),
 ]
+
+
+# cli.main in a process whose address space is capped at 1 GiB, so that a
+# run that grows without bound fails fast instead of filling the machine
+_CAPPED_MAIN = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from opweb import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_check_refuses_a_batch_past_the_address_space_first(workers):
+    # 2**62 replicas: the batch of bases is refused before any per-replica
+    # Python object is made
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(opweb.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "check", "--delta", "0.8",
+         "--n", "10", "--replicas", str(2**62), "--workers", workers],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("invalid spec:"), done.stderr
+    assert "exceed the address space" in done.stderr
 
 
 def test_exit_2_on_invalid_spec(capsys, tmp_path):
@@ -762,7 +788,7 @@ def test_cli_import_leaves_scipy_unloaded():
                PYTHONPATH=str(Path(opweb.__file__).resolve().parents[1]))
     # nor the native walk, whose first use may build the library, nor
     # argparse, nor multiprocessing, nor concurrent.futures, which only a
-    # pool of workers needs, nor numpy, which only simulate and check need
+    # pool of workers needs, nor numpy, which no command needs
     probe = ("import sys, opweb.cli; print(*(m in sys.modules for m in "
              "('scipy', 'opweb._native', 'argparse', 'multiprocessing', "
              "'concurrent.futures', 'numpy')))")
@@ -808,17 +834,21 @@ def _probe(argvs, module):
 
 
 def test_walk_commands_run_without_numpy(tmp_path):
-    # estimate, eta B1 with and without a sigma, eta B2, coalesce, and check
-    # on one worker and on two, in one fresh interpreter: each exits 0, and
-    # none loads numpy, so a shell call of any of them never pays numpy's
-    # import; simulate is the one command that loads it
-    out = tmp_path / "out.csv"
+    # estimate, eta B1 with and without a sigma, eta B2, coalesce, check on
+    # one worker and on two, and simulate, in one fresh interpreter: each
+    # exits 0, and none loads numpy, so a shell call of any of them never
+    # pays numpy's import
+    out, traj = tmp_path / "out.csv", tmp_path / "traj"
     check = ["check", "--delta", "0.7", "0.8", "0.9", "--n", "500",
              "--replicas", "2", "--workers"]
     argvs = [[a.format(out=out) for a in argv] for argv in _WALK_COMMANDS]
-    argvs += [check + ["1"], check + ["2"]]
+    argvs += [check + ["1"], check + ["2"],
+              ["simulate", "--n", "200", "--replicas", "2", "--workers", "2",
+               "--out", str(traj)]]
     assert _probe(argvs, "numpy") == [[argv[0], 0, False] for argv in argvs]
     assert out.read_text(encoding="utf-8").startswith("# spec_hash=")
+    assert (traj / "traj_00001.csv").read_text(
+        encoding="utf-8").startswith("# spec_hash=")
 
 
 def test_workers_run_without_multiprocessing():

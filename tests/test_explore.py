@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -558,23 +559,28 @@ def test_boundary_arrays_are_owned_int64_copies():
     cluster.advance_to(n)
     right, left = cluster.right_values, cluster.left_values
     for values in (right, left):
-        assert isinstance(values, np.ndarray) and values.dtype == np.int64
+        assert isinstance(values, array) and values.typecode == "q"
     before = (right.tolist(), left.tolist())
-    right[:] = -7
-    left[:] = -7
+    right[:] = array("q", [-7]) * len(right)
+    left[:] = array("q", [-7]) * len(left)
     assert (cluster.right_values.tolist(),
             cluster.left_values.tolist()) == before
     snapshot = cluster.left_values
     cluster.advance_to(4 * n)
     assert snapshot.tolist() == before[1]
     assert cluster.left_values[:n + 1].tolist() != before[1]
-    # the one-call walk's arrays own their memory, which outlives the walk
+    # the one-call walk's arrays are int64 buffers of their own, which
+    # outlive the walk, and a write into one is seen by no other
     b = explore_to_level(ORIGIN, n, cfg, horizon=4 * n)
     for values in (b.right, b.left, b.gamma):
-        assert values.dtype == np.int64 and values.base is None
-        assert values.flags.writeable
+        assert isinstance(values, array) and values.typecode == "q"
     assert (b.right[:n + 1].tolist(), b.left.tolist()) == before
     assert b.gamma.tolist() == cluster.left_values.tolist()
+    gamma, right = b.gamma.tolist(), b.right.tolist()
+    b.left[0] = -7
+    assert b.left[0] == -7
+    assert (b.gamma.tolist(), b.right.tolist()) == (gamma, right)
+    assert explore_to_level(ORIGIN, n, cfg).left.tolist() == before[1]
 
 
 def test_level_by_level_matches_one_advance():
@@ -747,7 +753,7 @@ def judge(*args):
 # the ladder of that walk, which certifies on its first band, and of its
 # path moved a site off the lattice, which gets only the widest box
 judge(cfg, n, walk.right, walk.left, 64)
-judge(cfg, n, walk.right, walk.left - 1, 64)
+judge(cfg, n, walk.right, np.asarray(walk.left) - 1, 64)
 # on bands that refuse, each wider than the last, so that the scratch
 # grows, for a path that hugs its boundary at p = 0.6; on a box that dies
 # left of the walk's path (slack -238); and on bands and a box that all die
@@ -755,8 +761,8 @@ judge(cfg, n, walk.right, walk.left - 1, 64)
 cfg = Config(0, 0.6, 1024)
 walk = explore_to_level(LatticeSite(0, 0), 100, cfg)
 j = np.arange(101)
-hugging = np.maximum(walk.left, (walk.right[None, :]
-                                 + np.abs(j[:, None] - j[None, :])).min(1))
+r, l = np.asarray(walk.right), np.asarray(walk.left)
+hugging = np.maximum(l, (r[None, :] + np.abs(j[:, None] - j[None, :])).min(1))
 judge(cfg, 100, walk.right, hugging, 64)
 judge(cfg, 100, walk.right, walk.left, -238)
 zigzag = -(np.arange(41, dtype=np.int64) % 2)

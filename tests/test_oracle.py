@@ -96,9 +96,10 @@ def test_left_wall_certificate_trips_when_seeds_truncated():
 
 
 def _walk(cfg, n):
-    """The explored right boundary and rightmost path from (0, 0)."""
+    """The explored right boundary and rightmost path from (0, 0), as numpy
+    rows."""
     b = explore_to_level(LatticeSite(0, 0), n, cfg)
-    return b.right, b.left
+    return np.asarray(b.right), np.asarray(b.left)
 
 
 def test_oracle_matches_exploration():
@@ -201,9 +202,15 @@ def test_arrays_that_do_not_fit_the_box_never_reach_the_native_dp():
     right = left = np.zeros(6, dtype=np.int64)
     with pytest.raises(InvalidArgumentError, match="do not fit"):
         judge_reference(box, right, left, 5)
-    # nor do boundaries that are not one-dimensional int64 arrays reach the
-    # native ladder
-    for r, l in ((right.astype(np.int32), left), (right, left[None, :])):
+    # boundaries of another integer type are copied into int64 rows, and
+    # judged as those are; nor do sequences that are not of int64 integers
+    # (nested rows, floats, a value past int64) reach the native ladder
+    want = oracle._ladder_outcome(cfg, 5, right, left, 64)
+    assert oracle._ladder_outcome(cfg, 5, right.astype(np.int32), left,
+                                  64) == want
+    assert oracle._ladder_outcome(cfg, 5, right.tolist(), left, 64) == want
+    for r, l in ((right, left[None, :]), (right.astype(float), left),
+                 (right, [0] * 5 + [2**63])):
         with pytest.raises(InvalidArgumentError, match="int64"):
             oracle._ladder_outcome(cfg, 5, r, l, 64)
     # a top moved after the box was built gives it no walls above level 5
@@ -736,7 +743,7 @@ from opweb.oracle import BoxConfig, dp_right_boundary, dp_rightmost_path
 n = 2000
 cfg = replica_config(1001, 0.7, 0)
 walk = explore_to_level(LatticeSite(0, 0), n, cfg)
-box = BoxConfig(cfg, min(int(walk.left.min()), 0) - 2 * n - 64, n + 2, 0, n)
+box = BoxConfig(cfg, min(min(walk.left), 0) - 2 * n - 64, n + 2, 0, n)
 ok = (dp_right_boundary(box, 0, n).values == walk.right.tolist()
       and dp_rightmost_path(box, 0, n) == walk.left.tolist())
 print(_native.load() is not None, (n, box.x_max - box.x_min + 1),

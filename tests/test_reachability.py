@@ -260,23 +260,24 @@ def _opens_for_writing(call: ast.Call) -> bool:
     return bool(set(mode.value) & set("wax+"))
 
 
-def _writers():
+def _holders(predicate):
     """``module.name`` of each top-level definition, or ``module.<module>``
-    for the module's other statements, that opens a file for writing."""
-    writers = set()
+    for the module's other statements, that holds a node for which
+    ``predicate`` is true."""
+    holders = set()
     for mod, tree in _modules().items():
         owners = {id(node): name for name, node in _definitions(tree).items()}
         for node in tree.body:
-            if any(isinstance(sub, ast.Call) and _opens_for_writing(sub)
-                   for sub in ast.walk(node)):
-                writers.add(f"{mod}.{owners.get(id(node), '<module>')}")
-    return writers
+            if any(predicate(sub) for sub in ast.walk(node)):
+                holders.add(f"{mod}.{owners.get(id(node), '<module>')}")
+    return holders
 
 
 def test_output_files_have_one_writer():
     # a second writer, or a return to open(path, "w") anywhere else, is a
     # second path for output bytes
-    assert _writers() == FILE_WRITERS
+    assert _holders(lambda sub: isinstance(sub, ast.Call)
+                    and _opens_for_writing(sub)) == FILE_WRITERS
 
 
 def test_the_writer_rewrites_in_place():
@@ -293,3 +294,28 @@ def test_the_writer_rewrites_in_place():
             if isinstance(sub, ast.Call) and _opens_for_writing(sub)] == [
                 "os.open"]
     assert [arg.arg for arg in writer.args.args] == ["path", "text"]
+
+
+# where numpy is imported: at import only by metrics, whose paths are numpy
+# arrays, and inside the bodies of three test references; every buffer
+# that crosses into _walk.c is an array.array
+NUMPY_IMPORTERS = {"metrics.<module>", "lattice.edge_status_array",
+                   "lattice.independence_probe",
+                   "oracle.gap_walk_survival_exact"}
+
+
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return False
+    return any(name == "numpy" or name.startswith("numpy.")
+               for name in names)
+
+
+def test_numpy_is_imported_only_where_listed():
+    # a second buffer type at the C boundary, or numpy back in a module
+    # that a command runs, is a second path for the same values
+    assert _holders(_imports_numpy) == NUMPY_IMPORTERS

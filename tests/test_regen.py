@@ -13,7 +13,8 @@ from opweb.errors import (InsufficientDataError, InvalidArgumentError,
 from opweb.explore import explore_to_level
 from opweb.lattice import Config, LatticeSite, replica_config
 from opweb.regen import (DEFAULT_BATCHES, DriftDiffusivity, RegenAccumulator,
-                         _plugin, error_gap_frequencies, replica_estimate)
+                         _has_meeting_gap, _plugin, error_gap_frequencies,
+                         replica_estimate)
 from opweb.stats import (float_sum, ks_distance_to_normal, sample_std,
                          wilson_interval)
 
@@ -242,6 +243,35 @@ def test_error_gap_full_lattice_is_exact():
     for row in rows:
         assert row["freq_error"] == 0.0
         assert row["freq_gap"] == 0.0
+
+
+@pytest.mark.parametrize("meets, want", [
+    ([], True),  # no meeting at all
+    (list(range(4, 16)), True),  # the first meeting past the threshold
+    (list(range(4)) + list(range(8, 16)), True),  # a gap from level 3 < 10
+    (list(range(11)) + [15], False),  # a gap from level 10, the window's end
+    (list(range(10)) + [14, 15], True),  # a gap from level 9, inside it
+    (list(range(10)), True),  # the last meeting before the window's end
+    (list(range(16)), False),  # r = gamma everywhere
+    ([3] + list(range(6, 16)), False),  # gaps of 3 at most, below 3.5
+])
+def test_meeting_gaps_hand_built(meets, want):
+    # window 10 and threshold 3.5: a meeting-free stretch longer than the
+    # threshold that starts in [0, 10)
+    for form in (meets, np.array(meets, dtype=np.int64)):
+        assert _has_meeting_gap(form, 10, 3.5) is want
+
+
+def test_error_gap_frequencies_are_pinned():
+    rows = error_gap_frequencies(50, 0.8, [0.05, 0.01], 0.5, 1.0, seed=3)
+    ci = (0.011038884327619805, 0.1346009068750702)
+    zero = (0.0, 0.07134759913335872)
+    assert rows == [
+        {"eps": 0.05, "window": 20, "threshold": 4.47213595499958, "n": 50,
+         "freq_error": 0.04, "ci_error": ci, "freq_gap": 0.04, "ci_gap": ci},
+        {"eps": 0.01, "window": 100, "threshold": 10.0, "n": 50,
+         "freq_error": 0.0, "ci_error": zero, "freq_gap": 0.0,
+         "ci_gap": zero}]
 
 
 def test_error_event_with_threshold_near_one():
