@@ -215,6 +215,13 @@ def dp_right_boundary(box: BoxConfig, start_x: int, n: int) -> DpBoundary:
     differ in their maximum, or at the right wall.
     """
     _, lo, hi, _, _ = _certified_dp(box, start_x, n)
+    return _boundary_from_lengths(box, lo, hi)
+
+
+def _boundary_from_lengths(box: BoxConfig, lo: list, hi: list) -> DpBoundary:
+    """The boundary from the bit lengths of the rows of the lower (``lo``)
+    and upper (``hi``) tables, or the refusal of the first level whose
+    maxima differ; the first empty level ends the values."""
     values = []
     for j, (left, a, b) in enumerate(zip(box.lefts, lo, hi)):
         if a != b:

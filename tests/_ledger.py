@@ -70,7 +70,7 @@ class CoupledRun:
     starts: tuple
     horizon: int
     r: list = field(repr=False)  # per cluster, list of ints from its start
-    gamma: list = field(repr=False)  # per cluster, an int64 array.array
+    gamma: list = field(repr=False)  # per cluster, np.ndarray
     left_deltas: list = field(repr=False)  # per cluster, the walk's record
     switch_levels: list  # per cluster, first level on the ledger, or None
     kappas: dict  # (i, j) -> CoalescenceTimes
@@ -320,7 +320,7 @@ def run_coupled_many(starts, horizon: int, *, p: float, seed: int,
     run = CoupledRun(
         starts=tuple(starts), horizon=horizon,
         r=[c.right_values.tolist() for c in clusters],
-        gamma=[c.left_values for c in clusters],
+        gamma=[np.asarray(c.left_values) for c in clusters],
         left_deltas=[c.left_deltas for c in clusters],
         switch_levels=switch_levels, kappas={}, orientations={},
     )

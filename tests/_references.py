@@ -38,7 +38,8 @@ from opweb.errors import (BoxTooNarrowError, InvalidArgumentError,
 from opweb.explore import ExplorationCluster
 from opweb.lattice import LatticeSite, edge_threshold
 from opweb.cli import COMMAND_DEFAULTS, LIST_FIELDS, SPEC_FLAGS
-from opweb.oracle import OUTCOMES, BoxConfig, _certified_dp, _refusal
+from opweb.oracle import (OUTCOMES, BoxConfig, _boundary_from_lengths,
+                          _certified_dp, _refusal)
 
 
 def bounds_reference(z, n, horizon, cfg, scan_guard) -> tuple:
@@ -242,18 +243,14 @@ def judge_reference(box, right, left, n) -> str:
     path."""
     try:
         code, lo, hi, path, (t, x) = _certified_dp(box, 0, n)
+        boundary = _boundary_from_lengths(box, lo, hi)
     except BoxTooNarrowError:
         return "box_too_narrow"
-    values = []
-    for wall, a, b in zip(box.lefts, lo, hi):
-        if a != b:  # the row's maximum is not certified
-            return "box_too_narrow"
-        if not a:
-            # a box that dies judges only the paths inside it
-            outside = any(col < w for col, w in zip(left, box.lefts))
-            return "box_too_narrow" if outside else "dp_dead"
-        values.append(wall + a - 1)
-    if values != list(right):
+    if boundary.dead_from is not None:
+        # a box that dies judges only the paths inside it
+        outside = any(col < w for col, w in zip(left, box.lefts))
+        return "box_too_narrow" if outside else "dp_dead"
+    if boundary.values != list(right):
         return "right_boundary_mismatch"
     # a certified boundary certifies the path: see oracle's docstring
     if code:

@@ -146,6 +146,13 @@ def test_checker_detects_corruption():
     run.r[1][kt.kappa_rr + 20] += 2
     report = check_coalescence_structure(run)
     assert not report.boundary_merge.passed
+    # clause 3 names the first level at which the two gammas differ
+    run = run_coupled_many([O, LatticeSite(2, 0)], 500, p=0.8, seed=13)
+    kgg = run.kappas[(0, 1)].kappa_gamma_gamma
+    run.gamma[1][kgg + 20] += 2
+    report = check_coalescence_structure(run)
+    assert report.boundary_merge.passed
+    assert report.gamma_merge.first_violation == ("gamma", kgg + 20)
 
 
 def test_ordering_preserved_before_merge():

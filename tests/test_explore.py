@@ -72,7 +72,7 @@ def test_boundary_invariants(seed, p, n):
     assert set(np.diff(left)) <= {-1, 1}
     assert np.diff(r).max() <= 1
     assert left[-1] == r[-1]
-    assert np.all(left <= r)
+    assert np.all(np.asarray(left) <= np.asarray(r))
 
 
 @given(seeds, ps, st.integers(2, 25), st.integers(1, 25))
@@ -82,7 +82,7 @@ def test_prefix_consistency_and_left_monotonicity(seed, p, n, extra):
     short = explore_to_level(ORIGIN, n, cfg, scan_guard=2000)
     tall = explore_to_level(ORIGIN, n + extra, cfg, scan_guard=2000)
     assert tall.right[:n + 1].tolist() == short.right.tolist()
-    assert np.all(tall.left[:n + 1] <= short.left)
+    assert np.all(np.asarray(tall.left[:n + 1]) <= np.asarray(short.left))
     # one walk to (n, n + extra) gives the left boundary of the one and the
     # boundaries at the horizon of the other
     both = explore_to_level(ORIGIN, n, cfg, horizon=n + extra,
@@ -131,7 +131,8 @@ def test_gamma_monotone_in_horizon(seed, h, extra):
     cfg = Config(seed, 0.8, 1)
     g_short = gamma_approx(ORIGIN, h, cfg, scan_guard=2000)
     g_long = gamma_approx(ORIGIN, h + extra, cfg, scan_guard=2000)
-    assert np.all(g_short.values >= g_long.values[:h + 1])
+    assert np.all(np.asarray(g_short.values)
+                  >= np.asarray(g_long.values[:h + 1]))
 
 
 def test_gamma_stabilizes_well_before_horizon():
